@@ -11,8 +11,11 @@ storage would buy nothing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import BudgetExceededError, IndexRadiusError, SpecMismatchError
 from .groups import DEFAULT_BUDGET, GroupSpec, LengthIndex, word_length
@@ -20,6 +23,17 @@ from .groups import DEFAULT_BUDGET, GroupSpec, LengthIndex, word_length
 # Slack threshold below which a floating comparison counts as a violation;
 # the test surface is dominated by exact small-integer sums.
 GEQ_TOLERANCE = -1e-9
+
+# Element pairs per numpy block: bigger blocks add peak memory, not speed.
+PAIR_BLOCK = 1 << 16
+# Bounding a product box takes 4^d corner pairs in d coordinates.
+MAX_CORNER_PAIRS = 1 << 16
+# Coordinates must stay below this in absolute value so that products such
+# as H3's c + c' + a*b' cannot overflow int64.
+COORD_LIMIT = 1 << 31
+# Array kernels hold a few numbers per cell of the products' bounding box;
+# a box of more cells than this per possible product stays on the dict loop.
+BOX_CELLS_PER_PRODUCT = 4
 
 
 @dataclass
@@ -61,8 +75,23 @@ class AlgebraElement:
         if data["group"] != spec.descriptor():
             raise SpecMismatchError(
                 f"element JSON is for {data['group']!r}, not {spec.descriptor()!r}")
-        coeffs = {spec.parse_key(k): float(c) for k, c in data["coeffs"]}
-        return cls(spec=spec, coeffs=coeffs, support_radius=int(data["support_radius"]))
+        coeffs = {}
+        for k, c in data["coeffs"]:
+            g = spec.parse_key(k)
+            if g in coeffs:
+                raise ValueError(f"element JSON lists {spec.element_key(g)!r} twice")
+            coeffs[g] = float(c)
+            if not math.isfinite(coeffs[g]):
+                raise ValueError(f"element JSON gives {k!r} the value {c!r}")
+        element = cls(spec=spec, coeffs=coeffs,
+                      support_radius=int(data["support_radius"]))
+        for g in element.coeffs:
+            length = spec.word_length_closed(g)
+            if length is not None and length > element.support_radius:
+                raise ValueError(
+                    f"element {spec.element_key(g)!r} has length {length}, "
+                    f"beyond support_radius {element.support_radius}")
+        return element
 
 
 def point_mass(spec, g, length=None, index=None):
@@ -101,16 +130,148 @@ def characteristic(spec, shape, index: LengthIndex):
     raise ValueError(f"unknown shape kind {kind!r}")
 
 
-def convolve(a: AlgebraElement, b: AlgebraElement, budget=DEFAULT_BUDGET):
-    """Convolution product; cost is |supp a| * |supp b| sparse updates."""
-    if a.spec != b.spec:
-        raise SpecMismatchError("convolution operands live on different groups")
-    mul = a.spec.multiply
-    # outer loop over the smaller support keeps the per-row dict hot
-    if len(a.coeffs) <= len(b.coeffs):
-        left, right, flip = a.coeffs, b.coeffs, False
-    else:
-        left, right, flip = b.coeffs, a.coeffs, True
+class ProductKeys:
+    """Integer keys for the products of two element lists, pair by pair.
+
+    Pair p = i * len(inner) + j is the product of outer[i] and inner[j]: the
+    order of a loop with the outer list outside.  Keys number the cells of
+    the products' bounding box (corner ``lo``, side lengths ``spans``) in mixed
+    radix, so equal products get equal keys and ``elements`` decodes keys.
+    While ``blocks`` runs, ``first`` records each key's first pair and
+    ``touched`` counts the keys seen.
+    """
+
+    def __init__(self, law, outer, inner, lo, spans):
+        self.law = law
+        self.outer = outer
+        self.inner = inner
+        self.pairs = outer.shape[1] * inner.shape[1]
+        self.lo = lo
+        self.spans = spans
+        self.size = math.prod(spans)
+        self.first = None
+        self.touched = 0
+
+    def blocks(self):
+        """(outer slice, inner slice, keys of their pairs) for consecutive
+        blocks of at most PAIR_BLOCK pairs: whole rows, or parts of one."""
+        height, width = self.outer.shape[1], self.inner.shape[1]
+        self.first = np.full(self.size, self.pairs)
+        rows = max(1, PAIR_BLOCK // width)
+        step = min(width, PAIR_BLOCK)
+        for r in range(0, height, rows):
+            outer_ids = slice(r, min(r + rows, height))
+            for c in range(0, width, step):
+                inner_ids = slice(c, min(c + step, width))
+                products = self.law(self.outer[:, outer_ids, None],
+                                    self.inner[:, None, inner_ids])
+                keys = np.zeros(products[0].shape, dtype=np.int64)
+                for col, lo, span in zip(products, self.lo, self.spans):
+                    keys *= span
+                    keys += col
+                    keys -= lo
+                del products
+                keys = keys.ravel()
+                start = r * width + c
+                p = np.arange(start, start + len(keys))
+                np.minimum.at(self.first, keys, p)
+                self.touched += np.count_nonzero(self.first[keys] == p)
+                yield outer_ids, inner_ids, keys
+
+    def first_touch_order(self):
+        """The keys ``blocks`` touched, ordered by their first pair."""
+        cells = np.flatnonzero(self.first < self.pairs)
+        return cells[np.argsort(self.first[cells])]
+
+    def elements(self, keys):
+        """The product elements (integer tuples) that ``keys`` encode."""
+        cols = []
+        for lo, span in zip(reversed(self.lo), reversed(self.spans)):
+            keys, digit = np.divmod(keys, span)
+            cols.append((digit + lo).tolist())
+        return list(zip(*reversed(cols)))
+
+
+def _coordinate_columns(elements):
+    """int64 columns of integer-tuple elements, or None if they are not such
+    tuples or a coordinate reaches COORD_LIMIT."""
+    try:
+        rows = np.array(elements, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if (rows.ndim != 2 or rows.min() <= -COORD_LIMIT
+            or rows.max() >= COORD_LIMIT):
+        return None
+    return rows.T
+
+
+def _box_corners(cols):
+    lo, hi = cols.min(axis=1), cols.max(axis=1)
+    return np.array(list(itertools.product(*zip(lo, hi))), dtype=np.int64).T
+
+
+def product_keys(spec, outer, inner, flip, max_support=None):
+    """ProductKeys for outer[i] * inner[j] (inner[j] * outer[i] with ``flip``).
+
+    None when a list is empty, the group has no array law
+    (``GroupSpec.multiply_arrays``), a coordinate reaches COORD_LIMIT, or the
+    bounding box has more than BOX_CELLS_PER_PRODUCT cells per possible
+    product: per pair, and per element of ``max_support`` when given.
+    """
+    outer_cols = _coordinate_columns(outer)
+    inner_cols = _coordinate_columns(inner)
+    if outer_cols is None or inner_cols is None:
+        return None
+    law = spec.multiply_arrays
+    if flip:
+        def law(g, h):
+            return spec.multiply_arrays(h, g)
+    # the law is multilinear in the coordinates, so the products of the
+    # operands' box corners bound every product
+    g, h = _box_corners(outer_cols), _box_corners(inner_cols)
+    if g.shape[1] * h.shape[1] > MAX_CORNER_PAIRS:
+        return None
+    corners = law(g[:, :, None], h[:, None, :])
+    if corners is None:
+        return None
+    lo = [int(col.min()) for col in corners]
+    spans = [int(col.max()) - low + 1 for col, low in zip(corners, lo)]
+    keys = ProductKeys(law, outer_cols, inner_cols, lo, spans)
+    products = keys.pairs if max_support is None else min(keys.pairs, max_support)
+    if keys.size > BOX_CELLS_PER_PRODUCT * products:
+        return None
+    return keys
+
+
+def _convolve_arrays(spec, left, right, flip, budget):
+    """``_convolve_dicts`` in numpy, or None when a coefficient is not a float
+    or ``product_keys`` gives None.
+
+    ``np.add.at`` adds each key's terms in pair order, as the dict loop does,
+    so every sum is bitwise the same, and the keys' first pairs give back the
+    dict loop's insertion order.
+    """
+    if any(type(c) is not float for c in
+           itertools.chain(left.values(), right.values())):
+        return None
+    keys = product_keys(spec, list(left), list(right), flip, max_support=budget)
+    if keys is None:
+        return None
+    left_c = np.fromiter(left.values(), dtype=np.float64, count=len(left))
+    right_c = np.fromiter(right.values(), dtype=np.float64, count=len(right))
+    sums = np.zeros(keys.size)
+    for outer_ids, inner_ids, k in keys.blocks():
+        np.add.at(sums, k, np.outer(left_c[outer_ids], right_c[inner_ids]).ravel())
+        if budget is not None and keys.touched > budget:
+            raise BudgetExceededError(
+                f"convolution support passed {budget} elements")
+    cells = keys.first_touch_order()
+    return dict(zip(keys.elements(cells), sums[cells].tolist()))
+
+
+def _convolve_dicts(mul, left, right, flip, budget):
+    """sum over left x right of c_g c_h at g*h (h*g when ``flip``), as a dict
+    in first-touch order; the generic path for every group."""
     out = {}
     get = out.get
     for g, cg in left.items():
@@ -120,6 +281,30 @@ def convolve(a: AlgebraElement, b: AlgebraElement, budget=DEFAULT_BUDGET):
         if budget is not None and len(out) > budget:
             raise BudgetExceededError(
                 f"convolution support passed {budget} elements")
+    return out
+
+
+def convolve(a: AlgebraElement, b: AlgebraElement, budget=DEFAULT_BUDGET):
+    """Convolution product; cost is |supp a| * |supp b| sparse updates.
+
+    The outer loop runs over the smaller support.  On Z^d and H3 the updates
+    run in numpy blocks (``_convolve_arrays``) when all coefficients are
+    floats, coordinates stay below 2^31 in absolute value, and the products'
+    bounding box has at most BOX_CELLS_PER_PRODUCT cells per pair and per
+    budgeted element; otherwise, and on every other group, a dict loop runs.
+    Both give the same floats, bit for bit, in the same order.  The budget
+    counts every element touched, including sums that cancel to zero.
+    """
+    if a.spec != b.spec:
+        raise SpecMismatchError("convolution operands live on different groups")
+    # outer loop over the smaller support keeps the per-row dict hot
+    if len(a.coeffs) <= len(b.coeffs):
+        left, right, flip = a.coeffs, b.coeffs, False
+    else:
+        left, right, flip = b.coeffs, a.coeffs, True
+    out = _convolve_arrays(a.spec, left, right, flip, budget)
+    if out is None:
+        out = _convolve_dicts(a.spec.multiply, left, right, flip, budget)
     return AlgebraElement(spec=a.spec, coeffs=out,
                           support_radius=a.support_radius + b.support_radius)
 
@@ -181,10 +366,14 @@ def pointwise_geq(a: AlgebraElement, b: AlgebraElement, region=None,
         return g in index and index.length(g) <= region
 
     min_slack = math.inf
-    support = set(a.coeffs) | set(b.coeffs)
-    for g in support:
-        if not in_region(g):
-            continue
+    if (region is not None and index is not None and index.spec == spec
+            and index.radius >= region):
+        # the ball is usually far smaller than the supports it is cut from
+        compared = (g for g in index.ball(region)
+                    if g in a.coeffs or g in b.coeffs)
+    else:
+        compared = (g for g in set(a.coeffs) | set(b.coeffs) if in_region(g))
+    for g in compared:
         slack = a.value(g) - b.value(g)
         if slack < min_slack:
             min_slack = slack

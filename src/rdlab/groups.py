@@ -76,6 +76,18 @@ class GroupSpec:
     def inverse(self, g):
         raise NotImplementedError
 
+    def multiply_arrays(self, g_cols, h_cols):
+        """The group law on coordinate columns, or None without one.
+
+        ``g_cols`` and ``h_cols`` hold one int64 array per coordinate of an
+        integer-tuple element, and the arrays of the two broadcast against
+        each other; the result holds one array per coordinate of the products.
+        Every product coordinate must be a polynomial of degree at most one in
+        each input coordinate, so that its extremes over a box of inputs lie
+        at the box's corners.
+        """
+        return None
+
     def check_element(self, g):
         """Raise ValueError unless ``g`` is a canonical element value."""
         raise NotImplementedError
@@ -152,6 +164,9 @@ class FreeAbelian(GroupSpec):
     def multiply(self, g, h):
         return tuple(x + y for x, y in zip(g, h))
 
+    def multiply_arrays(self, g_cols, h_cols):
+        return self.multiply(g_cols, h_cols)
+
     def inverse(self, g):
         return tuple(-x for x in g)
 
@@ -214,6 +229,9 @@ class DiscreteHeisenberg(GroupSpec):
         a, b, c = g
         a2, b2, c2 = h
         return (a + a2, b + b2, c + c2 + a * b2)
+
+    def multiply_arrays(self, g_cols, h_cols):
+        return self.multiply(g_cols, h_cols)
 
     def inverse(self, g):
         a, b, c = g

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .algebra import AlgebraElement, adjoint, convolve, norm
+from .algebra import AlgebraElement, adjoint, convolve, norm, product_keys
 from .errors import BudgetExceededError, IndexRadiusError, RdlabError
 from .groups import DEFAULT_BUDGET, FreeGroup, LengthIndex
 
@@ -395,6 +395,38 @@ def _binary_power(ops, powers, m):
 # -- compressed power iteration ----------------------------------------------
 
 
+def _compression_matrix(a: AlgebraElement, cols):
+    """Sparse matrix of v -> a*v from l2(cols) into l2 of the products.
+
+    Rows are numbered by first appearance, columns outside and the support
+    of ``a`` inside; ``product_keys`` supplies the products on Z^d and H3.
+    """
+    spec = a.spec
+    supp = list(a.coeffs.items())
+    keys = product_keys(spec, cols, list(a.coeffs), flip=True)
+    if keys is None:
+        rows_of = {}
+        data, row_idx, col_idx = [], [], []
+        for j, g in enumerate(cols):
+            for s, c in supp:
+                h = spec.multiply(s, g)
+                i = rows_of.setdefault(h, len(rows_of))
+                data.append(c)
+                row_idx.append(i)
+                col_idx.append(j)
+        shape = (len(rows_of), len(cols))
+    else:
+        keys_of_pairs = np.concatenate([k for _, _, k in keys.blocks()])
+        cells = keys.first_touch_order()
+        row_of = np.empty(keys.size, dtype=np.int64)
+        row_of[cells] = np.arange(len(cells))
+        row_idx = row_of[keys_of_pairs]
+        col_idx = np.repeat(np.arange(len(cols)), len(supp))
+        data = np.tile([c for _, c in supp], len(cols))
+        shape = (len(cells), len(cols))
+    return scipy.sparse.csr_matrix((data, (row_idx, col_idx)), shape=shape)
+
+
 def op_norm_power_iteration(a: AlgebraElement, R, iters=200, seed=0,
                             index: LengthIndex = None, tol=POWER_CONVERGED_RTOL):
     """Largest singular value of convolution by ``a`` compressed to l2(B_R).
@@ -412,23 +444,10 @@ def op_norm_power_iteration(a: AlgebraElement, R, iters=200, seed=0,
     if R < a.support_radius:
         raise IndexRadiusError(
             f"domain radius {R} below element support radius {a.support_radius}")
-    spec = a.spec
-    cols = [g for n in range(R + 1) for g in index.sphere(n)]
-    rows_of = {}
-    data, row_idx, col_idx = [], [], []
-    supp = list(a.coeffs.items())
-    for j, g in enumerate(cols):
-        for s, c in supp:
-            h = spec.multiply(s, g)
-            i = rows_of.setdefault(h, len(rows_of))
-            data.append(c)
-            row_idx.append(i)
-            col_idx.append(j)
-    mat = scipy.sparse.csr_matrix(
-        (data, (row_idx, col_idx)), shape=(len(rows_of), len(cols)))
+    mat = _compression_matrix(a, [g for n in range(R + 1) for g in index.sphere(n)])
 
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(len(cols))
+    v = rng.standard_normal(mat.shape[1])
     v /= np.linalg.norm(v)
     steps = []
     converged = False

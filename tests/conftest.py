@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 import rdlab as R
+
+# fixed examples keep the suite reproducible and its run time steady
+settings.register_profile("rdlab", derandomize=True, deadline=None,
+                          max_examples=40, database=None)
+settings.load_profile("rdlab")
 
 
 @pytest.fixture(scope="session")

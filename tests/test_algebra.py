@@ -254,3 +254,22 @@ class TestJson:
         data = R.char_ball(z_index, 1).to_json_dict()
         with pytest.raises(SpecMismatchError):
             R.AlgebraElement.from_json_dict(Z2, data)
+
+    def test_duplicate_keys_rejected(self):
+        data = {"group": "Z^2", "support_radius": 1,
+                "coeffs": [["1,0", 5.0], ["01,0", 2.0]]}
+        with pytest.raises(ValueError, match="twice"):
+            R.AlgebraElement.from_json_dict(Z2, data)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "-inf"])
+    def test_non_finite_coefficient_rejected(self, value):
+        data = {"group": "Z^2", "support_radius": 1, "coeffs": [["0,1", value]]}
+        with pytest.raises(ValueError, match="value"):
+            R.AlgebraElement.from_json_dict(Z2, data)
+
+    def test_support_radius_below_closed_length_rejected(self):
+        data = {"group": "Z^2", "support_radius": 1, "coeffs": [["0,3", 1.0]]}
+        with pytest.raises(ValueError, match="support_radius"):
+            R.AlgebraElement.from_json_dict(Z2, data)
+        data["support_radius"] = 3
+        assert R.AlgebraElement.from_json_dict(Z2, data).coeffs == {(0, 3): 1.0}

@@ -151,6 +151,13 @@ class TestExitCodes:
         assert run_command(["cache", "check"]) == 2
         assert run_command(["norm", "--group", "Z"]) == 2
 
+    def test_malformed_element_json(self, tmp_path):
+        path = tmp_path / "el.json"
+        path.write_text(json.dumps({"group": "Z^2", "support_radius": 1,
+                                    "coeffs": [["0,3", 1.0]]}))
+        assert run_command(["norm", "--group", "Z^2", "--element", str(path),
+                            "--method", "l1"]) == 2
+
     def test_budget_error(self):
         assert run_command(["growth", "--group", "Z^2", "--radius", "6",
                             "--budget", "10"]) == 3

@@ -1,0 +1,240 @@
+"""The numpy convolution kernel against the generic dict loop.
+
+On Z^d and H3 ``convolve`` runs in numpy blocks; everywhere else, and when an
+input falls outside the kernel's limits, it runs the dict loop.  Both must give
+the same floats, bit for bit, in the same order, and raise on the same budgets.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+import rdlab as R
+from rdlab import algebra, norms
+from rdlab.errors import BudgetExceededError
+
+H3 = R.DiscreteHeisenberg()
+SPECS = [R.FreeAbelian(1), R.FreeAbelian(2), R.FreeAbelian(3), H3]
+
+# small integers make exact cancellation common; arbitrary floats make sums
+# whose value depends on the order of addition
+COEFFS = st.one_of(st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.5, -3.0]),
+                   st.floats(-4.0, 4.0, allow_nan=False).filter(bool))
+
+
+def coordinates(spec):
+    if spec is H3:
+        return st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                         st.integers(-6, 6))
+    return st.tuples(*[st.integers(-4, 4)] * spec.rank)
+
+
+def length_bound(spec, g):
+    if spec is H3:      # no closed form: the length of its generator word
+        a, b, c = g
+        return abs(a) + abs(b) + 4 * abs(c - a * b)
+    return spec.word_length_closed(g)
+
+
+def element(spec, coeffs):
+    radius = max((length_bound(spec, g) for g in coeffs), default=0)
+    return R.AlgebraElement(spec=spec, coeffs=coeffs, support_radius=radius)
+
+
+@st.composite
+def operand_pairs(draw, specs=SPECS, min_size=1):
+    spec = draw(st.sampled_from(specs))
+    supports = st.dictionaries(coordinates(spec), COEFFS, min_size=min_size,
+                               max_size=14)
+    return element(spec, draw(supports)), element(spec, draw(supports))
+
+
+def dict_loop(a, b, budget=R.DEFAULT_BUDGET):
+    """``convolve`` with the numpy kernel switched off."""
+    with mock.patch.object(algebra, "_convolve_arrays", return_value=None):
+        return R.convolve(a, b, budget=budget)
+
+
+# tiny blocks put one key's terms in several blocks, and split rows
+BLOCKS = st.sampled_from([3, 7, algebra.PAIR_BLOCK])
+
+
+def numpy_kernel(a, b, budget=R.DEFAULT_BUDGET, block=algebra.PAIR_BLOCK):
+    """``convolve`` that fails unless the numpy kernel runs.  The box-size
+    limit, which guards memory and not correctness, is lifted so that
+    scattered random supports reach the kernel too."""
+    with mock.patch.object(algebra, "_convolve_dicts",
+                           side_effect=AssertionError("dict loop ran")), \
+            mock.patch.object(algebra, "BOX_CELLS_PER_PRODUCT", 2 ** 40), \
+            mock.patch.object(algebra, "PAIR_BLOCK", block):
+        return R.convolve(a, b, budget=budget)
+
+
+def bits(x):
+    return [(g, c.hex()) for g, c in x.coeffs.items()], x.support_radius
+
+
+def touched(a, b):
+    """Elements the generic loop touches, sums that cancel to 0.0 included."""
+    return len(algebra._convolve_dicts(a.spec.multiply, a.coeffs, b.coeffs,
+                                       False, None))
+
+
+@given(operand_pairs(), BLOCKS)
+def test_numpy_kernel_matches_dict_loop(pair, block):
+    a, b = pair
+    assert bits(numpy_kernel(a, b, block=block)) == bits(dict_loop(a, b))
+
+
+@given(operand_pairs(), BLOCKS)
+def test_budget_parity(pair, block):
+    a, b = pair
+    n = touched(a, b)
+    assume(n >= 2)     # budget 0 leaves nothing for the kernel to hold
+    with pytest.raises(BudgetExceededError):
+        dict_loop(a, b, budget=n - 1)
+    with pytest.raises(BudgetExceededError):
+        numpy_kernel(a, b, budget=n - 1, block=block)
+    assert bits(numpy_kernel(a, b, budget=n, block=block)) == \
+        bits(dict_loop(a, b, budget=n))
+
+
+def test_many_float_terms_per_element_across_blocks():
+    # blocks of two rows: terms of one element meet inside a block and across
+    # blocks, where a blockwise sum would round differently
+    rng = np.random.default_rng(5)
+    z = SPECS[0]
+    a = element(z, {(x,): float(c) for x, c in
+                    zip(range(-15, 16), rng.uniform(-1, 1, 31))})
+    b = element(z, {(x,): float(c) for x, c in
+                    zip(range(-15, 16), rng.uniform(-1, 1, 31))})
+    assert bits(numpy_kernel(a, b, block=62)) == bits(dict_loop(a, b))
+
+
+def test_exact_cancellation_drops_the_element_but_counts_it():
+    z = SPECS[0]
+    a = element(z, {(0,): 1.0, (1,): -1.0})
+    b = element(z, {(0,): 1.0, (1,): 1.0})
+    out = numpy_kernel(a, b)
+    assert list(out.coeffs.items()) == [((0,), 1.0), ((2,), -1.0)]
+    assert touched(a, b) == 3
+    with pytest.raises(BudgetExceededError):
+        numpy_kernel(a, b, budget=2)
+
+
+def test_equal_sizes_and_flip_on_h3():
+    # H3 is not commutative, so the flipped loop must keep a on the left
+    index = R.enumerate_balls(H3, 3)
+    ball = R.char_ball(index, 2)
+    shifted = element(H3, {(1, 0, 0): 2.0, (0, 1, 0): -1.0, (1, 1, 3): 0.5})
+    other = element(H3, {(0, 0, 1): 1.0, (-1, 2, 0): 3.0, (2, 0, -1): -0.25})
+    for a, b in [(ball, shifted), (shifted, ball), (shifted, other)]:
+        assert bits(numpy_kernel(a, b)) == bits(dict_loop(a, b))
+    assert bits(numpy_kernel(ball, shifted)) != bits(numpy_kernel(shifted, ball))
+
+
+def test_empty_operands():
+    z2 = SPECS[1]
+    empty = element(z2, {})
+    one = element(z2, {(1, 2): 1.5})
+    for a, b in [(empty, one), (one, empty), (empty, empty)]:
+        assert R.convolve(a, b).coeffs == {}
+        assert bits(R.convolve(a, b)) == bits(dict_loop(a, b))
+
+
+def keys_for(a, b):
+    return algebra.product_keys(a.spec, list(a.coeffs), list(b.coeffs), False)
+
+
+BIG = 3 * 2 ** 30
+
+
+@pytest.mark.parametrize("a, b", [
+    ({(0,): 1.0, (2 ** 31,): 2.0}, {(0,): 1.0, (1,): -1.0, (2,): 0.5}),
+    ({(-2 ** 31,): 1.0}, {(0,): 1.0}),
+    ({(2 ** 70,): 1.0}, {(0,): 1.0}),
+    # a one-cell box, but a * b' leaves int64
+    ({(BIG, 0, 0): 1.0}, {(0, BIG, 0): 2.0}),
+])
+def test_huge_coordinates_fall_back(a, b):
+    spec = H3 if len(next(iter(a))) == 3 else SPECS[0]
+    a, b = element(spec, a), element(spec, b)
+    assert keys_for(a, b) is None
+    assert bits(R.convolve(a, b)) == bits(dict_loop(a, b))
+    assert bits(R.convolve(a, b)) == bits(dict_loop(a, b))
+
+
+def test_far_apart_sparse_supports_fall_back():
+    z2 = SPECS[1]
+    a = element(z2, {(0, 0): 1.0, (1000, 1000): 1.0})
+    b = element(z2, {(0, 0): 1.0, (0, 1000): 2.0})
+    assert keys_for(a, b) is None
+    assert bits(R.convolve(a, b)) == bits(dict_loop(a, b))
+
+
+def test_budget_caps_the_box():
+    index = R.enumerate_balls(SPECS[1], 4)
+    ball = R.char_ball(index, 4)
+    assert keys_for(ball, ball) is not None
+    assert algebra.product_keys(SPECS[1], list(ball.coeffs), list(ball.coeffs),
+                                False, max_support=2) is None
+
+
+def test_groups_without_an_array_law_fall_back(f2_index, c12_index):
+    for index in (f2_index, c12_index):
+        ball = R.char_ball(index, 2)
+        assert keys_for(ball, ball) is None
+    assert R.FreeGroup(2).multiply_arrays(np.zeros((1, 1)), np.zeros((1, 1))) is None
+
+
+def test_integer_coefficients_keep_the_dict_loop():
+    # the dict loop rounds the exact integer product once; float64 operands
+    # would round 2^53 + 1 first and lose the 2^54 term
+    a = element(SPECS[0], {(0,): 2 ** 53 + 1})
+    assert R.convolve(a, a).coeffs == {(0,): float(2 ** 106 + 2 ** 54)}
+
+
+@pytest.mark.parametrize("spec, max_sum", [(H3, 8), (SPECS[1], 14)])
+def test_ball_product_sweep_slack_is_exactly_zero(spec, max_sum):
+    index = R.enumerate_balls(spec, max_sum)
+    ok, slack, _ = R.ball_product_sweep(spec, max_sum, index)
+    assert ok and slack == 0
+
+
+@given(operand_pairs(specs=SPECS[:3], min_size=0), st.integers(0, 6))
+def test_region_through_the_index_matches_closed_lengths(pair, region):
+    a, b = pair
+    index = R.enumerate_balls(a.spec, region)
+    assert R.pointwise_geq(a, b, region=region, index=index) == \
+        R.pointwise_geq(a, b, region=region)
+
+
+def h3_power_case():
+    index = R.enumerate_balls(H3, 6)
+    a = R.linear_combine([(1.0, R.char_ball(index, 2)),
+                          (-0.5, R.char_sphere(index, 1))])
+    return a, index
+
+
+def test_power_iteration_matrix_matches_the_loop():
+    a, index = h3_power_case()
+    cols = [g for n in range(7) for g in index.sphere(n)]
+    fast = norms._compression_matrix(a, cols)
+    with mock.patch.object(norms, "product_keys", return_value=None):
+        slow = norms._compression_matrix(a, cols)
+    for part in ("indptr", "indices", "data"):
+        x, y = getattr(fast, part), getattr(slow, part)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_power_iteration_steps_are_unchanged():
+    a, index = h3_power_case()
+    est = R.op_norm_power_iteration(a, 6, iters=12, seed=3, index=index)
+    assert est.steps == [
+        3.6810513254401136, 7.359171527007313, 9.253311627283736,
+        10.453480766104951, 11.316979805402038, 11.834318591086808,
+        12.09519537005534, 12.215502555991938, 12.269496407730127,
+        12.293852568291804, 12.305059124226513, 12.310353188817505]
