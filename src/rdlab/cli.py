@@ -26,15 +26,15 @@ from .cache import (
     write_ball_cache,
 )
 from .errors import BudgetExceededError, RdlabError
-from .groups import DEFAULT_BUDGET, FreeGroup, enumerate_balls, parse_descriptor
+from .groups import DEFAULT_BUDGET, enumerate_balls, parse_descriptor
 from .rd import (
     ball_product_sweep,
     ball_series_l2_bounds,
-    ball_sizes,
     build_ball_series,
     build_report,
-    closed_sphere_series,
     fit_exponent,
+    index_radius,
+    make_witness,
     norm_bracket,
     ratio_series,
     rd_constant_series,
@@ -44,7 +44,6 @@ from .rd import (
     verify_doubling,
     verify_heredity,
     verify_series_product_bound,
-    witness_element,
 )
 
 EXIT_OK = 0
@@ -104,6 +103,12 @@ class _Run:
                 return read_ball_cache(path, spec)
         return enumerate_balls(spec, radius, budget=budget)
 
+    def planned_index(self, spec, method, radius, needs="witness"):
+        """The index ``rd.index_radius`` asks for, or None if it asks for none."""
+        radius = index_radius(spec, method, radius, needs,
+                              getattr(self.args, "domain_radius", None))
+        return None if radius is None else self.get_index(spec, radius)
+
     def emit(self, text, summary=None):
         args = self.args
         out = getattr(args, "out", None)
@@ -140,10 +145,6 @@ class _Run:
                 artifact_text.encode("utf-8")).hexdigest(),
             "wall_time_s": time.perf_counter() - self.started,
         }
-
-
-def _needs_dense_index(spec):
-    return closed_sphere_series(spec, 0) is None
 
 
 def _estimator_kwargs(args):
@@ -184,17 +185,14 @@ def cmd_norm(run):
     if args.element:
         data = json.loads(Path(args.element).read_text(encoding="utf-8"))
         element = AlgebraElement.from_json_dict(spec, data)
-        index_radius = max(element.support_radius, args.domain_radius or 0)
+        index = run.planned_index(spec, args.method, element.support_radius,
+                                  needs="element")
     elif args.witness and args.n is not None:
-        index_radius = max(args.n, args.domain_radius or 0)
+        index = run.planned_index(spec, args.method, args.n)
+        element = make_witness(spec, args.witness, args.n, args.method, index,
+                               args.d_hat)
     else:
         raise RdlabError("norm needs either --element or --witness with --n")
-    index = None
-    if args.method == "power" or _needs_dense_index(spec) or not args.element:
-        index = run.get_index(spec, index_radius)
-    if not args.element:
-        element = witness_element(spec, args.witness, args.n, index,
-                                  d_hat=args.d_hat)
     est = norm_bracket(element, method=args.method, index=index,
                        **_estimator_kwargs(args))
     run.emit(json_text(est.to_json_dict()),
@@ -206,10 +204,7 @@ def cmd_norm(run):
 def _make_series(run, args):
     spec = run.spec = parse_descriptor(args.group)
     n_list = parse_range(args.range)
-    radius = max(n_list)
-    if args.method == "power" and args.domain_radius is not None:
-        radius = max(radius, args.domain_radius)
-    index = run.get_index(spec, radius)
+    index = run.planned_index(spec, args.method, max(n_list))
     return ratio_series(spec, args.witness, n_list, method=args.method,
                         index=index, d_hat=args.d_hat,
                         **_estimator_kwargs(args))
@@ -248,19 +243,10 @@ def cmd_fit(run):
     return EXIT_OK
 
 
-DENSE_ZSERIES_LIMIT = 10_000
-
-
 def cmd_zseries(run):
     args = run.args
     spec = run.spec = parse_descriptor(args.group)
-    top = args.r * args.k
-    index = None
-    if _needs_dense_index(spec):
-        index = run.get_index(spec, top)
-    else:
-        if ball_sizes(spec, top)[top] <= DENSE_ZSERIES_LIMIT:
-            index = run.get_index(spec, top)
+    index = run.planned_index(spec, None, args.r * args.k, needs="series")
     series = build_ball_series(spec, args.r, args.alpha, args.k, index=index)
     bounds = ball_series_l2_bounds(series)
     payload = series.to_json_dict()
@@ -275,7 +261,7 @@ def cmd_report(run):
     args = run.args
     spec = run.spec = parse_descriptor(args.group)
     n_list = parse_range(args.range)
-    index = run.get_index(spec, max(n_list))
+    index = run.planned_index(spec, args.method, max(n_list))
     s_values = [float(s) for s in args.s_list.split(",")] if args.s_list else []
     report = build_report(spec, n_list, s_values=s_values, method=args.method,
                           index=index, **_estimator_kwargs(args))
@@ -316,9 +302,7 @@ def _verdict_exit(ok):
 
 def _verify_lemma1(run, args):
     spec = run.spec = parse_descriptor(args.group)
-    index = None
-    if not (isinstance(spec, FreeGroup) and spec.has_standard_generators()):
-        index = run.get_index(spec, args.radius if args.n is None
+    index = run.planned_index(spec, None, args.radius if args.n is None
                               else args.n + args.k)
     if args.n is not None and args.k is not None:
         ok, slack = verify_ball_product_bound(spec, args.n, args.k, index,
@@ -340,9 +324,7 @@ def _verify_lemma1(run, args):
 
 def _verify_lemma2(run, args):
     spec = run.spec = parse_descriptor(args.group)
-    index = None
-    if _needs_dense_index(spec) or not isinstance(spec, FreeGroup):
-        index = run.get_index(spec, args.r * args.k)
+    index = run.planned_index(spec, None, args.r * args.k)
     report = verify_series_product_bound(spec, args.r, args.alpha, args.beta,
                                          args.k, index, budget=args.budget)
     ok = report.ok
@@ -358,9 +340,7 @@ def _verify_lemma2(run, args):
 
 def _verify_doubling(run, args):
     spec = run.spec = parse_descriptor(args.group)
-    index = None
-    if _needs_dense_index(spec):
-        index = run.get_index(spec, args.r * (args.k + 1))
+    index = run.planned_index(spec, None, args.r * (args.k + 1), needs="sizes")
     min_ratio, ok = verify_doubling(spec, args.r, args.k, index)
     run.emit(json_text({"group": spec.descriptor(), "check": "doubling",
                         "r": args.r, "k_max": args.k,
@@ -375,9 +355,8 @@ def _verify_heredity(run, args):
     run.spec = embedding.ambient
     sub_index = enumerate_balls(embedding.sub, max(n_list) + 1,
                                 budget=args.budget)
-    ambient_index = None
-    if _needs_dense_index(embedding.ambient) or not embedding.ambient.amenable:
-        ambient_index = run.get_index(embedding.ambient, max(n_list))
+    ambient_index = run.planned_index(embedding.ambient, "auto", max(n_list),
+                                      needs="ambient")
     report = verify_heredity(embedding, n_list, sub_index, ambient_index)
     run.emit(json_text({"embedding": args.embedding, "ok": report.ok,
                         "rows": [{"n": r.n, "subgroup_count": r.subgroup_count,
@@ -393,15 +372,10 @@ def _verify_heredity(run, args):
 
 
 def _verify_divergence(run, args):
-    spec = run.spec = parse_descriptor(args.group)
-    n_list = parse_range(args.range)
-    index = run.get_index(spec, max(n_list))
-    series = ratio_series(spec, args.witness, n_list, method=args.method,
-                          index=index, d_hat=args.d_hat,
-                          **_estimator_kwargs(args))
+    series = _make_series(run, args)
     points, verdict = rd_constant_series(series, args.s)
     ok = verdict == args.expect
-    run.emit(json_text({"group": spec.descriptor(), "s": args.s,
+    run.emit(json_text({"group": series.group, "s": args.s,
                         "verdict": verdict, "expected": args.expect,
                         "points": [[n, c] for n, c in points]}),
              summary=f"C_s series verdict: {verdict} (expected {args.expect})")

@@ -83,6 +83,13 @@ class RadialElement:
     rank: int
     coeffs: list
 
+    @property
+    def spec(self):
+        return FreeGroup(self.rank)
+
+    def is_nonnegative(self):
+        return all(c >= 0.0 for c in self.coeffs)
+
     def trimmed(self):
         c = list(self.coeffs)
         while c and c[-1] == 0.0:
@@ -91,6 +98,14 @@ class RadialElement:
 
     def top_radius(self):
         return len(self.coeffs) - 1
+
+
+def radial_rank(spec):
+    """The rank of a free group on its standard generators, else None: the
+    groups whose sphere-constant elements form the radial subalgebra."""
+    if isinstance(spec, FreeGroup) and spec.has_standard_generators():
+        return spec.rank
+    return None
 
 
 def free_sphere_size(rank, j):
@@ -117,8 +132,8 @@ def radial_from_algebra(a: AlgebraElement):
     Values must match bitwise within each sphere and every occupied sphere
     must be complete; anything else falls back to the dense path.
     """
-    spec = a.spec
-    if not isinstance(spec, FreeGroup) or not spec.has_standard_generators():
+    rank = radial_rank(a.spec)
+    if rank is None:
         return None
     by_len = {}
     for g, c in a.coeffs.items():
@@ -126,13 +141,13 @@ def radial_from_algebra(a: AlgebraElement):
     top = max(by_len) if by_len else 0
     coeffs = [0.0] * (top + 1)
     for j, values in by_len.items():
-        if len(values) != free_sphere_size(spec.rank, j):
+        if len(values) != free_sphere_size(rank, j):
             return None
         first = values[0]
         if any(v != first for v in values):
             return None
         coeffs[j] = first
-    return RadialElement(rank=spec.rank, coeffs=coeffs)
+    return RadialElement(rank=rank, coeffs=coeffs)
 
 
 def radial_to_algebra(x: RadialElement, index: LengthIndex):
@@ -153,7 +168,7 @@ def radial_to_algebra(x: RadialElement, index: LengthIndex):
 def _apply_sphere_one(rank, d):
     """Coefficients of chi(S_1) * (sum d_n chi(S_n))."""
     q = 2 * rank - 1
-    out = [0.0] * (len(d) + 1)
+    out = [0] * (len(d) + 1)
     if len(d) > 1:
         out[0] = 2 * rank * d[1]
     out[1] += d[0]
@@ -165,7 +180,10 @@ def _apply_sphere_one(rank, d):
 
 
 def radial_convolve(x: RadialElement, y: RadialElement):
-    """Convolution via the sphere recursion; cost O(M_x (M_x + M_y))."""
+    """Convolution via the sphere recursion; cost O(M_x (M_x + M_y)).
+
+    Integer coefficients stay exact integers; float ones round as before.
+    """
     if x.rank != y.rank:
         raise RdlabError("radial operands have different free-group ranks")
     rank = x.rank
@@ -177,7 +195,7 @@ def radial_convolve(x: RadialElement, y: RadialElement):
 
     def add(acc, vec, c):
         if len(vec) > len(acc):
-            acc.extend([0.0] * (len(vec) - len(acc)))
+            acc.extend([0] * (len(vec) - len(acc)))
         for i, v in enumerate(vec):
             acc[i] += c * v
 
@@ -203,19 +221,20 @@ def _sphere_size_f(rank, j):
         return math.inf
 
 
-def radial_l1(x: RadialElement):
-    return sum(abs(c) * _sphere_size_f(x.rank, j) for j, c in enumerate(x.coeffs)
-               if c != 0.0)
-
-
-def radial_l2(x: RadialElement):
-    return math.sqrt(radial_inner(x, x))
-
-
 def radial_inner(x: RadialElement, y: RadialElement):
     return sum(cx * cy * _sphere_size_f(x.rank, j)
                for j, (cx, cy) in enumerate(zip(x.coeffs, y.coeffs))
                if cx != 0.0 and cy != 0.0)
+
+
+def coefficient_norm(x, kind):
+    """The "l1" or "l2" norm of a dense or radial element's coefficients."""
+    if not isinstance(x, RadialElement):
+        return norm(x, kind)
+    if kind == "l1":
+        return sum(abs(c) * _sphere_size_f(x.rank, j)
+                   for j, c in enumerate(x.coeffs) if c != 0.0)
+    return math.sqrt(radial_inner(x, x))
 
 
 # -- trace of convolution powers ---------------------------------------------
@@ -310,20 +329,12 @@ def op_norm_trace_power(a: AlgebraElement, depth=6, budget=DEFAULT_BUDGET,
     ladder and reports the intercept (the polynomial-correction limit) as a
     diagnostic; the returned bound stays the last computed step.
     """
-    if isinstance(a, RadialElement):
-        radial = a.trimmed()
-        if not any(radial.coeffs):
-            return NormEstimate(lower=0.0, upper=0.0, method="trace_power",
-                                steps=[0.0], iterations=1, converged=True)
-        ops = _RadialOps(radial, budget)
-        upper = radial_l1(radial)
-    else:
-        if not a.coeffs:
-            return NormEstimate(lower=0.0, upper=0.0, method="trace_power",
-                                steps=[0.0], iterations=1, converged=True)
-        radial = radial_from_algebra(a)
-        ops = _RadialOps(radial, budget) if radial is not None else _DenseOps(a, budget)
-        upper = norm(a, "l1")
+    radial = a.trimmed() if isinstance(a, RadialElement) else radial_from_algebra(a)
+    if not (a.coeffs if radial is None else any(radial.coeffs)):
+        return NormEstimate(lower=0.0, upper=0.0, method="trace_power",
+                            steps=[0.0], iterations=1, converged=True)
+    ops = _DenseOps(a, budget) if radial is None else _RadialOps(radial, budget)
+    upper = coefficient_norm(a, "l1")
     ms = _trace_exponents(depth, exponent)
 
     # powers[j] = b^(2^j); traces come from inner products of half powers
@@ -364,18 +375,25 @@ def op_norm_trace_power(a: AlgebraElement, depth=6, budget=DEFAULT_BUDGET,
                         extrapolated=diagnostic)
 
 
+def least_squares(xs, ys):
+    """(slope, intercept) of the least-squares line through the points, or
+    None when the xs have no spread."""
+    m = len(xs)
+    mean_x = sum(xs) / m
+    mean_y = sum(ys) / m
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    if sxx == 0.0:
+        return None
+    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
+    return slope, mean_y - slope * mean_x
+
+
 def _extrapolate_steps(ms, steps):
     """Intercept of log(step) regressed on 1/k over the last half of the ladder."""
     half = len(steps) // 2
-    xs = [1.0 / m for m in ms[half:]]
-    ys = [math.log(s) for s in steps[half:]]
-    if len(xs) < 2 or max(xs) == min(xs):
-        return None
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    return math.exp(mean_y - (sxy / sxx) * mean_x)
+    line = least_squares([1.0 / m for m in ms[half:]],
+                         [math.log(s) for s in steps[half:]])
+    return None if line is None else math.exp(line[1])
 
 
 def _binary_power(ops, powers, m):
@@ -473,20 +491,22 @@ def op_norm_power_iteration(a: AlgebraElement, R, iters=200, seed=0,
 # -- exact and trivial brackets ------------------------------------------------
 
 
-def op_norm_positive_amenable(a: AlgebraElement):
-    """||a|| = ||a||_1 for nonnegative coefficients on an amenable group."""
+def op_norm_positive_amenable(a):
+    """||a|| = ||a||_1 for nonnegative coefficients on an amenable group; ``a``
+    is dense or radial."""
     if not a.spec.amenable:
         raise RdlabError(
             f"{a.spec.descriptor()} is not flagged amenable; the l1 identity "
             "does not apply")
     if not a.is_nonnegative():
         raise RdlabError("the l1 identity needs nonnegative coefficients")
-    value = norm(a, "l1")
+    value = coefficient_norm(a, "l1")
     return NormEstimate(lower=value, upper=value, method="amenable_exact",
                         steps=[], iterations=0, converged=True)
 
 
-def op_norm_l1_bracket(a: AlgebraElement):
-    """The free bracket ||a||_2 <= ||a|| <= ||a||_1."""
-    return NormEstimate(lower=norm(a, "l2"), upper=norm(a, "l1"),
+def op_norm_l1_bracket(a):
+    """The free bracket ||a||_2 <= ||a|| <= ||a||_1 of a dense or radial element."""
+    return NormEstimate(lower=coefficient_norm(a, "l2"),
+                        upper=coefficient_norm(a, "l1"),
                         method="l1_bound", steps=[], iterations=0, converged=False)

@@ -22,20 +22,20 @@ numerical content:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .algebra import (
     AlgebraElement,
     GEQ_TOLERANCE,
     char_ball,
-    char_sphere,
     convolve,
     linear_combine,
-    norm,
     pointwise_geq,
     scale,
 )
-from .errors import CoverageError, IndexRadiusError, RdlabError
+from .errors import BudgetExceededError, CoverageError, IndexRadiusError, RdlabError
 from .groups import (
     DEFAULT_BUDGET,
     DirectProduct,
@@ -48,21 +48,18 @@ from .groups import (
     embed,
 )
 from .norms import (
-    NormEstimate,
     RadialElement,
+    coefficient_norm,
+    free_ball_size,
+    free_sphere_size,
+    least_squares,
     op_norm_l1_bracket,
     op_norm_positive_amenable,
     op_norm_power_iteration,
     op_norm_trace_power,
-    radial_ball,
     radial_convolve,
-    radial_l1,
-    radial_l2,
-    radial_sphere,
+    radial_rank,
 )
-
-# dense supports above this size are never materialized implicitly
-DENSE_ELEMENT_BUDGET = DEFAULT_BUDGET
 
 
 # -- closed-form growth ------------------------------------------------------
@@ -78,8 +75,7 @@ def closed_sphere_series(spec, up_to):
                      for i in range(min(d, n) + 1)) for n in range(up_to + 1)]
         return _diff(balls)
     if isinstance(spec, FreeGroup):
-        r = spec.rank
-        return [1] + [2 * r * (2 * r - 1) ** (j - 1) for j in range(1, up_to + 1)]
+        return [free_sphere_size(spec.rank, j) for j in range(up_to + 1)]
     if isinstance(spec, FiniteCyclic):
         balls = [min(2 * n + 1, spec.order) for n in range(up_to + 1)]
         return _diff(balls)
@@ -121,84 +117,109 @@ def sphere_sizes(spec, up_to, index: LengthIndex = None):
 
 
 def ball_sizes(spec, up_to, index: LengthIndex = None):
-    out = []
-    total = 0
-    for s in sphere_sizes(spec, up_to, index):
-        total += s
-        out.append(total)
-    return out
+    return list(accumulate(sphere_sizes(spec, up_to, index)))
+
+
+def _check_float_range(spec, balls):
+    """Raise BudgetExceededError if |B_n| for n = len(balls) - 1 is past the
+    float range, where l1 and l2 norms stop being finite."""
+    if balls[-1] > sys.float_info.max:
+        first = next(i for i, b in enumerate(balls) if b > sys.float_info.max)
+        raise BudgetExceededError(
+            f"ball sizes of {spec.descriptor()} leave the float range at radius "
+            f"{first}; radius {len(balls) - 1} must stay below it")
+
+
+# -- index planning -------------------------------------------------------------
+
+# a ball series attaches its dense element when B_{rK} has at most this many
+# elements, on groups whose sphere sizes need no index
+DENSE_ZSERIES_LIMIT = 10_000
+
+
+def index_radius(spec, method, radius, needs="witness", domain_radius=None):
+    """Radius of the LengthIndex a computation to ``radius`` reads, or None.
+
+    An index is read only to materialise a dense element or to count spheres
+    that have no closed form.  ``needs`` names what the computation builds:
+
+    * "witness": ball, sphere and aN witnesses and ball products, which stay
+      radial on a standard free group and are dense elsewhere;
+    * "element": nothing; a given dense element is normed as it is;
+    * "sizes": sphere sizes only;
+    * "series": a ball series, whose dense element is attached when B_radius
+      has at most DENSE_ZSERIES_LIMIT elements;
+    * "ambient": the ambient ball of a heredity check, exact from sphere
+      sizes on an amenable group and a witness otherwise.
+
+    Power iteration always reads the ball it compresses to, of radius
+    ``domain_radius`` when that is larger.
+    """
+    if method == "power":
+        return max(radius, domain_radius or 0)
+    closed = closed_sphere_series(spec, max(radius, 0))
+    if closed is None:
+        return None if needs == "element" else radius
+    if needs == "ambient":
+        needs = "sizes" if spec.amenable else "witness"
+    dense = (needs == "witness" and radial_rank(spec) is None
+             or needs == "series" and sum(closed) <= DENSE_ZSERIES_LIMIT)
+    return radius if dense else None
 
 
 # -- witness elements and ratio series ----------------------------------------
 
 
-def witness_element(spec, witness, n, index: LengthIndex, d_hat=None):
-    """The witness supported in B_n: "ball", "sphere", or "aN" (power-weighted
-    sphere sum with exponent d_hat: sum_{m<=n} (1+m)^(-d_hat) chi(S_m))."""
+def _witness_weights(witness, n, d_hat):
+    """Coefficients on S_0..S_n of the witness supported in B_n: "ball",
+    "sphere", or "aN" (power-weighted sphere sum with exponent d_hat:
+    sum_{1<=m<=n} (1+m)^(-d_hat) chi(S_m))."""
     if witness == "ball":
-        return char_ball(index, n)
+        return [1.0] * (n + 1)
     if witness == "sphere":
-        return char_sphere(index, n)
+        return [0.0] * n + [1.0]
     if witness == "aN":
         if d_hat is None or d_hat <= 0:
             raise ValueError("the aN witness needs d_hat > 0")
-        terms = [((1.0 + m) ** (-d_hat), char_sphere(index, m))
-                 for m in range(1, n + 1)]
-        return linear_combine(terms)
+        return [0.0] + [(1.0 + m) ** (-d_hat) for m in range(1, n + 1)]
     raise ValueError(f"unknown witness {witness!r}")
+
+
+def witness_element(spec, witness, n, index: LengthIndex, d_hat=None):
+    """The dense witness supported in B_n, built from ``index``."""
+    weights = _witness_weights(witness, n, d_hat)
+    coeffs = {g: w for m, w in enumerate(weights) if w for g in index.sphere(m)}
+    return AlgebraElement(spec=index.spec, coeffs=coeffs, support_radius=n)
 
 
 def witness_label(witness, d_hat=None):
     return f"aN({d_hat:g})" if witness == "aN" else witness
 
 
-def _radial_witness(spec, witness, n, d_hat=None):
-    """Radial form of a ball/sphere/aN witness on a standard free group."""
-    if not (isinstance(spec, FreeGroup) and spec.has_standard_generators()):
-        return None
-    if witness == "ball":
-        return radial_ball(spec.rank, n)
-    if witness == "sphere":
-        return radial_sphere(spec.rank, n)
-    if witness == "aN":
-        if d_hat is None or d_hat <= 0:
-            raise ValueError("the aN witness needs d_hat > 0")
-        return RadialElement(rank=spec.rank,
-                             coeffs=[0.0] + [(1.0 + m) ** (-d_hat)
-                                             for m in range(1, n + 1)])
-    raise ValueError(f"unknown witness {witness!r}")
+def make_witness(spec, witness, n, method="auto", index=None, d_hat=None):
+    """The witness in the form ``method`` reads: radial on a standard free
+    group, unless power iteration needs the dense element; else dense from
+    ``index``."""
+    if n < 0:
+        raise ValueError("witness radius must be >= 0")
+    rank = radial_rank(spec)
+    if rank is not None and method != "power":
+        _check_float_range(spec, ball_sizes(spec, n))
+        return RadialElement(rank=rank, coeffs=_witness_weights(witness, n, d_hat))
+    if index is None or index.spec != spec:
+        raise IndexRadiusError(
+            f"the {witness} witness on {spec.descriptor()} needs a LengthIndex")
+    return witness_element(spec, witness, n, index, d_hat)
 
 
-def _radial_bracket(x: RadialElement, spec, method, **kwargs):
-    """Norm bracket of a radial witness without leaving the radial algebra.
+def norm_bracket(a, method="auto", index=None, **kwargs):
+    """Dispatch to a norm estimator; "auto" prefers the exact amenable value.
 
-    Returns None when the method genuinely needs the dense element (power
-    iteration).  Rank-1 free groups are amenable, so nonnegative radial
-    witnesses there get the exact l1 value.
+    ``a`` is an AlgebraElement or a RadialElement.  Power iteration
+    compresses to a ball of group elements, so it takes only the dense form.
     """
-    if method == "power":
-        return None
-    nonneg = all(c >= 0.0 for c in x.coeffs)
-    if method == "exact" or (method == "auto" and spec.amenable):
-        if not spec.amenable:
-            raise RdlabError(f"{spec.descriptor()} is not flagged amenable")
-        if not nonneg:
-            raise RdlabError("the l1 identity needs nonnegative coefficients")
-        value = radial_l1(x)
-        return NormEstimate(lower=value, upper=value, method="amenable_exact",
-                            steps=[], iterations=0, converged=True)
-    if method == "l1":
-        return NormEstimate(lower=radial_l2(x), upper=radial_l1(x),
-                            method="l1_bound", steps=[], iterations=0,
-                            converged=False)
-    return op_norm_trace_power(x, depth=kwargs.get("depth", 6),
-                               budget=kwargs.get("budget", DEFAULT_BUDGET),
-                               exponent=kwargs.get("exponent"),
-                               extrapolate=kwargs.get("extrapolate", False))
-
-
-def norm_bracket(a: AlgebraElement, method="auto", index=None, **kwargs):
-    """Dispatch to a norm estimator; "auto" prefers the exact amenable value."""
+    if method == "auto":
+        method = "exact" if a.spec.amenable and a.is_nonnegative() else "trace"
     if method == "exact":
         return op_norm_positive_amenable(a)
     if method == "trace":
@@ -207,6 +228,8 @@ def norm_bracket(a: AlgebraElement, method="auto", index=None, **kwargs):
             exponent=kwargs.get("exponent"),
             extrapolate=kwargs.get("extrapolate", False))
     if method == "power":
+        if isinstance(a, RadialElement):
+            raise RdlabError("power iteration needs the dense element")
         R = kwargs.get("R")
         if R is None:
             R = max(a.support_radius, 1)
@@ -215,13 +238,6 @@ def norm_bracket(a: AlgebraElement, method="auto", index=None, **kwargs):
             index=index)
     if method == "l1":
         return op_norm_l1_bracket(a)
-    if method == "auto":
-        if a.spec.amenable and a.is_nonnegative():
-            return op_norm_positive_amenable(a)
-        return op_norm_trace_power(
-            a, depth=kwargs.get("depth", 6), budget=kwargs.get("budget", DEFAULT_BUDGET),
-            exponent=kwargs.get("exponent"),
-            extrapolate=kwargs.get("extrapolate", False))
     raise ValueError(f"unknown norm method {method!r}")
 
 
@@ -276,7 +292,7 @@ def ratio_series(spec, witness, n_list, method="auto", index=None, d_hat=None,
 
     Free-group ball/sphere/aN witnesses stay in the radial subalgebra, so no
     index (and no exponentially large enumeration) is needed for them; every
-    other case materializes the witness from ``index``.
+    other case materializes the witness from ``index`` (see make_witness).
     """
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -284,25 +300,11 @@ def ratio_series(spec, witness, n_list, method="auto", index=None, d_hat=None,
     series = RatioSeries(group=spec.descriptor(),
                          witness=witness_label(witness, d_hat), method=method)
     for n in n_list:
-        est = None
-        radial = _radial_witness(spec, witness, n, d_hat)
-        if radial is not None:
-            l2 = radial_l2(radial)
-            if l2 == 0.0:
-                continue
-            est = _radial_bracket(radial, spec, method, **kwargs)
-        if est is None:
-            if index is None or index.spec != spec:
-                raise IndexRadiusError(
-                    "ratio_series needs a LengthIndex for this witness")
-            if n > index.radius:
-                raise IndexRadiusError(
-                    f"n {n} exceeds index radius {index.radius}")
-            element = witness_element(spec, witness, n, index, d_hat)
-            l2 = norm(element, "l2")
-            if l2 == 0.0:
-                continue
-            est = norm_bracket(element, method=method, index=index, **kwargs)
+        element = make_witness(spec, witness, n, method, index, d_hat)
+        l2 = coefficient_norm(element, "l2")
+        if l2 == 0.0:
+            continue
+        est = norm_bracket(element, method=method, index=index, **kwargs)
         series.entries.append(RatioEntry(n=n, norm_lower=est.lower,
                                          norm_upper=est.upper, l2=l2))
     return series
@@ -337,15 +339,12 @@ def fit_loglog(pairs, window=(4, None)):
         raise ValueError(f"degenerate fit window {window!r}: {len(pts)} usable points")
     xs = [math.log1p(n) for n, _ in pts]
     ys = [math.log(y) for _, y in pts]
-    m = len(pts)
-    mean_x = sum(xs) / m
-    mean_y = sum(ys) / m
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    if sxx == 0.0:
+    line = least_squares(xs, ys)
+    if line is None:
         raise ValueError("degenerate fit window: no spread in n")
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = mean_y - slope * mean_x
+    slope, intercept = line
+    m = len(pts)
+    mean_y = sum(ys) / m
     ss_res = sum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys))
     ss_tot = sum((y - mean_y) ** 2 for y in ys)
     # constant data (ss_tot at float-dust level) is fit perfectly by slope 0
@@ -405,17 +404,18 @@ def verify_ball_product_bound(spec, n, k, index: LengthIndex = None,
     Holds with slack exactly 0 for every group: each g in B_n contributes to
     the coefficient at every h in B_k because g^-1 h lands in B_{n+k}.
     Returns (ok, min slack).  Free-group ball witnesses are handled in the
-    radial subalgebra, everything else by dense convolution.
+    radial subalgebra with integer coefficients, so the slack stays exact at
+    any radius; everything else goes through dense convolution.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    if isinstance(spec, FreeGroup) and spec.has_standard_generators():
-        from .norms import free_ball_size
-        lhs = radial_convolve(radial_ball(spec.rank, n),
-                              radial_ball(spec.rank, n + k))
-        size = free_ball_size(spec.rank, n)
+    rank = radial_rank(spec)
+    if rank is not None:
+        lhs = radial_convolve(RadialElement(rank=rank, coeffs=[1] * (n + 1)),
+                              RadialElement(rank=rank, coeffs=[1] * (n + k + 1)))
+        size = free_ball_size(rank, n)
         slack = min(lhs.coeffs[i] - size for i in range(k + 1))
-        return (slack >= GEQ_TOLERANCE, slack)
+        return (slack >= GEQ_TOLERANCE, float(slack))
     if index is None or index.radius < n + k:
         raise IndexRadiusError(f"need index radius >= {n + k}")
     lhs = convolve(char_ball(index, n), char_ball(index, n + k), budget=budget)
@@ -493,9 +493,10 @@ class BallSeries:
         return self.shell_values[j - 1]
 
     def radial(self):
-        if not (isinstance(self.spec, FreeGroup) and self.spec.has_standard_generators()):
+        rank = radial_rank(self.spec)
+        if rank is None:
             return None
-        return RadialElement(rank=self.spec.rank,
+        return RadialElement(rank=rank,
                              coeffs=[self.value_on_sphere(i)
                                      for i in range(self.support_radius() + 1)])
 
@@ -535,16 +536,18 @@ class BallSeries:
 
 
 def build_ball_series(spec, r, alpha, K, index: LengthIndex = None,
-                      budget=DENSE_ELEMENT_BUDGET):
+                      budget=DEFAULT_BUDGET):
     """Construct the truncated series; materializes the dense element only when
-    an index covers radius r*K and the support fits the budget."""
+    an index covers radius r*K and the support fits the budget.  Ball sizes
+    past the float range raise BudgetExceededError."""
     if r < 1 or K < 1:
         raise ValueError("r and K must be >= 1")
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     top = r * K
     spheres = sphere_sizes(spec, top, index)
-    balls = list(_accumulate(spheres))
+    balls = list(accumulate(spheres))
+    _check_float_range(spec, balls)
     ball_at_rk = [balls[r * k] for k in range(1, K + 1)]
 
     shell = [0.0] * K
@@ -565,13 +568,6 @@ def build_ball_series(spec, r, alpha, K, index: LengthIndex = None,
                 coeffs[g] = v
         series.element = AlgebraElement(spec=spec, coeffs=coeffs, support_radius=top)
     return series
-
-
-def _accumulate(xs):
-    total = 0
-    for x in xs:
-        total += x
-        yield total
 
 
 @dataclass
@@ -761,18 +757,9 @@ def verify_heredity(embedding: Embedding, n_list, sub_index: LengthIndex,
         if ambient.amenable:
             amb_lower = amb_upper = float(amb_size)
         else:
-            amb_radial = _radial_witness(ambient, "ball", n)
-            amb_est = None
-            if amb_radial is not None:
-                amb_est = _radial_bracket(amb_radial, ambient, method, **kwargs)
-            if amb_est is None:
-                if ambient_index is None or ambient_index.radius < n:
-                    raise IndexRadiusError(
-                        f"need ambient index radius >= {n} for "
-                        f"{ambient.descriptor()}")
-                amb_est = norm_bracket(char_ball(ambient_index, n),
-                                       method=method, index=ambient_index,
-                                       **kwargs)
+            amb_est = norm_bracket(
+                make_witness(ambient, "ball", n, method, ambient_index),
+                method=method, index=ambient_index, **kwargs)
             amb_lower, amb_upper = amb_est.lower, amb_est.upper
         amb_l2 = math.sqrt(amb_size)
         rows.append(HeredityRow(

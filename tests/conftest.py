@@ -1,7 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
 import rdlab as R
+
+# child processes (python -m rdlab.cli) import the rdlab under test
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    str(Path(R.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]))
 
 # fixed examples keep the suite reproducible and its run time steady
 settings.register_profile("rdlab", derandomize=True, deadline=None,

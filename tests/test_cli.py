@@ -1,8 +1,13 @@
 import json
+import math
 import subprocess
 import sys
 
+import pytest
+
 import rdlab as R
+import rdlab.cli
+import rdlab.groups
 from rdlab.cache import cache_roundtrip
 from rdlab.cli import run_command
 
@@ -136,6 +141,152 @@ class TestNormAndZseries:
         assert data["element"] is None
         b = data["l2_bounds"]
         assert b["lower"] <= b["actual"] <= b["upper"]
+
+
+class TestIndexPlanning:
+    """Which ball indexes each command reads, recorded at the two places an
+    index comes from: the run's get_index and breadth-first enumeration."""
+
+    @pytest.fixture
+    def index_calls(self, monkeypatch):
+        calls = {"get_index": [], "enumerate": []}
+        enumerate_balls = rdlab.groups.enumerate_balls
+        get_index = rdlab.cli._Run.get_index
+
+        def recording_enumerate(spec, N, *args, **kwargs):
+            calls["enumerate"].append((spec.descriptor(), N))
+            return enumerate_balls(spec, N, *args, **kwargs)
+
+        def recording_get_index(run, spec, radius):
+            calls["get_index"].append((spec.descriptor(), radius))
+            return get_index(run, spec, radius)
+
+        for module in (rdlab.groups, rdlab.cli):
+            monkeypatch.setattr(module, "enumerate_balls", recording_enumerate)
+        monkeypatch.setattr(rdlab.cli._Run, "get_index", recording_get_index)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        "ratio --group F2 --range 2:6 --method trace --depth 3",
+        "ratio --group F3 --witness aN --d-hat 1.0 --range 1:4 --method l1",
+        "fit --group F2 --range 2:8 --method trace --depth 3",
+        "report --group F2 --range 2:6 --s-list 1.0 --method trace --depth 3",
+        "norm --group F3 --witness sphere --n 2 --method trace --depth 3",
+        "zseries --group F2 --r 2 --alpha 1.0 --k 10",
+        "verify lemma1 --group F2 --radius 10",
+        "verify lemma2 --group F3 --r 1 --k 20",
+        "verify divergence --group F2 --s 0.4 --range 2:10:2 --method trace "
+        "--depth 3",
+    ])
+    def test_free_group_witnesses_read_no_index(self, argv, index_calls):
+        assert run_command(argv.split()) == 0
+        assert index_calls == {"get_index": [], "enumerate": []}
+
+    def test_heredity_into_f2_enumerates_only_the_subgroup(self, index_calls):
+        assert run_command(["verify", "heredity", "--embedding", "Z:F2",
+                            "--range", "4:12:4"]) == 0
+        assert index_calls["get_index"] == []
+        assert {group for group, _ in index_calls["enumerate"]} == {"Z^1"}
+
+    @pytest.mark.parametrize("argv,radius", [
+        ("ratio --group H3 --witness sphere --range 1:3 --method trace "
+         "--depth 2", 3),
+        ("fit --group H3 --range 2:5 --method exact", 5),
+        ("report --group H3 --range 2:6 --method exact", 6),
+        ("norm --group H3 --witness ball --n 2 --method trace --depth 2", 2),
+        ("norm --group H3 --witness ball --n 2 --method power --R 4 "
+         "--iters 20", 4),
+        ("zseries --group H3 --r 1 --alpha 1.0 --k 4", 4),
+        ("verify lemma1 --group H3 --radius 4", 4),
+        ("verify lemma1 --group H3 --n 2 --k 1", 3),
+        ("verify lemma2 --group H3 --r 1 --k 3", 3),
+        ("verify divergence --group H3 --s 0.4 --range 2:6:2 --method exact", 6),
+    ])
+    def test_h3_reads_one_index_of_the_radius_used(self, argv, radius,
+                                                   index_calls):
+        assert run_command(argv.split()) == 0
+        assert index_calls["get_index"] == [("H3", radius)]
+        assert index_calls["enumerate"] == [("H3", radius)]
+
+    def test_h3_doubling_reads_sizes_to_r_times_k_plus_1(self, index_calls):
+        assert run_command(["verify", "doubling", "--group", "H3",
+                            "--r", "1", "--k", "3"]) == 1
+        assert index_calls["get_index"] == [("H3", 4)]
+
+    def test_given_element_needs_an_index_only_for_power(self, tmp_path,
+                                                          index_calls):
+        path = tmp_path / "el.json"
+        ball = R.char_ball(rdlab.groups.enumerate_balls(R.DiscreteHeisenberg(), 1), 1)
+        path.write_text(json.dumps(ball.to_json_dict()))
+        index_calls["enumerate"].clear()
+        base = ["norm", "--group", "H3", "--element", str(path)]
+        assert run_command(base + ["--method", "trace", "--depth", "2"]) == 0
+        assert index_calls["get_index"] == []
+        assert run_command(base + ["--method", "power", "--R", "3",
+                                   "--iters", "20"]) == 0
+        assert index_calls["get_index"] == [("H3", 3)]
+
+    def test_power_on_a_free_group_reads_the_domain_ball(self, index_calls):
+        assert run_command(["norm", "--group", "F2", "--witness", "ball",
+                            "--n", "2", "--method", "power", "--R", "3",
+                            "--iters", "20"]) == 0
+        assert index_calls["get_index"] == [("F2", 3)]
+
+    def test_small_series_still_attach_the_dense_element(self, tmp_path,
+                                                        index_calls):
+        assert run(["zseries", "--group", "F2", "--r", "1", "--alpha", "1.0",
+                    "--k", "3"], tmp_path, "z.json") == 0
+        assert index_calls["get_index"] == [("F2", 3)]
+        data = json.loads((tmp_path / "z.json").read_text())
+        assert len(data["element"]["coeffs"]) == R.free_ball_size(2, 3)
+
+    def test_free_group_ratio_past_the_enumeration_budget(self):
+        # B_14 of F2 has 9.6 million elements; the radial witnesses need none
+        assert run_command(["ratio", "--group", "F2", "--range", "2:14",
+                            "--method", "trace", "--depth", "3",
+                            "--budget", "1000"]) == 0
+
+    def test_free_group_manifest_lists_no_cache(self, tmp_path):
+        cache_dir = tmp_path / "caches"
+        assert run_command(["cache", "build", "--group", "F2", "--radius", "4",
+                            "--cache-dir", str(cache_dir)]) == 0
+        assert run(["ratio", "--group", "F2", "--range", "2:4", "--method",
+                    "l1", "--cache-dir", str(cache_dir)], tmp_path, "r.csv") == 0
+        manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
+        assert manifest["cache_files"] == []
+
+
+class TestRadialWitnesses:
+    def test_norm_and_ratio_agree(self, tmp_path):
+        common = ["--group", "F2", "--witness", "aN", "--d-hat", "1.0",
+                  "--method", "l1"]
+        assert run(["norm", "--n", "5"] + common, tmp_path, "n.json") == 0
+        assert run(["ratio", "--range", "5", "--format", "json"] + common,
+                   tmp_path, "r.json") == 0
+        est = json.loads((tmp_path / "n.json").read_text())
+        entry = json.loads((tmp_path / "r.json").read_text())["entries"][0]
+        assert (est["lower"], est["upper"]) == (entry["norm_lower"],
+                                                entry["norm_upper"])
+        # the correctly rounded sum of |S_m| / (1+m), m = 1..5
+        assert est["upper"] == math.fsum(R.free_sphere_size(2, m) / (1 + m)
+                                         for m in range(1, 6)) == 90.6
+
+    def test_lemma1_exact_past_two_to_the_53(self, tmp_path):
+        assert run(["verify", "lemma1", "--group", "F2", "--radius", "40"],
+                   tmp_path, "l1.json") == 0
+        data = json.loads((tmp_path / "l1.json").read_text())
+        assert data["ok"] is True
+        assert data["min_slack"] == 0
+        assert '"min_slack": 0.0' in (tmp_path / "l1.json").read_text()
+
+    @pytest.mark.parametrize("argv", [
+        "zseries --group F2 --r 2 --alpha 1.0 --k 400",
+        "ratio --group F2 --range 640:700:60 --method l1",
+        "norm --group F2 --witness aN --d-hat 1.0 --n 700 --method l1",
+    ])
+    def test_past_the_float_range(self, argv, capsys):
+        assert run_command(argv.split()) == 3
+        assert "float range at radius 646" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -4,7 +4,13 @@ import random
 import pytest
 
 import rdlab as R
-from rdlab.errors import CoverageError, IndexRadiusError, RdlabError
+from rdlab.errors import (
+    BudgetExceededError,
+    CoverageError,
+    IndexRadiusError,
+    RdlabError,
+)
+from rdlab.rd import index_radius, make_witness
 
 Z = R.FreeAbelian(1)
 Z2 = R.FreeAbelian(2)
@@ -27,6 +33,69 @@ class TestGrowthHelpers:
         with pytest.raises(IndexRadiusError):
             R.sphere_sizes(H3, 4)
         assert R.ball_sizes(H3, 2, h3_index)[2] == 17
+
+
+class TestIndexPlanning:
+    F2_OTHER = R.FreeGroup(2, generators=["a", "A", "ab", "BA"])
+
+    @pytest.mark.parametrize("spec,method,needs,radius,want", [
+        (F2, "trace", "witness", 5, None),
+        (F2, "auto", "witness", 5, None),
+        (F2, "power", "witness", 5, 9),
+        (F2_OTHER, "trace", "witness", 5, 5),
+        (Z2, "exact", "witness", 5, 5),
+        (H3, "trace", "witness", 5, 5),
+        (Z2, "trace", "element", 5, None),
+        (H3, "trace", "element", 5, None),
+        (H3, "power", "element", 5, 9),
+        (F2, None, "sizes", 5, None),
+        (Z2, None, "sizes", 5, None),
+        (H3, None, "sizes", 5, 5),
+        (F2, None, "series", 7, 7),        # |B_7| = 4373: element attached
+        (F2, None, "series", 8, None),     # |B_8| = 13121
+        (H3, None, "series", 30, 30),
+        (Z2, "auto", "ambient", 5, None),  # amenable: exact from sphere sizes
+        (F2, "auto", "ambient", 5, None),  # radial
+        (R.DirectProduct([Z, F2]), "auto", "ambient", 5, 5),
+    ])
+    def test_planner(self, spec, method, needs, radius, want):
+        assert index_radius(spec, method, radius, needs, domain_radius=9) == want
+
+    def test_planner_matches_the_witness_form(self, f2_index):
+        assert isinstance(make_witness(F2, "ball", 3, "trace"), R.RadialElement)
+        dense = make_witness(F2, "ball", 3, "power", f2_index)
+        assert isinstance(dense, R.AlgebraElement) and len(dense.coeffs) == 53
+        with pytest.raises(IndexRadiusError):
+            make_witness(F2, "ball", 3, "power")
+        with pytest.raises(IndexRadiusError):
+            make_witness(Z2, "ball", 3, "exact")
+
+    def test_radial_and_dense_witnesses_agree(self, f2_index, z_index):
+        for witness in ("ball", "sphere", "aN"):
+            radial = make_witness(F2, witness, 3, "trace", d_hat=1.5)
+            dense = make_witness(F2, witness, 3, "power", f2_index, d_hat=1.5)
+            assert R.radial_from_algebra(dense) == radial
+        # the empty aN witness at n = 0 is skipped on every group
+        for spec, index in ((F2, None), (Z, z_index)):
+            ser = R.ratio_series(spec, "aN", [0, 2], method="l1", index=index,
+                                 d_hat=1.0)
+            assert [e.n for e in ser.entries] == [2]
+
+    def test_radial_and_dense_brackets_agree(self, f2_index):
+        for method in ("l1", "trace"):
+            radial = R.norm_bracket(make_witness(F2, "sphere", 3, method),
+                                    method=method, depth=3)
+            dense = R.norm_bracket(make_witness(F2, "sphere", 3, "power",
+                                                f2_index), method=method, depth=3)
+            assert (radial.lower, radial.upper) == (dense.lower, dense.upper)
+        with pytest.raises(RdlabError):
+            R.norm_bracket(R.radial_ball(2, 2), method="power")
+        with pytest.raises(RdlabError):
+            R.norm_bracket(R.radial_ball(2, 2), method="exact")
+
+    def test_rank_one_radial_witness_is_exact(self):
+        est = R.norm_bracket(make_witness(R.FreeGroup(1), "ball", 4))
+        assert est.method == "amenable_exact" and est.lower == est.upper == 9.0
 
 
 class TestRatioSeries:
@@ -259,6 +328,11 @@ class TestBallSeries:
         ser = R.build_ball_series(F2, 2, 1.0, 10)
         assert ser.element is None
         assert len(ser.shell_values) == 10
+
+    def test_ball_sizes_past_the_float_range(self):
+        R.build_ball_series(F2, 1, 1.0, 645)
+        with pytest.raises(BudgetExceededError, match="at radius 646"):
+            R.build_ball_series(F2, 2, 1.0, 323)
 
     def test_element_matches_linear_combination(self, z_index):
         index = z_index
