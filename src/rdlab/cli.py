@@ -302,7 +302,8 @@ def _verdict_exit(ok):
 
 def _verify_lemma1(run, args):
     spec = run.spec = parse_descriptor(args.group)
-    index = run.planned_index(spec, None, args.radius if args.n is None
+    # ball products convolve, as the trace estimator does
+    index = run.planned_index(spec, "trace", args.radius if args.n is None
                               else args.n + args.k)
     if args.n is not None and args.k is not None:
         ok, slack = verify_ball_product_bound(spec, args.n, args.k, index,
@@ -324,7 +325,7 @@ def _verify_lemma1(run, args):
 
 def _verify_lemma2(run, args):
     spec = run.spec = parse_descriptor(args.group)
-    index = run.planned_index(spec, None, args.r * args.k)
+    index = run.planned_index(spec, "trace", args.r * args.k)
     report = verify_series_product_bound(spec, args.r, args.alpha, args.beta,
                                          args.k, index, budget=args.budget)
     ok = report.ok
@@ -340,7 +341,7 @@ def _verify_lemma2(run, args):
 
 def _verify_doubling(run, args):
     spec = run.spec = parse_descriptor(args.group)
-    index = run.planned_index(spec, None, args.r * (args.k + 1), needs="sizes")
+    index = run.planned_index(spec, None, args.r * (args.k + 1))
     min_ratio, ok = verify_doubling(spec, args.r, args.k, index)
     run.emit(json_text({"group": spec.descriptor(), "check": "doubling",
                         "r": args.r, "k_max": args.k,
@@ -353,10 +354,8 @@ def _verify_heredity(run, args):
     n_list = parse_range(args.range)
     embedding = standard_embedding(args.embedding)
     run.spec = embedding.ambient
-    sub_index = enumerate_balls(embedding.sub, max(n_list) + 1,
-                                budget=args.budget)
-    ambient_index = run.planned_index(embedding.ambient, "auto", max(n_list),
-                                      needs="ambient")
+    sub_index = run.get_index(embedding.sub, max(n_list) + 1)
+    ambient_index = run.planned_index(embedding.ambient, "auto", max(n_list))
     report = verify_heredity(embedding, n_list, sub_index, ambient_index)
     run.emit(json_text({"embedding": args.embedding, "ok": report.ok,
                         "rows": [{"n": r.n, "subgroup_count": r.subgroup_count,

@@ -13,11 +13,12 @@ Three estimators bracket ||a||:
 
 ||a||_1 is always a valid upper bound.
 
-Free-group elements whose coefficients are constant on spheres form a
-commutative subalgebra indexed by sphere radius.  ``RadialElement`` holds
-such functions as one coefficient per radius, and convolution uses the
-sphere product rule chi(S_1) chi(S_n) = chi(S_{n+1}) + (2r-1) chi(S_{n-1})
-(n >= 2, with chi(S_1)^2 = chi(S_2) + 2r delta_e), extended bilinearly.
+Elements whose coefficients are constant on spheres are held as
+``RadialElement``s: one coefficient per radius plus the group's sphere
+sizes, which is all their l1 and l2 norms read.  On a free group they form
+a commutative subalgebra, and convolution uses the sphere product rule
+chi(S_1) chi(S_n) = chi(S_{n+1}) + (2r-1) chi(S_{n-1}) (n >= 2, with
+chi(S_1)^2 = chi(S_2) + 2r delta_e), extended bilinearly.
 Supports then grow linearly in the radius instead of exponentially, which
 is what makes deep trace powers on free groups affordable.
 """
@@ -25,14 +26,16 @@ is what makes deep trace powers on free groups affordable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 import scipy.sparse
 
 from .algebra import AlgebraElement, adjoint, convolve, norm, product_keys
 from .errors import BudgetExceededError, IndexRadiusError, RdlabError
-from .groups import DEFAULT_BUDGET, FreeGroup, LengthIndex
+from .groups import DEFAULT_BUDGET, FreeGroup, GroupSpec, LengthIndex
 
 TRACE_CONVERGED_RTOL = 1e-10
 POWER_CONVERGED_RTOL = 1e-10
@@ -73,19 +76,22 @@ class NormEstimate:
         return out
 
 
-# -- radial subalgebra of a free group --------------------------------------
+# -- sphere functions ---------------------------------------------------------
 
 
 @dataclass
 class RadialElement:
-    """sum_j coeffs[j] * chi(S_j) on the free group of the given rank."""
+    """The sphere function sum_j coeffs[j] chi(S_j) on ``spec``.
 
-    rank: int
+    ``sizes[j]`` is the exact sphere size |S_j| (a closed form, else counted
+    by a ball index), resolved once when the element is built; l1, l2 and
+    the exact amenable norm are then sums over radii on every group.
+    Convolution stays with the free groups of ``radial_rank``.
+    """
+
+    spec: GroupSpec
     coeffs: list
-
-    @property
-    def spec(self):
-        return FreeGroup(self.rank)
+    sizes: list
 
     def is_nonnegative(self):
         return all(c >= 0.0 for c in self.coeffs)
@@ -94,10 +100,8 @@ class RadialElement:
         c = list(self.coeffs)
         while c and c[-1] == 0.0:
             c.pop()
-        return RadialElement(rank=self.rank, coeffs=c or [0.0])
-
-    def top_radius(self):
-        return len(self.coeffs) - 1
+        c = c or [0.0]
+        return RadialElement(spec=self.spec, coeffs=c, sizes=self.sizes[: len(c)])
 
 
 def radial_rank(spec):
@@ -109,21 +113,31 @@ def radial_rank(spec):
 
 
 def free_sphere_size(rank, j):
-    if j == 0:
-        return 1
-    return 2 * rank * (2 * rank - 1) ** (j - 1)
+    return 1 if j == 0 else 2 * rank * (2 * rank - 1) ** (j - 1)
+
+
+def free_sphere_sizes(rank, top):
+    """|S_0..S_top| of the free group of the given rank."""
+    steps = [2 * rank] + [2 * rank - 1] * (top - 1)
+    return list(accumulate(steps, operator.mul, initial=1))[: top + 1]
 
 
 def free_ball_size(rank, n):
     return sum(free_sphere_size(rank, j) for j in range(n + 1))
 
 
+def free_radial(rank, coeffs):
+    """sum_j coeffs[j] chi(S_j) on the free group of the given rank."""
+    return RadialElement(spec=FreeGroup(rank), coeffs=list(coeffs),
+                         sizes=free_sphere_sizes(rank, len(coeffs) - 1))
+
+
 def radial_ball(rank, n):
-    return RadialElement(rank=rank, coeffs=[1.0] * (n + 1))
+    return free_radial(rank, [1.0] * (n + 1))
 
 
 def radial_sphere(rank, n):
-    return RadialElement(rank=rank, coeffs=[0.0] * n + [1.0])
+    return free_radial(rank, [0.0] * n + [1.0])
 
 
 def radial_from_algebra(a: AlgebraElement):
@@ -140,29 +154,29 @@ def radial_from_algebra(a: AlgebraElement):
         by_len.setdefault(len(g), []).append(c)
     top = max(by_len) if by_len else 0
     coeffs = [0.0] * (top + 1)
+    sizes = free_sphere_sizes(rank, top)
     for j, values in by_len.items():
-        if len(values) != free_sphere_size(rank, j):
+        if len(values) != sizes[j]:
             return None
         first = values[0]
         if any(v != first for v in values):
             return None
         coeffs[j] = first
-    return RadialElement(rank=rank, coeffs=coeffs)
+    return RadialElement(spec=a.spec, coeffs=coeffs, sizes=sizes)
 
 
 def radial_to_algebra(x: RadialElement, index: LengthIndex):
-    spec = index.spec
-    if not isinstance(spec, FreeGroup) or spec.rank != x.rank:
-        raise RdlabError("index group does not match the radial element rank")
-    if x.top_radius() > index.radius:
-        raise IndexRadiusError("index too small to expand the radial element")
-    coeffs = {}
-    for j, c in enumerate(x.coeffs):
-        if c == 0.0:
-            continue
-        for g in index.sphere(j):
-            coeffs[g] = c
-    return AlgebraElement(spec=spec, coeffs=coeffs, support_radius=x.top_radius())
+    """The dense element of the sphere function ``x``, built from ``index``."""
+    if index is None or index.spec != x.spec:
+        raise IndexRadiusError(
+            f"expanding a sphere function on {x.spec.descriptor()} needs its "
+            "LengthIndex")
+    top = len(x.coeffs) - 1
+    if top > index.radius:
+        raise IndexRadiusError("index too small to expand the sphere function")
+    coeffs = {g: c for j, c in enumerate(x.coeffs) if c != 0.0
+              for g in index.sphere(j)}
+    return AlgebraElement(spec=x.spec, coeffs=coeffs, support_radius=top)
 
 
 def _apply_sphere_one(rank, d):
@@ -184,9 +198,10 @@ def radial_convolve(x: RadialElement, y: RadialElement):
 
     Integer coefficients stay exact integers; float ones round as before.
     """
-    if x.rank != y.rank:
-        raise RdlabError("radial operands have different free-group ranks")
-    rank = x.rank
+    rank = radial_rank(x.spec)
+    if rank is None or x.spec != y.spec:
+        raise RdlabError("radial convolution needs two sphere functions on one "
+                         "free group on its standard generators")
     q = 2 * rank - 1
     cx = x.coeffs
     # y_m = chi(S_m) * y, built by the three-term recursion in m
@@ -209,31 +224,32 @@ def radial_convolve(x: RadialElement, y: RadialElement):
                 y_next[i] -= bump * v
             y_prev, y_cur = y_cur, y_next
             add(out, y_cur, cx[m])
-    return RadialElement(rank=rank, coeffs=out).trimmed()
+    return RadialElement(spec=x.spec, coeffs=out,
+                         sizes=free_sphere_sizes(rank, len(out) - 1)).trimmed()
 
 
-def _sphere_size_f(rank, j):
+def _sphere_size_f(size):
     # exact when it fits a double; +inf past the float range (the caller's
     # step ladder then stops gracefully instead of raising OverflowError)
     try:
-        return float(free_sphere_size(rank, j))
+        return float(size)
     except OverflowError:
         return math.inf
 
 
 def radial_inner(x: RadialElement, y: RadialElement):
-    return sum(cx * cy * _sphere_size_f(x.rank, j)
-               for j, (cx, cy) in enumerate(zip(x.coeffs, y.coeffs))
+    return sum(cx * cy * _sphere_size_f(s)
+               for cx, cy, s in zip(x.coeffs, y.coeffs, x.sizes)
                if cx != 0.0 and cy != 0.0)
 
 
 def coefficient_norm(x, kind):
-    """The "l1" or "l2" norm of a dense or radial element's coefficients."""
+    """The "l1" or "l2" norm of a dense element or a sphere function."""
     if not isinstance(x, RadialElement):
         return norm(x, kind)
     if kind == "l1":
-        return sum(abs(c) * _sphere_size_f(x.rank, j)
-                   for j, c in enumerate(x.coeffs) if c != 0.0)
+        return sum(abs(c) * _sphere_size_f(s)
+                   for c, s in zip(x.coeffs, x.sizes) if c != 0.0)
     return math.sqrt(radial_inner(x, x))
 
 
@@ -262,10 +278,6 @@ class _DenseOps:
     def trace(x):
         return x.coeffs.get(x.spec.identity(), 0.0)
 
-    @staticmethod
-    def size(x):
-        return len(x.coeffs)
-
 
 class _RadialOps:
     """Same interface as _DenseOps on radial free-group elements."""
@@ -292,10 +304,6 @@ class _RadialOps:
     @staticmethod
     def trace(x):
         return x.coeffs[0]
-
-    @staticmethod
-    def size(x):
-        return len(x.coeffs)
 
 
 def _trace_exponents(depth, exponent):

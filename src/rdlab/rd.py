@@ -31,7 +31,6 @@ from .algebra import (
     GEQ_TOLERANCE,
     char_ball,
     convolve,
-    linear_combine,
     pointwise_geq,
     scale,
 )
@@ -43,7 +42,6 @@ from .groups import (
     FiniteCyclic,
     FreeAbelian,
     FreeGroup,
-    GroupSpec,
     LengthIndex,
     embed,
 )
@@ -51,7 +49,8 @@ from .norms import (
     RadialElement,
     coefficient_norm,
     free_ball_size,
-    free_sphere_size,
+    free_radial,
+    free_sphere_sizes,
     least_squares,
     op_norm_l1_bracket,
     op_norm_positive_amenable,
@@ -59,6 +58,7 @@ from .norms import (
     op_norm_trace_power,
     radial_convolve,
     radial_rank,
+    radial_to_algebra,
 )
 
 
@@ -75,7 +75,7 @@ def closed_sphere_series(spec, up_to):
                      for i in range(min(d, n) + 1)) for n in range(up_to + 1)]
         return _diff(balls)
     if isinstance(spec, FreeGroup):
-        return [free_sphere_size(spec.rank, j) for j in range(up_to + 1)]
+        return free_sphere_sizes(spec.rank, up_to)
     if isinstance(spec, FiniteCyclic):
         balls = [min(2 * n + 1, spec.order) for n in range(up_to + 1)]
         return _diff(balls)
@@ -140,31 +140,39 @@ DENSE_ZSERIES_LIMIT = 10_000
 def index_radius(spec, method, radius, needs="witness", domain_radius=None):
     """Radius of the LengthIndex a computation to ``radius`` reads, or None.
 
-    An index is read only to materialise a dense element or to count spheres
-    that have no closed form.  ``needs`` names what the computation builds:
+    An index is read only to expand a sphere function to its dense element
+    or to count spheres that have no closed form.  ``needs`` names what the
+    computation builds:
 
-    * "witness": ball, sphere and aN witnesses and ball products, which stay
-      radial on a standard free group and are dense elsewhere;
+    * "witness": a sphere function (a witness, or sphere sizes alone when
+      ``method`` is None), expanded where ``method`` convolves on a group
+      without radial convolution; ball products convolve as "trace" does;
     * "element": nothing; a given dense element is normed as it is;
-    * "sizes": sphere sizes only;
     * "series": a ball series, whose dense element is attached when B_radius
-      has at most DENSE_ZSERIES_LIMIT elements;
-    * "ambient": the ambient ball of a heredity check, exact from sphere
-      sizes on an amenable group and a witness otherwise.
+      has at most DENSE_ZSERIES_LIMIT elements.
 
     Power iteration always reads the ball it compresses to, of radius
     ``domain_radius`` when that is larger.
     """
     if method == "power":
         return max(radius, domain_radius or 0)
+    if needs == "element":
+        return None
     closed = closed_sphere_series(spec, max(radius, 0))
     if closed is None:
-        return None if needs == "element" else radius
-    if needs == "ambient":
-        needs = "sizes" if spec.amenable else "witness"
-    dense = (needs == "witness" and radial_rank(spec) is None
-             or needs == "series" and sum(closed) <= DENSE_ZSERIES_LIMIT)
+        return radius
+    dense = (sum(closed) <= DENSE_ZSERIES_LIMIT if needs == "series"
+             else _dense_witness(spec, method))
     return radius if dense else None
+
+
+def _dense_witness(spec, method):
+    """Whether a witness normed by ``method`` is expanded to its dense element:
+    power iteration compresses a dense element, and "trace" (or "auto" where
+    it is not the exact amenable value) convolves, which a sphere function
+    does only on a free group of ``radial_rank``."""
+    return method == "power" or radial_rank(spec) is None and (
+        method == "trace" or method == "auto" and not spec.amenable)
 
 
 # -- witness elements and ratio series ----------------------------------------
@@ -185,11 +193,9 @@ def _witness_weights(witness, n, d_hat):
     raise ValueError(f"unknown witness {witness!r}")
 
 
-def witness_element(spec, witness, n, index: LengthIndex, d_hat=None):
-    """The dense witness supported in B_n, built from ``index``."""
-    weights = _witness_weights(witness, n, d_hat)
-    coeffs = {g: w for m, w in enumerate(weights) if w for g in index.sphere(m)}
-    return AlgebraElement(spec=index.spec, coeffs=coeffs, support_radius=n)
+def witness_element(x: RadialElement, index: LengthIndex):
+    """The dense form of the witness sphere function ``x``, from ``index``."""
+    return radial_to_algebra(x, index)
 
 
 def witness_label(witness, d_hat=None):
@@ -197,19 +203,17 @@ def witness_label(witness, d_hat=None):
 
 
 def make_witness(spec, witness, n, method="auto", index=None, d_hat=None):
-    """The witness in the form ``method`` reads: radial on a standard free
-    group, unless power iteration needs the dense element; else dense from
-    ``index``."""
+    """The witness as a sphere function, its sizes closed-form or else from
+    ``index``; expanded to the dense element from ``index`` for power
+    iteration and for a method that convolves on a group without radial
+    convolution.  Ball sizes past the float range raise BudgetExceededError."""
     if n < 0:
         raise ValueError("witness radius must be >= 0")
-    rank = radial_rank(spec)
-    if rank is not None and method != "power":
-        _check_float_range(spec, ball_sizes(spec, n))
-        return RadialElement(rank=rank, coeffs=_witness_weights(witness, n, d_hat))
-    if index is None or index.spec != spec:
-        raise IndexRadiusError(
-            f"the {witness} witness on {spec.descriptor()} needs a LengthIndex")
-    return witness_element(spec, witness, n, index, d_hat)
+    sizes = sphere_sizes(spec, n, index)
+    _check_float_range(spec, list(accumulate(sizes)))
+    x = RadialElement(spec=spec, coeffs=_witness_weights(witness, n, d_hat),
+                      sizes=sizes)
+    return witness_element(x, index) if _dense_witness(spec, method) else x
 
 
 def norm_bracket(a, method="auto", index=None, **kwargs):
@@ -290,9 +294,10 @@ def ratio_series(spec, witness, n_list, method="auto", index=None, d_hat=None,
                  **kwargs):
     """Norm bracket and l2 norm of the witness at each n (skips empty witnesses).
 
-    Free-group ball/sphere/aN witnesses stay in the radial subalgebra, so no
-    index (and no exponentially large enumeration) is needed for them; every
-    other case materializes the witness from ``index`` (see make_witness).
+    Witnesses are sphere functions, so their l2 norm and the l1 and exact
+    norms need sphere sizes only; ``index`` supplies the sizes that have no
+    closed form and the dense elements the other methods convolve (see
+    make_witness).
     """
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -411,8 +416,8 @@ def verify_ball_product_bound(spec, n, k, index: LengthIndex = None,
         raise ValueError("n and k must be >= 1")
     rank = radial_rank(spec)
     if rank is not None:
-        lhs = radial_convolve(RadialElement(rank=rank, coeffs=[1] * (n + 1)),
-                              RadialElement(rank=rank, coeffs=[1] * (n + k + 1)))
+        lhs = radial_convolve(free_radial(rank, [1] * (n + 1)),
+                              free_radial(rank, [1] * (n + k + 1)))
         size = free_ball_size(rank, n)
         slack = min(lhs.coeffs[i] - size for i in range(k + 1))
         return (slack >= GEQ_TOLERANCE, float(slack))
@@ -443,8 +448,15 @@ def doubling_ratios(spec, r, k_max, index: LengthIndex = None):
     if r < 1 or k_max < 1:
         raise ValueError("r and k_max must be >= 1")
     sizes = ball_sizes(spec, r * (k_max + 1), index)
-    return [math.sqrt(sizes[r * (k + 1)] / sizes[r * k])
-            for k in range(1, k_max + 1)]
+    ratios = []
+    for k in range(1, k_max + 1):
+        try:
+            ratios.append(math.sqrt(sizes[r * (k + 1)] / sizes[r * k]))
+        except OverflowError:
+            raise BudgetExceededError(
+                f"the ball size ratio |B_{r * (k + 1)}|/|B_{r * k}| of "
+                f"{spec.descriptor()} leaves the float range") from None
+    return ratios
 
 
 def verify_doubling(spec, r, k_max, index: LengthIndex = None):
@@ -461,55 +473,46 @@ def verify_doubling(spec, r, k_max, index: LengthIndex = None):
 class BallSeries:
     """Truncation of sum_{k>=1} k^(-alpha) chi(B_{rk}) / ||chi(B_{rk})||_2.
 
-    The coefficient function is constant on spheres: on sphere i it equals
+    ``function`` is the series as a sphere function: on sphere i it equals
     shell_values[j-1] for j = max(1, ceil(i/r)), i.e. the tail sum
-    sum_{k=j..K} k^(-alpha)/||chi(B_{rk})||_2.  A dense AlgebraElement is
-    attached only when the support fits the budget; all norms come from the
-    sphere-size bookkeeping either way (identical values).
+    sum_{k=j..K} k^(-alpha)/||chi(B_{rk})||_2.  All norms come from it; the
+    dense ``element`` is attached only when the support fits the budget.
     """
 
-    spec: GroupSpec
     r: int
     alpha: float
     K: int
-    sphere_size_list: list
     ball_size_at_rk: list
-    shell_values: list
+    function: RadialElement
     element: AlgebraElement = None
+
+    @property
+    def spec(self):
+        return self.function.spec
 
     @property
     def group(self):
         return self.spec.descriptor()
 
-    def support_radius(self):
-        return self.r * self.K
+    @property
+    def shell_values(self):
+        return self.function.coeffs[self.r::self.r]
 
     def value_on_sphere(self, i):
-        if i == 0:
-            return self.shell_values[0]
-        j = -(-i // self.r)  # ceil
-        if j > self.K:
-            return 0.0
-        return self.shell_values[j - 1]
-
-    def radial(self):
-        rank = radial_rank(self.spec)
-        if rank is None:
-            return None
-        return RadialElement(rank=rank,
-                             coeffs=[self.value_on_sphere(i)
-                                     for i in range(self.support_radius() + 1)])
+        values = self.function.coeffs
+        return values[i] if i < len(values) else 0.0
 
     def l2_squared(self):
-        return sum(self.value_on_sphere(i) ** 2 * s
-                   for i, s in enumerate(self.sphere_size_list))
+        return sum(v ** 2 * s for v, s in zip(self.function.coeffs,
+                                              self.function.sizes))
 
     def l2(self):
         return math.sqrt(self.l2_squared())
 
     def weighted_l2(self, t):
-        total = sum(self.value_on_sphere(i) ** 2 * (1.0 + i) ** (2.0 * t) * s
-                    for i, s in enumerate(self.sphere_size_list))
+        total = sum(v ** 2 * (1.0 + i) ** (2.0 * t) * s
+                    for i, (v, s) in enumerate(zip(self.function.coeffs,
+                                                   self.function.sizes)))
         return math.sqrt(total)
 
     def ball_l2(self, k):
@@ -556,17 +559,13 @@ def build_ball_series(spec, r, alpha, K, index: LengthIndex = None,
         tail += k ** (-alpha) / math.sqrt(ball_at_rk[k - 1])
         shell[k - 1] = tail
 
-    series = BallSeries(spec=spec, r=r, alpha=alpha, K=K,
-                        sphere_size_list=spheres, ball_size_at_rk=ball_at_rk,
-                        shell_values=shell)
+    values = [shell[0]] + [shell[(i - 1) // r] for i in range(1, top + 1)]
+    series = BallSeries(r=r, alpha=alpha, K=K, ball_size_at_rk=ball_at_rk,
+                        function=RadialElement(spec=spec, coeffs=values,
+                                               sizes=spheres))
     if index is not None and index.spec == spec and index.radius >= top \
             and balls[top] <= budget:
-        coeffs = {}
-        for i in range(top + 1):
-            v = series.value_on_sphere(i)
-            for g in index.sphere(i):
-                coeffs[g] = v
-        series.element = AlgebraElement(spec=spec, coeffs=coeffs, support_radius=top)
+        series.element = radial_to_algebra(series.function, index)
     return series
 
 
@@ -627,29 +626,26 @@ def verify_series_product_bound(spec, r, alpha, beta, K,
     weights = [sum(k ** (-alpha) * (j + k) ** (-beta) for k in range(1, K - j + 1))
                for j in range(1, K)]
 
-    ra, rb = za.radial(), zb.radial()
-    if ra is not None:
-        lhs = radial_convolve(ra, rb).coeffs
-        top = 2 * r * K
-        rhs = [0.0] * (top + 1)
-        for j, w in enumerate(weights, start=1):
-            c = w / za.ball_l2(j)
-            for i in range(r * j + 1):
-                rhs[i] += c
-        slacks = [(lhs[i] if i < len(lhs) else 0.0) - rhs[i] for i in range(top + 1)]
-        min_slack = min(slacks)
+    # the right side as a function of the sphere radius, 0 past r(K-1)
+    top = 2 * r * K
+    rhs = [0.0] * (top + 1)
+    for j, w in enumerate(weights, start=1):
+        c = w / za.ball_l2(j)
+        for i in range(r * j + 1):
+            rhs[i] += c
+    if radial_rank(spec) is not None:
+        lhs = radial_convolve(za.function, zb.function).coeffs
+        min_slack = min((lhs[i] if i < len(lhs) else 0.0) - rhs[i]
+                        for i in range(top + 1))
     else:
         if za.element is None or zb.element is None:
             raise IndexRadiusError(
                 f"need an index of radius >= {r * K} to materialize the series "
                 f"on {spec.descriptor()}")
         lhs = convolve(za.element, zb.element, budget=budget)
-        if weights:
-            rhs = linear_combine([(w / za.ball_l2(j), char_ball(index, r * j))
-                                  for j, w in enumerate(weights, start=1)])
-            _, min_slack = pointwise_geq(lhs, rhs)
-        else:
-            min_slack = min(lhs.coeffs.values(), default=0.0)
+        rhs = RadialElement(spec=spec, coeffs=rhs[: r * K + 1],
+                            sizes=za.function.sizes)
+        _, min_slack = pointwise_geq(lhs, radial_to_algebra(rhs, index))
 
     power = alpha + beta
     tails = [(j, sum((j + k) ** (-power) for k in range(1, K - j + 1)),
@@ -684,6 +680,7 @@ def harmonic_sphere_sum(spec, d_hat, N, index: LengthIndex = None):
     if N < 1:
         raise ValueError("N must be >= 1")
     sizes = sphere_sizes(spec, N, index)
+    _check_float_range(spec, list(accumulate(sizes)))
     sums = []
     total = 0.0
     for n in range(1, N + 1):
@@ -732,7 +729,6 @@ def verify_heredity(embedding: Embedding, n_list, sub_index: LengthIndex,
     """
     n_list = list(n_list)
     sub = embedding.sub
-    ambient = embedding.ambient
     elems = [g for m in range(sub_index.radius + 1) for g in sub_index.sphere(m)]
     image_length = {g: embedding.ambient_length(g, ambient_index) for g in elems}
 
@@ -753,21 +749,15 @@ def verify_heredity(embedding: Embedding, n_list, sub_index: LengthIndex,
         sub_est = norm_bracket(witness, method=method, index=sub_index, **kwargs)
         sub_l2 = math.sqrt(len(members))
 
-        amb_size = ball_sizes(ambient, n, ambient_index)[n]
-        if ambient.amenable:
-            amb_lower = amb_upper = float(amb_size)
-        else:
-            amb_est = norm_bracket(
-                make_witness(ambient, "ball", n, method, ambient_index),
-                method=method, index=ambient_index, **kwargs)
-            amb_lower, amb_upper = amb_est.lower, amb_est.upper
-        amb_l2 = math.sqrt(amb_size)
+        amb = make_witness(embedding.ambient, "ball", n, method, ambient_index)
+        amb_est = norm_bracket(amb, method=method, index=ambient_index, **kwargs)
+        amb_l2 = coefficient_norm(amb, "l2")
         rows.append(HeredityRow(
             n=n, subgroup_count=len(members),
             sub_ratio_lower=sub_est.lower / sub_l2,
             sub_ratio_upper=sub_est.upper / sub_l2,
-            ambient_ratio_lower=amb_lower / amb_l2,
-            ambient_ratio_upper=amb_upper / amb_l2))
+            ambient_ratio_lower=amb_est.lower / amb_l2,
+            ambient_ratio_upper=amb_est.upper / amb_l2))
     return HeredityReport(ok=all(r.dominated for r in rows), rows=rows)
 
 

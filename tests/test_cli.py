@@ -63,6 +63,16 @@ class TestVerifyCommands:
         assert run_command(["verify", "doubling", "--group", "Z",
                             "--r", "2", "--k", "6"]) == 1
 
+    def test_doubling_past_the_float_range(self, tmp_path, capsys):
+        base = ["verify", "doubling", "--group", "F2"]
+        assert run_command(base + ["--r", "700", "--k", "1"]) == 3
+        assert "|B_1400|/|B_700| of F2 leaves the float range" in \
+            capsys.readouterr().err
+        assert run(base + ["--r", "400", "--k", "2"], tmp_path, "d.json") == 0
+        data = json.loads((tmp_path / "d.json").read_text())
+        assert data["ok"] is True and data["min_ratio"] == pytest.approx(2.656e95,
+                                                                         rel=1e-3)
+
     def test_heredity(self, capsys):
         code = run_command(["verify", "heredity", "--embedding", "Z:Z^2",
                             "--range", "4:32:4"])
@@ -182,10 +192,24 @@ class TestIndexPlanning:
         assert run_command(argv.split()) == 0
         assert index_calls == {"get_index": [], "enumerate": []}
 
+    def test_heredity_reads_the_subgroup_cache(self, tmp_path):
+        argv = ["verify", "heredity", "--embedding", "Z:Z^2", "--range", "4:32:4"]
+        assert run(argv, tmp_path, "plain.json") == 0
+        cache_dir = tmp_path / "caches"
+        assert run_command(["cache", "build", "--group", "Z", "--radius", "33",
+                            "--cache-dir", str(cache_dir)]) == 0
+        assert run(argv + ["--cache-dir", str(cache_dir)], tmp_path,
+                   "cached.json") == 0
+        manifest = json.loads((tmp_path / "cached.json.manifest.json").read_text())
+        assert [f["path"] for f in manifest["cache_files"]] == \
+            [str(cache_dir / "Z^1.N33.ballcache")]
+        assert (tmp_path / "cached.json").read_bytes() == \
+            (tmp_path / "plain.json").read_bytes()
+
     def test_heredity_into_f2_enumerates_only_the_subgroup(self, index_calls):
         assert run_command(["verify", "heredity", "--embedding", "Z:F2",
                             "--range", "4:12:4"]) == 0
-        assert index_calls["get_index"] == []
+        assert index_calls["get_index"] == [("Z^1", 13)]
         assert {group for group, _ in index_calls["enumerate"]} == {"Z^1"}
 
     @pytest.mark.parametrize("argv,radius", [
@@ -239,6 +263,43 @@ class TestIndexPlanning:
         assert index_calls["get_index"] == [("F2", 3)]
         data = json.loads((tmp_path / "z.json").read_text())
         assert len(data["element"]["coeffs"]) == R.free_ball_size(2, 3)
+
+    @pytest.mark.parametrize("argv,radius", [
+        ("ratio --group H3 --range 2:6 --method exact", 6),
+        ("ratio --group H3 --witness aN --d-hat 2.0 --range 2:6 --method l1", 6),
+        ("fit --group H3 --range 2:5 --method exact", 5),
+        ("report --group H3 --range 2:6 --method exact", 6),
+        ("norm --group H3 --witness sphere --n 4 --method exact", 4),
+        ("verify divergence --group H3 --s 0.4 --range 2:6:2 --method exact", 6),
+    ])
+    def test_h3_exact_norms_need_no_dense_witness(self, argv, radius,
+                                                  index_calls, monkeypatch):
+        expanded = []
+        monkeypatch.setattr(rdlab.rd, "witness_element",
+                            lambda *args: expanded.append(args))
+        assert run_command(argv.split()) == 0
+        assert expanded == []
+        assert index_calls["get_index"] == [("H3", radius)]
+
+    def test_z2_exact_ratio_reads_no_index(self, tmp_path, index_calls):
+        # B_200 of Z^2 has 80,401 elements; the exact norms sum 201 sizes
+        argv = ["ratio", "--group", "Z^2", "--range", "4:200", "--method",
+                "exact", "--budget", "1000"]
+        assert run(argv, tmp_path, "r.csv") == 0
+        last = (tmp_path / "r.csv").read_text().splitlines()[-1].split(",")
+        assert last[2:5] == ["200", "80401", "80401"]
+        assert index_calls == {"get_index": [], "enumerate": []}
+
+    def test_z2_exact_ratio_lists_no_cache(self, tmp_path):
+        cache_dir = tmp_path / "caches"
+        assert run_command(["cache", "build", "--group", "Z^2", "--radius", "200",
+                            "--cache-dir", str(cache_dir)]) == 0
+        assert (cache_dir / "Z^2.N200.ballcache").exists()
+        assert run(["ratio", "--group", "Z^2", "--range", "4:200", "--method",
+                    "exact", "--budget", "1000", "--cache-dir", str(cache_dir)],
+                   tmp_path, "r.csv") == 0
+        manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
+        assert manifest["cache_files"] == []
 
     def test_free_group_ratio_past_the_enumeration_budget(self):
         # B_14 of F2 has 9.6 million elements; the radial witnesses need none

@@ -227,8 +227,8 @@ class TestRadial:
         assert out.coeffs == [0.0, 3.0, 0.0, 1.0]
 
     def test_identity(self):
-        x = R.RadialElement(rank=3, coeffs=[0.5, -1.0, 2.0])
-        out = R.radial_convolve(R.RadialElement(rank=3, coeffs=[1.0]), x)
+        x = R.free_radial(3, [0.5, -1.0, 2.0])
+        out = R.radial_convolve(R.free_radial(3, [1.0]), x)
         assert out.coeffs == x.coeffs
 
     def test_rank_mismatch(self):
@@ -241,7 +241,7 @@ class TestRadial:
             assert R.free_ball_size(2, n) == f2_index.ball_sizes[n]
 
     def test_roundtrip(self, f2_index):
-        x = R.RadialElement(rank=2, coeffs=[0.5, 0.0, 2.0, -1.0])
+        x = R.free_radial(2, [0.5, 0.0, 2.0, -1.0])
         back = R.radial_from_algebra(R.radial_to_algebra(x, f2_index))
         assert back.coeffs == x.coeffs
 
@@ -274,10 +274,10 @@ class TestRadial:
         index = R.enumerate_balls(spec, 2 * max_m)
         rng = random.Random(rank)
         for _ in range(3):
-            x = R.RadialElement(rank=rank, coeffs=[float(rng.randint(-3, 3))
-                                                   for _ in range(max_m + 1)])
-            y = R.RadialElement(rank=rank, coeffs=[float(rng.randint(-3, 3))
-                                                   for _ in range(max_m + 1)])
+            x = R.free_radial(rank, [float(rng.randint(-3, 3))
+                                     for _ in range(max_m + 1)])
+            y = R.free_radial(rank, [float(rng.randint(-3, 3))
+                                     for _ in range(max_m + 1)])
             self._assert_matches_dense(rank, x, y, index)
 
     @pytest.mark.parametrize("rank,i,j", [(2, 6, 1), (2, 2, 6), (3, 6, 1), (3, 5, 2)])
@@ -290,8 +290,8 @@ class TestRadial:
     def test_matches_dense_float_coefficients(self):
         rng = random.Random(99)
         index = R.enumerate_balls(F2, 8)
-        x = R.RadialElement(rank=2, coeffs=[rng.uniform(-1, 1) for _ in range(5)])
-        y = R.RadialElement(rank=2, coeffs=[rng.uniform(-1, 1) for _ in range(5)])
+        x = R.free_radial(2, [rng.uniform(-1, 1) for _ in range(5)])
+        y = R.free_radial(2, [rng.uniform(-1, 1) for _ in range(5)])
         self._assert_matches_dense(2, x, y, index, rel=1e-9)
 
     def test_bracket_invariant(self):

@@ -43,20 +43,23 @@ class TestIndexPlanning:
         (F2, "auto", "witness", 5, None),
         (F2, "power", "witness", 5, 9),
         (F2_OTHER, "trace", "witness", 5, 5),
-        (Z2, "exact", "witness", 5, 5),
+        (H3, "exact", "witness", 5, 5),     # sphere sizes need the index
         (H3, "trace", "witness", 5, 5),
         (Z2, "trace", "element", 5, None),
         (H3, "trace", "element", 5, None),
         (H3, "power", "element", 5, 9),
-        (F2, None, "sizes", 5, None),
-        (Z2, None, "sizes", 5, None),
-        (H3, None, "sizes", 5, 5),
+        (F2, None, "witness", 5, None),     # sphere sizes only
+        (Z2, None, "witness", 5, None),
+        (H3, None, "witness", 5, 5),
         (F2, None, "series", 7, 7),        # |B_7| = 4373: element attached
         (F2, None, "series", 8, None),     # |B_8| = 13121
         (H3, None, "series", 30, 30),
-        (Z2, "auto", "ambient", 5, None),  # amenable: exact from sphere sizes
-        (F2, "auto", "ambient", 5, None),  # radial
-        (R.DirectProduct([Z, F2]), "auto", "ambient", 5, 5),
+        (Z2, "auto", "witness", 5, None),   # amenable: exact from sphere sizes
+        (C12, "auto", "witness", 5, None),  # amenable, closed-form sizes
+        (R.DirectProduct([Z, F2]), "auto", "witness", 5, 5),  # convolves
+        (Z2, "exact", "witness", 5, None),
+        (Z2, "l1", "witness", 5, None),
+        (Z2, "trace", "witness", 5, 5),
     ])
     def test_planner(self, spec, method, needs, radius, want):
         assert index_radius(spec, method, radius, needs, domain_radius=9) == want
@@ -68,7 +71,7 @@ class TestIndexPlanning:
         with pytest.raises(IndexRadiusError):
             make_witness(F2, "ball", 3, "power")
         with pytest.raises(IndexRadiusError):
-            make_witness(Z2, "ball", 3, "exact")
+            make_witness(Z2, "ball", 3, "trace")
 
     def test_radial_and_dense_witnesses_agree(self, f2_index, z_index):
         for witness in ("ball", "sphere", "aN"):
@@ -293,6 +296,17 @@ class TestDoubling:
         ratios = R.doubling_ratios(H3, 2, 4, h3_index)
         assert ratios[0] == pytest.approx(math.sqrt(135 / 17))
 
+    def test_ratio_past_the_float_range(self):
+        with pytest.raises(BudgetExceededError,
+                           match=r"\|B_1400\|/\|B_700\| of F2 leaves the float range"):
+            R.doubling_ratios(F2, 700, 1)
+
+    def test_huge_balls_with_ratios_inside_the_float_range(self):
+        # |B_1200| is far past the float range, but each quotient fits
+        assert R.free_ball_size(2, 1200) > 10 ** 500
+        min_ratio, ok = R.verify_doubling(F2, 400, 2)
+        assert ok and min_ratio == pytest.approx(3.0 ** 200, rel=1e-12)
+
 
 class TestBallSeries:
     def test_single_term_is_normalized(self, z_index):
@@ -422,6 +436,11 @@ class TestSphereSum:
         rep = R.harmonic_sphere_sum(H3, 4.0, 10, h3_index)
         assert len(rep.partial_sums) == 10
         assert rep.partial_sums == sorted(rep.partial_sums)
+
+    def test_sizes_past_the_float_range(self):
+        assert R.harmonic_sphere_sum(F2, 1.0, 645).final() < math.inf
+        with pytest.raises(BudgetExceededError, match="float range at radius 646"):
+            R.harmonic_sphere_sum(F2, 1.0, 700)
 
 
 class TestHeredity:
