@@ -50,7 +50,10 @@ class AlgebraElement:
     support_radius: int = 0
 
     def __post_init__(self):
-        self.coeffs = {g: c for g, c in self.coeffs.items() if c != 0.0}
+        coeffs = dict(self.coeffs)
+        if 0.0 in coeffs.values():
+            coeffs = {g: c for g, c in coeffs.items() if c != 0.0}
+        self.coeffs = coeffs
 
     def __len__(self):
         return len(self.coeffs)

@@ -90,28 +90,25 @@ class _Run:
         self.spec = None
 
     def cache_dir(self):
-        explicit = getattr(self.args, "cache_dir", None)
-        return explicit or os.environ.get("RDLAB_CACHE_DIR")
+        return self.args.cache_dir or os.environ.get("RDLAB_CACHE_DIR")
 
     def get_index(self, spec, radius):
-        budget = getattr(self.args, "budget", DEFAULT_BUDGET)
         directory = self.cache_dir()
         if directory:
             path = find_cache(directory, spec, radius)
             if path is not None:
                 self.cache_files.append(str(path))
                 return read_ball_cache(path, spec)
-        return enumerate_balls(spec, radius, budget=budget)
+        return enumerate_balls(spec, radius, budget=self.args.budget)
 
-    def planned_index(self, spec, method, radius, needs="witness"):
-        """The index ``rd.index_radius`` asks for, or None if it asks for none."""
-        radius = index_radius(spec, method, radius, needs,
-                              getattr(self.args, "domain_radius", None))
+    def planned_index(self, spec, method, radius, needs="witness", R=None):
+        """The index ``rd.index_radius`` asks for, or None if it asks for none;
+        ``R`` is the power-iteration domain radius setting."""
+        radius = index_radius(spec, method, radius, needs, R)
         return None if radius is None else self.get_index(spec, radius)
 
     def emit(self, text, summary=None):
-        args = self.args
-        out = getattr(args, "out", None)
+        out = self.args.out
         if out:
             Path(out).write_text(text, encoding="utf-8")
             manifest = self.manifest(out, text)
@@ -147,24 +144,19 @@ class _Run:
         }
 
 
-def _estimator_kwargs(args):
-    out = {}
-    for name in ("depth", "exponent", "iters", "seed", "budget"):
-        value = getattr(args, name, None)
-        if value is not None:
-            out[name] = value
-    if getattr(args, "extrapolate", False):
-        out["extrapolate"] = True
-    if getattr(args, "domain_radius", None) is not None:
-        out["R"] = args.domain_radius
-    return out
+def _estimator_settings(args):
+    """The norm_bracket settings the estimator flags give; a flag left unset
+    keeps norm_bracket's default."""
+    settings = {"depth": args.depth, "exponent": args.exponent,
+                "extrapolate": args.extrapolate, "R": args.domain_radius,
+                "iters": args.iters, "seed": args.seed, "budget": args.budget}
+    return {name: value for name, value in settings.items() if value is not None}
 
 
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_growth(run):
-    args = run.args
+def cmd_growth(run, args):
     spec = run.spec = parse_descriptor(args.group)
     index = run.get_index(spec, args.radius)
     rows = [(n, index.sphere_sizes[n], index.ball_sizes[n])
@@ -179,22 +171,21 @@ def cmd_growth(run):
     return EXIT_OK
 
 
-def cmd_norm(run):
-    args = run.args
+def cmd_norm(run, args):
     spec = run.spec = parse_descriptor(args.group)
+    settings = _estimator_settings(args)
     if args.element:
         data = json.loads(Path(args.element).read_text(encoding="utf-8"))
         element = AlgebraElement.from_json_dict(spec, data)
         index = run.planned_index(spec, args.method, element.support_radius,
-                                  needs="element")
+                                  "element", settings.get("R"))
     elif args.witness and args.n is not None:
-        index = run.planned_index(spec, args.method, args.n)
+        index = run.planned_index(spec, args.method, args.n, R=settings.get("R"))
         element = make_witness(spec, args.witness, args.n, args.method, index,
                                args.d_hat)
     else:
         raise RdlabError("norm needs either --element or --witness with --n")
-    est = norm_bracket(element, method=args.method, index=index,
-                       **_estimator_kwargs(args))
+    est = norm_bracket(element, method=args.method, index=index, **settings)
     run.emit(json_text(est.to_json_dict()),
              summary=f"norm in [{est.lower:.12g}, {est.upper:.12g}] "
                      f"({est.method})")
@@ -204,15 +195,15 @@ def cmd_norm(run):
 def _make_series(run, args):
     spec = run.spec = parse_descriptor(args.group)
     n_list = parse_range(args.range)
-    index = run.planned_index(spec, args.method, max(n_list))
+    settings = _estimator_settings(args)
+    index = run.planned_index(spec, args.method, max(n_list), R=settings.get("R"))
     return ratio_series(spec, args.witness, n_list, method=args.method,
-                        index=index, d_hat=args.d_hat,
-                        **_estimator_kwargs(args))
+                        index=index, d_hat=args.d_hat, **settings)
 
 
-def cmd_ratio(run):
-    series = _make_series(run, run.args)
-    if run.args.format == "json":
+def cmd_ratio(run, args):
+    series = _make_series(run, args)
+    if args.format == "json":
         text = json_text(series.to_json_dict())
     else:
         text = csv_text(["group", "witness", "n", "norm_lower", "norm_upper",
@@ -222,8 +213,7 @@ def cmd_ratio(run):
     return EXIT_OK
 
 
-def cmd_fit(run):
-    args = run.args
+def cmd_fit(run, args):
     series = _make_series(run, args)
     window = tuple(int(x) for x in args.window.split(":")) if args.window \
         else (min(e.n for e in series.entries), max(e.n for e in series.entries))
@@ -243,8 +233,7 @@ def cmd_fit(run):
     return EXIT_OK
 
 
-def cmd_zseries(run):
-    args = run.args
+def cmd_zseries(run, args):
     spec = run.spec = parse_descriptor(args.group)
     index = run.planned_index(spec, None, args.r * args.k, needs="series")
     series = build_ball_series(spec, args.r, args.alpha, args.k, index=index)
@@ -257,14 +246,14 @@ def cmd_zseries(run):
     return EXIT_OK
 
 
-def cmd_report(run):
-    args = run.args
+def cmd_report(run, args):
     spec = run.spec = parse_descriptor(args.group)
     n_list = parse_range(args.range)
-    index = run.planned_index(spec, args.method, max(n_list))
+    settings = _estimator_settings(args)
+    index = run.planned_index(spec, args.method, max(n_list), R=settings.get("R"))
     s_values = [float(s) for s in args.s_list.split(",")] if args.s_list else []
     report = build_report(spec, n_list, s_values=s_values, method=args.method,
-                          index=index, **_estimator_kwargs(args))
+                          index=index, **settings)
     if args.out:
         report.manifest_ref = args.out + ".manifest.json"
     if args.format == "csv":
@@ -279,23 +268,6 @@ def cmd_report(run):
     return EXIT_OK
 
 
-def cmd_verify(run):
-    args = run.args
-    if args.check == "heredity":
-        if not args.embedding:
-            raise RdlabError("verify heredity needs --embedding")
-    elif not args.group:
-        raise RdlabError(f"verify {args.check} needs --group")
-    handler = {
-        "lemma1": _verify_lemma1,
-        "lemma2": _verify_lemma2,
-        "doubling": _verify_doubling,
-        "heredity": _verify_heredity,
-        "divergence": _verify_divergence,
-    }[args.check]
-    return handler(run, args)
-
-
 def _verdict_exit(ok):
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
@@ -305,7 +277,7 @@ def _verify_lemma1(run, args):
     # ball products convolve, as the trace estimator does
     index = run.planned_index(spec, "trace", args.radius if args.n is None
                               else args.n + args.k)
-    if args.n is not None and args.k is not None:
+    if args.n is not None:
         ok, slack = verify_ball_product_bound(spec, args.n, args.k, index,
                                               budget=args.budget)
         worst = (args.n, args.k)
@@ -354,9 +326,15 @@ def _verify_heredity(run, args):
     n_list = parse_range(args.range)
     embedding = standard_embedding(args.embedding)
     run.spec = embedding.ambient
-    sub_index = run.get_index(embedding.sub, max(n_list) + 1)
-    ambient_index = run.planned_index(embedding.ambient, "auto", max(n_list))
-    report = verify_heredity(embedding, n_list, sub_index, ambient_index)
+    settings = _estimator_settings(args)
+    # the subgroup witnesses are dense elements listed from the subgroup
+    # index, which also covers the power-iteration domain --R
+    sub_index = run.get_index(embedding.sub,
+                              max(max(n_list) + 1, settings.get("R", 0)))
+    ambient_index = run.planned_index(embedding.ambient, args.method, max(n_list),
+                                      R=settings.get("R"))
+    report = verify_heredity(embedding, n_list, sub_index, ambient_index,
+                             args.method, **settings)
     run.emit(json_text({"embedding": args.embedding, "ok": report.ok,
                         "rows": [{"n": r.n, "subgroup_count": r.subgroup_count,
                                   "sub_ratio_lower": r.sub_ratio_lower,
@@ -381,8 +359,7 @@ def _verify_divergence(run, args):
     return _verdict_exit(ok)
 
 
-def cmd_cache(run):
-    args = run.args
+def cmd_cache(run, args):
     directory = run.cache_dir()
     if args.action == "build":
         if not args.group or args.radius is None:
@@ -420,33 +397,10 @@ def cmd_cache(run):
 # -- parser --------------------------------------------------------------------
 
 
-def _add_common(parser, group=True):
-    if group:
-        parser.add_argument("--group", required=True,
-                            help='group descriptor, e.g. Z, Z^2, H3, F2, C12, Z^1xF2')
-    parser.add_argument("--out", help="artifact path; a manifest is written "
-                                      "next to it")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--cache-dir", dest="cache_dir",
-                        help="ball cache directory (default $RDLAB_CACHE_DIR)")
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="element-count budget for enumeration/convolution")
-    parser.add_argument("--seed", type=int, default=0)
-
-
-def _add_estimator(parser):
-    parser.add_argument("--method", choices=["trace", "power", "exact", "auto", "l1"],
-                        default="auto")
-    parser.add_argument("--depth", type=int, default=None,
-                        help="trace-power squaring count")
-    parser.add_argument("--exponent", type=int, default=None,
-                        help="trace-power target exponent 2k (even)")
-    parser.add_argument("--iters", type=int, default=None,
-                        help="power-iteration count")
-    parser.add_argument("--extrapolate", action="store_true",
-                        help="report the trace-power step-limit diagnostic")
-    parser.add_argument("--R", dest="domain_radius", type=int, default=None,
-                        help="power-iteration domain radius")
+def _flags(*parents):
+    """A parent parser: argparse shares its actions with every subcommand
+    that lists it, so a flag several subcommands read is defined once."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
 
 def build_parser():
@@ -457,85 +411,126 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("growth", help="sphere and ball sizes by BFS")
-    _add_common(p)
+    common = _flags()     # every subcommand
+    common.add_argument("--out", help="artifact path; a manifest is written "
+                                      "next to it")
+    common.add_argument("--cache-dir", dest="cache_dir",
+                        help="ball cache directory (default $RDLAB_CACHE_DIR)")
+    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        help="element-count budget for enumeration/convolution")
+    group = _flags(common)
+    group.add_argument("--group", required=True,
+                       help='group descriptor, e.g. Z, Z^2, H3, F2, C12, Z^1xF2')
+    csv = _flags()        # report writes JSON by default
+    csv.add_argument("--format", choices=["csv", "json"], default="csv")
+    witness = _flags()    # norm has no default witness
+    witness.add_argument("--witness", choices=["ball", "sphere", "aN"],
+                         default="ball")
+    witness.add_argument("--d-hat", dest="d_hat", type=float, default=None)
+    estimator = _flags()  # the norm_bracket settings (_estimator_settings)
+    estimator.add_argument("--method", default="auto",
+                           choices=["trace", "power", "exact", "auto", "l1"])
+    estimator.add_argument("--depth", type=int, default=None,
+                           help="trace-power squaring count")
+    estimator.add_argument("--exponent", type=int, default=None,
+                           help="trace-power target exponent 2k (even)")
+    estimator.add_argument("--iters", type=int, default=None,
+                           help="power-iteration count")
+    estimator.add_argument("--extrapolate", action="store_true",
+                           help="report the trace-power step-limit diagnostic")
+    estimator.add_argument("--R", dest="domain_radius", type=int, default=None,
+                           help="power-iteration domain radius")
+    estimator.add_argument("--seed", type=int, default=0,
+                           help="power-iteration start vector seed")
+
+    p = sub.add_parser("growth", parents=[group, csv],
+                       help="sphere and ball sizes by BFS")
     p.add_argument("--radius", type=int, required=True)
     p.set_defaults(func=cmd_growth)
 
-    p = sub.add_parser("norm", help="operator norm bracket of a witness or element")
-    _add_common(p)
+    p = sub.add_parser("norm", parents=[group, estimator],
+                       help="operator norm bracket of a witness or element")
     p.add_argument("--witness", choices=["ball", "sphere", "aN"])
+    p.add_argument("--d-hat", dest="d_hat", type=float, default=None)
     p.add_argument("--n", type=int)
-    p.add_argument("--d-hat", dest="d_hat", type=float, default=None)
     p.add_argument("--element", help="path to an element JSON file")
-    _add_estimator(p)
-    p.set_defaults(func=cmd_norm, format="json")
+    p.set_defaults(func=cmd_norm)
 
-    p = sub.add_parser("ratio", help="witness norm/l2 ratio series")
-    _add_common(p)
-    p.add_argument("--witness", choices=["ball", "sphere", "aN"], default="ball")
+    p = sub.add_parser("ratio", parents=[group, csv, witness, estimator],
+                       help="witness norm/l2 ratio series")
     p.add_argument("--range", required=True, help="n range lo:hi[:step]")
-    p.add_argument("--d-hat", dest="d_hat", type=float, default=None)
-    _add_estimator(p)
     p.set_defaults(func=cmd_ratio)
 
-    p = sub.add_parser("fit", help="log-log exponent fit of a ratio series")
-    _add_common(p)
-    p.add_argument("--witness", choices=["ball", "sphere", "aN"], default="ball")
+    p = sub.add_parser("fit", parents=[group, csv, witness, estimator],
+                       help="log-log exponent fit of a ratio series")
     p.add_argument("--range", required=True)
     p.add_argument("--window", help="fit window lo:hi (default: the range)")
     p.add_argument("--which", choices=["lower", "upper"], default="lower")
-    p.add_argument("--d-hat", dest="d_hat", type=float, default=None)
-    _add_estimator(p)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("zseries", help="power-weighted normalized-ball series "
-                                       "and its l2 bounds")
-    _add_common(p)
+    p = sub.add_parser("zseries", parents=[group], help="power-weighted "
+                       "normalized-ball series and its l2 bounds")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--k", type=int, required=True, help="truncation K")
-    p.set_defaults(func=cmd_zseries, format="json")
+    p.set_defaults(func=cmd_zseries)
 
-    p = sub.add_parser("report", help="growth + witness fits + constant series")
-    _add_common(p)
+    p = sub.add_parser("report", parents=[group, estimator],
+                       help="growth + witness fits + constant series")
+    p.add_argument("--format", choices=["csv", "json"], default="json")
     p.add_argument("--range", required=True)
     p.add_argument("--s-list", dest="s_list", help="comma-separated s values")
-    _add_estimator(p)
-    p.set_defaults(func=cmd_report, format="json")
+    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("verify", help="check one of the exact inequalities")
-    p.add_argument("check", choices=["lemma1", "lemma2", "doubling",
-                                     "heredity", "divergence"])
-    _add_common(p, group=False)
-    p.add_argument("--group", help="group descriptor")
-    p.add_argument("--embedding", choices=sorted(standard_embeddings()),
-                   help="named embedding for heredity")
-    p.add_argument("--radius", type=int, default=6,
-                   help="lemma1 sweep bound for n+k")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int, default=6)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--s", type=float, default=0.4)
-    p.add_argument("--range", default="4:64:4")
-    p.add_argument("--witness", choices=["ball", "sphere", "aN"], default="ball")
-    p.add_argument("--d-hat", dest="d_hat", type=float, default=None)
-    p.add_argument("--expect", choices=["divergent", "bounded trend"],
-                   default="divergent")
-    p.add_argument("--min-slack", dest="min_slack", type=float, default=None,
-                   help="fail unless the measured min slack reaches this")
-    _add_estimator(p)
-    p.set_defaults(func=cmd_verify, format="json")
+    checks = p.add_subparsers(dest="check", required=True)
 
-    p = sub.add_parser("cache", help="build or check ball cache files")
+    c = checks.add_parser("lemma1", parents=[group], help="ball product bound")
+    c.add_argument("--radius", type=int, default=6, help="sweep bound for n+k")
+    c.add_argument("--n", type=int, help="check the one pair (n, k)")
+    c.add_argument("--k", type=int, default=6)
+    c.add_argument("--min-slack", dest="min_slack", type=float, default=None,
+                   help="fail unless the measured min slack reaches this")
+    c.set_defaults(func=_verify_lemma1)
+
+    c = checks.add_parser("lemma2", parents=[group],
+                          help="ball-series product bound")
+    c.add_argument("--r", type=int, default=1)
+    c.add_argument("--alpha", type=float, default=1.0)
+    c.add_argument("--beta", type=float, default=1.0)
+    c.add_argument("--k", type=int, default=6, help="truncation K")
+    c.add_argument("--min-slack", dest="min_slack", type=float, default=None,
+                   help="fail unless the measured min slack reaches this")
+    c.set_defaults(func=_verify_lemma2)
+
+    c = checks.add_parser("doubling", parents=[group],
+                          help="l2 doubling of the balls B_{rk}")
+    c.add_argument("--r", type=int, default=1)
+    c.add_argument("--k", type=int, default=6, help="largest k")
+    c.set_defaults(func=_verify_doubling)
+
+    c = checks.add_parser("heredity", parents=[common, estimator],
+                          help="subgroup domination")
+    c.add_argument("--embedding", required=True,
+                   choices=sorted(standard_embeddings()))
+    c.add_argument("--range", default="4:64:4")
+    c.set_defaults(func=_verify_heredity)
+
+    c = checks.add_parser("divergence", parents=[group, witness, estimator],
+                          help="C_s divergence trend")
+    c.add_argument("--s", type=float, default=0.4)
+    c.add_argument("--range", default="4:64:4")
+    c.add_argument("--expect", choices=["divergent", "bounded trend"],
+                   default="divergent")
+    c.set_defaults(func=_verify_divergence)
+
+    p = sub.add_parser("cache", parents=[common],
+                       help="build or check ball cache files")
     p.add_argument("action", choices=["build", "check"])
-    _add_common(p, group=False)
     p.add_argument("--group", help="group descriptor")
     p.add_argument("--radius", type=int)
     p.add_argument("--file", help="explicit cache file path (check)")
-    p.set_defaults(func=cmd_cache, format="json")
+    p.set_defaults(func=cmd_cache)
 
     return parser
 
@@ -549,7 +544,7 @@ def run_command(argv):
         return code if isinstance(code, int) else EXIT_USAGE
     run = _Run(args)
     try:
-        return args.func(run)
+        return args.func(run, args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -507,7 +507,7 @@ class LengthIndex:
 
     spec: GroupSpec
     radius: int
-    lengths: dict
+    lengths: dict = field(repr=False)
     spheres: list = field(repr=False)
     sphere_sizes: list = field(default_factory=list)
     ball_sizes: list = field(default_factory=list)

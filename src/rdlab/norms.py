@@ -263,9 +263,6 @@ class _DenseOps:
         self.budget = budget
         self.b = convolve(adjoint(a), a, budget=budget)
 
-    def square(self, x):
-        return convolve(x, x, budget=self.budget)
-
     def mul(self, x, y):
         return convolve(x, y, budget=self.budget)
 
@@ -286,16 +283,11 @@ class _RadialOps:
         self.budget = budget
         self.b = radial_convolve(ra, ra)  # radial elements are self-adjoint
 
-    def square(self, x):
-        return self._guard(radial_convolve(x, x))
-
     def mul(self, x, y):
-        return self._guard(radial_convolve(x, y))
-
-    def _guard(self, x):
-        if self.budget is not None and len(x.coeffs) > self.budget:
+        z = radial_convolve(x, y)
+        if self.budget is not None and len(z.coeffs) > self.budget:
             raise BudgetExceededError("radial support passed the budget")
-        return x
+        return z
 
     @staticmethod
     def inner(x, y):
@@ -353,12 +345,6 @@ def op_norm_trace_power(a: AlgebraElement, depth=6, budget=DEFAULT_BUDGET,
         try:
             if m == 1:
                 trace = ops.trace(ops.b)
-            elif m & (m - 1) == 0:
-                j = m.bit_length() - 1
-                while len(powers) < j:
-                    powers.append(ops.square(powers[-1]))
-                half = powers[j - 1]
-                trace = ops.inner(half, half)
             else:
                 half = _binary_power(ops, powers, m // 2)
                 other = ops.mul(half, ops.b) if m % 2 else half
@@ -411,7 +397,7 @@ def _binary_power(ops, powers, m):
     while m:
         if m & 1:
             while len(powers) <= j:
-                powers.append(ops.square(powers[-1]))
+                powers.append(ops.mul(powers[-1], powers[-1]))
             result = powers[j] if result is None else ops.mul(result, powers[j])
         m >>= 1
         j += 1

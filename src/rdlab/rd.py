@@ -151,11 +151,13 @@ def index_radius(spec, method, radius, needs="witness", domain_radius=None):
     * "series": a ball series, whose dense element is attached when B_radius
       has at most DENSE_ZSERIES_LIMIT elements.
 
-    Power iteration always reads the ball it compresses to, of radius
-    ``domain_radius`` when that is larger.
+    Power iteration always reads the ball it compresses to, of the
+    ``power_domain`` radius when that is larger.
     """
+    if needs not in ("witness", "element", "series"):
+        raise ValueError(f"unknown index need {needs!r}")
     if method == "power":
-        return max(radius, domain_radius or 0)
+        return max(radius, power_domain(domain_radius, radius))
     if needs == "element":
         return None
     closed = closed_sphere_series(spec, max(radius, 0))
@@ -166,13 +168,26 @@ def index_radius(spec, method, radius, needs="witness", domain_radius=None):
     return radius if dense else None
 
 
+def resolve_method(method, spec, nonnegative=True):
+    """The estimator ``method`` names: "auto" is "exact" for a nonnegative
+    element on an amenable group, else "trace"."""
+    if method == "auto":
+        return "exact" if spec.amenable and nonnegative else "trace"
+    return method
+
+
+def power_domain(R, support_radius):
+    """Radius of the ball power iteration compresses to: ``R`` when given,
+    else the support radius, at least 1."""
+    return max(support_radius, 1) if R is None else R
+
+
 def _dense_witness(spec, method):
     """Whether a witness normed by ``method`` is expanded to its dense element:
-    power iteration compresses a dense element, and "trace" (or "auto" where
-    it is not the exact amenable value) convolves, which a sphere function
-    does only on a free group of ``radial_rank``."""
-    return method == "power" or radial_rank(spec) is None and (
-        method == "trace" or method == "auto" and not spec.amenable)
+    power iteration compresses a dense element, and "trace" convolves, which
+    a sphere function does only on a free group of ``radial_rank``."""
+    method = resolve_method(method, spec)
+    return method == "power" or method == "trace" and radial_rank(spec) is None
 
 
 # -- witness elements and ratio series ----------------------------------------
@@ -216,30 +231,23 @@ def make_witness(spec, witness, n, method="auto", index=None, d_hat=None):
     return witness_element(x, index) if _dense_witness(spec, method) else x
 
 
-def norm_bracket(a, method="auto", index=None, **kwargs):
-    """Dispatch to a norm estimator; "auto" prefers the exact amenable value.
-
-    ``a`` is an AlgebraElement or a RadialElement.  Power iteration
-    compresses to a ball of group elements, so it takes only the dense form.
-    """
-    if method == "auto":
-        method = "exact" if a.spec.amenable and a.is_nonnegative() else "trace"
+def norm_bracket(a, method="auto", index=None, *, depth=6, exponent=None,
+                 extrapolate=False, R=None, iters=200, seed=0,
+                 budget=DEFAULT_BUDGET):
+    """Dispatch to the estimator ``resolve_method`` picks for ``a``, an
+    AlgebraElement or a RadialElement.  Power iteration compresses to the
+    ball of ``power_domain`` radius, so it takes only the dense form."""
+    method = resolve_method(method, a.spec, a.is_nonnegative())
     if method == "exact":
         return op_norm_positive_amenable(a)
     if method == "trace":
-        return op_norm_trace_power(
-            a, depth=kwargs.get("depth", 6), budget=kwargs.get("budget", DEFAULT_BUDGET),
-            exponent=kwargs.get("exponent"),
-            extrapolate=kwargs.get("extrapolate", False))
+        return op_norm_trace_power(a, depth=depth, budget=budget,
+                                   exponent=exponent, extrapolate=extrapolate)
     if method == "power":
         if isinstance(a, RadialElement):
             raise RdlabError("power iteration needs the dense element")
-        R = kwargs.get("R")
-        if R is None:
-            R = max(a.support_radius, 1)
-        return op_norm_power_iteration(
-            a, R=R, iters=kwargs.get("iters", 200), seed=kwargs.get("seed", 0),
-            index=index)
+        return op_norm_power_iteration(a, R=power_domain(R, a.support_radius),
+                                       iters=iters, seed=seed, index=index)
     if method == "l1":
         return op_norm_l1_bracket(a)
     raise ValueError(f"unknown norm method {method!r}")
@@ -291,13 +299,13 @@ class RatioSeries:
 
 
 def ratio_series(spec, witness, n_list, method="auto", index=None, d_hat=None,
-                 **kwargs):
+                 **settings):
     """Norm bracket and l2 norm of the witness at each n (skips empty witnesses).
 
     Witnesses are sphere functions, so their l2 norm and the l1 and exact
     norms need sphere sizes only; ``index`` supplies the sizes that have no
     closed form and the dense elements the other methods convolve (see
-    make_witness).
+    make_witness).  ``settings`` are the estimator settings of norm_bracket.
     """
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -309,7 +317,7 @@ def ratio_series(spec, witness, n_list, method="auto", index=None, d_hat=None,
         l2 = coefficient_norm(element, "l2")
         if l2 == 0.0:
             continue
-        est = norm_bracket(element, method=method, index=index, **kwargs)
+        est = norm_bracket(element, method=method, index=index, **settings)
         series.entries.append(RatioEntry(n=n, norm_lower=est.lower,
                                          norm_upper=est.upper, l2=l2))
     return series
@@ -717,7 +725,7 @@ class HeredityReport:
 
 
 def verify_heredity(embedding: Embedding, n_list, sub_index: LengthIndex,
-                    ambient_index: LengthIndex = None, method="auto", **kwargs):
+                    ambient_index: LengthIndex = None, method="auto", **settings):
     """Subgroup witness ratios, measured in the ambient word-length, against
     the ambient ball-witness ratio at the same n.
 
@@ -726,6 +734,7 @@ def verify_heredity(embedding: Embedding, n_list, sub_index: LengthIndex,
     stays injective, so domination is the expected outcome.  Raises
     CoverageError when the enumerated subgroup range cannot certify the
     requested n (some longer subgroup element might still have a short image).
+    Both ratios come from norm_bracket with ``method`` and ``settings``.
     """
     n_list = list(n_list)
     sub = embedding.sub
@@ -746,11 +755,11 @@ def verify_heredity(embedding: Embedding, n_list, sub_index: LengthIndex,
         coeffs = {g: 1.0 for g in members}
         radius = max((sub_index.length(g) for g in members), default=0)
         witness = AlgebraElement(spec=sub, coeffs=coeffs, support_radius=radius)
-        sub_est = norm_bracket(witness, method=method, index=sub_index, **kwargs)
+        sub_est = norm_bracket(witness, method=method, index=sub_index, **settings)
         sub_l2 = math.sqrt(len(members))
 
         amb = make_witness(embedding.ambient, "ball", n, method, ambient_index)
-        amb_est = norm_bracket(amb, method=method, index=ambient_index, **kwargs)
+        amb_est = norm_bracket(amb, method=method, index=ambient_index, **settings)
         amb_l2 = coefficient_norm(amb, "l2")
         rows.append(HeredityRow(
             n=n, subgroup_count=len(members),
@@ -930,14 +939,14 @@ class RdReport:
 
 
 def build_report(spec, n_list, s_values=(), method="auto",
-                 index: LengthIndex = None, window=(4, None), **kwargs):
+                 index: LengthIndex = None, window=(4, None), **settings):
     n_list = list(n_list)
     balls = ball_sizes(spec, max(n_list), index)
     growth_fit = fit_loglog(((n, balls[n]) for n in n_list), window)
     ball_ser = ratio_series(spec, "ball", n_list, method=method, index=index,
-                            **kwargs)
+                            **settings)
     sphere_ser = ratio_series(spec, "sphere", n_list, method=method, index=index,
-                              **kwargs)
+                              **settings)
     constant = {}
     for s in s_values:
         points, verdict = rd_constant_series(ball_ser, s)

@@ -36,6 +36,17 @@ def random_element(spec, index, rng, radius, size, integer=False):
     return R.AlgebraElement(spec=spec, coeffs=coeffs, support_radius=radius)
 
 
+class TestElement:
+    def test_zero_coefficients_dropped_from_a_copy(self):
+        given = {(3,): 1.0, (1,): 0.0, (2,): -0.0, (0,): 2.0}
+        a = R.AlgebraElement(spec=Z, coeffs=given, support_radius=3)
+        assert list(a.coeffs.items()) == [((3,), 1.0), ((0,), 2.0)]
+        assert len(given) == 4
+        b = R.AlgebraElement(spec=Z, coeffs=a.coeffs, support_radius=3)
+        assert list(b.coeffs.items()) == list(a.coeffs.items())
+        assert b.coeffs is not a.coeffs
+
+
 class TestCharacteristic:
     def test_ball_on_z(self, z_index):
         el = R.char_ball(z_index, 1)

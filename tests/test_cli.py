@@ -1,7 +1,11 @@
+import argparse
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +13,7 @@ import rdlab as R
 import rdlab.cli
 import rdlab.groups
 from rdlab.cache import cache_roundtrip
-from rdlab.cli import run_command
+from rdlab.cli import build_parser, run_command
 
 
 def run(args, tmp_path=None, out=None):
@@ -78,12 +82,130 @@ class TestVerifyCommands:
                             "--range", "4:32:4"])
         assert code == 0
 
+    def test_heredity_honours_the_estimator_flags(self, tmp_path, capsys):
+        base = ["verify", "heredity", "--embedding", "Z:Z^2", "--range", "4:8:4"]
+        assert run(base + ["--method", "l1"], tmp_path, "l1.json") == 0
+        rows = json.loads((tmp_path / "l1.json").read_text())["rows"]
+        assert [r["sub_ratio_lower"] for r in rows] == [1.0, 1.0]
+        assert run_command(base + ["--method", "power", "--R", "10"]) == 0
+
     def test_divergence_both_expectations(self, capsys):
         base = ["verify", "divergence", "--group", "Z", "--range", "8:256:8",
                 "--method", "exact"]
         assert run_command(base + ["--s", "0.4", "--expect", "divergent"]) == 0
         assert run_command(base + ["--s", "0.5", "--expect", "bounded trend"]) == 0
         assert run_command(base + ["--s", "0.5", "--expect", "divergent"]) == 1
+
+
+class TestFlags:
+    """Each subcommand and each verify check accepts exactly the flags its
+    handler, or the estimator it calls, reads."""
+
+    COMMON = {"--group", "--out", "--cache-dir", "--budget"}
+    ESTIMATOR = {"--method", "--depth", "--exponent", "--iters", "--extrapolate",
+                 "--R", "--seed"}
+    WITNESS = {"--witness", "--d-hat"}
+    FLAGS = {
+        "growth": COMMON | {"--format", "--radius"},
+        "norm": COMMON | WITNESS | ESTIMATOR | {"--n", "--element"},
+        "ratio": COMMON | WITNESS | ESTIMATOR | {"--format", "--range"},
+        "fit": COMMON | WITNESS | ESTIMATOR | {"--format", "--range", "--window",
+                                               "--which"},
+        "zseries": COMMON | {"--r", "--alpha", "--k"},
+        "report": COMMON | ESTIMATOR | {"--format", "--range", "--s-list"},
+        "cache": COMMON | {"action", "--radius", "--file"},
+        "verify lemma1": COMMON | {"--radius", "--n", "--k", "--min-slack"},
+        "verify lemma2": COMMON | {"--r", "--alpha", "--beta", "--k",
+                                   "--min-slack"},
+        "verify doubling": COMMON | {"--r", "--k"},
+        "verify heredity": COMMON - {"--group"} | ESTIMATOR | {"--embedding",
+                                                               "--range"},
+        "verify divergence": COMMON | WITNESS | ESTIMATOR | {"--s", "--range",
+                                                             "--expect"},
+    }
+
+    @staticmethod
+    def parsers():
+        """{"growth": parser, ..., "verify lemma1": parser, ...}"""
+        def children(parser):
+            return next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        out = dict(children(build_parser()))
+        for check, parser in children(out.pop("verify")).items():
+            out[f"verify {check}"] = parser
+        return out
+
+    @staticmethod
+    def accepted(parser, key):
+        return {key(a) for a in parser._actions
+                if not isinstance(a, argparse._HelpAction)}
+
+    def test_flag_table(self):
+        flags = {name: self.accepted(p, lambda a: (a.option_strings or [a.dest])[0])
+                 for name, p in self.parsers().items()}
+        assert flags == self.FLAGS
+
+    class Recording(argparse.Namespace):
+        """Records the attributes read after parsing."""
+
+        def __init__(self):
+            super().__init__()
+            self._read = set()
+
+        def __getattribute__(self, name):
+            if not name.startswith("_"):
+                object.__getattribute__(self, "_read").add(name)
+            return object.__getattribute__(self, name)
+
+    @pytest.mark.parametrize("name,argvs", [
+        ("growth", ["growth --group H3 --radius 2"]),
+        ("norm", ["norm --group H3 --witness ball --n 1 --method power --R 2 "
+                  "--iters 5"]),
+        ("ratio", ["ratio --group H3 --range 1:2 --method trace --depth 1"]),
+        ("fit", ["fit --group H3 --range 2:5 --method exact"]),
+        ("zseries", ["zseries --group H3 --r 1 --alpha 1.0 --k 3"]),
+        ("report", ["report --group H3 --range 2:6 --method exact"]),
+        ("cache", ["cache build --group Z --radius 2 --cache-dir {tmp}",
+                   "cache check --file {tmp}/Z^1.N2.ballcache"]),
+        ("verify lemma1", ["verify lemma1 --group H3 --radius 3",
+                           "verify lemma1 --group H3 --n 1 --k 1"]),
+        ("verify lemma2", ["verify lemma2 --group H3 --k 3"]),
+        ("verify doubling", ["verify doubling --group H3 --k 2"]),
+        ("verify heredity", ["verify heredity --embedding Z:Z --range 4:4 "
+                             "--method trace --depth 1"]),
+        ("verify divergence", ["verify divergence --group H3 --range 2:6:2 "
+                               "--method exact"]),
+    ])
+    def test_every_accepted_flag_is_read(self, name, argvs, tmp_path, capsys):
+        read = set()
+        for argv in argvs:
+            args = build_parser().parse_args(argv.format(tmp=tmp_path).split(),
+                                             namespace=self.Recording())
+            args._read.clear()
+            args.func(rdlab.cli._Run(args), args)
+            read |= args._read
+        parser = self.parsers()[name]
+        assert read - {"func"} == self.accepted(parser, lambda a: a.dest) - {"check"}
+
+    @pytest.mark.parametrize("argv", [
+        "verify lemma1 --group Z --seed 3",
+        "verify heredity --embedding Z:Z^2 --group Z",
+        "norm --group Z --witness ball --n 2 --format csv",
+        "zseries --group Z --r 1 --alpha 1.0 --k 3 --format csv",
+        "growth --group Z --radius 2 --seed 1",
+        "cache build --group Z --radius 2 --cache-dir {tmp} --seed 1",
+    ])
+    def test_unread_flags_are_usage_errors(self, argv, tmp_path, capsys):
+        assert run_command(argv.format(tmp=tmp_path).split()) == 2
+
+    def test_readme_examples_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## Command line.*?```sh\n(.*?)```", readme, re.S)
+        lines = [line for line in block.group(1).splitlines()
+                 if line.startswith("rdlab ")]
+        assert len(lines) >= 13
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])
 
 
 class TestFitAndRatio:
@@ -249,6 +371,19 @@ class TestIndexPlanning:
         assert run_command(base + ["--method", "power", "--R", "3",
                                    "--iters", "20"]) == 0
         assert index_calls["get_index"] == [("H3", 3)]
+
+    def test_power_on_a_radius_zero_witness(self, tmp_path, index_calls):
+        assert run(["norm", "--group", "Z^2", "--witness", "ball", "--n", "0",
+                    "--method", "power"], tmp_path, "n.json") == 0
+        est = json.loads((tmp_path / "n.json").read_text())
+        assert (est["lower"], est["upper"]) == (1.0, 1.0)
+        assert index_calls["get_index"] == [("Z^2", 1)]
+
+    def test_heredity_power_reads_the_domain_radius(self, index_calls):
+        assert run_command(["verify", "heredity", "--embedding", "Z:Z^2",
+                            "--range", "4:8:4", "--method", "power",
+                            "--R", "10"]) == 0
+        assert index_calls["get_index"] == [("Z^1", 10), ("Z^2", 10)]
 
     def test_power_on_a_free_group_reads_the_domain_ball(self, index_calls):
         assert run_command(["norm", "--group", "F2", "--witness", "ball",

@@ -127,6 +127,10 @@ class TestEnumeration:
             R.enumerate_balls(Z2, 10, budget=10)
         assert err.value.radius_reached == 1
 
+    def test_repr_lists_no_elements(self, h3_index):
+        # lengths and spheres hold every element; the repr names the index only
+        assert len(repr(h3_index)) < 200
+
     def test_spheres_sorted_by_key(self, f2_index):
         for n in range(f2_index.radius + 1):
             keys = [F2.element_key(g) for g in f2_index.sphere(n)]

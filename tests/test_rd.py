@@ -64,6 +64,20 @@ class TestIndexPlanning:
     def test_planner(self, spec, method, needs, radius, want):
         assert index_radius(spec, method, radius, needs, domain_radius=9) == want
 
+    @pytest.mark.parametrize("needs", ["sizes", "ambient", "Witness"])
+    def test_planner_rejects_unknown_needs(self, needs):
+        with pytest.raises(ValueError, match="unknown index need"):
+            index_radius(H3, "trace", 5, needs=needs)
+
+    def test_power_domain_default_is_at_least_one(self, z2_index):
+        # the planner and norm_bracket share the domain radius R, else
+        # max(support radius, 1)
+        assert index_radius(Z2, "power", 0) == 1
+        assert index_radius(Z2, "power", 3) == 3
+        point = make_witness(Z2, "ball", 0, "power", z2_index)
+        est = R.norm_bracket(point, method="power", index=z2_index)
+        assert (est.lower, est.upper) == (1.0, 1.0)
+
     def test_planner_matches_the_witness_form(self, f2_index):
         assert isinstance(make_witness(F2, "ball", 3, "trace"), R.RadialElement)
         dense = make_witness(F2, "ball", 3, "power", f2_index)
@@ -95,6 +109,15 @@ class TestIndexPlanning:
             R.norm_bracket(R.radial_ball(2, 2), method="power")
         with pytest.raises(RdlabError):
             R.norm_bracket(R.radial_ball(2, 2), method="exact")
+
+    def test_misspelt_settings_raise(self, z_index):
+        with pytest.raises(TypeError, match="exponnent"):
+            R.ratio_series(F2, "ball", [2, 3], method="trace", exponnent=8)
+        with pytest.raises(TypeError, match="exponnent"):
+            R.norm_bracket(R.radial_ball(2, 2), exponnent=8)
+        with pytest.raises(TypeError, match="exponnent"):
+            R.verify_heredity(R.standard_embedding("Z:Z"), [4],
+                              R.enumerate_balls(Z, 5), exponnent=8)
 
     def test_rank_one_radial_witness_is_exact(self):
         est = R.norm_bracket(make_witness(R.FreeGroup(1), "ball", 4))
