@@ -273,16 +273,26 @@ def _verdict_exit(ok):
 
 
 def _verify_lemma1(run, args):
+    # either the sweep to --radius (default 6) or the one pair --n, --k
+    # (default k 6)
+    if args.n is None:
+        if args.k is not None:
+            raise RdlabError("verify lemma1: --k needs --n")
+        radius = 6 if args.radius is None else args.radius
+    elif args.radius is not None:
+        raise RdlabError("verify lemma1: --radius cannot be combined with --n")
+    else:
+        k = 6 if args.k is None else args.k
+        radius = args.n + k
     spec = run.spec = parse_descriptor(args.group)
     # ball products convolve, as the trace estimator does
-    index = run.planned_index(spec, "trace", args.radius if args.n is None
-                              else args.n + args.k)
+    index = run.planned_index(spec, "trace", radius)
     if args.n is not None:
-        ok, slack = verify_ball_product_bound(spec, args.n, args.k, index,
+        ok, slack = verify_ball_product_bound(spec, args.n, k, index,
                                               budget=args.budget)
-        worst = (args.n, args.k)
+        worst = (args.n, k)
     else:
-        ok, slack, worst = ball_product_sweep(spec, args.radius, index,
+        ok, slack, worst = ball_product_sweep(spec, radius, index,
                                               budget=args.budget)
     if args.min_slack is not None:
         ok = slack >= args.min_slack
@@ -359,25 +369,28 @@ def _verify_divergence(run, args):
     return _verdict_exit(ok)
 
 
-def cmd_cache(run, args):
+def _cache_build(run, args):
+    spec = run.spec = parse_descriptor(args.group)
     directory = run.cache_dir()
-    if args.action == "build":
-        if not args.group or args.radius is None:
-            raise RdlabError("cache build needs --group and --radius")
-        spec = run.spec = parse_descriptor(args.group)
-        if not directory:
-            raise RdlabError("cache build needs --cache-dir or RDLAB_CACHE_DIR")
-        Path(directory).mkdir(parents=True, exist_ok=True)
-        index = enumerate_balls(spec, args.radius, budget=args.budget)
-        path = Path(directory) / cache_filename(spec.descriptor(), args.radius)
-        digest = write_ball_cache(index, path)
-        run.cache_files.append(str(path))
-        run.emit(json_text({"path": str(path), "sha256": digest,
-                            "elements": index.size(), "radius": args.radius}),
-                 summary=f"wrote {path} ({index.size()} elements)")
-        return EXIT_OK
-    # check
+    if not directory:
+        raise RdlabError("cache build needs --cache-dir or RDLAB_CACHE_DIR")
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    index = enumerate_balls(spec, args.radius, budget=args.budget)
+    path = Path(directory) / cache_filename(spec.descriptor(), args.radius)
+    digest = write_ball_cache(index, path)
+    run.cache_files.append(str(path))
+    run.emit(json_text({"path": str(path), "sha256": digest,
+                        "elements": index.size(), "radius": args.radius}),
+             summary=f"wrote {path} ({index.size()} elements)")
+    return EXIT_OK
+
+
+def _cache_check(run, args):
+    directory = run.cache_dir()
     if args.file:
+        if args.group or args.radius is not None:
+            raise RdlabError("cache check takes --file or --group with "
+                             "--radius, not both")
         path = Path(args.file)
         spec = None
     else:
@@ -486,9 +499,10 @@ def build_parser():
     checks = p.add_subparsers(dest="check", required=True)
 
     c = checks.add_parser("lemma1", parents=[group], help="ball product bound")
-    c.add_argument("--radius", type=int, default=6, help="sweep bound for n+k")
+    c.add_argument("--radius", type=int,
+                   help="sweep bound for n+k (default 6); not with --n")
     c.add_argument("--n", type=int, help="check the one pair (n, k)")
-    c.add_argument("--k", type=int, default=6)
+    c.add_argument("--k", type=int, help="k of the pair (default 6); needs --n")
     c.add_argument("--min-slack", dest="min_slack", type=float, default=None,
                    help="fail unless the measured min slack reaches this")
     c.set_defaults(func=_verify_lemma1)
@@ -524,13 +538,20 @@ def build_parser():
                    default="divergent")
     c.set_defaults(func=_verify_divergence)
 
-    p = sub.add_parser("cache", parents=[common],
-                       help="build or check ball cache files")
-    p.add_argument("action", choices=["build", "check"])
-    p.add_argument("--group", help="group descriptor")
-    p.add_argument("--radius", type=int)
-    p.add_argument("--file", help="explicit cache file path (check)")
-    p.set_defaults(func=cmd_cache)
+    p = sub.add_parser("cache", help="build or check ball cache files")
+    actions = p.add_subparsers(dest="action", required=True)
+
+    c = actions.add_parser("build", parents=[group],
+                           help="enumerate a ball and write its cache file")
+    c.add_argument("--radius", type=int, required=True)
+    c.set_defaults(func=_cache_build)
+
+    c = actions.add_parser("check", parents=[common],
+                           help="re-enumerate and compare a cache file")
+    c.add_argument("--group", help="group descriptor (with --radius)")
+    c.add_argument("--radius", type=int)
+    c.add_argument("--file", help="explicit cache file path")
+    c.set_defaults(func=_cache_check)
 
     return parser
 

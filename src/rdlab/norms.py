@@ -20,7 +20,10 @@ a commutative subalgebra, and convolution uses the sphere product rule
 chi(S_1) chi(S_n) = chi(S_{n+1}) + (2r-1) chi(S_{n-1}) (n >= 2, with
 chi(S_1)^2 = chi(S_2) + 2r delta_e), extended bilinearly.
 Supports then grow linearly in the radius instead of exponentially, which
-is what makes deep trace powers on free groups affordable.
+is what makes deep trace powers on free groups affordable.  The recursion
+runs on numpy arrays, a few slice operations per sphere: float64 when every
+coefficient is a Python float, else an object array of Python numbers, so
+integer inputs stay exact.  Both give the bits of the plain Python loop.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 import scipy.sparse
@@ -180,65 +183,77 @@ def radial_to_algebra(x: RadialElement, index: LengthIndex):
 
 
 def _apply_sphere_one(rank, d):
-    """Coefficients of chi(S_1) * (sum d_n chi(S_n))."""
-    q = 2 * rank - 1
-    out = [0] * (len(d) + 1)
-    if len(d) > 1:
+    """Coefficients of chi(S_1) * (sum d_n chi(S_n)), as a new array of d's
+    dtype."""
+    n = len(d)
+    out = np.zeros(n + 1, d.dtype)
+    if n > 1:
         out[0] = 2 * rank * d[1]
     out[1] += d[0]
-    for n in range(2, len(d)):
-        out[n - 1] += q * d[n]
-    for n in range(1, len(d)):
-        out[n + 1] += d[n]
+    out[1:n - 1] += (2 * rank - 1) * d[2:]
+    out[2:] += d[1:]
     return out
+
+
+def sphere_multiples(rank, y, count):
+    """chi(S_m) * y for m = 0 .. count-1, as arrays of y's dtype.
+
+    The three-term recursion chi(S_1) chi(S_m) = chi(S_{m+1}) + q chi(S_{m-1})
+    (2r in place of q at m = 1); a float64 ``y`` may overflow to inf and nan,
+    which the caller silences with ``np.errstate``.
+    """
+    yield y
+    if count < 2:
+        return
+    prev, cur = y, _apply_sphere_one(rank, y)
+    yield cur
+    for m in range(2, count):
+        nxt = _apply_sphere_one(rank, cur)
+        nxt[: len(prev)] -= (2 * rank if m == 2 else 2 * rank - 1) * prev
+        prev, cur = cur, nxt
+        yield cur
 
 
 def radial_convolve(x: RadialElement, y: RadialElement):
     """Convolution via the sphere recursion; cost O(M_x (M_x + M_y)).
 
-    Integer coefficients stay exact integers; float ones round as before.
+    Coefficients that are all Python floats run in float64; anything else
+    (ints, mixed lists) runs in an object array of Python numbers, so integer
+    coefficients stay exact.  Both apply each operation of a plain Python
+    loop over the coefficients, in the loop's order, so the result has its
+    bits and types (signed zeros, inf and nan included).
     """
     rank = radial_rank(x.spec)
     if rank is None or x.spec != y.spec:
         raise RdlabError("radial convolution needs two sphere functions on one "
                          "free group on its standard generators")
-    q = 2 * rank - 1
     cx = x.coeffs
-    # y_m = chi(S_m) * y, built by the three-term recursion in m
-    y_prev = list(y.coeffs)            # m = 0
-    out = [cx[0] * v for v in y_prev]
-
-    def add(acc, vec, c):
-        if len(vec) > len(acc):
-            acc.extend([0] * (len(vec) - len(acc)))
-        for i, v in enumerate(vec):
-            acc[i] += c * v
-
-    if len(cx) > 1:
-        y_cur = _apply_sphere_one(rank, y_prev)   # m = 1
-        add(out, y_cur, cx[1])
-        for m in range(2, len(cx)):
-            bump = 2 * rank if m == 2 else q
-            y_next = _apply_sphere_one(rank, y_cur)
-            for i, v in enumerate(y_prev):
-                y_next[i] -= bump * v
-            y_prev, y_cur = y_cur, y_next
-            add(out, y_cur, cx[m])
-    return RadialElement(spec=x.spec, coeffs=out,
-                         sizes=free_sphere_sizes(rank, len(out) - 1)).trimmed()
+    dtype = (np.float64 if all(type(v) is float for v in chain(cx, y.coeffs))
+             else object)
+    d = np.array(y.coeffs, dtype)
+    out = np.zeros(len(d) + len(cx) - 1, dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = sphere_multiples(rank, d, len(cx))
+        out[: len(d)] = cx[0] * next(steps)
+        for c, y_m in zip(cx[1:], steps):
+            out[: len(y_m)] += c * y_m
+    coeffs = out.tolist()
+    return RadialElement(spec=x.spec, coeffs=coeffs,
+                         sizes=free_sphere_sizes(rank, len(coeffs) - 1)).trimmed()
 
 
-def _sphere_size_f(size):
-    # exact when it fits a double; +inf past the float range (the caller's
-    # step ladder then stops gracefully instead of raising OverflowError)
+def _as_float(value):
+    # exact when it fits a double; +-inf past the float range, where an
+    # integer would raise OverflowError (the caller's step ladder then stops
+    # gracefully, as it does on a float that overflowed)
     try:
-        return float(size)
+        return float(value)
     except OverflowError:
-        return math.inf
+        return math.inf if value > 0 else -math.inf
 
 
 def radial_inner(x: RadialElement, y: RadialElement):
-    return sum(cx * cy * _sphere_size_f(s)
+    return sum(_as_float(cx * cy) * _as_float(s)
                for cx, cy, s in zip(x.coeffs, y.coeffs, x.sizes)
                if cx != 0.0 and cy != 0.0)
 
@@ -248,7 +263,7 @@ def coefficient_norm(x, kind):
     if not isinstance(x, RadialElement):
         return norm(x, kind)
     if kind == "l1":
-        return sum(abs(c) * _sphere_size_f(s)
+        return sum(abs(c) * _as_float(s)
                    for c, s in zip(x.coeffs, x.sizes) if c != 0.0)
     return math.sqrt(radial_inner(x, x))
 
@@ -295,7 +310,7 @@ class _RadialOps:
 
     @staticmethod
     def trace(x):
-        return x.coeffs[0]
+        return _as_float(x.coeffs[0])
 
 
 def _trace_exponents(depth, exponent):

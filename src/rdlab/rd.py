@@ -26,6 +26,8 @@ import sys
 from dataclasses import dataclass, field
 from itertools import accumulate
 
+import numpy as np
+
 from .algebra import (
     AlgebraElement,
     GEQ_TOLERANCE,
@@ -59,6 +61,7 @@ from .norms import (
     radial_convolve,
     radial_rank,
     radial_to_algebra,
+    sphere_multiples,
 )
 
 
@@ -436,19 +439,41 @@ def verify_ball_product_bound(spec, n, k, index: LengthIndex = None,
     return pointwise_geq(lhs, rhs, region=k, index=index)
 
 
+def _free_ball_product_slacks(rank, total):
+    """(n, slack) of the ball product bound at (n, total - n), n = 1..total-1,
+    on the free group of the given rank.
+
+    chi(B_n) * chi(B_total) is the prefix sum over m <= n of
+    chi(S_m) * chi(B_total), so one sphere recursion serves every n; Python
+    ints keep the slack exact.
+    """
+    ball = np.array([1] * (total + 1), dtype=object)
+    lhs = np.zeros(2 * total, dtype=object)
+    for n, y_n in enumerate(sphere_multiples(rank, ball, total)):
+        lhs[: len(y_n)] += y_n
+        if n:
+            yield n, min(lhs[: total - n + 1]) - free_ball_size(rank, n)
+
+
 def ball_product_sweep(spec, max_sum, index: LengthIndex = None,
                        budget=DEFAULT_BUDGET):
-    """Min slack of the ball product bound over all n, k >= 1 with n+k <= max_sum."""
-    worst = (math.inf, None, None)
-    for n in range(1, max_sum):
-        for k in range(1, max_sum - n + 1):
-            _, slack = verify_ball_product_bound(spec, n, k, index, budget)
-            if slack < worst[0]:
-                worst = (slack, n, k)
-    slack, n, k = worst
-    if n is None:
+    """Min slack of the ball product bound over all n, k >= 1 with n+k <= max_sum.
+
+    Returns (ok, min slack, (n, k)); of equal slacks the first (n, k) in
+    lexicographic order is the one reported.
+    """
+    if max_sum < 2:
         raise ValueError("max_sum must be >= 2")
-    return (slack >= GEQ_TOLERANCE, slack, (n, k))
+    rank = radial_rank(spec)
+    if rank is None:
+        slacks = {(n, k): verify_ball_product_bound(spec, n, k, index, budget)[1]
+                  for n in range(1, max_sum) for k in range(1, max_sum - n + 1)}
+    else:
+        slacks = {(n, total - n): float(slack)
+                  for total in range(2, max_sum + 1)
+                  for n, slack in _free_ball_product_slacks(rank, total)}
+    slack, worst = min((slack, pair) for pair, slack in slacks.items())
+    return (slack >= GEQ_TOLERANCE, slack, worst)
 
 
 def doubling_ratios(spec, r, k_max, index: LengthIndex = None):

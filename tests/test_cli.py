@@ -56,6 +56,20 @@ class TestVerifyCommands:
         assert code == 1
         assert "FAIL" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,radius,pair", [
+        ([], 6, [1, 1]),
+        (["--n", "2"], 8, [2, 6]),
+        (["--n", "2", "--k", "1"], 3, [2, 1]),
+    ])
+    def test_lemma1_defaults(self, flags, radius, pair, tmp_path, monkeypatch):
+        radii = []
+        monkeypatch.setattr(rdlab.cli, "index_radius",
+                            lambda *args: radii.append(args[2]))
+        assert run(["verify", "lemma1", "--group", "F2"] + flags, tmp_path,
+                   "l1.json") == 0
+        assert json.loads((tmp_path / "l1.json").read_text())["worst_pair"] == pair
+        assert radii == [radius]
+
     def test_lemma2(self, capsys):
         code = run_command(["verify", "lemma2", "--group", "F2", "--r", "2",
                             "--alpha", "1", "--beta", "1", "--k", "6"])
@@ -113,7 +127,8 @@ class TestFlags:
                                                "--which"},
         "zseries": COMMON | {"--r", "--alpha", "--k"},
         "report": COMMON | ESTIMATOR | {"--format", "--range", "--s-list"},
-        "cache": COMMON | {"action", "--radius", "--file"},
+        "cache build": COMMON | {"--radius"},
+        "cache check": COMMON | {"--radius", "--file"},
         "verify lemma1": COMMON | {"--radius", "--n", "--k", "--min-slack"},
         "verify lemma2": COMMON | {"--r", "--alpha", "--beta", "--k",
                                    "--min-slack"},
@@ -131,8 +146,9 @@ class TestFlags:
             return next(a for a in parser._actions
                         if isinstance(a, argparse._SubParsersAction)).choices
         out = dict(children(build_parser()))
-        for check, parser in children(out.pop("verify")).items():
-            out[f"verify {check}"] = parser
+        for command in ("verify", "cache"):
+            for action, parser in children(out.pop(command)).items():
+                out[f"{command} {action}"] = parser
         return out
 
     @staticmethod
@@ -165,8 +181,7 @@ class TestFlags:
         ("fit", ["fit --group H3 --range 2:5 --method exact"]),
         ("zseries", ["zseries --group H3 --r 1 --alpha 1.0 --k 3"]),
         ("report", ["report --group H3 --range 2:6 --method exact"]),
-        ("cache", ["cache build --group Z --radius 2 --cache-dir {tmp}",
-                   "cache check --file {tmp}/Z^1.N2.ballcache"]),
+        ("cache build", ["cache build --group Z --radius 2 --cache-dir {tmp}"]),
         ("verify lemma1", ["verify lemma1 --group H3 --radius 3",
                            "verify lemma1 --group H3 --n 1 --k 1"]),
         ("verify lemma2", ["verify lemma2 --group H3 --k 3"]),
@@ -175,8 +190,13 @@ class TestFlags:
                              "--method trace --depth 1"]),
         ("verify divergence", ["verify divergence --group H3 --range 2:6:2 "
                                "--method exact"]),
+        ("cache check", ["cache check --group Z --radius 2 --cache-dir {tmp}",
+                         "cache check --file {tmp}/Z^1.N2.ballcache"]),
     ])
     def test_every_accepted_flag_is_read(self, name, argvs, tmp_path, capsys):
+        if name == "cache check":      # a cache for it to check
+            assert run_command(["cache", "build", "--group", "Z", "--radius",
+                                "2", "--cache-dir", str(tmp_path)]) == 0
         read = set()
         for argv in argvs:
             args = build_parser().parse_args(argv.format(tmp=tmp_path).split(),
@@ -194,6 +214,11 @@ class TestFlags:
         "zseries --group Z --r 1 --alpha 1.0 --k 3 --format csv",
         "growth --group Z --radius 2 --seed 1",
         "cache build --group Z --radius 2 --cache-dir {tmp} --seed 1",
+        "cache build --group Z --radius 3 --cache-dir {tmp} --file x",
+        "cache check --file {tmp}/x --group Z --radius 3",
+        "verify lemma1 --group Z --k 3",
+        "verify lemma1 --group Z --n 2 --k 1 --radius 9",
+        "verify lemma1 --group Z --n 2 --radius 9",
     ])
     def test_unread_flags_are_usage_errors(self, argv, tmp_path, capsys):
         assert run_command(argv.format(tmp=tmp_path).split()) == 2

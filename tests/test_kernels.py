@@ -1,19 +1,23 @@
-"""The numpy convolution kernel against the generic dict loop.
+"""The numpy convolution kernels against the plain Python loops they replace.
 
 On Z^d and H3 ``convolve`` runs in numpy blocks; everywhere else, and when an
 input falls outside the kernel's limits, it runs the dict loop.  Both must give
 the same floats, bit for bit, in the same order, and raise on the same budgets.
+On free groups ``radial_convolve`` runs the sphere recursion on arrays; it must
+give the list recursion's numbers, bit for bit and of the same Python types.
 """
 
+import math
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rdlab as R
-from rdlab import algebra, norms
+from rdlab import algebra, norms, rd
 from rdlab.errors import BudgetExceededError
 
 H3 = R.DiscreteHeisenberg()
@@ -238,3 +242,142 @@ def test_power_iteration_steps_are_unchanged():
         10.453480766104951, 11.316979805402038, 11.834318591086808,
         12.09519537005534, 12.215502555991938, 12.269496407730127,
         12.293852568291804, 12.305059124226513, 12.310353188817505]
+
+
+# -- the radial kernel ----------------------------------------------------------
+
+
+def list_apply_sphere_one(rank, d):
+    """Coefficients of chi(S_1) * (sum d_n chi(S_n))."""
+    q = 2 * rank - 1
+    out = [0] * (len(d) + 1)
+    if len(d) > 1:
+        out[0] = 2 * rank * d[1]
+    out[1] += d[0]
+    for n in range(2, len(d)):
+        out[n - 1] += q * d[n]
+    for n in range(1, len(d)):
+        out[n + 1] += d[n]
+    return out
+
+
+def list_radial_convolve(x, y):
+    """The list recursion ``radial_convolve`` ran before its array kernel."""
+    rank = norms.radial_rank(x.spec)
+    q = 2 * rank - 1
+    cx = x.coeffs
+    # y_m = chi(S_m) * y, built by the three-term recursion in m
+    y_prev = list(y.coeffs)            # m = 0
+    out = [cx[0] * v for v in y_prev]
+
+    def add(acc, vec, c):
+        if len(vec) > len(acc):
+            acc.extend([0] * (len(vec) - len(acc)))
+        for i, v in enumerate(vec):
+            acc[i] += c * v
+
+    if len(cx) > 1:
+        y_cur = list_apply_sphere_one(rank, y_prev)   # m = 1
+        add(out, y_cur, cx[1])
+        for m in range(2, len(cx)):
+            bump = 2 * rank if m == 2 else q
+            y_next = list_apply_sphere_one(rank, y_cur)
+            for i, v in enumerate(y_prev):
+                y_next[i] -= bump * v
+            y_prev, y_cur = y_cur, y_next
+            add(out, y_cur, cx[m])
+    return R.RadialElement(spec=x.spec, coeffs=out,
+                           sizes=R.free_sphere_sizes(rank, len(out) - 1)).trimmed()
+
+
+def radial_bits(x):
+    return [(type(c), repr(c)) for c in x.coeffs], x.sizes
+
+
+# signed zeros, subnormals, and +-1e300, whose products overflow to inf and
+# whose sums of infinities give nan
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1e300, -1e300]),
+    st.floats(-4.0, 4.0, allow_nan=False))
+# past 2^53, where a float would round
+INTS = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
+RADIAL_COEFFS = {"float": FLOATS, "int": INTS, "mixed": st.one_of(FLOATS, INTS)}
+
+
+@st.composite
+def radial_pairs(draw):
+    rank = draw(st.integers(1, 4))
+    coeffs = RADIAL_COEFFS[draw(st.sampled_from(sorted(RADIAL_COEFFS)))]
+    x, y = (draw(st.lists(coeffs, min_size=1, max_size=64)) for _ in "xy")
+    return R.free_radial(rank, x), R.free_radial(rank, y)
+
+
+@settings(max_examples=300)
+@given(radial_pairs())
+def test_radial_kernel_matches_the_list_recursion(pair):
+    x, y = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = R.radial_convolve(x, y)
+    assert radial_bits(got) == radial_bits(list_radial_convolve(x, y))
+
+
+@pytest.mark.parametrize("coeff", [1.0, 1])
+def test_radial_kernel_overflows_silently_as_the_loop_does(coeff):
+    # past the float range the recursion meets inf - inf; the kernel keeps
+    # the loop's nan coefficients, and raises no warning on the way
+    x = R.free_radial(2, [coeff] * 701)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = R.radial_convolve(x, x)
+    assert radial_bits(got) == radial_bits(list_radial_convolve(x, x))
+    nans = sum(1 for c in got.coeffs if isinstance(c, float) and math.isnan(c))
+    assert nans == (109 if type(coeff) is float else 0)
+
+
+def test_radial_kernel_keeps_integers_exact():
+    x = R.free_radial(3, [2 ** 60 + 1, -1, 0, 7])
+    got = R.radial_convolve(x, x)
+    assert all(type(c) is int for c in got.coeffs)
+    assert got.coeffs[0] == (2 ** 60 + 1) ** 2 + 6 + 49 * 6 * 25
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_shared_sweep_matches_each_pair(rank):
+    spec = R.FreeGroup(rank)
+    for total in range(2, 25):
+        got = dict(rd._free_ball_product_slacks(rank, total))
+        assert list(got) == list(range(1, total))
+        for n, slack in got.items():
+            assert type(slack) is int
+            assert (True, float(slack)) == \
+                R.verify_ball_product_bound(spec, n, total - n)
+    assert R.ball_product_sweep(spec, 24) == (True, 0.0, (1, 1))
+
+
+def test_sweep_reports_the_first_worst_pair(monkeypatch):
+    def slacks(rank, total):
+        for n in range(1, total):
+            yield n, -1 if (n, total - n) in {(2, 3), (3, 1), (2, 4)} else 0
+    monkeypatch.setattr(rd, "_free_ball_product_slacks", slacks)
+    assert R.ball_product_sweep(R.FreeGroup(2), 6) == (False, -1.0, (2, 3))
+
+
+def test_integer_trace_ladder_ends_at_its_last_finite_step():
+    # tau(b^200) of an integer ball leaves the float range as a Python int
+    exact = R.op_norm_trace_power(R.free_radial(2, [1, 1, 1, 1]), exponent=400)
+    rounded = R.op_norm_trace_power(R.radial_ball(2, 3), exponent=400)
+    assert len(exact.steps) == len(rounded.steps) == 7
+    assert exact.steps == pytest.approx(rounded.steps, rel=1e-15)
+    assert exact.upper == rounded.upper == 53.0
+    # tau(b) itself past the float range: no step, as for the float ball
+    for ball in (R.free_radial(2, [1] * 701), R.radial_ball(2, 700)):
+        with pytest.raises(BudgetExceededError):
+            R.op_norm_trace_power(ball, depth=1)
+
+
+def test_integer_products_past_the_float_range_are_infinite():
+    x = R.free_radial(2, [0] * 700 + [1])
+    assert norms.radial_inner(x, x) == math.inf
+    assert norms.radial_inner(x, R.free_radial(2, [0] * 700 + [-1])) == -math.inf
