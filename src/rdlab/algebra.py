@@ -263,11 +263,14 @@ def _convolve_arrays(spec, left, right, flip, budget):
     left_c = np.fromiter(left.values(), dtype=np.float64, count=len(left))
     right_c = np.fromiter(right.values(), dtype=np.float64, count=len(right))
     sums = np.zeros(keys.size)
-    for outer_ids, inner_ids, k in keys.blocks():
-        np.add.at(sums, k, np.outer(left_c[outer_ids], right_c[inner_ids]).ravel())
-        if budget is not None and keys.touched > budget:
-            raise BudgetExceededError(
-                f"convolution support passed {budget} elements")
+    # products past the float range give inf and nan, as in the dict loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for outer_ids, inner_ids, k in keys.blocks():
+            np.add.at(sums, k,
+                      np.outer(left_c[outer_ids], right_c[inner_ids]).ravel())
+            if budget is not None and keys.touched > budget:
+                raise BudgetExceededError(
+                    f"convolution support passed {budget} elements")
     cells = keys.first_touch_order()
     return dict(zip(keys.elements(cells), sums[cells].tolist()))
 

@@ -8,6 +8,8 @@ Format (text, UTF-8, LF):
 
 Records are sorted by (length, key), which matches the in-memory sphere
 order, so a reloaded index behaves bit-identically to a fresh enumeration.
+The descriptor names a group on its standard generators, so only such a
+group reads or finds a cache file.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from pathlib import Path
 
 from .errors import RdlabError
 from .groups import DEFAULT_BUDGET, LengthIndex, enumerate_balls, parse_descriptor
+from .rd import closed_sphere_series
 
 HEADER_PREFIX = "rdlab-ball-cache v1"
 
@@ -44,25 +47,39 @@ def write_ball_cache(index: LengthIndex, path):
     return hashlib.sha256(data.encode("utf-8")).hexdigest()
 
 
-def read_ball_cache(path, spec=None):
-    """Load a cache file into a LengthIndex; validates header and contents."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
+def _read_header(path, text, spec):
+    """(spec, radius) from the header of a cache file's ``text``; a given
+    ``spec`` must match it and be on its standard generators."""
+    if not text:
         raise CacheFormatError(f"{path}: empty cache file")
-    parts = [p.strip() for p in lines[0].split("|")]
+    header = text.partition("\n")[0]
+    parts = [p.strip() for p in header.split("|")]
     if len(parts) != 3 or parts[0] != HEADER_PREFIX or not parts[2].startswith("N="):
-        raise CacheFormatError(f"{path}: bad header {lines[0]!r}")
+        raise CacheFormatError(f"{path}: bad header {header!r}")
     descriptor = parts[1]
     radius = int(parts[2][2:])
     if spec is None:
         spec = parse_descriptor(descriptor)
+    elif not spec.has_standard_generators():
+        raise CacheFormatError(
+            f"{path}: a cache file holds {descriptor} on its standard "
+            "generators, not on the generators given")
     elif spec.descriptor() != descriptor:
         raise CacheFormatError(
             f"{path}: cache is for {descriptor!r}, expected {spec.descriptor()!r}")
+    return spec, radius
+
+
+def read_ball_cache(path, spec=None):
+    """Load a cache file into a LengthIndex; validates the header, the record
+    order, and the sphere sizes where a closed form gives them."""
+    text = Path(path).read_text(encoding="utf-8")
+    spec, radius = _read_header(path, text, spec)
+    lines = text.splitlines()
 
     lengths = {}
     spheres = [[] for _ in range(radius + 1)]
+    previous = (-1, "")
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             key, n_text = line.split("\t")
@@ -71,12 +88,24 @@ def read_ball_cache(path, spec=None):
             raise CacheFormatError(f"{path}:{lineno}: bad record {line!r}") from None
         if not 0 <= n <= radius:
             raise CacheFormatError(f"{path}:{lineno}: length {n} outside radius")
+        if (n, key) <= previous:
+            raise CacheFormatError(
+                f"{path}:{lineno}: record {key!r} out of (length, key) order")
+        previous = (n, key)
         g = spec.parse_key(key)
         if g in lengths:
             raise CacheFormatError(f"{path}:{lineno}: duplicate element {key!r}")
         lengths[g] = n
         spheres[n].append(g)
-    return LengthIndex(spec=spec, radius=radius, lengths=lengths, spheres=spheres)
+    index = LengthIndex(spec=spec, radius=radius, lengths=lengths, spheres=spheres)
+    closed = closed_sphere_series(spec, radius)
+    if closed is not None and closed != index.sphere_sizes:
+        n = next(n for n, (want, got) in enumerate(zip(closed, index.sphere_sizes))
+                 if want != got)
+        raise CacheFormatError(
+            f"{path}: sphere {n} has {index.sphere_sizes[n]} elements, the "
+            f"closed form {closed[n]}")
+    return index
 
 
 def sha256_file(path):
@@ -98,22 +127,23 @@ def cache_roundtrip(spec, N, path, budget=DEFAULT_BUDGET):
 def check_ball_cache(path, spec=None, budget=DEFAULT_BUDGET):
     """Re-enumerate and byte-compare against the file; (ok, detail) result."""
     try:
-        loaded = read_ball_cache(path, spec)
+        actual = Path(path).read_text(encoding="utf-8")
+        spec, radius = _read_header(path, actual, spec)
     except (CacheFormatError, ValueError) as exc:
         return False, f"unreadable cache: {exc}"
-    fresh = enumerate_balls(loaded.spec, loaded.radius, budget=budget)
+    fresh = enumerate_balls(spec, radius, budget=budget)
     expected = serialize_index(fresh)
-    actual = Path(path).read_text(encoding="utf-8")
     if expected != actual:
         want = hashlib.sha256(expected.encode("utf-8")).hexdigest()
         got = hashlib.sha256(actual.encode("utf-8")).hexdigest()
         return False, f"digest mismatch: expected {want}, file has {got}"
-    return True, f"ok: {loaded.size()} elements to radius {loaded.radius}"
+    return True, f"ok: {fresh.size()} elements to radius {radius}"
 
 
 def find_cache(cache_dir, spec, min_radius):
-    """Smallest adequate cache file for ``spec`` in ``cache_dir``, or None."""
-    if cache_dir is None:
+    """Smallest adequate cache file for ``spec`` in ``cache_dir``, or None;
+    None for a group off its standard generators."""
+    if cache_dir is None or not spec.has_standard_generators():
         return None
     directory = Path(cache_dir)
     if not directory.is_dir():

@@ -27,6 +27,7 @@ from .cache import (
 )
 from .errors import BudgetExceededError, RdlabError
 from .groups import DEFAULT_BUDGET, enumerate_balls, parse_descriptor
+from .norms import radial_to_algebra
 from .rd import (
     ball_product_sweep,
     ball_series_l2_bounds,
@@ -239,6 +240,9 @@ def cmd_zseries(run, args):
     series = build_ball_series(spec, args.r, args.alpha, args.k, index=index)
     bounds = ball_series_l2_bounds(series)
     payload = series.to_json_dict()
+    payload["element"] = None     # unless an index was planned for it
+    if index is not None and series.ball_size_at_rk[-1] <= args.budget:
+        payload["element"] = radial_to_algebra(series.function, index).to_json_dict()
     payload["l2_bounds"] = bounds.to_json_dict()
     run.emit(json_text(payload),
              summary=f"l2^2 in [{bounds.lower:.6f}, {bounds.upper:.6f}], "

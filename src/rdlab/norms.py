@@ -348,7 +348,11 @@ def op_norm_trace_power(a: AlgebraElement, depth=6, budget=DEFAULT_BUDGET,
     if not (a.coeffs if radial is None else any(radial.coeffs)):
         return NormEstimate(lower=0.0, upper=0.0, method="trace_power",
                             steps=[0.0], iterations=1, converged=True)
-    ops = _DenseOps(a, budget) if radial is None else _RadialOps(radial, budget)
+    try:
+        ops = _DenseOps(a, budget) if radial is None else _RadialOps(radial, budget)
+    except BudgetExceededError:
+        raise BudgetExceededError("trace-power estimator exhausted its budget "
+                                  "before the first step") from None
     upper = coefficient_norm(a, "l1")
     ms = _trace_exponents(depth, exponent)
 
@@ -371,8 +375,10 @@ def op_norm_trace_power(a: AlgebraElement, depth=6, budget=DEFAULT_BUDGET,
             break
         steps.append(trace ** (1.0 / (2.0 * m)))
     if not steps:
-        raise BudgetExceededError("trace-power estimator exhausted its budget "
-                                  "before the first step")
+        # the first step only reads tau(b) = ||a||_2^2
+        raise BudgetExceededError(
+            "trace-power estimator stopped before the first step: tau(b) = "
+            f"||a||_2^2 left the float range (got {trace!r})")
     converged = (len(steps) >= 2 and not hit_budget and
                  abs(steps[-1] - steps[-2]) <= TRACE_CONVERGED_RTOL * steps[-1])
     diagnostic = None

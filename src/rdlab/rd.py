@@ -11,7 +11,8 @@ numerical content:
   whose divergence trend is the finite shadow of "s is too small";
 * exact pointwise inequalities: the ball convolution bound
   chi(B_n) chi(B_{n+k}) >= |B_n| chi(B_k), and its consequence for products
-  of power-weighted normalized-ball series;
+  of power-weighted normalized-ball series, both posed on sphere functions
+  and checked by one product check (radial on free groups, dense elsewhere);
 * the l2 doubling condition ||chi(B_{r(k+1)})||_2 >= 2 ||chi(B_{rk})||_2 and
   the resulting two-sided l2 bounds for those series;
 * subgroup domination (heredity) checks through an embedding;
@@ -31,10 +32,8 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     GEQ_TOLERANCE,
-    char_ball,
     convolve,
     pointwise_geq,
-    scale,
 )
 from .errors import BudgetExceededError, CoverageError, IndexRadiusError, RdlabError
 from .groups import (
@@ -51,7 +50,6 @@ from .norms import (
     RadialElement,
     coefficient_norm,
     free_ball_size,
-    free_radial,
     free_sphere_sizes,
     least_squares,
     op_norm_l1_bracket,
@@ -59,6 +57,7 @@ from .norms import (
     op_norm_power_iteration,
     op_norm_trace_power,
     radial_convolve,
+    radial_inner,
     radial_rank,
     radial_to_algebra,
     sphere_multiples,
@@ -135,8 +134,8 @@ def _check_float_range(spec, balls):
 
 # -- index planning -------------------------------------------------------------
 
-# a ball series attaches its dense element when B_{rK} has at most this many
-# elements, on groups whose sphere sizes need no index
+# zseries embeds a ball series' dense element when B_{rK} has at most this
+# many elements, on groups whose sphere sizes need no index
 DENSE_ZSERIES_LIMIT = 10_000
 
 
@@ -151,8 +150,8 @@ def index_radius(spec, method, radius, needs="witness", domain_radius=None):
       ``method`` is None), expanded where ``method`` convolves on a group
       without radial convolution; ball products convolve as "trace" does;
     * "element": nothing; a given dense element is normed as it is;
-    * "series": a ball series, whose dense element is attached when B_radius
-      has at most DENSE_ZSERIES_LIMIT elements.
+    * "series": a ball series, whose dense element zseries embeds when
+      B_radius has at most DENSE_ZSERIES_LIMIT elements.
 
     Power iteration always reads the ball it compresses to, of the
     ``power_domain`` radius when that is larger.
@@ -413,30 +412,49 @@ def delocalize_constant(C, s, eps):
 # -- exact pointwise inequalities ----------------------------------------------
 
 
+def _product_slack(x, y, rhs, region=None, index: LengthIndex = None,
+                   budget=DEFAULT_BUDGET):
+    """min of (x * y)(g) - rhs(g) over |g| <= ``region`` (over both supports
+    when None) for sphere functions x, y and rhs on one group.
+
+    On a free group of ``radial_rank`` the product is radial and keeps each
+    coefficient's type, so integer balls stay exact at any radius; elsewhere
+    x, y and rhs are expanded from ``index`` with float coefficients.
+    """
+    if radial_rank(x.spec) is not None:
+        lhs = radial_convolve(x, y).coeffs
+        top = len(x.coeffs) + len(y.coeffs) - 2 if region is None else region
+        return min((lhs[i] if i < len(lhs) else 0.0)
+                   - (rhs.coeffs[i] if i < len(rhs.coeffs) else 0.0)
+                   for i in range(top + 1))
+
+    def dense(z):
+        floats = RadialElement(spec=z.spec, coeffs=[float(c) for c in z.coeffs],
+                               sizes=z.sizes)
+        return radial_to_algebra(floats, index)
+    lhs = convolve(dense(x), dense(y), budget=budget)
+    return pointwise_geq(lhs, dense(rhs), region=region, index=index)[1]
+
+
 def verify_ball_product_bound(spec, n, k, index: LengthIndex = None,
                               budget=DEFAULT_BUDGET):
     """Check chi(B_n) * chi(B_{n+k}) >= |B_n| chi(B_k) on the ball B_k.
 
     Holds with slack exactly 0 for every group: each g in B_n contributes to
     the coefficient at every h in B_k because g^-1 h lands in B_{n+k}.
-    Returns (ok, min slack).  Free-group ball witnesses are handled in the
-    radial subalgebra with integer coefficients, so the slack stays exact at
-    any radius; everything else goes through dense convolution.
+    Returns (ok, min slack).  The balls carry integer coefficients, so on a
+    free group the slack stays exact at any radius (see ``_product_slack``).
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    rank = radial_rank(spec)
-    if rank is not None:
-        lhs = radial_convolve(free_radial(rank, [1] * (n + 1)),
-                              free_radial(rank, [1] * (n + k + 1)))
-        size = free_ball_size(rank, n)
-        slack = min(lhs.coeffs[i] - size for i in range(k + 1))
-        return (slack >= GEQ_TOLERANCE, float(slack))
-    if index is None or index.radius < n + k:
-        raise IndexRadiusError(f"need index radius >= {n + k}")
-    lhs = convolve(char_ball(index, n), char_ball(index, n + k), budget=budget)
-    rhs = scale(float(index.ball_sizes[n]), char_ball(index, k))
-    return pointwise_geq(lhs, rhs, region=k, index=index)
+    spheres = sphere_sizes(spec, n + k, index)
+
+    def ball(radius, value):
+        return RadialElement(spec=spec, coeffs=[value] * (radius + 1),
+                             sizes=spheres[: radius + 1])
+    slack = _product_slack(ball(n, 1), ball(n + k, 1),
+                           ball(k, sum(spheres[: n + 1])), k, index, budget)
+    return (slack >= GEQ_TOLERANCE, float(slack))
 
 
 def _free_ball_product_slacks(rank, total):
@@ -508,8 +526,8 @@ class BallSeries:
 
     ``function`` is the series as a sphere function: on sphere i it equals
     shell_values[j-1] for j = max(1, ceil(i/r)), i.e. the tail sum
-    sum_{k=j..K} k^(-alpha)/||chi(B_{rk})||_2.  All norms come from it; the
-    dense ``element`` is attached only when the support fits the budget.
+    sum_{k=j..K} k^(-alpha)/||chi(B_{rk})||_2.  Norms and products come from
+    it; ``radial_to_algebra`` expands it where a dense element is needed.
     """
 
     r: int
@@ -517,7 +535,6 @@ class BallSeries:
     K: int
     ball_size_at_rk: list
     function: RadialElement
-    element: AlgebraElement = None
 
     @property
     def spec(self):
@@ -534,13 +551,6 @@ class BallSeries:
     def value_on_sphere(self, i):
         values = self.function.coeffs
         return values[i] if i < len(values) else 0.0
-
-    def l2_squared(self):
-        return sum(v ** 2 * s for v, s in zip(self.function.coeffs,
-                                              self.function.sizes))
-
-    def l2(self):
-        return math.sqrt(self.l2_squared())
 
     def weighted_l2(self, t):
         total = sum(v ** 2 * (1.0 + i) ** (2.0 * t) * s
@@ -567,15 +577,13 @@ class BallSeries:
             "K": self.K,
             "ball_sizes": list(self.ball_size_at_rk),
             "shell_values": list(self.shell_values),
-            "element": self.element.to_json_dict() if self.element else None,
         }
 
 
-def build_ball_series(spec, r, alpha, K, index: LengthIndex = None,
-                      budget=DEFAULT_BUDGET):
-    """Construct the truncated series; materializes the dense element only when
-    an index covers radius r*K and the support fits the budget.  Ball sizes
-    past the float range raise BudgetExceededError."""
+def build_ball_series(spec, r, alpha, K, index: LengthIndex = None):
+    """Construct the truncated series as a sphere function; ``index`` is read
+    only for sphere sizes without a closed form.  Ball sizes past the float
+    range raise BudgetExceededError."""
     if r < 1 or K < 1:
         raise ValueError("r and K must be >= 1")
     if alpha <= 0:
@@ -593,13 +601,9 @@ def build_ball_series(spec, r, alpha, K, index: LengthIndex = None,
         shell[k - 1] = tail
 
     values = [shell[0]] + [shell[(i - 1) // r] for i in range(1, top + 1)]
-    series = BallSeries(r=r, alpha=alpha, K=K, ball_size_at_rk=ball_at_rk,
-                        function=RadialElement(spec=spec, coeffs=values,
-                                               sizes=spheres))
-    if index is not None and index.spec == spec and index.radius >= top \
-            and balls[top] <= budget:
-        series.element = radial_to_algebra(series.function, index)
-    return series
+    return BallSeries(r=r, alpha=alpha, K=K, ball_size_at_rk=ball_at_rk,
+                      function=RadialElement(spec=spec, coeffs=values,
+                                             sizes=spheres))
 
 
 @dataclass
@@ -625,7 +629,8 @@ def ball_series_l2_bounds(series: BallSeries):
     """
     diag = sum(k ** (-2.0 * series.alpha) for k in range(1, series.K + 1))
     min_ratio = series.min_doubling_ratio()
-    return SeriesL2Bounds(lower=diag, actual=series.l2_squared(),
+    return SeriesL2Bounds(lower=diag,
+                          actual=radial_inner(series.function, series.function),
                           upper=4.0 * diag,
                           doubling_ok=bool(min_ratio >= 2.0),
                           min_doubling_ratio=min_ratio)
@@ -660,25 +665,14 @@ def verify_series_product_bound(spec, r, alpha, beta, K,
                for j in range(1, K)]
 
     # the right side as a function of the sphere radius, 0 past r(K-1)
-    top = 2 * r * K
-    rhs = [0.0] * (top + 1)
+    rhs = [0.0] * (r * K + 1)
     for j, w in enumerate(weights, start=1):
         c = w / za.ball_l2(j)
         for i in range(r * j + 1):
             rhs[i] += c
-    if radial_rank(spec) is not None:
-        lhs = radial_convolve(za.function, zb.function).coeffs
-        min_slack = min((lhs[i] if i < len(lhs) else 0.0) - rhs[i]
-                        for i in range(top + 1))
-    else:
-        if za.element is None or zb.element is None:
-            raise IndexRadiusError(
-                f"need an index of radius >= {r * K} to materialize the series "
-                f"on {spec.descriptor()}")
-        lhs = convolve(za.element, zb.element, budget=budget)
-        rhs = RadialElement(spec=spec, coeffs=rhs[: r * K + 1],
-                            sizes=za.function.sizes)
-        _, min_slack = pointwise_geq(lhs, radial_to_algebra(rhs, index))
+    rhs = RadialElement(spec=spec, coeffs=rhs, sizes=za.function.sizes)
+    min_slack = _product_slack(za.function, zb.function, rhs, None, index,
+                               budget)
 
     power = alpha + beta
     tails = [(j, sum((j + k) ** (-power) for k in range(1, K - j + 1)),
@@ -901,10 +895,10 @@ def contradiction_trace(spec, params: DivergenceParameters, r, K,
 
     weighted = za.weighted_l2(params.t)
     za_shift = build_ball_series(spec, r, params.alpha - params.t, K, index)
-    bound = (2.0 * r) ** params.t * za_shift.l2()
+    bound = (2.0 * r) ** params.t * coefficient_norm(za_shift.function, "l2")
 
     zb = build_ball_series(spec, r, params.beta, K, index)
-    beta_l2 = zb.l2()
+    beta_l2 = coefficient_norm(zb.function, "l2")
     beta_bound = 2.0 * math.sqrt(sum(k ** (-2.0 * params.beta)
                                      for k in range(1, K + 1)))
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import re
@@ -12,7 +13,13 @@ import pytest
 import rdlab as R
 import rdlab.cli
 import rdlab.groups
-from rdlab.cache import cache_roundtrip
+from rdlab.cache import (
+    CacheFormatError,
+    cache_roundtrip,
+    find_cache,
+    read_ball_cache,
+    write_ball_cache,
+)
 from rdlab.cli import build_parser, run_command
 
 
@@ -290,6 +297,18 @@ class TestNormAndZseries:
         est = json.loads((tmp_path / "ne.json").read_text())
         assert est["method"] == "amenable_exact"
 
+    def test_zseries_element_within_the_budget(self, tmp_path):
+        # a cache spares the enumeration, so only the element meets --budget
+        cache = str(tmp_path / "c")
+        assert run(["cache", "build", "--group", "Z^2", "--radius", "20",
+                    "--cache-dir", cache]) == 0
+        argv = ["zseries", "--group", "Z^2", "--r", "2", "--alpha", "1.0",
+                "--k", "10", "--cache-dir", cache]
+        for budget, size in [("841", 841), ("840", None)]:
+            assert run(argv + ["--budget", budget], tmp_path, "z.json") == 0
+            element = json.loads((tmp_path / "z.json").read_text())["element"]
+            assert (len(element["coeffs"]) if element else None) == size
+
     def test_zseries_f2_large(self, tmp_path):
         code = run(["zseries", "--group", "F2", "--r", "2", "--alpha", "0.75",
                     "--k", "10"], tmp_path, "zf.json")
@@ -564,6 +583,33 @@ class TestCache:
                             "--cache-dir", str(cache_dir)]) == 1
         assert "digest mismatch" in capsys.readouterr().err
 
+    @pytest.fixture
+    def z2_cache(self, tmp_path):
+        path = tmp_path / "Z^2.N6.ballcache"
+        write_ball_cache(R.enumerate_balls(R.FreeAbelian(2), 6), path)
+        return path
+
+    def test_truncated_file_is_rejected(self, z2_cache):
+        lines = z2_cache.read_text().splitlines(keepends=True)
+        z2_cache.write_text("".join(lines[:-5]))
+        with pytest.raises(CacheFormatError,
+                           match="sphere 6 has 19 elements, the closed form 24"):
+            read_ball_cache(z2_cache, R.FreeAbelian(2))
+
+    def test_records_out_of_order_are_rejected(self, z2_cache):
+        header, *records = z2_cache.read_text().splitlines(keepends=True)
+        z2_cache.write_text(header + "".join(reversed(records)))
+        with pytest.raises(CacheFormatError, match=r"out of \(length, key\) order"):
+            read_ball_cache(z2_cache)
+
+    def test_other_generators_never_read_a_cache(self, z2_cache):
+        spec = R.FreeAbelian(2, generators=[(1, 0), (-1, 0), (1, 1), (-1, -1)])
+        assert spec.descriptor() == "Z^2"
+        assert find_cache(z2_cache.parent, spec, 3) is None
+        with pytest.raises(CacheFormatError, match="standard generators"):
+            read_ball_cache(z2_cache, spec)
+        assert read_ball_cache(z2_cache).sphere_sizes == [1, 4, 8, 12, 16, 20, 24]
+
     def test_commands_reuse_cache(self, tmp_path):
         cache_dir = tmp_path / "caches"
         assert run_command(["cache", "build", "--group", "H3", "--radius", "6",
@@ -582,6 +628,65 @@ class TestCache:
         assert run_command(["cache", "build", "--group", "Z^2",
                             "--radius", "5"]) == 0
         assert (cache_dir / "Z^2.N5.ballcache").exists()
+
+
+# the lemma1, lemma2 and zseries artifacts, pinned byte for byte: the
+# radial and dense checks on every kind of group, zseries with and
+# without its dense element
+ARTIFACT_DIGESTS = [
+    ("verify lemma1 --group H3 --radius 8",
+     "040df219073cdc12e1fc65ea016b24160c4c2493ec2e2bd664f74e99f32fd033"),
+    ("verify lemma1 --group H3 --n 2 --k 3",
+     "406b52afc8c4e40933ff444e631079a48cb8d84e5044103dbe695ec727aef407"),
+    ("verify lemma1 --group Z^2 --radius 14",
+     "5cc1853268bf8ee27d117c17b0e37944f4838ee8928a93b105bd8fc7f9f3a336"),
+    ("verify lemma1 --group Z^2 --n 4 --k 5",
+     "aab19dac1cf7e8f4b4077f75055e7710c3155944a3067004a4ab024a2b1c7007"),
+    ("verify lemma1 --group Z --radius 30",
+     "7287e46dd1c959694d495d0cde47bc7cab80dcba5f070362d7686cc2a815620c"),
+    ("verify lemma1 --group Z^3 --radius 6",
+     "8519041199735636b33590c0a67f1f199114b71b31bc783a9e4a908837b9088f"),
+    ("verify lemma1 --group C12 --radius 9",
+     "33a31fe48f50f5be98529d5cc2ec584c68953130b07030ae356805d4083c27dc"),
+    ("verify lemma1 --group Z^1xF2 --radius 5",
+     "281f7388c3868cac481bcf004c49bdf2b9ea39125d97e56b5e3eec09a7490600"),
+    ("verify lemma1 --group F2 --radius 36",
+     "5010237511530a9eec0a05c92a722a34c2cb4db732ddf234523f29fbbc653d31"),
+    ("verify lemma1 --group F2 --radius 40",
+     "5010237511530a9eec0a05c92a722a34c2cb4db732ddf234523f29fbbc653d31"),
+    ("verify lemma1 --group F3 --radius 20",
+     "3b8900bc5786c3b6a3fa287df6044868e0b695f020d27f14fce30a0ca380ffc5"),
+    ("verify lemma2 --group Z^2 --r 2 --k 8",
+     "f03238b10599eb41a6cdda169ff32077f124f431523139926af411392fda9713"),
+    ("verify lemma2 --group H3 --r 1 --k 7",
+     "302ee66a6bd00baecd445e6961c9310251485bdf726d3bda8abeb44dcd6235b4"),
+    ("verify lemma2 --group F2 --r 1 --k 600",
+     "18f107e0f428b3cb5eb8815b5b0eacd6860c5ec6199108d077160a9960183934"),
+    ("verify lemma2 --group F3 --r 1 --k 20",
+     "715771ecf09ec28f02b70d20632157a498e9e121b5105c1eda311c864ce37c7f"),
+    ("verify lemma2 --group Z --r 2 --k 30",
+     "22b0decdd4ef290cb598234aaa3ea70d9b2d54834a9675f092f3a0e218d23038"),
+    ("verify lemma2 --group C12 --r 1 --k 8",
+     "7b423b22b80a6494228ca2d69758673d5e6d55524148e229a0f68fb4f7127e5d"),
+    ("verify lemma2 --group Z^1xC5 --r 1 --k 6",
+     "274ea5cce6cad0e89363f406ff348177f7555a53961a993454c4a33b03e4e53c"),
+    ("zseries --group Z --r 1 --alpha 1.0 --k 3",
+     "658fc6f9f31dc23d807c026d81538ada7bd7309bae91bd6916e2fa69d99693e6"),
+    ("zseries --group H3 --r 1 --alpha 1.0 --k 6",
+     "c547e2e4b9168e12a55d0cea68b5664ecdaf545d5412bd1b89ff2cee69ab3375"),
+    ("zseries --group F2 --r 1 --alpha 1.0 --k 3",
+     "9c56992b99c13bbd2c9535c4ad49379f70a00f9cdb73c3d605e17942ee21d008"),
+    ("zseries --group Z^2 --r 2 --alpha 0.75 --k 10",
+     "b3c86aca10ba8b2b13be2051c408a9ab69862433ca86662935cfba007c7cdf39"),
+    ("zseries --group C12 --r 1 --alpha 1.0 --k 8",
+     "ec11c41ffc369388bf026ee7f63c0117124d3756750b5cc67185bbad988b3b2e"),
+    ("zseries --group Z^1xF2 --r 1 --alpha 1.0 --k 4",
+     "93792d2485a036cf9e86fb6827fbda476659e0c7840e140687d702b7661057bc"),
+    ("zseries --group F2 --r 2 --alpha 1.0 --k 300",
+     "0ae446dffcd2cdcffb4896d62f8291f4e73b403f50bd78bbed50625c52b94e02"),
+    ("zseries --group Z^2 --r 10 --alpha 1.0 --k 20",
+     "481a91ffaaf418574381553a9917a45ecb2737b3a1f510df9dcd9b32d10e58e9"),
+]
 
 
 class TestDeterminism:
@@ -605,13 +710,19 @@ class TestDeterminism:
         assert out.read_bytes() == first
 
     def test_manifest_records_artifact_digest(self, tmp_path):
-        import hashlib
         out = tmp_path / "g.csv"
         assert run_command(["growth", "--group", "Z", "--radius", "4",
                             "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "g.csv.manifest.json").read_text())
         assert manifest["artifact_sha256"] == hashlib.sha256(
             out.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("argv,sha256", ARTIFACT_DIGESTS,
+                             ids=[argv for argv, _ in ARTIFACT_DIGESTS])
+    def test_lemma_and_zseries_artifact_digests(self, argv, sha256, tmp_path):
+        out = tmp_path / "artifact.json"
+        assert run_command(argv.split() + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 class TestConsoleEntry:

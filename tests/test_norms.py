@@ -111,11 +111,23 @@ class TestTracePower:
         # not radial: one lopsided coefficient breaks sphere constancy
         a = R.AlgebraElement(spec=F2, coeffs={"a": 1.0, "b": 2.0, "A": 1.0, "B": 1.0},
                              support_radius=1)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError,
+                           match="exhausted its budget before the first step"):
             R.op_norm_trace_power(a, depth=8, budget=5)
         partial = R.op_norm_trace_power(a, depth=8, budget=2000)
         assert partial.iterations < 9
         assert partial.steps
+
+    @pytest.mark.parametrize("spec", [F2, R.FreeAbelian(2),
+                                      R.DiscreteHeisenberg()])
+    @pytest.mark.parametrize("value,got", [(1e200, "inf"), (1e-200, "0.0")])
+    def test_first_step_past_the_float_range(self, spec, value, got):
+        # tau(b) = value^2 overflows or underflows; no budget is reached
+        a = R.AlgebraElement(spec=spec, coeffs={spec.identity(): value})
+        with pytest.raises(BudgetExceededError,
+                           match=rf"tau\(b\) = \|\|a\|\|_2\^2 left the float "
+                                 rf"range \(got {got}\)"):
+            R.op_norm_trace_power(a, depth=3)
 
     def test_extrapolation_diagnostic(self, z_index):
         s1 = R.char_sphere(z_index, 1)

@@ -10,6 +10,7 @@ from rdlab.errors import (
     IndexRadiusError,
     RdlabError,
 )
+from rdlab.norms import coefficient_norm, radial_inner
 from rdlab.rd import index_radius, make_witness
 
 Z = R.FreeAbelian(1)
@@ -18,6 +19,9 @@ H3 = R.DiscreteHeisenberg()
 F2 = R.FreeGroup(2)
 C5 = R.FiniteCyclic(5)
 C12 = R.FiniteCyclic(12)
+# F2 with its generators given explicitly: equal to F2, but
+# has_standard_generators() is False, so every product is dense
+F2_DENSE = R.FreeGroup(2, generators=["a", "A", "b", "B"])
 
 
 class TestGrowthHelpers:
@@ -292,6 +296,14 @@ class TestBallProductBound:
         ok, slack, _ = R.ball_product_sweep(spec, 5, index)
         assert ok and slack == 0.0
 
+    def test_radial_and_dense_agree(self):
+        # the dense branch gives exactly 0 on every pair, as the radial one does
+        index = R.enumerate_balls(F2_DENSE, 6)
+        for n in range(1, 6):
+            for k in range(1, 7 - n):
+                assert R.verify_ball_product_bound(F2_DENSE, n, k, index) == \
+                    R.verify_ball_product_bound(F2, n, k) == (True, 0.0)
+
     def test_index_too_small(self, h3_index):
         with pytest.raises(IndexRadiusError):
             R.verify_ball_product_bound(H3, 6, 6, h3_index)
@@ -334,7 +346,8 @@ class TestDoubling:
 class TestBallSeries:
     def test_single_term_is_normalized(self, z_index):
         ser = R.build_ball_series(Z, 3, 0.7, 1, index=z_index)
-        assert ser.l2() == pytest.approx(1.0, rel=1e-12)
+        assert coefficient_norm(ser.function, "l2") == \
+            pytest.approx(1.0, rel=1e-12)
         bounds = R.ball_series_l2_bounds(ser)
         assert (bounds.lower, bounds.actual, bounds.upper) == \
             pytest.approx((1.0, 1.0, 4.0), rel=1e-12)
@@ -343,28 +356,25 @@ class TestBallSeries:
     def test_z_identity_coefficient(self, z_index):
         ser = R.build_ball_series(Z, 1, 1.0, 2, index=z_index)
         want = 1 / math.sqrt(3) + 0.5 / math.sqrt(5)
-        assert ser.element.coeffs[(0,)] == pytest.approx(want, rel=1e-12)
+        element = R.radial_to_algebra(ser.function, z_index)
+        assert element.coeffs[(0,)] == pytest.approx(want, rel=1e-12)
         assert ser.value_on_sphere(0) == pytest.approx(want, rel=1e-12)
 
     def test_f2_small_dense_matches_shells(self):
         index = R.enumerate_balls(F2, 6)
         ser = R.build_ball_series(F2, 2, 1.0, 3, index=index)
-        assert ser.element is not None
-        assert ser.element.support_radius == 6
-        assert set(ser.element.coeffs) == set(index.ball(6))
+        element = R.radial_to_algebra(ser.function, index)
+        assert element.support_radius == 6
+        assert set(element.coeffs) == set(index.ball(6))
         # constant on B_2 (every term's ball contains it)
         for g in index.ball(2):
-            assert ser.element.coeffs[g] == ser.value_on_sphere(0)
-        for g, c in ser.element.coeffs.items():
+            assert element.coeffs[g] == ser.value_on_sphere(0)
+        for g, c in element.coeffs.items():
             assert c == ser.value_on_sphere(len(g))
         # dense l2 agrees with the sphere-size bookkeeping
-        dense = R.norm(ser.element, "l2") ** 2
-        assert dense == pytest.approx(ser.l2_squared(), rel=1e-12)
-
-    def test_f2_large_stays_sparse(self):
-        ser = R.build_ball_series(F2, 2, 1.0, 10)
-        assert ser.element is None
-        assert len(ser.shell_values) == 10
+        dense = R.norm(element, "l2") ** 2
+        assert dense == pytest.approx(radial_inner(ser.function, ser.function),
+                                      rel=1e-12)
 
     def test_ball_sizes_past_the_float_range(self):
         R.build_ball_series(F2, 1, 1.0, 645)
@@ -377,9 +387,10 @@ class TestBallSeries:
         terms = [(k ** -0.8 / math.sqrt(4 * k + 1), R.char_ball(index, 2 * k))
                  for k in range(1, 5)]
         want = R.linear_combine(terms)
-        assert set(ser.element.coeffs) == set(want.coeffs)
+        element = R.radial_to_algebra(ser.function, index)
+        assert set(element.coeffs) == set(want.coeffs)
         for g, c in want.coeffs.items():
-            assert ser.element.coeffs[g] == pytest.approx(c, rel=1e-12)
+            assert element.coeffs[g] == pytest.approx(c, rel=1e-12)
 
     def test_f2_k12_bounds(self):
         ser = R.build_ball_series(F2, 2, 1.0, 12)
@@ -429,11 +440,14 @@ class TestSeriesProductBound:
             assert truncated < bound  # truncation falls below the integral
 
     def test_radial_and_dense_agree(self):
-        index = R.enumerate_balls(F2, 8)
-        radial_rep = R.verify_series_product_bound(F2, 1, 1.0, 1.0, 4)
-        za = R.build_ball_series(F2, 1, 1.0, 4, index=index)
-        assert za.element is not None  # dense path feasible at this size
-        assert radial_rep.ok
+        index = R.enumerate_balls(F2_DENSE, 6)
+        for r, K, want in [(1, 4, 0.00038819875776397513),
+                           (2, 3, 7.626019980172346e-05)]:
+            dense = R.verify_series_product_bound(F2_DENSE, r, 1.0, 1.0, K, index)
+            radial = R.verify_series_product_bound(F2, r, 1.0, 1.0, K)
+            assert dense.ok and radial.ok
+            assert radial.min_slack == pytest.approx(want, rel=1e-12)
+            assert dense.min_slack == pytest.approx(radial.min_slack, rel=1e-12)
 
     def test_parameter_guard(self):
         with pytest.raises(ValueError):
