@@ -2,12 +2,14 @@
 
 Format (text, UTF-8, LF):
 
-    rdlab-ball-cache v1 | <group descriptor> | N=<radius>
+    rdlab-ball-cache v2 | <group descriptor> | N=<radius> | spheres=<|S_0|>,...,<|S_N|>
     <canonical key>TAB<length>
     ...
 
 Records are sorted by (length, key), which matches the in-memory sphere
 order, so a reloaded index behaves bit-identically to a fresh enumeration.
+The header's sphere sizes let a reader tell a cut or padded file from a
+whole one on every group.
 The descriptor names a group on its standard generators, so only such a
 group reads or finds a cache file.
 """
@@ -21,7 +23,7 @@ from .errors import RdlabError
 from .groups import DEFAULT_BUDGET, LengthIndex, enumerate_balls, parse_descriptor
 from .rd import closed_sphere_series
 
-HEADER_PREFIX = "rdlab-ball-cache v1"
+HEADER_PREFIX = "rdlab-ball-cache v2"
 
 
 class CacheFormatError(RdlabError):
@@ -34,7 +36,9 @@ def cache_filename(descriptor, radius):
 
 def serialize_index(index: LengthIndex):
     spec = index.spec
-    lines = [f"{HEADER_PREFIX} | {spec.descriptor()} | N={index.radius}"]
+    spheres = ",".join(str(size) for size in index.sphere_sizes)
+    lines = [f"{HEADER_PREFIX} | {spec.descriptor()} | N={index.radius} | "
+             f"spheres={spheres}"]
     for n in range(index.radius + 1):
         for g in index.sphere(n):
             lines.append(f"{spec.element_key(g)}\t{n}")
@@ -48,16 +52,27 @@ def write_ball_cache(index: LengthIndex, path):
 
 
 def _read_header(path, text, spec):
-    """(spec, radius) from the header of a cache file's ``text``; a given
-    ``spec`` must match it and be on its standard generators."""
+    """(spec, radius, sphere sizes) from the header of a cache file's
+    ``text``; a given ``spec`` must match it and be on its standard
+    generators."""
     if not text:
         raise CacheFormatError(f"{path}: empty cache file")
     header = text.partition("\n")[0]
     parts = [p.strip() for p in header.split("|")]
-    if len(parts) != 3 or parts[0] != HEADER_PREFIX or not parts[2].startswith("N="):
+    if parts[0] == "rdlab-ball-cache v1":
+        raise CacheFormatError(
+            f"{path}: a v1 cache file has no sphere sizes in its header; "
+            "rebuild it with 'rdlab cache build'")
+    if (len(parts) != 4 or parts[0] != HEADER_PREFIX
+            or not parts[2].startswith("N=")
+            or not parts[3].startswith("spheres=")):
         raise CacheFormatError(f"{path}: bad header {header!r}")
     descriptor = parts[1]
     radius = int(parts[2][2:])
+    spheres = [int(size) for size in parts[3][len("spheres="):].split(",")]
+    if len(spheres) != radius + 1:
+        raise CacheFormatError(
+            f"{path}: header lists {len(spheres)} sphere sizes for radius {radius}")
     if spec is None:
         spec = parse_descriptor(descriptor)
     elif not spec.has_standard_generators():
@@ -67,14 +82,15 @@ def _read_header(path, text, spec):
     elif spec.descriptor() != descriptor:
         raise CacheFormatError(
             f"{path}: cache is for {descriptor!r}, expected {spec.descriptor()!r}")
-    return spec, radius
+    return spec, radius, spheres
 
 
 def read_ball_cache(path, spec=None):
     """Load a cache file into a LengthIndex; validates the header, the record
-    order, and the sphere sizes where a closed form gives them."""
+    order, and the sphere sizes against the header and, where a closed form
+    gives them, against it."""
     text = Path(path).read_text(encoding="utf-8")
-    spec, radius = _read_header(path, text, spec)
+    spec, radius, header_spheres = _read_header(path, text, spec)
     lines = text.splitlines()
 
     lengths = {}
@@ -98,13 +114,14 @@ def read_ball_cache(path, spec=None):
         lengths[g] = n
         spheres[n].append(g)
     index = LengthIndex(spec=spec, radius=radius, lengths=lengths, spheres=spheres)
-    closed = closed_sphere_series(spec, radius)
-    if closed is not None and closed != index.sphere_sizes:
-        n = next(n for n, (want, got) in enumerate(zip(closed, index.sphere_sizes))
-                 if want != got)
-        raise CacheFormatError(
-            f"{path}: sphere {n} has {index.sphere_sizes[n]} elements, the "
-            f"closed form {closed[n]}")
+    for source, sizes in (("closed form", closed_sphere_series(spec, radius)),
+                          ("header", header_spheres)):
+        if sizes is not None and sizes != index.sphere_sizes:
+            n = next(n for n, (want, got) in enumerate(zip(sizes, index.sphere_sizes))
+                     if want != got)
+            raise CacheFormatError(
+                f"{path}: sphere {n} has {index.sphere_sizes[n]} elements, the "
+                f"{source} {sizes[n]}")
     return index
 
 
@@ -128,7 +145,7 @@ def check_ball_cache(path, spec=None, budget=DEFAULT_BUDGET):
     """Re-enumerate and byte-compare against the file; (ok, detail) result."""
     try:
         actual = Path(path).read_text(encoding="utf-8")
-        spec, radius = _read_header(path, actual, spec)
+        spec, radius, _ = _read_header(path, actual, spec)
     except (CacheFormatError, ValueError) as exc:
         return False, f"unreadable cache: {exc}"
     fresh = enumerate_balls(spec, radius, budget=budget)

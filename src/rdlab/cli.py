@@ -34,9 +34,9 @@ from .rd import (
     build_ball_series,
     build_report,
     fit_exponent,
-    index_radius,
     make_witness,
     norm_bracket,
+    power_domain,
     ratio_series,
     rd_constant_series,
     standard_embedding,
@@ -81,6 +81,25 @@ def parse_range(text):
     return list(range(lo, hi + 1, step))
 
 
+class _LazyIndex:
+    """Stands in for the LengthIndex ``load(spec, radius)`` returns: it holds
+    ``spec`` and ``radius`` itself and calls ``load`` at the first read of
+    any other attribute; a failed load raises its own error."""
+
+    def __init__(self, spec, radius, load):
+        self.spec, self.radius = spec, radius
+        self._load = load
+        self._index = None
+
+    def __getattr__(self, name):    # called only for names __init__ did not set
+        if self._index is None:
+            self._index = self._load(self.spec, self.radius)
+        return getattr(self._index, name)
+
+    def __contains__(self, g):
+        return g in self.lengths
+
+
 class _Run:
     """Collects artifact text plus manifest metadata for one invocation."""
 
@@ -102,11 +121,14 @@ class _Run:
                 return read_ball_cache(path, spec)
         return enumerate_balls(spec, radius, budget=self.args.budget)
 
-    def planned_index(self, spec, method, radius, needs="witness", R=None):
-        """The index ``rd.index_radius`` asks for, or None if it asks for none;
-        ``R`` is the power-iteration domain radius setting."""
-        radius = index_radius(spec, method, radius, needs, R)
-        return None if radius is None else self.get_index(spec, radius)
+    def index(self, spec, radius, method=None, R=None):
+        """The LengthIndex of ``spec`` to ``radius``, which ``get_index``
+        reads only when a computation first reads more than its ``spec`` or
+        ``radius``; for power iteration, to the ``power_domain`` radius of
+        ``R`` when that is larger."""
+        if method == "power":
+            radius = max(radius, power_domain(R, radius))
+        return _LazyIndex(spec, radius, self.get_index)
 
     def emit(self, text, summary=None):
         out = self.args.out
@@ -178,18 +200,20 @@ def cmd_norm(run, args):
     if args.element:
         data = json.loads(Path(args.element).read_text(encoding="utf-8"))
         element = AlgebraElement.from_json_dict(spec, data)
-        index = run.planned_index(spec, args.method, element.support_radius,
-                                  "element", settings.get("R"))
+        index = run.index(spec, element.support_radius, args.method,
+                          args.domain_radius)
     elif args.witness and args.n is not None:
-        index = run.planned_index(spec, args.method, args.n, R=settings.get("R"))
+        index = run.index(spec, args.n, args.method, args.domain_radius)
         element = make_witness(spec, args.witness, args.n, args.method, index,
                                args.d_hat)
     else:
         raise RdlabError("norm needs either --element or --witness with --n")
     est = norm_bracket(element, method=args.method, index=index, **settings)
-    run.emit(json_text(est.to_json_dict()),
-             summary=f"norm in [{est.lower:.12g}, {est.upper:.12g}] "
-                     f"({est.method})")
+    summary = f"norm in [{est.lower:.12g}, {est.upper:.12g}] ({est.method})"
+    if est.stop_reason in ("budget", "float_range"):
+        summary += (f"; stopped after {est.iterations} of {est.target_steps} "
+                    f"steps ({est.stop_reason})")
+    run.emit(json_text(est.to_json_dict()), summary=summary)
     return EXIT_OK
 
 
@@ -197,7 +221,7 @@ def _make_series(run, args):
     spec = run.spec = parse_descriptor(args.group)
     n_list = parse_range(args.range)
     settings = _estimator_settings(args)
-    index = run.planned_index(spec, args.method, max(n_list), R=settings.get("R"))
+    index = run.index(spec, max(n_list), args.method, args.domain_radius)
     return ratio_series(spec, args.witness, n_list, method=args.method,
                         index=index, d_hat=args.d_hat, **settings)
 
@@ -234,14 +258,19 @@ def cmd_fit(run, args):
     return EXIT_OK
 
 
+# zseries embeds the series' dense element when B_{rK} has at most this many
+# elements, and at most --budget
+DENSE_ZSERIES_LIMIT = 10_000
+
+
 def cmd_zseries(run, args):
     spec = run.spec = parse_descriptor(args.group)
-    index = run.planned_index(spec, None, args.r * args.k, needs="series")
+    index = run.index(spec, args.r * args.k)
     series = build_ball_series(spec, args.r, args.alpha, args.k, index=index)
     bounds = ball_series_l2_bounds(series)
     payload = series.to_json_dict()
-    payload["element"] = None     # unless an index was planned for it
-    if index is not None and series.ball_size_at_rk[-1] <= args.budget:
+    payload["element"] = None
+    if series.ball_size_at_rk[-1] <= min(args.budget, DENSE_ZSERIES_LIMIT):
         payload["element"] = radial_to_algebra(series.function, index).to_json_dict()
     payload["l2_bounds"] = bounds.to_json_dict()
     run.emit(json_text(payload),
@@ -254,7 +283,7 @@ def cmd_report(run, args):
     spec = run.spec = parse_descriptor(args.group)
     n_list = parse_range(args.range)
     settings = _estimator_settings(args)
-    index = run.planned_index(spec, args.method, max(n_list), R=settings.get("R"))
+    index = run.index(spec, max(n_list), args.method, args.domain_radius)
     s_values = [float(s) for s in args.s_list.split(",")] if args.s_list else []
     report = build_report(spec, n_list, s_values=s_values, method=args.method,
                           index=index, **settings)
@@ -289,8 +318,7 @@ def _verify_lemma1(run, args):
         k = 6 if args.k is None else args.k
         radius = args.n + k
     spec = run.spec = parse_descriptor(args.group)
-    # ball products convolve, as the trace estimator does
-    index = run.planned_index(spec, "trace", radius)
+    index = run.index(spec, radius)
     if args.n is not None:
         ok, slack = verify_ball_product_bound(spec, args.n, k, index,
                                               budget=args.budget)
@@ -311,7 +339,7 @@ def _verify_lemma1(run, args):
 
 def _verify_lemma2(run, args):
     spec = run.spec = parse_descriptor(args.group)
-    index = run.planned_index(spec, "trace", args.r * args.k)
+    index = run.index(spec, args.r * args.k)
     report = verify_series_product_bound(spec, args.r, args.alpha, args.beta,
                                          args.k, index, budget=args.budget)
     ok = report.ok
@@ -327,7 +355,7 @@ def _verify_lemma2(run, args):
 
 def _verify_doubling(run, args):
     spec = run.spec = parse_descriptor(args.group)
-    index = run.planned_index(spec, None, args.r * (args.k + 1))
+    index = run.index(spec, args.r * (args.k + 1))
     min_ratio, ok = verify_doubling(spec, args.r, args.k, index)
     run.emit(json_text({"group": spec.descriptor(), "check": "doubling",
                         "r": args.r, "k_max": args.k,
@@ -340,15 +368,14 @@ def _verify_heredity(run, args):
     n_list = parse_range(args.range)
     embedding = standard_embedding(args.embedding)
     run.spec = embedding.ambient
-    settings = _estimator_settings(args)
     # the subgroup witnesses are dense elements listed from the subgroup
-    # index, which also covers the power-iteration domain --R
-    sub_index = run.get_index(embedding.sub,
-                              max(max(n_list) + 1, settings.get("R", 0)))
-    ambient_index = run.planned_index(embedding.ambient, args.method, max(n_list),
-                                      R=settings.get("R"))
+    # index, one radius past max(n) to certify coverage
+    sub_index = run.index(embedding.sub, max(n_list) + 1, args.method,
+                          args.domain_radius)
+    ambient_index = run.index(embedding.ambient, max(n_list), args.method,
+                              args.domain_radius)
     report = verify_heredity(embedding, n_list, sub_index, ambient_index,
-                             args.method, **settings)
+                             args.method, **_estimator_settings(args))
     run.emit(json_text({"embedding": args.embedding, "ok": report.ok,
                         "rows": [{"n": r.n, "subgroup_count": r.subgroup_count,
                                   "sub_ratio_lower": r.sub_ratio_lower,

@@ -48,6 +48,7 @@ class GroupSpec:
     Subclasses supply the group law on canonical values.  A custom symmetric
     generating set may be passed to the constructor; doing so disables the
     closed word-length formulas (they are only valid for the standard set).
+    The standard set passed in any order is no custom set.
     """
 
     def __init__(self, generators=None):
@@ -63,7 +64,8 @@ class GroupSpec:
                 raise ValueError(f"generating set is not symmetric: {missing!r}")
             if not gens:
                 raise ValueError("generating set must be nonempty")
-            self._custom_generators = gens
+            if set(gens) != set(self.default_generators()):
+                self._custom_generators = gens
 
     # -- group law ---------------------------------------------------------
 

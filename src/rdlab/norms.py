@@ -50,6 +50,9 @@ class NormEstimate:
 
     ``extrapolated``, when present, is a convergence diagnostic (the
     zero-of-1/k intercept of the step sequence), never a rigorous bound.
+    The iterative estimators also report ``target_steps``, the step count
+    asked for, and ``stop_reason``: "done" (every step asked for),
+    "converged", or, for the trace ladder, "budget" or "float_range".
     """
 
     lower: float
@@ -59,6 +62,8 @@ class NormEstimate:
     iterations: int = 0
     converged: bool = False
     extrapolated: float = None
+    target_steps: int = None
+    stop_reason: str = None
 
     def __post_init__(self):
         if self.lower > self.upper + 1e-12 * max(1.0, abs(self.upper)):
@@ -76,6 +81,9 @@ class NormEstimate:
         }
         if self.extrapolated is not None:
             out["extrapolated"] = self.extrapolated
+        if self.stop_reason is not None:
+            out["target_steps"] = self.target_steps
+            out["stop_reason"] = self.stop_reason
         return out
 
 
@@ -347,7 +355,8 @@ def op_norm_trace_power(a: AlgebraElement, depth=6, budget=DEFAULT_BUDGET,
     radial = a.trimmed() if isinstance(a, RadialElement) else radial_from_algebra(a)
     if not (a.coeffs if radial is None else any(radial.coeffs)):
         return NormEstimate(lower=0.0, upper=0.0, method="trace_power",
-                            steps=[0.0], iterations=1, converged=True)
+                            steps=[0.0], iterations=1, converged=True,
+                            target_steps=1, stop_reason="done")
     try:
         ops = _DenseOps(a, budget) if radial is None else _RadialOps(radial, budget)
     except BudgetExceededError:
@@ -359,7 +368,7 @@ def op_norm_trace_power(a: AlgebraElement, depth=6, budget=DEFAULT_BUDGET,
     # powers[j] = b^(2^j); traces come from inner products of half powers
     powers = [ops.b]
     steps = []
-    hit_budget = False
+    stop_reason = "done"
     for m in ms:
         try:
             if m == 1:
@@ -369,9 +378,10 @@ def op_norm_trace_power(a: AlgebraElement, depth=6, budget=DEFAULT_BUDGET,
                 other = ops.mul(half, ops.b) if m % 2 else half
                 trace = ops.inner(half, other)
         except BudgetExceededError:
-            hit_budget = True
+            stop_reason = "budget"
             break
         if not math.isfinite(trace) or trace <= 0.0:
+            stop_reason = "float_range"
             break
         steps.append(trace ** (1.0 / (2.0 * m)))
     if not steps:
@@ -379,7 +389,7 @@ def op_norm_trace_power(a: AlgebraElement, depth=6, budget=DEFAULT_BUDGET,
         raise BudgetExceededError(
             "trace-power estimator stopped before the first step: tau(b) = "
             f"||a||_2^2 left the float range (got {trace!r})")
-    converged = (len(steps) >= 2 and not hit_budget and
+    converged = (len(steps) >= 2 and stop_reason != "budget" and
                  abs(steps[-1] - steps[-2]) <= TRACE_CONVERGED_RTOL * steps[-1])
     diagnostic = None
     if extrapolate:
@@ -387,7 +397,8 @@ def op_norm_trace_power(a: AlgebraElement, depth=6, budget=DEFAULT_BUDGET,
     return NormEstimate(lower=steps[-1], upper=upper,
                         method="trace_power", steps=steps,
                         iterations=len(steps), converged=converged,
-                        extrapolated=diagnostic)
+                        extrapolated=diagnostic, target_steps=len(ms),
+                        stop_reason=stop_reason)
 
 
 def least_squares(xs, ys):
@@ -500,7 +511,9 @@ def op_norm_power_iteration(a: AlgebraElement, R, iters=200, seed=0,
             break
     return NormEstimate(lower=steps[-1], upper=norm(a, "l1"),
                         method="power_iteration", steps=steps,
-                        iterations=used, converged=converged)
+                        iterations=used, converged=converged,
+                        target_steps=iters,
+                        stop_reason="converged" if converged else "done")
 
 
 # -- exact and trivial brackets ------------------------------------------------

@@ -132,42 +132,7 @@ def _check_float_range(spec, balls):
             f"{first}; radius {len(balls) - 1} must stay below it")
 
 
-# -- index planning -------------------------------------------------------------
-
-# zseries embeds a ball series' dense element when B_{rK} has at most this
-# many elements, on groups whose sphere sizes need no index
-DENSE_ZSERIES_LIMIT = 10_000
-
-
-def index_radius(spec, method, radius, needs="witness", domain_radius=None):
-    """Radius of the LengthIndex a computation to ``radius`` reads, or None.
-
-    An index is read only to expand a sphere function to its dense element
-    or to count spheres that have no closed form.  ``needs`` names what the
-    computation builds:
-
-    * "witness": a sphere function (a witness, or sphere sizes alone when
-      ``method`` is None), expanded where ``method`` convolves on a group
-      without radial convolution; ball products convolve as "trace" does;
-    * "element": nothing; a given dense element is normed as it is;
-    * "series": a ball series, whose dense element zseries embeds when
-      B_radius has at most DENSE_ZSERIES_LIMIT elements.
-
-    Power iteration always reads the ball it compresses to, of the
-    ``power_domain`` radius when that is larger.
-    """
-    if needs not in ("witness", "element", "series"):
-        raise ValueError(f"unknown index need {needs!r}")
-    if method == "power":
-        return max(radius, power_domain(domain_radius, radius))
-    if needs == "element":
-        return None
-    closed = closed_sphere_series(spec, max(radius, 0))
-    if closed is None:
-        return radius
-    dense = (sum(closed) <= DENSE_ZSERIES_LIMIT if needs == "series"
-             else _dense_witness(spec, method))
-    return radius if dense else None
+# -- estimator choice -----------------------------------------------------------
 
 
 def resolve_method(method, spec, nonnegative=True):

@@ -70,8 +70,12 @@ class TestVerifyCommands:
     ])
     def test_lemma1_defaults(self, flags, radius, pair, tmp_path, monkeypatch):
         radii = []
-        monkeypatch.setattr(rdlab.cli, "index_radius",
-                            lambda *args: radii.append(args[2]))
+        index = rdlab.cli._Run.index
+
+        def recording_index(run, spec, radius, *args):
+            radii.append(radius)
+            return index(run, spec, radius, *args)
+        monkeypatch.setattr(rdlab.cli._Run, "index", recording_index)
         assert run(["verify", "lemma1", "--group", "F2"] + flags, tmp_path,
                    "l1.json") == 0
         assert json.loads((tmp_path / "l1.json").read_text())["worst_pair"] == pair
@@ -283,6 +287,22 @@ class TestNormAndZseries:
         assert 3.3 <= data["lower"] <= 3.47
         assert data["upper"] == 4.0
 
+    @pytest.mark.parametrize("witness,n,exponent,steps,target", [
+        ("sphere", 1, 10000, 9, 14),
+        ("ball", 3, 400, 7, 9),
+    ])
+    def test_norm_reports_where_the_ladder_stopped(self, witness, n, exponent,
+                                                   steps, target, tmp_path,
+                                                   capsys):
+        assert run(["norm", "--group", "F2", "--witness", witness, "--n", str(n),
+                    "--method", "trace", "--exponent", str(exponent)],
+                   tmp_path, "n.json") == 0
+        data = json.loads((tmp_path / "n.json").read_text())
+        assert (len(data["steps"]), data["target_steps"], data["stop_reason"]) == \
+            (steps, target, "float_range")
+        assert f"stopped after {steps} of {target} steps (float_range)" in \
+            capsys.readouterr().out
+
     def test_zseries_and_element_pipe(self, tmp_path):
         code = run(["zseries", "--group", "Z", "--r", "1", "--alpha", "1.0",
                     "--k", "3"], tmp_path, "z.json")
@@ -353,10 +373,37 @@ class TestIndexPlanning:
         "verify lemma2 --group F3 --r 1 --k 20",
         "verify divergence --group F2 --s 0.4 --range 2:10:2 --method trace "
         "--depth 3",
+        "ratio --group C12 --range 2:5",              # amenable, closed sizes
+        "zseries --group F2 --r 1 --alpha 1.0 --k 8",  # |B_8| = 13,121
     ])
     def test_free_group_witnesses_read_no_index(self, argv, index_calls):
         assert run_command(argv.split()) == 0
         assert index_calls == {"get_index": [], "enumerate": []}
+
+    def test_the_index_loads_at_its_first_read(self, index_calls):
+        run = rdlab.cli._Run(build_parser().parse_args(
+            ["growth", "--group", "H3", "--radius", "0"]))
+        index = run.index(R.DiscreteHeisenberg(), 2, "power", R=4)
+        assert (index.spec.descriptor(), index.radius) == ("H3", 4)
+        assert index_calls["get_index"] == []
+        assert index.sphere_sizes == [1, 4, 12, 36, 82]
+        assert (1, 0, 0) in index and index.length((1, 0, 0)) == 1
+        assert index_calls["get_index"] == [("H3", 4)]
+
+    def test_a_failed_load_raises_its_own_error(self, capsys, index_calls):
+        loads = []
+
+        def load(spec, radius):
+            loads.append(radius)
+            raise AttributeError("inside the load")
+        index = rdlab.cli._LazyIndex(R.FreeGroup(2), 3, load)
+        with pytest.raises(AttributeError, match="inside the load"):
+            index.sphere_sizes
+        assert loads == [3]
+        assert run_command(["verify", "lemma1", "--group", "H3", "--radius", "6",
+                            "--budget", "10"]) == 3
+        assert index_calls["get_index"] == [("H3", 6)]
+        assert capsys.readouterr().err.count("error:") == 1
 
     def test_heredity_reads_the_subgroup_cache(self, tmp_path):
         argv = ["verify", "heredity", "--embedding", "Z:Z^2", "--range", "4:32:4"]
@@ -391,12 +438,32 @@ class TestIndexPlanning:
         ("verify lemma1 --group H3 --n 2 --k 1", 3),
         ("verify lemma2 --group H3 --r 1 --k 3", 3),
         ("verify divergence --group H3 --s 0.4 --range 2:6:2 --method exact", 6),
+        ("ratio --group Z^2 --range 2:5 --method trace --depth 2", 5),
+        ("ratio --group Z^1xF2 --range 1:2 --depth 2", 2),  # auto: trace
+        ("zseries --group F2 --r 1 --alpha 1.0 --k 7", 7),   # |B_7| = 4,373
+        ("zseries --group H3 --r 1 --alpha 1.0 --k 12", 12),
+        ("zseries --group H3 --r 1 --alpha 1.0 --k 13", 13),
     ])
     def test_h3_reads_one_index_of_the_radius_used(self, argv, radius,
                                                    index_calls):
-        assert run_command(argv.split()) == 0
-        assert index_calls["get_index"] == [("H3", radius)]
-        assert index_calls["enumerate"] == [("H3", radius)]
+        argv = argv.split()
+        group = argv[argv.index("--group") + 1]
+        assert run_command(argv) == 0
+        assert index_calls["get_index"] == [(group, radius)]
+        assert index_calls["enumerate"] == [(group, radius)]
+
+    @pytest.mark.parametrize("group,k,size", [
+        ("H3", 12, 8871),
+        ("H3", 13, None),       # |B_13| = 12,195
+        ("F2", 7, 4373),
+        ("F2", 8, None),
+    ])
+    def test_zseries_embeds_the_element_up_to_ten_thousand(self, group, k, size,
+                                                           tmp_path):
+        assert run(["zseries", "--group", group, "--r", "1", "--alpha", "1.0",
+                    "--k", str(k)], tmp_path, "z.json") == 0
+        element = json.loads((tmp_path / "z.json").read_text())["element"]
+        assert (len(element["coeffs"]) if element else None) == size
 
     def test_h3_doubling_reads_sizes_to_r_times_k_plus_1(self, index_calls):
         assert run_command(["verify", "doubling", "--group", "H3",
@@ -428,6 +495,12 @@ class TestIndexPlanning:
                             "--range", "4:8:4", "--method", "power",
                             "--R", "10"]) == 0
         assert index_calls["get_index"] == [("Z^1", 10), ("Z^2", 10)]
+
+    def test_heredity_reads_no_domain_radius_without_power(self, index_calls):
+        assert run_command(["verify", "heredity", "--embedding", "Z:Z^2",
+                            "--range", "4:8:4", "--method", "trace",
+                            "--depth", "2", "--R", "20"]) == 0
+        assert index_calls["get_index"] == [("Z^1", 9), ("Z^2", 8)]
 
     def test_power_on_a_free_group_reads_the_domain_ball(self, index_calls):
         assert run_command(["norm", "--group", "F2", "--witness", "ball",
@@ -562,7 +635,8 @@ class TestCache:
     def test_roundtrip_library(self, tmp_path):
         assert cache_roundtrip(R.FreeAbelian(2), 10, tmp_path / "z2.ballcache")
         text = (tmp_path / "z2.ballcache").read_text().splitlines()
-        assert text[0] == "rdlab-ball-cache v1 | Z^2 | N=10"
+        assert text[0] == ("rdlab-ball-cache v2 | Z^2 | N=10 | "
+                           "spheres=1,4,8,12,16,20,24,28,32,36,40")
         assert len(text) == 1 + 221
 
     def test_f2_radius_zero(self, tmp_path):
@@ -595,6 +669,28 @@ class TestCache:
         with pytest.raises(CacheFormatError,
                            match="sphere 6 has 19 elements, the closed form 24"):
             read_ball_cache(z2_cache, R.FreeAbelian(2))
+
+    def test_cut_file_without_closed_sizes_is_rejected(self, tmp_path):
+        path = tmp_path / "H3.N6.ballcache"
+        write_ball_cache(rdlab.groups.enumerate_balls(R.DiscreteHeisenberg(), 6),
+                         path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-10]))
+        with pytest.raises(CacheFormatError,
+                           match="sphere 6 has 284 elements, the header 294"):
+            read_ball_cache(path)
+
+    def test_v1_file_is_rejected(self, z2_cache, capsys):
+        header, *records = z2_cache.read_text().splitlines(keepends=True)
+        z2_cache.write_text("rdlab-ball-cache v1 | Z^2 | N=6\n" + "".join(records))
+        with pytest.raises(CacheFormatError, match="rebuild it"):
+            read_ball_cache(z2_cache)
+        assert run_command(["cache", "check", "--file", str(z2_cache)]) == 1
+        assert "rebuild it" in capsys.readouterr().err
+        # a command reading the index fails at its first read, exit 2
+        assert run_command(["verify", "lemma1", "--group", "Z^2", "--radius", "5",
+                            "--cache-dir", str(z2_cache.parent)]) == 2
+        assert "rebuild it" in capsys.readouterr().err
 
     def test_records_out_of_order_are_rejected(self, z2_cache):
         header, *records = z2_cache.read_text().splitlines(keepends=True)

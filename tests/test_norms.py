@@ -118,6 +118,18 @@ class TestTracePower:
         assert partial.iterations < 9
         assert partial.steps
 
+    def test_stop_reasons(self, z_index):
+        est = R.op_norm_trace_power(R.char_sphere(z_index, 1), exponent=20)
+        assert (est.iterations, est.target_steps, est.stop_reason) == (5, 5, "done")
+        # F2 sphere 1: b-exponent 512 is the last whose trace stays finite
+        est = R.op_norm_trace_power(R.radial_sphere(2, 1), exponent=10000)
+        assert (est.iterations, est.target_steps, est.stop_reason) == \
+            (9, 14, "float_range")
+        a = R.AlgebraElement(spec=F2, coeffs={"a": 1.0, "b": 2.0, "A": 1.0, "B": 1.0},
+                             support_radius=1)
+        est = R.op_norm_trace_power(a, depth=8, budget=2000)
+        assert (est.target_steps, est.stop_reason) == (9, "budget")
+
     @pytest.mark.parametrize("spec", [F2, R.FreeAbelian(2),
                                       R.DiscreteHeisenberg()])
     @pytest.mark.parametrize("value,got", [(1e200, "inf"), (1e-200, "0.0")])
@@ -200,6 +212,15 @@ class TestPowerIteration:
         e1 = R.op_norm_power_iteration(a, R=6, iters=50, seed=42, index=z2_index)
         e2 = R.op_norm_power_iteration(a, R=6, iters=50, seed=42, index=z2_index)
         assert e1.steps == e2.steps
+
+    def test_stop_reasons(self, z_index):
+        s1 = R.char_sphere(z_index, 1)
+        est = R.op_norm_power_iteration(s1, R=64, iters=5, index=z_index)
+        assert (est.iterations, est.target_steps, est.stop_reason) == (5, 5, "done")
+        delta = R.char_ball(z_index, 0)
+        est = R.op_norm_power_iteration(delta, R=4, iters=50, index=z_index)
+        assert (est.iterations, est.target_steps, est.stop_reason) == \
+            (2, 50, "converged")
 
     def test_domain_radius_guard(self, z2_index):
         a = R.char_ball(z2_index, 3)

@@ -1,0 +1,95 @@
+"""Group laws, word lengths and the convolution algebra, on elements drawn
+from enumerated balls.
+
+Each group is enumerated to twice the radius its elements are drawn from, so
+every product of two drawn elements has its breadth-first length in the
+index.  Coefficients are small integers held as floats, so every sum in a
+convolution is exact and products compare by equality.
+"""
+
+import functools
+
+import pytest
+from hypothesis import given, strategies as st
+
+import rdlab as R
+
+# (descriptor or custom group, radius elements are drawn from)
+GROUPS = {
+    "Z^1": 4, "Z^2": 3, "Z^3": 2, "H3": 3, "F1": 4, "F2": 3, "F3": 2,
+    "C1": 1, "C2": 1, "C12": 4, "Z^1xC5": 3, "Z^1xF2": 2,
+    "F2 on a, ab": 2,
+}
+# the groups whose convolution runs the dict loop
+DICT_LOOP = ["F2", "C12", "Z^1xF2"]
+
+
+def spec_of(name):
+    if name == "F2 on a, ab":
+        return R.FreeGroup(2, generators=["a", "A", "ab", "BA"])
+    return R.parse_descriptor(name)
+
+
+@functools.cache
+def index_of(name):
+    return R.enumerate_balls(spec_of(name), 2 * GROUPS[name])
+
+
+def draw_elements(data, name, count, radius=None):
+    """``count`` elements of the ball of ``name`` of the given radius
+    (default GROUPS[name])."""
+    ball = list(index_of(name).ball(GROUPS[name] if radius is None else radius))
+    return [data.draw(st.sampled_from(ball)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@given(data=st.data())
+def test_group_axioms(name, data):
+    spec = index_of(name).spec
+    g, h, k = draw_elements(data, name, 3)
+    e = spec.identity()
+    mul = spec.multiply
+    assert mul(mul(g, h), k) == mul(g, mul(h, k))
+    assert mul(e, g) == mul(g, e) == g
+    assert mul(g, spec.inverse(g)) == mul(spec.inverse(g), g) == e
+    spec.check_element(mul(g, h))       # products come out canonical
+    assert spec.parse_key(spec.element_key(g)) == g
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@given(data=st.data())
+def test_word_lengths(name, data):
+    index = index_of(name)
+    spec = index.spec
+    g, h = draw_elements(data, name, 2)
+    closed = spec.word_length_closed(g)
+    assert closed is None or closed == index.length(g)
+    assert index.length(spec.inverse(g)) == index.length(g)
+    assert index.length(spec.multiply(g, h)) <= index.length(g) + index.length(h)
+
+
+def draw_algebra_elements(data, name, count):
+    """``count`` elements supported in the ball of radius 2 of ``name``,
+    with small-integer coefficients."""
+    spec = index_of(name).spec
+    return [R.AlgebraElement(spec=spec, support_radius=2, coeffs={
+        g: float(data.draw(st.integers(-3, 3)))
+        for g in draw_elements(data, name, data.draw(st.integers(1, 6)), 2)})
+        for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", DICT_LOOP)
+@given(data=st.data())
+def test_convolution_is_associative(name, data):
+    a, b, c = draw_algebra_elements(data, name, 3)
+    assert R.convolve(R.convolve(a, b), c) == R.convolve(a, R.convolve(b, c))
+
+
+@pytest.mark.parametrize("name", DICT_LOOP)
+@given(data=st.data())
+def test_adjoint(name, data):
+    a, b = draw_algebra_elements(data, name, 2)
+    star = R.adjoint(a)
+    assert R.adjoint(star) == a
+    assert R.norm(star, "l2") == R.norm(a, "l2")
+    assert R.adjoint(R.convolve(a, b)) == R.convolve(R.adjoint(b), star)

@@ -4,6 +4,10 @@ import random
 import pytest
 
 import rdlab as R
+import rdlab.algebra
+import rdlab.cli
+import rdlab.rd
+from rdlab.cache import find_cache, write_ball_cache
 from rdlab.errors import (
     BudgetExceededError,
     CoverageError,
@@ -11,7 +15,7 @@ from rdlab.errors import (
     RdlabError,
 )
 from rdlab.norms import coefficient_norm, radial_inner
-from rdlab.rd import index_radius, make_witness
+from rdlab.rd import make_witness
 
 Z = R.FreeAbelian(1)
 Z2 = R.FreeAbelian(2)
@@ -19,9 +23,12 @@ H3 = R.DiscreteHeisenberg()
 F2 = R.FreeGroup(2)
 C5 = R.FiniteCyclic(5)
 C12 = R.FiniteCyclic(12)
-# F2 with its generators given explicitly: equal to F2, but
-# has_standard_generators() is False, so every product is dense
-F2_DENSE = R.FreeGroup(2, generators=["a", "A", "b", "B"])
+
+
+def dense_products(monkeypatch):
+    """Send every product check down the dense branch, as on a group
+    without radial convolution."""
+    monkeypatch.setattr(rdlab.rd, "radial_rank", lambda spec: None)
 
 
 class TestGrowthHelpers:
@@ -37,6 +44,48 @@ class TestGrowthHelpers:
         with pytest.raises(IndexRadiusError):
             R.sphere_sizes(H3, 4)
         assert R.ball_sizes(H3, 2, h3_index)[2] == 17
+
+
+class _Loaded(Exception):
+    """Raised by a recording load: the computation read its index."""
+
+
+def loaded_radius(spec, method, needs, radius, domain_radius):
+    """Radius of the ball index a command's computation to ``radius`` loads
+    through ``_Run.index``, or None if it loads none.  ``needs`` names the
+    computation: "witness" norms a witness with ``method`` (sphere sizes
+    alone when ``method`` is None), "element" norms a given dense element of
+    that support radius, and "series" runs zseries with r = 1, K = radius."""
+    args = ["zseries", "--group", spec.descriptor(), "--r", "1",
+            "--alpha", "1.0", "--k", str(radius)]
+    run = rdlab.cli._Run(rdlab.cli.build_parser().parse_args(args))
+    loads = []
+
+    def load(spec, radius):
+        loads.append(radius)
+        raise _Loaded
+    run.get_index = load
+    try:
+        if needs == "series":
+            rdlab.cli.cmd_zseries(run, run.args)
+        elif needs == "element":
+            element = rdlab.algebra.AlgebraElement(
+                spec, {spec.identity(): 1.0}, support_radius=radius)
+            index = run.index(spec, element.support_radius, method,
+                              domain_radius)
+            R.norm_bracket(element, method=method, index=index,
+                           R=domain_radius)
+        elif method is None:
+            R.sphere_sizes(spec, radius, run.index(spec, radius))
+        else:
+            index = run.index(spec, radius, method, domain_radius)
+            element = make_witness(spec, "ball", radius, method, index)
+            R.norm_bracket(element, method=method, index=index,
+                           R=domain_radius)
+    except _Loaded:
+        pass
+    assert len(loads) <= 1
+    return loads[0] if loads else None
 
 
 class TestIndexPlanning:
@@ -66,18 +115,26 @@ class TestIndexPlanning:
         (Z2, "trace", "witness", 5, 5),
     ])
     def test_planner(self, spec, method, needs, radius, want):
-        assert index_radius(spec, method, radius, needs, domain_radius=9) == want
+        # the index each computation loads lazily, with --R 9
+        assert loaded_radius(spec, method, needs, radius, domain_radius=9) == want
 
-    @pytest.mark.parametrize("needs", ["sizes", "ambient", "Witness"])
-    def test_planner_rejects_unknown_needs(self, needs):
-        with pytest.raises(ValueError, match="unknown index need"):
-            index_radius(H3, "trace", 5, needs=needs)
+    @pytest.mark.parametrize("generators", [["a", "A", "b", "B"],
+                                            ["B", "a", "b", "A"]])
+    def test_standard_generators_in_any_order(self, generators, tmp_path):
+        spec = R.FreeGroup(2, generators=generators)
+        assert spec.has_standard_generators() and spec == F2
+        assert spec.generators() == F2.generators()
+        assert rdlab.rd.closed_sphere_series(spec, 4) == [1, 4, 12, 36, 108]
+        write_ball_cache(R.enumerate_balls(F2, 3), tmp_path / "F2.N3.ballcache")
+        assert find_cache(tmp_path, spec, 3) == tmp_path / "F2.N3.ballcache"
+        other = self.F2_OTHER
+        assert not other.has_standard_generators() and other != F2
+        assert rdlab.rd.closed_sphere_series(other, 4) is None
+        assert find_cache(tmp_path, other, 3) is None
 
     def test_power_domain_default_is_at_least_one(self, z2_index):
-        # the planner and norm_bracket share the domain radius R, else
+        # norm_bracket compresses to the domain radius R, else
         # max(support radius, 1)
-        assert index_radius(Z2, "power", 0) == 1
-        assert index_radius(Z2, "power", 3) == 3
         point = make_witness(Z2, "ball", 0, "power", z2_index)
         est = R.norm_bracket(point, method="power", index=z2_index)
         assert (est.lower, est.upper) == (1.0, 1.0)
@@ -296,13 +353,14 @@ class TestBallProductBound:
         ok, slack, _ = R.ball_product_sweep(spec, 5, index)
         assert ok and slack == 0.0
 
-    def test_radial_and_dense_agree(self):
+    def test_radial_and_dense_agree(self, f2_index, monkeypatch):
         # the dense branch gives exactly 0 on every pair, as the radial one does
-        index = R.enumerate_balls(F2_DENSE, 6)
-        for n in range(1, 6):
-            for k in range(1, 7 - n):
-                assert R.verify_ball_product_bound(F2_DENSE, n, k, index) == \
-                    R.verify_ball_product_bound(F2, n, k) == (True, 0.0)
+        pairs = [(n, k) for n in range(1, 6) for k in range(1, 7 - n)]
+        radial = [R.verify_ball_product_bound(F2, n, k) for n, k in pairs]
+        dense_products(monkeypatch)
+        for (n, k), want in zip(pairs, radial):
+            assert R.verify_ball_product_bound(F2, n, k, f2_index) == want == \
+                (True, 0.0)
 
     def test_index_too_small(self, h3_index):
         with pytest.raises(IndexRadiusError):
@@ -439,12 +497,13 @@ class TestSeriesProductBound:
             assert truncated > 0 and bound > 0
             assert truncated < bound  # truncation falls below the integral
 
-    def test_radial_and_dense_agree(self):
-        index = R.enumerate_balls(F2_DENSE, 6)
-        for r, K, want in [(1, 4, 0.00038819875776397513),
-                           (2, 3, 7.626019980172346e-05)]:
-            dense = R.verify_series_product_bound(F2_DENSE, r, 1.0, 1.0, K, index)
-            radial = R.verify_series_product_bound(F2, r, 1.0, 1.0, K)
+    def test_radial_and_dense_agree(self, f2_index, monkeypatch):
+        cases = [(1, 4, 0.00038819875776397513), (2, 3, 7.626019980172346e-05)]
+        radials = [R.verify_series_product_bound(F2, r, 1.0, 1.0, K)
+                   for r, K, _ in cases]
+        dense_products(monkeypatch)
+        for (r, K, want), radial in zip(cases, radials):
+            dense = R.verify_series_product_bound(F2, r, 1.0, 1.0, K, f2_index)
             assert dense.ok and radial.ok
             assert radial.min_slack == pytest.approx(want, rel=1e-12)
             assert dense.min_slack == pytest.approx(radial.min_slack, rel=1e-12)
