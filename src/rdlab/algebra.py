@@ -330,7 +330,7 @@ def norm(a: AlgebraElement, kind, index: LengthIndex = None):
     lengths: either a closed form or an index covering the support.
     """
     if kind == "l1":
-        return sum(abs(c) for c in a.coeffs.values())
+        return sum((abs(c) for c in a.coeffs.values()), 0.0)
     if kind == "l2":
         return math.sqrt(sum(c * c for c in a.coeffs.values()))
     if isinstance(kind, tuple) and kind[0] == "l2s":

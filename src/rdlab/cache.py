@@ -21,7 +21,6 @@ from pathlib import Path
 
 from .errors import RdlabError
 from .groups import DEFAULT_BUDGET, LengthIndex, enumerate_balls, parse_descriptor
-from .rd import closed_sphere_series
 
 HEADER_PREFIX = "rdlab-ball-cache v2"
 
@@ -114,7 +113,7 @@ def read_ball_cache(path, spec=None):
         lengths[g] = n
         spheres[n].append(g)
     index = LengthIndex(spec=spec, radius=radius, lengths=lengths, spheres=spheres)
-    for source, sizes in (("closed form", closed_sphere_series(spec, radius)),
+    for source, sizes in (("closed form", spec.closed_sphere_sizes(radius)),
                           ("header", header_spheres)):
         if sizes is not None and sizes != index.sphere_sizes:
             n = next(n for n, (want, got) in enumerate(zip(sizes, index.sphere_sizes))

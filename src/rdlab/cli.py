@@ -194,7 +194,15 @@ def cmd_growth(run, args):
     return EXIT_OK
 
 
+def _check_d_hat(args):
+    if args.d_hat is not None and args.witness != "aN":
+        raise RdlabError("--d-hat needs --witness aN")
+
+
 def cmd_norm(run, args):
+    _check_d_hat(args)
+    if args.element and (args.witness or args.n is not None):
+        raise RdlabError("norm takes --element or --witness with --n, not both")
     spec = run.spec = parse_descriptor(args.group)
     settings = _estimator_settings(args)
     if args.element:
@@ -218,6 +226,7 @@ def cmd_norm(run, args):
 
 
 def _make_series(run, args):
+    _check_d_hat(args)
     spec = run.spec = parse_descriptor(args.group)
     n_list = parse_range(args.range)
     settings = _estimator_settings(args)

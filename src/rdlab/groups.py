@@ -1,9 +1,12 @@
 """Concrete finitely generated groups with word-lengths and ball enumeration.
 
 Each group comes with a canonical element form, a symmetric generating set,
-and (where one exists) a closed form for the word-length.  Balls and spheres
-are enumerated by breadth-first search over the generating set; the result is
-a :class:`LengthIndex` that the algebra and analysis layers consume.
+and the closed forms it has: the word-length and the sphere sizes of Z^d,
+F_r, C_m and their products live on the group classes, valid on the standard
+generators only.  Balls and spheres are enumerated by breadth-first search
+over the generating set; the result is a :class:`LengthIndex` that the
+algebra and analysis layers consume.  ``word_length``, ``sphere_sizes`` and
+``ball_sizes`` answer from the closed form, else from an index.
 
 Canonical element values are plain hashable Python data:
 
@@ -27,6 +30,8 @@ joined with "|".
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -45,9 +50,10 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 class GroupSpec:
     """A concrete group: element arithmetic plus a symmetric generating set.
 
-    Subclasses supply the group law on canonical values.  A custom symmetric
-    generating set may be passed to the constructor; doing so disables the
-    closed word-length formulas (they are only valid for the standard set).
+    Subclasses supply the group law on canonical values, and the closed
+    forms they have as ``_length_formula`` and ``_sphere_formula``.  A custom
+    symmetric generating set may be passed to the constructor; doing so
+    disables the closed forms (they are only valid for the standard set).
     The standard set passed in any order is no custom set.
     """
 
@@ -114,10 +120,24 @@ class GroupSpec:
         """
         raise NotImplementedError
 
-    # -- lengths and naming --------------------------------------------------
+    # -- closed forms and naming ----------------------------------------------
 
     def word_length_closed(self, g):
-        """Exact word-length from a closed form, or None if there is none."""
+        """Exact word-length of ``g`` from a closed form, or None."""
+        return self._closed(self._length_formula, g)
+
+    def closed_sphere_sizes(self, up_to):
+        """|S_0..S_up_to| from a closed form, or None."""
+        return self._closed(self._sphere_formula, up_to)
+
+    def _closed(self, formula, arg):
+        # the one guard: closed forms hold for the standard generators only
+        return formula(arg) if self.has_standard_generators() else None
+
+    def _length_formula(self, g):
+        return None
+
+    def _sphere_formula(self, up_to):
         return None
 
     def element_key(self, g):
@@ -192,10 +212,15 @@ class FreeAbelian(GroupSpec):
             word.extend([step] * abs(x))
         return word
 
-    def word_length_closed(self, g):
-        if not self.has_standard_generators():
-            return None
+    def _length_formula(self, g):
         return sum(abs(x) for x in g)
+
+    def _sphere_formula(self, up_to):
+        # points with i nonzero coordinates: their places, signs and sizes
+        d = self.rank
+        return [1] + [sum(2 ** i * math.comb(d, i) * math.comb(n - 1, i - 1)
+                          for i in range(1, min(d, n) + 1))
+                      for n in range(1, up_to + 1)]
 
     def element_key(self, g):
         return ",".join(str(x) for x in g)
@@ -218,7 +243,8 @@ class DiscreteHeisenberg(GroupSpec):
 
     Product rule: (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b').  The center is
     generated by z = (0,0,1) = x y x^-1 y^-1.  There is no implemented closed
-    form for the word-length; lengths go through a LengthIndex.
+    form for the word-length or the sphere sizes; both go through a
+    LengthIndex.
     """
 
     X = (1, 0, 0)
@@ -320,10 +346,14 @@ class FreeGroup(GroupSpec):
     def generator_word(self, g):
         return list(g)
 
-    def word_length_closed(self, g):
-        if not self.has_standard_generators():
-            return None
+    def _length_formula(self, g):
         return len(g)
+
+    def _sphere_formula(self, up_to):
+        # |S_n| = 2r (2r-1)^(n-1) for n >= 1
+        steps = [2 * self.rank] + [2 * self.rank - 1] * (up_to - 1)
+        sizes = itertools.accumulate(steps, operator.mul, initial=1)
+        return list(sizes)[: up_to + 1]
 
     def element_key(self, g):
         return g
@@ -375,10 +405,13 @@ class FiniteCyclic(GroupSpec):
             return [1 % m] * g
         return [(m - 1) % m] * (m - g)
 
-    def word_length_closed(self, g):
-        if not self.has_standard_generators():
-            return None
+    def _length_formula(self, g):
         return min(g, self.order - g)
+
+    def _sphere_formula(self, up_to):
+        # B_n has min(2n+1, m) residues
+        return [1] + [max(0, min(2, self.order + 1 - 2 * n))
+                      for n in range(1, up_to + 1)]
 
     def element_key(self, g):
         return str(g)
@@ -447,16 +480,20 @@ class DirectProduct(GroupSpec):
             word.extend(self._embed(i, s) for s in f.generator_word(x))
         return word
 
-    def word_length_closed(self, g):
-        if not self.has_standard_generators():
+    def _length_formula(self, g):
+        parts = [f.word_length_closed(x) for f, x in zip(self.factors, g)]
+        return None if None in parts else sum(parts)
+
+    def _sphere_formula(self, up_to):
+        # the Cauchy product of the factors' sphere series
+        parts = [f.closed_sphere_sizes(up_to) for f in self.factors]
+        if None in parts:
             return None
-        total = 0
-        for f, x in zip(self.factors, g):
-            part = f.word_length_closed(x)
-            if part is None:
-                return None
-            total += part
-        return total
+        series = parts[0]
+        for part in parts[1:]:
+            series = [sum(map(operator.mul, series[: n + 1], part[n::-1]))
+                      for n in range(up_to + 1)]
+        return series
 
     def element_key(self, g):
         return "|".join(f.element_key(x) for f, x in zip(self.factors, g))
@@ -589,6 +626,22 @@ def word_length(spec, g, index=None):
     if index.spec != spec:
         raise SpecMismatchError("index was built for a different group")
     return index.length(g)
+
+
+def sphere_sizes(spec, up_to, index: LengthIndex = None):
+    """|S_0..S_up_to|: the closed form when there is one, else the index."""
+    closed = spec.closed_sphere_sizes(up_to)
+    if closed is not None:
+        return closed
+    if index is None or index.radius < up_to:
+        raise IndexRadiusError(
+            f"need sphere sizes to radius {up_to} for {spec.descriptor()}; "
+            "supply a LengthIndex of that radius")
+    return list(index.sphere_sizes[: up_to + 1])
+
+
+def ball_sizes(spec, up_to, index: LengthIndex = None):
+    return list(itertools.accumulate(sphere_sizes(spec, up_to, index)))
 
 
 def multiply(spec, g, h):

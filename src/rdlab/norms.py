@@ -29,9 +29,8 @@ integer inputs stay exact.  Both give the bits of the plain Python loop.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 import scipy.sparse
@@ -87,6 +86,13 @@ class NormEstimate:
         return out
 
 
+def _zero_estimate(method):
+    """The exact bracket [0, 0] of the zero element, as one finished step."""
+    return NormEstimate(lower=0.0, upper=0.0, method=method, steps=[0.0],
+                        iterations=1, converged=True, target_steps=1,
+                        stop_reason="done")
+
+
 # -- sphere functions ---------------------------------------------------------
 
 
@@ -127,20 +133,15 @@ def free_sphere_size(rank, j):
     return 1 if j == 0 else 2 * rank * (2 * rank - 1) ** (j - 1)
 
 
-def free_sphere_sizes(rank, top):
-    """|S_0..S_top| of the free group of the given rank."""
-    steps = [2 * rank] + [2 * rank - 1] * (top - 1)
-    return list(accumulate(steps, operator.mul, initial=1))[: top + 1]
-
-
 def free_ball_size(rank, n):
     return sum(free_sphere_size(rank, j) for j in range(n + 1))
 
 
 def free_radial(rank, coeffs):
     """sum_j coeffs[j] chi(S_j) on the free group of the given rank."""
-    return RadialElement(spec=FreeGroup(rank), coeffs=list(coeffs),
-                         sizes=free_sphere_sizes(rank, len(coeffs) - 1))
+    spec, coeffs = FreeGroup(rank), list(coeffs)
+    return RadialElement(spec=spec, coeffs=coeffs,
+                         sizes=spec.closed_sphere_sizes(len(coeffs) - 1))
 
 
 def radial_ball(rank, n):
@@ -165,7 +166,7 @@ def radial_from_algebra(a: AlgebraElement):
         by_len.setdefault(len(g), []).append(c)
     top = max(by_len) if by_len else 0
     coeffs = [0.0] * (top + 1)
-    sizes = free_sphere_sizes(rank, top)
+    sizes = a.spec.closed_sphere_sizes(top)
     for j, values in by_len.items():
         if len(values) != sizes[j]:
             return None
@@ -247,7 +248,7 @@ def radial_convolve(x: RadialElement, y: RadialElement):
             out[: len(y_m)] += c * y_m
     coeffs = out.tolist()
     return RadialElement(spec=x.spec, coeffs=coeffs,
-                         sizes=free_sphere_sizes(rank, len(coeffs) - 1)).trimmed()
+                         sizes=x.spec.closed_sphere_sizes(len(coeffs) - 1)).trimmed()
 
 
 def _as_float(value):
@@ -271,8 +272,8 @@ def coefficient_norm(x, kind):
     if not isinstance(x, RadialElement):
         return norm(x, kind)
     if kind == "l1":
-        return sum(abs(c) * _as_float(s)
-                   for c, s in zip(x.coeffs, x.sizes) if c != 0.0)
+        return sum((abs(c) * _as_float(s)
+                    for c, s in zip(x.coeffs, x.sizes) if c != 0.0), 0.0)
     return math.sqrt(radial_inner(x, x))
 
 
@@ -354,9 +355,7 @@ def op_norm_trace_power(a: AlgebraElement, depth=6, budget=DEFAULT_BUDGET,
     """
     radial = a.trimmed() if isinstance(a, RadialElement) else radial_from_algebra(a)
     if not (a.coeffs if radial is None else any(radial.coeffs)):
-        return NormEstimate(lower=0.0, upper=0.0, method="trace_power",
-                            steps=[0.0], iterations=1, converged=True,
-                            target_steps=1, stop_reason="done")
+        return _zero_estimate("trace_power")
     try:
         ops = _DenseOps(a, budget) if radial is None else _RadialOps(radial, budget)
     except BudgetExceededError:
@@ -488,6 +487,8 @@ def op_norm_power_iteration(a: AlgebraElement, R, iters=200, seed=0,
     if R < a.support_radius:
         raise IndexRadiusError(
             f"domain radius {R} below element support radius {a.support_radius}")
+    if not a.coeffs:
+        return _zero_estimate("power_iteration")
     mat = _compression_matrix(a, [g for n in range(R + 1) for g in index.sphere(n)])
 
     rng = np.random.default_rng(seed)

@@ -18,6 +18,10 @@ numerical content:
 * subgroup domination (heredity) checks through an embedding;
 * the sphere series sum (1+n)^{-d} |S_n| whose divergence pins the growth
   degree from below.
+
+Sphere and ball sizes come from ``groups.sphere_sizes`` and
+``groups.ball_sizes``: the closed forms live on the group classes, and a
+ball index answers for the rest.
 """
 
 from __future__ import annotations
@@ -35,22 +39,22 @@ from .algebra import (
     convolve,
     pointwise_geq,
 )
-from .errors import BudgetExceededError, CoverageError, IndexRadiusError, RdlabError
+from .errors import BudgetExceededError, CoverageError, RdlabError
 from .groups import (
     DEFAULT_BUDGET,
-    DirectProduct,
     Embedding,
     FiniteCyclic,
     FreeAbelian,
     FreeGroup,
     LengthIndex,
+    ball_sizes,
     embed,
+    sphere_sizes,
 )
 from .norms import (
     RadialElement,
     coefficient_norm,
     free_ball_size,
-    free_sphere_sizes,
     least_squares,
     op_norm_l1_bracket,
     op_norm_positive_amenable,
@@ -64,62 +68,7 @@ from .norms import (
 )
 
 
-# -- closed-form growth ------------------------------------------------------
-
-
-def closed_sphere_series(spec, up_to):
-    """Sphere sizes |S_0..S_up_to| from closed forms, or None if unavailable."""
-    if not spec.has_standard_generators():
-        return None
-    if isinstance(spec, FreeAbelian):
-        d = spec.rank
-        balls = [sum((2 ** i) * math.comb(d, i) * math.comb(n, i)
-                     for i in range(min(d, n) + 1)) for n in range(up_to + 1)]
-        return _diff(balls)
-    if isinstance(spec, FreeGroup):
-        return free_sphere_sizes(spec.rank, up_to)
-    if isinstance(spec, FiniteCyclic):
-        balls = [min(2 * n + 1, spec.order) for n in range(up_to + 1)]
-        return _diff(balls)
-    if isinstance(spec, DirectProduct):
-        series = [1] + [0] * up_to
-        for f in spec.factors:
-            part = closed_sphere_series(f, up_to)
-            if part is None:
-                return None
-            series = _series_product(series, part, up_to)
-        return series
-    return None
-
-
-def _diff(balls):
-    return [balls[0]] + [b - a for a, b in zip(balls, balls[1:])]
-
-
-def _series_product(a, b, up_to):
-    out = [0] * (up_to + 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j in range(min(len(b), up_to + 1 - i)):
-            out[i + j] += x * b[j]
-    return out
-
-
-def sphere_sizes(spec, up_to, index: LengthIndex = None):
-    """|S_0..S_up_to|, preferring closed forms, else the index."""
-    closed = closed_sphere_series(spec, up_to)
-    if closed is not None:
-        return closed
-    if index is None or index.radius < up_to:
-        raise IndexRadiusError(
-            f"need sphere sizes to radius {up_to} for {spec.descriptor()}; "
-            "supply a LengthIndex of that radius")
-    return list(index.sphere_sizes[: up_to + 1])
-
-
-def ball_sizes(spec, up_to, index: LengthIndex = None):
-    return list(accumulate(sphere_sizes(spec, up_to, index)))
+# -- ball sizes in floats ------------------------------------------------------
 
 
 def _check_float_range(spec, balls):

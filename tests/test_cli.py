@@ -230,8 +230,20 @@ class TestFlags:
         "verify lemma1 --group Z --k 3",
         "verify lemma1 --group Z --n 2 --k 1 --radius 9",
         "verify lemma1 --group Z --n 2 --radius 9",
+        "norm --group Z^2 --element {tmp}/e.json --witness ball --n 5",
+        "norm --group Z^2 --element {tmp}/e.json --n 5",
+        "norm --group Z^2 --element {tmp}/e.json --witness ball",
+        "norm --group Z^2 --element {tmp}/e.json --d-hat 1",
+        "norm --group Z --witness ball --n 2 --d-hat 1",
+        "ratio --group Z^2 --witness sphere --d-hat 3 --range 1:3",
+        "ratio --group Z^2 --d-hat 3 --range 1:3",
+        "fit --group Z --d-hat 1 --range 4:8 --method exact",
+        "verify divergence --group Z --d-hat 1 --range 8:32:8 --method exact",
     ])
     def test_unread_flags_are_usage_errors(self, argv, tmp_path, capsys):
+        # a valid element, so that only the flags can make --element fail
+        (tmp_path / "e.json").write_text(json.dumps(R.point_mass(
+            R.FreeAbelian(2), (0, 0)).to_json_dict()))
         assert run_command(argv.format(tmp=tmp_path).split()) == 2
 
     def test_readme_examples_parse(self):
@@ -302,6 +314,20 @@ class TestNormAndZseries:
             (steps, target, "float_range")
         assert f"stopped after {steps} of {target} steps (float_range)" in \
             capsys.readouterr().out
+
+    @pytest.mark.parametrize("method,bracket", [
+        ("power", {"method": "power_iteration", "steps": [0.0], "iterations": 1,
+                   "converged": True, "target_steps": 1, "stop_reason": "done"}),
+        ("l1", {"method": "l1_bound", "steps": [], "iterations": 0,
+                "converged": False}),
+    ])
+    def test_empty_element_has_the_exact_zero_bracket(self, method, bracket,
+                                                      tmp_path):
+        assert run(["norm", "--group", "Z^2", "--witness", "aN", "--n", "0",
+                    "--d-hat", "1", "--method", method], tmp_path, "n.json") == 0
+        text = (tmp_path / "n.json").read_text()
+        assert json.loads(text) == dict(bracket, lower=0.0, upper=0.0)
+        assert '"lower": 0.0' in text and '"upper": 0.0' in text
 
     def test_zseries_and_element_pipe(self, tmp_path):
         code = run(["zseries", "--group", "Z", "--r", "1", "--alpha", "1.0",

@@ -294,7 +294,7 @@ def list_radial_convolve(x, y):
             y_prev, y_cur = y_cur, y_next
             add(out, y_cur, cx[m])
     return R.RadialElement(spec=x.spec, coeffs=out,
-                           sizes=R.free_sphere_sizes(rank, len(out) - 1)).trimmed()
+                           sizes=x.spec.closed_sphere_sizes(len(out) - 1)).trimmed()
 
 
 def radial_bits(x):

@@ -182,6 +182,22 @@ class TestTracePower:
 
 
 class TestPowerIteration:
+    def test_zero_element_is_the_exact_zero_bracket(self, z_index):
+        # the trace ladder's zero-element estimate, before any matrix is built
+        zero = R.AlgebraElement(spec=Z, coeffs={}, support_radius=0)
+        est = R.op_norm_power_iteration(zero, R=3, iters=50, index=z_index)
+        trace = R.op_norm_trace_power(zero)
+        assert est.to_json_dict() == dict(trace.to_json_dict(),
+                                          method="power_iteration")
+        assert (est.lower, est.upper, est.steps, est.stop_reason) == \
+            (0.0, 0.0, [0.0], "done")
+        assert (est.iterations, est.target_steps, est.converged) == (1, 1, True)
+
+    def test_zero_element_l1_is_a_float(self):
+        zero = R.AlgebraElement(spec=Z, coeffs={}, support_radius=0)
+        for x in (zero, R.free_radial(2, [0.0, 0.0])):
+            assert type(R.op_norm_l1_bracket(x).upper) is float
+
     def test_scalar_operator(self, z_index):
         two_delta = R.scale(2.0, R.point_mass(Z, (0,)))
         est = R.op_norm_power_iteration(two_delta, R=2, iters=3, seed=1,

@@ -1,5 +1,5 @@
-"""Group laws, word lengths and the convolution algebra, on elements drawn
-from enumerated balls.
+"""Group laws, word lengths, sphere sizes and the convolution algebra, on
+elements drawn from enumerated balls.
 
 Each group is enumerated to twice the radius its elements are drawn from, so
 every product of two drawn elements has its breadth-first length in the
@@ -66,6 +66,20 @@ def test_word_lengths(name, data):
     assert closed is None or closed == index.length(g)
     assert index.length(spec.inverse(g)) == index.length(g)
     assert index.length(spec.multiply(g, h)) <= index.length(g) + index.length(h)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@given(data=st.data())
+def test_closed_sphere_sizes(name, data):
+    # a group has closed sphere sizes exactly when it has closed word
+    # lengths, and they count the breadth-first spheres
+    index = index_of(name)
+    spec = index.spec
+    radius = data.draw(st.integers(0, index.radius))
+    (g,) = draw_elements(data, name, 1)
+    closed = spec.closed_sphere_sizes(radius)
+    assert (closed is None) == (spec.word_length_closed(g) is None)
+    assert closed is None or closed == index.sphere_sizes[: radius + 1]
 
 
 def draw_algebra_elements(data, name, count):

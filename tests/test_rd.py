@@ -124,12 +124,12 @@ class TestIndexPlanning:
         spec = R.FreeGroup(2, generators=generators)
         assert spec.has_standard_generators() and spec == F2
         assert spec.generators() == F2.generators()
-        assert rdlab.rd.closed_sphere_series(spec, 4) == [1, 4, 12, 36, 108]
+        assert spec.closed_sphere_sizes(4) == [1, 4, 12, 36, 108]
         write_ball_cache(R.enumerate_balls(F2, 3), tmp_path / "F2.N3.ballcache")
         assert find_cache(tmp_path, spec, 3) == tmp_path / "F2.N3.ballcache"
         other = self.F2_OTHER
         assert not other.has_standard_generators() and other != F2
-        assert rdlab.rd.closed_sphere_series(other, 4) is None
+        assert other.closed_sphere_sizes(4) is None
         assert find_cache(tmp_path, other, 3) is None
 
     def test_power_domain_default_is_at_least_one(self, z2_index):
