@@ -212,8 +212,7 @@ def cmd_norm(run, args):
                           args.domain_radius)
     elif args.witness and args.n is not None:
         index = run.index(spec, args.n, args.method, args.domain_radius)
-        element = make_witness(spec, args.witness, args.n, args.method, index,
-                               args.d_hat)
+        element = make_witness(spec, args.witness, args.n, index, args.d_hat)
     else:
         raise RdlabError("norm needs either --element or --witness with --n")
     est = norm_bracket(element, method=args.method, index=index, **settings)
@@ -483,10 +482,11 @@ def build_parser():
     estimator = _flags()  # the norm_bracket settings (_estimator_settings)
     estimator.add_argument("--method", default="auto",
                            choices=["trace", "power", "exact", "auto", "l1"])
-    estimator.add_argument("--depth", type=int, default=None,
-                           help="trace-power squaring count")
-    estimator.add_argument("--exponent", type=int, default=None,
-                           help="trace-power target exponent 2k (even)")
+    ladder = estimator.add_mutually_exclusive_group()
+    ladder.add_argument("--depth", type=int, default=None,
+                        help="trace-power squaring count")
+    ladder.add_argument("--exponent", type=int, default=None,
+                        help="trace-power target exponent 2k (even)")
     estimator.add_argument("--iters", type=int, default=None,
                            help="power-iteration count")
     estimator.add_argument("--extrapolate", action="store_true",

@@ -480,6 +480,11 @@ class DirectProduct(GroupSpec):
             word.extend(self._embed(i, s) for s in f.generator_word(x))
         return word
 
+    def has_standard_generators(self):
+        # a factor on custom generators makes the product's set custom too
+        return (super().has_standard_generators()
+                and all(f.has_standard_generators() for f in self.factors))
+
     def _length_formula(self, g):
         parts = [f.word_length_closed(x) for f, x in zip(self.factors, g)]
         return None if None in parts else sum(parts)

@@ -129,14 +129,6 @@ def radial_rank(spec):
     return None
 
 
-def free_sphere_size(rank, j):
-    return 1 if j == 0 else 2 * rank * (2 * rank - 1) ** (j - 1)
-
-
-def free_ball_size(rank, n):
-    return sum(free_sphere_size(rank, j) for j in range(n + 1))
-
-
 def free_radial(rank, coeffs):
     """sum_j coeffs[j] chi(S_j) on the free group of the given rank."""
     spec, coeffs = FreeGroup(rank), list(coeffs)

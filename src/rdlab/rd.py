@@ -36,6 +36,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     GEQ_TOLERANCE,
+    char_sphere,
     convolve,
     pointwise_geq,
 )
@@ -54,7 +55,6 @@ from .groups import (
 from .norms import (
     RadialElement,
     coefficient_norm,
-    free_ball_size,
     least_squares,
     op_norm_l1_bracket,
     op_norm_positive_amenable,
@@ -98,14 +98,6 @@ def power_domain(R, support_radius):
     return max(support_radius, 1) if R is None else R
 
 
-def _dense_witness(spec, method):
-    """Whether a witness normed by ``method`` is expanded to its dense element:
-    power iteration compresses a dense element, and "trace" convolves, which
-    a sphere function does only on a free group of ``radial_rank``."""
-    method = resolve_method(method, spec)
-    return method == "power" or method == "trace" and radial_rank(spec) is None
-
-
 # -- witness elements and ratio series ----------------------------------------
 
 
@@ -133,35 +125,36 @@ def witness_label(witness, d_hat=None):
     return f"aN({d_hat:g})" if witness == "aN" else witness
 
 
-def make_witness(spec, witness, n, method="auto", index=None, d_hat=None):
+def make_witness(spec, witness, n, index=None, d_hat=None):
     """The witness as a sphere function, its sizes closed-form or else from
-    ``index``; expanded to the dense element from ``index`` for power
-    iteration and for a method that convolves on a group without radial
-    convolution.  Ball sizes past the float range raise BudgetExceededError."""
+    ``index`` (norm_bracket expands it where an estimator needs the dense
+    element).  Ball sizes past the float range raise BudgetExceededError."""
     if n < 0:
         raise ValueError("witness radius must be >= 0")
     sizes = sphere_sizes(spec, n, index)
     _check_float_range(spec, list(accumulate(sizes)))
-    x = RadialElement(spec=spec, coeffs=_witness_weights(witness, n, d_hat),
-                      sizes=sizes)
-    return witness_element(x, index) if _dense_witness(spec, method) else x
+    return RadialElement(spec=spec, coeffs=_witness_weights(witness, n, d_hat),
+                         sizes=sizes)
 
 
 def norm_bracket(a, method="auto", index=None, *, depth=6, exponent=None,
                  extrapolate=False, R=None, iters=200, seed=0,
                  budget=DEFAULT_BUDGET):
     """Dispatch to the estimator ``resolve_method`` picks for ``a``, an
-    AlgebraElement or a RadialElement.  Power iteration compresses to the
-    ball of ``power_domain`` radius, so it takes only the dense form."""
+    AlgebraElement or a RadialElement.  A sphere function is expanded from
+    ``index`` where the estimator needs group elements: for power iteration,
+    which compresses to the ball of ``power_domain`` radius, and for the
+    trace ladder on a group without radial convolution."""
     method = resolve_method(method, a.spec, a.is_nonnegative())
+    if isinstance(a, RadialElement) and (
+            method == "power" or method == "trace" and radial_rank(a.spec) is None):
+        a = witness_element(a, index)
     if method == "exact":
         return op_norm_positive_amenable(a)
     if method == "trace":
         return op_norm_trace_power(a, depth=depth, budget=budget,
                                    exponent=exponent, extrapolate=extrapolate)
     if method == "power":
-        if isinstance(a, RadialElement):
-            raise RdlabError("power iteration needs the dense element")
         return op_norm_power_iteration(a, R=power_domain(R, a.support_radius),
                                        iters=iters, seed=seed, index=index)
     if method == "l1":
@@ -220,8 +213,8 @@ def ratio_series(spec, witness, n_list, method="auto", index=None, d_hat=None,
 
     Witnesses are sphere functions, so their l2 norm and the l1 and exact
     norms need sphere sizes only; ``index`` supplies the sizes that have no
-    closed form and the dense elements the other methods convolve (see
-    make_witness).  ``settings`` are the estimator settings of norm_bracket.
+    closed form and the dense elements the other methods need (see
+    norm_bracket).  ``settings`` are the estimator settings of norm_bracket.
     """
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -229,7 +222,7 @@ def ratio_series(spec, witness, n_list, method="auto", index=None, d_hat=None,
     series = RatioSeries(group=spec.descriptor(),
                          witness=witness_label(witness, d_hat), method=method)
     for n in n_list:
-        element = make_witness(spec, witness, n, method, index, d_hat)
+        element = make_witness(spec, witness, n, index, d_hat)
         l2 = coefficient_norm(element, "l2")
         if l2 == 0.0:
             continue
@@ -326,28 +319,56 @@ def delocalize_constant(C, s, eps):
 # -- exact pointwise inequalities ----------------------------------------------
 
 
-def _product_slack(x, y, rhs, region=None, index: LengthIndex = None,
+def _product_slack(x, y, rhs, index: LengthIndex = None,
                    budget=DEFAULT_BUDGET):
-    """min of (x * y)(g) - rhs(g) over |g| <= ``region`` (over both supports
-    when None) for sphere functions x, y and rhs on one group.
-
-    On a free group of ``radial_rank`` the product is radial and keeps each
-    coefficient's type, so integer balls stay exact at any radius; elsewhere
-    x, y and rhs are expanded from ``index`` with float coefficients.
-    """
+    """min of (x * y)(g) - rhs(g) over both supports for sphere functions
+    x, y and rhs on one group: radial on a free group of ``radial_rank``,
+    elsewhere expanded from ``index``."""
     if radial_rank(x.spec) is not None:
         lhs = radial_convolve(x, y).coeffs
-        top = len(x.coeffs) + len(y.coeffs) - 2 if region is None else region
         return min((lhs[i] if i < len(lhs) else 0.0)
                    - (rhs.coeffs[i] if i < len(rhs.coeffs) else 0.0)
-                   for i in range(top + 1))
+                   for i in range(len(x.coeffs) + len(y.coeffs) - 1))
+    lhs = convolve(radial_to_algebra(x, index), radial_to_algebra(y, index),
+                   budget=budget)
+    return pointwise_geq(lhs, radial_to_algebra(rhs, index))[1]
 
-    def dense(z):
-        floats = RadialElement(spec=z.spec, coeffs=[float(c) for c in z.coeffs],
-                               sizes=z.sizes)
-        return radial_to_algebra(floats, index)
-    lhs = convolve(dense(x), dense(y), budget=budget)
-    return pointwise_geq(lhs, dense(rhs), region=region, index=index)[1]
+
+def _ball_product_slacks(spec, total, top, index: LengthIndex = None,
+                         budget=DEFAULT_BUDGET):
+    """(n, slack) of the ball product bound at (n, total - n), n = 1..top:
+    the min of chi(B_n) * chi(B_total) - |B_n| over B_{total-n}.
+
+    chi(B_n) * chi(B_total) is the prefix sum over m <= n of
+    chi(S_m) * chi(B_total), so one pass over the spheres serves every n.
+    The products come by radius from the sphere recursion, in Python ints,
+    on a free group of ``radial_rank``, else by element from ``convolve``
+    on ``index``.  Every coefficient is an integer count, so the slack is
+    exact.  ``budget`` bounds the support of the sum.
+    """
+    spheres = sphere_sizes(spec, total, index)
+    balls = list(accumulate(spheres))
+    rank = radial_rank(spec)
+    if rank is not None:
+        lhs = np.zeros(total + top + 1, dtype=object)
+        ball = np.array([1] * (total + 1), dtype=object)
+        for n, product in enumerate(sphere_multiples(rank, ball, top + 1)):
+            lhs[: len(product)] += product
+            if n:
+                yield n, min(lhs[: total - n + 1]) - balls[n]
+        return
+    ball = radial_to_algebra(RadialElement(spec=spec, coeffs=[1.0] * (total + 1),
+                                           sizes=spheres), index)
+    lhs = {}
+    for n in range(top + 1):
+        product = convolve(char_sphere(index, n), ball, budget=budget)
+        for g, c in product.coeffs.items():
+            lhs[g] = lhs.get(g, 0.0) + c
+        if budget is not None and len(lhs) > budget:
+            raise BudgetExceededError(
+                f"convolution support passed {budget} elements")
+        if n:
+            yield n, min(lhs[g] for g in index.ball(total - n)) - balls[n]
 
 
 def verify_ball_product_bound(spec, n, k, index: LengthIndex = None,
@@ -356,35 +377,13 @@ def verify_ball_product_bound(spec, n, k, index: LengthIndex = None,
 
     Holds with slack exactly 0 for every group: each g in B_n contributes to
     the coefficient at every h in B_k because g^-1 h lands in B_{n+k}.
-    Returns (ok, min slack).  The balls carry integer coefficients, so on a
-    free group the slack stays exact at any radius (see ``_product_slack``).
+    Returns (ok, min slack), exact at any radius (see
+    ``_ball_product_slacks``).
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    spheres = sphere_sizes(spec, n + k, index)
-
-    def ball(radius, value):
-        return RadialElement(spec=spec, coeffs=[value] * (radius + 1),
-                             sizes=spheres[: radius + 1])
-    slack = _product_slack(ball(n, 1), ball(n + k, 1),
-                           ball(k, sum(spheres[: n + 1])), k, index, budget)
+    *_, (_, slack) = _ball_product_slacks(spec, n + k, n, index, budget)
     return (slack >= GEQ_TOLERANCE, float(slack))
-
-
-def _free_ball_product_slacks(rank, total):
-    """(n, slack) of the ball product bound at (n, total - n), n = 1..total-1,
-    on the free group of the given rank.
-
-    chi(B_n) * chi(B_total) is the prefix sum over m <= n of
-    chi(S_m) * chi(B_total), so one sphere recursion serves every n; Python
-    ints keep the slack exact.
-    """
-    ball = np.array([1] * (total + 1), dtype=object)
-    lhs = np.zeros(2 * total, dtype=object)
-    for n, y_n in enumerate(sphere_multiples(rank, ball, total)):
-        lhs[: len(y_n)] += y_n
-        if n:
-            yield n, min(lhs[: total - n + 1]) - free_ball_size(rank, n)
 
 
 def ball_product_sweep(spec, max_sum, index: LengthIndex = None,
@@ -396,15 +395,11 @@ def ball_product_sweep(spec, max_sum, index: LengthIndex = None,
     """
     if max_sum < 2:
         raise ValueError("max_sum must be >= 2")
-    rank = radial_rank(spec)
-    if rank is None:
-        slacks = {(n, k): verify_ball_product_bound(spec, n, k, index, budget)[1]
-                  for n in range(1, max_sum) for k in range(1, max_sum - n + 1)}
-    else:
-        slacks = {(n, total - n): float(slack)
-                  for total in range(2, max_sum + 1)
-                  for n, slack in _free_ball_product_slacks(rank, total)}
-    slack, worst = min((slack, pair) for pair, slack in slacks.items())
+    slack, worst = min(
+        (float(slack), (n, total - n))
+        for total in range(2, max_sum + 1)
+        for n, slack in _ball_product_slacks(spec, total, total - 1, index,
+                                             budget))
     return (slack >= GEQ_TOLERANCE, slack, worst)
 
 
@@ -585,8 +580,7 @@ def verify_series_product_bound(spec, r, alpha, beta, K,
         for i in range(r * j + 1):
             rhs[i] += c
     rhs = RadialElement(spec=spec, coeffs=rhs, sizes=za.function.sizes)
-    min_slack = _product_slack(za.function, zb.function, rhs, None, index,
-                               budget)
+    min_slack = _product_slack(za.function, zb.function, rhs, index, budget)
 
     power = alpha + beta
     tails = [(j, sum((j + k) ** (-power) for k in range(1, K - j + 1)),
@@ -691,7 +685,7 @@ def verify_heredity(embedding: Embedding, n_list, sub_index: LengthIndex,
         sub_est = norm_bracket(witness, method=method, index=sub_index, **settings)
         sub_l2 = math.sqrt(len(members))
 
-        amb = make_witness(embedding.ambient, "ball", n, method, ambient_index)
+        amb = make_witness(embedding.ambient, "ball", n, ambient_index)
         amb_est = norm_bracket(amb, method=method, index=ambient_index, **settings)
         amb_l2 = coefficient_norm(amb, "l2")
         rows.append(HeredityRow(

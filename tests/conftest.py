@@ -1,10 +1,20 @@
+import contextlib
 import os
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
 import rdlab as R
+
+# on a failing example the hypothesis plugin imports this module to write a
+# patch; under filterwarnings = error a DeprecationWarning from one of its
+# imports (mypy_extensions, through libcst) would turn the failure report
+# into an INTERNALERROR, so it is imported once here with that warning off
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 # child processes (python -m rdlab.cli) import the rdlab under test
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [

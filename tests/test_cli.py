@@ -239,6 +239,13 @@ class TestFlags:
         "ratio --group Z^2 --d-hat 3 --range 1:3",
         "fit --group Z --d-hat 1 --range 4:8 --method exact",
         "verify divergence --group Z --d-hat 1 --range 8:32:8 --method exact",
+        # --depth and --exponent each set the whole trace ladder
+        "norm --group F2 --witness ball --n 2 --method trace --depth 3 "
+        "--exponent 8",
+        "ratio --group F2 --range 2:3 --method trace --depth 3 --exponent 8",
+        "report --group F2 --range 2:6 --method trace --depth 3 --exponent 8",
+        "verify heredity --embedding Z:F2 --range 4:4 --method trace --depth 3 "
+        "--exponent 8",
     ])
     def test_unread_flags_are_usage_errors(self, argv, tmp_path, capsys):
         # a valid element, so that only the flags can make --element fail
@@ -540,7 +547,7 @@ class TestIndexPlanning:
                     "--k", "3"], tmp_path, "z.json") == 0
         assert index_calls["get_index"] == [("F2", 3)]
         data = json.loads((tmp_path / "z.json").read_text())
-        assert len(data["element"]["coeffs"]) == R.free_ball_size(2, 3)
+        assert len(data["element"]["coeffs"]) == R.ball_sizes(R.FreeGroup(2), 3)[3]
 
     @pytest.mark.parametrize("argv,radius", [
         ("ratio --group H3 --range 2:6 --method exact", 6),
@@ -607,8 +614,31 @@ class TestRadialWitnesses:
         assert (est["lower"], est["upper"]) == (entry["norm_lower"],
                                                 entry["norm_upper"])
         # the correctly rounded sum of |S_m| / (1+m), m = 1..5
-        assert est["upper"] == math.fsum(R.free_sphere_size(2, m) / (1 + m)
+        sizes = R.sphere_sizes(R.FreeGroup(2), 5)
+        assert est["upper"] == math.fsum(sizes[m] / (1 + m)
                                          for m in range(1, 6)) == 90.6
+
+    @pytest.mark.parametrize("group,last,methods", [
+        ("Z^2", 12, ["exact", "trace", "power"]),
+        ("H3", 4, ["exact", "trace", "power"]),
+        ("Z^1xF2", 3, ["trace", "power", "auto"]),
+        ("F2", 6, ["trace", "power"]),
+    ])
+    def test_an_l2_is_the_sphere_function_sum(self, group, last, methods,
+                                              tmp_path):
+        # every method prints the l2 of the witness's sphere function, also
+        # where its estimator expands the witness
+        def l2(method):
+            out = tmp_path / f"{method}.json"
+            assert run(["ratio", "--group", group, "--witness", "aN",
+                        "--d-hat", "1.5", "--range", f"1:{last}", "--method",
+                        method, "--depth", "1", "--iters", "3", "--format",
+                        "json"], tmp_path, out.name) == 0
+            return [e["l2"] for e in json.loads(out.read_text())["entries"]]
+        want = l2("l1")
+        assert len(want) == last
+        for method in methods:
+            assert l2(method) == want, method
 
     def test_lemma1_exact_past_two_to_the_53(self, tmp_path):
         assert run(["verify", "lemma1", "--group", "F2", "--radius", "40"],
@@ -731,6 +761,21 @@ class TestCache:
         with pytest.raises(CacheFormatError, match="standard generators"):
             read_ball_cache(z2_cache, spec)
         assert read_ball_cache(z2_cache).sphere_sizes == [1, 4, 8, 12, 16, 20, 24]
+
+    def test_a_product_with_a_custom_factor_reads_no_cache(self, tmp_path):
+        # the product's descriptor names no generating set of its factors
+        standard = R.DirectProduct([R.FreeGroup(2), R.FreeAbelian(1)])
+        path = tmp_path / "F2xZ^1.N3.ballcache"
+        write_ball_cache(R.enumerate_balls(standard, 3), path)
+        spec = R.DirectProduct([R.FreeGroup(2, generators=["a", "A", "ab", "BA"]),
+                                R.FreeAbelian(1)])
+        assert spec.descriptor() == "F2xZ^1"
+        assert not spec.has_standard_generators()
+        assert spec.closed_sphere_sizes(3) is None
+        assert find_cache(tmp_path, spec, 3) is None
+        with pytest.raises(CacheFormatError, match="standard generators"):
+            read_ball_cache(path, spec)
+        assert find_cache(tmp_path, standard, 3) == path
 
     def test_commands_reuse_cache(self, tmp_path):
         cache_dir = tmp_path / "caches"

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import rdlab as R
 from rdlab import algebra, norms, rd
+from rdlab.cli import run_command
 from rdlab.errors import BudgetExceededError
 
 H3 = R.DiscreteHeisenberg()
@@ -350,25 +351,73 @@ def test_radial_kernel_keeps_integers_exact():
     assert got.coeffs[0] == (2 ** 60 + 1) ** 2 + 6 + 49 * 6 * 25
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3])
-def test_shared_sweep_matches_each_pair(rank):
-    spec = R.FreeGroup(rank)
-    for total in range(2, 25):
-        got = dict(rd._free_ball_product_slacks(rank, total))
+def pair_slack(spec, n, k, index=None):
+    """The ball product check at one pair, as one product per pair: the min
+    of chi(B_n) * chi(B_{n+k}) - |B_n| over B_k, by ``radial_convolve`` on a
+    free group on its standard generators, else by ``convolve`` of the two
+    dense balls and ``pointwise_geq``."""
+    size = R.ball_sizes(spec, n, index)[n]
+    if norms.radial_rank(spec) is not None:
+        lhs = R.radial_convolve(R.free_radial(spec.rank, [1] * (n + 1)),
+                                R.free_radial(spec.rank, [1] * (n + k + 1)))
+        return min(lhs.coeffs[: k + 1]) - size
+    lhs = R.convolve(R.char_ball(index, n), R.char_ball(index, n + k))
+    rhs = R.AlgebraElement(spec=spec, coeffs={g: float(size)
+                                              for g in index.ball(k)},
+                           support_radius=k)
+    return R.pointwise_geq(lhs, rhs, region=k, index=index)[1]
+
+
+def assert_sweep_matches_each_pair(spec, max_sum, index=None):
+    for total in range(2, max_sum + 1):
+        got = dict(rd._ball_product_slacks(spec, total, total - 1, index))
         assert list(got) == list(range(1, total))
         for n, slack in got.items():
-            assert type(slack) is int
-            assert (True, float(slack)) == \
-                R.verify_ball_product_bound(spec, n, total - n)
-    assert R.ball_product_sweep(spec, 24) == (True, 0.0, (1, 1))
+            want = pair_slack(spec, n, total - n, index)
+            assert slack == want == 0 and type(slack) is type(want)
+    for n in range(1, max_sum):
+        assert R.verify_ball_product_bound(spec, n, max_sum - n, index) == \
+            (True, 0.0)
+    assert R.ball_product_sweep(spec, max_sum, index) == (True, 0.0, (1, 1))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_shared_sweep_matches_each_pair(rank):
+    # Python ints from the sphere recursion, exact past 2^53
+    assert_sweep_matches_each_pair(R.FreeGroup(rank), 24)
+    assert all(type(slack) is int for _, slack in
+               rd._ball_product_slacks(R.FreeGroup(rank), 24, 23))
+
+
+@pytest.mark.parametrize("spec,max_sum", [
+    (R.FreeAbelian(1), 8), (R.FreeAbelian(2), 8), (H3, 7),
+    (R.FiniteCyclic(12), 8), (R.parse_descriptor("Z^1xC5"), 7),
+    (R.parse_descriptor("Z^1xF2"), 5),
+    (R.FreeGroup(2, generators=["a", "A", "ab", "BA"]), 6)],
+    ids=lambda x: x.descriptor() if isinstance(x, R.GroupSpec) else str(x))
+def test_shared_sweep_matches_the_dense_pairs(spec, max_sum):
+    assert_sweep_matches_each_pair(spec, max_sum,
+                                   R.enumerate_balls(spec, max_sum))
 
 
 def test_sweep_reports_the_first_worst_pair(monkeypatch):
-    def slacks(rank, total):
-        for n in range(1, total):
+    def slacks(spec, total, top, index, budget):
+        for n in range(1, top + 1):
             yield n, -1 if (n, total - n) in {(2, 3), (3, 1), (2, 4)} else 0
-    monkeypatch.setattr(rd, "_free_ball_product_slacks", slacks)
+    monkeypatch.setattr(rd, "_ball_product_slacks", slacks)
     assert R.ball_product_sweep(R.FreeGroup(2), 6) == (False, -1.0, (2, 3))
+
+
+@pytest.mark.parametrize("argv,budget", [
+    ("verify lemma1 --group Z^2 --n 2 --k 3", 113),     # |B_7| of Z^2
+    ("verify lemma1 --group H3 --n 2 --k 2", 593),      # |B_6| of H3
+    ("verify lemma1 --group H3 --radius 4", 1069),      # |B_7| of H3
+])
+def test_ball_product_budget_bounds_the_product_support(argv, budget):
+    # chi(B_n) * chi(B_{n+k}) fills B_{2n+k}; the budget bounds that support
+    run = argv.split() + ["--budget"]
+    assert run_command(run + [str(budget - 1)]) == 3
+    assert run_command(run + [str(budget)]) == 0
 
 
 def test_integer_trace_ladder_ends_at_its_last_finite_step():

@@ -285,9 +285,8 @@ class TestRadial:
             R.radial_convolve(R.radial_sphere(2, 1), R.radial_sphere(3, 1))
 
     def test_sizes_match_bfs(self, f2_index):
-        for n in range(9):
-            assert R.free_sphere_size(2, n) == f2_index.sphere_sizes[n]
-            assert R.free_ball_size(2, n) == f2_index.ball_sizes[n]
+        assert R.sphere_sizes(F2, 8) == f2_index.sphere_sizes
+        assert R.ball_sizes(F2, 8) == f2_index.ball_sizes
 
     def test_roundtrip(self, f2_index):
         x = R.free_radial(2, [0.5, 0.0, 2.0, -1.0])
@@ -313,7 +312,7 @@ class TestRadial:
             if c == 0.0:
                 assert j not in by_len
                 continue
-            assert counts[j] == R.free_sphere_size(rank, j)
+            assert counts[j] == R.sphere_sizes(R.FreeGroup(rank), j)[j]
             for v in by_len[j]:
                 assert v == pytest.approx(c, rel=max(rel, 1e-15), abs=1e-15)
 

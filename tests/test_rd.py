@@ -79,7 +79,7 @@ def loaded_radius(spec, method, needs, radius, domain_radius):
             R.sphere_sizes(spec, radius, run.index(spec, radius))
         else:
             index = run.index(spec, radius, method, domain_radius)
-            element = make_witness(spec, "ball", radius, method, index)
+            element = make_witness(spec, "ball", radius, index)
             R.norm_bracket(element, method=method, index=index,
                            R=domain_radius)
     except _Loaded:
@@ -135,23 +135,40 @@ class TestIndexPlanning:
     def test_power_domain_default_is_at_least_one(self, z2_index):
         # norm_bracket compresses to the domain radius R, else
         # max(support radius, 1)
-        point = make_witness(Z2, "ball", 0, "power", z2_index)
+        point = make_witness(Z2, "ball", 0, z2_index)
         est = R.norm_bracket(point, method="power", index=z2_index)
         assert (est.lower, est.upper) == (1.0, 1.0)
 
-    def test_planner_matches_the_witness_form(self, f2_index):
-        assert isinstance(make_witness(F2, "ball", 3, "trace"), R.RadialElement)
-        dense = make_witness(F2, "ball", 3, "power", f2_index)
-        assert isinstance(dense, R.AlgebraElement) and len(dense.coeffs) == 53
-        with pytest.raises(IndexRadiusError):
-            make_witness(F2, "ball", 3, "power")
-        with pytest.raises(IndexRadiusError):
-            make_witness(Z2, "ball", 3, "trace")
+    def test_planner_matches_the_witness_form(self, monkeypatch):
+        # the witness is always a sphere function; norm_bracket expands it
+        # from its index where the estimator needs group elements
+        expanded = []
+
+        def expand(x, index):
+            expanded.append(R.radial_to_algebra(x, index))
+            return expanded[-1]
+        monkeypatch.setattr(rdlab.rd, "witness_element", expand)
+        for spec, method, dense in [
+                (F2, "trace", False), (F2, "auto", False), (F2, "l1", False),
+                (F2, "power", True), (Z2, "trace", True), (Z2, "power", True),
+                (Z2, "auto", False), (Z2, "exact", False),
+                (R.DirectProduct([Z, F2]), "auto", True)]:   # auto: trace
+            index = R.enumerate_balls(spec, 3)
+            witness = make_witness(spec, "ball", 3, index)
+            assert isinstance(witness, R.RadialElement)
+            expanded.clear()
+            R.norm_bracket(witness, method=method, index=index, depth=1,
+                           iters=5)
+            assert [len(a.coeffs) for a in expanded] == \
+                ([index.ball_sizes[3]] if dense else [])
+            if dense:
+                with pytest.raises(IndexRadiusError):
+                    R.norm_bracket(witness, method=method, depth=1, iters=5)
 
     def test_radial_and_dense_witnesses_agree(self, f2_index, z_index):
         for witness in ("ball", "sphere", "aN"):
-            radial = make_witness(F2, witness, 3, "trace", d_hat=1.5)
-            dense = make_witness(F2, witness, 3, "power", f2_index, d_hat=1.5)
+            radial = make_witness(F2, witness, 3, d_hat=1.5)
+            dense = R.witness_element(radial, f2_index)
             assert R.radial_from_algebra(dense) == radial
         # the empty aN witness at n = 0 is skipped on every group
         for spec, index in ((F2, None), (Z, z_index)):
@@ -161,10 +178,10 @@ class TestIndexPlanning:
 
     def test_radial_and_dense_brackets_agree(self, f2_index):
         for method in ("l1", "trace"):
-            radial = R.norm_bracket(make_witness(F2, "sphere", 3, method),
-                                    method=method, depth=3)
-            dense = R.norm_bracket(make_witness(F2, "sphere", 3, "power",
-                                                f2_index), method=method, depth=3)
+            witness = make_witness(F2, "sphere", 3)
+            radial = R.norm_bracket(witness, method=method, depth=3)
+            dense = R.norm_bracket(R.witness_element(witness, f2_index),
+                                   method=method, depth=3)
             assert (radial.lower, radial.upper) == (dense.lower, dense.upper)
         with pytest.raises(RdlabError):
             R.norm_bracket(R.radial_ball(2, 2), method="power")
@@ -208,7 +225,7 @@ class TestRatioSeries:
     def test_f2_ball_needs_no_index(self):
         ser = R.ratio_series(F2, "ball", [16, 32], method="trace", exponent=8)
         assert len(ser.entries) == 2
-        assert ser.entries[0].norm_upper == R.free_ball_size(2, 16)
+        assert ser.entries[0].norm_upper == R.ball_sizes(F2, 16)[16]
 
     def test_empty_sphere_skipped(self):
         index = R.enumerate_balls(C5, 12)
@@ -396,7 +413,7 @@ class TestDoubling:
 
     def test_huge_balls_with_ratios_inside_the_float_range(self):
         # |B_1200| is far past the float range, but each quotient fits
-        assert R.free_ball_size(2, 1200) > 10 ** 500
+        assert R.ball_sizes(F2, 1200)[1200] > 10 ** 500
         min_ratio, ok = R.verify_doubling(F2, 400, 2)
         assert ok and min_ratio == pytest.approx(3.0 ** 200, rel=1e-12)
 
@@ -574,7 +591,7 @@ class TestHeredity:
         last = rep.rows[-1]
         assert last.sub_ratio_lower == pytest.approx(math.sqrt(65))
         assert last.ambient_ratio_upper == pytest.approx(
-            R.free_ball_size(2, 32) / math.sqrt(R.free_ball_size(2, 32)))
+            R.ball_sizes(F2, 32)[32] / math.sqrt(R.ball_sizes(F2, 32)[32]))
 
     def test_all_shipped_embeddings_to_32(self):
         for name, (sub, _, _) in R.standard_embeddings().items():

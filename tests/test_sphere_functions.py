@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 
 import rdlab as R
 from rdlab.norms import coefficient_norm
-from rdlab.rd import make_witness
+from rdlab.rd import make_witness, witness_element
 
 UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -42,8 +42,8 @@ def witnesses(draw, kinds):
 
 def both_forms(descriptor, witness, n, d_hat):
     index = index_of(descriptor)
-    x = make_witness(index.spec, witness, n, "l1", index, d_hat)
-    dense = make_witness(index.spec, witness, n, "power", index, d_hat)
+    x = make_witness(index.spec, witness, n, index, d_hat)
+    dense = witness_element(x, index)
     assert isinstance(x, R.RadialElement)
     assert isinstance(dense, R.AlgebraElement)
     return x, dense
