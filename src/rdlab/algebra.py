@@ -75,19 +75,41 @@ class AlgebraElement:
 
     @classmethod
     def from_json_dict(cls, spec, data):
+        """The element that ``to_json_dict`` wrote; malformed data raises
+        ValueError and data for another group SpecMismatchError."""
+        if not isinstance(data, dict):
+            raise ValueError("element JSON must be an object, not "
+                             f"{type(data).__name__}")
+        missing = [k for k in ("group", "support_radius", "coeffs") if k not in data]
+        if missing:
+            raise ValueError(f"element JSON has no {', '.join(missing)}")
         if data["group"] != spec.descriptor():
             raise SpecMismatchError(
                 f"element JSON is for {data['group']!r}, not {spec.descriptor()!r}")
+        try:
+            radius = int(data["support_radius"])
+        except TypeError:
+            raise ValueError("element JSON has support_radius "
+                             f"{data['support_radius']!r}, not an integer") from None
+        if not isinstance(data["coeffs"], list):
+            raise ValueError("element JSON coeffs must be a list of [key, value]")
         coeffs = {}
-        for k, c in data["coeffs"]:
+        for pair in data["coeffs"]:
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and isinstance(pair[0], str)):
+                raise ValueError(f"element JSON coefficient {pair!r} is not a "
+                                 "[key, value] pair with a string key")
+            k, c = pair
             g = spec.parse_key(k)
             if g in coeffs:
                 raise ValueError(f"element JSON lists {spec.element_key(g)!r} twice")
-            coeffs[g] = float(c)
+            try:
+                coeffs[g] = float(c)
+            except TypeError:
+                raise ValueError(f"element JSON gives {k!r} the value {c!r}") from None
             if not math.isfinite(coeffs[g]):
                 raise ValueError(f"element JSON gives {k!r} the value {c!r}")
-        element = cls(spec=spec, coeffs=coeffs,
-                      support_radius=int(data["support_radius"]))
+        element = cls(spec=spec, coeffs=coeffs, support_radius=radius)
         for g in element.coeffs:
             length = spec.word_length_closed(g)
             if length is not None and length > element.support_radius:
@@ -117,20 +139,6 @@ def char_sphere(index: LengthIndex, n):
         raise IndexRadiusError(f"sphere {n} exceeds index radius {index.radius}")
     coeffs = {g: 1.0 for g in index.sphere(n)}
     return AlgebraElement(spec=index.spec, coeffs=coeffs, support_radius=n)
-
-
-def characteristic(spec, shape, index: LengthIndex):
-    """Indicator element for ("ball", n), ("sphere", n), or ("point", g)."""
-    kind, arg = shape
-    if index is not None and index.spec != spec:
-        raise SpecMismatchError("index was built for a different group")
-    if kind == "ball":
-        return char_ball(index, arg)
-    if kind == "sphere":
-        return char_sphere(index, arg)
-    if kind == "point":
-        return point_mass(spec, arg, index=index)
-    raise ValueError(f"unknown shape kind {kind!r}")
 
 
 class ProductKeys:

@@ -29,6 +29,7 @@ from .errors import BudgetExceededError, RdlabError
 from .groups import DEFAULT_BUDGET, enumerate_balls, parse_descriptor
 from .norms import radial_to_algebra
 from .rd import (
+    RatioSeries,
     ball_product_sweep,
     ball_series_l2_bounds,
     build_ball_series,
@@ -239,9 +240,7 @@ def cmd_ratio(run, args):
     if args.format == "json":
         text = json_text(series.to_json_dict())
     else:
-        text = csv_text(["group", "witness", "n", "norm_lower", "norm_upper",
-                         "l2", "ratio_lower", "ratio_upper"],
-                        series.to_csv_rows())
+        text = csv_text(RatioSeries.CSV_HEADER, series.to_csv_rows())
     run.emit(text)
     return EXIT_OK
 
@@ -300,8 +299,7 @@ def cmd_report(run, args):
     if args.format == "csv":
         rows = list(report.ball_series.to_csv_rows())
         rows.extend(report.sphere_series.to_csv_rows())
-        text = csv_text(["group", "witness", "n", "norm_lower", "norm_upper",
-                         "l2", "ratio_lower", "ratio_upper"], rows)
+        text = csv_text(RatioSeries.CSV_HEADER, rows)
     else:
         text = json_text(report.to_json_dict())
     run.emit(text, summary=f"growth slope {report.growth_fit.slope:.4f}, "

@@ -702,7 +702,7 @@ def embed(sub, ambient, images, check_radius=3, seed=0, samples=200):
     emb = Embedding(sub=sub, ambient=ambient, images=full_images)
 
     index = enumerate_balls(sub, check_radius)
-    elems = [g for n in range(index.radius + 1) for g in index.sphere(n)]
+    elems = list(index.ball(check_radius))
     image_of = {g: emb.apply(g) for g in elems}
 
     seen = {}

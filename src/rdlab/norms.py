@@ -20,10 +20,10 @@ a commutative subalgebra, and convolution uses the sphere product rule
 chi(S_1) chi(S_n) = chi(S_{n+1}) + (2r-1) chi(S_{n-1}) (n >= 2, with
 chi(S_1)^2 = chi(S_2) + 2r delta_e), extended bilinearly.
 Supports then grow linearly in the radius instead of exponentially, which
-is what makes deep trace powers on free groups affordable.  The recursion
-runs on numpy arrays, a few slice operations per sphere: float64 when every
-coefficient is a Python float, else an object array of Python numbers, so
-integer inputs stay exact.  Both give the bits of the plain Python loop.
+is what makes deep trace powers on free groups affordable.  One generator,
+``radial_partial_products``, runs the recursion on numpy arrays: float64 when
+every coefficient is a Python float, else an object array of Python numbers,
+so integer inputs stay exact.  Both give the bits of the plain Python loop.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class NormEstimate:
     upper: float
     method: str
     steps: list = field(default_factory=list)
-    iterations: int = 0
     converged: bool = False
     extrapolated: float = None
     target_steps: int = None
@@ -68,6 +67,10 @@ class NormEstimate:
         if self.lower > self.upper + 1e-12 * max(1.0, abs(self.upper)):
             raise RdlabError(
                 f"norm bracket inverted: lower={self.lower} > upper={self.upper}")
+
+    @property
+    def iterations(self):
+        return len(self.steps)
 
     def to_json_dict(self):
         out = {
@@ -89,7 +92,7 @@ class NormEstimate:
 def _zero_estimate(method):
     """The exact bracket [0, 0] of the zero element, as one finished step."""
     return NormEstimate(lower=0.0, upper=0.0, method=method, steps=[0.0],
-                        iterations=1, converged=True, target_steps=1,
+                        converged=True, target_steps=1,
                         stop_reason="done")
 
 
@@ -196,33 +199,15 @@ def _apply_sphere_one(rank, d):
     return out
 
 
-def sphere_multiples(rank, y, count):
-    """chi(S_m) * y for m = 0 .. count-1, as arrays of y's dtype.
+def radial_partial_products(x: RadialElement, y: RadialElement):
+    """The sums sum_{m<=n} x_m chi(S_m) * y for n = 0 .. len(x)-1, yielded as
+    one array that each step updates in place.
 
-    The three-term recursion chi(S_1) chi(S_m) = chi(S_{m+1}) + q chi(S_{m-1})
-    (2r in place of q at m = 1); a float64 ``y`` may overflow to inf and nan,
-    which the caller silences with ``np.errstate``.
-    """
-    yield y
-    if count < 2:
-        return
-    prev, cur = y, _apply_sphere_one(rank, y)
-    yield cur
-    for m in range(2, count):
-        nxt = _apply_sphere_one(rank, cur)
-        nxt[: len(prev)] -= (2 * rank if m == 2 else 2 * rank - 1) * prev
-        prev, cur = cur, nxt
-        yield cur
-
-
-def radial_convolve(x: RadialElement, y: RadialElement):
-    """Convolution via the sphere recursion; cost O(M_x (M_x + M_y)).
-
-    Coefficients that are all Python floats run in float64; anything else
-    (ints, mixed lists) runs in an object array of Python numbers, so integer
-    coefficients stay exact.  Both apply each operation of a plain Python
-    loop over the coefficients, in the loop's order, so the result has its
-    bits and types (signed zeros, inf and nan included).
+    chi(S_m) * y follows the recursion chi(S_1) chi(S_m) = chi(S_{m+1}) +
+    q chi(S_{m-1}) (2r in place of q at m = 1).  All-float coefficients run in
+    float64, anything else in an object array of Python numbers, so integers
+    stay exact; float64 may overflow to inf and nan, which the caller
+    silences with ``np.errstate``.
     """
     rank = radial_rank(x.spec)
     if rank is None or x.spec != y.spec:
@@ -231,13 +216,28 @@ def radial_convolve(x: RadialElement, y: RadialElement):
     cx = x.coeffs
     dtype = (np.float64 if all(type(v) is float for v in chain(cx, y.coeffs))
              else object)
-    d = np.array(y.coeffs, dtype)
-    out = np.zeros(len(d) + len(cx) - 1, dtype)
+    cur = np.array(y.coeffs, dtype)
+    out = np.zeros(len(cur) + len(cx) - 1, dtype)
+    out[: len(cur)] = cx[0] * cur     # an assignment keeps signed zeros
+    yield out
+    for m, c in enumerate(cx[1:], start=1):
+        nxt = _apply_sphere_one(rank, cur)
+        if m > 1:
+            nxt[: len(prev)] -= (2 * rank if m == 2 else 2 * rank - 1) * prev
+        prev, cur = cur, nxt
+        out[: len(cur)] += c * cur
+        yield out
+
+
+def radial_convolve(x: RadialElement, y: RadialElement):
+    """Convolution via the sphere recursion; cost O(M_x (M_x + M_y)).
+
+    The last of ``radial_partial_products``, which applies each operation of
+    a plain Python loop over the coefficients in the loop's order, so the
+    result has its bits and types (signed zeros, inf and nan included).
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = sphere_multiples(rank, d, len(cx))
-        out[: len(d)] = cx[0] * next(steps)
-        for c, y_m in zip(cx[1:], steps):
-            out[: len(y_m)] += c * y_m
+        *_, out = radial_partial_products(x, y)
     coeffs = out.tolist()
     return RadialElement(spec=x.spec, coeffs=coeffs,
                          sizes=x.spec.closed_sphere_sizes(len(coeffs) - 1)).trimmed()
@@ -260,13 +260,22 @@ def radial_inner(x: RadialElement, y: RadialElement):
 
 
 def coefficient_norm(x, kind):
-    """The "l1" or "l2" norm of a dense element or a sphere function."""
+    """The norm ``kind`` ("l1", "l2" or ("l2s", t), as in ``algebra.norm``) of
+    a dense element or a sphere function."""
     if not isinstance(x, RadialElement):
         return norm(x, kind)
     if kind == "l1":
         return sum((abs(c) * _as_float(s)
                     for c, s in zip(x.coeffs, x.sizes) if c != 0.0), 0.0)
-    return math.sqrt(radial_inner(x, x))
+    if kind == "l2":
+        return math.sqrt(radial_inner(x, x))
+    if isinstance(kind, tuple) and kind[0] == "l2s":
+        t = float(kind[1])
+        if t < 0:
+            raise ValueError("weight exponent s must be >= 0")
+        return math.sqrt(sum(c ** 2 * (1.0 + i) ** (2.0 * t) * s
+                             for i, (c, s) in enumerate(zip(x.coeffs, x.sizes))))
+    raise ValueError(f"unknown norm kind {kind!r}")
 
 
 # -- trace of convolution powers ---------------------------------------------
@@ -386,8 +395,7 @@ def op_norm_trace_power(a: AlgebraElement, depth=6, budget=DEFAULT_BUDGET,
     if extrapolate:
         diagnostic = _extrapolate_steps(ms[: len(steps)], steps)
     return NormEstimate(lower=steps[-1], upper=upper,
-                        method="trace_power", steps=steps,
-                        iterations=len(steps), converged=converged,
+                        method="trace_power", steps=steps, converged=converged,
                         extrapolated=diagnostic, target_steps=len(ms),
                         stop_reason=stop_reason)
 
@@ -463,12 +471,14 @@ def _compression_matrix(a: AlgebraElement, cols):
 
 
 def op_norm_power_iteration(a: AlgebraElement, R, iters=200, seed=0,
-                            index: LengthIndex = None, tol=POWER_CONVERGED_RTOL):
+                            index: LengthIndex = None, budget=DEFAULT_BUDGET):
     """Largest singular value of convolution by ``a`` compressed to l2(B_R).
 
     Builds the sparse matrix of v -> a*v from B_R into the reachable set and
     applies power iteration to its normal matrix; the Rayleigh quotient is a
     lower bound for ||a||^2 at every step.  Deterministic for a fixed seed.
+    A matrix of more than ``budget`` entries, |B_R| |supp a|, raises
+    BudgetExceededError before it is built.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -481,30 +491,33 @@ def op_norm_power_iteration(a: AlgebraElement, R, iters=200, seed=0,
             f"domain radius {R} below element support radius {a.support_radius}")
     if not a.coeffs:
         return _zero_estimate("power_iteration")
-    mat = _compression_matrix(a, [g for n in range(R + 1) for g in index.sphere(n)])
+    entries = index.ball_sizes[R] * len(a.coeffs)
+    if budget is not None and entries > budget:
+        raise BudgetExceededError(
+            f"power iteration's matrix would hold {entries} entries, past the "
+            f"budget of {budget}")
+    mat = _compression_matrix(a, list(index.ball(R)))
 
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(mat.shape[1])
     v /= np.linalg.norm(v)
     steps = []
     converged = False
-    used = 0
     for _ in range(iters):
         w = mat @ v
         rayleigh = float(w @ w)
         steps.append(math.sqrt(max(rayleigh, 0.0)))
-        used += 1
         v = mat.T @ w
         nv = np.linalg.norm(v)
         if nv == 0.0:
             break
         v /= nv
-        if len(steps) >= 2 and abs(steps[-1] - steps[-2]) <= tol * max(steps[-1], 1e-300):
+        if len(steps) >= 2 and abs(steps[-1] - steps[-2]) <= (
+                POWER_CONVERGED_RTOL * max(steps[-1], 1e-300)):
             converged = True
             break
-    return NormEstimate(lower=steps[-1], upper=norm(a, "l1"),
-                        method="power_iteration", steps=steps,
-                        iterations=used, converged=converged,
+    return NormEstimate(lower=steps[-1], upper=coefficient_norm(a, "l1"),
+                        method="power_iteration", steps=steps, converged=converged,
                         target_steps=iters,
                         stop_reason="converged" if converged else "done")
 
@@ -523,11 +536,11 @@ def op_norm_positive_amenable(a):
         raise RdlabError("the l1 identity needs nonnegative coefficients")
     value = coefficient_norm(a, "l1")
     return NormEstimate(lower=value, upper=value, method="amenable_exact",
-                        steps=[], iterations=0, converged=True)
+                        steps=[], converged=True)
 
 
 def op_norm_l1_bracket(a):
     """The free bracket ||a||_2 <= ||a|| <= ||a||_1 of a dense or radial element."""
     return NormEstimate(lower=coefficient_norm(a, "l2"),
                         upper=coefficient_norm(a, "l1"),
-                        method="l1_bound", steps=[], iterations=0, converged=False)
+                        method="l1_bound", steps=[], converged=False)

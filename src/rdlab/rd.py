@@ -21,7 +21,9 @@ numerical content:
 
 Sphere and ball sizes come from ``groups.sphere_sizes`` and
 ``groups.ball_sizes``: the closed forms live on the group classes, and a
-ball index answers for the rest.
+ball index answers for the rest.  Products of sphere functions on free groups
+come from the one sphere recursion, ``norms.radial_partial_products``; this
+module orchestrates and builds no arrays of its own.
 """
 
 from __future__ import annotations
@@ -31,11 +33,10 @@ import sys
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-import numpy as np
-
 from .algebra import (
     AlgebraElement,
     GEQ_TOLERANCE,
+    char_ball,
     char_sphere,
     convolve,
     pointwise_geq,
@@ -62,9 +63,9 @@ from .norms import (
     op_norm_trace_power,
     radial_convolve,
     radial_inner,
+    radial_partial_products,
     radial_rank,
     radial_to_algebra,
-    sphere_multiples,
 )
 
 
@@ -156,7 +157,8 @@ def norm_bracket(a, method="auto", index=None, *, depth=6, exponent=None,
                                    exponent=exponent, extrapolate=extrapolate)
     if method == "power":
         return op_norm_power_iteration(a, R=power_domain(R, a.support_radius),
-                                       iters=iters, seed=seed, index=index)
+                                       iters=iters, seed=seed, index=index,
+                                       budget=budget)
     if method == "l1":
         return op_norm_l1_bracket(a)
     raise ValueError(f"unknown norm method {method!r}")
@@ -189,6 +191,9 @@ class RatioSeries:
     witness: str
     method: str
     entries: list = field(default_factory=list)
+
+    CSV_HEADER = ("group", "witness", "n", "norm_lower", "norm_upper", "l2",
+                  "ratio_lower", "ratio_upper")
 
     def to_csv_rows(self):
         for e in self.entries:
@@ -283,12 +288,15 @@ def fit_exponent(series: RatioSeries, window=(4, None), which="lower"):
     return fit_loglog(((e.n, e.ratio(which)) for e in series.entries), window)
 
 
-def rd_constant_series(series: RatioSeries, s, which="lower",
-                       growth_threshold=1.25):
+# the growth last/first of C_s(n) that rd_constant_series calls divergent
+DIVERGENT_GROWTH = 1.25
+
+
+def rd_constant_series(series: RatioSeries, s, which="lower"):
     """C_s(n) = ratio(n) / (1+n)^s with a divergence-trend verdict.
 
     "divergent" needs the last half of the series nondecreasing and total
-    growth last/first >= growth_threshold; anything else is "bounded trend".
+    growth last/first >= DIVERGENT_GROWTH; anything else is "bounded trend".
     No finite computation proves unboundedness, so this is a trend call.
     """
     points = [(e.n, e.ratio(which) / (1.0 + e.n) ** s) for e in series.entries]
@@ -297,7 +305,7 @@ def rd_constant_series(series: RatioSeries, s, which="lower",
     values = [c for _, c in points]
     tail = values[len(values) // 2:]
     monotone = all(b >= a - 1e-12 for a, b in zip(tail, tail[1:]))
-    grew = values[-1] >= growth_threshold * values[0]
+    grew = values[-1] >= DIVERGENT_GROWTH * values[0]
     verdict = "divergent" if (monotone and grew) else "bounded trend"
     return points, verdict
 
@@ -341,24 +349,21 @@ def _ball_product_slacks(spec, total, top, index: LengthIndex = None,
 
     chi(B_n) * chi(B_total) is the prefix sum over m <= n of
     chi(S_m) * chi(B_total), so one pass over the spheres serves every n.
-    The products come by radius from the sphere recursion, in Python ints,
+    The sums come by radius from ``radial_partial_products``, in Python ints,
     on a free group of ``radial_rank``, else by element from ``convolve``
     on ``index``.  Every coefficient is an integer count, so the slack is
     exact.  ``budget`` bounds the support of the sum.
     """
     spheres = sphere_sizes(spec, total, index)
     balls = list(accumulate(spheres))
-    rank = radial_rank(spec)
-    if rank is not None:
-        lhs = np.zeros(total + top + 1, dtype=object)
-        ball = np.array([1] * (total + 1), dtype=object)
-        for n, product in enumerate(sphere_multiples(rank, ball, top + 1)):
-            lhs[: len(product)] += product
+    if radial_rank(spec) is not None:
+        x, y = (RadialElement(spec=spec, coeffs=[1] * (m + 1), sizes=spheres[: m + 1])
+                for m in (top, total))
+        for n, lhs in enumerate(radial_partial_products(x, y)):
             if n:
                 yield n, min(lhs[: total - n + 1]) - balls[n]
         return
-    ball = radial_to_algebra(RadialElement(spec=spec, coeffs=[1.0] * (total + 1),
-                                           sizes=spheres), index)
+    ball = char_ball(index, total)
     lhs = {}
     for n in range(top + 1):
         product = convolve(char_sphere(index, n), ball, budget=budget)
@@ -456,16 +461,6 @@ class BallSeries:
     @property
     def shell_values(self):
         return self.function.coeffs[self.r::self.r]
-
-    def value_on_sphere(self, i):
-        values = self.function.coeffs
-        return values[i] if i < len(values) else 0.0
-
-    def weighted_l2(self, t):
-        total = sum(v ** 2 * (1.0 + i) ** (2.0 * t) * s
-                    for i, (v, s) in enumerate(zip(self.function.coeffs,
-                                                   self.function.sizes)))
-        return math.sqrt(total)
 
     def ball_l2(self, k):
         return math.sqrt(self.ball_size_at_rk[k - 1])
@@ -661,11 +656,12 @@ def verify_heredity(embedding: Embedding, n_list, sub_index: LengthIndex,
     stays injective, so domination is the expected outcome.  Raises
     CoverageError when the enumerated subgroup range cannot certify the
     requested n (some longer subgroup element might still have a short image).
-    Both ratios come from norm_bracket with ``method`` and ``settings``.
+    Both ratios come from norm_bracket with ``method`` and ``settings``, the
+    ambient ones through ``ratio_series``, so ``n_list`` must increase.
     """
     n_list = list(n_list)
     sub = embedding.sub
-    elems = [g for m in range(sub_index.radius + 1) for g in sub_index.sphere(m)]
+    elems = list(sub_index.ball(sub_index.radius))
     image_length = {g: embedding.ambient_length(g, ambient_index) for g in elems}
 
     top_sphere = sub_index.sphere(sub_index.radius)
@@ -676,24 +672,23 @@ def verify_heredity(embedding: Embedding, n_list, sub_index: LengthIndex,
                 f"subgroup index radius {sub_index.radius} cannot certify "
                 f"n up to {max(n_list)}: outermost images reach length {fringe}")
 
+    # a ball witness never has l2 norm 0, so the series has an entry per n
+    ambient = ratio_series(embedding.ambient, "ball", n_list, method,
+                           ambient_index, **settings)
     rows = []
-    for n in n_list:
+    for n, amb in zip(n_list, ambient.entries):
         members = [g for g in elems if image_length[g] <= n]
         coeffs = {g: 1.0 for g in members}
         radius = max((sub_index.length(g) for g in members), default=0)
         witness = AlgebraElement(spec=sub, coeffs=coeffs, support_radius=radius)
         sub_est = norm_bracket(witness, method=method, index=sub_index, **settings)
         sub_l2 = math.sqrt(len(members))
-
-        amb = make_witness(embedding.ambient, "ball", n, ambient_index)
-        amb_est = norm_bracket(amb, method=method, index=ambient_index, **settings)
-        amb_l2 = coefficient_norm(amb, "l2")
         rows.append(HeredityRow(
             n=n, subgroup_count=len(members),
             sub_ratio_lower=sub_est.lower / sub_l2,
             sub_ratio_upper=sub_est.upper / sub_l2,
-            ambient_ratio_lower=amb_est.lower / amb_l2,
-            ambient_ratio_upper=amb_est.upper / amb_l2))
+            ambient_ratio_lower=amb.ratio_lower,
+            ambient_ratio_upper=amb.ratio_upper))
     return HeredityReport(ok=all(r.dominated for r in rows), rows=rows)
 
 
@@ -801,7 +796,7 @@ def contradiction_trace(spec, params: DivergenceParameters, r, K,
             f"doubling fails on {spec.descriptor()} at r={r} "
             f"(min ratio {min_ratio:.4f} < 2); pick a faster-growing group or larger r")
 
-    weighted = za.weighted_l2(params.t)
+    weighted = coefficient_norm(za.function, ("l2s", params.t))
     za_shift = build_ball_series(spec, r, params.alpha - params.t, K, index)
     bound = (2.0 * r) ** params.t * coefficient_norm(za_shift.function, "l2")
 

@@ -64,11 +64,6 @@ class TestCharacteristic:
         assert R.convolve(delta, other).coeffs == other.coeffs
         assert R.convolve(other, delta).coeffs == other.coeffs
 
-    def test_dispatcher(self, z_index):
-        assert R.characteristic(Z, ("ball", 1), z_index).coeffs == \
-            R.char_ball(z_index, 1).coeffs
-        assert R.characteristic(Z, ("point", (2,)), z_index).coeffs == {(2,): 1.0}
-
     def test_radius_guard(self, z_index):
         with pytest.raises(IndexRadiusError):
             R.char_ball(z_index, z_index.radius + 1)

@@ -671,12 +671,32 @@ class TestExitCodes:
         assert run_command(["cache", "check"]) == 2
         assert run_command(["norm", "--group", "Z"]) == 2
 
-    def test_malformed_element_json(self, tmp_path):
+    def test_malformed_element_json(self, tmp_path, capsys):
         path = tmp_path / "el.json"
-        path.write_text(json.dumps({"group": "Z^2", "support_radius": 1,
-                                    "coeffs": [["0,3", 1.0]]}))
-        assert run_command(["norm", "--group", "Z^2", "--element", str(path),
-                            "--method", "l1"]) == 2
+        for data, message in [
+                ({"group": "Z^2", "support_radius": 1, "coeffs": [["0,3", 1.0]]},
+                 "beyond support_radius"),
+                ({"support_radius": 1, "coeffs": []}, "has no group"),
+                ({"group": "Z^2", "coeffs": [["0,1", 1.0]]},
+                 "has no support_radius"),
+                ({"group": "Z^2", "support_radius": 1}, "has no coeffs"),
+                ([1, 2], "must be an object"),
+                ({"group": "Z^2", "support_radius": 1, "coeffs": [5]},
+                 "[key, value] pair"),
+                ({"group": "Z^2", "support_radius": 1, "coeffs": [[1, 1.0]]},
+                 "string key")]:
+            path.write_text(json.dumps(data))
+            assert run_command(["norm", "--group", "Z^2", "--element", str(path),
+                                "--method", "l1"]) == 2, data
+            assert message in capsys.readouterr().err, data
+
+    def test_power_iteration_budget(self, capsys):
+        # |B_10| x |B_3| = 4309 x 53 matrix entries on H3
+        argv = ["norm", "--group", "H3", "--witness", "ball", "--n", "3",
+                "--method", "power", "--R", "10", "--budget"]
+        assert run_command(argv + ["228376"]) == 3
+        assert "228377 entries" in capsys.readouterr().err
+        assert run_command(argv + ["228377"]) == 0
 
     def test_budget_error(self):
         assert run_command(["growth", "--group", "Z^2", "--radius", "6",

@@ -331,6 +331,30 @@ def test_radial_kernel_matches_the_list_recursion(pair):
     assert radial_bits(got) == radial_bits(list_radial_convolve(x, y))
 
 
+def running_sum(x, out):
+    return R.RadialElement(spec=x.spec, coeffs=out.tolist(),
+                           sizes=x.spec.closed_sphere_sizes(len(out) - 1)).trimmed()
+
+
+@settings(max_examples=200)
+@given(radial_pairs())
+@example((R.free_radial(2, [-0.0, math.inf, 1.0, math.nan, -0.0]),
+          R.free_radial(2, [-0.0, 1.0, -math.inf, 0.0])))
+@example((R.free_radial(2, [1e300, -0.0, 1e300]), R.free_radial(2, [1e300, 1.0])))
+@example((R.free_radial(3, [2 ** 60 + 1, -(2 ** 70), 3]),
+          R.free_radial(3, [2 ** 55, 1, -1, 2 ** 64])))
+def test_every_running_sum_matches_the_list_recursion(pair):
+    # the m-th sum is the product with x cut to its first m+1 coefficients
+    x, y = pair
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = [running_sum(x, out)
+                for out in norms.radial_partial_products(x, y)]
+    assert len(sums) == len(x.coeffs)
+    for m, got in enumerate(sums):
+        cut = R.free_radial(x.spec.rank, x.coeffs[: m + 1])
+        assert radial_bits(got) == radial_bits(list_radial_convolve(cut, y))
+
+
 @pytest.mark.parametrize("coeff", [1.0, 1])
 def test_radial_kernel_overflows_silently_as_the_loop_does(coeff):
     # past the float range the recursion meets inf - inf; the kernel keeps

@@ -16,6 +16,24 @@ def sibling_imports(path):
             and node.module is not None}
 
 
+def imported_packages(path):
+    """The top-level packages ``path`` imports by absolute name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_orchestrating_modules_build_no_arrays():
+    # numpy and scipy stay below rd: the kernels in algebra and norms own them
+    for name in ("rd", "cli"):
+        assert imported_packages(PACKAGE / f"{name}.py") & {"numpy", "scipy"} == set()
+
+
 def test_each_module_imports_only_earlier_layers():
     modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
     assert modules == set(LAYERS)
