@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError, IndexRadiusError, SpecMismatchError
-from .groups import DEFAULT_BUDGET, GroupSpec, LengthIndex, word_length
+from .groups import (
+    COORD_LIMIT,
+    DEFAULT_BUDGET,
+    GroupSpec,
+    LengthIndex,
+    word_length,
+)
 
 # Slack threshold below which a floating comparison counts as a violation;
 # the test surface is dominated by exact small-integer sums.
@@ -28,9 +34,6 @@ GEQ_TOLERANCE = -1e-9
 PAIR_BLOCK = 1 << 16
 # Bounding a product box takes 4^d corner pairs in d coordinates.
 MAX_CORNER_PAIRS = 1 << 16
-# Coordinates must stay below this in absolute value so that products such
-# as H3's c + c' + a*b' cannot overflow int64.
-COORD_LIMIT = 1 << 31
 # Array kernels hold a few numbers per cell of the products' bounding box;
 # a box of more cells than this per possible product stays on the dict loop.
 BOX_CELLS_PER_PRODUCT = 4
@@ -110,13 +113,27 @@ class AlgebraElement:
             if not math.isfinite(coeffs[g]):
                 raise ValueError(f"element JSON gives {k!r} the value {c!r}")
         element = cls(spec=spec, coeffs=coeffs, support_radius=radius)
-        for g in element.coeffs:
+        element.check_support()
+        return element
+
+    def check_support(self, index: LengthIndex = None):
+        """Raise ValueError naming the first support element outside
+        B_{support_radius}.  A word length with no closed form is read from
+        ``index``, which must reach support_radius; without an index it is
+        not checked."""
+        spec, radius = self.spec, self.support_radius
+        for g in self.coeffs:
             length = spec.word_length_closed(g)
-            if length is not None and length > element.support_radius:
+            if length is None and index is not None:
+                if g not in index:
+                    raise ValueError(
+                        f"element {spec.element_key(g)!r} lies outside "
+                        f"B_{index.radius}, beyond support_radius {radius}")
+                length = index.length(g)
+            if length is not None and length > radius:
                 raise ValueError(
                     f"element {spec.element_key(g)!r} has length {length}, "
-                    f"beyond support_radius {element.support_radius}")
-        return element
+                    f"beyond support_radius {radius}")
 
 
 def point_mass(spec, g, length=None, index=None):

@@ -8,21 +8,42 @@ Format (text, UTF-8, LF):
 
 Records are sorted by (length, key), which matches the in-memory sphere
 order, so a reloaded index behaves bit-identically to a fresh enumeration.
-The header's sphere sizes let a reader tell a cut or padded file from a
-whole one on every group.
+Keys are canonical: ``element_key`` writes them and ``parse_key`` accepts no
+other spelling.  The header's sphere sizes let a reader tell a cut or padded
+file from a whole one on every group.
 The descriptor names a group on its standard generators, so only such a
 group reads or finds a cache file.
+
+On Z^d and H3 the records are written from the index's int64 rows by one
+``%d`` template, and read by parsing the integers with numpy: a file is read
+that way only if that template gives back its exact bytes.  Every other file
+and group goes through the record-by-record reader, which also names the
+first bad line of a file it rejects.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 from pathlib import Path
 
+import numpy as np
+
 from .errors import RdlabError
-from .groups import DEFAULT_BUDGET, LengthIndex, enumerate_balls, parse_descriptor
+from .groups import (
+    COORD_LIMIT,
+    DEFAULT_BUDGET,
+    IntegerTupleGroup,
+    LengthIndex,
+    enumerate_balls,
+    parse_descriptor,
+    parse_int,
+    text_order,
+)
 
 HEADER_PREFIX = "rdlab-ball-cache v2"
+# Records formatted per ``%`` call: bounds the argument tuple's memory.
+RECORD_BLOCK = 1 << 16
 
 
 class CacheFormatError(RdlabError):
@@ -33,15 +54,26 @@ def cache_filename(descriptor, radius):
     return f"{descriptor}.N{radius}.ballcache"
 
 
+def _records(table):
+    """The record lines of ``table``, an int64 array with one row per
+    element: its coordinates, then its length."""
+    record = ",".join(["%d"] * (table.shape[1] - 1)) + "\t%d\n"
+    return "".join((record * len(block)) % tuple(block.ravel().tolist())
+                   for block in np.split(table, range(RECORD_BLOCK, len(table),
+                                                      RECORD_BLOCK)))
+
+
 def serialize_index(index: LengthIndex):
     spec = index.spec
     spheres = ",".join(str(size) for size in index.sphere_sizes)
-    lines = [f"{HEADER_PREFIX} | {spec.descriptor()} | N={index.radius} | "
-             f"spheres={spheres}"]
-    for n in range(index.radius + 1):
-        for g in index.sphere(n):
-            lines.append(f"{spec.element_key(g)}\t{n}")
-    return "\n".join(lines) + "\n"
+    header = (f"{HEADER_PREFIX} | {spec.descriptor()} | N={index.radius} | "
+              f"spheres={spheres}\n")
+    if index.rows is not None:
+        lengths = np.repeat(np.arange(index.radius + 1), index.sphere_sizes)
+        return header + _records(np.column_stack([index.rows, lengths]))
+    return header + "".join([f"{spec.element_key(g)}\t{n}\n"
+                             for n in range(index.radius + 1)
+                             for g in index.sphere(n)])
 
 
 def write_ball_cache(index: LengthIndex, path):
@@ -90,29 +122,8 @@ def read_ball_cache(path, spec=None):
     gives them, against it."""
     text = Path(path).read_text(encoding="utf-8")
     spec, radius, header_spheres = _read_header(path, text, spec)
-    lines = text.splitlines()
-
-    lengths = {}
-    spheres = [[] for _ in range(radius + 1)]
-    previous = (-1, "")
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            key, n_text = line.split("\t")
-            n = int(n_text)
-        except ValueError:
-            raise CacheFormatError(f"{path}:{lineno}: bad record {line!r}") from None
-        if not 0 <= n <= radius:
-            raise CacheFormatError(f"{path}:{lineno}: length {n} outside radius")
-        if (n, key) <= previous:
-            raise CacheFormatError(
-                f"{path}:{lineno}: record {key!r} out of (length, key) order")
-        previous = (n, key)
-        g = spec.parse_key(key)
-        if g in lengths:
-            raise CacheFormatError(f"{path}:{lineno}: duplicate element {key!r}")
-        lengths[g] = n
-        spheres[n].append(g)
-    index = LengthIndex(spec=spec, radius=radius, lengths=lengths, spheres=spheres)
+    index = _read_rows(spec, radius, text) or _read_records(path, spec, radius,
+                                                            text)
     for source, sizes in (("closed form", spec.closed_sphere_sizes(radius)),
                           ("header", header_spheres)):
         if sizes is not None and sizes != index.sphere_sizes:
@@ -122,6 +133,64 @@ def read_ball_cache(path, spec=None):
                 f"{path}: sphere {n} has {index.sphere_sizes[n]} elements, the "
                 f"{source} {sizes[n]}")
     return index
+
+
+def _read_rows(spec, radius, text):
+    """The index of an IntegerTupleGroup file whose records ``_records``
+    writes back byte for byte, in (length, key) order without a repeated
+    element and with lengths in [0, radius]; None for any other file."""
+    body = text.partition("\n")[2]
+    # loadtxt skips blank lines, and warns when it finds nothing else
+    if not (isinstance(spec, IntegerTupleGroup) and body.strip("\n")):
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(body.replace("\t", ",")), dtype=np.int64,
+                           delimiter=",", comments=None, ndmin=2)
+    except (ValueError, OverflowError):
+        return None
+    if table.shape[1] != len(spec.identity()) + 1 or _records(table) != body:
+        return None
+    rows, lengths = np.ascontiguousarray(table[:, :-1]), table[:, -1]
+    if (lengths.min() < 0 or lengths.max() > radius
+            or rows.min() <= -COORD_LIMIT or rows.max() >= COORD_LIMIT):
+        return None
+    order = text_order(rows)
+    ranked = rows[order]
+    if (ranked[1:] == ranked[:-1]).all(axis=1).any():
+        return None
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    step = np.diff(lengths)
+    if not ((step > 0) | ((step == 0) & (np.diff(rank) > 0))).all():
+        return None
+    sizes = np.bincount(lengths, minlength=radius + 1).tolist()
+    return LengthIndex(spec, radius, rows=rows, sphere_sizes=sizes)
+
+
+def _read_records(path, spec, radius, text):
+    """The index of a cache file read record by record; CacheFormatError
+    naming the first bad line."""
+    lengths = {}
+    spheres = [[] for _ in range(radius + 1)]
+    previous = (-1, "")
+    for lineno, line in enumerate(text.splitlines()[1:], start=2):
+        try:
+            key, n_text = line.split("\t")
+            n = parse_int(n_text)
+            g = spec.parse_key(key)
+        except ValueError:
+            raise CacheFormatError(f"{path}:{lineno}: bad record {line!r}") from None
+        if not 0 <= n <= radius:
+            raise CacheFormatError(f"{path}:{lineno}: length {n} outside radius")
+        if (n, key) <= previous:
+            raise CacheFormatError(
+                f"{path}:{lineno}: record {key!r} out of (length, key) order")
+        previous = (n, key)
+        if g in lengths:
+            raise CacheFormatError(f"{path}:{lineno}: duplicate element {key!r}")
+        lengths[g] = n
+        spheres[n].append(g)
+    return LengthIndex(spec, radius, spheres=spheres, lengths=lengths)
 
 
 def sha256_file(path):

@@ -211,6 +211,7 @@ def cmd_norm(run, args):
         element = AlgebraElement.from_json_dict(spec, data)
         index = run.index(spec, element.support_radius, args.method,
                           args.domain_radius)
+        element.check_support(index)
     elif args.witness and args.n is not None:
         index = run.index(spec, args.n, args.method, args.domain_radius)
         element = make_witness(spec, args.witness, args.n, index, args.d_hat)

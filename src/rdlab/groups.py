@@ -8,6 +8,13 @@ over the generating set; the result is a :class:`LengthIndex` that the
 algebra and analysis layers consume.  ``word_length``, ``sphere_sizes`` and
 ``ball_sizes`` answer from the closed form, else from an index.
 
+Z^d and H3 (:class:`IntegerTupleGroup`, on any generating set) have an array
+law, and their search runs sphere by sphere on int64 row arrays: with a
+symmetric generating set S_{n+1} = S_n * gens minus S_{n-1} and S_n, so no
+set of all elements seen is kept.  Their index holds those rows and builds
+element tuples only when a lookup needs them.  Every other group runs the
+search on a dict of element values.
+
 Canonical element values are plain hashable Python data:
 
 ==================  =============================================
@@ -24,7 +31,8 @@ DirectProduct       tuple of factor elements
 
 Text keys (for cache files and JSON) serialize these values: integer tuples
 as "3,-2", free words verbatim, residues as decimals, product components
-joined with "|".
+joined with "|".  ``parse_key`` accepts exactly the keys ``element_key``
+writes: no sign on a nonnegative number, no leading zero, no space.
 """
 
 from __future__ import annotations
@@ -33,7 +41,9 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     BudgetExceededError,
@@ -43,6 +53,11 @@ from .errors import (
 )
 
 DEFAULT_BUDGET = 5_000_000
+# Coordinates of integer-tuple elements stay below this in absolute value on
+# the array paths, so that products such as H3's c + c' + a*b' and the
+# padded text-order keys of ``text_order`` fit in int64.
+COORD_LIMIT = 1 << 31
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -171,7 +186,31 @@ class GroupSpec:
         return f"{type(self).__name__}({self.descriptor()!r})"
 
 
-class FreeAbelian(GroupSpec):
+def parse_int(text):
+    """The int whose decimal ``str`` is ``text``; ValueError for any other
+    text, such as "+2", "01", "-0" or " 1"."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{text!r} is not a canonical integer")
+    return value
+
+
+class IntegerTupleGroup(GroupSpec):
+    """A group on tuples of ints with an array law, keyed as "3,-2"."""
+
+    def multiply_arrays(self, g_cols, h_cols):
+        return self.multiply(g_cols, h_cols)
+
+    def element_key(self, g):
+        return ",".join(str(x) for x in g)
+
+    def parse_key(self, s):
+        g = tuple(parse_int(p) for p in s.split(","))
+        self.check_element(g)
+        return g
+
+
+class FreeAbelian(IntegerTupleGroup):
     """Z^d with unit vectors and their negatives as standard generators."""
 
     def __init__(self, rank, generators=None):
@@ -185,9 +224,6 @@ class FreeAbelian(GroupSpec):
 
     def multiply(self, g, h):
         return tuple(x + y for x, y in zip(g, h))
-
-    def multiply_arrays(self, g_cols, h_cols):
-        return self.multiply(g_cols, h_cols)
 
     def inverse(self, g):
         return tuple(-x for x in g)
@@ -222,14 +258,6 @@ class FreeAbelian(GroupSpec):
                           for i in range(1, min(d, n) + 1))
                       for n in range(1, up_to + 1)]
 
-    def element_key(self, g):
-        return ",".join(str(x) for x in g)
-
-    def parse_key(self, s):
-        g = tuple(int(p) for p in s.split(","))
-        self.check_element(g)
-        return g
-
     def descriptor(self):
         return f"Z^{self.rank}"
 
@@ -238,7 +266,7 @@ class FreeAbelian(GroupSpec):
         return True
 
 
-class DiscreteHeisenberg(GroupSpec):
+class DiscreteHeisenberg(IntegerTupleGroup):
     """Integer Heisenberg group on triples with standard generators x, y.
 
     Product rule: (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b').  The center is
@@ -257,9 +285,6 @@ class DiscreteHeisenberg(GroupSpec):
         a, b, c = g
         a2, b2, c2 = h
         return (a + a2, b + b2, c + c2 + a * b2)
-
-    def multiply_arrays(self, g_cols, h_cols):
-        return self.multiply(g_cols, h_cols)
 
     def inverse(self, g):
         a, b, c = g
@@ -285,14 +310,6 @@ class DiscreteHeisenberg(GroupSpec):
         z_word = [x, y, xi, yi] if twists > 0 else [y, x, yi, xi]
         word += z_word * abs(twists)
         return word
-
-    def element_key(self, g):
-        return ",".join(str(x) for x in g)
-
-    def parse_key(self, s):
-        g = tuple(int(p) for p in s.split(","))
-        self.check_element(g)
-        return g
 
     def descriptor(self):
         return "H3"
@@ -417,7 +434,7 @@ class FiniteCyclic(GroupSpec):
         return str(g)
 
     def parse_key(self, s):
-        g = int(s)
+        g = parse_int(s)
         self.check_element(g)
         return g
 
@@ -540,27 +557,44 @@ def parse_descriptor(text):
     return DirectProduct(specs)
 
 
-@dataclass
 class LengthIndex:
     """Radius-bounded word-length table with sphere and ball counts.
 
     ``spheres[n]`` lists the elements at distance exactly n, sorted by their
     text key so that every construction path (fresh BFS or cache reload)
-    yields the same order.
+    yields the same order, and ``lengths`` maps each element to its length.
+    An index of an :class:`IntegerTupleGroup` may be built from ``rows``
+    instead: an int64 array with one row of coordinates per element, in
+    sphere order.  It then builds ``spheres`` and ``lengths`` at their first
+    read.  ``rows`` is None on an index built from ``spheres``.
     """
 
-    spec: GroupSpec
-    radius: int
-    lengths: dict = field(repr=False)
-    spheres: list = field(repr=False)
-    sphere_sizes: list = field(default_factory=list)
-    ball_sizes: list = field(default_factory=list)
+    def __init__(self, spec, radius, spheres=None, lengths=None, rows=None,
+                 sphere_sizes=None):
+        self.spec = spec
+        self.radius = radius
+        self.rows = rows
+        self._spheres = spheres
+        self._lengths = lengths
+        if spheres is not None:
+            sphere_sizes = [len(s) for s in spheres]
+        self.sphere_sizes = list(sphere_sizes)
+        self.ball_sizes = list(itertools.accumulate(self.sphere_sizes))
 
-    def __post_init__(self):
-        if not self.sphere_sizes:
-            self.sphere_sizes = [len(s) for s in self.spheres]
-        if not self.ball_sizes:
-            self.ball_sizes = list(itertools.accumulate(self.sphere_sizes))
+    @property
+    def spheres(self):
+        if self._spheres is None:
+            elements = list(map(tuple, self.rows.tolist()))
+            self._spheres = [elements[end - size: end] for size, end
+                             in zip(self.sphere_sizes, self.ball_sizes)]
+        return self._spheres
+
+    @property
+    def lengths(self):
+        if self._lengths is None:
+            self._lengths = {g: n for n, sphere in enumerate(self.spheres)
+                             for g in sphere}
+        return self._lengths
 
     def length(self, g):
         try:
@@ -584,17 +618,92 @@ class LengthIndex:
         return itertools.chain.from_iterable(self.spheres[: n + 1])
 
     def size(self):
-        return len(self.lengths)
+        return self.ball_sizes[-1]
+
+
+def text_order(rows):
+    """The permutation that sorts ``rows`` (int64, one integer-tuple element
+    per row, entries below COORD_LIMIT in absolute value) by their text keys,
+    as ``sorted(key=element_key)`` does.
+
+    ',' sorts below '-' and '-' below every digit, so the keys compare
+    coordinate by coordinate: negatives first, then by the digit string of
+    |v|, which orders as |v| padded with zeros to the column's widest digit
+    count and then by its own digit count ("1" < "10" < "2").
+    """
+    keys = []
+    for col in rows.T[::-1]:            # np.lexsort sorts by its last key first
+        size = np.abs(col)
+        digits = np.searchsorted(_POWERS_OF_TEN, size, side="right") + 1
+        width = int(digits.max(initial=1))
+        keys += [digits, size * 10 ** (width - digits), col >= 0]
+    return np.lexsort(keys)
+
+
+def _budget_error(spec, budget, n):
+    return BudgetExceededError(
+        f"ball enumeration for {spec.descriptor()} passed {budget} elements "
+        f"at radius {n}", radius_reached=n - 1)
+
+
+def _array_spheres(spec, N, budget):
+    """S_0..S_N of an IntegerTupleGroup as int64 row arrays in text-key
+    order, or None when a coordinate would reach COORD_LIMIT or a step's
+    bounding box would number its cells past int64.
+
+    A generating set is symmetric, so the neighbours of S_{n-1} lie in
+    S_{n-2}, S_{n-1} and S_n: S_n is what they reach outside the first two.
+    Rows are keyed by their cell in the bounding box, as ``ProductKeys``
+    numbers its products, and S_n keeps the reached keys that a binary search
+    does not find among the keys of S_{n-2} and S_{n-1}.
+    """
+    gens = np.array(spec.generators(), dtype=object)
+    if np.abs(gens).max() >= COORD_LIMIT:
+        return None
+    gens = gens.astype(np.int64)
+    spheres = [np.array([spec.identity()], dtype=np.int64)]
+    previous = spheres[0][:0]
+    total = 1
+    for n in range(1, N + 1):
+        last = spheres[-1]
+        products = spec.multiply_arrays(tuple(last.T[:, :, None]),
+                                        tuple(gens.T[:, None, :]))
+        reached = np.stack([col.ravel() for col in products], axis=1)
+        near = np.concatenate([reached, last, previous])
+        lo, hi = near.min(axis=0).tolist(), near.max(axis=0).tolist()
+        spans = [high - low + 1 for low, high in zip(lo, hi)]
+        if max(-min(lo), max(hi)) >= COORD_LIMIT or math.prod(spans) >= 1 << 63:
+            return None
+        keys = np.zeros(len(near), dtype=np.int64)
+        for col, low, span in zip(near.T, lo, spans):
+            keys *= span
+            keys += col - low
+        reached_keys, first = np.unique(keys[:len(reached)], return_index=True)
+        known = np.sort(keys[len(reached):])
+        at = np.searchsorted(known, reached_keys).clip(max=len(known) - 1)
+        sphere = reached[first[known[at] != reached_keys]]
+        total += len(sphere)
+        if total > budget:
+            raise _budget_error(spec, budget, n)
+        spheres.append(sphere[text_order(sphere)])
+        previous = last
+    return spheres
 
 
 def enumerate_balls(spec, N, budget=DEFAULT_BUDGET):
-    """Breadth-first enumeration of the balls B_0..B_N of ``spec``.
+    """Breadth-first enumeration of the balls B_0..B_N of ``spec``: on int64
+    rows for an IntegerTupleGroup, else on a dict of element values.
 
     Raises BudgetExceededError (carrying the last completed radius) if the
     element count passes ``budget``.
     """
     if N < 0:
         raise ValueError("radius must be >= 0")
+    if isinstance(spec, IntegerTupleGroup):
+        spheres = _array_spheres(spec, N, budget)
+        if spheres is not None:
+            return LengthIndex(spec, N, rows=np.concatenate(spheres),
+                               sphere_sizes=[len(s) for s in spheres])
     e = spec.identity()
     gens = spec.generators()
     lengths = {e: 0}
@@ -609,14 +718,11 @@ def enumerate_balls(spec, N, budget=DEFAULT_BUDGET):
                     lengths[h] = n
                     nxt.append(h)
                     if len(lengths) > budget:
-                        raise BudgetExceededError(
-                            f"ball enumeration for {spec.descriptor()} passed "
-                            f"{budget} elements at radius {n}",
-                            radius_reached=n - 1)
+                        raise _budget_error(spec, budget, n)
         nxt.sort(key=spec.element_key)
         spheres.append(nxt)
         frontier = nxt
-    return LengthIndex(spec=spec, radius=N, lengths=lengths, spheres=spheres)
+    return LengthIndex(spec, N, spheres=spheres, lengths=lengths)
 
 
 def word_length(spec, g, index=None):

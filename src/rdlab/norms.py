@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-import scipy.sparse
 
 from .algebra import AlgebraElement, adjoint, convolve, norm, product_keys
 from .errors import BudgetExceededError, IndexRadiusError, RdlabError
@@ -444,6 +443,9 @@ def _compression_matrix(a: AlgebraElement, cols):
     Rows are numbered by first appearance, columns outside and the support
     of ``a`` inside; ``product_keys`` supplies the products on Z^d and H3.
     """
+    # imported here, not at the top: it costs every command about 0.16 s
+    import scipy.sparse
+
     spec = a.spec
     supp = list(a.coeffs.items())
     keys = product_keys(spec, cols, list(a.coeffs), flip=True)

@@ -263,8 +263,12 @@ class TestJson:
 
     def test_duplicate_keys_rejected(self):
         data = {"group": "Z^2", "support_radius": 1,
-                "coeffs": [["1,0", 5.0], ["01,0", 2.0]]}
+                "coeffs": [["1,0", 5.0], ["1,0", 2.0]]}
         with pytest.raises(ValueError, match="twice"):
+            R.AlgebraElement.from_json_dict(Z2, data)
+        # another spelling of the same element is no key at all
+        data["coeffs"][1][0] = "01,0"
+        with pytest.raises(ValueError, match="not a canonical integer"):
             R.AlgebraElement.from_json_dict(Z2, data)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), "-inf"])

@@ -1,0 +1,236 @@
+"""The array ball search and cache reader of Z^d and H3 against the dict
+search and record reader they replace.
+
+``enumerate_balls`` runs sphere by sphere on int64 rows for these groups; it
+must give the dict search's spheres, lengths, cache bytes and budget errors.
+``read_ball_cache`` parses their files with numpy; every file it does not
+take that way goes to the record reader, which names what is wrong.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+import rdlab as R
+from rdlab.cache import (
+    CacheFormatError,
+    cache_roundtrip,
+    read_ball_cache,
+    serialize_index,
+    write_ball_cache,
+)
+from rdlab.errors import BudgetExceededError
+from rdlab.groups import COORD_LIMIT, text_order
+
+H3 = R.DiscreteHeisenberg()
+# the largest radius each group is searched to: a few thousand elements
+RADII = {"Z^1": 40, "Z^2": 12, "Z^3": 6, "Z^4": 4, "H3": 6}
+
+
+def dict_bfs(spec, N, budget=R.DEFAULT_BUDGET):
+    """Spheres S_0..S_N as lists sorted by text key, by breadth-first search
+    over a dict of every element seen."""
+    e = spec.identity()
+    lengths = {e: 0}
+    spheres = [[e]]
+    for n in range(1, N + 1):
+        nxt = []
+        for g in spheres[-1]:
+            for s in spec.generators():
+                h = spec.multiply(g, s)
+                if h not in lengths:
+                    lengths[h] = n
+                    nxt.append(h)
+                    if len(lengths) > budget:
+                        raise BudgetExceededError(
+                            f"ball enumeration for {spec.descriptor()} passed "
+                            f"{budget} elements at radius {n}",
+                            radius_reached=n - 1)
+        spheres.append(sorted(nxt, key=spec.element_key))
+    return spheres
+
+
+def record_bytes(spec, spheres):
+    sizes = ",".join(str(len(s)) for s in spheres)
+    lines = [f"rdlab-ball-cache v2 | {spec.descriptor()} | N={len(spheres) - 1} | "
+             f"spheres={sizes}"]
+    lines += [f"{spec.element_key(g)}\t{n}" for n, s in enumerate(spheres) for g in s]
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_index(spec, N, index):
+    spheres = dict_bfs(spec, N)
+    assert [index.sphere(n) for n in range(N + 1)] == spheres
+    assert index.lengths == {g: n for n, s in enumerate(spheres) for g in s}
+    assert index.size() == sum(map(len, spheres))
+    assert serialize_index(index) == record_bytes(spec, spheres)
+
+
+@st.composite
+def groups(draw):
+    """A standard Z^d or H3, or one on a custom symmetric generating set."""
+    name = draw(st.sampled_from(sorted(RADII)))
+    spec = R.parse_descriptor(name)
+    if draw(st.booleans()):
+        return spec, RADII[name]
+    coordinate = st.integers(-3, 3)
+    gens = draw(st.lists(st.tuples(*[coordinate] * len(spec.identity())),
+                         min_size=1, max_size=3, unique=True)
+                .filter(lambda gs: spec.identity() not in gs))
+    gens = list(dict.fromkeys(gens + [spec.inverse(g) for g in gens]))
+    if spec == H3:
+        return R.DiscreteHeisenberg(generators=gens), RADII[name] // 2
+    return R.FreeAbelian(spec.rank, generators=gens), RADII[name] // 2
+
+
+@given(groups(), st.data())
+def test_array_search_matches_the_dict_search(group, data):
+    spec, top = group
+    N = data.draw(st.integers(0, top))
+    index = R.enumerate_balls(spec, N)
+    assert index.rows is not None
+    assert_same_index(spec, N, index)
+
+
+@given(groups(), st.data())
+def test_budget_errors_match_the_dict_search(group, data):
+    spec, top = group
+    n = data.draw(st.integers(1, top))
+    ball = sum(map(len, dict_bfs(spec, n)))
+    assert R.enumerate_balls(spec, n, budget=ball).size() == ball
+    with pytest.raises(BudgetExceededError) as raised:
+        R.enumerate_balls(spec, n, budget=ball - 1)
+    with pytest.raises(BudgetExceededError) as expected:
+        dict_bfs(spec, n, budget=ball - 1)
+    assert str(raised.value) == str(expected.value)
+    assert raised.value.radius_reached == expected.value.radius_reached == n - 1
+
+
+@pytest.mark.parametrize("spec, N", [
+    # generators at the coordinate limit and past int64: the dict search
+    # from the start
+    (R.FreeAbelian(2, generators=[(COORD_LIMIT, 0), (-COORD_LIMIT, 0),
+                                  (0, 1), (0, -1)]), 3),
+    (R.DiscreteHeisenberg(generators=[(2 ** 70, 0, 0), (-(2 ** 70), 0, 0),
+                                      (0, 1, 0), (0, -1, 0)]), 3),
+    # coordinates reach the limit at radius 2
+    (R.FreeAbelian(2, generators=[(COORD_LIMIT // 2, 0), (-COORD_LIMIT // 2, 0),
+                                  (0, 1), (0, -1)]), 4),
+    # a bounding box of 2^124 cells
+    (R.FreeAbelian(4, generators=[(COORD_LIMIT // 2 - 1,) * 4,
+                                  (1 - COORD_LIMIT // 2,) * 4]), 3),
+])
+def test_coordinates_past_the_limits_fall_back_to_the_dict_search(spec, N):
+    index = R.enumerate_balls(spec, N)
+    assert index.rows is None
+    assert_same_index(spec, N, index)
+
+
+ENTRIES = st.one_of(st.integers(-12, 12),
+                    st.integers(-COORD_LIMIT + 1, COORD_LIMIT - 1),
+                    st.sampled_from([0, 1, -1, 9, 10, -10, 99, 100, -100, 101]))
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.tuples(*[ENTRIES] * k), min_size=1, max_size=40)))
+@example([(1,), (10,), (2,), (-1,), (-10,), (-2,), (0,), (100,), (11,)])
+@example([(1, 2), (12, -3), (1, -20), (-1, 0), (0, 0), (10, 5), (1, 10)])
+def test_text_order_sorts_as_element_key(rows):
+    key = R.FreeAbelian(len(rows[0])).element_key
+    order = text_order(np.array(rows, dtype=np.int64))
+    assert [rows[i] for i in order] == sorted(rows, key=key)
+
+
+def cut(lines):
+    return lines[:-3]
+
+
+def reverse(lines):
+    return lines[:1] + lines[:0:-1]
+
+
+def swap_within_a_sphere(lines):
+    return lines[:2] + [lines[3], lines[2]] + lines[4:]
+
+
+def duplicate_across_spheres(lines):
+    # the identity again, in its sorted place on sphere 2
+    key = lines[1].split("\t")[0]
+    sphere = [line for line in lines if line.endswith("\t2\n")]
+    placed = sorted(sphere + [f"{key}\t2\n"])
+    start = lines.index(sphere[0])
+    return lines[:start] + placed + lines[start + len(sphere):]
+
+
+def negative_length(lines):
+    return lines[:1] + [lines[1].replace("\t0", "\t-1")] + lines[2:]
+
+
+def wrong_arity(lines):
+    return lines[:1] + [lines[1].replace("\t", ",0\t")] + lines[2:]
+
+
+def respell(number, spelling):
+    """Spell the first coordinate ``number`` of a record as ``spelling``."""
+    def corrupt(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith(number + ","))
+        return lines[:i] + [spelling + lines[i][len(number):]] + lines[i + 1:]
+    corrupt.__name__ = f"respell_{number}_as_{spelling.strip()}"
+    return corrupt
+
+
+# the record reader's messages; a wrong arity and the other spellings of a
+# key are bad records
+CORRUPTIONS = [
+    (cut, {"Z^2": "sphere 6 has 21 elements, the closed form 24",
+           "H3": "sphere 6 has 291 elements, the header 294"}),
+    (reverse, {"Z^2": ":3: record '5,1' out of (length, key) order",
+               "H3": ":3: record '5,1,5' out of (length, key) order"}),
+    (swap_within_a_sphere, {"Z^2": ":4: record '-1,0' out of (length, key) order",
+                            "H3": ":4: record '-1,0,0' out of (length, key) order"}),
+    (duplicate_across_spheres, {"Z^2": ":11: duplicate element '0,0'",
+                                "H3": ":13: duplicate element '0,0,0'"}),
+    (negative_length, {"Z^2": ":2: length -1 outside radius",
+                       "H3": ":2: length -1 outside radius"}),
+    (wrong_arity, {"Z^2": ":2: bad record '0,0,0\\t0'",
+                   "H3": ":2: bad record '0,0,0,0\\t0'"}),
+    (respell("1", "01"), {"Z^2": ":6: bad record '01,0\\t1'",
+                          "H3": ":6: bad record '01,0,0\\t1'"}),
+    (respell("1", "+1"), {"Z^2": ":6: bad record '+1,0\\t1'",
+                          "H3": ":6: bad record '+1,0,0\\t1'"}),
+    (respell("1", " 1"), {"Z^2": ":6: bad record ' 1,0\\t1'",
+                          "H3": ":6: bad record ' 1,0,0\\t1'"}),
+    (respell("0", "-0"), {"Z^2": ":2: bad record '-0,0\\t0'",
+                          "H3": ":2: bad record '-0,0,0\\t0'"}),
+]
+
+
+@pytest.mark.parametrize("corrupt, messages", CORRUPTIONS,
+                         ids=[c.__name__ for c, _ in CORRUPTIONS])
+@pytest.mark.parametrize("descriptor", ["Z^2", "H3"])
+def test_corrupt_files_name_their_fault(tmp_path, descriptor, corrupt, messages):
+    spec = R.parse_descriptor(descriptor)
+    path = tmp_path / f"{descriptor}.N6.ballcache"
+    write_ball_cache(R.enumerate_balls(spec, 6), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(corrupt(lines)), encoding="utf-8")
+    with pytest.raises(CacheFormatError, match=re.escape(messages[descriptor])):
+        read_ball_cache(path, spec)
+
+
+@pytest.mark.parametrize("descriptor, rows", [("Z^2", True), ("H3", True),
+                                              ("F2", False), ("Z^1xC5", False)])
+def test_whole_files_read_back_the_search(tmp_path, descriptor, rows):
+    spec = R.parse_descriptor(descriptor)
+    path = tmp_path / f"{descriptor}.N5.ballcache"
+    assert cache_roundtrip(spec, 5, path)
+    loaded = read_ball_cache(path)
+    assert (loaded.rows is not None) == rows
+    assert serialize_index(loaded) == path.read_text(encoding="utf-8")
+    # a file without its last newline is not what the writer wrote, but the
+    # record reader still takes it
+    path.write_text(path.read_text(encoding="utf-8")[:-1], encoding="utf-8")
+    assert read_ball_cache(path).lengths == loaded.lengths

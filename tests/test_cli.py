@@ -503,15 +503,18 @@ class TestIndexPlanning:
                             "--r", "1", "--k", "3"]) == 1
         assert index_calls["get_index"] == [("H3", 4)]
 
-    def test_given_element_needs_an_index_only_for_power(self, tmp_path,
-                                                          index_calls):
+    def test_given_element_reads_the_index_its_support_is_checked_on(
+            self, tmp_path, index_calls):
+        # H3 has no closed word length: the support is checked on the index
+        # of support_radius, or of the power domain when that is larger
         path = tmp_path / "el.json"
         ball = R.char_ball(rdlab.groups.enumerate_balls(R.DiscreteHeisenberg(), 1), 1)
         path.write_text(json.dumps(ball.to_json_dict()))
         index_calls["enumerate"].clear()
         base = ["norm", "--group", "H3", "--element", str(path)]
         assert run_command(base + ["--method", "trace", "--depth", "2"]) == 0
-        assert index_calls["get_index"] == []
+        assert index_calls["get_index"] == [("H3", 1)]
+        index_calls["get_index"].clear()
         assert run_command(base + ["--method", "power", "--R", "3",
                                    "--iters", "20"]) == 0
         assert index_calls["get_index"] == [("H3", 3)]
@@ -689,6 +692,20 @@ class TestExitCodes:
             assert run_command(["norm", "--group", "Z^2", "--element", str(path),
                                 "--method", "l1"]) == 2, data
             assert message in capsys.readouterr().err, data
+
+    def test_support_radius_checked_by_the_index(self, tmp_path, capsys):
+        # H3 has no closed word length: its index of support_radius (or of
+        # the power domain, when larger) checks the declared radius
+        path = tmp_path / "el.json"
+        for key, radius, extra, code, message in [
+                ("0,0,5", 1, [], 2, "'0,0,5' lies outside B_1"),
+                ("0,0,1", 1, ["--R", "6"], 2, "'0,0,1' has length 4"),
+                ("0,0,1", 4, ["--R", "6"], 0, "norm in")]:
+            path.write_text(json.dumps({"group": "H3", "support_radius": radius,
+                                        "coeffs": [["0,0,0", 1.0], [key, 1.0]]}))
+            assert run_command(["norm", "--group", "H3", "--element", str(path),
+                                "--method", "power"] + extra) == code, key
+            assert message in capsys.readouterr().err, key
 
     def test_power_iteration_budget(self, capsys):
         # |B_10| x |B_3| = 4309 x 53 matrix entries on H3

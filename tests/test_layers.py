@@ -1,6 +1,8 @@
 """The modules of rdlab form layers: each imports only the layers below it."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 LAYERS = ["errors", "groups", "algebra", "cache", "norms", "rd", "cli"]
@@ -40,3 +42,11 @@ def test_each_module_imports_only_earlier_layers():
     upward = {name: sibling_imports(PACKAGE / f"{name}.py") - set(LAYERS[:i])
               for i, name in enumerate(LAYERS)}
     assert {name: found for name, found in upward.items() if found} == {}
+
+
+def test_the_command_line_imports_no_scipy():
+    # only power iteration builds a scipy matrix, and it imports scipy itself
+    probe = "import sys, rdlab.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"
