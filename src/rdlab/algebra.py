@@ -23,6 +23,7 @@ from .groups import (
     DEFAULT_BUDGET,
     GroupSpec,
     LengthIndex,
+    cell_keys,
     word_length,
 )
 
@@ -163,8 +164,9 @@ class ProductKeys:
 
     Pair p = i * len(inner) + j is the product of outer[i] and inner[j]: the
     order of a loop with the outer list outside.  Keys number the cells of
-    the products' bounding box (corner ``lo``, side lengths ``spans``) in mixed
-    radix, so equal products get equal keys and ``elements`` decodes keys.
+    the products' bounding box (corner ``lo``, side lengths ``spans``) by
+    ``cell_keys``, so equal products get equal keys and ``elements`` decodes
+    keys.
     While ``blocks`` runs, ``first`` records each key's first pair and
     ``touched`` counts the keys seen.
     """
@@ -193,13 +195,8 @@ class ProductKeys:
                 inner_ids = slice(c, min(c + step, width))
                 products = self.law(self.outer[:, outer_ids, None],
                                     self.inner[:, None, inner_ids])
-                keys = np.zeros(products[0].shape, dtype=np.int64)
-                for col, lo, span in zip(products, self.lo, self.spans):
-                    keys *= span
-                    keys += col
-                    keys -= lo
+                keys = cell_keys(products, self.lo, self.spans).ravel()
                 del products
-                keys = keys.ravel()
                 start = r * width + c
                 p = np.arange(start, start + len(keys))
                 np.minimum.at(self.first, keys, p)
@@ -338,6 +335,151 @@ def convolve(a: AlgebraElement, b: AlgebraElement, budget=DEFAULT_BUDGET):
         out = _convolve_dicts(a.spec.multiply, left, right, flip, budget)
     return AlgebraElement(spec=a.spec, coeffs=out,
                           support_radius=a.support_radius + b.support_radius)
+
+
+# -- ball product counts --------------------------------------------------------
+
+
+class _RowLengths:
+    """Word lengths of the x^-1 g on int64 rows: x^-1 by ``spec.inverse`` on
+    coordinate columns, x^-1 g by ``multiply_arrays``, and each length read
+    from a table over the bounding box (corner ``lo``, far corner ``hi``) of
+    B_M, the rows ``ball``, whose cells ``cell_keys`` numbers; -1 outside
+    B_M."""
+
+    def __init__(self, index, M, width, ball, lo, hi):
+        self.lo, self.hi = lo, hi
+        self.spans = (hi - lo + 1).tolist()
+        self.table = np.full(math.prod(self.spans), -1,
+                             dtype=np.min_scalar_type(-M - 1))
+        self.table[cell_keys(ball.T, lo, self.spans)] = np.repeat(
+            np.arange(M + 1), index.sphere_sizes[: M + 1])
+        x = index.rows[: index.ball_sizes[width]]
+        inverses = index.spec.inverse(tuple(x.T))
+        self.inverses = [col[None, :] for col in inverses]
+        self.law = index.spec.multiply_arrays
+        self.index = index
+
+    def __call__(self, r, a, b, count):
+        start = self.index.ball_sizes[r] - self.index.sphere_sizes[r]
+        g = self.index.rows[start + a: start + b].T[:, :, None]
+        y = self.law([col[:, :count] for col in self.inverses], tuple(g))
+        inside = np.ones(y[0].shape, dtype=bool)
+        for col, low, high in zip(y, self.lo, self.hi):
+            inside &= (col >= low) & (col <= high)
+        keys = np.where(inside, cell_keys(y, self.lo, self.spans), 0)
+        return np.where(inside, self.table[keys], -1)
+
+
+class _DictLengths:
+    """Word lengths of the x^-1 g from ``index.lengths``; -1 outside B_M."""
+
+    def __init__(self, index, M, width):
+        spec = index.spec
+        self.inverses = [spec.inverse(x) for x in index.ball(width)]
+        self.spheres = index.spheres
+        self.mul = spec.multiply
+        self.get = index.lengths.get
+        self.M = M
+
+    def __call__(self, r, a, b, count):
+        mul, get, inverses = self.mul, self.get, self.inverses[:count]
+        lengths = np.fromiter((get(mul(x, g), -1) for g in self.spheres[r][a:b]
+                               for x in inverses),
+                              dtype=np.int64, count=(b - a) * count)
+        lengths[lengths > self.M] = -1
+        return lengths.reshape(b - a, count)
+
+
+def _pair_lengths(index, M, width, pairs, budget):
+    """The gather of ``ball_pair_counts``: ``_RowLengths`` where the index has
+    int64 rows and the bounding box of B_M has at most BOX_CELLS_PER_PRODUCT
+    cells per pair, and per budgeted entry, else ``_DictLengths``."""
+    if index.rows is not None:
+        ball = index.rows[: index.ball_sizes[M]]
+        lo, hi = ball.min(axis=0), ball.max(axis=0)
+        cells = math.prod((hi - lo + 1).tolist())
+        limit = pairs if budget is None else min(pairs, budget)
+        if cells <= BOX_CELLS_PER_PRODUCT * limit:
+            return _RowLengths(index, M, width, ball, lo, hi)
+    return _DictLengths(index, M, width)
+
+
+def _outside_error(index, M, r, a, lengths):
+    """IndexRadiusError naming the first pair of ``lengths`` (g from sphere
+    r, from its a-th element on) whose x^-1 g is not in B_M."""
+    spec, key = index.spec, index.spec.element_key
+    i, p = np.argwhere(lengths < 0)[0].tolist()
+    g = index.sphere(r)[a + i]
+    x = next(itertools.islice(index.ball(M), p, None))
+    y = spec.multiply(spec.inverse(x), g)
+    return IndexRadiusError(
+        f"{key(x)!r}^-1 * {key(g)!r} = {key(y)!r} is not in B_{M} of the "
+        f"index of {spec.descriptor()}, although {key(x)!r} and {key(g)!r} "
+        f"have lengths summing to at most {M}: the index does not fit its "
+        "group")
+
+
+def ball_pair_counts(index: LengthIndex, M, top=None, budget=DEFAULT_BUDGET):
+    """Coefficients of chi(B_n) * chi(B_T) on the g with n + |g| <= M, counted
+    pair by pair.
+
+    Yields (r, c) for r = 0..M-1, where
+    c[a, n, T] = #{x in B_n : |x^-1 g| <= T} for g = index.sphere(r)[a],
+    0 <= n <= min(top, M - r) (``top`` defaults to M - 1) and 0 <= T <= M.
+    Only pairs with |x| + |g| <= M are visited, so every x^-1 g lies in B_M
+    and the index of radius M gives its length: c is a histogram over
+    (g, |x|, |x^-1 g|) followed by prefix sums over |x| and |x^-1 g|.  The
+    lengths come from ``_pair_lengths``, on int64 rows or from length dicts;
+    both give the same counts.
+
+    The c are built one at a time, so ``budget`` bounds the entries of the
+    largest, max over r of |S_r| (min(top, M-r) + 1) (M+1); it is checked
+    before any array is allocated.  An x^-1 g outside B_M, which only an
+    index that does not fit its group can give, raises IndexRadiusError.
+    """
+    if index is None or index.radius < M:
+        raise IndexRadiusError(f"ball product counts to radius {M} need a "
+                               "LengthIndex of that radius")
+    top = M - 1 if top is None else top
+    sizes, balls = index.sphere_sizes, index.ball_sizes
+    widths = [min(top, M - r) for r in range(M)]
+    entries = max((sizes[r] * (w + 1) * (M + 1) for r, w in enumerate(widths)),
+                  default=0)
+    if budget is not None and entries > budget:
+        raise BudgetExceededError(
+            f"a table of ball product counts would hold {entries} entries, "
+            f"past the budget of {budget}")
+    pairs = sum(sizes[r] * balls[w] for r, w in enumerate(widths))
+    lengths = _pair_lengths(index, M, max(widths, default=0), pairs, budget)
+    for r, width in enumerate(widths):
+        count, cell = balls[width], (width + 1) * (M + 1)
+        x_keys = np.repeat(np.arange(width + 1) * (M + 1), sizes[: width + 1])
+        c = np.empty((sizes[r], width + 1, M + 1), dtype=np.int64)
+        step = max(1, PAIR_BLOCK // count)
+        for a in range(0, sizes[r], step):
+            b = min(a + step, sizes[r])
+            ys = lengths(r, a, b, count)
+            if ys.min() < 0:
+                raise _outside_error(index, M, r, a, ys)
+            keys = ys + x_keys + (np.arange(b - a) * cell)[:, None]
+            c[a:b] = np.bincount(keys.ravel(), minlength=(b - a) * cell
+                                 ).reshape(b - a, width + 1, M + 1)
+        c.cumsum(axis=1, out=c)
+        c.cumsum(axis=2, out=c)
+        yield r, c
+
+
+def ball_product_minima(index: LengthIndex, M, top, budget=DEFAULT_BUDGET):
+    """For n = 0..top, the least coefficient of chi(B_n) * chi(B_M) on
+    B_{M-n}, min over g there of #{x in B_n : |x^-1 g| <= M}, as Python ints
+    from ``ball_pair_counts``."""
+    least = [math.inf] * (top + 1)
+    for _, c in ball_pair_counts(index, M, top, budget):
+        if len(c):
+            row = c[:, :, M].min(axis=0).tolist()
+            least[: len(row)] = map(min, least, row)
+    return least
 
 
 def adjoint(a: AlgebraElement):

@@ -468,7 +468,9 @@ def build_parser():
     common.add_argument("--cache-dir", dest="cache_dir",
                         help="ball cache directory (default $RDLAB_CACHE_DIR)")
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="element-count budget for enumeration/convolution")
+                        help="budget on the elements enumerated, the "
+                             "support of a convolution and the entries of "
+                             "each lemma1 table of counts")
     group = _flags(common)
     group.add_argument("--group", required=True,
                        help='group descriptor, e.g. Z, Z^2, H3, F2, C12, Z^1xF2')

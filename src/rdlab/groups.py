@@ -640,6 +640,18 @@ def text_order(rows):
     return np.lexsort(keys)
 
 
+def cell_keys(cols, lo, spans):
+    """The numbers of the cells that the points with coordinate columns
+    ``cols`` occupy in the box with corner ``lo`` and side lengths ``spans``,
+    in mixed radix: the first coordinate is the most significant digit."""
+    keys = np.zeros(np.shape(cols[0]), dtype=np.int64)
+    for col, low, span in zip(cols, lo, spans):
+        keys *= span
+        keys += col
+        keys -= low
+    return keys
+
+
 def _budget_error(spec, budget, n):
     return BudgetExceededError(
         f"ball enumeration for {spec.descriptor()} passed {budget} elements "
@@ -653,9 +665,9 @@ def _array_spheres(spec, N, budget):
 
     A generating set is symmetric, so the neighbours of S_{n-1} lie in
     S_{n-2}, S_{n-1} and S_n: S_n is what they reach outside the first two.
-    Rows are keyed by their cell in the bounding box, as ``ProductKeys``
-    numbers its products, and S_n keeps the reached keys that a binary search
-    does not find among the keys of S_{n-2} and S_{n-1}.
+    Rows are keyed by their cell in the bounding box (``cell_keys``), and
+    S_n keeps the reached keys that a binary search does not find among the
+    keys of S_{n-2} and S_{n-1}.
     """
     gens = np.array(spec.generators(), dtype=object)
     if np.abs(gens).max() >= COORD_LIMIT:
@@ -674,10 +686,7 @@ def _array_spheres(spec, N, budget):
         spans = [high - low + 1 for low, high in zip(lo, hi)]
         if max(-min(lo), max(hi)) >= COORD_LIMIT or math.prod(spans) >= 1 << 63:
             return None
-        keys = np.zeros(len(near), dtype=np.int64)
-        for col, low, span in zip(near.T, lo, spans):
-            keys *= span
-            keys += col - low
+        keys = cell_keys(near.T, lo, spans)
         reached_keys, first = np.unique(keys[:len(reached)], return_index=True)
         known = np.sort(keys[len(reached):])
         at = np.searchsorted(known, reached_keys).clip(max=len(known) - 1)

@@ -472,13 +472,20 @@ def _compression_matrix(a: AlgebraElement, cols):
     return scipy.sparse.csr_matrix((data, (row_idx, col_idx)), shape=shape)
 
 
+def _sum_of_squares(v):
+    """sum of v_i^2 by numpy's pairwise reduction: BLAS's dot product splits
+    long vectors across threads, and its sums then vary with their number."""
+    return float(np.add.reduce(v * v))
+
+
 def op_norm_power_iteration(a: AlgebraElement, R, iters=200, seed=0,
                             index: LengthIndex = None, budget=DEFAULT_BUDGET):
     """Largest singular value of convolution by ``a`` compressed to l2(B_R).
 
     Builds the sparse matrix of v -> a*v from B_R into the reachable set and
     applies power iteration to its normal matrix; the Rayleigh quotient is a
-    lower bound for ||a||^2 at every step.  Deterministic for a fixed seed.
+    lower bound for ||a||^2 at every step.  Deterministic for a fixed seed,
+    whatever the number of BLAS threads: no step calls BLAS.
     A matrix of more than ``budget`` entries, |B_R| |supp a|, raises
     BudgetExceededError before it is built.
     """
@@ -502,15 +509,14 @@ def op_norm_power_iteration(a: AlgebraElement, R, iters=200, seed=0,
 
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(mat.shape[1])
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(_sum_of_squares(v))
     steps = []
     converged = False
     for _ in range(iters):
         w = mat @ v
-        rayleigh = float(w @ w)
-        steps.append(math.sqrt(max(rayleigh, 0.0)))
+        steps.append(math.sqrt(_sum_of_squares(w)))
         v = mat.T @ w
-        nv = np.linalg.norm(v)
+        nv = math.sqrt(_sum_of_squares(v))
         if nv == 0.0:
             break
         v /= nv

@@ -10,9 +10,10 @@ numerical content:
 * log-log exponent fits and the constant series C_s(n) = ratio / (1+n)^s
   whose divergence trend is the finite shadow of "s is too small";
 * exact pointwise inequalities: the ball convolution bound
-  chi(B_n) chi(B_{n+k}) >= |B_n| chi(B_k), and its consequence for products
-  of power-weighted normalized-ball series, both posed on sphere functions
-  and checked by one product check (radial on free groups, dense elsewhere);
+  chi(B_n) chi(B_{n+k}) >= |B_n| chi(B_k), radial on free groups and
+  counted pair by pair elsewhere, and its consequence for products of
+  power-weighted normalized-ball series, posed on sphere functions and
+  checked by one product check (radial on free groups, dense elsewhere);
 * the l2 doubling condition ||chi(B_{r(k+1)})||_2 >= 2 ||chi(B_{rk})||_2 and
   the resulting two-sided l2 bounds for those series;
 * subgroup domination (heredity) checks through an embedding;
@@ -36,8 +37,7 @@ from itertools import accumulate
 from .algebra import (
     AlgebraElement,
     GEQ_TOLERANCE,
-    char_ball,
-    char_sphere,
+    ball_product_minima,
     convolve,
     pointwise_geq,
 )
@@ -347,12 +347,14 @@ def _ball_product_slacks(spec, total, top, index: LengthIndex = None,
     """(n, slack) of the ball product bound at (n, total - n), n = 1..top:
     the min of chi(B_n) * chi(B_total) - |B_n| over B_{total-n}.
 
-    chi(B_n) * chi(B_total) is the prefix sum over m <= n of
-    chi(S_m) * chi(B_total), so one pass over the spheres serves every n.
-    The sums come by radius from ``radial_partial_products``, in Python ints,
-    on a free group of ``radial_rank``, else by element from ``convolve``
-    on ``index``.  Every coefficient is an integer count, so the slack is
-    exact.  ``budget`` bounds the support of the sum.
+    On a free group of ``radial_rank``, chi(B_n) * chi(B_total) is the
+    prefix sum over m <= n of chi(S_m) * chi(B_total), by radius from
+    ``radial_partial_products`` in Python ints.  Elsewhere its coefficient at
+    g is #{x in B_n : |x^-1 g| <= total}, counted by ``ball_product_minima``
+    over the pairs with |x| + |g| <= total only, whose x^-1 g the index of
+    radius ``total`` holds; the slacks are floats there.  Every coefficient
+    is an integer count, so the slack is exact.  ``budget`` bounds the
+    entries of each table of counts (see ``ball_pair_counts``).
     """
     spheres = sphere_sizes(spec, total, index)
     balls = list(accumulate(spheres))
@@ -363,17 +365,9 @@ def _ball_product_slacks(spec, total, top, index: LengthIndex = None,
             if n:
                 yield n, min(lhs[: total - n + 1]) - balls[n]
         return
-    ball = char_ball(index, total)
-    lhs = {}
-    for n in range(top + 1):
-        product = convolve(char_sphere(index, n), ball, budget=budget)
-        for g, c in product.coeffs.items():
-            lhs[g] = lhs.get(g, 0.0) + c
-        if budget is not None and len(lhs) > budget:
-            raise BudgetExceededError(
-                f"convolution support passed {budget} elements")
-        if n:
-            yield n, min(lhs[g] for g in index.ball(total - n)) - balls[n]
+    least = ball_product_minima(index, total, top, budget)
+    for n in range(1, top + 1):
+        yield n, float(least[n] - balls[n])
 
 
 def verify_ball_product_bound(spec, n, k, index: LengthIndex = None,
@@ -382,8 +376,10 @@ def verify_ball_product_bound(spec, n, k, index: LengthIndex = None,
 
     Holds with slack exactly 0 for every group: each g in B_n contributes to
     the coefficient at every h in B_k because g^-1 h lands in B_{n+k}.
-    Returns (ok, min slack), exact at any radius (see
-    ``_ball_product_slacks``).
+    Returns (ok, min slack), exact at any radius: counted from the pairs
+    (g, h) with |g| + |h| <= n + k on groups without radial convolution, so
+    ``index`` needs radius n + k there and ``budget`` bounds each table of
+    counts (see ``_ball_product_slacks``).
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")

@@ -79,7 +79,8 @@ def test_criterion_04_ball_product_bound_sweeps():
     t0 = time.perf_counter()
     cases = [(R.FreeAbelian(1), 20), (R.FreeAbelian(2), 12),
              (R.DiscreteHeisenberg(), 8), (R.FreeGroup(2), 8),
-             (R.FiniteCyclic(12), 10)]
+             (R.FiniteCyclic(12), 10), (R.DiscreteHeisenberg(), 16),
+             (R.parse_descriptor("Z^1xF2"), 6)]
     worst = math.inf
     details = []
     for spec, max_sum in cases:

@@ -5,6 +5,8 @@ input falls outside the kernel's limits, it runs the dict loop.  Both must give
 the same floats, bit for bit, in the same order, and raise on the same budgets.
 On free groups ``radial_convolve`` runs the sphere recursion on arrays; it must
 give the list recursion's numbers, bit for bit and of the same Python types.
+The ball product counts of ``ball_pair_counts`` must be the coefficients of
+the convolution of two balls, gathered on int64 rows or from length dicts.
 """
 
 import math
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 import rdlab as R
 from rdlab import algebra, norms, rd
 from rdlab.cli import run_command
-from rdlab.errors import BudgetExceededError
+from rdlab.errors import BudgetExceededError, IndexRadiusError
 
 H3 = R.DiscreteHeisenberg()
 SPECS = [R.FreeAbelian(1), R.FreeAbelian(2), R.FreeAbelian(3), H3]
@@ -243,13 +245,15 @@ def test_power_iteration_matrix_matches_the_loop():
 
 
 def test_power_iteration_steps_are_unchanged():
+    # the bits of numpy's pairwise sums of squares; the BLAS dot products
+    # used before gave steps within 2 ulp of these (3.6810513254401136 first)
     a, index = h3_power_case()
     est = R.op_norm_power_iteration(a, 6, iters=12, seed=3, index=index)
     assert est.steps == [
-        3.6810513254401136, 7.359171527007313, 9.253311627283736,
-        10.453480766104951, 11.316979805402038, 11.834318591086808,
-        12.09519537005534, 12.215502555991938, 12.269496407730127,
-        12.293852568291804, 12.305059124226513, 12.310353188817505]
+        3.681051325440114, 7.359171527007313, 9.253311627283736,
+        10.453480766104953, 11.316979805402038, 11.83431859108681,
+        12.09519537005534, 12.215502555991941, 12.26949640773013,
+        12.293852568291804, 12.305059124226512, 12.310353188817505]
 
 
 # -- the radial kernel ----------------------------------------------------------
@@ -433,15 +437,127 @@ def test_sweep_reports_the_first_worst_pair(monkeypatch):
 
 
 @pytest.mark.parametrize("argv,budget", [
-    ("verify lemma1 --group Z^2 --n 2 --k 3", 113),     # |B_7| of Z^2
-    ("verify lemma1 --group H3 --n 2 --k 2", 593),      # |B_6| of H3
-    ("verify lemma1 --group H3 --radius 4", 1069),      # |B_7| of H3
+    # max over r < M = n+k of |S_r| (min(n, M-r) + 1) (M+1)
+    ("verify lemma1 --group Z^2 --n 2 --k 3", 216),     # |S_3| 3 6
+    ("verify lemma1 --group H3 --n 2 --k 2", 360),      # |S_3| 2 5
+    ("verify lemma1 --group H3 --radius 4", 360),       # |S_3| 2 5 at n = 3
 ])
 def test_ball_product_budget_bounds_the_product_support(argv, budget):
-    # chi(B_n) * chi(B_{n+k}) fills B_{2n+k}; the budget bounds that support
+    # the budget bounds the entries of each table of counts c[g, n, T] that
+    # lemma1 builds, one per sphere S_r of g: rows n' <= min(n, M-r), T <= M
     run = argv.split() + ["--budget"]
     assert run_command(run + [str(budget - 1)]) == 3
     assert run_command(run + [str(budget)]) == 0
+
+
+COUNT_CASES = [
+    (R.FreeAbelian(1), 6), (R.FreeAbelian(2), 5), (H3, 4),
+    (R.DiscreteHeisenberg(generators=[(1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                                      (0, -1, 0), (0, 0, 1), (0, 0, -1)]), 3),
+    (R.FreeAbelian(2, generators=[(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1),
+                                  (-1, -1)]), 4),
+    (R.FiniteCyclic(12), 8), (R.parse_descriptor("Z^1xC5"), 4),
+    (R.parse_descriptor("Z^1xF2"), 3),
+    (R.FreeGroup(2, generators=["a", "A", "ab", "BA"]), 3)]
+COUNT_IDS = [spec.descriptor() + ("" if spec.has_standard_generators()
+                                  else "-custom") for spec, _ in COUNT_CASES]
+
+
+def dict_index(index):
+    """``index`` rebuilt from its spheres, without int64 rows."""
+    return R.LengthIndex(index.spec, index.radius, spheres=index.spheres)
+
+
+def counts_of(index, M, top=None, budget=R.DEFAULT_BUDGET):
+    return [(r, c.tolist()) for r, c in
+            algebra.ball_pair_counts(index, M, top, budget)]
+
+
+@pytest.mark.parametrize("spec,M", COUNT_CASES, ids=COUNT_IDS)
+def test_pair_counts_are_ball_product_coefficients(spec, M):
+    index = R.enumerate_balls(spec, M)
+    ball = [R.char_ball(index, n) for n in range(M + 1)]
+    products = {(n, T): R.convolve(ball[n], ball[T])
+                for n in range(M) for T in range(M + 1)}
+    for r, c in algebra.ball_pair_counts(index, M):
+        assert c.shape == (index.sphere_sizes[r], M - r + 1 if r else M, M + 1)
+        for g, counts in zip(index.sphere(r), c.tolist()):
+            assert counts == [[products[n, T].value(g) for T in range(M + 1)]
+                              for n in range(len(counts))]
+    # a top below M - 1 cuts the n range and keeps the counts
+    top = counts_of(index, M, top=1)
+    assert top == [(r, [g[: 2] for g in c]) for r, c in counts_of(index, M)]
+
+
+@pytest.mark.parametrize("spec,M", COUNT_CASES[:5], ids=COUNT_IDS[:5])
+def test_row_and_dict_gathers_count_alike(spec, M):
+    index = R.enumerate_balls(spec, M)
+    assert index.rows is not None
+    with mock.patch.object(algebra, "_DictLengths",
+                           side_effect=AssertionError("dict gather")):
+        rows = counts_of(index, M)
+    with mock.patch.object(algebra, "_RowLengths",
+                           side_effect=AssertionError("row gather")):
+        assert counts_of(dict_index(index), M) == rows
+
+
+def test_a_sparse_ball_takes_the_dict_gather():
+    # B_4 spans 9 x 8001 cells of its bounding box for 289 pairs
+    spec = R.FreeAbelian(2, generators=[(1, 0), (-1, 0), (0, 1000),
+                                        (0, -1000)])
+    index = R.enumerate_balls(spec, 4)
+    assert index.rows is not None
+    with mock.patch.object(algebra, "_RowLengths",
+                           side_effect=AssertionError("row gather")):
+        assert counts_of(index, 4) == counts_of(dict_index(index), 4)
+
+
+@pytest.mark.parametrize("rows", [True, False], ids=["rows", "dicts"])
+def test_index_that_does_not_fit_its_group_raises(rows):
+    # B_2 of Z without -2: 1^-1 * -1 = -2 has length 2 but is not found
+    if rows:
+        index = R.LengthIndex(R.FreeAbelian(1), 2, sphere_sizes=[1, 2, 1],
+                              rows=np.array([[0], [-1], [1], [2]]))
+    else:
+        index = R.LengthIndex(R.FreeAbelian(1), 2,
+                              spheres=[[(0,)], [(-1,), (1,)], [(2,)]])
+    with pytest.raises(IndexRadiusError,
+                       match=r"'1'\^-1 \* '-1' = '-2' is not in B_2"):
+        list(algebra.ball_pair_counts(index, 2))
+    with pytest.raises(IndexRadiusError):
+        R.ball_product_sweep(R.FreeAbelian(1), 2, index)
+
+
+def test_dict_gather_reads_lengths_past_M_as_outside():
+    # -2 listed at length 3 in an index of radius 3: outside B_2
+    spheres = [[(0,)], [(-1,), (1,)], [(2,)], [(-2,)]]
+    index = R.LengthIndex(R.FreeAbelian(1), 3, spheres=spheres)
+    with pytest.raises(IndexRadiusError, match="is not in B_2"):
+        list(algebra.ball_pair_counts(index, 2))
+
+
+def test_pair_counts_need_an_index_of_radius_M():
+    with pytest.raises(IndexRadiusError):
+        list(algebra.ball_pair_counts(R.enumerate_balls(H3, 3), 4))
+    with pytest.raises(IndexRadiusError):
+        list(algebra.ball_pair_counts(None, 4))
+
+
+def test_pair_count_budget_is_checked_before_the_gather_is_built():
+    # Z^2, M = 5, top = 2: the table of S_3 has 12 * 3 * 6 entries
+    index = R.enumerate_balls(R.FreeAbelian(2), 5)
+    assert len(counts_of(index, 5, 2, budget=216)) == 5
+    with mock.patch.object(algebra, "_RowLengths") as rows, \
+            pytest.raises(BudgetExceededError, match="216 entries"):
+        counts_of(index, 5, 2, budget=215)
+    rows.assert_not_called()
+
+
+def test_a_long_pair_on_z_keeps_to_the_default_budget():
+    # its tables hold 15 million entries together, 60,802 at most each
+    index = R.enumerate_balls(R.FreeAbelian(1), 300)
+    assert R.verify_ball_product_bound(R.FreeAbelian(1), 100, 200, index) == \
+        (True, 0.0)
 
 
 def test_integer_trace_ladder_ends_at_its_last_finite_step():

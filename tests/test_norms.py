@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -228,6 +231,21 @@ class TestPowerIteration:
         e1 = R.op_norm_power_iteration(a, R=6, iters=50, seed=42, index=z2_index)
         e2 = R.op_norm_power_iteration(a, R=6, iters=50, seed=42, index=z2_index)
         assert e1.steps == e2.steps
+
+    def test_blas_threads_leave_the_artifact_alone(self, tmp_path):
+        # w has 12,195 entries here, past the length from which a BLAS dot
+        # product splits its sum across threads
+        argv = [sys.executable, "-m", "rdlab.cli", "norm", "--group", "H3",
+                "--witness", "ball", "--n", "3", "--method", "power",
+                "--R", "10"]
+        artifacts = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.json"
+            subprocess.run(argv + ["--out", str(out)], check=True,
+                           capture_output=True,
+                           env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+            artifacts.append(out.read_bytes())
+        assert artifacts[0] == artifacts[1]
 
     def test_stop_reasons(self, z_index):
         s1 = R.char_sphere(z_index, 1)
