@@ -427,6 +427,8 @@ def ball_pair_counts(index: LengthIndex, M, top=None, budget=DEFAULT_BUDGET):
     Yields (r, c) for r = 0..M-1, where
     c[a, n, T] = #{x in B_n : |x^-1 g| <= T} for g = index.sphere(r)[a],
     0 <= n <= min(top, M - r) (``top`` defaults to M - 1) and 0 <= T <= M.
+    So the tables for M hold the coefficient of chi(B_n) * chi(B_T) at every
+    g in B_{T-n}, for every T <= M: one call serves every n + k <= M.
     Only pairs with |x| + |g| <= M are visited, so every x^-1 g lies in B_M
     and the index of radius M gives its length: c is a histogram over
     (g, |x|, |x^-1 g|) followed by prefix sums over |x| and |x^-1 g|.  The
@@ -471,14 +473,18 @@ def ball_pair_counts(index: LengthIndex, M, top=None, budget=DEFAULT_BUDGET):
 
 
 def ball_product_minima(index: LengthIndex, M, top, budget=DEFAULT_BUDGET):
-    """For n = 0..top, the least coefficient of chi(B_n) * chi(B_M) on
-    B_{M-n}, min over g there of #{x in B_n : |x^-1 g| <= M}, as Python ints
-    from ``ball_pair_counts``."""
-    least = [math.inf] * (top + 1)
-    for _, c in ball_pair_counts(index, M, top, budget):
+    """least[n][T] for n = 0..top and T = 0..M: the least coefficient of
+    chi(B_n) * chi(B_T) on B_{T-n}, min over g there of
+    #{x in B_n : |x^-1 g| <= T}, as Python ints (math.inf where T < n).
+
+    One pass over ``ball_pair_counts(index, M, top, budget)`` gives every
+    cell: a g in S_r counts toward the cell (n, T) only when r <= T - n.
+    """
+    least = [[math.inf] * (M + 1) for _ in range(top + 1)]
+    for r, c in ball_pair_counts(index, M, top, budget):
         if len(c):
-            row = c[:, :, M].min(axis=0).tolist()
-            least[: len(row)] = map(min, least, row)
+            for n, row in enumerate(c.min(axis=0).tolist()):
+                least[n][n + r:] = map(min, least[n][n + r:], row[n + r:])
     return least
 
 
@@ -512,41 +518,15 @@ def norm(a: AlgebraElement, kind, index: LengthIndex = None):
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
-def pointwise_geq(a: AlgebraElement, b: AlgebraElement, region=None,
-                  index: LengthIndex = None):
+def pointwise_geq(a: AlgebraElement, b: AlgebraElement):
     """Whether a >= b pointwise on the union of supports; returns (ok, min slack).
 
-    ``region`` restricts the comparison to the ball of that radius; groups
-    without a closed length formula then need ``index`` (covering the region)
-    to decide membership.  Slack down to GEQ_TOLERANCE still counts as >=.
+    Slack down to GEQ_TOLERANCE still counts as >=.
     """
     if a.spec != b.spec:
         raise SpecMismatchError("comparison operands live on different groups")
-    spec = a.spec
-
-    def in_region(g):
-        if region is None:
-            return True
-        closed = spec.word_length_closed(g)
-        if closed is not None:
-            return closed <= region
-        if index is None:
-            raise IndexRadiusError(
-                "region comparison on this group needs a LengthIndex")
-        if index.radius < region:
-            raise IndexRadiusError(
-                f"index radius {index.radius} cannot certify region {region}")
-        return g in index and index.length(g) <= region
-
     min_slack = math.inf
-    if (region is not None and index is not None and index.spec == spec
-            and index.radius >= region):
-        # the ball is usually far smaller than the supports it is cut from
-        compared = (g for g in index.ball(region)
-                    if g in a.coeffs or g in b.coeffs)
-    else:
-        compared = (g for g in set(a.coeffs) | set(b.coeffs) if in_region(g))
-    for g in compared:
+    for g in set(a.coeffs) | set(b.coeffs):
         slack = a.value(g) - b.value(g)
         if slack < min_slack:
             min_slack = slack

@@ -194,16 +194,6 @@ class TestPointwise:
         b1, b2 = R.char_ball(z_index, 1), R.char_ball(z_index, 2)
         assert R.pointwise_geq(b2, b1) == (True, 0.0)
         assert R.pointwise_geq(b1, R.scale(2.0, b1)) == (False, -1.0)
-        conv = R.convolve(b1, b2)
-        assert R.pointwise_geq(conv, R.scale(3.0, b1), region=1) == (True, 0.0)
-
-    def test_region_needs_index_on_heisenberg(self, h3_index):
-        H = R.DiscreteHeisenberg()
-        a = R.char_ball(h3_index, 2)
-        ok, slack = R.pointwise_geq(a, a, region=1, index=h3_index)
-        assert ok and slack == 0.0
-        with pytest.raises(IndexRadiusError):
-            R.pointwise_geq(a, a, region=1)
 
 
 class TestLinearCombine:

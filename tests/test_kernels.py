@@ -218,14 +218,6 @@ def test_ball_product_sweep_slack_is_exactly_zero(spec, max_sum):
     assert ok and slack == 0
 
 
-@given(operand_pairs(specs=SPECS[:3], min_size=0), st.integers(0, 6))
-def test_region_through_the_index_matches_closed_lengths(pair, region):
-    a, b = pair
-    index = R.enumerate_balls(a.spec, region)
-    assert R.pointwise_geq(a, b, region=region, index=index) == \
-        R.pointwise_geq(a, b, region=region)
-
-
 def h3_power_case():
     index = R.enumerate_balls(H3, 6)
     a = R.linear_combine([(1.0, R.char_ball(index, 2)),
@@ -383,26 +375,27 @@ def pair_slack(spec, n, k, index=None):
     """The ball product check at one pair, as one product per pair: the min
     of chi(B_n) * chi(B_{n+k}) - |B_n| over B_k, by ``radial_convolve`` on a
     free group on its standard generators, else by ``convolve`` of the two
-    dense balls and ``pointwise_geq``."""
+    dense balls, read on B_k."""
     size = R.ball_sizes(spec, n, index)[n]
     if norms.radial_rank(spec) is not None:
         lhs = R.radial_convolve(R.free_radial(spec.rank, [1] * (n + 1)),
                                 R.free_radial(spec.rank, [1] * (n + k + 1)))
         return min(lhs.coeffs[: k + 1]) - size
     lhs = R.convolve(R.char_ball(index, n), R.char_ball(index, n + k))
-    rhs = R.AlgebraElement(spec=spec, coeffs={g: float(size)
-                                              for g in index.ball(k)},
-                           support_radius=k)
-    return R.pointwise_geq(lhs, rhs, region=k, index=index)[1]
+    return min(lhs.value(g) for g in index.ball(k)) - size
 
 
 def assert_sweep_matches_each_pair(spec, max_sum, index=None):
-    for total in range(2, max_sum + 1):
-        got = dict(rd._ball_product_slacks(spec, total, total - 1, index))
-        assert list(got) == list(range(1, total))
-        for n, slack in got.items():
-            want = pair_slack(spec, n, total - n, index)
-            assert slack == want == 0 and type(slack) is type(want)
+    want = {(n, total - n): pair_slack(spec, n, total - n, index)
+            for total in range(2, max_sum + 1) for n in range(1, total)}
+    for top in range(1, max_sum):
+        got = list(rd._ball_product_slacks(spec, max_sum, top, index))
+        assert [(n, k) for n, k, _ in got] == [
+            (n, total - n) for total in range(max_sum, 1, -1)
+            for n in range(1, min(top, total - 1) + 1)]
+        for n, k, slack in got:
+            assert slack == want[n, k] == 0
+            assert type(slack) is type(want[n, k])
     for n in range(1, max_sum):
         assert R.verify_ball_product_bound(spec, n, max_sum - n, index) == \
             (True, 0.0)
@@ -413,7 +406,7 @@ def assert_sweep_matches_each_pair(spec, max_sum, index=None):
 def test_shared_sweep_matches_each_pair(rank):
     # Python ints from the sphere recursion, exact past 2^53
     assert_sweep_matches_each_pair(R.FreeGroup(rank), 24)
-    assert all(type(slack) is int for _, slack in
+    assert all(type(slack) is int for *_, slack in
                rd._ball_product_slacks(R.FreeGroup(rank), 24, 23))
 
 
@@ -429,11 +422,29 @@ def test_shared_sweep_matches_the_dense_pairs(spec, max_sum):
 
 
 def test_sweep_reports_the_first_worst_pair(monkeypatch):
-    def slacks(spec, total, top, index, budget):
-        for n in range(1, top + 1):
-            yield n, -1 if (n, total - n) in {(2, 3), (3, 1), (2, 4)} else 0
+    def slacks(spec, max_sum, top, index, budget):
+        for total in range(max_sum, 1, -1):
+            for n in range(1, min(top, total - 1) + 1):
+                k = total - n
+                yield n, k, -1 if (n, k) in {(2, 3), (3, 1), (2, 4)} else 0
     monkeypatch.setattr(rd, "_ball_product_slacks", slacks)
     assert R.ball_product_sweep(R.FreeGroup(2), 6) == (False, -1.0, (2, 3))
+
+
+def test_a_sweep_builds_one_table_of_counts():
+    index = R.enumerate_balls(H3, 6)
+    with mock.patch.object(algebra, "ball_pair_counts",
+                           wraps=algebra.ball_pair_counts) as counts:
+        assert R.ball_product_sweep(H3, 6, index) == (True, 0.0, (1, 1))
+    counts.assert_called_once()
+
+
+def test_a_free_pair_runs_one_sphere_recursion():
+    with mock.patch.object(rd, "radial_partial_products",
+                           wraps=norms.radial_partial_products) as products:
+        assert R.verify_ball_product_bound(R.FreeGroup(2), 100, 100) == \
+            (True, 0.0)
+    products.assert_called_once()
 
 
 @pytest.mark.parametrize("argv,budget", [
@@ -487,6 +498,25 @@ def test_pair_counts_are_ball_product_coefficients(spec, M):
     # a top below M - 1 cuts the n range and keeps the counts
     top = counts_of(index, M, top=1)
     assert top == [(r, [g[: 2] for g in c]) for r, c in counts_of(index, M)]
+
+
+@pytest.mark.parametrize("spec,M", COUNT_CASES, ids=COUNT_IDS)
+def test_minima_of_one_table_match_each_total(spec, M):
+    # the least count on B_{T-n}, from the tables of radius T itself
+    index = R.enumerate_balls(spec, M)
+    want = {}
+    for T in range(1, M + 1):
+        for r, c in algebra.ball_pair_counts(index, T, T):
+            for n in range(1, T - r + 1 if len(c) else 1):
+                want[n, T] = min(want.get((n, T), math.inf),
+                                 c[:, n, T].min().item())
+    for top in range(M + 1):
+        least = algebra.ball_product_minima(index, M, top)
+        assert least[0] == [1] * (M + 1)
+        assert least[1:] == [[want.get((n, T), math.inf) for T in range(M + 1)]
+                             for n in range(1, top + 1)]
+        assert all(type(v) is int for n, row in enumerate(least)
+                   for v in row[n:])
 
 
 @pytest.mark.parametrize("spec,M", COUNT_CASES[:5], ids=COUNT_IDS[:5])
