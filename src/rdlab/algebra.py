@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ from .groups import (
     COORD_LIMIT,
     DEFAULT_BUDGET,
     GroupSpec,
+    IntegerTupleGroup,
     LengthIndex,
     cell_keys,
     word_length,
@@ -90,11 +92,10 @@ class AlgebraElement:
         if data["group"] != spec.descriptor():
             raise SpecMismatchError(
                 f"element JSON is for {data['group']!r}, not {spec.descriptor()!r}")
-        try:
-            radius = int(data["support_radius"])
-        except TypeError:
+        radius = data["support_radius"]
+        if type(radius) is not int:
             raise ValueError("element JSON has support_radius "
-                             f"{data['support_radius']!r}, not an integer") from None
+                             f"{radius!r}, not an integer")
         if not isinstance(data["coeffs"], list):
             raise ValueError("element JSON coeffs must be a list of [key, value]")
         coeffs = {}
@@ -107,12 +108,10 @@ class AlgebraElement:
             g = spec.parse_key(k)
             if g in coeffs:
                 raise ValueError(f"element JSON lists {spec.element_key(g)!r} twice")
-            try:
-                coeffs[g] = float(c)
-            except TypeError:
-                raise ValueError(f"element JSON gives {k!r} the value {c!r}") from None
-            if not math.isfinite(coeffs[g]):
+            # a JSON number, finite as a double; strings and booleans are not
+            if not (type(c) in (int, float) and abs(c) <= sys.float_info.max):
                 raise ValueError(f"element JSON gives {k!r} the value {c!r}")
+            coeffs[g] = float(c)
         element = cls(spec=spec, coeffs=coeffs, support_radius=radius)
         element.check_support()
         return element
@@ -137,12 +136,11 @@ class AlgebraElement:
                     f"beyond support_radius {radius}")
 
 
-def point_mass(spec, g, length=None, index=None):
+def point_mass(spec, g, index=None):
     """The delta function at ``g`` (the convolution identity when g = e)."""
     spec.check_element(g)
-    if length is None:
-        length = word_length(spec, g, index)
-    return AlgebraElement(spec=spec, coeffs={g: 1.0}, support_radius=length)
+    return AlgebraElement(spec=spec, coeffs={g: 1.0},
+                          support_radius=word_length(spec, g, index))
 
 
 def char_ball(index: LengthIndex, n):
@@ -218,11 +216,11 @@ class ProductKeys:
 
 
 def _coordinate_columns(elements):
-    """int64 columns of integer-tuple elements, or None if they are not such
-    tuples or a coordinate reaches COORD_LIMIT."""
+    """int64 columns of integer-tuple elements, or None if there are none or
+    a coordinate reaches COORD_LIMIT."""
     try:
         rows = np.array(elements, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         return None
     if (rows.ndim != 2 or rows.min() <= -COORD_LIMIT
             or rows.max() >= COORD_LIMIT):
@@ -238,11 +236,13 @@ def _box_corners(cols):
 def product_keys(spec, outer, inner, flip, max_support=None):
     """ProductKeys for outer[i] * inner[j] (inner[j] * outer[i] with ``flip``).
 
-    None when a list is empty, the group has no array law
-    (``GroupSpec.multiply_arrays``), a coordinate reaches COORD_LIMIT, or the
-    bounding box has more than BOX_CELLS_PER_PRODUCT cells per possible
-    product: per pair, and per element of ``max_support`` when given.
+    None when the group has no array law (it is no IntegerTupleGroup), a
+    list is empty, a coordinate reaches COORD_LIMIT, or the bounding box has
+    more than BOX_CELLS_PER_PRODUCT cells per possible product: per pair, and
+    per element of ``max_support`` when given.
     """
+    if not isinstance(spec, IntegerTupleGroup):
+        return None
     outer_cols = _coordinate_columns(outer)
     inner_cols = _coordinate_columns(inner)
     if outer_cols is None or inner_cols is None:
@@ -257,8 +257,6 @@ def product_keys(spec, outer, inner, flip, max_support=None):
     if g.shape[1] * h.shape[1] > MAX_CORNER_PAIRS:
         return None
     corners = law(g[:, :, None], h[:, None, :])
-    if corners is None:
-        return None
     lo = [int(col.min()) for col in corners]
     spans = [int(col.max()) - low + 1 for col, low in zip(corners, lo)]
     keys = ProductKeys(law, outer_cols, inner_cols, lo, spans)

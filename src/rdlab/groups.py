@@ -61,6 +61,11 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
+# ``embed`` checks the homomorphism on at most this many pairs of its ball,
+# drawn with this seed when there are more
+EMBED_SAMPLES = 200
+EMBED_SEED = 0
+
 
 class GroupSpec:
     """A concrete group: element arithmetic plus a symmetric generating set.
@@ -98,18 +103,6 @@ class GroupSpec:
 
     def inverse(self, g):
         raise NotImplementedError
-
-    def multiply_arrays(self, g_cols, h_cols):
-        """The group law on coordinate columns, or None without one.
-
-        ``g_cols`` and ``h_cols`` hold one int64 array per coordinate of an
-        integer-tuple element, and the arrays of the two broadcast against
-        each other; the result holds one array per coordinate of the products.
-        Every product coordinate must be a polynomial of degree at most one in
-        each input coordinate, so that its extremes over a box of inputs lie
-        at the box's corners.
-        """
-        return None
 
     def check_element(self, g):
         """Raise ValueError unless ``g`` is a canonical element value."""
@@ -199,6 +192,15 @@ class IntegerTupleGroup(GroupSpec):
     """A group on tuples of ints with an array law, keyed as "3,-2"."""
 
     def multiply_arrays(self, g_cols, h_cols):
+        """The group law on coordinate columns.
+
+        ``g_cols`` and ``h_cols`` hold one int64 array per coordinate of an
+        integer-tuple element, and the arrays of the two broadcast against
+        each other; the result holds one array per coordinate of the products.
+        Every product coordinate must be a polynomial of degree at most one in
+        each input coordinate, so that its extremes over a box of inputs lie
+        at the box's corners.
+        """
         return self.multiply(g_cols, h_cols)
 
     def element_key(self, g):
@@ -764,17 +766,6 @@ def ball_sizes(spec, up_to, index: LengthIndex = None):
     return list(itertools.accumulate(sphere_sizes(spec, up_to, index)))
 
 
-def multiply(spec, g, h):
-    spec.check_element(g)
-    spec.check_element(h)
-    return spec.multiply(g, h)
-
-
-def inverse(spec, g):
-    spec.check_element(g)
-    return spec.inverse(g)
-
-
 @dataclass
 class Embedding:
     """An injective homomorphism of ``sub`` into ``ambient``.
@@ -797,11 +788,11 @@ class Embedding:
         return word_length(self.ambient, self.apply(g), ambient_index)
 
 
-def embed(sub, ambient, images, check_radius=3, seed=0, samples=200):
+def embed(sub, ambient, images, check_radius=3):
     """Validate generator images and return an Embedding.
 
     The homomorphism property is checked on all pairs from the sub-group ball
-    of ``check_radius`` (sampled down to ``samples`` pairs when large), and
+    of ``check_radius`` (sampled down to EMBED_SAMPLES pairs when large), and
     injectivity on that ball.  Failures raise HomomorphismError.
     """
     full_images = dict(images)
@@ -830,9 +821,8 @@ def embed(sub, ambient, images, check_radius=3, seed=0, samples=200):
         seen[im] = g
 
     pairs = list(itertools.product(elems, repeat=2))
-    if len(pairs) > samples:
-        rng = random.Random(seed)
-        pairs = rng.sample(pairs, samples)
+    if len(pairs) > EMBED_SAMPLES:
+        pairs = random.Random(EMBED_SEED).sample(pairs, EMBED_SAMPLES)
     for g, h in pairs:
         lhs = emb.apply(sub.multiply(g, h))
         rhs = ambient.multiply(image_of[g], image_of[h])

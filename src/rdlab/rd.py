@@ -39,7 +39,6 @@ from .algebra import (
     GEQ_TOLERANCE,
     ball_product_minima,
     convolve,
-    pointwise_geq,
 )
 from .errors import BudgetExceededError, CoverageError, RdlabError
 from .groups import (
@@ -329,17 +328,17 @@ def delocalize_constant(C, s, eps):
 
 def _product_slack(x, y, rhs, index: LengthIndex = None,
                    budget=DEFAULT_BUDGET):
-    """min of (x * y)(g) - rhs(g) over both supports for sphere functions
-    x, y and rhs on one group: radial on a free group of ``radial_rank``,
-    elsewhere expanded from ``index``."""
+    """min of (x * y)(g) - rhs[i] over the g in S_i, i < len(rhs), for sphere
+    functions x and y on one group and ``rhs`` listing one value per sphere:
+    radial on a free group of ``radial_rank``, elsewhere the dense product of
+    x and y expanded from ``index``."""
     if radial_rank(x.spec) is not None:
         lhs = radial_convolve(x, y).coeffs
-        return min((lhs[i] if i < len(lhs) else 0.0)
-                   - (rhs.coeffs[i] if i < len(rhs.coeffs) else 0.0)
-                   for i in range(len(x.coeffs) + len(y.coeffs) - 1))
+        return min(lhs[i] - c for i, c in enumerate(rhs))
     lhs = convolve(radial_to_algebra(x, index), radial_to_algebra(y, index),
                    budget=budget)
-    return pointwise_geq(lhs, radial_to_algebra(rhs, index))[1]
+    return min(lhs.value(g) - c for i, c in enumerate(rhs)
+               for g in index.sphere(i))
 
 
 def _ball_product_slacks(spec, max_sum, top, index: LengthIndex = None,
@@ -562,11 +561,9 @@ def verify_series_product_bound(spec, r, alpha, beta, K,
     comparison against the integral j^-(a+b-1)/(a+b-1) is a convergence
     diagnostic, never an assertion: truncated sums fall below the integral.
 
-    ``min_slack`` is the least slack over the whole product support B_{2rK}.
-    It is attained where the right side is 0, on the far sphere of the
-    product, not on B_{r(K-1)}: for Z^2 with r = 2, K = 8 it is 2.87e-05
-    there against 0.278 on B_{r(K-1)}; for H3 with r = 1, K = 7, 1.91e-05
-    against 0.144; for Z with r = 1, K = 6, 0.00214 against 1.056.
+    ``min_slack`` is the least slack on B_{r(K-1)}, where the right side
+    lives.  Outside it the right side is 0 and the product is nonnegative,
+    so the bound holds there and ``ok`` reads the slack inside only.
     """
     if alpha <= 0 or beta <= 0 or alpha + beta <= 1:
         raise ValueError("need alpha, beta > 0 with alpha + beta > 1")
@@ -576,13 +573,12 @@ def verify_series_product_bound(spec, r, alpha, beta, K,
     weights = [sum(k ** (-alpha) * (j + k) ** (-beta) for k in range(1, K - j + 1))
                for j in range(1, K)]
 
-    # the right side as a function of the sphere radius, 0 past r(K-1)
-    rhs = [0.0] * (r * K + 1)
+    # the right side by sphere radius; it is 0 past r(K-1)
+    rhs = [0.0] * (r * (K - 1) + 1)
     for j, w in enumerate(weights, start=1):
         c = w / za.ball_l2(j)
         for i in range(r * j + 1):
             rhs[i] += c
-    rhs = RadialElement(spec=spec, coeffs=rhs, sizes=za.function.sizes)
     min_slack = _product_slack(za.function, zb.function, rhs, index, budget)
 
     power = alpha + beta
@@ -715,13 +711,13 @@ def standard_embeddings():
     }
 
 
-def standard_embedding(name, check_radius=3):
+def standard_embedding(name):
     try:
         sub, ambient, images = standard_embeddings()[name]
     except KeyError:
         raise ValueError(f"unknown embedding {name!r}; choose from "
                          f"{sorted(standard_embeddings())}") from None
-    return embed(sub, ambient, images, check_radius=check_radius)
+    return embed(sub, ambient, images)
 
 
 # -- incompatible-bounds trace ----------------------------------------------------
@@ -768,22 +764,6 @@ class ContradictionReport:
     min_doubling_ratio: float
     exhibit_exponent: float       # 2 (alpha + beta - 1) <= 1
     exhibit_partial_sums: list    # partial sums of k^(-2(alpha+beta-1)); unbounded
-
-    def to_json_dict(self):
-        return {
-            "params": {"s": self.params.s, "t": self.params.t,
-                       "alpha": self.params.alpha, "beta": self.params.beta},
-            "r": self.r, "K": self.K,
-            "weighted_norm": self.weighted_norm,
-            "weighted_bound": self.weighted_bound,
-            "weighted_ok": self.weighted_ok,
-            "beta_l2": self.beta_l2,
-            "beta_bound": self.beta_bound,
-            "beta_ok": self.beta_ok,
-            "min_doubling_ratio": self.min_doubling_ratio,
-            "exhibit_exponent": self.exhibit_exponent,
-            "exhibit_partial_sums": list(self.exhibit_partial_sums),
-        }
 
 
 def contradiction_trace(spec, params: DivergenceParameters, r, K,

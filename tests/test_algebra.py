@@ -194,6 +194,8 @@ class TestPointwise:
         b1, b2 = R.char_ball(z_index, 1), R.char_ball(z_index, 2)
         assert R.pointwise_geq(b2, b1) == (True, 0.0)
         assert R.pointwise_geq(b1, R.scale(2.0, b1)) == (False, -1.0)
+        empty = R.AlgebraElement(spec=Z, coeffs={}, support_radius=0)
+        assert R.pointwise_geq(empty, empty) == (True, 0.0)
 
 
 class TestLinearCombine:

@@ -50,6 +50,14 @@ class TestGrowth:
         out = capsys.readouterr().out
         assert "n,sphere_size,ball_size" in out
 
+    def test_z2_json(self, tmp_path):
+        assert run(["growth", "--group", "Z^2", "--radius", "5",
+                    "--format", "json"], tmp_path, "g.json") == 0
+        # |S_n| = 4n for n >= 1 on Z^2, so |B_n| = 2n^2 + 2n + 1
+        assert json.loads((tmp_path / "g.json").read_text()) == {
+            "group": "Z^2", "sphere_sizes": [1, 4, 8, 12, 16, 20],
+            "ball_sizes": [2 * n * n + 2 * n + 1 for n in range(6)]}
+
 
 class TestVerifyCommands:
     def test_lemma1_f2(self, tmp_path, capsys):
@@ -85,6 +93,16 @@ class TestVerifyCommands:
         code = run_command(["verify", "lemma2", "--group", "F2", "--r", "2",
                             "--alpha", "1", "--beta", "1", "--k", "6"])
         assert code == 0
+
+    def test_lemma2_min_slack(self, tmp_path, capsys):
+        base = ["verify", "lemma2", "--group", "Z", "--r", "1", "--k", "6"]
+        assert run(base, tmp_path, "l2.json") == 0
+        slack = json.loads((tmp_path / "l2.json").read_text())["min_slack"]
+        assert run_command(base + ["--min-slack", repr(slack)]) == 0
+        above = repr(math.nextafter(slack, math.inf))
+        assert run(base + ["--min-slack", above], tmp_path, "l2.json") == 1
+        data = json.loads((tmp_path / "l2.json").read_text())
+        assert data["ok"] is False and data["min_slack"] == slack
 
     def test_doubling_exit_codes(self, capsys):
         assert run_command(["verify", "doubling", "--group", "F2",
@@ -263,6 +281,19 @@ class TestFlags:
             build_parser().parse_args(shlex.split(line)[1:])
 
 
+class TestReadmeLibraryExample:
+    def test_the_python_block_runs_as_its_comments_say(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+        names = {}
+        exec(block, names)
+        assert names["fit"].slope == pytest.approx(1.0, abs=0.05)
+        assert names["verdict"] == "divergent"
+        assert names["est"].lower == pytest.approx(3.3544, abs=5e-5)
+        bounds = names["bounds"]
+        assert bounds.lower <= bounds.actual <= bounds.upper
+
+
 class TestFitAndRatio:
     def test_fit_z_ball(self, tmp_path):
         code = run(["fit", "--group", "Z", "--witness", "ball",
@@ -284,6 +315,40 @@ class TestFitAndRatio:
         first = lines[1].split(",")
         assert first[:3] == ["Z^2", "ball", "4"]
         assert float(first[3]) == 41.0
+
+    def test_fit_json(self, tmp_path):
+        assert run(["fit", "--group", "Z", "--range", "4:64:4", "--method",
+                    "exact", "--format", "json"], tmp_path, "fit.json") == 0
+        data = json.loads((tmp_path / "fit.json").read_text())
+        # on Z the ball ratio is |B_n| / sqrt|B_n| = sqrt(2n + 1): fit
+        # log sqrt(2n + 1) against log(1 + n) by the normal equations
+        ns = range(4, 65, 4)
+        xs = [math.log(1 + n) for n in ns]
+        ys = [0.5 * math.log(2 * n + 1) for n in ns]
+        mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+        slope = (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+                 / sum((x - mx) ** 2 for x in xs))
+        assert data["slope"] == pytest.approx(slope, rel=1e-9)
+        assert data["intercept"] == pytest.approx(my - slope * mx, rel=1e-9)
+        assert (data["group"], data["witness"], data["window_lo"],
+                data["window_hi"], data["points"]) == ("Z^1", "ball", 4, 64, 16)
+
+    def test_report_csv(self, tmp_path):
+        assert run(["report", "--group", "Z", "--range", "4:12:4", "--method",
+                    "exact", "--format", "csv"], tmp_path, "rep.csv") == 0
+        header, *rows = (tmp_path / "rep.csv").read_text().splitlines()
+        assert header == ("group,witness,n,norm_lower,norm_upper,l2,"
+                          "ratio_lower,ratio_upper")
+        # an indicator on Z has its size as norm: 2n + 1 for B_n, 2 for S_n
+        want = [("ball", n, 2 * n + 1) for n in (4, 8, 12)]
+        want += [("sphere", n, 2) for n in (4, 8, 12)]
+        assert len(rows) == len(want)
+        for row, (witness, n, size) in zip(rows, want):
+            cells = row.split(",")
+            assert cells[:3] == ["Z^1", witness, str(n)]
+            root = math.sqrt(size)
+            assert [float(c) for c in cells[3:]] == pytest.approx(
+                [size, size, root, root, root], rel=1e-11)
 
     def test_report_json(self, tmp_path):
         code = run(["report", "--group", "Z", "--range", "4:64:4",
@@ -674,6 +739,14 @@ class TestExitCodes:
         assert run_command(["cache", "check"]) == 2
         assert run_command(["norm", "--group", "Z"]) == 2
 
+    def test_cache_commands_need_a_directory(self, monkeypatch, capsys):
+        monkeypatch.delenv("RDLAB_CACHE_DIR", raising=False)
+        argv = ["--group", "Z", "--radius", "2"]
+        assert run_command(["cache", "build"] + argv) == 2
+        assert "cache build needs --cache-dir" in capsys.readouterr().err
+        assert run_command(["cache", "check"] + argv) == 2
+        assert "cache check needs --file, --cache-dir" in capsys.readouterr().err
+
     def test_malformed_element_json(self, tmp_path, capsys):
         path = tmp_path / "el.json"
         for data, message in [
@@ -687,7 +760,19 @@ class TestExitCodes:
                 ({"group": "Z^2", "support_radius": 1, "coeffs": [5]},
                  "[key, value] pair"),
                 ({"group": "Z^2", "support_radius": 1, "coeffs": [[1, 1.0]]},
-                 "string key")]:
+                 "string key"),
+                ({"group": "Z^2", "support_radius": 1.5, "coeffs": []},
+                 "support_radius 1.5, not an integer"),
+                ({"group": "Z^2", "support_radius": "1", "coeffs": []},
+                 "support_radius '1', not an integer"),
+                ({"group": "Z^2", "support_radius": 1, "coeffs": {"0,1": 1.0}},
+                 "coeffs must be a list"),
+                ({"group": "Z^2", "support_radius": 1, "coeffs": [["0,1", "1"]]},
+                 "gives '0,1' the value '1'"),
+                ({"group": "Z^2", "support_radius": 1, "coeffs": [["0,1", None]]},
+                 "gives '0,1' the value None"),
+                ({"group": "Z^2", "support_radius": 1,
+                  "coeffs": [["0,1", 10 ** 400]]}, "gives '0,1' the value 1000")]:
             path.write_text(json.dumps(data))
             assert run_command(["norm", "--group", "Z^2", "--element", str(path),
                                 "--method", "l1"]) == 2, data
@@ -836,7 +921,8 @@ class TestCache:
 
 # the lemma1, lemma2 and zseries artifacts, pinned byte for byte: the
 # radial and dense checks on every kind of group, zseries with and
-# without its dense element
+# without its dense element; heredity through ``embed``, and norms on the
+# array and dict paths of ``product_keys``
 ARTIFACT_DIGESTS = [
     ("verify lemma1 --group H3 --radius 8",
      "040df219073cdc12e1fc65ea016b24160c4c2493ec2e2bd664f74e99f32fd033"),
@@ -861,19 +947,19 @@ ARTIFACT_DIGESTS = [
     ("verify lemma1 --group F3 --radius 20",
      "3b8900bc5786c3b6a3fa287df6044868e0b695f020d27f14fce30a0ca380ffc5"),
     ("verify lemma2 --group Z^2 --r 2 --k 8",
-     "f03238b10599eb41a6cdda169ff32077f124f431523139926af411392fda9713"),
+     "49e9c60725f97b630ec4fd52e1b11ad8e386a651c7470f4515b29cf74d3a34dc"),
     ("verify lemma2 --group H3 --r 1 --k 7",
-     "302ee66a6bd00baecd445e6961c9310251485bdf726d3bda8abeb44dcd6235b4"),
+     "4214cb42b9941671ea4480e1a79a3480ce31ed08be2e5666ad689d21bd7353b9"),
     ("verify lemma2 --group F2 --r 1 --k 600",
-     "18f107e0f428b3cb5eb8815b5b0eacd6860c5ec6199108d077160a9960183934"),
+     "e2df1a4635c9472654ed195037f837c1e9332a0f2a07957b935b9ee0a5912f2b"),
     ("verify lemma2 --group F3 --r 1 --k 20",
-     "715771ecf09ec28f02b70d20632157a498e9e121b5105c1eda311c864ce37c7f"),
+     "0f7c3561019d742099aa223bf53016e3daf5b79b8e45ab47d12bb7fe2a5c0b4a"),
     ("verify lemma2 --group Z --r 2 --k 30",
-     "22b0decdd4ef290cb598234aaa3ea70d9b2d54834a9675f092f3a0e218d23038"),
+     "872aa34a58620bf5826823ee5050f95611bb32071ea4d994d246ea1790ad055b"),
     ("verify lemma2 --group C12 --r 1 --k 8",
      "7b423b22b80a6494228ca2d69758673d5e6d55524148e229a0f68fb4f7127e5d"),
     ("verify lemma2 --group Z^1xC5 --r 1 --k 6",
-     "274ea5cce6cad0e89363f406ff348177f7555a53961a993454c4a33b03e4e53c"),
+     "83c31ed9a084650918f4a03169e5504a5edf31b16911a0636580cb50568b018f"),
     ("zseries --group Z --r 1 --alpha 1.0 --k 3",
      "658fc6f9f31dc23d807c026d81538ada7bd7309bae91bd6916e2fa69d99693e6"),
     ("zseries --group H3 --r 1 --alpha 1.0 --k 6",
@@ -890,6 +976,18 @@ ARTIFACT_DIGESTS = [
      "0ae446dffcd2cdcffb4896d62f8291f4e73b403f50bd78bbed50625c52b94e02"),
     ("zseries --group Z^2 --r 10 --alpha 1.0 --k 20",
      "481a91ffaaf418574381553a9917a45ecb2737b3a1f510df9dcd9b32d10e58e9"),
+    ("verify heredity --embedding Z:Z^2:diag --range 4:8:4",
+     "7c666dd1a046a97dd886fb63ce5840c8470bbef173d57db1382096ee5ffb1ee8"),
+    ("verify heredity --embedding Z:F2 --range 4:8:4",
+     "00de37458fc82674e80f511d0c197b2a924315c83bd435d70d3d377a1bc825b5"),
+    ("norm --group Z^1xF2 --witness ball --n 2 --method trace --depth 2",
+     "72c6e9bc587d79e73a64bbc989d6e80e3f777bff1acfc239025f41379b0d094f"),
+    ("norm --group C3xC4 --witness sphere --n 2 --method trace --depth 2",
+     "2281c88bda0efe2f39209f9e7143d80691bfd0e7d1063af1532eb2bba89da15a"),
+    ("norm --group Z^2 --witness ball --n 3 --method power --R 4",
+     "6ebe6dccfc175fe1bf935f112013bb82b879b63d8a4257823ff678b506f60625"),
+    ("verify lemma1 --group C3xC4 --radius 4",
+     "37427243d500f801a0d44a8d1311da95c33c0d383f1ee919fc20f52e019c41e0"),
 ]
 
 

@@ -127,6 +127,22 @@ class TestEnumeration:
             R.enumerate_balls(Z2, 10, budget=10)
         assert err.value.radius_reached == 1
 
+    def test_dict_search_budget_reports_radius(self):
+        # |B_3| = 53 and |B_4| = 161 on F2
+        with pytest.raises(BudgetExceededError) as err:
+            R.enumerate_balls(F2, 6, budget=100)
+        assert err.value.radius_reached == 3
+
+    def test_product_without_closed_sizes_reads_the_index(self, h3_index):
+        spec = R.DirectProduct([H3, Z])
+        assert spec.closed_sphere_sizes(4) is None
+        with pytest.raises(IndexRadiusError):
+            R.sphere_sizes(spec, 4)
+        # the Cauchy product of the H3 spheres with |S_0| = 1, |S_n| = 2 of Z
+        h3 = h3_index.sphere_sizes
+        want = [h3[n] + 2 * sum(h3[:n]) for n in range(5)]
+        assert R.sphere_sizes(spec, 4, R.enumerate_balls(spec, 4)) == want
+
     def test_repr_lists_no_elements(self, h3_index):
         # lengths and spheres hold every element; the repr names the index only
         assert len(repr(h3_index)) < 200
@@ -151,6 +167,12 @@ class TestKeys:
         assert F2.element_key("aB") == "aB"
         assert C12.element_key(7) == "7"
         assert R.DirectProduct([Z, F2]).element_key(((3,), "aB")) == "3|aB"
+
+    def test_nested_products_flatten(self):
+        spec = R.DirectProduct([R.DirectProduct([Z, F2]), C12])
+        assert spec.factors == [Z, F2, C12]
+        assert spec.descriptor() == "Z^1xF2xC12"
+        assert spec == R.parse_descriptor("Z^1xF2xC12")
 
     def test_descriptor_parsing(self):
         for text, descriptor in [("Z", "Z^1"), ("Z^2", "Z^2"), ("H3", "H3"),
@@ -199,6 +221,32 @@ class TestEmbeddings:
     def test_heisenberg_center(self, h3_index):
         emb = R.embed(Z, H3, {(1,): (0, 0, 1)})
         assert emb.apply((2,)) == (0, 0, 2)
+
+    def test_heisenberg_into_itself(self, h3_index):
+        # x -> x^2, y -> y is the homomorphism (a, b, c) -> (2a, b, 2c)
+        emb = R.embed(H3, H3, {(1, 0, 0): (2, 0, 0), (0, 1, 0): (0, 1, 0)})
+        for g in h3_index.ball(4):
+            a, b, c = g
+            assert emb.apply(g) == (2 * a, b, 2 * c)
+
+    def test_product_into_z2(self):
+        spec = R.parse_descriptor("Z^1xZ^1")
+        emb = R.embed(spec, Z2, {((1,), (0,)): (1, 0), ((0,), (1,)): (0, 1)})
+        for (a,), (b,) in R.enumerate_balls(spec, 4).ball(4):
+            assert emb.apply(((a,), (b,))) == (a, b)
+
+    def test_large_balls_check_sampled_pairs(self, monkeypatch):
+        samples = []
+
+        class Recording(random.Random):
+            def sample(self, population, k):
+                samples.append((len(population), k))
+                return super().sample(population, k)
+        monkeypatch.setattr(R.groups.random, "Random", Recording)
+        emb = R.embed(F2, R.FreeGroup(3), {"a": "a", "b": "b"})
+        # |B_3| = 53 on F2: 53^2 pairs, of which 200 are checked
+        assert samples == [(2809, 200)]
+        assert emb.apply("aBB") == "aBB"
 
     def test_missing_generator_image(self):
         with pytest.raises(HomomorphismError):

@@ -198,10 +198,11 @@ def test_budget_caps_the_box():
 
 
 def test_groups_without_an_array_law_fall_back(f2_index, c12_index):
-    for index in (f2_index, c12_index):
+    # C3xC4 has flat integer-tuple elements, but no array law
+    c3xc4_index = R.enumerate_balls(R.parse_descriptor("C3xC4"), 2)
+    for index in (f2_index, c12_index, c3xc4_index):
         ball = R.char_ball(index, 2)
         assert keys_for(ball, ball) is None
-    assert R.FreeGroup(2).multiply_arrays(np.zeros((1, 1)), np.zeros((1, 1))) is None
 
 
 def test_integer_coefficients_keep_the_dict_loop():

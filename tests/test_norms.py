@@ -133,6 +133,14 @@ class TestTracePower:
         est = R.op_norm_trace_power(a, depth=8, budget=2000)
         assert (est.target_steps, est.stop_reason) == (9, "budget")
 
+    def test_radial_ladder_stops_at_the_budget(self):
+        # b^m of F2 sphere 1 has 2m + 1 sphere coefficients, so b^4 passes 5;
+        # tau(b^m) counts the closed walks of length 2m: 4, 28, 2092 for m = 1, 2, 4
+        est = R.op_norm_trace_power(R.radial_sphere(2, 1), depth=4, budget=5)
+        assert (est.target_steps, est.stop_reason) == (5, "budget")
+        assert est.steps == pytest.approx([4 ** (1 / 2), 28 ** (1 / 4),
+                                           2092 ** (1 / 8)], rel=1e-15)
+
     @pytest.mark.parametrize("spec", [F2, R.FreeAbelian(2),
                                       R.DiscreteHeisenberg()])
     @pytest.mark.parametrize("value,got", [(1e200, "inf"), (1e-200, "0.0")])

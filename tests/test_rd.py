@@ -515,7 +515,7 @@ class TestSeriesProductBound:
             assert truncated < bound  # truncation falls below the integral
 
     def test_radial_and_dense_agree(self, f2_index, monkeypatch):
-        cases = [(1, 4, 0.00038819875776397513), (2, 3, 7.626019980172346e-05)]
+        cases = [(1, 4, 0.42484696565854474), (2, 3, 0.2752891695198586)]
         radials = [R.verify_series_product_bound(F2, r, 1.0, 1.0, K)
                    for r, K, _ in cases]
         dense_products(monkeypatch)
@@ -524,6 +524,27 @@ class TestSeriesProductBound:
             assert dense.ok and radial.ok
             assert radial.min_slack == pytest.approx(want, rel=1e-12)
             assert dense.min_slack == pytest.approx(radial.min_slack, rel=1e-12)
+
+    @pytest.mark.parametrize("r, K", [(1, 6), (2, 5)])
+    def test_slack_is_taken_where_the_right_side_lives(self, r, K, z_index):
+        # on Z, |B_m| = 2m + 1: sum the series, their product and the right
+        # side element by element, and take the least slack on B_{r(K-1)}
+        def series(i):
+            j = max(1, -(-i // r))
+            return sum(1.0 / (k * math.sqrt(2 * r * k + 1)) for k in range(j, K + 1))
+
+        def product(g):
+            return sum(series(abs(h)) * series(abs(g - h))
+                       for h in range(-r * K, r * K + 1) if abs(g - h) <= r * K)
+
+        def rhs(g):
+            return sum(1.0 / (k * (j + k) * math.sqrt(2 * r * j + 1))
+                       for j in range(1, K) for k in range(1, K - j + 1)
+                       if abs(g) <= r * j)
+
+        want = min(product(g) - rhs(g) for g in range(-r * (K - 1), r * (K - 1) + 1))
+        rep = R.verify_series_product_bound(Z, r, 1.0, 1.0, K, index=z_index)
+        assert rep.ok and rep.min_slack == pytest.approx(want, rel=1e-12)
 
     def test_parameter_guard(self):
         with pytest.raises(ValueError):
