@@ -58,8 +58,6 @@ from .norms import (
 )
 from .rd import (
     BallSeries,
-    ContradictionReport,
-    DivergenceParameters,
     ExponentFit,
     RatioEntry,
     RatioSeries,
@@ -68,7 +66,6 @@ from .rd import (
     ball_series_l2_bounds,
     build_ball_series,
     build_report,
-    contradiction_trace,
     delocalize_constant,
     doubling_ratios,
     fit_exponent,

@@ -259,8 +259,8 @@ def radial_inner(x: RadialElement, y: RadialElement):
 
 
 def coefficient_norm(x, kind):
-    """The norm ``kind`` ("l1", "l2" or ("l2s", t), as in ``algebra.norm``) of
-    a dense element or a sphere function."""
+    """The norm ``kind`` of a dense element (any kind of ``algebra.norm``) or
+    of a sphere function ("l1" or "l2")."""
     if not isinstance(x, RadialElement):
         return norm(x, kind)
     if kind == "l1":
@@ -268,12 +268,6 @@ def coefficient_norm(x, kind):
                     for c, s in zip(x.coeffs, x.sizes) if c != 0.0), 0.0)
     if kind == "l2":
         return math.sqrt(radial_inner(x, x))
-    if isinstance(kind, tuple) and kind[0] == "l2s":
-        t = float(kind[1])
-        if t < 0:
-            raise ValueError("weight exponent s must be >= 0")
-        return math.sqrt(sum(c ** 2 * (1.0 + i) ** (2.0 * t) * s
-                             for i, (c, s) in enumerate(zip(x.coeffs, x.sizes))))
     raise ValueError(f"unknown norm kind {kind!r}")
 
 

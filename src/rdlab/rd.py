@@ -40,7 +40,7 @@ from .algebra import (
     ball_product_minima,
     convolve,
 )
-from .errors import BudgetExceededError, CoverageError, RdlabError
+from .errors import BudgetExceededError, CoverageError
 from .groups import (
     DEFAULT_BUDGET,
     Embedding,
@@ -391,7 +391,7 @@ def verify_ball_product_bound(spec, n, k, index: LengthIndex = None,
         raise ValueError("n and k must be >= 1")
     slack = next(slack for m, _, slack in
                  _ball_product_slacks(spec, n + k, n, index, budget) if m == n)
-    return (slack >= GEQ_TOLERANCE, float(slack))
+    return (slack >= 0, float(slack))
 
 
 def ball_product_sweep(spec, max_sum, index: LengthIndex = None,
@@ -406,7 +406,7 @@ def ball_product_sweep(spec, max_sum, index: LengthIndex = None,
     slack, worst = min(
         (float(slack), (n, k)) for n, k, slack in
         _ball_product_slacks(spec, max_sum, max_sum - 1, index, budget))
-    return (slack >= GEQ_TOLERANCE, slack, worst)
+    return (slack >= 0, slack, worst)
 
 
 def doubling_ratios(spec, r, k_max, index: LengthIndex = None):
@@ -718,98 +718,6 @@ def standard_embedding(name):
         raise ValueError(f"unknown embedding {name!r}; choose from "
                          f"{sorted(standard_embeddings())}") from None
     return embed(sub, ambient, images)
-
-
-# -- incompatible-bounds trace ----------------------------------------------------
-
-
-@dataclass
-class DivergenceParameters:
-    """Exponents for the incompatibility trace at a hypothetical s < 1/2.
-
-    Constraints: s < t < 1/2, alpha > 1/2 + t, beta > 1/2, and
-    alpha + beta - 1 <= 1/2 (so the product series cannot be
-    square-summable while both factors are controlled).
-    """
-
-    s: float
-    t: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.s < 0.5:
-            raise ValueError("need 0 <= s < 1/2")
-        if not self.s < self.t < 0.5:
-            raise ValueError("need s < t < 1/2")
-        if not self.alpha > 0.5 + self.t:
-            raise ValueError("need alpha > 1/2 + t")
-        if not self.beta > 0.5:
-            raise ValueError("need beta > 1/2")
-        if not self.alpha + self.beta - 1.0 <= 0.5:
-            raise ValueError("need alpha + beta - 1 <= 1/2")
-
-
-@dataclass
-class ContradictionReport:
-    params: DivergenceParameters
-    r: int
-    K: int
-    weighted_norm: float          # ||S(alpha)||_{2,t}
-    weighted_bound: float         # (2r)^t ||S(alpha - t)||_2
-    weighted_ok: bool
-    beta_l2: float                # ||S(beta)||_2
-    beta_bound: float             # 2 sqrt(sum k^(-2 beta)); valid under doubling
-    beta_ok: bool
-    min_doubling_ratio: float
-    exhibit_exponent: float       # 2 (alpha + beta - 1) <= 1
-    exhibit_partial_sums: list    # partial sums of k^(-2(alpha+beta-1)); unbounded
-
-
-def contradiction_trace(spec, params: DivergenceParameters, r, K,
-                        index: LengthIndex = None):
-    """Numerical shadow of the incompatibility at s < 1/2 on ``spec``.
-
-    Requires the doubling condition at scale r (the construction's standing
-    assumption).  Reports (i) the weighted norm of the alpha-series against
-    its (2r)^t bound, (ii) the l2 norm of the beta-series against its
-    convergent bound, and (iii) the unbounded partial sums standing in for
-    the series at exponent alpha + beta - 1, which no square-summable element
-    can carry.
-    """
-    za = build_ball_series(spec, r, params.alpha, K, index)
-    min_ratio = za.min_doubling_ratio()
-    if min_ratio < 2.0:
-        raise RdlabError(
-            f"doubling fails on {spec.descriptor()} at r={r} "
-            f"(min ratio {min_ratio:.4f} < 2); pick a faster-growing group or larger r")
-
-    weighted = coefficient_norm(za.function, ("l2s", params.t))
-    za_shift = build_ball_series(spec, r, params.alpha - params.t, K, index)
-    bound = (2.0 * r) ** params.t * coefficient_norm(za_shift.function, "l2")
-
-    zb = build_ball_series(spec, r, params.beta, K, index)
-    beta_l2 = coefficient_norm(zb.function, "l2")
-    beta_bound = 2.0 * math.sqrt(sum(k ** (-2.0 * params.beta)
-                                     for k in range(1, K + 1)))
-
-    gamma = params.alpha + params.beta - 1.0
-    sums = []
-    total = 0.0
-    for k in range(1, K + 1):
-        total += k ** (-2.0 * gamma)
-        sums.append(total)
-
-    rel = 1e-9
-    return ContradictionReport(
-        params=params, r=r, K=K,
-        weighted_norm=weighted, weighted_bound=bound,
-        weighted_ok=weighted <= bound * (1 + rel),
-        beta_l2=beta_l2, beta_bound=beta_bound,
-        beta_ok=beta_l2 <= beta_bound * (1 + rel),
-        min_doubling_ratio=min_ratio,
-        exhibit_exponent=2.0 * gamma,
-        exhibit_partial_sums=sums)
 
 
 # -- consolidated report -----------------------------------------------------------

@@ -921,7 +921,7 @@ class TestCache:
 
 # the lemma1, lemma2 and zseries artifacts, pinned byte for byte: the
 # radial and dense checks on every kind of group, zseries with and
-# without its dense element; heredity through ``embed``, and norms on the
+# without its dense element, with doubling holding and failing; heredity through ``embed``, and norms on the
 # array and dict paths of ``product_keys``
 ARTIFACT_DIGESTS = [
     ("verify lemma1 --group H3 --radius 8",
@@ -976,6 +976,10 @@ ARTIFACT_DIGESTS = [
      "0ae446dffcd2cdcffb4896d62f8291f4e73b403f50bd78bbed50625c52b94e02"),
     ("zseries --group Z^2 --r 10 --alpha 1.0 --k 20",
      "481a91ffaaf418574381553a9917a45ecb2737b3a1f510df9dcd9b32d10e58e9"),
+    ("zseries --group F2 --r 2 --alpha 0.54 --k 12",
+     "07a46f53be52814cb85d344d3327abb4f2c5d095868815bdbc10463bd0eaed0f"),
+    ("zseries --group Z --r 2 --alpha 1.0 --k 8",
+     "bc7c85c2ef81bb92ba1997298d6e58814e7366e455f3e17926b3ec7cafd2de74"),
     ("verify heredity --embedding Z:Z^2:diag --range 4:8:4",
      "7c666dd1a046a97dd886fb63ce5840c8470bbef173d57db1382096ee5ffb1ee8"),
     ("verify heredity --embedding Z:F2 --range 4:8:4",

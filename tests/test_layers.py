@@ -50,3 +50,25 @@ def test_the_command_line_imports_no_scipy():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def unused_imports(path):
+    """The names ``path`` imports and never reads; ``from __future__`` lines
+    are left out."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package's __init__ imports names only to export them
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    found = {p.stem: unused_imports(p) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}

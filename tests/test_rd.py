@@ -481,7 +481,7 @@ class TestBallSeries:
         assert not b.doubling_ok
         assert b.lower <= b.actual
 
-    @pytest.mark.parametrize("alpha", [0.6, 0.75, 1.0, 1.5])
+    @pytest.mark.parametrize("alpha", [0.51, 0.54, 0.6, 0.75, 1.0, 1.5])
     @pytest.mark.parametrize("K", [4, 8, 12])
     def test_f2_sweep_bounds_hold(self, alpha, K):
         b = R.ball_series_l2_bounds(R.build_ball_series(F2, 2, alpha, K))
@@ -626,38 +626,6 @@ class TestHeredity:
         sub_index = R.enumerate_balls(Z, 8)
         with pytest.raises(CoverageError):
             R.verify_heredity(emb, [16], sub_index)
-
-
-class TestContradictionTrace:
-    def test_parameter_constraints(self):
-        params = R.DivergenceParameters(s=0.4, t=0.45, alpha=0.96, beta=0.54)
-        assert params.alpha > 0.5 + params.t
-        with pytest.raises(ValueError):
-            R.DivergenceParameters(s=0.4, t=0.3, alpha=0.96, beta=0.54)
-        with pytest.raises(ValueError):
-            R.DivergenceParameters(s=0.4, t=0.45, alpha=0.9, beta=0.54)
-        with pytest.raises(ValueError):
-            R.DivergenceParameters(s=0.4, t=0.45, alpha=0.99, beta=0.6)
-
-    def test_f2_trace(self):
-        params = R.DivergenceParameters(s=0.4, t=0.45, alpha=0.96, beta=0.54)
-        rep = R.contradiction_trace(F2, params, 2, 12)
-        assert rep.weighted_ok and rep.beta_ok
-        assert rep.exhibit_exponent == pytest.approx(1.0)
-        assert rep.exhibit_partial_sums[-1] == pytest.approx(
-            sum(1.0 / k for k in range(1, 13)), rel=1e-12)
-        assert rep.exhibit_partial_sums[-1] == pytest.approx(3.103, abs=1e-3)
-
-    def test_exhibit_grows_like_log(self):
-        params = R.DivergenceParameters(s=0.1, t=0.2, alpha=0.75, beta=0.75)
-        rep = R.contradiction_trace(F2, params, 2, 64)
-        sums = rep.exhibit_partial_sums
-        assert sums[63] - sums[31] == pytest.approx(math.log(2), rel=0.05)
-
-    def test_doubling_failure_rejected(self, z_index):
-        params = R.DivergenceParameters(s=0.4, t=0.45, alpha=0.96, beta=0.54)
-        with pytest.raises(RdlabError):
-            R.contradiction_trace(Z, params, 2, 8, index=z_index)
 
 
 class TestReport:
