@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .algebra import (
     AlgebraElement,
     adjoint,
-    annulus_decompose,
     char_ball,
     char_sphere,
     convolve,

@@ -144,15 +144,11 @@ def point_mass(spec, g, index=None):
 
 
 def char_ball(index: LengthIndex, n):
-    if n > index.radius:
-        raise IndexRadiusError(f"ball {n} exceeds index radius {index.radius}")
     coeffs = {g: 1.0 for g in index.ball(n)}
     return AlgebraElement(spec=index.spec, coeffs=coeffs, support_radius=n)
 
 
 def char_sphere(index: LengthIndex, n):
-    if n > index.radius:
-        raise IndexRadiusError(f"sphere {n} exceeds index radius {index.radius}")
     coeffs = {g: 1.0 for g in index.sphere(n)}
     return AlgebraElement(spec=index.spec, coeffs=coeffs, support_radius=n)
 
@@ -247,10 +243,10 @@ def product_keys(spec, outer, inner, flip, max_support=None):
     inner_cols = _coordinate_columns(inner)
     if outer_cols is None or inner_cols is None:
         return None
-    law = spec.multiply_arrays
+    law = spec.multiply
     if flip:
         def law(g, h):
-            return spec.multiply_arrays(h, g)
+            return spec.multiply(h, g)
     # the law is multilinear in the coordinates, so the products of the
     # operands' box corners bound every product
     g, h = _box_corners(outer_cols), _box_corners(inner_cols)
@@ -340,7 +336,7 @@ def convolve(a: AlgebraElement, b: AlgebraElement, budget=DEFAULT_BUDGET):
 
 class _RowLengths:
     """Word lengths of the x^-1 g on int64 rows: x^-1 by ``spec.inverse`` on
-    coordinate columns, x^-1 g by ``multiply_arrays``, and each length read
+    coordinate columns, x^-1 g by ``spec.multiply``, and each length read
     from a table over the bounding box (corner ``lo``, far corner ``hi``) of
     B_M, the rows ``ball``, whose cells ``cell_keys`` numbers; -1 outside
     B_M."""
@@ -355,7 +351,7 @@ class _RowLengths:
         x = index.rows[: index.ball_sizes[width]]
         inverses = index.spec.inverse(tuple(x.T))
         self.inverses = [col[None, :] for col in inverses]
-        self.law = index.spec.multiply_arrays
+        self.law = index.spec.multiply
         self.index = index
 
     def __call__(self, r, a, b, count):
@@ -554,28 +550,3 @@ def linear_combine(terms):
 
 def scale(c, a: AlgebraElement):
     return linear_combine([(c, a)])
-
-
-def annulus_index(length):
-    """The n with 2^n - 1 <= length < 2^(n+1) - 1."""
-    return (length + 1).bit_length() - 1
-
-
-def annulus_decompose(a: AlgebraElement, index: LengthIndex):
-    """Split ``a`` along the annuli A_n = {g : 2^n - 1 <= |g| < 2^(n+1) - 1}.
-
-    Pieces are indexed by n, have pairwise disjoint supports, and sum back to
-    ``a`` exactly.  Empty annuli inside the range yield empty pieces.
-    """
-    buckets = {}
-    for g, c in a.coeffs.items():
-        ell = word_length(a.spec, g, index)
-        buckets.setdefault(annulus_index(ell), {})[g] = c
-    top = max(buckets) if buckets else 0
-    pieces = []
-    for n in range(top + 1):
-        radius = min(a.support_radius, 2 ** (n + 1) - 2)
-        pieces.append(AlgebraElement(spec=a.spec,
-                                     coeffs=buckets.get(n, {}),
-                                     support_radius=radius))
-    return pieces

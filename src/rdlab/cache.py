@@ -12,7 +12,9 @@ Keys are canonical: ``element_key`` writes them and ``parse_key`` accepts no
 other spelling.  The header's sphere sizes let a reader tell a cut or padded
 file from a whole one on every group.
 The descriptor names a group on its standard generators, so only such a
-group reads or finds a cache file.
+group reads or finds a cache file.  A file is named for its group and radius
+(``cache_path``); a command reads only the file named for the radius it
+works to, and a header that gives another radius is rejected.
 
 On Z^d and H3 the records are written from the index's int64 rows by one
 ``%d`` template, and read by parsing the integers with numpy: a file is read
@@ -50,8 +52,9 @@ class CacheFormatError(RdlabError):
     pass
 
 
-def cache_filename(descriptor, radius):
-    return f"{descriptor}.N{radius}.ballcache"
+def cache_path(directory, spec, radius):
+    """The path of the cache file of ``spec`` to ``radius`` in ``directory``."""
+    return Path(directory) / f"{spec.descriptor()}.N{radius}.ballcache"
 
 
 def _records(table):
@@ -82,10 +85,10 @@ def write_ball_cache(index: LengthIndex, path):
     return hashlib.sha256(data.encode("utf-8")).hexdigest()
 
 
-def _read_header(path, text, spec):
+def _read_header(path, text, spec, radius=None):
     """(spec, radius, sphere sizes) from the header of a cache file's
     ``text``; a given ``spec`` must match it and be on its standard
-    generators."""
+    generators, and a given ``radius`` must be the header's."""
     if not text:
         raise CacheFormatError(f"{path}: empty cache file")
     header = text.partition("\n")[0]
@@ -99,11 +102,14 @@ def _read_header(path, text, spec):
             or not parts[3].startswith("spheres=")):
         raise CacheFormatError(f"{path}: bad header {header!r}")
     descriptor = parts[1]
-    radius = int(parts[2][2:])
+    N = int(parts[2][2:])
     spheres = [int(size) for size in parts[3][len("spheres="):].split(",")]
-    if len(spheres) != radius + 1:
+    if len(spheres) != N + 1:
         raise CacheFormatError(
-            f"{path}: header lists {len(spheres)} sphere sizes for radius {radius}")
+            f"{path}: header lists {len(spheres)} sphere sizes for radius {N}")
+    if radius is not None and N != radius:
+        raise CacheFormatError(
+            f"{path}: header gives radius {N}, expected radius {radius}")
     if spec is None:
         spec = parse_descriptor(descriptor)
     elif not spec.has_standard_generators():
@@ -113,15 +119,16 @@ def _read_header(path, text, spec):
     elif spec.descriptor() != descriptor:
         raise CacheFormatError(
             f"{path}: cache is for {descriptor!r}, expected {spec.descriptor()!r}")
-    return spec, radius, spheres
+    return spec, N, spheres
 
 
-def read_ball_cache(path, spec=None):
-    """Load a cache file into a LengthIndex; validates the header, the record
-    order, and the sphere sizes against the header and, where a closed form
-    gives them, against it."""
+def read_ball_cache(path, spec=None, radius=None):
+    """Load a cache file into a LengthIndex; validates the header (against
+    ``spec`` and ``radius`` when given), the record order, and the sphere
+    sizes against the header and, where a closed form gives them, against
+    it."""
     text = Path(path).read_text(encoding="utf-8")
-    spec, radius, header_spheres = _read_header(path, text, spec)
+    spec, radius, header_spheres = _read_header(path, text, spec, radius)
     index = _read_rows(spec, radius, text) or _read_records(path, spec, radius,
                                                             text)
     for source, sizes in (("closed form", spec.closed_sphere_sizes(radius)),
@@ -201,7 +208,7 @@ def cache_roundtrip(spec, N, path, budget=DEFAULT_BUDGET):
     """Enumerate, write, reload, and compare; True iff the reload is identical."""
     index = enumerate_balls(spec, N, budget=budget)
     write_ball_cache(index, path)
-    loaded = read_ball_cache(path, spec)
+    loaded = read_ball_cache(path, spec, N)
     return (loaded.lengths == index.lengths
             and loaded.sphere_sizes == index.sphere_sizes
             and loaded.ball_sizes == index.ball_sizes
@@ -209,11 +216,12 @@ def cache_roundtrip(spec, N, path, budget=DEFAULT_BUDGET):
                     for n in range(index.radius + 1)))
 
 
-def check_ball_cache(path, spec=None, budget=DEFAULT_BUDGET):
-    """Re-enumerate and byte-compare against the file; (ok, detail) result."""
+def check_ball_cache(path, spec=None, radius=None, budget=DEFAULT_BUDGET):
+    """Re-enumerate and byte-compare against the file, whose header must
+    match ``spec`` and ``radius`` when given; (ok, detail) result."""
     try:
         actual = Path(path).read_text(encoding="utf-8")
-        spec, radius, _ = _read_header(path, actual, spec)
+        spec, radius, _ = _read_header(path, actual, spec, radius)
     except (CacheFormatError, ValueError) as exc:
         return False, f"unreadable cache: {exc}"
     fresh = enumerate_balls(spec, radius, budget=budget)
@@ -225,24 +233,10 @@ def check_ball_cache(path, spec=None, budget=DEFAULT_BUDGET):
     return True, f"ok: {fresh.size()} elements to radius {radius}"
 
 
-def find_cache(cache_dir, spec, min_radius):
-    """Smallest adequate cache file for ``spec`` in ``cache_dir``, or None;
-    None for a group off its standard generators."""
-    if cache_dir is None or not spec.has_standard_generators():
+def find_cache(cache_dir, spec, radius):
+    """The cache file of ``spec`` to exactly ``radius`` in ``cache_dir``, or
+    None when there is none; None for a group off its standard generators."""
+    if not spec.has_standard_generators():
         return None
-    directory = Path(cache_dir)
-    if not directory.is_dir():
-        return None
-    best = None
-    prefix = f"{spec.descriptor()}.N"
-    for entry in sorted(directory.iterdir()):
-        name = entry.name
-        if not (name.startswith(prefix) and name.endswith(".ballcache")):
-            continue
-        try:
-            radius = int(name[len(prefix):-len(".ballcache")])
-        except ValueError:
-            continue
-        if radius >= min_radius and (best is None or radius < best[0]):
-            best = (radius, entry)
-    return best[1] if best else None
+    path = cache_path(cache_dir, spec, radius)
+    return path if path.is_file() else None

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .algebra import AlgebraElement
 from .cache import (
-    cache_filename,
+    cache_path,
     check_ball_cache,
     find_cache,
     read_ball_cache,
@@ -77,7 +77,7 @@ def parse_range(text):
         return [int(parts[0])]
     lo, hi = int(parts[0]), int(parts[1])
     step = int(parts[2]) if len(parts) == 3 else 1
-    if step < 1 or hi < lo:
+    if len(parts) > 3 or step < 1 or hi < lo:
         raise ValueError(f"bad range {text!r}")
     return list(range(lo, hi + 1, step))
 
@@ -119,7 +119,7 @@ class _Run:
             path = find_cache(directory, spec, radius)
             if path is not None:
                 self.cache_files.append(str(path))
-                return read_ball_cache(path, spec)
+                return read_ball_cache(path, spec, radius)
         return enumerate_balls(spec, radius, budget=self.args.budget)
 
     def index(self, spec, radius, method=None, R=None):
@@ -248,8 +248,13 @@ def cmd_ratio(run, args):
 
 def cmd_fit(run, args):
     series = _make_series(run, args)
-    window = tuple(int(x) for x in args.window.split(":")) if args.window \
-        else (min(e.n for e in series.entries), max(e.n for e in series.entries))
+    if args.window:
+        window = tuple(int(x) for x in args.window.split(":"))
+        if len(window) != 2:
+            raise RdlabError("--window takes lo:hi")
+    else:
+        window = (min(e.n for e in series.entries),
+                  max(e.n for e in series.entries))
     fit = fit_exponent(series, window=window, which=args.which)
     row = [series.group, series.witness, fit.window[0], fit.window[1],
            fit.slope, fit.intercept, fit.r_squared]
@@ -414,7 +419,7 @@ def _cache_build(run, args):
         raise RdlabError("cache build needs --cache-dir or RDLAB_CACHE_DIR")
     Path(directory).mkdir(parents=True, exist_ok=True)
     index = enumerate_balls(spec, args.radius, budget=args.budget)
-    path = Path(directory) / cache_filename(spec.descriptor(), args.radius)
+    path = cache_path(directory, spec, args.radius)
     digest = write_ball_cache(index, path)
     run.cache_files.append(str(path))
     run.emit(json_text({"path": str(path), "sha256": digest,
@@ -438,8 +443,8 @@ def _cache_check(run, args):
         if not directory:
             raise RdlabError("cache check needs --file, --cache-dir, "
                              "or RDLAB_CACHE_DIR")
-        path = Path(directory) / cache_filename(spec.descriptor(), args.radius)
-    ok, detail = check_ball_cache(path, spec, budget=args.budget)
+        path = cache_path(directory, spec, args.radius)
+    ok, detail = check_ball_cache(path, spec, args.radius, budget=args.budget)
     run.emit(json_text({"path": str(path), "ok": ok, "detail": detail}),
              summary=detail)
     return _verdict_exit(ok)

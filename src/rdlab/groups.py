@@ -189,19 +189,15 @@ def parse_int(text):
 
 
 class IntegerTupleGroup(GroupSpec):
-    """A group on tuples of ints with an array law, keyed as "3,-2"."""
+    """A group on tuples of ints with an array law, keyed as "3,-2".
 
-    def multiply_arrays(self, g_cols, h_cols):
-        """The group law on coordinate columns.
-
-        ``g_cols`` and ``h_cols`` hold one int64 array per coordinate of an
-        integer-tuple element, and the arrays of the two broadcast against
-        each other; the result holds one array per coordinate of the products.
-        Every product coordinate must be a polynomial of degree at most one in
-        each input coordinate, so that its extremes over a box of inputs lie
-        at the box's corners.
-        """
-        return self.multiply(g_cols, h_cols)
+    ``multiply`` and ``inverse`` also take elements as coordinate columns,
+    one int64 array per coordinate (the arrays of multiply's two operands
+    broadcast against each other), and give the columns of the results.
+    Every result coordinate is a polynomial of degree at most one in each
+    input coordinate, so that its extremes over a box of inputs lie at the
+    box's corners.
+    """
 
     def element_key(self, g):
         return ",".join(str(x) for x in g)
@@ -680,8 +676,8 @@ def _array_spheres(spec, N, budget):
     total = 1
     for n in range(1, N + 1):
         last = spheres[-1]
-        products = spec.multiply_arrays(tuple(last.T[:, :, None]),
-                                        tuple(gens.T[:, None, :]))
+        products = spec.multiply(tuple(last.T[:, :, None]),
+                                 tuple(gens.T[:, None, :]))
         reached = np.stack([col.ravel() for col in products], axis=1)
         near = np.concatenate([reached, last, previous])
         lo, hi = near.min(axis=0).tolist(), near.max(axis=0).tolist()

@@ -215,27 +215,6 @@ class TestLinearCombine:
         assert el.coeffs[(-2,)] == pytest.approx(1 / 3)
 
 
-class TestAnnuli:
-    def test_point_in_first_annulus(self, z_index):
-        pieces = R.annulus_decompose(R.point_mass(Z, (0,)), z_index)
-        assert len(pieces) == 1 and pieces[0].coeffs == {(0,): 1.0}
-
-    def test_ball_three_split(self, z_index):
-        pieces = R.annulus_decompose(R.char_ball(z_index, 3), z_index)
-        lengths = [sorted(abs(g[0]) for g in p.coeffs) for p in pieces]
-        assert lengths == [[0], [1, 1, 2, 2], [3, 3]]
-
-    def test_partition_reassembles(self, z2_index):
-        rng = random.Random(13)
-        a = random_element(Z2, z2_index, rng, 9, 25)
-        pieces = R.annulus_decompose(a, z2_index)
-        supports = [set(p.coeffs) for p in pieces]
-        for s1, s2 in itertools.combinations(supports, 2):
-            assert not (s1 & s2)
-        back = R.linear_combine([(1.0, p) for p in pieces])
-        assert back.coeffs == a.coeffs
-
-
 class TestJson:
     def test_roundtrip(self, z2_index):
         rng = random.Random(17)

@@ -271,14 +271,17 @@ class TestFlags:
             R.FreeAbelian(2), (0, 0)).to_json_dict()))
         assert run_command(argv.format(tmp=tmp_path).split()) == 2
 
-    def test_readme_examples_parse(self):
+    def test_readme_examples_parse(self, tmp_path, monkeypatch):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = re.search(r"## Command line.*?```sh\n(.*?)```", readme, re.S)
         lines = [line for line in block.group(1).splitlines()
                  if line.startswith("rdlab ")]
         assert len(lines) >= 13
+        # in order, in one directory: cache check reads what cache build wrote
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("RDLAB_CACHE_DIR", raising=False)
         for line in lines:
-            build_parser().parse_args(shlex.split(line)[1:])
+            assert run_command(shlex.split(line)[1:]) == 0, line
 
 
 class TestReadmeLibraryExample:
@@ -808,6 +811,16 @@ class TestExitCodes:
         assert run_command(["verify", "doubling", "--group", "Z",
                             "--r", "2", "--k", "4"]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        ("ratio --group Z --range 1:3:1:9", "bad range '1:3:1:9'"),
+        ("ratio --group Z --range 4:64:4:9", "bad range '4:64:4:9'"),
+        ("fit --group Z --range 4:16 --window 4", "--window takes lo:hi"),
+        ("fit --group Z --range 4:16 --window 4:8:2", "--window takes lo:hi"),
+    ])
+    def test_range_and_window_parts(self, argv, message, capsys):
+        assert run_command(argv.split() + ["--method", "exact"]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCache:
     def test_roundtrip_library(self, tmp_path):
@@ -866,7 +879,7 @@ class TestCache:
         assert run_command(["cache", "check", "--file", str(z2_cache)]) == 1
         assert "rebuild it" in capsys.readouterr().err
         # a command reading the index fails at its first read, exit 2
-        assert run_command(["verify", "lemma1", "--group", "Z^2", "--radius", "5",
+        assert run_command(["verify", "lemma1", "--group", "Z^2", "--radius", "6",
                             "--cache-dir", str(z2_cache.parent)]) == 2
         assert "rebuild it" in capsys.readouterr().err
 
@@ -910,6 +923,36 @@ class TestCache:
         manifest = json.loads((out.parent / "g.csv.manifest.json").read_text())
         assert manifest["cache_files"]
         assert manifest["cache_files"][0]["path"].endswith("H3.N6.ballcache")
+
+    def test_a_header_radius_other_than_the_name_is_rejected(self, tmp_path,
+                                                             capsys):
+        path = tmp_path / "H3.N6.ballcache"
+        write_ball_cache(R.enumerate_balls(R.DiscreteHeisenberg(), 3), path)
+        message = "header gives radius 3, expected radius 6"
+        with pytest.raises(CacheFormatError, match=message):
+            read_ball_cache(path, R.DiscreteHeisenberg(), 6)
+        for argv in ["growth --group H3 --radius 6",
+                     "verify lemma1 --group H3 --radius 6",
+                     "report --group H3 --range 4:6 --method exact"]:
+            assert run_command(argv.split() + ["--cache-dir", str(tmp_path)]) == 2
+            assert message in capsys.readouterr().err, argv
+        assert run_command(["cache", "check", "--group", "H3", "--radius", "6",
+                            "--cache-dir", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_a_larger_cache_is_not_read(self, tmp_path):
+        cache_dir = tmp_path / "caches"
+        assert run_command(["cache", "build", "--group", "H3", "--radius", "8",
+                            "--cache-dir", str(cache_dir)]) == 0
+        for argv in ["growth --group H3 --radius 6",
+                     "verify lemma1 --group H3 --radius 6"]:
+            cached, fresh = tmp_path / "cached.txt", tmp_path / "fresh.txt"
+            assert run_command(argv.split() + ["--cache-dir", str(cache_dir),
+                                               "--out", str(cached)]) == 0
+            assert run_command(argv.split() + ["--out", str(fresh)]) == 0
+            assert cached.read_bytes() == fresh.read_bytes(), argv
+            manifest = json.loads(Path(f"{cached}.manifest.json").read_text())
+            assert manifest["cache_files"] == [], argv
 
     def test_env_var_cache_dir(self, tmp_path, monkeypatch):
         cache_dir = tmp_path / "envcaches"
