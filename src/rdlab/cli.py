@@ -72,14 +72,31 @@ def json_text(obj):
 
 
 def parse_range(text):
-    parts = text.split(":")
+    """The n values of ``n``, ``lo:hi`` or ``lo:hi:step``."""
+    try:
+        parts = [int(part) for part in text.split(":")]
+    except ValueError:
+        parts = []
     if len(parts) == 1:
-        return [int(parts[0])]
-    lo, hi = int(parts[0]), int(parts[1])
-    step = int(parts[2]) if len(parts) == 3 else 1
-    if len(parts) > 3 or step < 1 or hi < lo:
+        return parts
+    if len(parts) == 2:
+        parts.append(1)
+    if len(parts) != 3 or parts[2] < 1 or parts[1] < parts[0]:
         raise ValueError(f"bad range {text!r}")
+    lo, hi, step = parts
     return list(range(lo, hi + 1, step))
+
+
+def parse_budget(text):
+    """The ``--budget`` value: an int of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"takes an integer of at least 0, not {text!r}")
+    return value
 
 
 class _LazyIndex:
@@ -119,7 +136,7 @@ class _Run:
             path = find_cache(directory, spec, radius)
             if path is not None:
                 self.cache_files.append(str(path))
-                return read_ball_cache(path, spec, radius)
+                return read_ball_cache(path, spec, radius, budget=self.args.budget)
         return enumerate_balls(spec, radius, budget=self.args.budget)
 
     def index(self, spec, radius, method=None, R=None):
@@ -249,7 +266,10 @@ def cmd_ratio(run, args):
 def cmd_fit(run, args):
     series = _make_series(run, args)
     if args.window:
-        window = tuple(int(x) for x in args.window.split(":"))
+        try:
+            window = tuple(int(x) for x in args.window.split(":"))
+        except ValueError:
+            window = ()
         if len(window) != 2:
             raise RdlabError("--window takes lo:hi")
     else:
@@ -472,7 +492,7 @@ def build_parser():
                                       "next to it")
     common.add_argument("--cache-dir", dest="cache_dir",
                         help="ball cache directory (default $RDLAB_CACHE_DIR)")
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    common.add_argument("--budget", type=parse_budget, default=DEFAULT_BUDGET,
                         help="budget on the elements enumerated, the "
                              "support of a convolution and the entries of "
                              "each lemma1 table of counts")

@@ -1,10 +1,10 @@
-"""The array ball search and cache reader of Z^d and H3 against the dict
-search and record reader they replace.
+"""The array ball search of Z^d and H3 against the dict search it replaced,
+and the cache read that checks a file against that search.
 
 ``enumerate_balls`` runs sphere by sphere on int64 rows for these groups; it
 must give the dict search's spheres, lengths, cache bytes and budget errors.
-``read_ball_cache`` parses their files with numpy; every file it does not
-take that way goes to the record reader, which names what is wrong.
+``read_ball_cache`` takes a file only when it holds the bytes the writer
+gives for a fresh search, and names the first line of any other file.
 """
 
 import re
@@ -182,29 +182,31 @@ def respell(number, spelling):
     return corrupt
 
 
-# the record reader's messages; a wrong arity and the other spellings of a
-# key are bad records
+# each corrupted file is named at its first line that differs from the
+# writer's bytes for the ball its header names
 CORRUPTIONS = [
-    (cut, {"Z^2": "sphere 6 has 21 elements, the closed form 24",
-           "H3": "sphere 6 has 291 elements, the header 294"}),
-    (reverse, {"Z^2": ":3: record '5,1' out of (length, key) order",
-               "H3": ":3: record '5,1,5' out of (length, key) order"}),
-    (swap_within_a_sphere, {"Z^2": ":4: record '-1,0' out of (length, key) order",
-                            "H3": ":4: record '-1,0,0' out of (length, key) order"}),
-    (duplicate_across_spheres, {"Z^2": ":11: duplicate element '0,0'",
-                                "H3": ":13: duplicate element '0,0,0'"}),
-    (negative_length, {"Z^2": ":2: length -1 outside radius",
-                       "H3": ":2: length -1 outside radius"}),
-    (wrong_arity, {"Z^2": ":2: bad record '0,0,0\\t0'",
-                   "H3": ":2: bad record '0,0,0,0\\t0'"}),
-    (respell("1", "01"), {"Z^2": ":6: bad record '01,0\\t1'",
-                          "H3": ":6: bad record '01,0,0\\t1'"}),
-    (respell("1", "+1"), {"Z^2": ":6: bad record '+1,0\\t1'",
-                          "H3": ":6: bad record '+1,0,0\\t1'"}),
-    (respell("1", " 1"), {"Z^2": ":6: bad record ' 1,0\\t1'",
-                          "H3": ":6: bad record ' 1,0,0\\t1'"}),
-    (respell("0", "-0"), {"Z^2": ":2: bad record '-0,0\\t0'",
-                          "H3": ":2: bad record '-0,0,0\\t0'"}),
+    (cut, {"Z^2": ":84: the file ends, expected '5,-1\\t6\\n'",
+           "H3": ":592: the file ends, expected '5,1,4\\t6\\n'"}),
+    (reverse, {"Z^2": ":2: expected '0,0\\t0\\n', found '6,0\\t6\\n'",
+               "H3": ":2: expected '0,0,0\\t0\\n', found '6,0,0\\t6\\n'"}),
+    (swap_within_a_sphere,
+     {"Z^2": ":3: expected '-1,0\\t1\\n', found '0,-1\\t1\\n'",
+      "H3": ":3: expected '-1,0,0\\t1\\n', found '0,-1,0\\t1\\n'"}),
+    (duplicate_across_spheres,
+     {"Z^2": ":11: expected '0,2\\t2\\n', found '0,0\\t2\\n'",
+      "H3": ":13: expected '0,2,0\\t2\\n', found '0,0,0\\t2\\n'"}),
+    (negative_length, {"Z^2": ":2: expected '0,0\\t0\\n', found '0,0\\t-1\\n'",
+                       "H3": ":2: expected '0,0,0\\t0\\n', found '0,0,0\\t-1\\n'"}),
+    (wrong_arity, {"Z^2": ":2: expected '0,0\\t0\\n', found '0,0,0\\t0\\n'",
+                   "H3": ":2: expected '0,0,0\\t0\\n', found '0,0,0,0\\t0\\n'"}),
+    (respell("1", "01"), {"Z^2": ":6: expected '1,0\\t1\\n', found '01,0\\t1\\n'",
+                          "H3": ":6: expected '1,0,0\\t1\\n', found '01,0,0\\t1\\n'"}),
+    (respell("1", "+1"), {"Z^2": ":6: expected '1,0\\t1\\n', found '+1,0\\t1\\n'",
+                          "H3": ":6: expected '1,0,0\\t1\\n', found '+1,0,0\\t1\\n'"}),
+    (respell("1", " 1"), {"Z^2": ":6: expected '1,0\\t1\\n', found ' 1,0\\t1\\n'",
+                          "H3": ":6: expected '1,0,0\\t1\\n', found ' 1,0,0\\t1\\n'"}),
+    (respell("0", "-0"), {"Z^2": ":2: expected '0,0\\t0\\n', found '-0,0\\t0\\n'",
+                          "H3": ":2: expected '0,0,0\\t0\\n', found '-0,0,0\\t0\\n'"}),
 ]
 
 
@@ -230,7 +232,10 @@ def test_whole_files_read_back_the_search(tmp_path, descriptor, rows):
     loaded = read_ball_cache(path)
     assert (loaded.rows is not None) == rows
     assert serialize_index(loaded) == path.read_text(encoding="utf-8")
-    # a file without its last newline is not what the writer wrote, but the
-    # record reader still takes it
-    path.write_text(path.read_text(encoding="utf-8")[:-1], encoding="utf-8")
-    assert read_ball_cache(path).lengths == loaded.lengths
+    # a file without its last newline is not what the writer wrote
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[:-1], encoding="utf-8")
+    last = text.splitlines()[-1]
+    message = f":{text.count(chr(10))}: expected {last + chr(10)!r}, found {last!r}"
+    with pytest.raises(CacheFormatError, match=re.escape(message)):
+        read_ball_cache(path)

@@ -419,7 +419,8 @@ class TestNormAndZseries:
         assert est["method"] == "amenable_exact"
 
     def test_zseries_element_within_the_budget(self, tmp_path):
-        # a cache spares the enumeration, so only the element meets --budget
+        # the index, and so the cache read's enumeration, is needed only to
+        # expand the element: --budget 840 leaves the element out, exit 0
         cache = str(tmp_path / "c")
         assert run(["cache", "build", "--group", "Z^2", "--radius", "20",
                     "--cache-dir", cache]) == 0
@@ -816,6 +817,10 @@ class TestExitCodes:
         ("ratio --group Z --range 4:64:4:9", "bad range '4:64:4:9'"),
         ("fit --group Z --range 4:16 --window 4", "--window takes lo:hi"),
         ("fit --group Z --range 4:16 --window 4:8:2", "--window takes lo:hi"),
+        ("ratio --group Z --range 3:", "bad range '3:'"),
+        ("fit --group Z --range 4:16 --window 3:", "--window takes lo:hi"),
+        ("ratio --group Z --range 4:8 --budget -1",
+         "argument --budget: takes an integer of at least 0, not '-1'"),
     ])
     def test_range_and_window_parts(self, argv, message, capsys):
         assert run_command(argv.split() + ["--method", "exact"]) == 2
@@ -846,7 +851,8 @@ class TestCache:
         path.write_text(text.replace("\t3", "\t4", 1))
         assert run_command(["cache", "check", "--group", "Z^2", "--radius", "6",
                             "--cache-dir", str(cache_dir)]) == 1
-        assert "digest mismatch" in capsys.readouterr().err
+        assert (":15: expected '-1,-2\\t3\\n', found '-1,-2\\t4\\n'"
+                in capsys.readouterr().err)
 
     @pytest.fixture
     def z2_cache(self, tmp_path):
@@ -858,7 +864,7 @@ class TestCache:
         lines = z2_cache.read_text().splitlines(keepends=True)
         z2_cache.write_text("".join(lines[:-5]))
         with pytest.raises(CacheFormatError,
-                           match="sphere 6 has 19 elements, the closed form 24"):
+                           match=re.escape(":82: the file ends, expected '4,-2\\t6\\n'")):
             read_ball_cache(z2_cache, R.FreeAbelian(2))
 
     def test_cut_file_without_closed_sizes_is_rejected(self, tmp_path):
@@ -867,8 +873,8 @@ class TestCache:
                          path)
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:-10]))
-        with pytest.raises(CacheFormatError,
-                           match="sphere 6 has 284 elements, the header 294"):
+        with pytest.raises(CacheFormatError, match=re.escape(
+                ":585: the file ends, expected '5,-1,-4\\t6\\n'")):
             read_ball_cache(path)
 
     def test_v1_file_is_rejected(self, z2_cache, capsys):
@@ -886,7 +892,8 @@ class TestCache:
     def test_records_out_of_order_are_rejected(self, z2_cache):
         header, *records = z2_cache.read_text().splitlines(keepends=True)
         z2_cache.write_text(header + "".join(reversed(records)))
-        with pytest.raises(CacheFormatError, match=r"out of \(length, key\) order"):
+        with pytest.raises(CacheFormatError, match=re.escape(
+                ":2: expected '0,0\\t0\\n', found '6,0\\t6\\n'")):
             read_ball_cache(z2_cache)
 
     def test_other_generators_never_read_a_cache(self, z2_cache):
@@ -923,6 +930,38 @@ class TestCache:
         manifest = json.loads((out.parent / "g.csv.manifest.json").read_text())
         assert manifest["cache_files"]
         assert manifest["cache_files"][0]["path"].endswith("H3.N6.ballcache")
+
+    def test_a_file_with_swapped_lengths_is_rejected(self, tmp_path, capsys):
+        # two records trade lengths and move to their sorted places, so the
+        # records stay in (length, key) order and the header's sphere sizes
+        # still hold
+        assert run_command(["cache", "build", "--group", "H3", "--radius", "4",
+                            "--cache-dir", str(tmp_path)]) == 0
+        path = tmp_path / "H3.N4.ballcache"
+        header, *lines = path.read_text().splitlines(keepends=True)
+        swap = {"-1,-2,0": "4", "-1,-1,-1": "3"}
+        records = sorted((int(swap.get(key, n)), key) for key, n in
+                         (line[:-1].split("\t") for line in lines))
+        path.write_text(header + "".join(f"{key}\t{n}\n" for n, key in records))
+        message = ("H3.N4.ballcache:19: expected '-1,-2,0\\t3\\n', "
+                   "found '-1,-1,-1\\t3\\n'")
+        with pytest.raises(CacheFormatError, match=re.escape(message)):
+            read_ball_cache(path, R.DiscreteHeisenberg(), 4)
+        assert run_command(["ratio", "--group", "H3", "--witness", "sphere",
+                            "--range", "4", "--method", "trace", "--depth", "2",
+                            "--cache-dir", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert run_command(["cache", "check", "--group", "H3", "--radius", "4",
+                            "--cache-dir", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_a_read_meets_the_budget(self, tmp_path, capsys):
+        # a read enumerates the ball it checks the file against
+        assert run_command(["cache", "build", "--group", "H3", "--radius", "6",
+                            "--cache-dir", str(tmp_path)]) == 0
+        assert run_command(["growth", "--group", "H3", "--radius", "6",
+                            "--budget", "100", "--cache-dir", str(tmp_path)]) == 3
+        assert "passed 100 elements" in capsys.readouterr().err
 
     def test_a_header_radius_other_than_the_name_is_rejected(self, tmp_path,
                                                              capsys):
