@@ -124,7 +124,11 @@ def read_ball_cache(path, spec=None, radius=None, budget=DEFAULT_BUDGET):
     against ``spec`` and ``radius`` when given), enumerated under ``budget``
     and returned only when it serializes to the file's exact text;
     CacheFormatError naming the first line that differs."""
-    text = Path(path).read_bytes().decode("utf-8")
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CacheFormatError(
+            f"{path}: not UTF-8 text at byte {exc.start}") from None
     spec, radius = _read_header(path, text, spec, radius)
     index = enumerate_balls(spec, radius, budget=budget)
     expected = serialize_index(index)

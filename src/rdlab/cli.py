@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -127,13 +126,9 @@ class _Run:
         self.cache_files = []
         self.spec = None
 
-    def cache_dir(self):
-        return self.args.cache_dir or os.environ.get("RDLAB_CACHE_DIR")
-
     def get_index(self, spec, radius):
-        directory = self.cache_dir()
-        if directory:
-            path = find_cache(directory, spec, radius)
+        if self.args.cache_dir:
+            path = find_cache(self.args.cache_dir, spec, radius)
             if path is not None:
                 self.cache_files.append(str(path))
                 return read_ball_cache(path, spec, radius, budget=self.args.budget)
@@ -189,8 +184,8 @@ def _estimator_settings(args):
     """The norm_bracket settings the estimator flags give; a flag left unset
     keeps norm_bracket's default."""
     settings = {"depth": args.depth, "exponent": args.exponent,
-                "extrapolate": args.extrapolate, "R": args.domain_radius,
-                "iters": args.iters, "seed": args.seed, "budget": args.budget}
+                "R": args.domain_radius, "iters": args.iters, "seed": args.seed,
+                "budget": args.budget}
     return {name: value for name, value in settings.items() if value is not None}
 
 
@@ -434,12 +429,11 @@ def _verify_divergence(run, args):
 
 def _cache_build(run, args):
     spec = run.spec = parse_descriptor(args.group)
-    directory = run.cache_dir()
-    if not directory:
-        raise RdlabError("cache build needs --cache-dir or RDLAB_CACHE_DIR")
-    Path(directory).mkdir(parents=True, exist_ok=True)
+    if not args.cache_dir:
+        raise RdlabError("cache build needs --cache-dir")
+    Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
     index = enumerate_balls(spec, args.radius, budget=args.budget)
-    path = cache_path(directory, spec, args.radius)
+    path = cache_path(args.cache_dir, spec, args.radius)
     digest = write_ball_cache(index, path)
     run.cache_files.append(str(path))
     run.emit(json_text({"path": str(path), "sha256": digest,
@@ -449,7 +443,6 @@ def _cache_build(run, args):
 
 
 def _cache_check(run, args):
-    directory = run.cache_dir()
     if args.file:
         if args.group or args.radius is not None:
             raise RdlabError("cache check takes --file or --group with "
@@ -460,10 +453,9 @@ def _cache_check(run, args):
         if not args.group or args.radius is None:
             raise RdlabError("cache check needs --file, or --group with --radius")
         spec = run.spec = parse_descriptor(args.group)
-        if not directory:
-            raise RdlabError("cache check needs --file, --cache-dir, "
-                             "or RDLAB_CACHE_DIR")
-        path = cache_path(directory, spec, args.radius)
+        if not args.cache_dir:
+            raise RdlabError("cache check needs --file or --cache-dir")
+        path = cache_path(args.cache_dir, spec, args.radius)
     ok, detail = check_ball_cache(path, spec, args.radius, budget=args.budget)
     run.emit(json_text({"path": str(path), "ok": ok, "detail": detail}),
              summary=detail)
@@ -491,7 +483,7 @@ def build_parser():
     common.add_argument("--out", help="artifact path; a manifest is written "
                                       "next to it")
     common.add_argument("--cache-dir", dest="cache_dir",
-                        help="ball cache directory (default $RDLAB_CACHE_DIR)")
+                        help="ball cache directory")
     common.add_argument("--budget", type=parse_budget, default=DEFAULT_BUDGET,
                         help="budget on the elements enumerated, the "
                              "support of a convolution and the entries of "
@@ -515,8 +507,6 @@ def build_parser():
                         help="trace-power target exponent 2k (even)")
     estimator.add_argument("--iters", type=int, default=None,
                            help="power-iteration count")
-    estimator.add_argument("--extrapolate", action="store_true",
-                           help="report the trace-power step-limit diagnostic")
     estimator.add_argument("--R", dest="domain_radius", type=int, default=None,
                            help="power-iteration domain radius")
     estimator.add_argument("--seed", type=int, default=0,

@@ -46,8 +46,6 @@ POWER_CONVERGED_RTOL = 1e-10
 class NormEstimate:
     """Bracket [lower, upper] for an operator norm plus iteration diagnostics.
 
-    ``extrapolated``, when present, is a convergence diagnostic (the
-    zero-of-1/k intercept of the step sequence), never a rigorous bound.
     The iterative estimators also report ``target_steps``, the step count
     asked for, and ``stop_reason``: "done" (every step asked for),
     "converged", or, for the trace ladder, "budget" or "float_range".
@@ -58,7 +56,6 @@ class NormEstimate:
     method: str
     steps: list = field(default_factory=list)
     converged: bool = False
-    extrapolated: float = None
     target_steps: int = None
     stop_reason: str = None
 
@@ -80,8 +77,6 @@ class NormEstimate:
             "iterations": self.iterations,
             "converged": self.converged,
         }
-        if self.extrapolated is not None:
-            out["extrapolated"] = self.extrapolated
         if self.stop_reason is not None:
             out["target_steps"] = self.target_steps
             out["stop_reason"] = self.stop_reason
@@ -334,7 +329,7 @@ def _trace_exponents(depth, exponent):
 
 
 def op_norm_trace_power(a: AlgebraElement, depth=6, budget=DEFAULT_BUDGET,
-                        exponent=None, extrapolate=False):
+                        exponent=None):
     """Monotone lower bounds tau(b^m)^(1/2m) -> ||a|| for b = a* a.
 
     ``depth`` requests steps at b-exponents 1, 2, 4, ..., 2^depth; passing
@@ -342,10 +337,6 @@ def op_norm_trace_power(a: AlgebraElement, depth=6, budget=DEFAULT_BUDGET,
     k (so the last step uses the a-exponent 2k), reached by binary
     exponentiation over the squares already computed.  Stops early if the
     support budget or float range is exhausted, reporting what was achieved.
-
-    ``extrapolate`` fits log(step) against 1/k over the last half of the
-    ladder and reports the intercept (the polynomial-correction limit) as a
-    diagnostic; the returned bound stays the last computed step.
     """
     radial = a.trimmed() if isinstance(a, RadialElement) else radial_from_algebra(a)
     if not (a.coeffs if radial is None else any(radial.coeffs)):
@@ -384,34 +375,9 @@ def op_norm_trace_power(a: AlgebraElement, depth=6, budget=DEFAULT_BUDGET,
             f"||a||_2^2 left the float range (got {trace!r})")
     converged = (len(steps) >= 2 and stop_reason != "budget" and
                  abs(steps[-1] - steps[-2]) <= TRACE_CONVERGED_RTOL * steps[-1])
-    diagnostic = None
-    if extrapolate:
-        diagnostic = _extrapolate_steps(ms[: len(steps)], steps)
     return NormEstimate(lower=steps[-1], upper=upper,
                         method="trace_power", steps=steps, converged=converged,
-                        extrapolated=diagnostic, target_steps=len(ms),
-                        stop_reason=stop_reason)
-
-
-def least_squares(xs, ys):
-    """(slope, intercept) of the least-squares line through the points, or
-    None when the xs have no spread."""
-    m = len(xs)
-    mean_x = sum(xs) / m
-    mean_y = sum(ys) / m
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    if sxx == 0.0:
-        return None
-    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
-    return slope, mean_y - slope * mean_x
-
-
-def _extrapolate_steps(ms, steps):
-    """Intercept of log(step) regressed on 1/k over the last half of the ladder."""
-    half = len(steps) // 2
-    line = least_squares([1.0 / m for m in ms[half:]],
-                         [math.log(s) for s in steps[half:]])
-    return None if line is None else math.exp(line[1])
+                        target_steps=len(ms), stop_reason=stop_reason)
 
 
 def _binary_power(ops, powers, m):

@@ -55,7 +55,6 @@ from .groups import (
 from .norms import (
     RadialElement,
     coefficient_norm,
-    least_squares,
     op_norm_l1_bracket,
     op_norm_positive_amenable,
     op_norm_power_iteration,
@@ -138,8 +137,7 @@ def make_witness(spec, witness, n, index=None, d_hat=None):
 
 
 def norm_bracket(a, method="auto", index=None, *, depth=6, exponent=None,
-                 extrapolate=False, R=None, iters=200, seed=0,
-                 budget=DEFAULT_BUDGET):
+                 R=None, iters=200, seed=0, budget=DEFAULT_BUDGET):
     """Dispatch to the estimator ``resolve_method`` picks for ``a``, an
     AlgebraElement or a RadialElement.  A sphere function is expanded from
     ``index`` where the estimator needs group elements: for power iteration,
@@ -153,7 +151,7 @@ def norm_bracket(a, method="auto", index=None, *, depth=6, exponent=None,
         return op_norm_positive_amenable(a)
     if method == "trace":
         return op_norm_trace_power(a, depth=depth, budget=budget,
-                                   exponent=exponent, extrapolate=extrapolate)
+                                   exponent=exponent)
     if method == "power":
         return op_norm_power_iteration(a, R=power_domain(R, a.support_radius),
                                        iters=iters, seed=seed, index=index,
@@ -265,12 +263,14 @@ def fit_loglog(pairs, window=(4, None)):
         raise ValueError(f"degenerate fit window {window!r}: {len(pts)} usable points")
     xs = [math.log1p(n) for n, _ in pts]
     ys = [math.log(y) for _, y in pts]
-    line = least_squares(xs, ys)
-    if line is None:
-        raise ValueError("degenerate fit window: no spread in n")
-    slope, intercept = line
     m = len(pts)
+    mean_x = sum(xs) / m
     mean_y = sum(ys) / m
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    if sxx == 0.0:
+        raise ValueError("degenerate fit window: no spread in n")
+    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
+    intercept = mean_y - slope * mean_x
     ss_res = sum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys))
     ss_tot = sum((y - mean_y) ** 2 for y in ys)
     # constant data (ss_tot at float-dust level) is fit perfectly by slope 0

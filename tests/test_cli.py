@@ -145,8 +145,7 @@ class TestFlags:
     handler, or the estimator it calls, reads."""
 
     COMMON = {"--group", "--out", "--cache-dir", "--budget"}
-    ESTIMATOR = {"--method", "--depth", "--exponent", "--iters", "--extrapolate",
-                 "--R", "--seed"}
+    ESTIMATOR = {"--method", "--depth", "--exponent", "--iters", "--R", "--seed"}
     WITNESS = {"--witness", "--d-hat"}
     FLAGS = {
         "growth": COMMON | {"--format", "--radius"},
@@ -189,6 +188,15 @@ class TestFlags:
         flags = {name: self.accepted(p, lambda a: (a.option_strings or [a.dest])[0])
                  for name, p in self.parsers().items()}
         assert flags == self.FLAGS
+
+    def test_readme_names_every_flag(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = re.search(r"## Command line\n(.*?)\n## ", readme, re.S).group(1)
+        named = set(re.findall(r"--[A-Za-z][\w-]*", section))
+        accepted = {flag for parser in self.parsers().values()
+                    for action in parser._actions for flag in action.option_strings}
+        assert set().union(*self.FLAGS.values()) - named == set()
+        assert named - accepted == set()
 
     class Recording(argparse.Namespace):
         """Records the attributes read after parsing."""
@@ -279,7 +287,6 @@ class TestFlags:
         assert len(lines) >= 13
         # in order, in one directory: cache check reads what cache build wrote
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("RDLAB_CACHE_DIR", raising=False)
         for line in lines:
             assert run_command(shlex.split(line)[1:]) == 0, line
 
@@ -743,13 +750,12 @@ class TestExitCodes:
         assert run_command(["cache", "check"]) == 2
         assert run_command(["norm", "--group", "Z"]) == 2
 
-    def test_cache_commands_need_a_directory(self, monkeypatch, capsys):
-        monkeypatch.delenv("RDLAB_CACHE_DIR", raising=False)
+    def test_cache_commands_need_a_directory(self, capsys):
         argv = ["--group", "Z", "--radius", "2"]
         assert run_command(["cache", "build"] + argv) == 2
         assert "cache build needs --cache-dir" in capsys.readouterr().err
         assert run_command(["cache", "check"] + argv) == 2
-        assert "cache check needs --file, --cache-dir" in capsys.readouterr().err
+        assert "cache check needs --file or --cache-dir" in capsys.readouterr().err
 
     def test_malformed_element_json(self, tmp_path, capsys):
         path = tmp_path / "el.json"
@@ -993,12 +999,27 @@ class TestCache:
             manifest = json.loads(Path(f"{cached}.manifest.json").read_text())
             assert manifest["cache_files"] == [], argv
 
-    def test_env_var_cache_dir(self, tmp_path, monkeypatch):
-        cache_dir = tmp_path / "envcaches"
-        monkeypatch.setenv("RDLAB_CACHE_DIR", str(cache_dir))
-        assert run_command(["cache", "build", "--group", "Z^2",
-                            "--radius", "5"]) == 0
-        assert (cache_dir / "Z^2.N5.ballcache").exists()
+    @pytest.fixture
+    def non_utf8_cache(self, tmp_path):
+        """A cache directory whose Z^2 radius-3 file ends in a 0xff byte."""
+        assert run_command(["cache", "build", "--group", "Z^2", "--radius", "3",
+                            "--cache-dir", str(tmp_path)]) == 0
+        path = tmp_path / "Z^2.N3.ballcache"
+        path.write_bytes(path.read_bytes() + b"\xff")
+        return tmp_path
+
+    def test_non_utf8_file_is_named(self, non_utf8_cache, capsys):
+        message = f"{non_utf8_cache / 'Z^2.N3.ballcache'}: not UTF-8 text at byte 219"
+        argv = ["--group", "Z^2", "--radius", "3", "--cache-dir", str(non_utf8_cache)]
+        assert run_command(["growth"] + argv) == 2
+        assert message in capsys.readouterr().err
+        assert run_command(["cache", "check"] + argv) == 1
+        assert message in capsys.readouterr().err
+
+    def test_only_the_flag_names_a_cache_directory(self, non_utf8_cache,
+                                                    monkeypatch):
+        monkeypatch.setenv("RDLAB_CACHE_DIR", str(non_utf8_cache))
+        assert run_command(["growth", "--group", "Z^2", "--radius", "3"]) == 0
 
 
 # the lemma1, lemma2 and zseries artifacts, pinned byte for byte: the

@@ -8,7 +8,6 @@ import pytest
 
 import rdlab as R
 from rdlab.errors import BudgetExceededError, IndexRadiusError, RdlabError
-from rdlab.norms import least_squares
 
 Z = R.FreeAbelian(1)
 Z2 = R.FreeAbelian(2)
@@ -151,38 +150,6 @@ class TestTracePower:
                            match=rf"tau\(b\) = \|\|a\|\|_2\^2 left the float "
                                  rf"range \(got {got}\)"):
             R.op_norm_trace_power(a, depth=3)
-
-    def test_extrapolation_diagnostic(self, z_index):
-        s1 = R.char_sphere(z_index, 1)
-        plain = R.op_norm_trace_power(s1, exponent=200)
-        diag = R.op_norm_trace_power(s1, exponent=200, extrapolate=True)
-        # diagnostic only: the bound is untouched, the intercept is closer to 2
-        assert diag.lower == plain.lower
-        assert plain.extrapolated is None
-        assert diag.lower < diag.extrapolated < 2.0
-        assert "extrapolated" in diag.to_json_dict()
-        assert "extrapolated" not in plain.to_json_dict()
-        one_step = R.op_norm_trace_power(s1, exponent=2, extrapolate=True)
-        assert one_step.extrapolated is None
-
-    def test_least_squares_keeps_the_float_operations(self):
-        # the inline formula fit_loglog and the step extrapolation used before
-        # they shared least_squares; results must agree to the last bit
-        def reference(xs, ys):
-            mean_x = sum(xs) / len(xs)
-            mean_y = sum(ys) / len(ys)
-            sxx = sum((x - mean_x) ** 2 for x in xs)
-            sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-            slope = sxy / sxx
-            return slope, mean_y - slope * mean_x
-
-        rng = random.Random(5)
-        for _ in range(200):
-            m = rng.randint(2, 12)
-            xs = [rng.uniform(-3, 3) for _ in range(m)]
-            ys = [rng.uniform(-50, 50) for _ in range(m)]
-            assert least_squares(xs, ys) == reference(xs, ys)
-        assert least_squares([2.0, 2.0], [1.0, 5.0]) is None
 
     def test_exponent_validation(self, z_index):
         s1 = R.char_sphere(z_index, 1)

@@ -277,6 +277,34 @@ class TestFits:
         with pytest.raises(ValueError):
             R.fit_exponent(ser, window=(4, 5))
 
+    def test_least_squares_keeps_the_float_operations(self):
+        # the least-squares formula in its original order of float
+        # operations; fit slopes and intercepts must agree to the last bit
+        def reference(xs, ys):
+            mean_x = sum(xs) / len(xs)
+            mean_y = sum(ys) / len(ys)
+            sxx = sum((x - mean_x) ** 2 for x in xs)
+            sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+            slope = sxy / sxx
+            return slope, mean_y - slope * mean_x
+
+        rng = random.Random(5)
+        for _ in range(200):
+            m = rng.randint(2, 12)
+            xs = [rng.uniform(-3, 3) for _ in range(m)]
+            ys = [rng.uniform(-50, 50) for _ in range(m)]
+            # fit_loglog reads x = log(1+n) and y = log(value)
+            pairs = [(math.expm1(x), math.exp(y)) for x, y in zip(xs, ys)]
+            if m < 3:
+                with pytest.raises(ValueError, match="2 usable points"):
+                    R.fit_loglog(pairs, window=(-1, None))
+                continue
+            fit = R.fit_loglog(pairs, window=(-1, None))
+            assert (fit.slope, fit.intercept) == reference(
+                [math.log1p(n) for n, _ in pairs], [math.log(v) for _, v in pairs])
+        with pytest.raises(ValueError, match="degenerate fit window: no spread in n"):
+            R.fit_loglog([(0, 1.0), (0, 5.0), (0, 3.0)], window=(0, None))
+
 
 class TestConstantSeries:
     def test_z_divergent_at_small_s(self, z_index):
