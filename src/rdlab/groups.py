@@ -12,8 +12,11 @@ Z^d and H3 (:class:`IntegerTupleGroup`, on any generating set) have an array
 law, and their search runs sphere by sphere on int64 row arrays: with a
 symmetric generating set S_{n+1} = S_n * gens minus S_{n-1} and S_n, so no
 set of all elements seen is kept.  Their index holds those rows and builds
-element tuples only when a lookup needs them.  Every other group runs the
-search on a dict of element values.
+element tuples only when a lookup needs them.  A :class:`DirectProduct` on
+its factors' generators searches each factor by the factor's own path and
+assembles S_n as the union over i + j = n of S_i(first factors) x S_j(next
+factor).  F_r, C_m and a product on generators of its own run the search on
+a dict of element values.  Every path lists each sphere in text-key order.
 
 Canonical element values are plain hashable Python data:
 
@@ -511,8 +514,7 @@ class DirectProduct(GroupSpec):
             return None
         series = parts[0]
         for part in parts[1:]:
-            series = [sum(map(operator.mul, series[: n + 1], part[n::-1]))
-                      for n in range(up_to + 1)]
+            series = _cauchy_product(series, part, up_to)
         return series
 
     def element_key(self, g):
@@ -530,6 +532,12 @@ class DirectProduct(GroupSpec):
     @property
     def amenable(self):
         return all(f.amenable for f in self.factors)
+
+
+def _cauchy_product(a, b, up_to):
+    """Terms 0..up_to of the Cauchy product of the series ``a`` and ``b``:
+    the sphere sizes of a product from its factors' sphere sizes."""
+    return [sum(map(operator.mul, a[: n + 1], b[n::-1])) for n in range(up_to + 1)]
 
 
 def parse_descriptor(text):
@@ -559,12 +567,13 @@ class LengthIndex:
     """Radius-bounded word-length table with sphere and ball counts.
 
     ``spheres[n]`` lists the elements at distance exactly n, sorted by their
-    text key so that every construction path (fresh BFS or cache reload)
-    yields the same order, and ``lengths`` maps each element to its length.
+    text key so that every search (array, product or dict; a cache read is a
+    search checked against the file) yields the same order, and ``lengths``
+    maps each element to its length, built at its first read when not given.
     An index of an :class:`IntegerTupleGroup` may be built from ``rows``
     instead: an int64 array with one row of coordinates per element, in
-    sphere order.  It then builds ``spheres`` and ``lengths`` at their first
-    read.  ``rows`` is None on an index built from ``spheres``.
+    sphere order.  It then builds ``spheres`` at their first read too.
+    ``rows`` is None on an index built from ``spheres``.
     """
 
     def __init__(self, spec, radius, spheres=None, lengths=None, rows=None,
@@ -698,19 +707,31 @@ def _array_spheres(spec, N, budget):
 
 
 def enumerate_balls(spec, N, budget=DEFAULT_BUDGET):
-    """Breadth-first enumeration of the balls B_0..B_N of ``spec``: on int64
-    rows for an IntegerTupleGroup, else on a dict of element values.
+    """The balls B_0..B_N of ``spec`` as a LengthIndex, every sphere in
+    text-key order whichever search builds it: the array search for an
+    IntegerTupleGroup, the factors' indexes for a DirectProduct on its
+    factors' generators, else breadth-first search on a dict of elements.
 
     Raises BudgetExceededError (carrying the last completed radius) if the
     element count passes ``budget``.
     """
     if N < 0:
         raise ValueError("radius must be >= 0")
+    return _enumerate(spec, N, budget)
+
+
+def _enumerate(spec, N, budget):
+    if isinstance(spec, DirectProduct) and spec._custom_generators is None:
+        return _product_index(spec, N, budget)
     if isinstance(spec, IntegerTupleGroup):
         spheres = _array_spheres(spec, N, budget)
         if spheres is not None:
             return LengthIndex(spec, N, rows=np.concatenate(spheres),
                                sphere_sizes=[len(s) for s in spheres])
+    return _dict_index(spec, N, budget)
+
+
+def _dict_index(spec, N, budget):
     e = spec.identity()
     gens = spec.generators()
     lengths = {e: 0}
@@ -730,6 +751,54 @@ def enumerate_balls(spec, N, budget=DEFAULT_BUDGET):
         spheres.append(nxt)
         frontier = nxt
     return LengthIndex(spec, N, spheres=spheres, lengths=lengths)
+
+
+def _product_index(spec, N, budget):
+    """The index of a DirectProduct on its factors' generators, where the
+    word length is the sum of the factor lengths: S_n is the union over
+    i + j = n of S_i(prefix) x S_j(factor), each sphere sorted by the keys
+    ``key_prefix + "|" + key_factor``.
+
+    A factor's ball is no larger than the product's, so a factor that passes
+    the budget at radius m is enumerated to m - 1 instead and the product
+    passes it at m or before.  The product's sphere sizes, the Cauchy
+    product of the factors', name the radius before any sphere is built.
+    """
+    top = N
+    factors = []
+    for f in spec.factors:
+        try:
+            factors.append(_enumerate(f, top, budget))
+        except BudgetExceededError as exc:
+            top = exc.radius_reached
+            factors.append(_enumerate(f, top, budget))
+    sizes = factors[0].sphere_sizes[: top + 1]
+    for index in factors[1:]:
+        sizes = _cauchy_product(sizes, index.sphere_sizes, top)
+    balls = enumerate(itertools.accumulate(sizes))
+    failed = next((n for n, ball in balls if n and ball > budget), None)
+    if failed is not None or top < N:
+        raise _budget_error(spec, budget, top + 1 if failed is None else failed)
+    spheres = [[(g,) for g in sphere] for sphere in factors[0].spheres]
+    keys = _sphere_keys(factors[0])
+    for index in factors[1:]:
+        part_keys = _sphere_keys(index)
+        products = []
+        for n in range(N + 1):
+            pairs = sorted(
+                (key + "|" + part_key, g + (h,))
+                for i in range(n + 1)
+                for g, key in zip(spheres[i], keys[i])
+                for h, part_key in zip(index.spheres[n - i], part_keys[n - i]))
+            products.append(pairs)
+        keys = [[key for key, _ in pairs] for pairs in products]
+        spheres = [[g for _, g in pairs] for pairs in products]
+    return LengthIndex(spec, N, spheres=spheres)
+
+
+def _sphere_keys(index):
+    key = index.spec.element_key
+    return [list(map(key, sphere)) for sphere in index.spheres]
 
 
 def word_length(spec, g, index=None):

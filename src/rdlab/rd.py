@@ -124,13 +124,17 @@ def witness_label(witness, d_hat=None):
     return f"aN({d_hat:g})" if witness == "aN" else witness
 
 
-def make_witness(spec, witness, n, index=None, d_hat=None):
+def make_witness(spec, witness, n, index=None, d_hat=None, sizes=None):
     """The witness as a sphere function, its sizes closed-form or else from
     ``index`` (norm_bracket expands it where an estimator needs the dense
-    element).  Ball sizes past the float range raise BudgetExceededError."""
+    element); ``sizes``, when given, are |S_0..S_m| for some m >= n and
+    replace both.  Ball sizes past the float range raise
+    BudgetExceededError."""
     if n < 0:
         raise ValueError("witness radius must be >= 0")
-    sizes = sphere_sizes(spec, n, index)
+    if sizes is None:
+        sizes = sphere_sizes(spec, n, index)
+    sizes = sizes[: n + 1]
     _check_float_range(spec, list(accumulate(sizes)))
     return RadialElement(spec=spec, coeffs=_witness_weights(witness, n, d_hat),
                          sizes=sizes)
@@ -223,8 +227,10 @@ def ratio_series(spec, witness, n_list, method="auto", index=None, d_hat=None,
         raise ValueError("n values must be strictly increasing")
     series = RatioSeries(group=spec.descriptor(),
                          witness=witness_label(witness, d_hat), method=method)
+    # the sizes to the largest n, resolved once and sliced per witness
+    sizes = sphere_sizes(spec, n_list[-1], index) if n_list else []
     for n in n_list:
-        element = make_witness(spec, witness, n, index, d_hat)
+        element = make_witness(spec, witness, n, d_hat=d_hat, sizes=sizes)
         l2 = coefficient_norm(element, "l2")
         if l2 == 0.0:
             continue
@@ -262,13 +268,13 @@ def fit_loglog(pairs, window=(4, None)):
     if len(pts) < 3:
         raise ValueError(f"degenerate fit window {window!r}: {len(pts)} usable points")
     xs = [math.log1p(n) for n, _ in pts]
+    if len(set(xs)) < 2:
+        raise ValueError("degenerate fit window: no spread in n")
     ys = [math.log(y) for _, y in pts]
     m = len(pts)
     mean_x = sum(xs) / m
     mean_y = sum(ys) / m
     sxx = sum((x - mean_x) ** 2 for x in xs)
-    if sxx == 0.0:
-        raise ValueError("degenerate fit window: no spread in n")
     slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
     intercept = mean_y - slope * mean_x
     ss_res = sum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys))

@@ -1,7 +1,9 @@
-"""The array ball search of Z^d and H3 against the dict search it replaced,
-and the cache read that checks a file against that search.
+"""The array ball search of Z^d and H3 and the product search from the
+factors' spheres against the dict search they replaced, and the cache read
+that checks a file against that search.
 
-``enumerate_balls`` runs sphere by sphere on int64 rows for these groups; it
+``enumerate_balls`` runs sphere by sphere on int64 rows for Z^d and H3, and
+assembles a product on its factors' generators from its factors' indexes; it
 must give the dict search's spheres, lengths, cache bytes and budget errors.
 ``read_ball_cache`` takes a file only when it holds the bytes the writer
 gives for a fresh search, and names the first line of any other file.
@@ -15,6 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import rdlab as R
+import rdlab.groups
 from rdlab.cache import (
     CacheFormatError,
     cache_roundtrip,
@@ -95,18 +98,76 @@ def test_array_search_matches_the_dict_search(group, data):
     assert_same_index(spec, N, index)
 
 
-@given(groups(), st.data())
+Z_CUSTOM = R.FreeAbelian(1, generators=[(1,), (-1,), (2,), (-2,)])
+# a product whose own generating set adds the diagonal (1, 1) and its inverse
+Z_C3_DIAGONAL = R.DirectProduct(
+    [R.FreeAbelian(1), R.FiniteCyclic(3)],
+    generators=[((1,), 0), ((-1,), 0), ((0,), 1), ((0,), 2), ((1,), 1),
+                ((-1,), 2)])
+# (product, radius, the factors the dict search enumerates)
+PRODUCTS = [
+    (R.parse_descriptor("Z^1xF2"), 5, ["F2"]),
+    (R.parse_descriptor("Z^2xC3"), 8, ["C3"]),
+    (R.parse_descriptor("F2xC4"), 4, ["F2", "C4"]),
+    (R.parse_descriptor("Z^1xH3"), 4, []),
+    (R.parse_descriptor("Z^1xF2xC5"), 4, ["F2", "C5"]),
+    # a factor on its own generators: no closed form, the product search
+    (R.DirectProduct([Z_CUSTOM, R.FreeGroup(2)]), 4, ["F2"]),
+    # generators of the product's own: the dict search on product tuples
+    (Z_C3_DIAGONAL, 6, ["Z^1xC3"]),
+]
+PRODUCT_IDS = ["Z^1xF2", "Z^2xC3", "F2xC4", "Z^1xH3", "Z^1xF2xC5",
+               "Z^1(+-1,+-2)xF2", "Z^1xC3-diagonal"]
+
+
+@pytest.fixture
+def dict_searches(monkeypatch):
+    """The descriptors of the groups the dict search runs on, in order."""
+    searched = []
+    dict_index = rdlab.groups._dict_index
+
+    def recording(spec, N, budget):
+        searched.append(spec.descriptor())
+        return dict_index(spec, N, budget)
+    monkeypatch.setattr(rdlab.groups, "_dict_index", recording)
+    return searched
+
+
+@pytest.mark.parametrize("spec, N, searched", PRODUCTS, ids=PRODUCT_IDS)
+def test_product_search_matches_the_dict_search(spec, N, searched,
+                                                dict_searches):
+    index = R.enumerate_balls(spec, N)
+    assert dict_searches == searched
+    assert spec.closed_sphere_sizes(N) is None or \
+        spec.closed_sphere_sizes(N) == index.sphere_sizes
+    assert_same_index(spec, N, index)
+
+
+@given(groups() | st.sampled_from([(p, N) for p, N, _ in PRODUCTS]), st.data())
 def test_budget_errors_match_the_dict_search(group, data):
     spec, top = group
     n = data.draw(st.integers(1, top))
     ball = sum(map(len, dict_bfs(spec, n)))
     assert R.enumerate_balls(spec, n, budget=ball).size() == ball
+    # the ball less one, then any smaller budget: on a product, one that a
+    # factor's ball passes first too
+    for budget in (ball - 1, data.draw(st.integers(0, ball - 1))):
+        with pytest.raises(BudgetExceededError) as raised:
+            R.enumerate_balls(spec, n, budget=budget)
+        with pytest.raises(BudgetExceededError) as expected:
+            dict_bfs(spec, n, budget=budget)
+        assert str(raised.value) == str(expected.value)
+        assert raised.value.radius_reached == expected.value.radius_reached
+        assert raised.value.radius_reached == n - 1 or budget < ball - 1
+
+
+def test_a_factor_past_the_budget_names_the_product():
+    # F2 passes 5000 elements at radius 8, Z^1xF2 at radius 7
     with pytest.raises(BudgetExceededError) as raised:
-        R.enumerate_balls(spec, n, budget=ball - 1)
-    with pytest.raises(BudgetExceededError) as expected:
-        dict_bfs(spec, n, budget=ball - 1)
-    assert str(raised.value) == str(expected.value)
-    assert raised.value.radius_reached == expected.value.radius_reached == n - 1
+        R.enumerate_balls(R.parse_descriptor("Z^1xF2"), 8, budget=5000)
+    assert str(raised.value) == ("ball enumeration for Z^1xF2 passed 5000 "
+                                 "elements at radius 7")
+    assert raised.value.radius_reached == 6
 
 
 @pytest.mark.parametrize("spec, N", [

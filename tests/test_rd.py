@@ -165,6 +165,26 @@ class TestIndexPlanning:
                 with pytest.raises(IndexRadiusError):
                     R.norm_bracket(witness, method=method, depth=1, iters=5)
 
+    def test_ratio_series_resolves_the_sizes_once(self, monkeypatch, h3_index):
+        # one sphere-size lookup for the largest n, sliced per witness, and
+        # the entries of one witness at a time
+        calls = []
+
+        def recording_sizes(spec, up_to, index=None):
+            calls.append(up_to)
+            return R.sphere_sizes(spec, up_to, index)
+        monkeypatch.setattr(rdlab.rd, "sphere_sizes", recording_sizes)
+        for spec, index in [(Z2, None), (H3, h3_index)]:
+            calls.clear()
+            ser = R.ratio_series(spec, "aN", [1, 4, 7], method="exact",
+                                 index=index, d_hat=1.5)
+            assert calls == [7]
+            for n, entry in zip([1, 4, 7], ser.entries):
+                x = make_witness(spec, "aN", n, index, 1.5)
+                est = R.norm_bracket(x, method="exact")
+                assert (entry.norm_lower, entry.l2) == \
+                    (est.lower, coefficient_norm(x, "l2"))
+
     def test_radial_and_dense_witnesses_agree(self, f2_index, z_index):
         for witness in ("ball", "sphere", "aN"):
             radial = make_witness(F2, witness, 3, d_hat=1.5)
@@ -276,6 +296,12 @@ class TestFits:
         ser = R.ratio_series(Z, "ball", [4, 5], method="exact", index=z_index)
         with pytest.raises(ValueError):
             R.fit_exponent(ser, window=(4, 5))
+
+    def test_repeated_n_has_no_spread(self):
+        # three points at one n: their log(1+n) may average to a float a
+        # last bit off, and no slope may come out of them
+        with pytest.raises(ValueError, match="degenerate fit window: no spread in n"):
+            R.fit_loglog([(5, 1.0), (5, 5.0), (5, 3.0)])
 
     def test_least_squares_keeps_the_float_operations(self):
         # the least-squares formula in its original order of float
