@@ -7,21 +7,18 @@ Format (text, UTF-8, LF):
     ...
 
 Records are sorted by (length, key), the in-memory sphere order, and keys
-are spelled as ``element_key`` writes them.  The descriptor names a group on
-its standard generators, so only such a group reads or finds a cache file.
-A file is named for its group and radius (``cache_path``); a command reads
-only the file named for the radius it works to, and a header that gives
-another radius is rejected.
+are spelled as ``element_key`` writes them.  On Z^d and H3 they are written
+from the index's int64 rows by one ``%d`` template.
 
-Nothing in a file is taken on trust.  A read enumerates the ball its header
-names, under the caller's budget, and returns that index only when
-``serialize_index`` gives back the file's exact text; otherwise it names the
-first line that differs.  ``cache check`` is the same read, so a file the
-check passes is exactly what a command reads, and a cached run is the fresh
-run.  On Z^d and H3 the records are written from the index's int64 rows by
-one ``%d`` template.
+One rule decides a read: a file is read only at
+``<dir>/<group>.N<radius>.ballcache`` (``cache_path``), and only when its
+bytes are those the group's own enumeration writes.  A read enumerates the
+caller's group to the caller's radius, under the caller's budget, and
+returns that index only when ``serialize_index`` gives back the file's exact
+text, header line included; otherwise it names the first line that differs.
+Nothing in a file is taken on trust, so a cached run is the fresh run.
+``cache check`` is the same read.
 """
-
 from __future__ import annotations
 
 import hashlib
@@ -30,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import RdlabError
-from .groups import DEFAULT_BUDGET, LengthIndex, enumerate_balls, parse_descriptor
+from .groups import DEFAULT_BUDGET, LengthIndex, enumerate_balls
 
 HEADER_PREFIX = "rdlab-ball-cache v2"
 # Records formatted per ``%`` call: bounds the argument tuple's memory.
@@ -69,41 +66,9 @@ def serialize_index(index: LengthIndex):
 
 
 def write_ball_cache(index: LengthIndex, path):
-    data = serialize_index(index)
-    Path(path).write_text(data, encoding="utf-8")
-    return hashlib.sha256(data.encode("utf-8")).hexdigest()
-
-
-def _read_header(path, text, spec, radius=None):
-    """(spec, radius) from the header of a cache file's ``text``; a given
-    ``spec`` must match it and be on its standard generators, and a given
-    ``radius`` must be the header's."""
-    if not text:
-        raise CacheFormatError(f"{path}: empty cache file")
-    header = text.partition("\n")[0]
-    parts = [p.strip() for p in header.split("|")]
-    if parts[0] == "rdlab-ball-cache v1":
-        raise CacheFormatError(
-            f"{path}: a v1 cache file has no sphere sizes in its header; "
-            "rebuild it with 'rdlab cache build'")
-    if (len(parts) != 4 or parts[0] != HEADER_PREFIX
-            or not parts[2].startswith("N=") or not parts[2][2:].isdecimal()):
-        raise CacheFormatError(f"{path}: bad header {header!r}")
-    descriptor = parts[1]
-    N = int(parts[2][2:])
-    if radius is not None and N != radius:
-        raise CacheFormatError(
-            f"{path}: header gives radius {N}, expected radius {radius}")
-    if spec is None:
-        spec = parse_descriptor(descriptor)
-    elif not spec.has_standard_generators():
-        raise CacheFormatError(
-            f"{path}: a cache file holds {descriptor} on its standard "
-            "generators, not on the generators given")
-    elif spec.descriptor() != descriptor:
-        raise CacheFormatError(
-            f"{path}: cache is for {descriptor!r}, expected {spec.descriptor()!r}")
-    return spec, N
+    data = serialize_index(index).encode("utf-8")
+    Path(path).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _first_difference(expected, found):
@@ -119,17 +84,15 @@ def _first_difference(expected, found):
     return f"{len(want) + 1}: expected the end of the file, found {got[len(want)]!r}"
 
 
-def read_ball_cache(path, spec=None, radius=None, budget=DEFAULT_BUDGET):
-    """The LengthIndex of a cache file: the ball its header names (matched
-    against ``spec`` and ``radius`` when given), enumerated under ``budget``
-    and returned only when it serializes to the file's exact text;
-    CacheFormatError naming the first line that differs."""
+def read_ball_cache(path, spec, radius, budget=DEFAULT_BUDGET):
+    """The LengthIndex of ``spec`` to ``radius``, enumerated under ``budget``
+    and returned only when it serializes to the exact text of the file at
+    ``path``; CacheFormatError naming the first line that differs."""
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CacheFormatError(
             f"{path}: not UTF-8 text at byte {exc.start}") from None
-    spec, radius = _read_header(path, text, spec, radius)
     index = enumerate_balls(spec, radius, budget=budget)
     expected = serialize_index(index)
     if text != expected:
@@ -148,7 +111,7 @@ def cache_roundtrip(spec, N, path, budget=DEFAULT_BUDGET):
     return check_ball_cache(path, spec, N, budget=budget)[0]
 
 
-def check_ball_cache(path, spec=None, radius=None, budget=DEFAULT_BUDGET):
+def check_ball_cache(path, spec, radius, budget=DEFAULT_BUDGET):
     """``read_ball_cache`` as an (ok, detail) result."""
     try:
         index = read_ball_cache(path, spec, radius, budget=budget)
@@ -156,11 +119,3 @@ def check_ball_cache(path, spec=None, radius=None, budget=DEFAULT_BUDGET):
         return False, f"rejected: {exc}"
     return True, f"ok: {index.size()} elements to radius {index.radius}"
 
-
-def find_cache(cache_dir, spec, radius):
-    """The cache file of ``spec`` to exactly ``radius`` in ``cache_dir``, or
-    None when there is none; None for a group off its standard generators."""
-    if not spec.has_standard_generators():
-        return None
-    path = cache_path(cache_dir, spec, radius)
-    return path if path.is_file() else None

@@ -19,7 +19,6 @@ from .algebra import AlgebraElement
 from .cache import (
     cache_path,
     check_ball_cache,
-    find_cache,
     read_ball_cache,
     sha256_file,
     write_ball_cache,
@@ -128,8 +127,8 @@ class _Run:
 
     def get_index(self, spec, radius):
         if self.args.cache_dir:
-            path = find_cache(self.args.cache_dir, spec, radius)
-            if path is not None:
+            path = cache_path(self.args.cache_dir, spec, radius)
+            if path.is_file():
                 self.cache_files.append(str(path))
                 return read_ball_cache(path, spec, radius, budget=self.args.budget)
         return enumerate_balls(spec, radius, budget=self.args.budget)
@@ -146,10 +145,11 @@ class _Run:
     def emit(self, text, summary=None):
         out = self.args.out
         if out:
-            Path(out).write_text(text, encoding="utf-8")
+            # bytes, not write_text: the manifest hashes these exact bytes
+            Path(out).write_bytes(text.encode("utf-8"))
             manifest = self.manifest(out, text)
-            Path(out + ".manifest.json").write_text(json_text(manifest),
-                                                    encoding="utf-8")
+            Path(out + ".manifest.json").write_bytes(
+                json_text(manifest).encode("utf-8"))
             if summary:
                 print(summary)
         else:
@@ -260,6 +260,8 @@ def cmd_ratio(run, args):
 
 def cmd_fit(run, args):
     series = _make_series(run, args)
+    if not series.entries:
+        raise RdlabError("no witness in the range has a nonzero l2 norm")
     if args.window:
         try:
             window = tuple(int(x) for x in args.window.split(":"))
@@ -443,19 +445,10 @@ def _cache_build(run, args):
 
 
 def _cache_check(run, args):
-    if args.file:
-        if args.group or args.radius is not None:
-            raise RdlabError("cache check takes --file or --group with "
-                             "--radius, not both")
-        path = Path(args.file)
-        spec = None
-    else:
-        if not args.group or args.radius is None:
-            raise RdlabError("cache check needs --file, or --group with --radius")
-        spec = run.spec = parse_descriptor(args.group)
-        if not args.cache_dir:
-            raise RdlabError("cache check needs --file or --cache-dir")
-        path = cache_path(args.cache_dir, spec, args.radius)
+    spec = run.spec = parse_descriptor(args.group)
+    if not args.cache_dir:
+        raise RdlabError("cache check needs --cache-dir")
+    path = cache_path(args.cache_dir, spec, args.radius)
     ok, detail = check_ball_cache(path, spec, args.radius, budget=args.budget)
     run.emit(json_text({"path": str(path), "ok": ok, "detail": detail}),
              summary=detail)
@@ -602,11 +595,9 @@ def build_parser():
     c.add_argument("--radius", type=int, required=True)
     c.set_defaults(func=_cache_build)
 
-    c = actions.add_parser("check", parents=[common],
+    c = actions.add_parser("check", parents=[group],
                            help="re-enumerate and compare a cache file")
-    c.add_argument("--group", help="group descriptor (with --radius)")
-    c.add_argument("--radius", type=int)
-    c.add_argument("--file", help="explicit cache file path")
+    c.add_argument("--radius", type=int, required=True)
     c.set_defaults(func=_cache_check)
 
     return parser

@@ -44,6 +44,7 @@ import itertools
 import math
 import operator
 import random
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -540,22 +541,22 @@ def _cauchy_product(a, b, up_to):
     return [sum(map(operator.mul, a[: n + 1], b[n::-1])) for n in range(up_to + 1)]
 
 
+# the descriptor components named by a letter and a number
+_RANKED = {"Z^": FreeAbelian, "F": FreeGroup, "C": FiniteCyclic}
+
+
 def parse_descriptor(text):
     """Build a GroupSpec from a descriptor like "Z^2", "H3", "F2", "C12", "Z^1xF2"."""
-    parts = text.split("x")
     specs = []
-    for part in parts:
+    for part in text.split("x"):
         part = part.strip()
-        if part in ("Z", "Z^1"):
+        ranked = re.fullmatch(r"(Z\^|F|C)([0-9]+)", part)
+        if part == "Z":
             specs.append(FreeAbelian(1))
-        elif part.startswith("Z^"):
-            specs.append(FreeAbelian(int(part[2:])))
         elif part == "H3":
             specs.append(DiscreteHeisenberg())
-        elif part.startswith("F"):
-            specs.append(FreeGroup(int(part[1:])))
-        elif part.startswith("C"):
-            specs.append(FiniteCyclic(int(part[1:])))
+        elif ranked:
+            specs.append(_RANKED[ranked[1]](int(ranked[2])))
         else:
             raise ValueError(f"unknown group descriptor component: {part!r}")
     if len(specs) == 1:

@@ -281,7 +281,7 @@ def test_corrupt_files_name_their_fault(tmp_path, descriptor, corrupt, messages)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join(corrupt(lines)), encoding="utf-8")
     with pytest.raises(CacheFormatError, match=re.escape(messages[descriptor])):
-        read_ball_cache(path, spec)
+        read_ball_cache(path, spec, 6)
 
 
 @pytest.mark.parametrize("descriptor, rows", [("Z^2", True), ("H3", True),
@@ -290,7 +290,7 @@ def test_whole_files_read_back_the_search(tmp_path, descriptor, rows):
     spec = R.parse_descriptor(descriptor)
     path = tmp_path / f"{descriptor}.N5.ballcache"
     assert cache_roundtrip(spec, 5, path)
-    loaded = read_ball_cache(path)
+    loaded = read_ball_cache(path, spec, 5)
     assert (loaded.rows is not None) == rows
     assert serialize_index(loaded) == path.read_text(encoding="utf-8")
     # a file without its last newline is not what the writer wrote
@@ -299,4 +299,4 @@ def test_whole_files_read_back_the_search(tmp_path, descriptor, rows):
     last = text.splitlines()[-1]
     message = f":{text.count(chr(10))}: expected {last + chr(10)!r}, found {last!r}"
     with pytest.raises(CacheFormatError, match=re.escape(message)):
-        read_ball_cache(path)
+        read_ball_cache(path, spec, 5)

@@ -16,8 +16,8 @@ import rdlab.groups
 from rdlab.cache import (
     CacheFormatError,
     cache_roundtrip,
-    find_cache,
     read_ball_cache,
+    serialize_index,
     write_ball_cache,
 )
 from rdlab.cli import build_parser, run_command
@@ -156,7 +156,7 @@ class TestFlags:
         "zseries": COMMON | {"--r", "--alpha", "--k"},
         "report": COMMON | ESTIMATOR | {"--format", "--range", "--s-list"},
         "cache build": COMMON | {"--radius"},
-        "cache check": COMMON | {"--radius", "--file"},
+        "cache check": COMMON | {"--radius"},
         "verify lemma1": COMMON | {"--radius", "--n", "--k", "--min-slack"},
         "verify lemma2": COMMON | {"--r", "--alpha", "--beta", "--k",
                                    "--min-slack"},
@@ -227,8 +227,7 @@ class TestFlags:
                              "--method trace --depth 1"]),
         ("verify divergence", ["verify divergence --group H3 --range 2:6:2 "
                                "--method exact"]),
-        ("cache check", ["cache check --group Z --radius 2 --cache-dir {tmp}",
-                         "cache check --file {tmp}/Z^1.N2.ballcache"]),
+        ("cache check", ["cache check --group Z --radius 2 --cache-dir {tmp}"]),
     ])
     def test_every_accepted_flag_is_read(self, name, argvs, tmp_path, capsys):
         if name == "cache check":      # a cache for it to check
@@ -743,6 +742,13 @@ class TestExitCodes:
         assert run_command(["growth", "--group", "Q8", "--radius", "2"]) == 2
         assert run_command(["nonsense"]) == 2
 
+    @pytest.mark.parametrize("group, component", [
+        ("F", "F"), ("C", "C"), ("Z^", "Z^"), ("Z^a", "Z^a"), ("Z^2xF", "F")])
+    def test_a_bad_descriptor_component_is_named(self, group, component, capsys):
+        assert run_command(["growth", "--group", group, "--radius", "1"]) == 2
+        assert (f"error: unknown group descriptor component: {component!r}"
+                in capsys.readouterr().err)
+
     def test_missing_arguments(self):
         assert run_command(["verify", "lemma1"]) == 2
         assert run_command(["verify", "heredity"]) == 2
@@ -755,7 +761,7 @@ class TestExitCodes:
         assert run_command(["cache", "build"] + argv) == 2
         assert "cache build needs --cache-dir" in capsys.readouterr().err
         assert run_command(["cache", "check"] + argv) == 2
-        assert "cache check needs --file or --cache-dir" in capsys.readouterr().err
+        assert "cache check needs --cache-dir" in capsys.readouterr().err
 
     def test_malformed_element_json(self, tmp_path, capsys):
         path = tmp_path / "el.json"
@@ -825,12 +831,38 @@ class TestExitCodes:
         ("fit --group Z --range 4:16 --window 4:8:2", "--window takes lo:hi"),
         ("ratio --group Z --range 3:", "bad range '3:'"),
         ("fit --group Z --range 4:16 --window 3:", "--window takes lo:hi"),
+        # the aN witness at n = 0 is an empty sum: the series has no entry
+        ("fit --group Z --witness aN --d-hat 1 --range 0",
+         "no witness in the range has a nonzero l2 norm"),
+        ("fit --group Z --witness aN --d-hat 1 --range 0 --window 0:0",
+         "no witness in the range has a nonzero l2 norm"),
         ("ratio --group Z --range 4:8 --budget -1",
          "argument --budget: takes an integer of at least 0, not '-1'"),
     ])
     def test_range_and_window_parts(self, argv, message, capsys):
         assert run_command(argv.split() + ["--method", "exact"]) == 2
         assert message in capsys.readouterr().err
+
+
+Z1F2 = R.parse_descriptor("Z^1xF2")
+
+
+def written(spec, radius):
+    """The text ``cache build`` writes for ``spec`` to ``radius``."""
+    return serialize_index(R.enumerate_balls(spec, radius))
+
+
+# texts that Z^1xF2.N3.ballcache must not hold; each differs from what
+# Z^1xF2 writes to radius 3 at its first line
+REFUSED = {
+    "v1-header": lambda: ("rdlab-ball-cache v1 | Z^1xF2 | N=3\n"
+                          + written(Z1F2, 3).partition("\n")[2]),
+    "another-radius": lambda: written(Z1F2, 2),
+    "another-descriptor": lambda: written(R.parse_descriptor("F2xZ^1"), 3),
+    "custom-generators": lambda: written(R.DirectProduct(
+        [R.FreeAbelian(1, generators=[(1,), (-1,), (2,), (-2,)]),
+         R.FreeGroup(2)]), 3),
+}
 
 
 class TestCache:
@@ -871,7 +903,7 @@ class TestCache:
         z2_cache.write_text("".join(lines[:-5]))
         with pytest.raises(CacheFormatError,
                            match=re.escape(":82: the file ends, expected '4,-2\\t6\\n'")):
-            read_ball_cache(z2_cache, R.FreeAbelian(2))
+            read_ball_cache(z2_cache, R.FreeAbelian(2), 6)
 
     def test_cut_file_without_closed_sizes_is_rejected(self, tmp_path):
         path = tmp_path / "H3.N6.ballcache"
@@ -881,61 +913,51 @@ class TestCache:
         path.write_text("".join(lines[:-10]))
         with pytest.raises(CacheFormatError, match=re.escape(
                 ":585: the file ends, expected '5,-1,-4\\t6\\n'")):
-            read_ball_cache(path)
-
-    def test_v1_file_is_rejected(self, z2_cache, capsys):
-        header, *records = z2_cache.read_text().splitlines(keepends=True)
-        z2_cache.write_text("rdlab-ball-cache v1 | Z^2 | N=6\n" + "".join(records))
-        with pytest.raises(CacheFormatError, match="rebuild it"):
-            read_ball_cache(z2_cache)
-        assert run_command(["cache", "check", "--file", str(z2_cache)]) == 1
-        assert "rebuild it" in capsys.readouterr().err
-        # a command reading the index fails at its first read, exit 2
-        assert run_command(["verify", "lemma1", "--group", "Z^2", "--radius", "6",
-                            "--cache-dir", str(z2_cache.parent)]) == 2
-        assert "rebuild it" in capsys.readouterr().err
+            read_ball_cache(path, R.DiscreteHeisenberg(), 6)
 
     def test_records_out_of_order_are_rejected(self, z2_cache):
         header, *records = z2_cache.read_text().splitlines(keepends=True)
         z2_cache.write_text(header + "".join(reversed(records)))
         with pytest.raises(CacheFormatError, match=re.escape(
                 ":2: expected '0,0\\t0\\n', found '6,0\\t6\\n'")):
-            read_ball_cache(z2_cache)
+            read_ball_cache(z2_cache, R.FreeAbelian(2), 6)
 
-    def test_other_generators_never_read_a_cache(self, z2_cache):
-        spec = R.FreeAbelian(2, generators=[(1, 0), (-1, 0), (1, 1), (-1, -1)])
-        assert spec.descriptor() == "Z^2"
-        assert find_cache(z2_cache.parent, spec, 3) is None
-        with pytest.raises(CacheFormatError, match="standard generators"):
-            read_ball_cache(z2_cache, spec)
-        assert read_ball_cache(z2_cache).sphere_sizes == [1, 4, 8, 12, 16, 20, 24]
-
-    def test_a_product_with_a_custom_factor_reads_no_cache(self, tmp_path):
-        # the product's descriptor names no generating set of its factors
-        standard = R.DirectProduct([R.FreeGroup(2), R.FreeAbelian(1)])
-        path = tmp_path / "F2xZ^1.N3.ballcache"
-        write_ball_cache(R.enumerate_balls(standard, 3), path)
-        spec = R.DirectProduct([R.FreeGroup(2, generators=["a", "A", "ab", "BA"]),
-                                R.FreeAbelian(1)])
-        assert spec.descriptor() == "F2xZ^1"
-        assert not spec.has_standard_generators()
-        assert spec.closed_sphere_sizes(3) is None
-        assert find_cache(tmp_path, spec, 3) is None
-        with pytest.raises(CacheFormatError, match="standard generators"):
-            read_ball_cache(path, spec)
-        assert find_cache(tmp_path, standard, 3) == path
+    @pytest.mark.parametrize("case", REFUSED)
+    def test_a_file_the_group_does_not_write_is_refused(self, case, tmp_path,
+                                                        capsys):
+        path = tmp_path / "Z^1xF2.N3.ballcache"
+        text = REFUSED[case]()
+        path.write_bytes(text.encode("utf-8"))
+        want = written(Z1F2, 3).partition("\n")[0] + "\n"
+        found = text.partition("\n")[0] + "\n"
+        assert want != found
+        message = f"{path}:1: expected {want!r}, found {found!r}"
+        with pytest.raises(CacheFormatError, match=re.escape(message)):
+            read_ball_cache(path, Z1F2, 3)
+        argv = ["--group", "Z^1xF2", "--cache-dir", str(tmp_path)]
+        assert run_command(["cache", "check", "--radius", "3"] + argv) == 1
+        assert message in capsys.readouterr().err
+        # a command reading the index fails at its first read, exit 2
+        for command in (["growth", "--radius", "3"],
+                        ["verify", "lemma1", "--radius", "3"]):
+            assert run_command(command + argv) == 2, command
+            assert message in capsys.readouterr().err, command
 
     def test_commands_reuse_cache(self, tmp_path):
         cache_dir = tmp_path / "caches"
         assert run_command(["cache", "build", "--group", "H3", "--radius", "6",
                             "--cache-dir", str(cache_dir)]) == 0
-        out = tmp_path / "g.csv"
+        out, fresh = tmp_path / "g.csv", tmp_path / "fresh.csv"
         assert run_command(["growth", "--group", "H3", "--radius", "6",
                             "--cache-dir", str(cache_dir),
                             "--out", str(out)]) == 0
         manifest = json.loads((out.parent / "g.csv.manifest.json").read_text())
         assert manifest["cache_files"]
         assert manifest["cache_files"][0]["path"].endswith("H3.N6.ballcache")
+        # the cached run is the fresh run
+        assert run_command(["growth", "--group", "H3", "--radius", "6",
+                            "--out", str(fresh)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
 
     def test_a_file_with_swapped_lengths_is_rejected(self, tmp_path, capsys):
         # two records trade lengths and move to their sorted places, so the
@@ -968,22 +990,6 @@ class TestCache:
         assert run_command(["growth", "--group", "H3", "--radius", "6",
                             "--budget", "100", "--cache-dir", str(tmp_path)]) == 3
         assert "passed 100 elements" in capsys.readouterr().err
-
-    def test_a_header_radius_other_than_the_name_is_rejected(self, tmp_path,
-                                                             capsys):
-        path = tmp_path / "H3.N6.ballcache"
-        write_ball_cache(R.enumerate_balls(R.DiscreteHeisenberg(), 3), path)
-        message = "header gives radius 3, expected radius 6"
-        with pytest.raises(CacheFormatError, match=message):
-            read_ball_cache(path, R.DiscreteHeisenberg(), 6)
-        for argv in ["growth --group H3 --radius 6",
-                     "verify lemma1 --group H3 --radius 6",
-                     "report --group H3 --range 4:6 --method exact"]:
-            assert run_command(argv.split() + ["--cache-dir", str(tmp_path)]) == 2
-            assert message in capsys.readouterr().err, argv
-        assert run_command(["cache", "check", "--group", "H3", "--radius", "6",
-                            "--cache-dir", str(tmp_path)]) == 1
-        assert message in capsys.readouterr().err
 
     def test_a_larger_cache_is_not_read(self, tmp_path):
         cache_dir = tmp_path / "caches"
@@ -1125,6 +1131,14 @@ class TestDeterminism:
         manifest = json.loads((tmp_path / "g.csv.manifest.json").read_text())
         assert manifest["artifact_sha256"] == hashlib.sha256(
             out.read_bytes()).hexdigest()
+        # the digest cache build reports is the digest of the file it wrote
+        built = tmp_path / "built.json"
+        assert run_command(["cache", "build", "--group", "Z", "--radius", "4",
+                            "--cache-dir", str(tmp_path),
+                            "--out", str(built)]) == 0
+        report = json.loads(built.read_text())
+        assert report["sha256"] == hashlib.sha256(
+            Path(report["path"]).read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("argv,sha256", ARTIFACT_DIGESTS,
                              ids=[argv for argv, _ in ARTIFACT_DIGESTS])

@@ -7,7 +7,7 @@ import rdlab as R
 import rdlab.algebra
 import rdlab.cli
 import rdlab.rd
-from rdlab.cache import find_cache, write_ball_cache
+from rdlab.cache import CacheFormatError, read_ball_cache, write_ball_cache
 from rdlab.errors import (
     BudgetExceededError,
     CoverageError,
@@ -125,12 +125,17 @@ class TestIndexPlanning:
         assert spec.has_standard_generators() and spec == F2
         assert spec.generators() == F2.generators()
         assert spec.closed_sphere_sizes(4) == [1, 4, 12, 36, 108]
-        write_ball_cache(R.enumerate_balls(F2, 3), tmp_path / "F2.N3.ballcache")
-        assert find_cache(tmp_path, spec, 3) == tmp_path / "F2.N3.ballcache"
+        path = tmp_path / "F2.N3.ballcache"
+        write_ball_cache(R.enumerate_balls(F2, 3), path)
+        assert (read_ball_cache(path, spec, 3).spheres
+                == R.enumerate_balls(F2, 3).spheres)
         other = self.F2_OTHER
         assert not other.has_standard_generators() and other != F2
         assert other.closed_sphere_sizes(4) is None
-        assert find_cache(tmp_path, other, 3) is None
+        # the same sphere sizes, so the first record that differs is named
+        with pytest.raises(CacheFormatError,
+                           match=r"F2\.N3\.ballcache:4: expected 'BA\\t1\\n'"):
+            read_ball_cache(path, other, 3)
 
     def test_power_domain_default_is_at_least_one(self, z2_index):
         # norm_bracket compresses to the domain radius R, else
