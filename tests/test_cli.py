@@ -15,6 +15,7 @@ import rdlab.cli
 import rdlab.groups
 from rdlab.cache import (
     CacheFormatError,
+    cache_path,
     cache_roundtrip,
     read_ball_cache,
     serialize_index,
@@ -942,6 +943,34 @@ class TestCache:
                         ["verify", "lemma1", "--radius", "3"]):
             assert run_command(command + argv) == 2, command
             assert message in capsys.readouterr().err, command
+
+    def test_other_generators_never_read_a_cache(self, z2_cache):
+        # the same descriptor names the same file; the sphere sizes agree,
+        # so the records are where the bytes differ
+        spec = R.FreeAbelian(2, generators=[(1, 0), (-1, 0), (1, 1), (-1, -1)])
+        assert spec.descriptor() == "Z^2"
+        assert cache_path(z2_cache.parent, spec, 6) == z2_cache
+        with pytest.raises(CacheFormatError, match=re.escape(
+                ":3: expected '-1,-1\\t1\\n', found '-1,0\\t1\\n'")):
+            read_ball_cache(z2_cache, spec, 6)
+        assert (read_ball_cache(z2_cache, R.FreeAbelian(2), 6).sphere_sizes
+                == [1, 4, 8, 12, 16, 20, 24])
+
+    def test_a_product_with_a_custom_factor_reads_no_cache(self, tmp_path):
+        # the product's descriptor names no generating set of its factors
+        standard = R.DirectProduct([R.FreeGroup(2), R.FreeAbelian(1)])
+        path = tmp_path / "F2xZ^1.N3.ballcache"
+        write_ball_cache(R.enumerate_balls(standard, 3), path)
+        spec = R.DirectProduct([R.FreeGroup(2, generators=["a", "A", "ab", "BA"]),
+                                R.FreeAbelian(1)])
+        assert spec.descriptor() == "F2xZ^1"
+        assert not spec.has_standard_generators()
+        assert spec.closed_sphere_sizes(3) is None
+        assert cache_path(tmp_path, spec, 3) == path
+        with pytest.raises(CacheFormatError, match=re.escape(
+                ":4: expected 'BA|0\\t1\\n', found 'B|0\\t1\\n'")):
+            read_ball_cache(path, spec, 3)
+        assert read_ball_cache(path, standard, 3).sphere_sizes == [1, 6, 22, 70]
 
     def test_commands_reuse_cache(self, tmp_path):
         cache_dir = tmp_path / "caches"
