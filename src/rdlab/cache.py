@@ -8,7 +8,8 @@ Format (text, UTF-8, LF):
 
 Records are sorted by (length, key), the in-memory sphere order, and keys
 are spelled as ``element_key`` writes them.  On Z^d and H3 they are written
-from the index's int64 rows by one ``%d`` template.
+from the index's int64 rows by one ``%d`` template, and on a product from
+the keys its search sorted by.
 
 One rule decides a read: a file is read only at
 ``<dir>/<group>.N<radius>.ballcache`` (``cache_path``), and only when its
@@ -60,9 +61,11 @@ def serialize_index(index: LengthIndex):
     if index.rows is not None:
         lengths = np.repeat(np.arange(index.radius + 1), index.sphere_sizes)
         return header + _records(np.column_stack([index.rows, lengths]))
-    return header + "".join([f"{spec.element_key(g)}\t{n}\n"
-                             for n in range(index.radius + 1)
-                             for g in index.sphere(n)])
+    keys = index.keys
+    if keys is None:
+        keys = [map(spec.element_key, sphere) for sphere in index.spheres]
+    return header + "".join([f"{key}\t{n}\n" for n, sphere in enumerate(keys)
+                             for key in sphere])
 
 
 def write_ball_cache(index: LengthIndex, path):

@@ -27,6 +27,8 @@ from .errors import BudgetExceededError, RdlabError
 from .groups import DEFAULT_BUDGET, enumerate_balls, parse_descriptor
 from .norms import radial_to_algebra
 from .rd import (
+    FIT_POINTS,
+    REPORT_FIT_FROM,
     RatioSeries,
     ball_product_sweep,
     ball_series_l2_bounds,
@@ -312,6 +314,12 @@ def cmd_zseries(run, args):
 def cmd_report(run, args):
     spec = run.spec = parse_descriptor(args.group)
     n_list = parse_range(args.range)
+    fitted = sum(n >= REPORT_FIT_FROM for n in n_list)
+    if fitted < FIT_POINTS:
+        raise RdlabError(
+            f"report: --range {args.range} gives {fitted} n >= "
+            f"{REPORT_FIT_FROM}; the report fits its series on n >= "
+            f"{REPORT_FIT_FROM} and needs at least {FIT_POINTS} of them")
     settings = _estimator_settings(args)
     index = run.index(spec, max(n_list), args.method, args.domain_radius)
     s_values = [float(s) for s in args.s_list.split(",")] if args.s_list else []

@@ -9,14 +9,17 @@ algebra and analysis layers consume.  ``word_length``, ``sphere_sizes`` and
 ``ball_sizes`` answer from the closed form, else from an index.
 
 Z^d and H3 (:class:`IntegerTupleGroup`, on any generating set) have an array
-law, and their search runs sphere by sphere on int64 row arrays: with a
-symmetric generating set S_{n+1} = S_n * gens minus S_{n-1} and S_n, so no
-set of all elements seen is kept.  Their index holds those rows and builds
-element tuples only when a lookup needs them.  A :class:`DirectProduct` on
-its factors' generators searches each factor by the factor's own path and
-assembles S_n as the union over i + j = n of S_i(first factors) x S_j(next
-factor).  F_r, C_m and a product on generators of its own run the search on
-a dict of element values.  Every path lists each sphere in text-key order.
+law, and their search runs sphere by sphere on int64 coordinate columns:
+with a symmetric generating set S_{n+1} = S_n * gens minus S_{n-1} and S_n,
+so no set of all elements seen is kept, and each sphere is put in text-key
+order by one int64 key per element.  Their index holds the spheres as one
+array of rows and builds element tuples only when a lookup needs them.  A
+:class:`DirectProduct` on its factors' generators searches each factor by
+the factor's own path and assembles S_n as the union over i + j = n of
+S_i(first factors) x S_j(next factor), and its index keeps the text keys it
+sorted by.  F_r, C_m and a product on generators of its own run the search
+on a dict of element values.  Every path lists each sphere in text-key
+order.
 
 Canonical element values are plain hashable Python data:
 
@@ -61,7 +64,7 @@ DEFAULT_BUDGET = 5_000_000
 # the array paths, so that products such as H3's c + c' + a*b' and the
 # padded text-order keys of ``text_order`` fit in int64.
 COORD_LIMIT = 1 << 31
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -574,14 +577,16 @@ class LengthIndex:
     An index of an :class:`IntegerTupleGroup` may be built from ``rows``
     instead: an int64 array with one row of coordinates per element, in
     sphere order.  It then builds ``spheres`` at their first read too.
-    ``rows`` is None on an index built from ``spheres``.
+    ``rows`` is None on an index built from ``spheres``.  ``keys``, when
+    given, lists the text keys of each sphere's elements, in sphere order.
     """
 
     def __init__(self, spec, radius, spheres=None, lengths=None, rows=None,
-                 sphere_sizes=None):
+                 sphere_sizes=None, keys=None):
         self.spec = spec
         self.radius = radius
         self.rows = rows
+        self.keys = keys
         self._spheres = spheres
         self._lengths = lengths
         if spheres is not None:
@@ -629,23 +634,42 @@ class LengthIndex:
         return self.ball_sizes[-1]
 
 
-def text_order(rows):
-    """The permutation that sorts ``rows`` (int64, one integer-tuple element
-    per row, entries below COORD_LIMIT in absolute value) by their text keys,
-    as ``sorted(key=element_key)`` does.
+def text_order(cols):
+    """The permutation that sorts the integer-tuple elements with int64
+    coordinate columns ``cols`` (entries below COORD_LIMIT in absolute
+    value) by their text keys, as ``sorted(key=element_key)`` does.
 
     ',' sorts below '-' and '-' below every digit, so the keys compare
     coordinate by coordinate: negatives first, then by the digit string of
     |v|, which orders as |v| padded with zeros to the column's widest digit
-    count and then by its own digit count ("1" < "10" < "2").
+    count and then by its own digit count ("1" < "10" < "2").  Each column
+    gets one int64 key of that order, and the columns combine in mixed radix,
+    the first the most significant, into one key per element.  Where the
+    radix would pass int64, the running key and the column's key are first
+    replaced by their ranks.
     """
-    keys = []
-    for col in rows.T[::-1]:            # np.lexsort sorts by its last key first
+    order_key, span = np.zeros(len(cols[0]), dtype=np.int64), 1
+    for col in cols:
         size = np.abs(col)
-        digits = np.searchsorted(_POWERS_OF_TEN, size, side="right") + 1
+        digits = _POWERS_OF_TEN[1:].searchsorted(size, side="right") + 1
         width = int(digits.max(initial=1))
-        keys += [digits, size * 10 ** (width - digits), col >= 0]
-    return np.lexsort(keys)
+        key = size * _POWERS_OF_TEN[width - digits]
+        key *= width + 1
+        key += digits
+        key += (col >= 0) * ((width + 1) * 10 ** width)
+        radix = 2 * (width + 1) * 10 ** width
+        if span * radix >= 1 << 63:
+            (order_key, span), (key, radix) = _ranks(order_key), _ranks(key)
+        order_key *= radix
+        order_key += key
+        span *= radix
+    return order_key.argsort()
+
+
+def _ranks(keys):
+    """The dense ranks of ``keys`` (equal keys share a rank) and their count."""
+    distinct, ranks = np.unique(keys, return_inverse=True)
+    return ranks, len(distinct)
 
 
 def cell_keys(cols, lo, spans):
@@ -667,42 +691,48 @@ def _budget_error(spec, budget, n):
 
 
 def _array_spheres(spec, N, budget):
-    """S_0..S_N of an IntegerTupleGroup as int64 row arrays in text-key
-    order, or None when a coordinate would reach COORD_LIMIT or a step's
-    bounding box would number its cells past int64.
+    """S_0..S_N of an IntegerTupleGroup, each a tuple of int64 coordinate
+    columns in text-key order, or None when a coordinate would reach
+    COORD_LIMIT or a step's bounding box would number its cells past int64.
 
     A generating set is symmetric, so the neighbours of S_{n-1} lie in
     S_{n-2}, S_{n-1} and S_n: S_n is what they reach outside the first two.
-    Rows are keyed by their cell in the bounding box (``cell_keys``), and
-    S_n keeps the reached keys that a binary search does not find among the
-    keys of S_{n-2} and S_{n-1}.
+    Points are keyed by their cell in the bounding box (``cell_keys``); one
+    sort of the reached keys drops repeats (any copy of a key is the same
+    point), and S_n keeps the reached keys that a binary search does not
+    find among the keys of S_{n-2} and S_{n-1}.
     """
     gens = np.array(spec.generators(), dtype=object)
     if np.abs(gens).max() >= COORD_LIMIT:
         return None
-    gens = gens.astype(np.int64)
-    spheres = [np.array([spec.identity()], dtype=np.int64)]
-    previous = spheres[0][:0]
+    gens = tuple(col[None, :] for col in gens.astype(np.int64).T)
+    spheres = [tuple(np.array([x], dtype=np.int64) for x in spec.identity())]
+    previous = tuple(col[:0] for col in spheres[0])
     total = 1
     for n in range(1, N + 1):
         last = spheres[-1]
-        products = spec.multiply(tuple(last.T[:, :, None]),
-                                 tuple(gens.T[:, None, :]))
-        reached = np.stack([col.ravel() for col in products], axis=1)
-        near = np.concatenate([reached, last, previous])
-        lo, hi = near.min(axis=0).tolist(), near.max(axis=0).tolist()
+        reached = tuple(col.ravel() for col in
+                        spec.multiply(tuple(col[:, None] for col in last), gens))
+        known = tuple(map(np.concatenate, zip(last, previous)))
+        lo = [min(int(a.min()), int(b.min())) for a, b in zip(reached, known)]
+        hi = [max(int(a.max()), int(b.max())) for a, b in zip(reached, known)]
         spans = [high - low + 1 for low, high in zip(lo, hi)]
         if max(-min(lo), max(hi)) >= COORD_LIMIT or math.prod(spans) >= 1 << 63:
             return None
-        keys = cell_keys(near.T, lo, spans)
-        reached_keys, first = np.unique(keys[:len(reached)], return_index=True)
-        known = np.sort(keys[len(reached):])
-        at = np.searchsorted(known, reached_keys).clip(max=len(known) - 1)
-        sphere = reached[first[known[at] != reached_keys]]
-        total += len(sphere)
+        keys = cell_keys(reached, lo, spans)
+        order = keys.argsort()
+        keys = keys[order]
+        first = np.concatenate([[True], keys[1:] != keys[:-1]])
+        keys, order = keys[first], order[first]
+        known = np.sort(cell_keys(known, lo, spans))
+        at = np.minimum(known.searchsorted(keys), len(known) - 1)
+        new = order[known[at] != keys]
+        total += len(new)
         if total > budget:
             raise _budget_error(spec, budget, n)
-        spheres.append(sphere[text_order(sphere)])
+        sphere = tuple(col[new] for col in reached)
+        order = text_order(sphere)
+        spheres.append(tuple(col[order] for col in sphere))
         previous = last
     return spheres
 
@@ -727,8 +757,9 @@ def _enumerate(spec, N, budget):
     if isinstance(spec, IntegerTupleGroup):
         spheres = _array_spheres(spec, N, budget)
         if spheres is not None:
-            return LengthIndex(spec, N, rows=np.concatenate(spheres),
-                               sphere_sizes=[len(s) for s in spheres])
+            rows = np.column_stack([np.concatenate(col) for col in zip(*spheres)])
+            return LengthIndex(spec, N, rows=rows,
+                               sphere_sizes=[len(s[0]) for s in spheres])
     return _dict_index(spec, N, budget)
 
 
@@ -758,7 +789,7 @@ def _product_index(spec, N, budget):
     """The index of a DirectProduct on its factors' generators, where the
     word length is the sum of the factor lengths: S_n is the union over
     i + j = n of S_i(prefix) x S_j(factor), each sphere sorted by the keys
-    ``key_prefix + "|" + key_factor``.
+    ``key_prefix + "|" + key_factor``, which the index keeps.
 
     A factor's ball is no larger than the product's, so a factor that passes
     the budget at radius m is enumerated to m - 1 instead and the product
@@ -794,7 +825,7 @@ def _product_index(spec, N, budget):
             products.append(pairs)
         keys = [[key for key, _ in pairs] for pairs in products]
         spheres = [[g for _, g in pairs] for pairs in products]
-    return LengthIndex(spec, N, spheres=spheres)
+    return LengthIndex(spec, N, spheres=spheres, keys=keys)
 
 
 def _sphere_keys(index):

@@ -260,12 +260,18 @@ class ExponentFit:
         return math.exp(self.intercept)
 
 
+# the fewest points fit_loglog fits, and the least n a report fits
+FIT_POINTS = 3
+REPORT_FIT_FROM = 4
+
+
 def fit_loglog(pairs, window=(4, None)):
-    """Fit log y = slope * log(1+n) + intercept over window; needs >= 3 points."""
+    """Fit log y = slope * log(1+n) + intercept over window; needs at least
+    FIT_POINTS points."""
     lo, hi = window
     pts = [(n, y) for n, y in pairs
            if n >= lo and (hi is None or n <= hi) and y > 0]
-    if len(pts) < 3:
+    if len(pts) < FIT_POINTS:
         raise ValueError(f"degenerate fit window {window!r}: {len(pts)} usable points")
     xs = [math.log1p(n) for n, _ in pts]
     if len(set(xs)) < 2:
@@ -763,7 +769,8 @@ class RdReport:
 
 
 def build_report(spec, n_list, s_values=(), method="auto",
-                 index: LengthIndex = None, window=(4, None), **settings):
+                 index: LengthIndex = None, window=(REPORT_FIT_FROM, None),
+                 **settings):
     n_list = list(n_list)
     balls = ball_sizes(spec, max(n_list), index)
     growth_fit = fit_loglog(((n, balls[n]) for n in n_list), window)

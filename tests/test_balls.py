@@ -9,6 +9,7 @@ must give the dict search's spheres, lengths, cache bytes and budget errors.
 gives for a fresh search, and names the first line of any other file.
 """
 
+import hashlib
 import re
 
 import numpy as np
@@ -96,6 +97,23 @@ def test_array_search_matches_the_dict_search(group, data):
     index = R.enumerate_balls(spec, N)
     assert index.rows is not None
     assert_same_index(spec, N, index)
+
+
+# sha256 of the cache bytes of the balls the benchmark workloads build; H3
+# to 24 crosses c = 9 -> 10 and 99 -> 100, where the digit widths change
+PINNED_BALLS = [
+    ("H3", 24, "4791b18425e65aae7d628fbc4c470bfc2c4ccbc963e8a65f08dd87a747436900"),
+    ("Z^3", 40, "8d917d8b780d0369f71dca28ac74752e4aeada1bf5d6729c47c7c8de7a7995b3"),
+    ("Z^2", 200, "e2db0358b10618bb2e725f8aac30af60d5894351b2a3522dbd0674da473b8735"),
+    ("Z^4", 16, "ade0ea7f82d097d3a2702fc869881cd47077b7e6812d241be0b5ddcfb148d930"),
+]
+
+
+@pytest.mark.parametrize("descriptor, N, digest", PINNED_BALLS)
+def test_benchmark_size_balls_keep_their_bytes(descriptor, N, digest):
+    index = R.enumerate_balls(R.parse_descriptor(descriptor), N)
+    assert index.rows is not None
+    assert hashlib.sha256(serialize_index(index).encode()).hexdigest() == digest
 
 
 Z_CUSTOM = R.FreeAbelian(1, generators=[(1,), (-1,), (2,), (-2,)])
@@ -199,9 +217,19 @@ ENTRIES = st.one_of(st.integers(-12, 12),
     lambda k: st.lists(st.tuples(*[ENTRIES] * k), min_size=1, max_size=40)))
 @example([(1,), (10,), (2,), (-1,), (-10,), (-2,), (0,), (100,), (11,)])
 @example([(1, 2), (12, -3), (1, -20), (-1, 0), (0, 0), (10, 5), (1, 10)])
+# four columns as wide as the limit allows: the running key is ranked
+@example([(COORD_LIMIT - 1, 1 - COORD_LIMIT, COORD_LIMIT - 2, 2 - COORD_LIMIT),
+          (1 - COORD_LIMIT, COORD_LIMIT - 1, 2 - COORD_LIMIT, COORD_LIMIT - 2),
+          (COORD_LIMIT - 2, 2 - COORD_LIMIT, 0, -1),
+          (COORD_LIMIT - 1, 1 - COORD_LIMIT, COORD_LIMIT - 2, 1 - COORD_LIMIT),
+          (-1, 0, COORD_LIMIT - 1, 1),
+          (COORD_LIMIT - 1, 1 - COORD_LIMIT, COORD_LIMIT - 2, 2 - COORD_LIMIT)])
+# columns of mixed digit widths
+@example([(-100, 9, 10), (99, -9, 100), (0, -1, 1), (-100, 9, 1), (9, -9, 10),
+          (99, -10, 100), (-1, 0, -1), (10, 9, 100)])
 def test_text_order_sorts_as_element_key(rows):
     key = R.FreeAbelian(len(rows[0])).element_key
-    order = text_order(np.array(rows, dtype=np.int64))
+    order = text_order(np.array(rows, dtype=np.int64).T)
     assert [rows[i] for i in order] == sorted(rows, key=key)
 
 

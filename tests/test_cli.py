@@ -757,6 +757,16 @@ class TestExitCodes:
         assert run_command(["cache", "check"]) == 2
         assert run_command(["norm", "--group", "Z"]) == 2
 
+    @pytest.mark.parametrize("n_range, fitted", [
+        ("0:3", 0), ("0", 0), ("2:5", 2), ("4:12:5", 2)])
+    def test_a_report_range_too_short_to_fit_is_named(self, n_range, fitted,
+                                                       capsys):
+        argv = ["report", "--group", "Z", "--range", n_range, "--method", "exact"]
+        assert run_command(argv) == 2
+        assert (f"error: report: --range {n_range} gives {fitted} n >= 4; the "
+                "report fits its series on n >= 4 and needs at least 3 of them"
+                in capsys.readouterr().err)
+
     def test_cache_commands_need_a_directory(self, capsys):
         argv = ["--group", "Z", "--radius", "2"]
         assert run_command(["cache", "build"] + argv) == 2
