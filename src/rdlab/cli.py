@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -68,7 +70,8 @@ def csv_text(header, rows):
 
 
 def json_text(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a nan or infinite float raises ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def parse_range(text):
@@ -261,19 +264,20 @@ def cmd_ratio(run, args):
 
 
 def cmd_fit(run, args):
-    series = _make_series(run, args)
-    if not series.entries:
-        raise RdlabError("no witness in the range has a nonzero l2 norm")
+    window = None
     if args.window:
         try:
             window = tuple(int(x) for x in args.window.split(":"))
         except ValueError:
             window = ()
-        if len(window) != 2:
-            raise RdlabError("--window takes lo:hi")
-    else:
-        window = (min(e.n for e in series.entries),
-                  max(e.n for e in series.entries))
+        if len(window) != 2 or window[0] > window[1]:
+            raise RdlabError(
+                f"--window takes lo:hi with lo <= hi, not {args.window!r}")
+    series = _make_series(run, args)
+    if not series.entries:
+        raise RdlabError("no witness in the range has a nonzero l2 norm")
+    # by default every n of the series, from its first
+    window = window or (series.entries[0].n, None)
     fit = fit_exponent(series, window=window, which=args.which)
     row = [series.group, series.witness, fit.window[0], fit.window[1],
            fit.slope, fit.intercept, fit.r_squared]
@@ -322,7 +326,14 @@ def cmd_report(run, args):
             f"{REPORT_FIT_FROM} and needs at least {FIT_POINTS} of them")
     settings = _estimator_settings(args)
     index = run.index(spec, max(n_list), args.method, args.domain_radius)
-    s_values = [float(s) for s in args.s_list.split(",")] if args.s_list else []
+    try:
+        s_values = ([float(s) for s in args.s_list.split(",")]
+                    if args.s_list else [])
+    except ValueError:
+        s_values = [math.nan]
+    if not all(map(math.isfinite, s_values)):
+        raise RdlabError("--s-list takes comma-separated finite numbers, not "
+                         f"{args.s_list!r}")
     report = build_report(spec, n_list, s_values=s_values, method=args.method,
                           index=index, **settings)
     if args.out:
@@ -414,12 +425,7 @@ def _verify_heredity(run, args):
     report = verify_heredity(embedding, n_list, sub_index, ambient_index,
                              args.method, **_estimator_settings(args))
     run.emit(json_text({"embedding": args.embedding, "ok": report.ok,
-                        "rows": [{"n": r.n, "subgroup_count": r.subgroup_count,
-                                  "sub_ratio_lower": r.sub_ratio_lower,
-                                  "sub_ratio_upper": r.sub_ratio_upper,
-                                  "ambient_ratio_lower": r.ambient_ratio_lower,
-                                  "ambient_ratio_upper": r.ambient_ratio_upper,
-                                  "dominated": r.dominated}
+                        "rows": [dict(asdict(r), dominated=r.dominated)
                                  for r in report.rows]}),
              summary=f"heredity {'holds' if report.ok else 'FAILS'} "
                      f"on {len(report.rows)} points")

@@ -38,8 +38,9 @@ from .algebra import AlgebraElement, adjoint, convolve, norm, product_keys
 from .errors import BudgetExceededError, IndexRadiusError, RdlabError
 from .groups import DEFAULT_BUDGET, FreeGroup, GroupSpec, LengthIndex
 
-TRACE_CONVERGED_RTOL = 1e-10
-POWER_CONVERGED_RTOL = 1e-10
+# the relative change between the last two steps at which an iterative
+# estimator reports convergence
+CONVERGED_RTOL = 1e-10
 
 
 @dataclass
@@ -312,20 +313,17 @@ class _RadialOps:
 
 
 def _trace_exponents(depth, exponent):
-    """b-exponents at which steps are reported: powers of two, then the target."""
-    if exponent is not None:
-        if exponent < 2 or exponent % 2:
-            raise ValueError("exponent must be an even integer >= 2")
-        target = exponent // 2
-        ms = [1]
-        while ms[-1] * 2 < target:
-            ms.append(ms[-1] * 2)
-        if ms[-1] != target:
-            ms.append(target)
-        return ms
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return [2 ** j for j in range(depth + 1)]
+    """b-exponents at which steps are reported for the a-exponent 2k =
+    ``exponent``: the powers of two below k, then k.  Without an exponent,
+    ``depth`` d stands for the exponent 2^(d+1)."""
+    if exponent is None:
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        exponent = 2 ** (depth + 1)
+    if exponent < 2 or exponent % 2:
+        raise ValueError("exponent must be an even integer >= 2")
+    target = exponent // 2
+    return [1 << j for j in range((target - 1).bit_length())] + [target]
 
 
 def op_norm_trace_power(a: AlgebraElement, depth=6, budget=DEFAULT_BUDGET,
@@ -374,7 +372,7 @@ def op_norm_trace_power(a: AlgebraElement, depth=6, budget=DEFAULT_BUDGET,
             "trace-power estimator stopped before the first step: tau(b) = "
             f"||a||_2^2 left the float range (got {trace!r})")
     converged = (len(steps) >= 2 and stop_reason != "budget" and
-                 abs(steps[-1] - steps[-2]) <= TRACE_CONVERGED_RTOL * steps[-1])
+                 abs(steps[-1] - steps[-2]) <= CONVERGED_RTOL * steps[-1])
     return NormEstimate(lower=steps[-1], upper=upper,
                         method="trace_power", steps=steps, converged=converged,
                         target_steps=len(ms), stop_reason=stop_reason)
@@ -481,7 +479,7 @@ def op_norm_power_iteration(a: AlgebraElement, R, iters=200, seed=0,
             break
         v /= nv
         if len(steps) >= 2 and abs(steps[-1] - steps[-2]) <= (
-                POWER_CONVERGED_RTOL * max(steps[-1], 1e-300)):
+                CONVERGED_RTOL * max(steps[-1], 1e-300)):
             converged = True
             break
     return NormEstimate(lower=steps[-1], upper=coefficient_norm(a, "l1"),

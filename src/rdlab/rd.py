@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 
 from .algebra import (
@@ -81,14 +81,6 @@ def _check_float_range(spec, balls):
 
 
 # -- estimator choice -----------------------------------------------------------
-
-
-def resolve_method(method, spec, nonnegative=True):
-    """The estimator ``method`` names: "auto" is "exact" for a nonnegative
-    element on an amenable group, else "trace"."""
-    if method == "auto":
-        return "exact" if spec.amenable and nonnegative else "trace"
-    return method
 
 
 def power_domain(R, support_radius):
@@ -142,12 +134,14 @@ def make_witness(spec, witness, n, index=None, d_hat=None, sizes=None):
 
 def norm_bracket(a, method="auto", index=None, *, depth=6, exponent=None,
                  R=None, iters=200, seed=0, budget=DEFAULT_BUDGET):
-    """Dispatch to the estimator ``resolve_method`` picks for ``a``, an
-    AlgebraElement or a RadialElement.  A sphere function is expanded from
+    """Dispatch to the estimator ``method`` names for ``a``, an AlgebraElement
+    or a RadialElement: "auto" is "exact" for a nonnegative element on an
+    amenable group, else "trace".  A sphere function is expanded from
     ``index`` where the estimator needs group elements: for power iteration,
     which compresses to the ball of ``power_domain`` radius, and for the
     trace ladder on a group without radial convolution."""
-    method = resolve_method(method, a.spec, a.is_nonnegative())
+    if method == "auto":
+        method = "exact" if a.spec.amenable and a.is_nonnegative() else "trace"
     if isinstance(a, RadialElement) and (
             method == "power" or method == "trace" and radial_rank(a.spec) is None):
         a = witness_element(a, index)
@@ -296,6 +290,15 @@ def fit_loglog(pairs, window=(4, None)):
 
 
 def fit_exponent(series: RatioSeries, window=(4, None), which="lower"):
+    """Fit the series' ratios over ``window``; fewer than FIT_POINTS n there
+    with a nonzero witness raise ValueError naming the witness."""
+    lo, hi = window
+    nonzero = sum(e.n >= lo and (hi is None or e.n <= hi) for e in series.entries)
+    if nonzero < FIT_POINTS:
+        where = f">= {lo}" if hi is None else f"in {lo}:{hi}"
+        raise ValueError(
+            f"the {series.witness} witness on {series.group} is nonzero at "
+            f"{nonzero} of its n {where}; a fit needs {FIT_POINTS}")
     return fit_loglog(((e.n, e.ratio(which)) for e in series.entries), window)
 
 
@@ -421,15 +424,14 @@ def ball_product_sweep(spec, max_sum, index: LengthIndex = None,
     return (slack >= 0, slack, worst)
 
 
-def doubling_ratios(spec, r, k_max, index: LengthIndex = None):
-    """Consecutive l2 ratios ||chi(B_{r(k+1)})||_2 / ||chi(B_{rk})||_2, k <= k_max."""
-    if r < 1 or k_max < 1:
-        raise ValueError("r and k_max must be >= 1")
-    sizes = ball_sizes(spec, r * (k_max + 1), index)
+def _l2_ratios(spec, r, ball_at_rk):
+    """||chi(B_{r(k+1)})||_2 / ||chi(B_{rk})||_2 for consecutive entries of
+    ``ball_at_rk`` = [|B_r|, |B_2r|, ...]: the square root of the double
+    nearest the exact quotient |B_{r(k+1)}|/|B_{rk}| of the integer sizes."""
     ratios = []
-    for k in range(1, k_max + 1):
+    for k, (small, big) in enumerate(zip(ball_at_rk, ball_at_rk[1:]), start=1):
         try:
-            ratios.append(math.sqrt(sizes[r * (k + 1)] / sizes[r * k]))
+            ratios.append(math.sqrt(big / small))
         except OverflowError:
             raise BudgetExceededError(
                 f"the ball size ratio |B_{r * (k + 1)}|/|B_{r * k}| of "
@@ -437,10 +439,16 @@ def doubling_ratios(spec, r, k_max, index: LengthIndex = None):
     return ratios
 
 
+def doubling_ratios(spec, r, k_max, index: LengthIndex = None):
+    """Consecutive l2 ratios ||chi(B_{r(k+1)})||_2 / ||chi(B_{rk})||_2, k <= k_max."""
+    if r < 1 or k_max < 1:
+        raise ValueError("r and k_max must be >= 1")
+    return _l2_ratios(spec, r, ball_sizes(spec, r * (k_max + 1), index)[r::r])
+
+
 def verify_doubling(spec, r, k_max, index: LengthIndex = None):
     """(min ratio, min ratio >= 2) over k in [1, k_max]."""
-    ratios = doubling_ratios(spec, r, k_max, index)
-    min_ratio = min(ratios)
+    min_ratio = min(doubling_ratios(spec, r, k_max, index))
     return (min_ratio, min_ratio >= 2.0)
 
 
@@ -474,17 +482,6 @@ class BallSeries:
     @property
     def shell_values(self):
         return self.function.coeffs[self.r::self.r]
-
-    def ball_l2(self, k):
-        return math.sqrt(self.ball_size_at_rk[k - 1])
-
-    def min_doubling_ratio(self):
-        """Min of ||chi(B_{r(k+1)})||_2/||chi(B_{rk})||_2 over pairs inside the
-        truncation (k = 1..K-1); inf when K = 1."""
-        if self.K == 1:
-            return math.inf
-        return min(self.ball_l2(k + 1) / self.ball_l2(k)
-                   for k in range(1, self.K))
 
     def to_json_dict(self):
         return {
@@ -529,12 +526,10 @@ class SeriesL2Bounds:
     actual: float      # ||series||_2^2
     upper: float       # 4 * lower; asserted only under doubling
     doubling_ok: bool
-    min_doubling_ratio: float
+    min_doubling_ratio: float   # None when K = 1: no pair of balls
 
     def to_json_dict(self):
-        return {"lower": self.lower, "actual": self.actual, "upper": self.upper,
-                "doubling_ok": self.doubling_ok,
-                "min_doubling_ratio": self.min_doubling_ratio}
+        return asdict(self)
 
 
 def ball_series_l2_bounds(series: BallSeries):
@@ -542,14 +537,16 @@ def ball_series_l2_bounds(series: BallSeries):
 
     The lower bound keeps only diagonal inner products (all terms are
     nonnegative).  The upper bound 4x rests on the l2 doubling of consecutive
-    truncation balls; ``doubling_ok`` reports whether that held.
+    truncation balls, the ``doubling_ratios`` of the pairs k = 1..K-1;
+    ``doubling_ok`` reports whether that held, and holds vacuously at K = 1.
     """
     diag = sum(k ** (-2.0 * series.alpha) for k in range(1, series.K + 1))
-    min_ratio = series.min_doubling_ratio()
+    min_ratio = min(_l2_ratios(series.spec, series.r, series.ball_size_at_rk),
+                    default=None)
     return SeriesL2Bounds(lower=diag,
                           actual=radial_inner(series.function, series.function),
                           upper=4.0 * diag,
-                          doubling_ok=bool(min_ratio >= 2.0),
+                          doubling_ok=min_ratio is None or min_ratio >= 2.0,
                           min_doubling_ratio=min_ratio)
 
 
@@ -588,7 +585,7 @@ def verify_series_product_bound(spec, r, alpha, beta, K,
     # the right side by sphere radius; it is 0 past r(K-1)
     rhs = [0.0] * (r * (K - 1) + 1)
     for j, w in enumerate(weights, start=1):
-        c = w / za.ball_l2(j)
+        c = w / math.sqrt(za.ball_size_at_rk[j - 1])
         for i in range(r * j + 1):
             rhs[i] += c
     min_slack = _product_slack(za.function, zb.function, rhs, index, budget)
@@ -653,7 +650,7 @@ class HeredityRow:
 
     @property
     def dominated(self):
-        return self.sub_ratio_lower <= self.ambient_ratio_upper + 1e-9
+        return self.sub_ratio_lower <= self.ambient_ratio_upper - GEQ_TOLERANCE
 
 
 @dataclass
@@ -749,15 +746,11 @@ class RdReport:
     manifest_ref: str = None
 
     def to_json_dict(self):
-        def fit_dict(f):
-            return {"slope": f.slope, "intercept": f.intercept,
-                    "residual_sum": f.residual_sum, "r_squared": f.r_squared,
-                    "window": list(f.window), "points": f.points}
         return {
             "group": self.group,
-            "growth_fit": fit_dict(self.growth_fit),
-            "ball_fit": fit_dict(self.ball_fit),
-            "sphere_fit": fit_dict(self.sphere_fit),
+            "growth_fit": asdict(self.growth_fit),
+            "ball_fit": asdict(self.ball_fit),
+            "sphere_fit": asdict(self.sphere_fit),
             "ball_series": self.ball_series.to_json_dict(),
             "sphere_series": self.sphere_series.to_json_dict(),
             "constant_series": {

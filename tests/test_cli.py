@@ -24,6 +24,13 @@ from rdlab.cache import (
 from rdlab.cli import build_parser, run_command
 
 
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are no JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def run(args, tmp_path=None, out=None):
     argv = list(args)
     if out is not None:
@@ -438,6 +445,31 @@ class TestNormAndZseries:
             element = json.loads((tmp_path / "z.json").read_text())["element"]
             assert (len(element["coeffs"]) if element else None) == size
 
+    @pytest.mark.parametrize("group, r, alpha, k", [
+        ("Z^2", 2, "0.75", 10), ("Z^1xF2", 1, "1.0", 4), ("F2", 2, "1.0", 300),
+        ("Z^2", 10, "1.0", 20)])
+    def test_zseries_doubling_is_verify_doubling(self, group, r, alpha, k,
+                                                 tmp_path):
+        # the same pairs k = 1..K-1, to the bit
+        assert run(["zseries", "--group", group, "--r", str(r), "--alpha",
+                    alpha, "--k", str(k)], tmp_path, "z.json") == 0
+        assert run(["verify", "doubling", "--group", group, "--r", str(r),
+                    "--k", str(k - 1)], tmp_path, "d.json") in (0, 1)
+        bounds = strict_json((tmp_path / "z.json").read_text())["l2_bounds"]
+        check = strict_json((tmp_path / "d.json").read_text())
+        assert bounds["min_doubling_ratio"] == check["min_ratio"]
+        assert bounds["doubling_ok"] is check["ok"]
+
+    @pytest.mark.parametrize("argv, ratio", [
+        ("zseries --group F2 --r 2 --alpha 1.0 --k 300", 3.0),
+        ("zseries --group Z --r 1 --alpha 1 --k 1", None)])
+    def test_zseries_doubling_ends(self, argv, ratio, tmp_path):
+        # F2's ratio stays >= 3; one term has no pair: null, vacuously ok
+        assert run(argv.split(), tmp_path, "z.json") == 0
+        bounds = strict_json((tmp_path / "z.json").read_text())["l2_bounds"]
+        assert bounds["min_doubling_ratio"] == ratio
+        assert bounds["doubling_ok"] is True
+
     def test_zseries_f2_large(self, tmp_path):
         code = run(["zseries", "--group", "F2", "--r", "2", "--alpha", "0.75",
                     "--k", "10"], tmp_path, "zf.json")
@@ -849,6 +881,29 @@ class TestExitCodes:
          "no witness in the range has a nonzero l2 norm"),
         ("ratio --group Z --range 4:8 --budget -1",
          "argument --budget: takes an integer of at least 0, not '-1'"),
+        ("fit --group Z --range 4:16 --window 5:1",
+         "--window takes lo:hi with lo <= hi, not '5:1'"),
+        ("report --group Z --range 4:8 --s-list 1,,2",
+         "--s-list takes comma-separated finite numbers, not '1,,2'"),
+        ("report --group Z --range 4:8 --s-list 0.4,nan",
+         "--s-list takes comma-separated finite numbers, not '0.4,nan'"),
+        # a finite group's spheres are empty past its diameter: the witness
+        # short of fit points is named
+        ("report --group C5 --range 4:8",
+         "error: the sphere witness on C5 is nonzero at 0 of its n >= 4; a fit "
+         "needs 3"),
+        ("report --group C1 --range 4:8",
+         "error: the sphere witness on C1 is nonzero at 0 of its n >= 4; a fit "
+         "needs 3"),
+        ("fit --group C5 --witness sphere --range 1:8",
+         "error: the sphere witness on C5 is nonzero at 2 of its n >= 1; a fit "
+         "needs 3"),
+        ("fit --group C5 --witness sphere --range 0:8 --window 2:8",
+         "error: the sphere witness on C5 is nonzero at 1 of its n in 2:8; a "
+         "fit needs 3"),
+        ("fit --group Z --range 4:16 --window 5:6",
+         "error: the ball witness on Z^1 is nonzero at 2 of its n in 5:6; a "
+         "fit needs 3"),
     ])
     def test_range_and_window_parts(self, argv, message, capsys):
         assert run_command(argv.split() + ["--method", "exact"]) == 2
@@ -1115,15 +1170,15 @@ ARTIFACT_DIGESTS = [
     ("zseries --group F2 --r 1 --alpha 1.0 --k 3",
      "9c56992b99c13bbd2c9535c4ad49379f70a00f9cdb73c3d605e17942ee21d008"),
     ("zseries --group Z^2 --r 2 --alpha 0.75 --k 10",
-     "b3c86aca10ba8b2b13be2051c408a9ab69862433ca86662935cfba007c7cdf39"),
+     "23ed9f363368735d7ec63cf6c16ecb3bb1fbd0f5f9814b41bcee0884bc8a0441"),
     ("zseries --group C12 --r 1 --alpha 1.0 --k 8",
      "ec11c41ffc369388bf026ee7f63c0117124d3756750b5cc67185bbad988b3b2e"),
     ("zseries --group Z^1xF2 --r 1 --alpha 1.0 --k 4",
-     "93792d2485a036cf9e86fb6827fbda476659e0c7840e140687d702b7661057bc"),
+     "bb0426a80e721e84565288555d39dca6f4a2adc81041edcc18713c5e7ae193a8"),
     ("zseries --group F2 --r 2 --alpha 1.0 --k 300",
-     "0ae446dffcd2cdcffb4896d62f8291f4e73b403f50bd78bbed50625c52b94e02"),
+     "7f9344956d425da35889b5ffd03664d49bddbea47c05729ce0c04016c8d68c2a"),
     ("zseries --group Z^2 --r 10 --alpha 1.0 --k 20",
-     "481a91ffaaf418574381553a9917a45ecb2737b3a1f510df9dcd9b32d10e58e9"),
+     "1f3472077bb2ea30515e27be80fdd15aa17da9a9dbc325ecab9d7dbf3997fc8a"),
     ("zseries --group F2 --r 2 --alpha 0.54 --k 12",
      "07a46f53be52814cb85d344d3327abb4f2c5d095868815bdbc10463bd0eaed0f"),
     ("zseries --group Z --r 2 --alpha 1.0 --k 8",
@@ -1185,6 +1240,34 @@ class TestDeterminism:
         out = tmp_path / "artifact.json"
         assert run_command(argv.split() + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+        strict_json(out.read_text())
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_json_text_refuses_what_json_cannot_hold(self, value):
+        with pytest.raises(ValueError):
+            rdlab.cli.json_text({"x": value})
+
+    def test_readme_commands_write_strict_json(self, tmp_path, monkeypatch,
+                                               capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## Command line.*?```sh\n(.*?)```", readme, re.S)
+        monkeypatch.chdir(tmp_path)
+        parsed = 0
+        for line in block.group(1).splitlines():
+            argv = shlex.split(line)[1:]
+            assert run_command(argv) == 0, line
+            texts = [capsys.readouterr().out]
+            if "--out" in argv:
+                out = argv[argv.index("--out") + 1]
+                texts += [Path(out).read_text(),
+                          Path(out + ".manifest.json").read_text()]
+            for text in texts:
+                if text.startswith("{"):
+                    strict_json(text)
+                    parsed += 1
+        assert parsed >= 12
 
 
 class TestConsoleEntry:
@@ -1195,3 +1278,14 @@ class TestConsoleEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "3,2,7" in proc.stdout
+
+    def test_package_invocation(self):
+        # python -m rdlab runs rdlab/__main__.py, with the exit code of main
+        for argv, code, out in [(["growth", "--group", "Z", "--radius", "3"],
+                                 0, "3,2,7"),
+                                (["verify", "doubling", "--group", "Z"], 1,
+                                 '"ok": false')]:
+            proc = subprocess.run([sys.executable, "-m", "rdlab"] + argv,
+                                  capture_output=True, text=True)
+            assert proc.returncode == code
+            assert out in proc.stdout

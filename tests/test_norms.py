@@ -8,6 +8,7 @@ import pytest
 
 import rdlab as R
 from rdlab.errors import BudgetExceededError, IndexRadiusError, RdlabError
+from rdlab.norms import _trace_exponents
 
 Z = R.FreeAbelian(1)
 Z2 = R.FreeAbelian(2)
@@ -157,6 +158,13 @@ class TestTracePower:
             R.op_norm_trace_power(s1, exponent=15)
         with pytest.raises(ValueError):
             R.op_norm_trace_power(s1, depth=0)
+
+    @pytest.mark.parametrize("depth", range(1, 13))
+    def test_a_depth_is_the_exponent_two_to_depth_plus_one(self, depth):
+        # one ladder: powers of two below the target, then the target
+        ladder = _trace_exponents(depth, None)
+        assert ladder == _trace_exponents(6, 2 ** (depth + 1))
+        assert ladder == [2 ** j for j in range(depth + 1)]
 
 
 class TestPowerIteration:
