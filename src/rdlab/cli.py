@@ -42,6 +42,7 @@ from .rd import (
     power_domain,
     ratio_series,
     rd_constant_series,
+    require_nonzero,
     standard_embedding,
     standard_embeddings,
     verify_ball_product_bound,
@@ -99,6 +100,17 @@ def parse_budget(text):
     if value < 0:
         raise argparse.ArgumentTypeError(
             f"takes an integer of at least 0, not {text!r}")
+    return value
+
+
+def parse_finite(text):
+    """A float flag's value: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"takes a finite number, not {text!r}")
     return value
 
 
@@ -434,6 +446,8 @@ def _verify_heredity(run, args):
 
 def _verify_divergence(run, args):
     series = _make_series(run, args)
+    require_nonzero(series, (min(parse_range(args.range)), None), 1,
+                    "a C_s trend")
     points, verdict = rd_constant_series(series, args.s)
     ok = verdict == args.expect
     run.emit(json_text({"group": series.group, "s": args.s,
@@ -503,7 +517,7 @@ def build_parser():
     witness = _flags()    # norm has no default witness
     witness.add_argument("--witness", choices=["ball", "sphere", "aN"],
                          default="ball")
-    witness.add_argument("--d-hat", dest="d_hat", type=float, default=None)
+    witness.add_argument("--d-hat", dest="d_hat", type=parse_finite, default=None)
     estimator = _flags()  # the norm_bracket settings (_estimator_settings)
     estimator.add_argument("--method", default="auto",
                            choices=["trace", "power", "exact", "auto", "l1"])
@@ -527,7 +541,7 @@ def build_parser():
     p = sub.add_parser("norm", parents=[group, estimator],
                        help="operator norm bracket of a witness or element")
     p.add_argument("--witness", choices=["ball", "sphere", "aN"])
-    p.add_argument("--d-hat", dest="d_hat", type=float, default=None)
+    p.add_argument("--d-hat", dest="d_hat", type=parse_finite, default=None)
     p.add_argument("--n", type=int)
     p.add_argument("--element", help="path to an element JSON file")
     p.set_defaults(func=cmd_norm)
@@ -547,7 +561,7 @@ def build_parser():
     p = sub.add_parser("zseries", parents=[group], help="power-weighted "
                        "normalized-ball series and its l2 bounds")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=parse_finite, required=True)
     p.add_argument("--k", type=int, required=True, help="truncation K")
     p.set_defaults(func=cmd_zseries)
 
@@ -566,17 +580,17 @@ def build_parser():
                    help="sweep bound for n+k (default 6); not with --n")
     c.add_argument("--n", type=int, help="check the one pair (n, k)")
     c.add_argument("--k", type=int, help="k of the pair (default 6); needs --n")
-    c.add_argument("--min-slack", dest="min_slack", type=float, default=None,
+    c.add_argument("--min-slack", dest="min_slack", type=parse_finite, default=None,
                    help="fail unless the measured min slack reaches this")
     c.set_defaults(func=_verify_lemma1)
 
     c = checks.add_parser("lemma2", parents=[group],
                           help="ball-series product bound")
     c.add_argument("--r", type=int, default=1)
-    c.add_argument("--alpha", type=float, default=1.0)
-    c.add_argument("--beta", type=float, default=1.0)
+    c.add_argument("--alpha", type=parse_finite, default=1.0)
+    c.add_argument("--beta", type=parse_finite, default=1.0)
     c.add_argument("--k", type=int, default=6, help="truncation K")
-    c.add_argument("--min-slack", dest="min_slack", type=float, default=None,
+    c.add_argument("--min-slack", dest="min_slack", type=parse_finite, default=None,
                    help="fail unless the measured min slack reaches this")
     c.set_defaults(func=_verify_lemma2)
 
@@ -595,7 +609,7 @@ def build_parser():
 
     c = checks.add_parser("divergence", parents=[group, witness, estimator],
                           help="C_s divergence trend")
-    c.add_argument("--s", type=float, default=0.4)
+    c.add_argument("--s", type=parse_finite, default=0.4)
     c.add_argument("--range", default="4:64:4")
     c.add_argument("--expect", choices=["divergent", "bounded trend"],
                    default="divergent")

@@ -24,6 +24,9 @@ is what makes deep trace powers on free groups affordable.  One generator,
 ``radial_partial_products``, runs the recursion on numpy arrays: float64 when
 every coefficient is a Python float, else an object array of Python numbers,
 so integer inputs stay exact.  Both give the bits of the plain Python loop.
+
+``window_sums`` adds the O(K^2) sums of the lemma2 series bound on numpy
+row blocks, in the order and to the bits of Python's left-to-right loop.
 """
 
 from __future__ import annotations
@@ -510,3 +513,28 @@ def op_norm_l1_bracket(a):
     return NormEstimate(lower=coefficient_norm(a, "l2"),
                         upper=coefficient_norm(a, "l1"),
                         method="l1_bound", steps=[], converged=False)
+
+
+# Floats per row block of ``window_sums``: each temporary stays near 256 kB.
+WINDOW_BLOCK = 1 << 15
+
+
+def window_sums(values, weights=None):
+    """For each start s, the sum over t of weights[t] * values[s + t] while
+    s + t < len(values) (weights all 1 when None), as Python floats added
+    left to right from t = 0, as ``sum`` adds floats before Python 3.12.
+
+    The terms must be nonnegative: a block of starts is summed at a time, on
+    numpy rows that run past the end of ``values`` on zeros, and ``cumsum``
+    adds along a row in order."""
+    m = len(values)
+    padded = np.concatenate([values, np.zeros(m)])
+    steps = np.arange(m)
+    rows = max(1, WINDOW_BLOCK // max(m, 1))
+    scale = np.ones(m) if weights is None else np.asarray(weights)
+    sums = []
+    for start in range(0, m, rows):
+        starts = np.arange(start, min(start + rows, m))
+        terms = padded[starts[:, None] + steps] * scale
+        sums += np.cumsum(terms, axis=1)[:, -1].tolist()
+    return sums

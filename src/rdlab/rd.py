@@ -64,6 +64,7 @@ from .norms import (
     radial_partial_products,
     radial_rank,
     radial_to_algebra,
+    window_sums,
 )
 
 
@@ -101,7 +102,7 @@ def _witness_weights(witness, n, d_hat):
     if witness == "sphere":
         return [0.0] * n + [1.0]
     if witness == "aN":
-        if d_hat is None or d_hat <= 0:
+        if d_hat is None or not d_hat > 0:
             raise ValueError("the aN witness needs d_hat > 0")
         return [0.0] + [(1.0 + m) ** (-d_hat) for m in range(1, n + 1)]
     raise ValueError(f"unknown witness {witness!r}")
@@ -292,14 +293,21 @@ def fit_loglog(pairs, window=(4, None)):
 def fit_exponent(series: RatioSeries, window=(4, None), which="lower"):
     """Fit the series' ratios over ``window``; fewer than FIT_POINTS n there
     with a nonzero witness raise ValueError naming the witness."""
+    require_nonzero(series, window, FIT_POINTS, "a fit")
+    return fit_loglog(((e.n, e.ratio(which)) for e in series.entries), window)
+
+
+def require_nonzero(series: RatioSeries, window, need, use):
+    """ValueError naming the witness unless ``series`` has ``need`` n in
+    ``window`` (lo, hi), hi None for no upper end; the series holds only the
+    n whose witness is nonzero."""
     lo, hi = window
     nonzero = sum(e.n >= lo and (hi is None or e.n <= hi) for e in series.entries)
-    if nonzero < FIT_POINTS:
+    if nonzero < need:
         where = f">= {lo}" if hi is None else f"in {lo}:{hi}"
         raise ValueError(
             f"the {series.witness} witness on {series.group} is nonzero at "
-            f"{nonzero} of its n {where}; a fit needs {FIT_POINTS}")
-    return fit_loglog(((e.n, e.ratio(which)) for e in series.entries), window)
+            f"{nonzero} of its n {where}; {use} needs {need}")
 
 
 # the growth last/first of C_s(n) that rd_constant_series calls divergent
@@ -500,7 +508,7 @@ def build_ball_series(spec, r, alpha, K, index: LengthIndex = None):
     range raise BudgetExceededError."""
     if r < 1 or K < 1:
         raise ValueError("r and K must be >= 1")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be > 0")
     top = r * K
     spheres = sphere_sizes(spec, top, index)
@@ -574,26 +582,25 @@ def verify_series_product_bound(spec, r, alpha, beta, K,
     lives.  Outside it the right side is 0 and the product is nonnegative,
     so the bound holds there and ``ok`` reads the slack inside only.
     """
-    if alpha <= 0 or beta <= 0 or alpha + beta <= 1:
+    if not (alpha > 0 and beta > 0 and alpha + beta > 1):
         raise ValueError("need alpha, beta > 0 with alpha + beta > 1")
     za = build_ball_series(spec, r, alpha, K, index)
     zb = build_ball_series(spec, r, beta, K, index)
 
-    weights = [sum(k ** (-alpha) * (j + k) ** (-beta) for k in range(1, K - j + 1))
-               for j in range(1, K)]
-
-    # the right side by sphere radius; it is 0 past r(K-1)
-    rhs = [0.0] * (r * (K - 1) + 1)
-    for j, w in enumerate(weights, start=1):
-        c = w / math.sqrt(za.ball_size_at_rk[j - 1])
-        for i in range(r * j + 1):
-            rhs[i] += c
+    # weights[j-1] = sum_{k <= K-j} k^-alpha (j+k)^-beta, for j = 1..K-1
+    weights = window_sums([n ** (-beta) for n in range(2, K + 1)],
+                          [k ** (-alpha) for k in range(1, K)])
+    # the right side on S_i is the sum over j >= i/r of weights[j-1] /
+    # ||chi(B_{rj})||_2, added from the least j; it is 0 past r(K-1)
+    from_j = window_sums([w / math.sqrt(size) for w, size
+                          in zip(weights, za.ball_size_at_rk)]) + [0.0]
+    rhs = [from_j[0]] + [from_j[(i - 1) // r] for i in range(1, r * (K - 1) + 1)]
     min_slack = _product_slack(za.function, zb.function, rhs, index, budget)
 
     power = alpha + beta
-    tails = [(j, sum((j + k) ** (-power) for k in range(1, K - j + 1)),
-              j ** (-(power - 1.0)) / (power - 1.0))
-             for j in range(1, K)]
+    tail_sums = window_sums([n ** (-power) for n in range(2, K + 1)])
+    tails = [(j, tail, j ** (-(power - 1.0)) / (power - 1.0))
+             for j, tail in enumerate(tail_sums, start=1)]
     return SeriesProductReport(ok=min_slack >= GEQ_TOLERANCE,
                                min_slack=min_slack, tail_comparison=tails)
 
@@ -618,7 +625,7 @@ def harmonic_sphere_sum(spec, d_hat, N, index: LengthIndex = None):
     n^(d-1)); with d_hat too large the doubling increments S(2m) - S(m) die
     out, which is how a wrong exponent shows up.
     """
-    if d_hat <= 0:
+    if not d_hat > 0:
         raise ValueError("d_hat must be > 0")
     if N < 1:
         raise ValueError("N must be >= 1")

@@ -904,10 +904,30 @@ class TestExitCodes:
         ("fit --group Z --range 4:16 --window 5:6",
          "error: the ball witness on Z^1 is nonzero at 2 of its n in 5:6; a "
          "fit needs 3"),
+        ("verify divergence --group C5 --witness sphere --range 4:8",
+         "error: the sphere witness on C5 is nonzero at 0 of its n >= 4; a "
+         "C_s trend needs 1"),
     ])
     def test_range_and_window_parts(self, argv, message, capsys):
         assert run_command(argv.split() + ["--method", "exact"]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        ("verify lemma2 --group Z --alpha nan", "--alpha", "nan"),
+        ("verify lemma2 --group Z --beta inf", "--beta", "inf"),
+        ("verify lemma2 --group Z --min-slack=-inf", "--min-slack", "-inf"),
+        ("verify lemma1 --group Z --min-slack nan", "--min-slack", "nan"),
+        ("zseries --group Z --r 1 --alpha inf --k 5", "--alpha", "inf"),
+        ("ratio --group Z --witness aN --d-hat nan --range 1:3 --method exact",
+         "--d-hat", "nan"),
+        ("norm --group Z --witness aN --d-hat 1e999 --n 3", "--d-hat", "1e999"),
+        ("verify divergence --group Z --s nan --range 4:8", "--s", "nan"),
+        ("verify divergence --group Z --s 0.4x --range 4:8", "--s", "0.4x"),
+    ])
+    def test_float_flags_take_finite_numbers(self, argv, flag, value, capsys):
+        assert run_command(argv.split()) == 2
+        assert (f"argument {flag}: takes a finite number, not {value!r}"
+                in capsys.readouterr().err)
 
 
 Z1F2 = R.parse_descriptor("Z^1xF2")

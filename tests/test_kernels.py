@@ -7,6 +7,9 @@ On free groups ``radial_convolve`` runs the sphere recursion on arrays; it must
 give the list recursion's numbers, bit for bit and of the same Python types.
 The ball product counts of ``ball_pair_counts`` must be the coefficients of
 the convolution of two balls, gathered on int64 rows or from length dicts.
+The ball cache records of Z^d and H3 come from per-column word tables; they
+must be the text the ``%`` template wrote.  The O(K^2) sums of ``verify
+lemma2`` run on numpy row blocks; they must be the floats its loops added.
 """
 
 import math
@@ -19,9 +22,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rdlab as R
-from rdlab import algebra, norms, rd
+from rdlab import algebra, cache, norms, rd
 from rdlab.cli import run_command
 from rdlab.errors import BudgetExceededError, IndexRadiusError
+from rdlab.groups import COORD_LIMIT
 
 H3 = R.DiscreteHeisenberg()
 SPECS = [R.FreeAbelian(1), R.FreeAbelian(2), R.FreeAbelian(3), H3]
@@ -608,3 +612,115 @@ def test_integer_products_past_the_float_range_are_infinite():
     x = R.free_radial(2, [0] * 700 + [1])
     assert norms.radial_inner(x, x) == math.inf
     assert norms.radial_inner(x, R.free_radial(2, [0] * 700 + [-1])) == -math.inf
+
+
+def percent_records(table):
+    """The record lines ``cache._records`` wrote by one ``%`` template, a
+    block of RECORD_BLOCK rows at a time, before its word tables."""
+    record = ",".join(["%d"] * (table.shape[1] - 1)) + "\t%d\n"
+    blocks = np.split(table, range(cache.RECORD_BLOCK, len(table), cache.RECORD_BLOCK))
+    return "".join((record * len(block)) % tuple(block.ravel().tolist())
+                   for block in blocks)
+
+
+ENTRY_LIMIT = COORD_LIMIT - 1
+# signs, 0, the coordinate limit (entries of 11 and 12 characters, two
+# words) and 8-character entries, one byte past a word with the separator
+RECORD_VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([0, -1, 9, -10, ENTRY_LIMIT, -ENTRY_LIMIT, 12345678,
+                     -1234567]),
+    st.integers(-ENTRY_LIMIT, ENTRY_LIMIT))
+# a block size the drawn tables straddle; the kernel's own block is met by
+# test_record_blocks_straddle
+SMALL_BLOCK = 4
+
+
+@st.composite
+def record_tables(draw):
+    """An int64 table of 2-5 columns and 0 to 13 rows; a wide value makes a
+    column's span longer than the table."""
+    width = draw(st.integers(2, 5))
+    count = draw(st.integers(0, 3 * SMALL_BLOCK + 1))
+    cells = draw(st.lists(RECORD_VALUES, min_size=count * width,
+                          max_size=count * width))
+    return np.array(cells, dtype=np.int64).reshape(count, width)
+
+
+@settings(max_examples=200)
+@given(record_tables())
+@example(np.zeros((0, 3), dtype=np.int64))
+@example(np.array([[ENTRY_LIMIT, -ENTRY_LIMIT, 0]], dtype=np.int64))
+def test_record_kernel_matches_the_percent_template(table):
+    with mock.patch.object(cache, "RECORD_BLOCK", SMALL_BLOCK):
+        assert cache._records(list(table.T)) == percent_records(table)
+    # a word table has at most one row more than its column
+    for column in table.T if len(table) else ():
+        assert len(cache._column_words(column, ",")[0]) <= len(column) + 1
+
+
+@pytest.mark.parametrize("count", [cache.RECORD_BLOCK - 1, cache.RECORD_BLOCK,
+                                   cache.RECORD_BLOCK + 1])
+def test_record_blocks_straddle(count):
+    # narrow columns take the span table, wide ones the distinct values
+    rng = np.random.default_rng(count)
+    narrow = rng.integers(-3, 4, size=(count, 2))
+    wide = rng.choice(np.array([ENTRY_LIMIT, -ENTRY_LIMIT, 12345678, -1234567, 0]),
+                      size=(count, 2))
+    table = np.column_stack([narrow[:, 0], wide[:, 0], narrow[:, 1], wide[:, 1]])
+    assert cache._records(list(table.T)) == percent_records(table)
+
+
+def left_sum(terms):
+    """``sum`` of floats before Python 3.12, which adds left to right from 0;
+    from 3.12 ``sum`` compensates, so the reference spells the loop out."""
+    total = 0
+    for term in terms:
+        total += term
+    return total
+
+
+def loop_series_product_sums(r, alpha, beta, K, ball_size_at_rk):
+    """The right side and the tail comparison of ``verify lemma2`` as its
+    loops computed them before its numpy row blocks."""
+    weights = [left_sum(k ** (-alpha) * (j + k) ** (-beta) for k in range(1, K - j + 1))
+               for j in range(1, K)]
+    rhs = [0.0] * (r * (K - 1) + 1)
+    for j, w in enumerate(weights, start=1):
+        c = w / math.sqrt(ball_size_at_rk[j - 1])
+        for i in range(r * j + 1):
+            rhs[i] += c
+    power = alpha + beta
+    tails = [(j, left_sum((j + k) ** (-power) for k in range(1, K - j + 1)),
+              j ** (-(power - 1.0)) / (power - 1.0))
+             for j in range(1, K)]
+    return rhs, tails
+
+
+def float_bits(values):
+    return [(type(v), v.hex()) if isinstance(v, float) else v for v in values]
+
+
+def assert_lemma2_sums_match_the_loops(spec, r, alpha, beta, K):
+    with mock.patch.object(rd, "_product_slack", return_value=0.0) as slack:
+        report = rd.verify_series_product_bound(spec, r, alpha, beta, K)
+    series = rd.build_ball_series(spec, r, alpha, K)
+    rhs, tails = loop_series_product_sums(r, alpha, beta, K, series.ball_size_at_rk)
+    assert float_bits(slack.call_args.args[2]) == float_bits(rhs)
+    assert ([float_bits(row) for row in report.tail_comparison]
+            == [float_bits(row) for row in tails])
+
+
+@pytest.mark.parametrize("spec", [R.FreeAbelian(1), R.FreeGroup(2)], ids=str)
+@pytest.mark.parametrize("r, alpha, beta, K", [
+    (1, 1.0, 1.0, 600), (2, 1.0, 1.0, 300), (1, 0.7, 0.6, 200),
+    (3, 1.3, 0.2, 50), (1, 1.0, 1.0, 2), (2, 1.0, 1.0, 1), (1, 1, 2, 40)])
+def test_lemma2_sums_match_the_loops(spec, r, alpha, beta, K):
+    assert_lemma2_sums_match_the_loops(spec, r, alpha, beta, K)
+
+
+@given(st.integers(1, 3), st.floats(0.05, 4.0), st.floats(0.05, 4.0),
+       st.integers(1, 60))
+def test_lemma2_sums_match_the_loops_on_drawn_exponents(r, alpha, beta, K):
+    assume(alpha + beta > 1)
+    assert_lemma2_sums_match_the_loops(R.FreeAbelian(2), r, alpha, beta, K)

@@ -609,6 +609,17 @@ class TestSeriesProductBound:
         with pytest.raises(ValueError):
             R.verify_series_product_bound(F2, 2, 0.4, 0.5, 4)
 
+    @pytest.mark.parametrize("call", [
+        lambda: R.verify_series_product_bound(Z, 1, math.nan, 1.0, 3),
+        lambda: R.verify_series_product_bound(Z, 1, 1.0, math.nan, 3),
+        lambda: R.build_ball_series(Z, 1, math.nan, 3),
+        lambda: R.harmonic_sphere_sum(Z, math.nan, 8),
+        lambda: make_witness(F2, "aN", 3, d_hat=math.nan),
+    ], ids=["alpha", "beta", "series", "sphere sum", "aN"])
+    def test_nan_exponents_are_refused(self, call):
+        with pytest.raises(ValueError, match="> 0"):
+            call()
+
 
 class TestSphereSum:
     def test_z_harmonic(self, z_index):
