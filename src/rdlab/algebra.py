@@ -11,8 +11,10 @@ storage would buy nothing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -490,6 +492,13 @@ def adjoint(a: AlgebraElement):
                           support_radius=a.support_radius)
 
 
+def float_sum(values, start=0):
+    """``start`` plus ``values`` added left to right, as builtin ``sum`` adds
+    before Python 3.12, whose float sum compensates: a float result has the
+    same bits on every supported Python."""
+    return functools.reduce(operator.add, values, start)
+
+
 def norm(a: AlgebraElement, kind, index: LengthIndex = None):
     """Norms on coefficients: kind is "l1", "l2", or ("l2s", s).
 
@@ -497,9 +506,9 @@ def norm(a: AlgebraElement, kind, index: LengthIndex = None):
     lengths: either a closed form or an index covering the support.
     """
     if kind == "l1":
-        return sum((abs(c) for c in a.coeffs.values()), 0.0)
+        return float_sum(map(abs, a.coeffs.values()), 0.0)
     if kind == "l2":
-        return math.sqrt(sum(c * c for c in a.coeffs.values()))
+        return math.sqrt(float_sum(c * c for c in a.coeffs.values()))
     if isinstance(kind, tuple) and kind[0] == "l2s":
         s = float(kind[1])
         if s < 0:

@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import asdict
@@ -112,6 +113,20 @@ def parse_finite(text):
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"takes a finite number, not {text!r}")
     return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes a negative number in exponent form or a
+    negative infinity or nan (``-1e-9``, ``-inf``) after a space as a flag's
+    value, as it takes ``-12`` and ``-1.5``, rather than as an unknown
+    option; ``parse_finite`` then refuses the values that are not finite."""
+
+    NEGATIVE_NUMBER = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self.NEGATIVE_NUMBER
 
 
 class _LazyIndex:
@@ -414,9 +429,10 @@ def _verify_lemma2(run, args):
 
 
 def _verify_doubling(run, args):
+    # a descriptor names a group on its standard generators, whose ball
+    # sizes are closed: the check reads no index
     spec = run.spec = parse_descriptor(args.group)
-    index = run.index(spec, args.r * (args.k + 1))
-    min_ratio, ok = verify_doubling(spec, args.r, args.k, index)
+    min_ratio, ok = verify_doubling(spec, args.r, args.k)
     run.emit(json_text({"group": spec.descriptor(), "check": "doubling",
                         "r": args.r, "k_max": args.k,
                         "min_ratio": min_ratio, "ok": ok}),
@@ -493,25 +509,27 @@ def _flags(*parents):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rdlab",
         description="growth, convolution, and operator-norm measurements for "
                     "the rapid decay property")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = _flags()     # every subcommand
-    common.add_argument("--out", help="artifact path; a manifest is written "
-                                      "next to it")
+    out = _flags()        # every subcommand
+    out.add_argument("--out", help="artifact path; a manifest is written "
+                                   "next to it")
+    common = _flags(out)  # every subcommand that may read a ball index
     common.add_argument("--cache-dir", dest="cache_dir",
                         help="ball cache directory")
     common.add_argument("--budget", type=parse_budget, default=DEFAULT_BUDGET,
                         help="budget on the elements enumerated, the "
                              "support of a convolution and the entries of "
                              "each lemma1 table of counts")
-    group = _flags(common)
-    group.add_argument("--group", required=True,
+    named = _flags()
+    named.add_argument("--group", required=True,
                        help='group descriptor, e.g. Z, Z^2, H3, F2, C12, Z^1xF2')
+    group = _flags(common, named)
     csv = _flags()        # report writes JSON by default
     csv.add_argument("--format", choices=["csv", "json"], default="csv")
     witness = _flags()    # norm has no default witness
@@ -594,7 +612,7 @@ def build_parser():
                    help="fail unless the measured min slack reaches this")
     c.set_defaults(func=_verify_lemma2)
 
-    c = checks.add_parser("doubling", parents=[group],
+    c = checks.add_parser("doubling", parents=[out, named],
                           help="l2 doubling of the balls B_{rk}")
     c.add_argument("--r", type=int, default=1)
     c.add_argument("--k", type=int, default=6, help="largest k")

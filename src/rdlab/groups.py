@@ -2,8 +2,9 @@
 
 Each group comes with a canonical element form, a symmetric generating set,
 and the closed forms it has: the word-length and the sphere sizes of Z^d,
-F_r, C_m and their products live on the group classes, valid on the standard
-generators only.  Balls and spheres are enumerated by breadth-first search
+F_r, C_m and their products, and the sphere sizes of H3 and of products with
+an H3 factor, live on the group classes, valid on the standard generators
+only.  Balls and spheres are enumerated by breadth-first search
 over the generating set; the result is a :class:`LengthIndex` that the
 algebra and analysis layers consume.  ``word_length``, ``sphere_sizes`` and
 ``ball_sizes`` answer from the closed form, else from an index.
@@ -275,9 +276,8 @@ class DiscreteHeisenberg(IntegerTupleGroup):
     """Integer Heisenberg group on triples with standard generators x, y.
 
     Product rule: (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b').  The center is
-    generated by z = (0,0,1) = x y x^-1 y^-1.  There is no implemented closed
-    form for the word-length or the sphere sizes; both go through a
-    LengthIndex.
+    generated by z = (0,0,1) = x y x^-1 y^-1.  The sphere sizes have a closed
+    form; the word-length has none, and goes through a LengthIndex.
     """
 
     X = (1, 0, 0)
@@ -315,6 +315,18 @@ class DiscreteHeisenberg(IntegerTupleGroup):
         z_word = [x, y, xi, yi] if twists > 0 else [y, x, yi, xi]
         word += z_word * abs(twists)
         return word
+
+    def _sphere_formula(self, up_to):
+        # Shapiro (1989, Math. Ann. 285) gives the rational growth series
+        # (1 + z + 4z^2 + 11z^3 + 8z^4 + 21z^5 + 6z^6 + 9z^7 + z^8)
+        #   / ((1 - z)^4 (1 + z^2) (1 + z + z^2));
+        # past its first nine terms the sizes follow the denominator's
+        # recurrence, |S_n| = 3|S_n-1| - 4|S_n-2| + ... - |S_n-8|
+        sizes = [1, 4, 12, 36, 82, 164, 294, 476, 724]
+        recurrence = (3, -4, 5, -6, 5, -4, 3, -1)
+        for _ in range(len(sizes), up_to + 1):
+            sizes.append(sum(map(operator.mul, recurrence, sizes[:-9:-1])))
+        return sizes[: up_to + 1]
 
     def descriptor(self):
         return "H3"

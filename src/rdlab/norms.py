@@ -37,7 +37,14 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import AlgebraElement, adjoint, convolve, norm, product_keys
+from .algebra import (
+    AlgebraElement,
+    adjoint,
+    convolve,
+    float_sum,
+    norm,
+    product_keys,
+)
 from .errors import BudgetExceededError, IndexRadiusError, RdlabError
 from .groups import DEFAULT_BUDGET, FreeGroup, GroupSpec, LengthIndex
 
@@ -252,9 +259,9 @@ def _as_float(value):
 
 
 def radial_inner(x: RadialElement, y: RadialElement):
-    return sum(_as_float(cx * cy) * _as_float(s)
-               for cx, cy, s in zip(x.coeffs, y.coeffs, x.sizes)
-               if cx != 0.0 and cy != 0.0)
+    return float_sum(_as_float(cx * cy) * _as_float(s)
+                     for cx, cy, s in zip(x.coeffs, y.coeffs, x.sizes)
+                     if cx != 0.0 and cy != 0.0)
 
 
 def coefficient_norm(x, kind):
@@ -263,8 +270,8 @@ def coefficient_norm(x, kind):
     if not isinstance(x, RadialElement):
         return norm(x, kind)
     if kind == "l1":
-        return sum((abs(c) * _as_float(s)
-                    for c, s in zip(x.coeffs, x.sizes) if c != 0.0), 0.0)
+        return float_sum((abs(c) * _as_float(s)
+                          for c, s in zip(x.coeffs, x.sizes) if c != 0.0), 0.0)
     if kind == "l2":
         return math.sqrt(radial_inner(x, x))
     raise ValueError(f"unknown norm kind {kind!r}")
@@ -286,7 +293,8 @@ class _DenseOps:
     @staticmethod
     def inner(x, y):
         small, big = (x, y) if len(x.coeffs) <= len(y.coeffs) else (y, x)
-        return sum(c * big.coeffs.get(g, 0.0) for g, c in small.coeffs.items())
+        return float_sum(c * big.coeffs.get(g, 0.0)
+                         for g, c in small.coeffs.items())
 
     @staticmethod
     def trace(x):

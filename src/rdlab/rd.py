@@ -39,6 +39,7 @@ from .algebra import (
     GEQ_TOLERANCE,
     ball_product_minima,
     convolve,
+    float_sum,
 )
 from .errors import BudgetExceededError, CoverageError
 from .groups import (
@@ -273,13 +274,13 @@ def fit_loglog(pairs, window=(4, None)):
         raise ValueError("degenerate fit window: no spread in n")
     ys = [math.log(y) for _, y in pts]
     m = len(pts)
-    mean_x = sum(xs) / m
-    mean_y = sum(ys) / m
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
+    mean_x = float_sum(xs) / m
+    mean_y = float_sum(ys) / m
+    sxx = float_sum((x - mean_x) ** 2 for x in xs)
+    slope = float_sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
     intercept = mean_y - slope * mean_x
-    ss_res = sum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - mean_y) ** 2 for y in ys)
+    ss_res = float_sum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys))
+    ss_tot = float_sum((y - mean_y) ** 2 for y in ys)
     # constant data (ss_tot at float-dust level) is fit perfectly by slope 0
     if ss_tot <= 1e-20 * max(1.0, mean_y * mean_y) * m:
         r2 = 1.0
@@ -548,7 +549,7 @@ def ball_series_l2_bounds(series: BallSeries):
     truncation balls, the ``doubling_ratios`` of the pairs k = 1..K-1;
     ``doubling_ok`` reports whether that held, and holds vacuously at K = 1.
     """
-    diag = sum(k ** (-2.0 * series.alpha) for k in range(1, series.K + 1))
+    diag = float_sum(k ** (-2.0 * series.alpha) for k in range(1, series.K + 1))
     min_ratio = min(_l2_ratios(series.spec, series.r, series.ball_size_at_rk),
                     default=None)
     return SeriesL2Bounds(lower=diag,

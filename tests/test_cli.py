@@ -168,7 +168,8 @@ class TestFlags:
         "verify lemma1": COMMON | {"--radius", "--n", "--k", "--min-slack"},
         "verify lemma2": COMMON | {"--r", "--alpha", "--beta", "--k",
                                    "--min-slack"},
-        "verify doubling": COMMON | {"--r", "--k"},
+        # ball sizes alone, closed on every descriptor: no index to read
+        "verify doubling": {"--group", "--out", "--r", "--k"},
         "verify heredity": COMMON - {"--group"} | ESTIMATOR | {"--embedding",
                                                                "--range"},
         "verify divergence": COMMON | WITNESS | ESTIMATOR | {"--s", "--range",
@@ -223,9 +224,13 @@ class TestFlags:
         ("norm", ["norm --group H3 --witness ball --n 1 --method power --R 2 "
                   "--iters 5"]),
         ("ratio", ["ratio --group H3 --range 1:2 --method trace --depth 1"]),
-        ("fit", ["fit --group H3 --range 2:5 --method exact"]),
+        # closed sizes read no index: a dense method reads --cache-dir and
+        # --budget
+        ("fit", ["fit --group H3 --range 2:5 --method exact",
+                 "fit --group H3 --range 2:5 --method trace --depth 1"]),
         ("zseries", ["zseries --group H3 --r 1 --alpha 1.0 --k 3"]),
-        ("report", ["report --group H3 --range 2:6 --method exact"]),
+        ("report", ["report --group H3 --range 2:6 --method exact",
+                    "report --group H3 --range 2:6 --method trace --depth 1"]),
         ("cache build", ["cache build --group Z --radius 2 --cache-dir {tmp}"]),
         ("verify lemma1", ["verify lemma1 --group H3 --radius 3",
                            "verify lemma1 --group H3 --n 1 --k 1"]),
@@ -234,7 +239,9 @@ class TestFlags:
         ("verify heredity", ["verify heredity --embedding Z:Z --range 4:4 "
                              "--method trace --depth 1"]),
         ("verify divergence", ["verify divergence --group H3 --range 2:6:2 "
-                               "--method exact"]),
+                               "--method exact",
+                               "verify divergence --group H3 --range 2:6:2 "
+                               "--method trace --depth 1"]),
         ("cache check", ["cache check --group Z --radius 2 --cache-dir {tmp}"]),
     ])
     def test_every_accepted_flag_is_read(self, name, argvs, tmp_path, capsys):
@@ -257,6 +264,8 @@ class TestFlags:
         "norm --group Z --witness ball --n 2 --format csv",
         "zseries --group Z --r 1 --alpha 1.0 --k 3 --format csv",
         "growth --group Z --radius 2 --seed 1",
+        "verify doubling --group H3 --k 2 --budget 10",
+        "verify doubling --group H3 --k 2 --cache-dir {tmp}",
         "cache build --group Z --radius 2 --cache-dir {tmp} --seed 1",
         "cache build --group Z --radius 3 --cache-dir {tmp} --file x",
         "cache check --file {tmp}/x --group Z --radius 3",
@@ -566,11 +575,13 @@ class TestIndexPlanning:
         assert index_calls["get_index"] == [("Z^1", 13)]
         assert {group for group, _ in index_calls["enumerate"]} == {"Z^1"}
 
+    # radius None: the command needs sphere sizes alone, which are closed,
+    # and reads no index
     @pytest.mark.parametrize("argv,radius", [
         ("ratio --group H3 --witness sphere --range 1:3 --method trace "
          "--depth 2", 3),
-        ("fit --group H3 --range 2:5 --method exact", 5),
-        ("report --group H3 --range 2:6 --method exact", 6),
+        ("fit --group H3 --range 2:5 --method exact", None),
+        ("report --group H3 --range 2:6 --method exact", None),
         ("norm --group H3 --witness ball --n 2 --method trace --depth 2", 2),
         ("norm --group H3 --witness ball --n 2 --method power --R 4 "
          "--iters 20", 4),
@@ -578,20 +589,33 @@ class TestIndexPlanning:
         ("verify lemma1 --group H3 --radius 4", 4),
         ("verify lemma1 --group H3 --n 2 --k 1", 3),
         ("verify lemma2 --group H3 --r 1 --k 3", 3),
-        ("verify divergence --group H3 --s 0.4 --range 2:6:2 --method exact", 6),
+        ("verify divergence --group H3 --s 0.4 --range 2:6:2 --method exact",
+         None),
         ("ratio --group Z^2 --range 2:5 --method trace --depth 2", 5),
         ("ratio --group Z^1xF2 --range 1:2 --depth 2", 2),  # auto: trace
         ("zseries --group F2 --r 1 --alpha 1.0 --k 7", 7),   # |B_7| = 4,373
         ("zseries --group H3 --r 1 --alpha 1.0 --k 12", 12),
-        ("zseries --group H3 --r 1 --alpha 1.0 --k 13", 13),
+        ("zseries --group H3 --r 1 --alpha 1.0 --k 13", None),  # no element
     ])
     def test_h3_reads_one_index_of_the_radius_used(self, argv, radius,
                                                    index_calls):
         argv = argv.split()
         group = argv[argv.index("--group") + 1]
         assert run_command(argv) == 0
-        assert index_calls["get_index"] == [(group, radius)]
-        assert index_calls["enumerate"] == [(group, radius)]
+        loads = [] if radius is None else [(group, radius)]
+        assert index_calls == {"get_index": loads, "enumerate": loads}
+
+    @pytest.mark.parametrize("argv", [
+        "report --group H3 --range 4:200 --method exact",
+        "fit --group H3 --range 2:500 --method exact",
+        "verify divergence --group H3 --s 0.4 --range 8:400:8 --method exact",
+        "zseries --group H3 --r 1 --alpha 1.0 --k 400",
+    ])
+    def test_h3_sizes_past_the_enumeration_budget(self, argv, index_calls):
+        # |B_59| passes the default budget of 5,000,000 elements; the closed
+        # sizes read no index
+        assert run_command(argv.split()) == 0
+        assert index_calls == {"get_index": [], "enumerate": []}
 
     @pytest.mark.parametrize("group,k,size", [
         ("H3", 12, 8871),
@@ -606,10 +630,20 @@ class TestIndexPlanning:
         element = json.loads((tmp_path / "z.json").read_text())["element"]
         assert (len(element["coeffs"]) if element else None) == size
 
-    def test_h3_doubling_reads_sizes_to_r_times_k_plus_1(self, index_calls):
+    def test_h3_doubling_reads_sizes_to_r_times_k_plus_1(self, index_calls,
+                                                         monkeypatch):
+        asked = []
+        closed = R.DiscreteHeisenberg.closed_sphere_sizes
+
+        def recording(spec, up_to):
+            asked.append(up_to)
+            return closed(spec, up_to)
+        monkeypatch.setattr(R.DiscreteHeisenberg, "closed_sphere_sizes",
+                            recording)
         assert run_command(["verify", "doubling", "--group", "H3",
                             "--r", "1", "--k", "3"]) == 1
-        assert index_calls["get_index"] == [("H3", 4)]
+        assert asked == [4]
+        assert index_calls == {"get_index": [], "enumerate": []}
 
     def test_given_element_reads_the_index_its_support_is_checked_on(
             self, tmp_path, index_calls):
@@ -660,22 +694,23 @@ class TestIndexPlanning:
         data = json.loads((tmp_path / "z.json").read_text())
         assert len(data["element"]["coeffs"]) == R.ball_sizes(R.FreeGroup(2), 3)[3]
 
-    @pytest.mark.parametrize("argv,radius", [
-        ("ratio --group H3 --range 2:6 --method exact", 6),
-        ("ratio --group H3 --witness aN --d-hat 2.0 --range 2:6 --method l1", 6),
-        ("fit --group H3 --range 2:5 --method exact", 5),
-        ("report --group H3 --range 2:6 --method exact", 6),
-        ("norm --group H3 --witness sphere --n 4 --method exact", 4),
-        ("verify divergence --group H3 --s 0.4 --range 2:6:2 --method exact", 6),
+    @pytest.mark.parametrize("argv", [
+        "ratio --group H3 --range 2:6 --method exact",
+        "ratio --group H3 --witness aN --d-hat 2.0 --range 2:6 --method l1",
+        "fit --group H3 --range 2:5 --method exact",
+        "report --group H3 --range 2:6 --method exact",
+        "norm --group H3 --witness sphere --n 4 --method exact",
+        "verify divergence --group H3 --s 0.4 --range 2:6:2 --method exact",
     ])
-    def test_h3_exact_norms_need_no_dense_witness(self, argv, radius,
-                                                  index_calls, monkeypatch):
+    def test_h3_exact_norms_need_no_dense_witness(self, argv, index_calls,
+                                                  monkeypatch):
+        # nor an index: the sphere sizes are closed
         expanded = []
         monkeypatch.setattr(rdlab.rd, "witness_element",
                             lambda *args: expanded.append(args))
         assert run_command(argv.split()) == 0
         assert expanded == []
-        assert index_calls["get_index"] == [("H3", radius)]
+        assert index_calls == {"get_index": [], "enumerate": []}
 
     def test_z2_exact_ratio_reads_no_index(self, tmp_path, index_calls):
         # B_200 of Z^2 has 80,401 elements; the exact norms sum 201 sizes
@@ -923,11 +958,33 @@ class TestExitCodes:
         ("norm --group Z --witness aN --d-hat 1e999 --n 3", "--d-hat", "1e999"),
         ("verify divergence --group Z --s nan --range 4:8", "--s", "nan"),
         ("verify divergence --group Z --s 0.4x --range 4:8", "--s", "0.4x"),
+        # a negative value after a space is the flag's value, not an option
+        ("verify lemma1 --group Z --min-slack -inf", "--min-slack", "-inf"),
+        ("verify lemma2 --group Z --min-slack -Infinity", "--min-slack",
+         "-Infinity"),
+        ("verify lemma2 --group Z --beta -nan", "--beta", "-nan"),
     ])
     def test_float_flags_take_finite_numbers(self, argv, flag, value, capsys):
         assert run_command(argv.split()) == 2
         assert (f"argument {flag}: takes a finite number, not {value!r}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, flag", [
+        ("verify lemma1 --group Z --min-slack {v}", "min_slack"),
+        ("verify lemma2 --group Z --min-slack {v}", "min_slack"),
+        ("verify lemma2 --group Z --alpha {v}", "alpha"),
+        ("verify lemma2 --group Z --beta {v}", "beta"),
+        ("zseries --group Z --r 1 --alpha {v} --k 5", "alpha"),
+        ("ratio --group Z --witness aN --d-hat {v} --range 1:3", "d_hat"),
+        ("norm --group Z --witness aN --d-hat {v} --n 3", "d_hat"),
+        ("fit --group Z --witness aN --d-hat {v} --range 4:8", "d_hat"),
+        ("verify divergence --group Z --s {v} --range 4:8", "s"),
+    ])
+    @pytest.mark.parametrize("value", ["-1e-9", "-2.5E+3", "-.5e1", "-3."])
+    def test_float_flags_take_negative_numbers_after_a_space(self, argv, flag,
+                                                             value):
+        args = build_parser().parse_args(argv.format(v=value).split())
+        assert getattr(args, flag) == float(value)
 
 
 Z1F2 = R.parse_descriptor("Z^1xF2")

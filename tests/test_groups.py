@@ -133,14 +133,17 @@ class TestEnumeration:
             R.enumerate_balls(F2, 6, budget=100)
         assert err.value.radius_reached == 3
 
-    def test_product_without_closed_sizes_reads_the_index(self, h3_index):
-        spec = R.DirectProduct([H3, Z])
+    def test_product_without_closed_sizes_reads_the_index(self):
+        # F2 on a, ab has no closed sphere sizes, and so neither has its
+        # product with Z
+        other = R.FreeGroup(2, generators=["a", "A", "ab", "BA"])
+        spec = R.DirectProduct([other, Z])
         assert spec.closed_sphere_sizes(4) is None
         with pytest.raises(IndexRadiusError):
             R.sphere_sizes(spec, 4)
-        # the Cauchy product of the H3 spheres with |S_0| = 1, |S_n| = 2 of Z
-        h3 = h3_index.sphere_sizes
-        want = [h3[n] + 2 * sum(h3[:n]) for n in range(5)]
+        # the Cauchy product of its spheres with |S_0| = 1, |S_n| = 2 of Z
+        f = R.enumerate_balls(other, 4).sphere_sizes
+        want = [f[n] + 2 * sum(f[:n]) for n in range(5)]
         assert R.sphere_sizes(spec, 4, R.enumerate_balls(spec, 4)) == want
 
     def test_repr_lists_no_elements(self, h3_index):

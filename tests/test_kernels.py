@@ -724,3 +724,22 @@ def test_lemma2_sums_match_the_loops(spec, r, alpha, beta, K):
 def test_lemma2_sums_match_the_loops_on_drawn_exponents(r, alpha, beta, K):
     assume(alpha + beta > 1)
     assert_lemma2_sums_match_the_loops(R.FreeAbelian(2), r, alpha, beta, K)
+
+
+# 1e16 + 1.0 rounds back to 1e16: added left to right these terms sum to
+# 1e16, and to 1e16 + 2 with the compensation builtin sum has from Python 3.12
+LOPSIDED = [1e16, 1.0, 1.0]
+
+
+def test_float_sums_add_left_to_right():
+    assert algebra.float_sum(LOPSIDED) == 1e16
+    assert algebra.float_sum([1e16, 1.0, -1e16, 1.0]) == 1.0
+    z = SPECS[0]
+    a = element(z, {(n,): c for n, c in enumerate(LOPSIDED)})
+    ones = element(z, {(n,): 1.0 for n in range(3)})
+    assert R.norm(a, "l1") == 1e16
+    assert norms._DenseOps.inner(a, ones) == 1e16
+    x = norms.RadialElement(spec=z, coeffs=[1e16, 0.5, 0.5], sizes=[1, 2, 2])
+    y = norms.RadialElement(spec=z, coeffs=[1.0, 1.0, 1.0], sizes=[1, 2, 2])
+    assert norms.coefficient_norm(x, "l1") == 1e16
+    assert norms.radial_inner(x, y) == 1e16

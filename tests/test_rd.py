@@ -23,6 +23,9 @@ H3 = R.DiscreteHeisenberg()
 F2 = R.FreeGroup(2)
 C5 = R.FiniteCyclic(5)
 C12 = R.FiniteCyclic(12)
+# F2 on generators of its own: no closed form holds, so its sphere sizes
+# come from an index
+F2_OTHER = R.FreeGroup(2, generators=["a", "A", "ab", "BA"])
 
 
 def dense_products(monkeypatch):
@@ -34,16 +37,23 @@ def dense_products(monkeypatch):
 class TestGrowthHelpers:
     @pytest.mark.parametrize("spec,radius", [(Z, 12), (Z2, 10), (F2, 8),
                                              (C12, 10),
-                                             (R.DirectProduct([Z, F2]), 6)])
+                                             (R.DirectProduct([Z, F2]), 6),
+                                             (H3, 40),
+                                             (R.parse_descriptor("H3xZ"), 6),
+                                             (R.parse_descriptor("H3xC3"), 6),
+                                             (R.parse_descriptor("H3xF2"), 6)])
     def test_closed_sphere_series_matches_bfs(self, spec, radius):
         index = R.enumerate_balls(spec, radius)
         assert R.sphere_sizes(spec, radius) == index.sphere_sizes
         assert R.ball_sizes(spec, radius) == index.ball_sizes
 
-    def test_heisenberg_needs_index(self, h3_index):
+    def test_other_generators_need_index(self):
         with pytest.raises(IndexRadiusError):
-            R.sphere_sizes(H3, 4)
-        assert R.ball_sizes(H3, 2, h3_index)[2] == 17
+            R.sphere_sizes(F2_OTHER, 4)
+        index = R.enumerate_balls(F2_OTHER, 2)
+        assert R.ball_sizes(F2_OTHER, 2, index) == [1, 5, 17]
+        with pytest.raises(IndexRadiusError):
+            R.sphere_sizes(F2_OTHER, 3, index)
 
 
 class _Loaded(Exception):
@@ -89,30 +99,31 @@ def loaded_radius(spec, method, needs, radius, domain_radius):
 
 
 class TestIndexPlanning:
-    F2_OTHER = R.FreeGroup(2, generators=["a", "A", "ab", "BA"])
-
     @pytest.mark.parametrize("spec,method,needs,radius,want", [
         (F2, "trace", "witness", 5, None),
         (F2, "auto", "witness", 5, None),
         (F2, "power", "witness", 5, 9),
         (F2_OTHER, "trace", "witness", 5, 5),
-        (H3, "exact", "witness", 5, 5),     # sphere sizes need the index
+        (F2_OTHER, "exact", "witness", 5, 5),  # sphere sizes need the index
         (H3, "trace", "witness", 5, 5),
         (Z2, "trace", "element", 5, None),
         (H3, "trace", "element", 5, None),
         (H3, "power", "element", 5, 9),
         (F2, None, "witness", 5, None),     # sphere sizes only
         (Z2, None, "witness", 5, None),
-        (H3, None, "witness", 5, 5),
+        (F2_OTHER, None, "witness", 5, 5),
         (F2, None, "series", 7, 7),        # |B_7| = 4373: element attached
         (F2, None, "series", 8, None),     # |B_8| = 13121
-        (H3, None, "series", 30, 30),
+        (Z2, None, "series", 30, 30),      # |B_30| = 1861: element attached
         (Z2, "auto", "witness", 5, None),   # amenable: exact from sphere sizes
         (C12, "auto", "witness", 5, None),  # amenable, closed-form sizes
         (R.DirectProduct([Z, F2]), "auto", "witness", 5, 5),  # convolves
         (Z2, "exact", "witness", 5, None),
         (Z2, "l1", "witness", 5, None),
         (Z2, "trace", "witness", 5, 5),
+        (H3, "exact", "witness", 5, None),  # closed sphere sizes
+        (H3, None, "witness", 5, None),
+        (H3, None, "series", 30, None),     # |B_30| = 345,149
     ])
     def test_planner(self, spec, method, needs, radius, want):
         # the index each computation loads lazily, with --R 9
@@ -129,7 +140,7 @@ class TestIndexPlanning:
         write_ball_cache(R.enumerate_balls(F2, 3), path)
         assert (read_ball_cache(path, spec, 3).spheres
                 == R.enumerate_balls(F2, 3).spheres)
-        other = self.F2_OTHER
+        other = F2_OTHER
         assert not other.has_standard_generators() and other != F2
         assert other.closed_sphere_sizes(4) is None
         # the same sphere sizes, so the first record that differs is named
