@@ -1,13 +1,13 @@
 """Concrete finitely generated groups with word-lengths and ball enumeration.
 
 Each group comes with a canonical element form, a symmetric generating set,
-and the closed forms it has: the word-length and the sphere sizes of Z^d,
-F_r, C_m and their products, and the sphere sizes of H3 and of products with
-an H3 factor, live on the group classes, valid on the standard generators
-only.  Balls and spheres are enumerated by breadth-first search
-over the generating set; the result is a :class:`LengthIndex` that the
-algebra and analysis layers consume.  ``word_length``, ``sphere_sizes`` and
-``ball_sizes`` answer from the closed form, else from an index.
+and, on the standard generators, its rational growth series sum |S_n| z^n
+= P(z)/Q(z), whose division gives every sphere size, and the word-length of
+Z^d, F_r, C_m and their products.  Balls and spheres are enumerated by
+breadth-first search over the generating set; the result is a
+:class:`LengthIndex` that the algebra and analysis layers consume.
+``word_length``, ``sphere_sizes`` and ``ball_sizes`` answer from the closed
+forms, else from an index.
 
 Z^d and H3 (:class:`IntegerTupleGroup`, on any generating set) have an array
 law, and their search runs sphere by sphere on int64 coordinate columns:
@@ -74,14 +74,16 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 EMBED_SAMPLES = 200
 EMBED_SEED = 0
 
+_SERIES_TERMS = {}  # (P, Q) -> the sphere sizes computed so far
+
 
 class GroupSpec:
     """A concrete group: element arithmetic plus a symmetric generating set.
 
-    Subclasses supply the group law on canonical values, and the closed
-    forms they have as ``_length_formula`` and ``_sphere_formula``.  A custom
-    symmetric generating set may be passed to the constructor; doing so
-    disables the closed forms (they are only valid for the standard set).
+    Subclasses supply the group law on canonical values, the growth series
+    as ``_growth_series`` and any word-length formula as ``_length_formula``.
+    A custom symmetric generating set may be passed to the constructor; doing
+    so disables the closed forms (they are only valid for the standard set).
     The standard set passed in any order is no custom set.
     """
 
@@ -143,18 +145,31 @@ class GroupSpec:
         return self._closed(self._length_formula, g)
 
     def closed_sphere_sizes(self, up_to):
-        """|S_0..S_up_to| from a closed form, or None."""
-        return self._closed(self._sphere_formula, up_to)
+        """|S_0..S_up_to| as a new list, or None: the terms of the growth
+        series P/Q, s_n = P_n - sum_{k >= 1} Q_k s_{n-k}, extending the terms
+        each series keeps in ``_SERIES_TERMS``."""
+        if (series := self.growth_series()) is None:
+            return None
+        P, Q = series
+        sizes = _SERIES_TERMS.setdefault(series, [])
+        for n in range(len(sizes), up_to + 1):
+            head = P[n] if n < len(P) else 0
+            sizes.append(head - sum(map(operator.mul, Q[1:], sizes[: -len(Q): -1])))
+        return sizes[: up_to + 1]
 
-    def _closed(self, formula, arg):
+    def growth_series(self):
+        """Integer tuples (P, Q), Q[0] = 1, with P/Q = sum |S_n| z^n, or None."""
+        return self._closed(self._growth_series)
+
+    def _closed(self, formula, *args):
         # the one guard: closed forms hold for the standard generators only
-        return formula(arg) if self.has_standard_generators() else None
+        return formula(*args) if self.has_standard_generators() else None
 
     def _length_formula(self, g):
         return None
 
-    def _sphere_formula(self, up_to):
-        return None
+    def _growth_series(self):
+        raise NotImplementedError
 
     def element_key(self, g):
         raise NotImplementedError
@@ -257,12 +272,10 @@ class FreeAbelian(IntegerTupleGroup):
     def _length_formula(self, g):
         return sum(abs(x) for x in g)
 
-    def _sphere_formula(self, up_to):
-        # points with i nonzero coordinates: their places, signs and sizes
-        d = self.rank
-        return [1] + [sum(2 ** i * math.comb(d, i) * math.comb(n - 1, i - 1)
-                          for i in range(1, min(d, n) + 1))
-                      for n in range(1, up_to + 1)]
+    def _growth_series(self):
+        # ((1 + z) / (1 - z))^d, the d-th power of Z's series
+        return (_poly_product([(1, 1)] * self.rank),
+                _poly_product([(1, -1)] * self.rank))
 
     def descriptor(self):
         return f"Z^{self.rank}"
@@ -276,8 +289,8 @@ class DiscreteHeisenberg(IntegerTupleGroup):
     """Integer Heisenberg group on triples with standard generators x, y.
 
     Product rule: (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b').  The center is
-    generated by z = (0,0,1) = x y x^-1 y^-1.  The sphere sizes have a closed
-    form; the word-length has none, and goes through a LengthIndex.
+    generated by z = (0,0,1) = x y x^-1 y^-1.  Its growth series is Shapiro's;
+    the word-length has no closed form, and goes through a LengthIndex.
     """
 
     X = (1, 0, 0)
@@ -316,17 +329,12 @@ class DiscreteHeisenberg(IntegerTupleGroup):
         word += z_word * abs(twists)
         return word
 
-    def _sphere_formula(self, up_to):
-        # Shapiro (1989, Math. Ann. 285) gives the rational growth series
+    def _growth_series(self):
+        # Shapiro (1989, Math. Ann. 285):
         # (1 + z + 4z^2 + 11z^3 + 8z^4 + 21z^5 + 6z^6 + 9z^7 + z^8)
-        #   / ((1 - z)^4 (1 + z^2) (1 + z + z^2));
-        # past its first nine terms the sizes follow the denominator's
-        # recurrence, |S_n| = 3|S_n-1| - 4|S_n-2| + ... - |S_n-8|
-        sizes = [1, 4, 12, 36, 82, 164, 294, 476, 724]
-        recurrence = (3, -4, 5, -6, 5, -4, 3, -1)
-        for _ in range(len(sizes), up_to + 1):
-            sizes.append(sum(map(operator.mul, recurrence, sizes[:-9:-1])))
-        return sizes[: up_to + 1]
+        #   / ((1 - z)^4 (1 + z^2) (1 + z + z^2))
+        return ((1, 1, 4, 11, 8, 21, 6, 9, 1),
+                _poly_product([(1, -1)] * 4 + [(1, 0, 1), (1, 1, 1)]))
 
     def descriptor(self):
         return "H3"
@@ -383,11 +391,9 @@ class FreeGroup(GroupSpec):
     def _length_formula(self, g):
         return len(g)
 
-    def _sphere_formula(self, up_to):
+    def _growth_series(self):
         # |S_n| = 2r (2r-1)^(n-1) for n >= 1
-        steps = [2 * self.rank] + [2 * self.rank - 1] * (up_to - 1)
-        sizes = itertools.accumulate(steps, operator.mul, initial=1)
-        return list(sizes)[: up_to + 1]
+        return (1, 1), (1, 1 - 2 * self.rank)
 
     def element_key(self, g):
         return g
@@ -442,10 +448,10 @@ class FiniteCyclic(GroupSpec):
     def _length_formula(self, g):
         return min(g, self.order - g)
 
-    def _sphere_formula(self, up_to):
-        # B_n has min(2n+1, m) residues
-        return [1] + [max(0, min(2, self.order + 1 - 2 * n))
-                      for n in range(1, up_to + 1)]
+    def _growth_series(self):
+        # two residues at each radius below m/2, and one at m/2 for even m
+        m = self.order
+        return (1,) + (2,) * ((m - 1) // 2) + (1,) * (1 - m % 2), (1,)
 
     def element_key(self, g):
         return str(g)
@@ -523,15 +529,10 @@ class DirectProduct(GroupSpec):
         parts = [f.word_length_closed(x) for f, x in zip(self.factors, g)]
         return None if None in parts else sum(parts)
 
-    def _sphere_formula(self, up_to):
-        # the Cauchy product of the factors' sphere series
-        parts = [f.closed_sphere_sizes(up_to) for f in self.factors]
-        if None in parts:
-            return None
-        series = parts[0]
-        for part in parts[1:]:
-            series = _cauchy_product(series, part, up_to)
-        return series
+    def _growth_series(self):
+        # S_n is the union over i + j = n of S_i(prefix) x S_j(factor)
+        parts = zip(*(f._growth_series() for f in self.factors))
+        return tuple(map(_poly_product, parts))
 
     def element_key(self, g):
         return "|".join(f.element_key(x) for f, x in zip(self.factors, g))
@@ -550,10 +551,12 @@ class DirectProduct(GroupSpec):
         return all(f.amenable for f in self.factors)
 
 
-def _cauchy_product(a, b, up_to):
-    """Terms 0..up_to of the Cauchy product of the series ``a`` and ``b``:
-    the sphere sizes of a product from its factors' sphere sizes."""
-    return [sum(map(operator.mul, a[: n + 1], b[n::-1])) for n in range(up_to + 1)]
+def _poly_product(polys):
+    """The coefficients, constant term first, of the product of ``polys``."""
+    product = np.ones(1, dtype=object)
+    for poly in polys:
+        product = np.convolve(product, np.array(poly, dtype=object))
+    return tuple(product.tolist())
 
 
 # the descriptor components named by a letter and a number
@@ -805,7 +808,7 @@ def _product_index(spec, N, budget):
 
     A factor's ball is no larger than the product's, so a factor that passes
     the budget at radius m is enumerated to m - 1 instead and the product
-    passes it at m or before.  The product's sphere sizes, the Cauchy
+    passes it at m or before.  The product's sphere sizes, the polynomial
     product of the factors', name the radius before any sphere is built.
     """
     top = N
@@ -816,10 +819,8 @@ def _product_index(spec, N, budget):
         except BudgetExceededError as exc:
             top = exc.radius_reached
             factors.append(_enumerate(f, top, budget))
-    sizes = factors[0].sphere_sizes[: top + 1]
-    for index in factors[1:]:
-        sizes = _cauchy_product(sizes, index.sphere_sizes, top)
-    balls = enumerate(itertools.accumulate(sizes))
+    sizes = _poly_product(index.sphere_sizes[: top + 1] for index in factors)
+    balls = enumerate(itertools.accumulate(sizes[: top + 1]))
     failed = next((n for n, ball in balls if n and ball > budget), None)
     if failed is not None or top < N:
         raise _budget_error(spec, budget, top + 1 if failed is None else failed)
@@ -860,7 +861,7 @@ def word_length(spec, g, index=None):
 
 
 def sphere_sizes(spec, up_to, index: LengthIndex = None):
-    """|S_0..S_up_to|: the closed form when there is one, else the index."""
+    """|S_0..S_up_to|: the growth series when there is one, else the index."""
     closed = spec.closed_sphere_sizes(up_to)
     if closed is not None:
         return closed

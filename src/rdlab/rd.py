@@ -21,8 +21,7 @@ numerical content:
   degree from below.
 
 Sphere and ball sizes come from ``groups.sphere_sizes`` and
-``groups.ball_sizes``: the closed forms live on the group classes, and a
-ball index answers for the rest.  Products of sphere functions on free groups
+``groups.ball_sizes``: a group's growth series, else a ball index.  Products of sphere functions on free groups
 come from the one sphere recursion, ``norms.radial_partial_products``; this
 module orchestrates and builds no arrays of its own.
 """

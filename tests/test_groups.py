@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -154,6 +156,70 @@ class TestEnumeration:
         for n in range(f2_index.radius + 1):
             keys = [F2.element_key(g) for g in f2_index.sphere(n)]
             assert keys == sorted(keys)
+
+
+# sha256 of the JSON text of closed_sphere_sizes, computed with the sizes of
+# each class written out (a binomial sum for Z^d, H3's order-8 recurrence,
+# powers for F_r, a min formula for C_m, a Cauchy product for products): far
+# past any radius an index reaches, so a change of rule shows here
+CLOSED_SIZE_PINS = {
+    ("Z", 600): "ddcfdf502d2d023deadd34ad34264bcc1cbd194ef7f0bc245d181d24da2ca23b",
+    ("Z^2", 600): "d2ba564f50e9140c1a6373a70216629c25748c2219ff9f6a6e4270011368fbd6",
+    ("Z^3", 600): "99e2624702ddc8a38e322fb7723a2a4bd5c98c1a0b5db195ce3b67fab76a4a8e",
+    ("Z^5", 600): "f402d238d33d5ae78b86e1ea6f14988a83a044dcc929a705149b54b77bbed359",
+    ("H3", 600): "a735b1984fd6d08d96044bf182a8a4b42f25d0b033ec356b68f40f25cc3853dd",
+    ("F1", 600): "ddcfdf502d2d023deadd34ad34264bcc1cbd194ef7f0bc245d181d24da2ca23b",
+    ("F2", 600): "77d1e33354cddeb3b77140eae75e9cd856516f5e9e7ddfb95dbd59d883d9574e",
+    ("F3", 600): "608180a758a6f00d976bb01c4e37de4799412c3d18a13ae19a4f17aac6b45a6e",
+    ("F7", 600): "51a6e6f1fe80ee95c83acb444c8a70c59e01da660263be7af412f44bac0ac89f",
+    ("C1", 600): "45bd6c2dd76488f9d822726bc83d77b699346150b6508b56b0ff2ffd84eb26a3",
+    ("C2", 600): "479162bb76cda70c106d3833b902fbdc11ba763d8bfb2cb27b574e530dfa9454",
+    ("C3", 600): "d2dbd06c16104e73616492bdcb7e07100bc2401cade6a79759f0ef1f49fd2f80",
+    ("C4", 600): "0762071e3092f1ddc8723ad079c237cb105211103761fcd7f6cb1bf9a30e7473",
+    ("C5", 600): "602c4b7b39628f57d710a433531fd6d1dd73ada608ce3d33ed9a7fb06b131f70",
+    ("C6", 600): "0963f31adc511905e3b21f67fca5a09d14da4ac08300e65e36bfb3699355372f",
+    ("C12", 600): "2b13617454ca261075986b61c1be25f3f6c503cd68bf52aa55e48231747a9056",
+    ("Z^1xF2", 600): "ef773703980cf7387a0b88b5577b0aa8f528eb6f18e26762a2b049aa97bac926",
+    ("H3xC3", 600): "ffcc41a997a2d85c865899e1e0020c5566e289189bef646456aefac9f75d279f",
+    ("Z^2xC4xF2", 600): "71abb3c2000a9fefbfd6e99a76e1915dc82de0aca35a3e5b492b523bd4116808",
+    ("H3xZ^1", 600): "bc1ec22aca9963a0eaf1661f3b29e6f4b63da3f2a5de450d7c9dff18d8a8ff47",
+    ("Z^1xC3", 600): "ec33ec6e3fbb44d867b066dd1a87261e2176bc4bfe03427d2ba507aef14aafbc",
+    ("H3xZ^1xF2", 600): "7309eeb2facc23a238e2b3b10d2b38af9bd3262b5dc08fb2ace06eea10094e31",
+    ("C1xC2xF1", 600): "2e93d374d5cc6092afee720493d1018d32b843683a591217c3121f9c5e8e2722",
+    ("F2xF3xH3", 600): "aa62c7a3f253e61f360b204f66fcb59d209bdc8a362a56d9ae59f482efa3a9d1",
+    ("Z^1xC3", 4000): "cfbf53f71d88d85a4d410f201941f9c4c42fb467b5efc8c9723e1bbf6da48d59",
+    ("H3xZ^1xF2", 2000): "19922e0138efdb7d87d2dcf75c1d4240f544c913864568c465d0595ff4d03789",
+}
+
+
+class TestClosedSphereSizes:
+    @pytest.mark.parametrize("descriptor,radius", CLOSED_SIZE_PINS)
+    def test_pinned_sizes(self, descriptor, radius):
+        sizes = R.parse_descriptor(descriptor).closed_sphere_sizes(radius)
+        assert len(sizes) == radius + 1
+        digest = hashlib.sha256(json.dumps(sizes).encode()).hexdigest()
+        assert digest == CLOSED_SIZE_PINS[descriptor, radius]
+
+    @pytest.mark.parametrize("read", [
+        lambda descriptor, n: R.parse_descriptor(descriptor).closed_sphere_sizes(n),
+        lambda descriptor, n: R.sphere_sizes(R.parse_descriptor(descriptor), n),
+    ], ids=["closed_sphere_sizes", "sphere_sizes"])
+    @pytest.mark.parametrize("descriptor", ["F2", "Z^2", "C4", "H3xZ^1"])
+    def test_each_call_gets_its_own_list(self, descriptor, read, monkeypatch):
+        # from an empty store of terms, so that a request as long as the
+        # stored terms comes up too
+        monkeypatch.setattr(R.groups, "_SERIES_TERMS", {})
+        want = list(read(descriptor, 12))
+        longer = read(descriptor, 12)
+        longer[3] = -1
+        longer.append(-1)
+        # a shorter request after a longer one gets exactly its radii
+        shorter = read(descriptor, 5)
+        assert shorter == want[:6]
+        shorter[0] = -1
+        shorter.append(-1)
+        assert read(descriptor, 12) == want
+        assert read(descriptor, 5) == want[:6]
 
 
 class TestKeys:

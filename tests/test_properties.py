@@ -82,6 +82,35 @@ def test_closed_sphere_sizes(name, data):
     assert closed is None or closed == index.sphere_sizes[: radius + 1]
 
 
+SERIES_COMPONENTS = ["Z", "Z^2", "H3", "F1", "F2", "F3",
+                     "C1", "C2", "C3", "C4", "C5", "C6"]
+
+
+def cauchy_product(a, b):
+    """The first len(a) terms of the product of the series ``a`` and ``b``
+    (``b`` at least as long), term by term."""
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
+
+
+@given(parts=st.lists(st.sampled_from(SERIES_COMPONENTS), min_size=1, max_size=3),
+       radius=st.integers(0, 300))
+def test_growth_series_division(parts, radius):
+    # a product's sphere sizes are the Cauchy product of its factors' sizes,
+    # and Q times the sizes is P, both truncated to the radius
+    spec = R.parse_descriptor("x".join(parts))
+    sizes = spec.closed_sphere_sizes(radius)
+    want = [1] + [0] * radius
+    for part in parts:
+        want = cauchy_product(want, R.parse_descriptor(part).closed_sphere_sizes(radius))
+    assert sizes == want
+
+    def truncated(coeffs):
+        return (list(coeffs) + [0] * radius)[: radius + 1]
+    P, Q = spec.growth_series()
+    assert Q[0] == 1
+    assert cauchy_product(truncated(Q), sizes) == truncated(P)
+
+
 def draw_algebra_elements(data, name, count):
     """``count`` elements supported in the ball of radius 2 of ``name``,
     with small-integer coefficients."""
