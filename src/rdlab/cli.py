@@ -258,7 +258,7 @@ def cmd_norm(run, args):
         element.check_support(index)
     elif args.witness and args.n is not None:
         index = run.index(spec, args.n, args.method, args.domain_radius)
-        element = make_witness(spec, args.witness, args.n, index, args.d_hat)
+        element = make_witness(spec, args.witness, args.n, args.d_hat)
     else:
         raise RdlabError("norm needs either --element or --witness with --n")
     est = norm_bracket(element, method=args.method, index=index, **settings)
@@ -329,16 +329,21 @@ DENSE_ZSERIES_LIMIT = 10_000
 def cmd_zseries(run, args):
     spec = run.spec = parse_descriptor(args.group)
     index = run.index(spec, args.r * args.k)
-    series = build_ball_series(spec, args.r, args.alpha, args.k, index=index)
+    series = build_ball_series(spec, args.r, args.alpha, args.k)
     bounds = ball_series_l2_bounds(series)
     payload = series.to_json_dict()
     payload["element"] = None
     if series.ball_size_at_rk[-1] <= min(args.budget, DENSE_ZSERIES_LIMIT):
         payload["element"] = radial_to_algebra(series.function, index).to_json_dict()
     payload["l2_bounds"] = bounds.to_json_dict()
+    if bounds.upper is None:
+        where = (f"l2^2 >= {bounds.lower:.6f} (no certified upper end: "
+                 "l2 doubling fails)")
+    else:
+        where = f"l2^2 in [{bounds.lower:.6f}, {bounds.upper:.6f}]"
     run.emit(json_text(payload),
-             summary=f"l2^2 in [{bounds.lower:.6f}, {bounds.upper:.6f}], "
-                     f"actual {bounds.actual:.6f}, doubling_ok={bounds.doubling_ok}")
+             summary=f"{where}, actual {bounds.actual:.6f}, "
+                     f"doubling_ok={bounds.doubling_ok}")
     return EXIT_OK
 
 
@@ -429,8 +434,7 @@ def _verify_lemma2(run, args):
 
 
 def _verify_doubling(run, args):
-    # a descriptor names a group on its standard generators, whose ball
-    # sizes are closed: the check reads no index
+    # ball sizes come from the growth series: the check reads no index
     spec = run.spec = parse_descriptor(args.group)
     min_ratio, ok = verify_doubling(spec, args.r, args.k)
     run.emit(json_text({"group": spec.descriptor(), "check": "doubling",

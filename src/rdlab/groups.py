@@ -1,26 +1,25 @@
 """Concrete finitely generated groups with word-lengths and ball enumeration.
 
-Each group comes with a canonical element form, a symmetric generating set,
-and, on the standard generators, its rational growth series sum |S_n| z^n
-= P(z)/Q(z), whose division gives every sphere size, and the word-length of
-Z^d, F_r, C_m and their products.  Balls and spheres are enumerated by
-breadth-first search over the generating set; the result is a
-:class:`LengthIndex` that the algebra and analysis layers consume.
-``word_length``, ``sphere_sizes`` and ``ball_sizes`` answer from the closed
-forms, else from an index.
+Each group comes with a canonical element form, its standard symmetric
+generating set, its rational growth series sum |S_n| z^n = P(z)/Q(z), whose
+division gives every sphere size, and the word-length of Z^d, F_r, C_m and
+their products.  Balls and spheres are enumerated by breadth-first search
+over the generating set; the result is a :class:`LengthIndex` that the
+algebra and analysis layers consume.  ``sphere_sizes`` and ``ball_sizes``
+answer from the growth series; ``word_length`` from the closed form, else
+(on H3) from an index.
 
-Z^d and H3 (:class:`IntegerTupleGroup`, on any generating set) have an array
-law, and their search runs sphere by sphere on int64 coordinate columns:
-with a symmetric generating set S_{n+1} = S_n * gens minus S_{n-1} and S_n,
-so no set of all elements seen is kept, and each sphere is put in text-key
-order by one int64 key per element.  Their index holds the spheres as one
-array of rows and builds element tuples only when a lookup needs them.  A
-:class:`DirectProduct` on its factors' generators searches each factor by
-the factor's own path and assembles S_n as the union over i + j = n of
-S_i(first factors) x S_j(next factor), and its index keeps the text keys it
-sorted by.  F_r, C_m and a product on generators of its own run the search
-on a dict of element values.  Every path lists each sphere in text-key
-order.
+Z^d and H3 (:class:`IntegerTupleGroup`) have an array law, and their search
+runs sphere by sphere on int64 coordinate columns: with a symmetric
+generating set S_{n+1} = S_n * gens minus S_{n-1} and S_n, so no set of all
+elements seen is kept, and each sphere is put in text-key order by one int64
+key per element.  Their index holds the spheres as one array of rows and
+builds element tuples only when a lookup needs them.  A
+:class:`DirectProduct` searches each factor by the factor's own path and
+assembles S_n as the union over i + j = n of S_i(first factors) x S_j(next
+factor), and its index keeps the text keys it sorted by.  F_r and C_m run
+the search on a dict of element values.  Every path lists each sphere in
+text-key order.
 
 Canonical element values are plain hashable Python data:
 
@@ -78,30 +77,11 @@ _SERIES_TERMS = {}  # (P, Q) -> the sphere sizes computed so far
 
 
 class GroupSpec:
-    """A concrete group: element arithmetic plus a symmetric generating set.
+    """A concrete group on its standard symmetric generating set.
 
-    Subclasses supply the group law on canonical values, the growth series
-    as ``_growth_series`` and any word-length formula as ``_length_formula``.
-    A custom symmetric generating set may be passed to the constructor; doing
-    so disables the closed forms (they are only valid for the standard set).
-    The standard set passed in any order is no custom set.
+    Subclasses supply the group law on canonical values, the generators, the
+    growth series and any closed word-length formula.
     """
-
-    def __init__(self, generators=None):
-        self._custom_generators = None
-        if generators is not None:
-            gens = list(generators)
-            for g in gens:
-                self.check_element(g)
-            if self.identity() in gens:
-                raise ValueError("generating set must not contain the identity")
-            missing = [g for g in gens if self.inverse(g) not in gens]
-            if missing:
-                raise ValueError(f"generating set is not symmetric: {missing!r}")
-            if not gens:
-                raise ValueError("generating set must be nonempty")
-            if set(gens) != set(self.default_generators()):
-                self._custom_generators = gens
 
     # -- group law ---------------------------------------------------------
 
@@ -120,55 +100,22 @@ class GroupSpec:
 
     # -- generating set ----------------------------------------------------
 
-    def default_generators(self):
+    def generators(self):
         raise NotImplementedError
 
-    def generators(self):
-        if self._custom_generators is not None:
-            return list(self._custom_generators)
-        return self.default_generators()
-
-    def has_standard_generators(self):
-        return self._custom_generators is None
-
     def generator_word(self, g):
-        """A generator sequence whose product is ``g`` (not necessarily geodesic).
-
-        Only available for the standard generating set; used by embeddings.
-        """
+        """A generator sequence whose product is ``g`` (not necessarily
+        geodesic); used by embeddings."""
         raise NotImplementedError
 
     # -- closed forms and naming ----------------------------------------------
 
     def word_length_closed(self, g):
         """Exact word-length of ``g`` from a closed form, or None."""
-        return self._closed(self._length_formula, g)
-
-    def closed_sphere_sizes(self, up_to):
-        """|S_0..S_up_to| as a new list, or None: the terms of the growth
-        series P/Q, s_n = P_n - sum_{k >= 1} Q_k s_{n-k}, extending the terms
-        each series keeps in ``_SERIES_TERMS``."""
-        if (series := self.growth_series()) is None:
-            return None
-        P, Q = series
-        sizes = _SERIES_TERMS.setdefault(series, [])
-        for n in range(len(sizes), up_to + 1):
-            head = P[n] if n < len(P) else 0
-            sizes.append(head - sum(map(operator.mul, Q[1:], sizes[: -len(Q): -1])))
-        return sizes[: up_to + 1]
-
-    def growth_series(self):
-        """Integer tuples (P, Q), Q[0] = 1, with P/Q = sum |S_n| z^n, or None."""
-        return self._closed(self._growth_series)
-
-    def _closed(self, formula, *args):
-        # the one guard: closed forms hold for the standard generators only
-        return formula(*args) if self.has_standard_generators() else None
-
-    def _length_formula(self, g):
         return None
 
-    def _growth_series(self):
+    def growth_series(self):
+        """Integer tuples (P, Q), Q[0] = 1, with P/Q = sum |S_n| z^n."""
         raise NotImplementedError
 
     def element_key(self, g):
@@ -186,17 +133,13 @@ class GroupSpec:
 
     # -- identity-sensitive plumbing ----------------------------------------
 
-    def _signature(self):
-        gens = tuple(self.element_key(g) for g in self.generators())
-        return (self.descriptor(), gens)
-
     def __eq__(self, other):
         if not isinstance(other, GroupSpec):
             return NotImplemented
-        return self._signature() == other._signature()
+        return self.descriptor() == other.descriptor()
 
     def __hash__(self):
-        return hash(self._signature())
+        return hash(self.descriptor())
 
     def __repr__(self):
         return f"{type(self).__name__}({self.descriptor()!r})"
@@ -234,11 +177,10 @@ class IntegerTupleGroup(GroupSpec):
 class FreeAbelian(IntegerTupleGroup):
     """Z^d with unit vectors and their negatives as standard generators."""
 
-    def __init__(self, rank, generators=None):
+    def __init__(self, rank):
         if rank < 1:
             raise ValueError("rank must be >= 1")
         self.rank = rank
-        super().__init__(generators)
 
     def identity(self):
         return (0,) * self.rank
@@ -254,7 +196,7 @@ class FreeAbelian(IntegerTupleGroup):
                 and all(isinstance(x, int) for x in g)):
             raise ValueError(f"not a Z^{self.rank} element: {g!r}")
 
-    def default_generators(self):
+    def generators(self):
         gens = []
         for i in range(self.rank):
             e = tuple(1 if j == i else 0 for j in range(self.rank))
@@ -269,10 +211,10 @@ class FreeAbelian(IntegerTupleGroup):
             word.extend([step] * abs(x))
         return word
 
-    def _length_formula(self, g):
+    def word_length_closed(self, g):
         return sum(abs(x) for x in g)
 
-    def _growth_series(self):
+    def growth_series(self):
         # ((1 + z) / (1 - z))^d, the d-th power of Z's series
         return (_poly_product([(1, 1)] * self.rank),
                 _poly_product([(1, -1)] * self.rank))
@@ -313,7 +255,7 @@ class DiscreteHeisenberg(IntegerTupleGroup):
                 and all(isinstance(x, int) for x in g)):
             raise ValueError(f"not a Heisenberg element: {g!r}")
 
-    def default_generators(self):
+    def generators(self):
         x, y = self.X, self.Y
         return [x, self.inverse(x), y, self.inverse(y)]
 
@@ -329,7 +271,7 @@ class DiscreteHeisenberg(IntegerTupleGroup):
         word += z_word * abs(twists)
         return word
 
-    def _growth_series(self):
+    def growth_series(self):
         # Shapiro (1989, Math. Ann. 285):
         # (1 + z + 4z^2 + 11z^3 + 8z^4 + 21z^5 + 6z^6 + 9z^7 + z^8)
         #   / ((1 - z)^4 (1 + z^2) (1 + z + z^2))
@@ -347,12 +289,11 @@ class DiscreteHeisenberg(IntegerTupleGroup):
 class FreeGroup(GroupSpec):
     """Free group of rank r on letters a, b, c, ... with uppercase inverses."""
 
-    def __init__(self, rank, generators=None):
+    def __init__(self, rank):
         if not 1 <= rank <= len(_LETTERS):
             raise ValueError(f"rank must be in [1, {len(_LETTERS)}]")
         self.rank = rank
         self._alphabet = _LETTERS[:rank]
-        super().__init__(generators)
 
     def identity(self):
         return ""
@@ -378,7 +319,7 @@ class FreeGroup(GroupSpec):
             if u == v.swapcase():
                 raise ValueError(f"word not reduced: {g!r}")
 
-    def default_generators(self):
+    def generators(self):
         gens = []
         for ch in self._alphabet:
             gens.append(ch)
@@ -388,10 +329,10 @@ class FreeGroup(GroupSpec):
     def generator_word(self, g):
         return list(g)
 
-    def _length_formula(self, g):
+    def word_length_closed(self, g):
         return len(g)
 
-    def _growth_series(self):
+    def growth_series(self):
         # |S_n| = 2r (2r-1)^(n-1) for n >= 1
         return (1, 1), (1, 1 - 2 * self.rank)
 
@@ -413,11 +354,10 @@ class FreeGroup(GroupSpec):
 class FiniteCyclic(GroupSpec):
     """Cyclic group of order m, residues 0..m-1, generators +-1 mod m."""
 
-    def __init__(self, order, generators=None):
+    def __init__(self, order):
         if order < 1:
             raise ValueError("order must be >= 1")
         self.order = order
-        super().__init__(generators)
 
     def identity(self):
         return 0
@@ -432,7 +372,7 @@ class FiniteCyclic(GroupSpec):
         if not (isinstance(g, int) and 0 <= g < self.order):
             raise ValueError(f"not a residue mod {self.order}: {g!r}")
 
-    def default_generators(self):
+    def generators(self):
         gens = []
         for g in (1 % self.order, (self.order - 1) % self.order):
             if g != 0 and g not in gens:
@@ -445,10 +385,10 @@ class FiniteCyclic(GroupSpec):
             return [1 % m] * g
         return [(m - 1) % m] * (m - g)
 
-    def _length_formula(self, g):
+    def word_length_closed(self, g):
         return min(g, self.order - g)
 
-    def _growth_series(self):
+    def growth_series(self):
         # two residues at each radius below m/2, and one at m/2 for even m
         m = self.order
         return (1,) + (2,) * ((m - 1) // 2) + (1,) * (1 - m % 2), (1,)
@@ -472,11 +412,11 @@ class FiniteCyclic(GroupSpec):
 class DirectProduct(GroupSpec):
     """Direct product of group specs; nested products are flattened.
 
-    With the standard generating set (factor generators acting on their own
-    coordinate) the word-length is the sum of the factor lengths.
+    The generators are the factors' generators, each acting on its own
+    coordinate, so the word-length is the sum of the factor lengths.
     """
 
-    def __init__(self, factors, generators=None):
+    def __init__(self, factors):
         flat = []
         for f in factors:
             if isinstance(f, DirectProduct):
@@ -486,7 +426,6 @@ class DirectProduct(GroupSpec):
         if len(flat) < 1:
             raise ValueError("product needs at least one factor")
         self.factors = flat
-        super().__init__(generators)
 
     def identity(self):
         return tuple(f.identity() for f in self.factors)
@@ -507,7 +446,7 @@ class DirectProduct(GroupSpec):
         return tuple(x if j == i else f.identity()
                      for j, f in enumerate(self.factors))
 
-    def default_generators(self):
+    def generators(self):
         gens = []
         for i, f in enumerate(self.factors):
             for s in f.generators():
@@ -520,18 +459,13 @@ class DirectProduct(GroupSpec):
             word.extend(self._embed(i, s) for s in f.generator_word(x))
         return word
 
-    def has_standard_generators(self):
-        # a factor on custom generators makes the product's set custom too
-        return (super().has_standard_generators()
-                and all(f.has_standard_generators() for f in self.factors))
-
-    def _length_formula(self, g):
+    def word_length_closed(self, g):
         parts = [f.word_length_closed(x) for f, x in zip(self.factors, g)]
         return None if None in parts else sum(parts)
 
-    def _growth_series(self):
+    def growth_series(self):
         # S_n is the union over i + j = n of S_i(prefix) x S_j(factor)
-        parts = zip(*(f._growth_series() for f in self.factors))
+        parts = zip(*(f.growth_series() for f in self.factors))
         return tuple(map(_poly_product, parts))
 
     def element_key(self, g):
@@ -717,10 +651,8 @@ def _array_spheres(spec, N, budget):
     point), and S_n keeps the reached keys that a binary search does not
     find among the keys of S_{n-2} and S_{n-1}.
     """
-    gens = np.array(spec.generators(), dtype=object)
-    if np.abs(gens).max() >= COORD_LIMIT:
-        return None
-    gens = tuple(col[None, :] for col in gens.astype(np.int64).T)
+    gens = tuple(col[None, :] for col in
+                 np.array(spec.generators(), dtype=np.int64).T)
     spheres = [tuple(np.array([x], dtype=np.int64) for x in spec.identity())]
     previous = tuple(col[:0] for col in spheres[0])
     total = 1
@@ -754,9 +686,9 @@ def _array_spheres(spec, N, budget):
 
 def enumerate_balls(spec, N, budget=DEFAULT_BUDGET):
     """The balls B_0..B_N of ``spec`` as a LengthIndex, every sphere in
-    text-key order whichever search builds it: the array search for an
-    IntegerTupleGroup, the factors' indexes for a DirectProduct on its
-    factors' generators, else breadth-first search on a dict of elements.
+    text-key order whichever search builds it: the factors' indexes for a
+    DirectProduct, the array search for an IntegerTupleGroup, else
+    breadth-first search on a dict of elements.
 
     Raises BudgetExceededError (carrying the last completed radius) if the
     element count passes ``budget``.
@@ -767,7 +699,7 @@ def enumerate_balls(spec, N, budget=DEFAULT_BUDGET):
 
 
 def _enumerate(spec, N, budget):
-    if isinstance(spec, DirectProduct) and spec._custom_generators is None:
+    if isinstance(spec, DirectProduct):
         return _product_index(spec, N, budget)
     if isinstance(spec, IntegerTupleGroup):
         spheres = _array_spheres(spec, N, budget)
@@ -801,10 +733,10 @@ def _dict_index(spec, N, budget):
 
 
 def _product_index(spec, N, budget):
-    """The index of a DirectProduct on its factors' generators, where the
-    word length is the sum of the factor lengths: S_n is the union over
-    i + j = n of S_i(prefix) x S_j(factor), each sphere sorted by the keys
-    ``key_prefix + "|" + key_factor``, which the index keeps.
+    """The index of a DirectProduct, whose word length is the sum of the
+    factor lengths: S_n is the union over i + j = n of S_i(prefix) x
+    S_j(factor), each sphere sorted by the keys ``key_prefix + "|" +
+    key_factor``, which the index keeps.
 
     A factor's ball is no larger than the product's, so a factor that passes
     the budget at radius m is enumerated to m - 1 instead and the product
@@ -860,20 +792,20 @@ def word_length(spec, g, index=None):
     return index.length(g)
 
 
-def sphere_sizes(spec, up_to, index: LengthIndex = None):
-    """|S_0..S_up_to|: the growth series when there is one, else the index."""
-    closed = spec.closed_sphere_sizes(up_to)
-    if closed is not None:
-        return closed
-    if index is None or index.radius < up_to:
-        raise IndexRadiusError(
-            f"need sphere sizes to radius {up_to} for {spec.descriptor()}; "
-            "supply a LengthIndex of that radius")
-    return list(index.sphere_sizes[: up_to + 1])
+def sphere_sizes(spec, up_to):
+    """|S_0..S_up_to| as a new list: the terms of the growth series P/Q,
+    s_n = P_n - sum_{k >= 1} Q_k s_{n-k}, extending the terms each series
+    keeps in ``_SERIES_TERMS``."""
+    P, Q = series = spec.growth_series()
+    sizes = _SERIES_TERMS.setdefault(series, [])
+    for n in range(len(sizes), up_to + 1):
+        head = P[n] if n < len(P) else 0
+        sizes.append(head - sum(map(operator.mul, Q[1:], sizes[: -len(Q): -1])))
+    return sizes[: up_to + 1]
 
 
-def ball_sizes(spec, up_to, index: LengthIndex = None):
-    return list(itertools.accumulate(sphere_sizes(spec, up_to, index)))
+def ball_sizes(spec, up_to):
+    return list(itertools.accumulate(sphere_sizes(spec, up_to)))
 
 
 @dataclass

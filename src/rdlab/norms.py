@@ -46,7 +46,13 @@ from .algebra import (
     product_keys,
 )
 from .errors import BudgetExceededError, IndexRadiusError, RdlabError
-from .groups import DEFAULT_BUDGET, FreeGroup, GroupSpec, LengthIndex
+from .groups import (
+    DEFAULT_BUDGET,
+    FreeGroup,
+    GroupSpec,
+    LengthIndex,
+    sphere_sizes,
+)
 
 # the relative change between the last two steps at which an iterative
 # estimator reports convergence
@@ -108,8 +114,8 @@ def _zero_estimate(method):
 class RadialElement:
     """The sphere function sum_j coeffs[j] chi(S_j) on ``spec``.
 
-    ``sizes[j]`` is the exact sphere size |S_j| (a closed form, else counted
-    by a ball index), resolved once when the element is built; l1, l2 and
+    ``sizes[j]`` is the exact sphere size |S_j| from the growth series,
+    resolved once when the element is built; l1, l2 and
     the exact amenable norm are then sums over radii on every group.
     Convolution stays with the free groups of ``radial_rank``.
     """
@@ -130,9 +136,9 @@ class RadialElement:
 
 
 def radial_rank(spec):
-    """The rank of a free group on its standard generators, else None: the
-    groups whose sphere-constant elements form the radial subalgebra."""
-    if isinstance(spec, FreeGroup) and spec.has_standard_generators():
+    """The rank of a free group, else None: the groups whose sphere-constant
+    elements form the radial subalgebra."""
+    if isinstance(spec, FreeGroup):
         return spec.rank
     return None
 
@@ -141,7 +147,7 @@ def free_radial(rank, coeffs):
     """sum_j coeffs[j] chi(S_j) on the free group of the given rank."""
     spec, coeffs = FreeGroup(rank), list(coeffs)
     return RadialElement(spec=spec, coeffs=coeffs,
-                         sizes=spec.closed_sphere_sizes(len(coeffs) - 1))
+                         sizes=sphere_sizes(spec, len(coeffs) - 1))
 
 
 def radial_ball(rank, n):
@@ -166,7 +172,7 @@ def radial_from_algebra(a: AlgebraElement):
         by_len.setdefault(len(g), []).append(c)
     top = max(by_len) if by_len else 0
     coeffs = [0.0] * (top + 1)
-    sizes = a.spec.closed_sphere_sizes(top)
+    sizes = sphere_sizes(a.spec, top)
     for j, values in by_len.items():
         if len(values) != sizes[j]:
             return None
@@ -217,7 +223,7 @@ def radial_partial_products(x: RadialElement, y: RadialElement):
     rank = radial_rank(x.spec)
     if rank is None or x.spec != y.spec:
         raise RdlabError("radial convolution needs two sphere functions on one "
-                         "free group on its standard generators")
+                         "free group")
     cx = x.coeffs
     dtype = (np.float64 if all(type(v) is float for v in chain(cx, y.coeffs))
              else object)
@@ -245,7 +251,7 @@ def radial_convolve(x: RadialElement, y: RadialElement):
         *_, out = radial_partial_products(x, y)
     coeffs = out.tolist()
     return RadialElement(spec=x.spec, coeffs=coeffs,
-                         sizes=x.spec.closed_sphere_sizes(len(coeffs) - 1)).trimmed()
+                         sizes=sphere_sizes(x.spec, len(coeffs) - 1)).trimmed()
 
 
 def _as_float(value):

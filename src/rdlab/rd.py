@@ -20,10 +20,11 @@ numerical content:
 * the sphere series sum (1+n)^{-d} |S_n| whose divergence pins the growth
   degree from below.
 
-Sphere and ball sizes come from ``groups.sphere_sizes`` and
-``groups.ball_sizes``: a group's growth series, else a ball index.  Products of sphere functions on free groups
-come from the one sphere recursion, ``norms.radial_partial_products``; this
-module orchestrates and builds no arrays of its own.
+Sphere and ball sizes come from the group's growth series, through
+``groups.sphere_sizes`` and ``groups.ball_sizes``.  Products of sphere
+functions on free groups come from the one sphere recursion,
+``norms.radial_partial_products``; this module orchestrates and builds no
+arrays of its own.
 """
 
 from __future__ import annotations
@@ -117,17 +118,13 @@ def witness_label(witness, d_hat=None):
     return f"aN({d_hat:g})" if witness == "aN" else witness
 
 
-def make_witness(spec, witness, n, index=None, d_hat=None, sizes=None):
-    """The witness as a sphere function, its sizes closed-form or else from
-    ``index`` (norm_bracket expands it where an estimator needs the dense
-    element); ``sizes``, when given, are |S_0..S_m| for some m >= n and
-    replace both.  Ball sizes past the float range raise
-    BudgetExceededError."""
+def make_witness(spec, witness, n, d_hat=None):
+    """The witness as a sphere function (norm_bracket expands it where an
+    estimator needs the dense element).  Ball sizes past the float range
+    raise BudgetExceededError."""
     if n < 0:
         raise ValueError("witness radius must be >= 0")
-    if sizes is None:
-        sizes = sphere_sizes(spec, n, index)
-    sizes = sizes[: n + 1]
+    sizes = sphere_sizes(spec, n)
     _check_float_range(spec, list(accumulate(sizes)))
     return RadialElement(spec=spec, coeffs=_witness_weights(witness, n, d_hat),
                          sizes=sizes)
@@ -213,19 +210,17 @@ def ratio_series(spec, witness, n_list, method="auto", index=None, d_hat=None,
     """Norm bracket and l2 norm of the witness at each n (skips empty witnesses).
 
     Witnesses are sphere functions, so their l2 norm and the l1 and exact
-    norms need sphere sizes only; ``index`` supplies the sizes that have no
-    closed form and the dense elements the other methods need (see
-    norm_bracket).  ``settings`` are the estimator settings of norm_bracket.
+    norms need sphere sizes only; ``index`` supplies the dense elements the
+    other methods need (see norm_bracket).  ``settings`` are the estimator
+    settings of norm_bracket.
     """
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n values must be strictly increasing")
     series = RatioSeries(group=spec.descriptor(),
                          witness=witness_label(witness, d_hat), method=method)
-    # the sizes to the largest n, resolved once and sliced per witness
-    sizes = sphere_sizes(spec, n_list[-1], index) if n_list else []
     for n in n_list:
-        element = make_witness(spec, witness, n, d_hat=d_hat, sizes=sizes)
+        element = make_witness(spec, witness, n, d_hat=d_hat)
         l2 = coefficient_norm(element, "l2")
         if l2 == 0.0:
             continue
@@ -381,7 +376,7 @@ def _ball_product_slacks(spec, max_sum, top, index: LengthIndex = None,
     count, so the slack is exact.  ``budget`` bounds the entries of the
     largest table of counts (see ``ball_pair_counts``).
     """
-    spheres = sphere_sizes(spec, max_sum, index)
+    spheres = sphere_sizes(spec, max_sum)
     balls = list(accumulate(spheres))
     radial = radial_rank(spec) is not None
     least = None if radial else ball_product_minima(index, max_sum, top, budget)
@@ -447,16 +442,16 @@ def _l2_ratios(spec, r, ball_at_rk):
     return ratios
 
 
-def doubling_ratios(spec, r, k_max, index: LengthIndex = None):
+def doubling_ratios(spec, r, k_max):
     """Consecutive l2 ratios ||chi(B_{r(k+1)})||_2 / ||chi(B_{rk})||_2, k <= k_max."""
     if r < 1 or k_max < 1:
         raise ValueError("r and k_max must be >= 1")
-    return _l2_ratios(spec, r, ball_sizes(spec, r * (k_max + 1), index)[r::r])
+    return _l2_ratios(spec, r, ball_sizes(spec, r * (k_max + 1))[r::r])
 
 
-def verify_doubling(spec, r, k_max, index: LengthIndex = None):
+def verify_doubling(spec, r, k_max):
     """(min ratio, min ratio >= 2) over k in [1, k_max]."""
-    min_ratio = min(doubling_ratios(spec, r, k_max, index))
+    min_ratio = min(doubling_ratios(spec, r, k_max))
     return (min_ratio, min_ratio >= 2.0)
 
 
@@ -502,16 +497,15 @@ class BallSeries:
         }
 
 
-def build_ball_series(spec, r, alpha, K, index: LengthIndex = None):
-    """Construct the truncated series as a sphere function; ``index`` is read
-    only for sphere sizes without a closed form.  Ball sizes past the float
-    range raise BudgetExceededError."""
+def build_ball_series(spec, r, alpha, K):
+    """Construct the truncated series as a sphere function.  Ball sizes past
+    the float range raise BudgetExceededError."""
     if r < 1 or K < 1:
         raise ValueError("r and K must be >= 1")
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
     top = r * K
-    spheres = sphere_sizes(spec, top, index)
+    spheres = sphere_sizes(spec, top)
     balls = list(accumulate(spheres))
     _check_float_range(spec, balls)
     ball_at_rk = [balls[r * k] for k in range(1, K + 1)]
@@ -528,33 +522,43 @@ def build_ball_series(spec, r, alpha, K, index: LengthIndex = None):
                                              sizes=spheres))
 
 
+# why a SeriesL2Bounds has no upper end
+NO_UPPER_REASON = ("l2 doubling fails, and 4 * lower bounds ||series||_2^2 "
+                   "only under l2 doubling")
+
+
 @dataclass
 class SeriesL2Bounds:
     lower: float       # sum_{k<=K} k^(-2 alpha); holds unconditionally
     actual: float      # ||series||_2^2
-    upper: float       # 4 * lower; asserted only under doubling
+    upper: float       # 4 * lower under l2 doubling, else None
     doubling_ok: bool
     min_doubling_ratio: float   # None when K = 1: no pair of balls
 
     def to_json_dict(self):
-        return asdict(self)
+        out = asdict(self)
+        if self.upper is None:
+            out["upper_reason"] = NO_UPPER_REASON
+        return out
 
 
 def ball_series_l2_bounds(series: BallSeries):
-    """Two-sided bounds for ||series||_2^2 against the zeta partial sum.
+    """Bounds for ||series||_2^2 against the zeta partial sum.
 
     The lower bound keeps only diagonal inner products (all terms are
     nonnegative).  The upper bound 4x rests on the l2 doubling of consecutive
-    truncation balls, the ``doubling_ratios`` of the pairs k = 1..K-1;
-    ``doubling_ok`` reports whether that held, and holds vacuously at K = 1.
+    truncation balls, the ``doubling_ratios`` of the pairs k = 1..K-1, and is
+    None where that fails; ``doubling_ok`` reports whether it held, and holds
+    vacuously at K = 1.
     """
     diag = float_sum(k ** (-2.0 * series.alpha) for k in range(1, series.K + 1))
     min_ratio = min(_l2_ratios(series.spec, series.r, series.ball_size_at_rk),
                     default=None)
+    doubling_ok = min_ratio is None or min_ratio >= 2.0
     return SeriesL2Bounds(lower=diag,
                           actual=radial_inner(series.function, series.function),
-                          upper=4.0 * diag,
-                          doubling_ok=min_ratio is None or min_ratio >= 2.0,
+                          upper=4.0 * diag if doubling_ok else None,
+                          doubling_ok=doubling_ok,
                           min_doubling_ratio=min_ratio)
 
 
@@ -584,8 +588,8 @@ def verify_series_product_bound(spec, r, alpha, beta, K,
     """
     if not (alpha > 0 and beta > 0 and alpha + beta > 1):
         raise ValueError("need alpha, beta > 0 with alpha + beta > 1")
-    za = build_ball_series(spec, r, alpha, K, index)
-    zb = build_ball_series(spec, r, beta, K, index)
+    za = build_ball_series(spec, r, alpha, K)
+    zb = build_ball_series(spec, r, beta, K)
 
     # weights[j-1] = sum_{k <= K-j} k^-alpha (j+k)^-beta, for j = 1..K-1
     weights = window_sums([n ** (-beta) for n in range(2, K + 1)],
@@ -618,7 +622,7 @@ class SphereSumReport:
         return self.partial_sums[-1]
 
 
-def harmonic_sphere_sum(spec, d_hat, N, index: LengthIndex = None):
+def harmonic_sphere_sum(spec, d_hat, N):
     """Partial sums of sum_n (1+n)^(-d_hat) |S_n|.
 
     With d_hat at the growth degree the series diverges (|S_n| grows like
@@ -629,7 +633,7 @@ def harmonic_sphere_sum(spec, d_hat, N, index: LengthIndex = None):
         raise ValueError("d_hat must be > 0")
     if N < 1:
         raise ValueError("N must be >= 1")
-    sizes = sphere_sizes(spec, N, index)
+    sizes = sphere_sizes(spec, N)
     _check_float_range(spec, list(accumulate(sizes)))
     sums = []
     total = 0.0
@@ -772,7 +776,7 @@ def build_report(spec, n_list, s_values=(), method="auto",
                  index: LengthIndex = None, window=(REPORT_FIT_FROM, None),
                  **settings):
     n_list = list(n_list)
-    balls = ball_sizes(spec, max(n_list), index)
+    balls = ball_sizes(spec, max(n_list))
     growth_fit = fit_loglog(((n, balls[n]) for n in n_list), window)
     ball_ser = ratio_series(spec, "ball", n_list, method=method, index=index,
                             **settings)

@@ -188,11 +188,10 @@ def test_criterion_10_heredity():
 
 def test_criterion_11_sphere_series():
     z = R.FreeAbelian(1)
-    index = R.enumerate_balls(z, 100)
-    rep1 = R.harmonic_sphere_sum(z, 1.0, 100, index)
+    rep1 = R.harmonic_sphere_sum(z, 1.0, 100)
     s100 = rep1.final()
     (_, inc25), (_, inc50) = rep1.increments
-    rep3 = R.harmonic_sphere_sum(z, 3.0, 100, index)
+    rep3 = R.harmonic_sphere_sum(z, 3.0, 100)
     (_, j25), (_, j50) = rep3.increments
     ok = (abs(s100 - 8.39) <= 0.02
           and abs(inc50 - 2 * math.log(2)) <= 0.05 * 2 * math.log(2)

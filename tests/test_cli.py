@@ -13,9 +13,9 @@ import pytest
 import rdlab as R
 import rdlab.cli
 import rdlab.groups
+import rdlab.rd
 from rdlab.cache import (
     CacheFormatError,
-    cache_path,
     cache_roundtrip,
     read_ball_cache,
     serialize_index,
@@ -479,6 +479,17 @@ class TestNormAndZseries:
         assert bounds["min_doubling_ratio"] == ratio
         assert bounds["doubling_ok"] is True
 
+    def test_zseries_without_doubling_has_no_upper_end(self, tmp_path, capsys):
+        # H3 breaks l2 doubling, and its actual l2^2 passes 4 * lower
+        assert run_command(["zseries", "--group", "H3", "--r", "1", "--alpha",
+                            "1.0", "--k", "400"]) == 0
+        out = capsys.readouterr()
+        bounds = strict_json(out.out)["l2_bounds"]
+        assert bounds["doubling_ok"] is False and bounds["upper"] is None
+        assert bounds["upper_reason"] == rdlab.rd.NO_UPPER_REASON
+        assert bounds["actual"] > 4 * bounds["lower"]
+        assert "no certified upper end" in out.err
+
     def test_zseries_f2_large(self, tmp_path):
         code = run(["zseries", "--group", "F2", "--r", "2", "--alpha", "0.75",
                     "--k", "10"], tmp_path, "zf.json")
@@ -633,13 +644,12 @@ class TestIndexPlanning:
     def test_h3_doubling_reads_sizes_to_r_times_k_plus_1(self, index_calls,
                                                          monkeypatch):
         asked = []
-        closed = R.DiscreteHeisenberg.closed_sphere_sizes
+        sizes = rdlab.groups.sphere_sizes
 
         def recording(spec, up_to):
             asked.append(up_to)
-            return closed(spec, up_to)
-        monkeypatch.setattr(R.DiscreteHeisenberg, "closed_sphere_sizes",
-                            recording)
+            return sizes(spec, up_to)
+        monkeypatch.setattr(rdlab.groups, "sphere_sizes", recording)
         assert run_command(["verify", "doubling", "--group", "H3",
                             "--r", "1", "--k", "3"]) == 1
         assert asked == [4]
@@ -1002,9 +1012,6 @@ REFUSED = {
                           + written(Z1F2, 3).partition("\n")[2]),
     "another-radius": lambda: written(Z1F2, 2),
     "another-descriptor": lambda: written(R.parse_descriptor("F2xZ^1"), 3),
-    "custom-generators": lambda: written(R.DirectProduct(
-        [R.FreeAbelian(1, generators=[(1,), (-1,), (2,), (-2,)]),
-         R.FreeGroup(2)]), 3),
 }
 
 
@@ -1085,34 +1092,6 @@ class TestCache:
                         ["verify", "lemma1", "--radius", "3"]):
             assert run_command(command + argv) == 2, command
             assert message in capsys.readouterr().err, command
-
-    def test_other_generators_never_read_a_cache(self, z2_cache):
-        # the same descriptor names the same file; the sphere sizes agree,
-        # so the records are where the bytes differ
-        spec = R.FreeAbelian(2, generators=[(1, 0), (-1, 0), (1, 1), (-1, -1)])
-        assert spec.descriptor() == "Z^2"
-        assert cache_path(z2_cache.parent, spec, 6) == z2_cache
-        with pytest.raises(CacheFormatError, match=re.escape(
-                ":3: expected '-1,-1\\t1\\n', found '-1,0\\t1\\n'")):
-            read_ball_cache(z2_cache, spec, 6)
-        assert (read_ball_cache(z2_cache, R.FreeAbelian(2), 6).sphere_sizes
-                == [1, 4, 8, 12, 16, 20, 24])
-
-    def test_a_product_with_a_custom_factor_reads_no_cache(self, tmp_path):
-        # the product's descriptor names no generating set of its factors
-        standard = R.DirectProduct([R.FreeGroup(2), R.FreeAbelian(1)])
-        path = tmp_path / "F2xZ^1.N3.ballcache"
-        write_ball_cache(R.enumerate_balls(standard, 3), path)
-        spec = R.DirectProduct([R.FreeGroup(2, generators=["a", "A", "ab", "BA"]),
-                                R.FreeAbelian(1)])
-        assert spec.descriptor() == "F2xZ^1"
-        assert not spec.has_standard_generators()
-        assert spec.closed_sphere_sizes(3) is None
-        assert cache_path(tmp_path, spec, 3) == path
-        with pytest.raises(CacheFormatError, match=re.escape(
-                ":4: expected 'BA|0\\t1\\n', found 'B|0\\t1\\n'")):
-            read_ball_cache(path, spec, 3)
-        assert read_ball_cache(path, standard, 3).sphere_sizes == [1, 6, 22, 70]
 
     def test_commands_reuse_cache(self, tmp_path):
         cache_dir = tmp_path / "caches"
@@ -1241,25 +1220,25 @@ ARTIFACT_DIGESTS = [
     ("verify lemma2 --group Z^1xC5 --r 1 --k 6",
      "83c31ed9a084650918f4a03169e5504a5edf31b16911a0636580cb50568b018f"),
     ("zseries --group Z --r 1 --alpha 1.0 --k 3",
-     "658fc6f9f31dc23d807c026d81538ada7bd7309bae91bd6916e2fa69d99693e6"),
+     "f43bd8eb5ea6abd464dd729090f536e3e1f3556c624a29c1a925f0797a752c16"),
     ("zseries --group H3 --r 1 --alpha 1.0 --k 6",
-     "c547e2e4b9168e12a55d0cea68b5664ecdaf545d5412bd1b89ff2cee69ab3375"),
+     "a21fd40e085d7af398bf3f411b606e65a34be397767981e862579e5e1ba8e26b"),
     ("zseries --group F2 --r 1 --alpha 1.0 --k 3",
-     "9c56992b99c13bbd2c9535c4ad49379f70a00f9cdb73c3d605e17942ee21d008"),
+     "93dbac6e76ee000f5ce537d43dea501d7685eaf3347fe5c96978547694b5eba2"),
     ("zseries --group Z^2 --r 2 --alpha 0.75 --k 10",
-     "23ed9f363368735d7ec63cf6c16ecb3bb1fbd0f5f9814b41bcee0884bc8a0441"),
+     "0391e7ae7fdc797183050fdf4515016ac6dfbd1f27fa7e9bc5d78528989f2b4b"),
     ("zseries --group C12 --r 1 --alpha 1.0 --k 8",
-     "ec11c41ffc369388bf026ee7f63c0117124d3756750b5cc67185bbad988b3b2e"),
+     "8e1060f42dba76e2a381406265192b909e0f85145a7ef156d166754872c291e9"),
     ("zseries --group Z^1xF2 --r 1 --alpha 1.0 --k 4",
-     "bb0426a80e721e84565288555d39dca6f4a2adc81041edcc18713c5e7ae193a8"),
+     "6715a2ec54dde031885dedb6951605891c24692969b8d72a2ca1a1573f21d31f"),
     ("zseries --group F2 --r 2 --alpha 1.0 --k 300",
      "7f9344956d425da35889b5ffd03664d49bddbea47c05729ce0c04016c8d68c2a"),
     ("zseries --group Z^2 --r 10 --alpha 1.0 --k 20",
-     "1f3472077bb2ea30515e27be80fdd15aa17da9a9dbc325ecab9d7dbf3997fc8a"),
+     "af1da8949f71dc619a650b41d3d1e675cad2393f7e9909225e3eabf0c6d3ae42"),
     ("zseries --group F2 --r 2 --alpha 0.54 --k 12",
      "07a46f53be52814cb85d344d3327abb4f2c5d095868815bdbc10463bd0eaed0f"),
     ("zseries --group Z --r 2 --alpha 1.0 --k 8",
-     "bc7c85c2ef81bb92ba1997298d6e58814e7366e455f3e17926b3ec7cafd2de74"),
+     "c288141324abe1dcf13c5ce9f69e892b9a6a4287879c92fb08d15cf0778d2f42"),
     ("verify heredity --embedding Z:Z^2:diag --range 4:8:4",
      "7c666dd1a046a97dd886fb63ce5840c8470bbef173d57db1382096ee5ffb1ee8"),
     ("verify heredity --embedding Z:F2 --range 4:8:4",

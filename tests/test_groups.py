@@ -135,19 +135,6 @@ class TestEnumeration:
             R.enumerate_balls(F2, 6, budget=100)
         assert err.value.radius_reached == 3
 
-    def test_product_without_closed_sizes_reads_the_index(self):
-        # F2 on a, ab has no closed sphere sizes, and so neither has its
-        # product with Z
-        other = R.FreeGroup(2, generators=["a", "A", "ab", "BA"])
-        spec = R.DirectProduct([other, Z])
-        assert spec.closed_sphere_sizes(4) is None
-        with pytest.raises(IndexRadiusError):
-            R.sphere_sizes(spec, 4)
-        # the Cauchy product of its spheres with |S_0| = 1, |S_n| = 2 of Z
-        f = R.enumerate_balls(other, 4).sphere_sizes
-        want = [f[n] + 2 * sum(f[:n]) for n in range(5)]
-        assert R.sphere_sizes(spec, 4, R.enumerate_balls(spec, 4)) == want
-
     def test_repr_lists_no_elements(self, h3_index):
         # lengths and spheres hold every element; the repr names the index only
         assert len(repr(h3_index)) < 200
@@ -158,7 +145,7 @@ class TestEnumeration:
             assert keys == sorted(keys)
 
 
-# sha256 of the JSON text of closed_sphere_sizes, computed with the sizes of
+# sha256 of the JSON text of sphere_sizes, computed with the sizes of
 # each class written out (a binomial sum for Z^d, H3's order-8 recurrence,
 # powers for F_r, a min formula for C_m, a Cauchy product for products): far
 # past any radius an index reaches, so a change of rule shows here
@@ -195,31 +182,28 @@ CLOSED_SIZE_PINS = {
 class TestClosedSphereSizes:
     @pytest.mark.parametrize("descriptor,radius", CLOSED_SIZE_PINS)
     def test_pinned_sizes(self, descriptor, radius):
-        sizes = R.parse_descriptor(descriptor).closed_sphere_sizes(radius)
+        sizes = R.sphere_sizes(R.parse_descriptor(descriptor), radius)
         assert len(sizes) == radius + 1
         digest = hashlib.sha256(json.dumps(sizes).encode()).hexdigest()
         assert digest == CLOSED_SIZE_PINS[descriptor, radius]
 
-    @pytest.mark.parametrize("read", [
-        lambda descriptor, n: R.parse_descriptor(descriptor).closed_sphere_sizes(n),
-        lambda descriptor, n: R.sphere_sizes(R.parse_descriptor(descriptor), n),
-    ], ids=["closed_sphere_sizes", "sphere_sizes"])
     @pytest.mark.parametrize("descriptor", ["F2", "Z^2", "C4", "H3xZ^1"])
-    def test_each_call_gets_its_own_list(self, descriptor, read, monkeypatch):
+    def test_each_call_gets_its_own_list(self, descriptor, monkeypatch):
         # from an empty store of terms, so that a request as long as the
         # stored terms comes up too
         monkeypatch.setattr(R.groups, "_SERIES_TERMS", {})
-        want = list(read(descriptor, 12))
-        longer = read(descriptor, 12)
+        spec = R.parse_descriptor(descriptor)
+        want = list(R.sphere_sizes(spec, 12))
+        longer = R.sphere_sizes(spec, 12)
         longer[3] = -1
         longer.append(-1)
         # a shorter request after a longer one gets exactly its radii
-        shorter = read(descriptor, 5)
+        shorter = R.sphere_sizes(spec, 5)
         assert shorter == want[:6]
         shorter[0] = -1
         shorter.append(-1)
-        assert read(descriptor, 12) == want
-        assert read(descriptor, 5) == want[:6]
+        assert R.sphere_sizes(spec, 12) == want
+        assert R.sphere_sizes(spec, 5) == want[:6]
 
 
 class TestKeys:
@@ -256,19 +240,6 @@ class TestKeys:
             F2.parse_key("aA")
         with pytest.raises(ValueError):
             F2.parse_key("xy")
-
-
-class TestCustomGenerators:
-    def test_symmetry_required(self):
-        with pytest.raises(ValueError):
-            R.FreeAbelian(1, generators=[(1,)])
-
-    def test_custom_generators_change_lengths(self):
-        spec = R.FreeAbelian(1, generators=[(1,), (-1,), (2,), (-2,)])
-        assert spec.word_length_closed((4,)) is None
-        index = R.enumerate_balls(spec, 4)
-        assert index.length((4,)) == 2
-        assert index.ball_sizes[1] == 5
 
 
 class TestEmbeddings:

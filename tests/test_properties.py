@@ -14,25 +14,18 @@ from hypothesis import given, strategies as st
 
 import rdlab as R
 
-# (descriptor or custom group, radius elements are drawn from)
+# (descriptor, radius elements are drawn from)
 GROUPS = {
     "Z^1": 4, "Z^2": 3, "Z^3": 2, "H3": 3, "F1": 4, "F2": 3, "F3": 2,
     "C1": 1, "C2": 1, "C12": 4, "Z^1xC5": 3, "Z^1xF2": 2,
-    "F2 on a, ab": 2,
 }
 # the groups whose convolution runs the dict loop
 DICT_LOOP = ["F2", "C12", "Z^1xF2"]
 
 
-def spec_of(name):
-    if name == "F2 on a, ab":
-        return R.FreeGroup(2, generators=["a", "A", "ab", "BA"])
-    return R.parse_descriptor(name)
-
-
 @functools.cache
 def index_of(name):
-    return R.enumerate_balls(spec_of(name), 2 * GROUPS[name])
+    return R.enumerate_balls(R.parse_descriptor(name), 2 * GROUPS[name])
 
 
 def draw_elements(data, name, count, radius=None):
@@ -71,15 +64,10 @@ def test_word_lengths(name, data):
 @pytest.mark.parametrize("name", GROUPS)
 @given(data=st.data())
 def test_closed_sphere_sizes(name, data):
-    # a group with closed word lengths has closed sphere sizes (H3 has the
-    # sizes only), and they count the breadth-first spheres
+    # the growth series counts the breadth-first spheres
     index = index_of(name)
-    spec = index.spec
     radius = data.draw(st.integers(0, index.radius))
-    (g,) = draw_elements(data, name, 1)
-    closed = spec.closed_sphere_sizes(radius)
-    assert closed is not None or spec.word_length_closed(g) is None
-    assert closed is None or closed == index.sphere_sizes[: radius + 1]
+    assert R.sphere_sizes(index.spec, radius) == index.sphere_sizes[: radius + 1]
 
 
 SERIES_COMPONENTS = ["Z", "Z^2", "H3", "F1", "F2", "F3",
@@ -98,10 +86,10 @@ def test_growth_series_division(parts, radius):
     # a product's sphere sizes are the Cauchy product of its factors' sizes,
     # and Q times the sizes is P, both truncated to the radius
     spec = R.parse_descriptor("x".join(parts))
-    sizes = spec.closed_sphere_sizes(radius)
+    sizes = R.sphere_sizes(spec, radius)
     want = [1] + [0] * radius
     for part in parts:
-        want = cauchy_product(want, R.parse_descriptor(part).closed_sphere_sizes(radius))
+        want = cauchy_product(want, R.sphere_sizes(R.parse_descriptor(part), radius))
     assert sizes == want
 
     def truncated(coeffs):

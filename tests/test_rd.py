@@ -7,7 +7,6 @@ import rdlab as R
 import rdlab.algebra
 import rdlab.cli
 import rdlab.rd
-from rdlab.cache import CacheFormatError, read_ball_cache, write_ball_cache
 from rdlab.errors import (
     BudgetExceededError,
     CoverageError,
@@ -23,9 +22,6 @@ H3 = R.DiscreteHeisenberg()
 F2 = R.FreeGroup(2)
 C5 = R.FiniteCyclic(5)
 C12 = R.FiniteCyclic(12)
-# F2 on generators of its own: no closed form holds, so its sphere sizes
-# come from an index
-F2_OTHER = R.FreeGroup(2, generators=["a", "A", "ab", "BA"])
 
 
 def dense_products(monkeypatch):
@@ -47,14 +43,6 @@ class TestGrowthHelpers:
         assert R.sphere_sizes(spec, radius) == index.sphere_sizes
         assert R.ball_sizes(spec, radius) == index.ball_sizes
 
-    def test_other_generators_need_index(self):
-        with pytest.raises(IndexRadiusError):
-            R.sphere_sizes(F2_OTHER, 4)
-        index = R.enumerate_balls(F2_OTHER, 2)
-        assert R.ball_sizes(F2_OTHER, 2, index) == [1, 5, 17]
-        with pytest.raises(IndexRadiusError):
-            R.sphere_sizes(F2_OTHER, 3, index)
-
 
 class _Loaded(Exception):
     """Raised by a recording load: the computation read its index."""
@@ -63,9 +51,9 @@ class _Loaded(Exception):
 def loaded_radius(spec, method, needs, radius, domain_radius):
     """Radius of the ball index a command's computation to ``radius`` loads
     through ``_Run.index``, or None if it loads none.  ``needs`` names the
-    computation: "witness" norms a witness with ``method`` (sphere sizes
-    alone when ``method`` is None), "element" norms a given dense element of
-    that support radius, and "series" runs zseries with r = 1, K = radius."""
+    computation: "witness" norms a witness with ``method``, "element" norms
+    a given dense element of that support radius, and "series" runs zseries
+    with r = 1, K = radius."""
     args = ["zseries", "--group", spec.descriptor(), "--r", "1",
             "--alpha", "1.0", "--k", str(radius)]
     run = rdlab.cli._Run(rdlab.cli.build_parser().parse_args(args))
@@ -85,11 +73,9 @@ def loaded_radius(spec, method, needs, radius, domain_radius):
                               domain_radius)
             R.norm_bracket(element, method=method, index=index,
                            R=domain_radius)
-        elif method is None:
-            R.sphere_sizes(spec, radius, run.index(spec, radius))
         else:
             index = run.index(spec, radius, method, domain_radius)
-            element = make_witness(spec, "ball", radius, index)
+            element = make_witness(spec, "ball", radius)
             R.norm_bracket(element, method=method, index=index,
                            R=domain_radius)
     except _Loaded:
@@ -103,15 +89,10 @@ class TestIndexPlanning:
         (F2, "trace", "witness", 5, None),
         (F2, "auto", "witness", 5, None),
         (F2, "power", "witness", 5, 9),
-        (F2_OTHER, "trace", "witness", 5, 5),
-        (F2_OTHER, "exact", "witness", 5, 5),  # sphere sizes need the index
         (H3, "trace", "witness", 5, 5),
         (Z2, "trace", "element", 5, None),
         (H3, "trace", "element", 5, None),
         (H3, "power", "element", 5, 9),
-        (F2, None, "witness", 5, None),     # sphere sizes only
-        (Z2, None, "witness", 5, None),
-        (F2_OTHER, None, "witness", 5, 5),
         (F2, None, "series", 7, 7),        # |B_7| = 4373: element attached
         (F2, None, "series", 8, None),     # |B_8| = 13121
         (Z2, None, "series", 30, 30),      # |B_30| = 1861: element attached
@@ -122,36 +103,16 @@ class TestIndexPlanning:
         (Z2, "l1", "witness", 5, None),
         (Z2, "trace", "witness", 5, 5),
         (H3, "exact", "witness", 5, None),  # closed sphere sizes
-        (H3, None, "witness", 5, None),
         (H3, None, "series", 30, None),     # |B_30| = 345,149
     ])
     def test_planner(self, spec, method, needs, radius, want):
         # the index each computation loads lazily, with --R 9
         assert loaded_radius(spec, method, needs, radius, domain_radius=9) == want
 
-    @pytest.mark.parametrize("generators", [["a", "A", "b", "B"],
-                                            ["B", "a", "b", "A"]])
-    def test_standard_generators_in_any_order(self, generators, tmp_path):
-        spec = R.FreeGroup(2, generators=generators)
-        assert spec.has_standard_generators() and spec == F2
-        assert spec.generators() == F2.generators()
-        assert spec.closed_sphere_sizes(4) == [1, 4, 12, 36, 108]
-        path = tmp_path / "F2.N3.ballcache"
-        write_ball_cache(R.enumerate_balls(F2, 3), path)
-        assert (read_ball_cache(path, spec, 3).spheres
-                == R.enumerate_balls(F2, 3).spheres)
-        other = F2_OTHER
-        assert not other.has_standard_generators() and other != F2
-        assert other.closed_sphere_sizes(4) is None
-        # the same sphere sizes, so the first record that differs is named
-        with pytest.raises(CacheFormatError,
-                           match=r"F2\.N3\.ballcache:4: expected 'BA\\t1\\n'"):
-            read_ball_cache(path, other, 3)
-
     def test_power_domain_default_is_at_least_one(self, z2_index):
         # norm_bracket compresses to the domain radius R, else
         # max(support radius, 1)
-        point = make_witness(Z2, "ball", 0, z2_index)
+        point = make_witness(Z2, "ball", 0)
         est = R.norm_bracket(point, method="power", index=z2_index)
         assert (est.lower, est.upper) == (1.0, 1.0)
 
@@ -170,7 +131,7 @@ class TestIndexPlanning:
                 (Z2, "auto", False), (Z2, "exact", False),
                 (R.DirectProduct([Z, F2]), "auto", True)]:   # auto: trace
             index = R.enumerate_balls(spec, 3)
-            witness = make_witness(spec, "ball", 3, index)
+            witness = make_witness(spec, "ball", 3)
             assert isinstance(witness, R.RadialElement)
             expanded.clear()
             R.norm_bracket(witness, method=method, index=index, depth=1,
@@ -181,22 +142,22 @@ class TestIndexPlanning:
                 with pytest.raises(IndexRadiusError):
                     R.norm_bracket(witness, method=method, depth=1, iters=5)
 
-    def test_ratio_series_resolves_the_sizes_once(self, monkeypatch, h3_index):
-        # one sphere-size lookup for the largest n, sliced per witness, and
-        # the entries of one witness at a time
+    def test_ratio_series_reads_the_sizes_per_witness(self, monkeypatch):
+        # one sphere-size lookup per witness, each to its own n, and the
+        # entries of one witness at a time
         calls = []
 
-        def recording_sizes(spec, up_to, index=None):
+        def recording_sizes(spec, up_to):
             calls.append(up_to)
-            return R.sphere_sizes(spec, up_to, index)
+            return R.sphere_sizes(spec, up_to)
         monkeypatch.setattr(rdlab.rd, "sphere_sizes", recording_sizes)
-        for spec, index in [(Z2, None), (H3, h3_index)]:
+        for spec in (Z2, H3):
             calls.clear()
             ser = R.ratio_series(spec, "aN", [1, 4, 7], method="exact",
-                                 index=index, d_hat=1.5)
-            assert calls == [7]
+                                 d_hat=1.5)
+            assert calls == [1, 4, 7]
             for n, entry in zip([1, 4, 7], ser.entries):
-                x = make_witness(spec, "aN", n, index, 1.5)
+                x = make_witness(spec, "aN", n, 1.5)
                 est = R.norm_bracket(x, method="exact")
                 assert (entry.norm_lower, entry.l2) == \
                     (est.lower, coefficient_norm(x, "l2"))
@@ -472,8 +433,8 @@ class TestDoubling:
         assert min_ratio == pytest.approx(math.sqrt(4373 / 1457))
         assert abs(min_ratio - math.sqrt(3)) < 5e-4
 
-    def test_heisenberg_uses_index(self, h3_index):
-        ratios = R.doubling_ratios(H3, 2, 4, h3_index)
+    def test_heisenberg_from_the_growth_series(self):
+        ratios = R.doubling_ratios(H3, 2, 4)
         assert ratios[0] == pytest.approx(math.sqrt(135 / 17))
 
     def test_ratio_past_the_float_range(self):
@@ -489,8 +450,8 @@ class TestDoubling:
 
 
 class TestBallSeries:
-    def test_single_term_is_normalized(self, z_index):
-        ser = R.build_ball_series(Z, 3, 0.7, 1, index=z_index)
+    def test_single_term_is_normalized(self):
+        ser = R.build_ball_series(Z, 3, 0.7, 1)
         assert coefficient_norm(ser.function, "l2") == \
             pytest.approx(1.0, rel=1e-12)
         bounds = R.ball_series_l2_bounds(ser)
@@ -499,7 +460,7 @@ class TestBallSeries:
         assert bounds.doubling_ok
 
     def test_z_identity_coefficient(self, z_index):
-        ser = R.build_ball_series(Z, 1, 1.0, 2, index=z_index)
+        ser = R.build_ball_series(Z, 1, 1.0, 2)
         want = 1 / math.sqrt(3) + 0.5 / math.sqrt(5)
         element = R.radial_to_algebra(ser.function, z_index)
         assert element.coeffs[(0,)] == pytest.approx(want, rel=1e-12)
@@ -507,7 +468,7 @@ class TestBallSeries:
 
     def test_f2_small_dense_matches_shells(self):
         index = R.enumerate_balls(F2, 6)
-        ser = R.build_ball_series(F2, 2, 1.0, 3, index=index)
+        ser = R.build_ball_series(F2, 2, 1.0, 3)
         element = R.radial_to_algebra(ser.function, index)
         assert element.support_radius == 6
         assert set(element.coeffs) == set(index.ball(6))
@@ -528,7 +489,7 @@ class TestBallSeries:
 
     def test_element_matches_linear_combination(self, z_index):
         index = z_index
-        ser = R.build_ball_series(Z, 2, 0.8, 4, index=index)
+        ser = R.build_ball_series(Z, 2, 0.8, 4)
         terms = [(k ** -0.8 / math.sqrt(4 * k + 1), R.char_ball(index, 2 * k))
                  for k in range(1, 5)]
         want = R.linear_combine(terms)
@@ -545,11 +506,14 @@ class TestBallSeries:
         assert b.lower < b.actual < b.upper
         assert b.doubling_ok
 
-    def test_z_doubling_fails_only_lower_asserted(self, z_index):
-        ser = R.build_ball_series(Z, 2, 1.0, 8, index=z_index)
+    def test_z_doubling_fails_only_lower_asserted(self):
+        ser = R.build_ball_series(Z, 2, 1.0, 8)
         b = R.ball_series_l2_bounds(ser)
         assert not b.doubling_ok
         assert b.lower <= b.actual
+        # 4 * lower is no bound without doubling, and none is given
+        assert b.upper is None
+        assert b.to_json_dict()["upper_reason"] == rdlab.rd.NO_UPPER_REASON
 
     @pytest.mark.parametrize("alpha", [0.51, 0.54, 0.6, 0.75, 1.0, 1.5])
     @pytest.mark.parametrize("K", [4, 8, 12])
@@ -633,8 +597,8 @@ class TestSeriesProductBound:
 
 
 class TestSphereSum:
-    def test_z_harmonic(self, z_index):
-        rep = R.harmonic_sphere_sum(Z, 1.0, 100, z_index)
+    def test_z_harmonic(self):
+        rep = R.harmonic_sphere_sum(Z, 1.0, 100)
         want = 2 * (sum(1.0 / i for i in range(1, 102)) - 1.0)
         assert rep.final() == pytest.approx(want, rel=1e-12)
         assert rep.final() == pytest.approx(8.39, abs=0.02)
@@ -642,13 +606,13 @@ class TestSphereSum:
         assert (m1, m2) == (25, 50)
         assert inc2 == pytest.approx(2 * math.log(2), rel=0.05)
 
-    def test_wrong_exponent_detected(self, z_index):
-        rep = R.harmonic_sphere_sum(Z, 3.0, 100, z_index)
+    def test_wrong_exponent_detected(self):
+        rep = R.harmonic_sphere_sum(Z, 3.0, 100)
         (_, inc1), (_, inc2) = rep.increments
         assert inc2 < inc1 < 0.01
 
-    def test_heisenberg_with_index(self, h3_index):
-        rep = R.harmonic_sphere_sum(H3, 4.0, 10, h3_index)
+    def test_heisenberg_from_the_growth_series(self):
+        rep = R.harmonic_sphere_sum(H3, 4.0, 10)
         assert len(rep.partial_sums) == 10
         assert rep.partial_sums == sorted(rep.partial_sums)
 
