@@ -111,8 +111,11 @@ PRODUCTS = [
     (R.parse_descriptor("F2xC4"), 4, ["F2", "C4"]),
     (R.parse_descriptor("Z^1xH3"), 4, []),
     (R.parse_descriptor("Z^1xF2xC5"), 4, ["F2", "C5"]),
+    (R.parse_descriptor("C3xZ^1"), 5, ["C3"]),
+    (R.parse_descriptor("F1xZ^2xH3"), 3, ["F1"]),
 ]
-PRODUCT_IDS = ["Z^1xF2", "Z^2xC3", "F2xC4", "Z^1xH3", "Z^1xF2xC5"]
+PRODUCT_IDS = ["Z^1xF2", "Z^2xC3", "F2xC4", "Z^1xH3", "Z^1xF2xC5", "C3xZ^1",
+               "F1xZ^2xH3"]
 
 
 @pytest.fixture

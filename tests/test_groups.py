@@ -84,6 +84,20 @@ class TestWordLength:
         for n in range(11):
             assert index.ball_sizes[n] == size(n)
 
+    @pytest.mark.parametrize("descriptor", ["Z^3", "F3", "C7", "Z^1xC3",
+                                            "F2xC4", "H3", "H3xZ^1",
+                                            "Z^1xF2xH3"])
+    def test_closed_form_exactly_without_an_h3_factor(self, descriptor):
+        # every class but H3 has a length formula on its standard
+        # generators, and a product has one unless a factor is H3
+        spec = R.parse_descriptor(descriptor)
+        index = R.enumerate_balls(spec, 3)
+        closed = {g: spec.word_length_closed(g) for g in index.ball(3)}
+        if "H3" in descriptor:
+            assert set(closed.values()) == {None}
+        else:
+            assert closed == index.lengths
+
     def test_length_symmetry(self, h3_index):
         for g, ell in h3_index.lengths.items():
             assert h3_index.length(H3.inverse(g)) == ell
@@ -187,23 +201,25 @@ class TestClosedSphereSizes:
         digest = hashlib.sha256(json.dumps(sizes).encode()).hexdigest()
         assert digest == CLOSED_SIZE_PINS[descriptor, radius]
 
+    @pytest.mark.parametrize("read", [R.sphere_sizes, R.ball_sizes],
+                             ids=["sphere_sizes", "ball_sizes"])
     @pytest.mark.parametrize("descriptor", ["F2", "Z^2", "C4", "H3xZ^1"])
-    def test_each_call_gets_its_own_list(self, descriptor, monkeypatch):
+    def test_each_call_gets_its_own_list(self, descriptor, read, monkeypatch):
         # from an empty store of terms, so that a request as long as the
         # stored terms comes up too
         monkeypatch.setattr(R.groups, "_SERIES_TERMS", {})
         spec = R.parse_descriptor(descriptor)
-        want = list(R.sphere_sizes(spec, 12))
-        longer = R.sphere_sizes(spec, 12)
+        want = list(read(spec, 12))
+        longer = read(spec, 12)
         longer[3] = -1
         longer.append(-1)
         # a shorter request after a longer one gets exactly its radii
-        shorter = R.sphere_sizes(spec, 5)
+        shorter = read(spec, 5)
         assert shorter == want[:6]
         shorter[0] = -1
         shorter.append(-1)
-        assert R.sphere_sizes(spec, 12) == want
-        assert R.sphere_sizes(spec, 5) == want[:6]
+        assert read(spec, 12) == want
+        assert read(spec, 5) == want[:6]
 
 
 class TestKeys:
@@ -226,6 +242,17 @@ class TestKeys:
         assert spec.factors == [Z, F2, C12]
         assert spec.descriptor() == "Z^1xF2xC12"
         assert spec == R.parse_descriptor("Z^1xF2xC12")
+
+    @pytest.mark.parametrize("a, b, same", [
+        (Z, R.parse_descriptor("Z"), True),
+        (R.DirectProduct([Z, F2]), R.parse_descriptor("Z^1xF2"), True),
+        (Z, R.FreeGroup(1), False),        # Z^1 and F1: the same lengths
+        (R.parse_descriptor("Z^1xF2"), R.parse_descriptor("F2xZ^1"), False),
+    ], ids=["Z", "Z^1xF2", "Z^1-F1", "factor-order"])
+    def test_groups_are_equal_when_their_descriptors_are(self, a, b, same):
+        assert (a == b) is same and (a != b) is not same
+        assert (len({a, b}) == 1) is same
+        assert (a.descriptor() == b.descriptor()) is same
 
     def test_descriptor_parsing(self):
         for text, descriptor in [("Z", "Z^1"), ("Z^2", "Z^2"), ("H3", "H3"),

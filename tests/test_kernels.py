@@ -464,10 +464,12 @@ def test_ball_product_budget_bounds_the_product_support(argv, budget):
     assert run_command(run + [str(budget)]) == 0
 
 
+# the first four are searched on int64 rows
 COUNT_CASES = [
-    (R.FreeAbelian(1), 6), (R.FreeAbelian(2), 5), (H3, 4),
-    (R.FiniteCyclic(12), 8), (R.parse_descriptor("Z^1xC5"), 4),
-    (R.parse_descriptor("Z^1xF2"), 3)]
+    (R.FreeAbelian(1), 6), (R.FreeAbelian(2), 5), (H3, 4), (R.FreeAbelian(3), 4),
+    (R.FreeGroup(2), 4), (R.FiniteCyclic(12), 8),
+    (R.parse_descriptor("Z^1xC5"), 4), (R.parse_descriptor("Z^1xF2"), 3),
+    (R.parse_descriptor("Z^1xH3"), 3)]
 COUNT_IDS = [spec.descriptor() for spec, _ in COUNT_CASES]
 
 
@@ -516,7 +518,7 @@ def test_minima_of_one_table_match_each_total(spec, M):
                    for v in row[n:])
 
 
-@pytest.mark.parametrize("spec,M", COUNT_CASES[:3], ids=COUNT_IDS[:3])
+@pytest.mark.parametrize("spec,M", COUNT_CASES[:4], ids=COUNT_IDS[:4])
 def test_row_and_dict_gathers_count_alike(spec, M):
     index = R.enumerate_balls(spec, M)
     assert index.rows is not None

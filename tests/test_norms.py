@@ -8,7 +8,7 @@ import pytest
 
 import rdlab as R
 from rdlab.errors import BudgetExceededError, IndexRadiusError, RdlabError
-from rdlab.norms import _trace_exponents
+from rdlab.norms import _trace_exponents, radial_rank
 
 Z = R.FreeAbelian(1)
 Z2 = R.FreeAbelian(2)
@@ -284,6 +284,11 @@ class TestRadial:
     def test_rank_mismatch(self):
         with pytest.raises(RdlabError):
             R.radial_convolve(R.radial_sphere(2, 1), R.radial_sphere(3, 1))
+
+    @pytest.mark.parametrize("descriptor, rank", [
+        ("F1", 1), ("F3", 3), ("Z^1", None), ("C2", None), ("Z^1xF2", None)])
+    def test_radial_rank_is_that_of_a_free_group(self, descriptor, rank):
+        assert radial_rank(R.parse_descriptor(descriptor)) == rank
 
     def test_sizes_match_bfs(self, f2_index):
         assert R.sphere_sizes(F2, 8) == f2_index.sphere_sizes

@@ -17,7 +17,8 @@ import rdlab as R
 # (descriptor, radius elements are drawn from)
 GROUPS = {
     "Z^1": 4, "Z^2": 3, "Z^3": 2, "H3": 3, "F1": 4, "F2": 3, "F3": 2,
-    "C1": 1, "C2": 1, "C12": 4, "Z^1xC5": 3, "Z^1xF2": 2,
+    "C1": 1, "C2": 1, "C7": 3, "C12": 4, "Z^4": 2, "Z^1xC5": 3, "Z^1xF2": 2,
+    "Z^1xH3": 2, "F2xC4": 2,
 }
 # the groups whose convolution runs the dict loop
 DICT_LOOP = ["F2", "C12", "Z^1xF2"]

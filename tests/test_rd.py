@@ -43,6 +43,21 @@ class TestGrowthHelpers:
         assert R.sphere_sizes(spec, radius) == index.sphere_sizes
         assert R.ball_sizes(spec, radius) == index.ball_sizes
 
+    @pytest.mark.parametrize("descriptor", ["Z^2", "H3", "F2", "C12",
+                                            "Z^1xH3", "H3xF2"])
+    def test_a_witness_takes_its_sizes_from_the_growth_series(
+            self, descriptor, monkeypatch):
+        # no ball is searched for the sizes, H3 and its products included
+        spec = R.parse_descriptor(descriptor)
+        want = R.enumerate_balls(spec, 5).sphere_sizes
+
+        def searched(*args):
+            raise AssertionError("a ball was searched")
+        monkeypatch.setattr(R.groups, "_enumerate", searched)
+        for witness in ("ball", "sphere", "aN"):
+            x = make_witness(spec, witness, 5, d_hat=1.5)
+            assert x.sizes == want and len(x.coeffs) == 6
+
 
 class _Loaded(Exception):
     """Raised by a recording load: the computation read its index."""
