@@ -39,7 +39,6 @@ from .groups import (
     enumerate_balls,
     parse_descriptor,
     sphere_sizes,
-    word_length,
 )
 from .norms import (
     NormEstimate,

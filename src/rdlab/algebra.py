@@ -28,7 +28,6 @@ from .groups import (
     IntegerTupleGroup,
     LengthIndex,
     cell_keys,
-    word_length,
 )
 
 # Slack threshold below which a floating comparison counts as a violation;
@@ -98,6 +97,8 @@ class AlgebraElement:
         if type(radius) is not int:
             raise ValueError("element JSON has support_radius "
                              f"{radius!r}, not an integer")
+        if radius < 0:
+            raise ValueError(f"element JSON has support_radius {radius}, below 0")
         if not isinstance(data["coeffs"], list):
             raise ValueError("element JSON coeffs must be a list of [key, value]")
         coeffs = {}
@@ -118,31 +119,23 @@ class AlgebraElement:
         element.check_support()
         return element
 
-    def check_support(self, index: LengthIndex = None):
+    def check_support(self):
         """Raise ValueError naming the first support element outside
-        B_{support_radius}.  A word length with no closed form is read from
-        ``index``, which must reach support_radius; without an index it is
-        not checked."""
+        B_{support_radius}."""
         spec, radius = self.spec, self.support_radius
         for g in self.coeffs:
-            length = spec.word_length_closed(g)
-            if length is None and index is not None:
-                if g not in index:
-                    raise ValueError(
-                        f"element {spec.element_key(g)!r} lies outside "
-                        f"B_{index.radius}, beyond support_radius {radius}")
-                length = index.length(g)
-            if length is not None and length > radius:
+            length = spec.word_length(g)
+            if length > radius:
                 raise ValueError(
                     f"element {spec.element_key(g)!r} has length {length}, "
                     f"beyond support_radius {radius}")
 
 
-def point_mass(spec, g, index=None):
+def point_mass(spec, g):
     """The delta function at ``g`` (the convolution identity when g = e)."""
     spec.check_element(g)
     return AlgebraElement(spec=spec, coeffs={g: 1.0},
-                          support_radius=word_length(spec, g, index))
+                          support_radius=spec.word_length(g))
 
 
 def char_ball(index: LengthIndex, n):
@@ -499,12 +492,9 @@ def float_sum(values, start=0):
     return functools.reduce(operator.add, values, start)
 
 
-def norm(a: AlgebraElement, kind, index: LengthIndex = None):
-    """Norms on coefficients: kind is "l1", "l2", or ("l2s", s).
-
-    The weighted norm ||a||_{2,s} = sqrt(sum |a_g|^2 (1+|g|)^{2s}) needs word
-    lengths: either a closed form or an index covering the support.
-    """
+def norm(a: AlgebraElement, kind):
+    """Norms on coefficients: kind is "l1", "l2", or ("l2s", s), the weighted
+    norm ||a||_{2,s} = sqrt(sum |a_g|^2 (1+|g|)^{2s})."""
     if kind == "l1":
         return float_sum(map(abs, a.coeffs.values()), 0.0)
     if kind == "l2":
@@ -515,7 +505,7 @@ def norm(a: AlgebraElement, kind, index: LengthIndex = None):
             raise ValueError("weight exponent s must be >= 0")
         total = 0.0
         for g, c in a.coeffs.items():
-            ell = word_length(a.spec, g, index)
+            ell = a.spec.word_length(g)
             total += c * c * (1.0 + ell) ** (2.0 * s)
         return math.sqrt(total)
     raise ValueError(f"unknown norm kind {kind!r}")

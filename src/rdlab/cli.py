@@ -144,9 +144,6 @@ class _LazyIndex:
             self._index = self._load(self.spec, self.radius)
         return getattr(self._index, name)
 
-    def __contains__(self, g):
-        return g in self.lengths
-
 
 class _Run:
     """Collects artifact text plus manifest metadata for one invocation."""
@@ -255,7 +252,6 @@ def cmd_norm(run, args):
         element = AlgebraElement.from_json_dict(spec, data)
         index = run.index(spec, element.support_radius, args.method,
                           args.domain_radius)
-        element.check_support(index)
     elif args.witness and args.n is not None:
         index = run.index(spec, args.n, args.method, args.domain_radius)
         element = make_witness(spec, args.witness, args.n, args.d_hat)

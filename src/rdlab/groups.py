@@ -2,12 +2,12 @@
 
 Each group comes with a canonical element form, its standard symmetric
 generating set, its rational growth series sum |S_n| z^n = P(z)/Q(z), whose
-division gives every sphere size, and the word-length of Z^d, F_r, C_m and
-their products.  Balls and spheres are enumerated by breadth-first search
-over the generating set; the result is a :class:`LengthIndex` that the
-algebra and analysis layers consume.  ``sphere_sizes`` and ``ball_sizes``
-answer from the growth series; ``word_length`` from the closed form, else
-(on H3) from an index.
+division gives every sphere size, and a closed formula for its word length.
+Balls and spheres are enumerated by breadth-first search over the generating
+set; the result is a :class:`LengthIndex` that the algebra and analysis
+layers consume for the elements of a ball.  ``sphere_sizes`` and
+``ball_sizes`` answer from the growth series and ``word_length`` from the
+formula, so neither reads an index.
 
 Z^d and H3 (:class:`IntegerTupleGroup`) have an array law, and their search
 runs sphere by sphere on int64 coordinate columns: with a symmetric
@@ -52,12 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    HomomorphismError,
-    IndexRadiusError,
-    SpecMismatchError,
-)
+from .errors import BudgetExceededError, HomomorphismError, IndexRadiusError
 
 DEFAULT_BUDGET = 5_000_000
 # Coordinates of integer-tuple elements stay below this in absolute value on
@@ -80,7 +75,7 @@ class GroupSpec:
     """A concrete group on its standard symmetric generating set.
 
     Subclasses supply the group law on canonical values, the generators, the
-    growth series and any closed word-length formula.
+    growth series and the word-length formula.
     """
 
     # -- group law ---------------------------------------------------------
@@ -110,9 +105,9 @@ class GroupSpec:
 
     # -- closed forms and naming ----------------------------------------------
 
-    def word_length_closed(self, g):
-        """Exact word-length of ``g`` from a closed form, or None."""
-        return None
+    def word_length(self, g):
+        """The word length of ``g`` on the standard generators."""
+        raise NotImplementedError
 
     def growth_series(self):
         """Integer tuples (P, Q), Q[0] = 1, with P/Q = sum |S_n| z^n."""
@@ -211,7 +206,7 @@ class FreeAbelian(IntegerTupleGroup):
             word.extend([step] * abs(x))
         return word
 
-    def word_length_closed(self, g):
+    def word_length(self, g):
         return sum(abs(x) for x in g)
 
     def growth_series(self):
@@ -231,8 +226,9 @@ class DiscreteHeisenberg(IntegerTupleGroup):
     """Integer Heisenberg group on triples with standard generators x, y.
 
     Product rule: (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b').  The center is
-    generated by z = (0,0,1) = x y x^-1 y^-1.  Its growth series is Shapiro's;
-    the word-length has no closed form, and goes through a LengthIndex.
+    generated by z = (0,0,1) = x y x^-1 y^-1.  Its growth series is Shapiro's
+    and its word length Blachere's formula ("Word distance on the discrete
+    Heisenberg group", Colloq. Math. 95, 2003).
     """
 
     X = (1, 0, 0)
@@ -270,6 +266,25 @@ class DiscreteHeisenberg(IntegerTupleGroup):
         z_word = [x, y, xi, yi] if twists > 0 else [y, x, yi, xi]
         word += z_word * abs(twists)
         return word
+
+    def word_length(self, g):
+        # (a, b, c) -> (-a, b, -c), (a, -b, -c) and (b, a, ab - c) are
+        # automorphisms that permute the generators, so they keep lengths:
+        # they bring g to a, b >= 0 and c >= 0 (c > ab after the swap)
+        a, b, c = g
+        if a < 0:
+            a, c = -a, -c
+        if b < 0:
+            b, c = -b, -c
+        if c < 0:
+            a, b, c = b, a, a * b - c
+        x, y = min(a, b), max(a, b)
+        if c <= a * b:
+            return a + b
+        if c <= y * y:
+            return 2 * -(-c // y) + y - x
+        # 2 ceil(2 sqrt(c)) - a - b, with ceil(sqrt(4c)) = isqrt(4c - 1) + 1
+        return 2 * (math.isqrt(4 * c - 1) + 1) - a - b
 
     def growth_series(self):
         # Shapiro (1989, Math. Ann. 285):
@@ -329,7 +344,7 @@ class FreeGroup(GroupSpec):
     def generator_word(self, g):
         return list(g)
 
-    def word_length_closed(self, g):
+    def word_length(self, g):
         return len(g)
 
     def growth_series(self):
@@ -385,7 +400,7 @@ class FiniteCyclic(GroupSpec):
             return [1 % m] * g
         return [(m - 1) % m] * (m - g)
 
-    def word_length_closed(self, g):
+    def word_length(self, g):
         return min(g, self.order - g)
 
     def growth_series(self):
@@ -459,9 +474,8 @@ class DirectProduct(GroupSpec):
             word.extend(self._embed(i, s) for s in f.generator_word(x))
         return word
 
-    def word_length_closed(self, g):
-        parts = [f.word_length_closed(x) for f, x in zip(self.factors, g)]
-        return None if None in parts else sum(parts)
+    def word_length(self, g):
+        return sum(f.word_length(x) for f, x in zip(self.factors, g))
 
     def growth_series(self):
         # S_n is the union over i + j = n of S_i(prefix) x S_j(factor)
@@ -557,17 +571,6 @@ class LengthIndex:
             self._lengths = {g: n for n, sphere in enumerate(self.spheres)
                              for g in sphere}
         return self._lengths
-
-    def length(self, g):
-        try:
-            return self.lengths[g]
-        except KeyError:
-            raise IndexRadiusError(
-                f"element {self.spec.element_key(g)!r} outside index radius "
-                f"{self.radius} for {self.spec.descriptor()}") from None
-
-    def __contains__(self, g):
-        return g in self.lengths
 
     def sphere(self, n):
         if n > self.radius:
@@ -778,20 +781,6 @@ def _sphere_keys(index):
     return [list(map(key, sphere)) for sphere in index.spheres]
 
 
-def word_length(spec, g, index=None):
-    """Word-length of ``g``: closed form when exact, else a table lookup."""
-    closed = spec.word_length_closed(g)
-    if closed is not None:
-        return closed
-    if index is None:
-        raise IndexRadiusError(
-            f"{spec.descriptor()} has no closed word-length formula; "
-            "a LengthIndex is required")
-    if index.spec != spec:
-        raise SpecMismatchError("index was built for a different group")
-    return index.length(g)
-
-
 def sphere_sizes(spec, up_to):
     """|S_0..S_up_to| as a new list: the terms of the growth series P/Q,
     s_n = P_n - sum_{k >= 1} Q_k s_{n-k}, extending the terms each series
@@ -826,8 +815,8 @@ class Embedding:
             out = self.ambient.multiply(out, self.images[s])
         return out
 
-    def ambient_length(self, g, ambient_index=None):
-        return word_length(self.ambient, self.apply(g), ambient_index)
+    def ambient_length(self, g):
+        return self.ambient.word_length(self.apply(g))
 
 
 def embed(sub, ambient, images, check_radius=3):

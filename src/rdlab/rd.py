@@ -686,7 +686,7 @@ def verify_heredity(embedding: Embedding, n_list, sub_index: LengthIndex,
     n_list = list(n_list)
     sub = embedding.sub
     elems = list(sub_index.ball(sub_index.radius))
-    image_length = {g: embedding.ambient_length(g, ambient_index) for g in elems}
+    image_length = {g: embedding.ambient_length(g) for g in elems}
 
     top_sphere = sub_index.sphere(sub_index.radius)
     if top_sphere:
@@ -703,7 +703,7 @@ def verify_heredity(embedding: Embedding, n_list, sub_index: LengthIndex,
     for n, amb in zip(n_list, ambient.entries):
         members = [g for g in elems if image_length[g] <= n]
         coeffs = {g: 1.0 for g in members}
-        radius = max((sub_index.length(g) for g in members), default=0)
+        radius = max(map(sub.word_length, members), default=0)
         witness = AlgebraElement(spec=sub, coeffs=coeffs, support_radius=radius)
         sub_est = norm_bracket(witness, method=method, index=sub_index, **settings)
         sub_l2 = math.sqrt(len(members))

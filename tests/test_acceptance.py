@@ -165,7 +165,7 @@ def test_criterion_09_delocalization():
                              coeffs={g: rng.uniform(0.0, 1.0) + 1e-9 for g in supp},
                              support_radius=16)
         exact = R.op_norm_positive_amenable(a).lower
-        weighted = R.norm(a, ("l2s", 1.25), index)
+        weighted = R.norm(a, ("l2s", 1.25))
         bound_ok = bound_ok and exact <= c_prime * weighted
         margin = min(margin, c_prime * weighted / exact)
     ok = formula_ok and bound_ok

@@ -548,7 +548,7 @@ class TestIndexPlanning:
         assert (index.spec.descriptor(), index.radius) == ("H3", 4)
         assert index_calls["get_index"] == []
         assert index.sphere_sizes == [1, 4, 12, 36, 82]
-        assert (1, 0, 0) in index and index.length((1, 0, 0)) == 1
+        assert index.lengths[(1, 0, 0)] == 1
         assert index_calls["get_index"] == [("H3", 4)]
 
     def test_a_failed_load_raises_its_own_error(self, capsys, index_calls):
@@ -655,18 +655,18 @@ class TestIndexPlanning:
         assert asked == [4]
         assert index_calls == {"get_index": [], "enumerate": []}
 
-    def test_given_element_reads_the_index_its_support_is_checked_on(
+    def test_given_element_reads_an_index_only_for_power(
             self, tmp_path, index_calls):
-        # H3 has no closed word length: the support is checked on the index
-        # of support_radius, or of the power domain when that is larger
+        # the support is checked by the closed H3 word length; only power
+        # iteration reads an index, of its domain radius
         path = tmp_path / "el.json"
         ball = R.char_ball(rdlab.groups.enumerate_balls(R.DiscreteHeisenberg(), 1), 1)
         path.write_text(json.dumps(ball.to_json_dict()))
         index_calls["enumerate"].clear()
         base = ["norm", "--group", "H3", "--element", str(path)]
-        assert run_command(base + ["--method", "trace", "--depth", "2"]) == 0
-        assert index_calls["get_index"] == [("H3", 1)]
-        index_calls["get_index"].clear()
+        for method in (["trace", "--depth", "2"], ["exact"], ["l1"]):
+            assert run_command(base + ["--method", *method]) == 0, method
+        assert index_calls == {"get_index": [], "enumerate": []}
         assert run_command(base + ["--method", "power", "--R", "3",
                                    "--iters", "20"]) == 0
         assert index_calls["get_index"] == [("H3", 3)]
@@ -867,6 +867,8 @@ class TestExitCodes:
                  "string key"),
                 ({"group": "Z^2", "support_radius": 1.5, "coeffs": []},
                  "support_radius 1.5, not an integer"),
+                ({"group": "Z^2", "support_radius": -3, "coeffs": []},
+                 "support_radius -3, below 0"),
                 ({"group": "Z^2", "support_radius": "1", "coeffs": []},
                  "support_radius '1', not an integer"),
                 ({"group": "Z^2", "support_radius": 1, "coeffs": {"0,1": 1.0}},
@@ -882,12 +884,12 @@ class TestExitCodes:
                                 "--method", "l1"]) == 2, data
             assert message in capsys.readouterr().err, data
 
-    def test_support_radius_checked_by_the_index(self, tmp_path, capsys):
-        # H3 has no closed word length: its index of support_radius (or of
-        # the power domain, when larger) checks the declared radius
+    def test_h3_support_radius_checked_by_the_word_length(self, tmp_path, capsys):
+        # the closed H3 word length checks the declared radius as the file
+        # is parsed, whatever the power domain
         path = tmp_path / "el.json"
         for key, radius, extra, code, message in [
-                ("0,0,5", 1, [], 2, "'0,0,5' lies outside B_1"),
+                ("0,0,5", 1, [], 2, "'0,0,5' has length 10"),
                 ("0,0,1", 1, ["--R", "6"], 2, "'0,0,1' has length 4"),
                 ("0,0,1", 4, ["--R", "6"], 0, "norm in")]:
             path.write_text(json.dumps({"group": "H3", "support_radius": radius,

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import random
@@ -5,7 +6,7 @@ import random
 import pytest
 
 import rdlab as R
-from rdlab.errors import BudgetExceededError, HomomorphismError, IndexRadiusError
+from rdlab.errors import BudgetExceededError, HomomorphismError
 
 
 Z = R.FreeAbelian(1)
@@ -59,20 +60,37 @@ class TestGroupLaw:
             index = R.enumerate_balls(spec, 8)
             for g in index.ball(4):
                 for h in index.sphere(4):
-                    assert spec.multiply(g, h) in index
+                    assert spec.multiply(g, h) in index.lengths
 
 
 class TestWordLength:
     def test_closed_forms(self):
-        assert R.word_length(Z2, (3, -2)) == 5
-        assert R.word_length(F2, "abab") == 4
-        assert R.word_length(C12, 7) == 5
-        assert R.word_length(R.DirectProduct([Z, F2]), ((2,), "aB")) == 4
+        assert Z2.word_length((3, -2)) == 5
+        assert F2.word_length("abab") == 4
+        assert C12.word_length(7) == 5
+        assert R.DirectProduct([Z, F2]).word_length(((2,), "aB")) == 4
 
-    def test_heisenberg_needs_index(self, h3_index):
-        with pytest.raises(IndexRadiusError):
-            R.word_length(H3, (0, 0, 1))
-        assert R.word_length(H3, (0, 0, 1), h3_index) == 4
+    def test_heisenberg_examples(self):
+        # z = [x, y] has length 4, z^4 = [x^2, y^2] length 8, and each of
+        # Blachere's three cases shows: c <= ab, ab < c <= max(a, b)^2, and
+        # c beyond it
+        examples = {(0, 0, 1): 4, (0, 0, -1): 4, (0, 0, 4): 8, (0, 0, 2): 6,
+                    (1, 1, 1): 2, (3, -2, -6): 5, (4, 1, 6): 7, (-1, 1, 5): 8}
+        assert {g: H3.word_length(g) for g in examples} == examples
+
+    def test_heisenberg_formula_matches_bfs(self):
+        # every element of B_24, 141,225 of them
+        index = R.enumerate_balls(H3, 24)
+        assert {g: n for g, n in index.lengths.items()
+                if H3.word_length(g) != n} == {}
+
+    def test_heisenberg_formula_counts_shapiro_spheres(self):
+        # a word of length n has |a|, |b| <= n and |c| <= n^2, so the box
+        # holds B_12, and the formula's sphere counts in it are Shapiro's
+        counts = collections.Counter(
+            H3.word_length((a, b, c)) for a in range(-12, 13)
+            for b in range(-12, 13) for c in range(-144, 145))
+        assert [counts[n] for n in range(13)] == R.sphere_sizes(H3, 12)
 
     @pytest.mark.parametrize("spec,size", [(Z, lambda n: 2 * n + 1),
                                            (F2, lambda n: 2 * 3 ** n - 1),
@@ -80,36 +98,30 @@ class TestWordLength:
     def test_closed_form_matches_bfs(self, spec, size):
         index = R.enumerate_balls(spec, 10)
         for g, ell in index.lengths.items():
-            assert spec.word_length_closed(g) == ell
+            assert spec.word_length(g) == ell
         for n in range(11):
             assert index.ball_sizes[n] == size(n)
 
     @pytest.mark.parametrize("descriptor", ["Z^3", "F3", "C7", "Z^1xC3",
                                             "F2xC4", "H3", "H3xZ^1",
                                             "Z^1xF2xH3"])
-    def test_closed_form_exactly_without_an_h3_factor(self, descriptor):
-        # every class but H3 has a length formula on its standard
-        # generators, and a product has one unless a factor is H3
+    def test_closed_form_matches_bfs_on_every_group(self, descriptor):
+        # a product's length is the sum of its factors' lengths
         spec = R.parse_descriptor(descriptor)
         index = R.enumerate_balls(spec, 3)
-        closed = {g: spec.word_length_closed(g) for g in index.ball(3)}
-        if "H3" in descriptor:
-            assert set(closed.values()) == {None}
-        else:
-            assert closed == index.lengths
+        assert {g: spec.word_length(g) for g in index.ball(3)} == index.lengths
 
     def test_length_symmetry(self, h3_index):
         for g, ell in h3_index.lengths.items():
-            assert h3_index.length(H3.inverse(g)) == ell
+            assert H3.word_length(H3.inverse(g)) == ell
 
     def test_triangle_inequality(self, h3_index):
         rng = random.Random(0)
         elems = list(h3_index.ball(5))
         for _ in range(300):
             g, h = rng.choice(elems), rng.choice(elems)
-            gh = H3.multiply(g, h)
-            if gh in h3_index:
-                assert h3_index.length(gh) <= h3_index.length(g) + h3_index.length(h)
+            assert H3.word_length(H3.multiply(g, h)) <= \
+                H3.word_length(g) + H3.word_length(h)
 
 
 class TestEnumeration:
@@ -136,7 +148,7 @@ class TestEnumeration:
         assert c12_index.sphere_sizes[7] == 0
 
     def test_identity_length_zero(self, z2_index):
-        assert z2_index.length(Z2.identity()) == 0
+        assert z2_index.lengths[Z2.identity()] == 0
 
     def test_budget_exceeded_reports_radius(self):
         with pytest.raises(BudgetExceededError) as err:
@@ -288,6 +300,7 @@ class TestEmbeddings:
     def test_heisenberg_center(self, h3_index):
         emb = R.embed(Z, H3, {(1,): (0, 0, 1)})
         assert emb.apply((2,)) == (0, 0, 2)
+        assert emb.ambient_length((2,)) == 6
 
     def test_heisenberg_into_itself(self, h3_index):
         # x -> x^2, y -> y is the homomorphism (a, b, c) -> (2a, b, 2c)

@@ -46,10 +46,10 @@ def coordinates(spec):
 
 
 def length_bound(spec, g):
-    if spec is H3:      # no closed form: the length of its generator word
+    if spec is H3:      # the length of its generator word, at least |g|
         a, b, c = g
         return abs(a) + abs(b) + 4 * abs(c - a * b)
-    return spec.word_length_closed(g)
+    return spec.word_length(g)
 
 
 def element(spec, coeffs):

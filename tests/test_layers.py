@@ -72,3 +72,38 @@ def test_no_module_imports_a_name_it_never_uses():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__")
     found = {p.stem: unused_imports(p) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def raises_only_not_implemented(node):
+    """Whether the body of function ``node``, after any docstring, is one
+    ``raise NotImplementedError``: a stub that subclasses fill in."""
+    body = node.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    return (len(body) == 1 and isinstance(body[0], ast.Raise)
+            and "NotImplementedError" in {name.id for name in ast.walk(body[0])
+                                          if isinstance(name, ast.Name)})
+
+
+def unread_parameters(path):
+    """The ``function(parameter)`` pairs of ``path`` whose body never reads
+    the parameter; ``self``, ``cls`` and stubs are left out."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or raises_only_not_implemented(node)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg,
+                                                                   args.kwarg]
+        read = {name.id for statement in node.body
+                for name in ast.walk(statement) if isinstance(name, ast.Name)}
+        found.update(f"{node.name}({p.arg})" for p in params
+                     if p is not None and p.arg not in read | {"self", "cls"})
+    return found
+
+
+def test_no_function_has_a_parameter_it_never_reads():
+    found = {p.stem: unread_parameters(p) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: pairs for name, pairs in found.items() if pairs} == {}

@@ -56,10 +56,11 @@ def test_word_lengths(name, data):
     index = index_of(name)
     spec = index.spec
     g, h = draw_elements(data, name, 2)
-    closed = spec.word_length_closed(g)
-    assert closed is None or closed == index.length(g)
-    assert index.length(spec.inverse(g)) == index.length(g)
-    assert index.length(spec.multiply(g, h)) <= index.length(g) + index.length(h)
+    gh = spec.multiply(g, h)
+    for x in (g, spec.inverse(g), gh):
+        assert spec.word_length(x) == index.lengths[x]
+    assert spec.word_length(spec.inverse(g)) == spec.word_length(g)
+    assert spec.word_length(gh) <= spec.word_length(g) + spec.word_length(h)
 
 
 @pytest.mark.parametrize("name", GROUPS)

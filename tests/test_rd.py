@@ -391,7 +391,7 @@ class TestDelocalization:
             coeffs = {g: rng.uniform(0.0, 1.0) + 1e-9 for g in supp}
             a = R.AlgebraElement(spec=Z2, coeffs=coeffs, support_radius=16)
             exact = R.op_norm_positive_amenable(a).lower
-            weighted = R.norm(a, ("l2s", 1.25), z2_index)
+            weighted = R.norm(a, ("l2s", 1.25))
             assert exact <= c_prime * weighted
 
 
