@@ -21,9 +21,11 @@ chi(S_1) chi(S_n) = chi(S_{n+1}) + (2r-1) chi(S_{n-1}) (n >= 2, with
 chi(S_1)^2 = chi(S_2) + 2r delta_e), extended bilinearly.
 Supports then grow linearly in the radius instead of exponentially, which
 is what makes deep trace powers on free groups affordable.  One generator,
-``radial_partial_products``, runs the recursion on numpy arrays: float64 when
-every coefficient is a Python float, else an object array of Python numbers,
-so integer inputs stay exact.  Both give the bits of the plain Python loop.
+``radial_partial_products``, runs the recursion in a few numpy rows that it
+allocates once and rotates: float64 when every coefficient is a Python
+float, else an object array of Python numbers, so integer inputs stay
+exact.  Both give the bits of the plain Python loop, nan included where
+inf - inf meets in float64.
 
 ``window_sums`` adds the O(K^2) sums of the lemma2 series bound on numpy
 row blocks, in the order and to the bits of Python's left-to-right loop.
@@ -197,19 +199,6 @@ def radial_to_algebra(x: RadialElement, index: LengthIndex):
     return AlgebraElement(spec=x.spec, coeffs=coeffs, support_radius=top)
 
 
-def _apply_sphere_one(rank, d):
-    """Coefficients of chi(S_1) * (sum d_n chi(S_n)), as a new array of d's
-    dtype."""
-    n = len(d)
-    out = np.zeros(n + 1, d.dtype)
-    if n > 1:
-        out[0] = 2 * rank * d[1]
-    out[1] += d[0]
-    out[1:n - 1] += (2 * rank - 1) * d[2:]
-    out[2:] += d[1:]
-    return out
-
-
 def radial_partial_products(x: RadialElement, y: RadialElement):
     """The sums sum_{m<=n} x_m chi(S_m) * y for n = 0 .. len(x)-1, yielded as
     one array that each step updates in place.
@@ -219,33 +208,69 @@ def radial_partial_products(x: RadialElement, y: RadialElement):
     float64, anything else in an object array of Python numbers, so integers
     stay exact; float64 may overflow to inf and nan, which the caller
     silences with ``np.errstate``.
+
+    The recursion runs in three rows, chi(S_j) * y for j = m-2, m-1 and m,
+    and q times the first two in two more.  Each row is allocated once, two
+    entries wider than the longest product, and holds +0 (the integer 0 in
+    an object array) past its own length.  A step writes every entry with
+    the operations of the plain Python loop over the coefficients, in its
+    order: (0 + a) + b there is (a + 0) + b here, the same number, signed
+    zeros included, and the zero past a row's length changes nothing it is
+    added to or subtracted from.
+
+    The running sum adds x_m chi(S_m) * y across the whole width in float64
+    when every x_m is finite, else across chi(S_m) * y's own length: inf * 0
+    is nan, and in an object array a float x_m times the integer 0 past it
+    would turn a 0 there into 0.0.
     """
     rank = radial_rank(x.spec)
     if rank is None or x.spec != y.spec:
         raise RdlabError("radial convolution needs two sphere functions on one "
                          "free group")
     cx = x.coeffs
-    dtype = (np.float64 if all(type(v) is float for v in chain(cx, y.coeffs))
-             else object)
-    cur = np.array(y.coeffs, dtype)
-    out = np.zeros(len(cur) + len(cx) - 1, dtype)
-    out[: len(cur)] = cx[0] * cur     # an assignment keeps signed zeros
+    floats = all(type(v) is float for v in chain(cx, y.coeffs))
+    dtype, zero = (np.float64, 0.0) if floats else (object, 0)
+    wide = floats and all(map(math.isfinite, cx))
+    q, size = 2 * rank - 1, len(y.coeffs)
+    rows = np.zeros((7, size + len(cx) + 1), dtype)
+    # the recursion rows as (row, row[1:-1], row[:-2]) and the q rows as
+    # (row, row[2:]), views made once: entry i of the next row reads entries
+    # i - 1 and i + 1 of the current ones
+    prev, cur, nxt = ((row, row[1:-1], row[:-2]) for row in rows[:3])
+    qprev, qcur = ((row, row[2:]) for row in rows[3:5])
+    term, acc = rows[5:]
+    out = acc[:-2]
+    cur[0][:size] = y.coeffs
+    out[:size] = cx[0] * cur[0][:size]     # an assignment keeps signed zeros
     yield out
     for m, c in enumerate(cx[1:], start=1):
-        nxt = _apply_sphere_one(rank, cur)
+        np.multiply(q, cur[0], out=qcur[0])
+        np.add(cur[2], zero, out=nxt[1])
+        np.add(nxt[1], qcur[1], out=nxt[1])
+        nxt[0][0] = 2 * rank * cur[0][1]
+        if m == 2:
+            np.multiply(2 * rank, prev[0], out=qprev[0])
         if m > 1:
-            nxt[: len(prev)] -= (2 * rank if m == 2 else 2 * rank - 1) * prev
-        prev, cur = cur, nxt
-        out[: len(cur)] += c * cur
+            np.subtract(nxt[0], qprev[0], out=nxt[0])
+        if wide:
+            np.multiply(c, nxt[0], out=term)
+            np.add(acc, term, out=acc)
+        else:
+            n = size + m
+            np.multiply(c, nxt[0][:n], out=term[:n])
+            np.add(acc[:n], term[:n], out=acc[:n])
+        prev, cur, nxt = cur, nxt, prev
+        qprev, qcur = qcur, qprev
         yield out
 
 
 def radial_convolve(x: RadialElement, y: RadialElement):
     """Convolution via the sphere recursion; cost O(M_x (M_x + M_y)).
 
-    The last of ``radial_partial_products``, which applies each operation of
-    a plain Python loop over the coefficients in the loop's order, so the
-    result has its bits and types (signed zeros, inf and nan included).
+    The last of ``radial_partial_products``, whose preallocated rows apply
+    each operation of a plain Python loop over the coefficients in the
+    loop's order, so the result has its bits and types (signed zeros, inf
+    and nan included).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         *_, out = radial_partial_products(x, y)
@@ -312,7 +337,7 @@ class _RadialOps:
 
     def __init__(self, ra, budget):
         self.budget = budget
-        self.b = radial_convolve(ra, ra)  # radial elements are self-adjoint
+        self.b = self.mul(ra, ra)  # radial elements are self-adjoint
 
     def mul(self, x, y):
         z = radial_convolve(x, y)

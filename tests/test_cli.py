@@ -906,6 +906,16 @@ class TestExitCodes:
         assert "228377 entries" in capsys.readouterr().err
         assert run_command(argv + ["228377"]) == 0
 
+    def test_radial_trace_budget(self, capsys):
+        # b = chi(B_3)^2 on F2 has 7 sphere coefficients
+        argv = ["norm", "--group", "F2", "--witness", "ball", "--n", "3",
+                "--method", "trace", "--budget"]
+        for budget in range(7):
+            assert run_command(argv + [str(budget)]) == 3
+            assert "before the first step" in capsys.readouterr().err
+        assert run_command(argv + ["7"]) == 0
+        assert "stopped after 2 of 7 steps (budget)" in capsys.readouterr().err
+
     def test_budget_error(self):
         assert run_command(["growth", "--group", "Z^2", "--radius", "6",
                             "--budget", "10"]) == 3
@@ -1253,6 +1263,18 @@ ARTIFACT_DIGESTS = [
      "6ebe6dccfc175fe1bf935f112013bb82b879b63d8a4257823ff678b506f60625"),
     ("verify lemma1 --group C3xC4 --radius 4",
      "37427243d500f801a0d44a8d1311da95c33c0d383f1ee919fc20f52e019c41e0"),
+    # deep radial ladders, whose products reach 513 to 1,153 coefficients
+    ("ratio --group F2 --range 2:10 --method trace --exponent 1024 "
+     "--format json",
+     "addd329a4873e5aa1c6a0051ea7b69e7d1638b36a2b42768d65206a3b85a861b"),
+    ("ratio --group F2 --witness aN --d-hat 1.0 --range 2:10 --method trace "
+     "--exponent 1024 --format json",
+     "72482d1f1126f36860fa0b0bac715859bfded64d20b289f0f6f3900b02c46103"),
+    ("ratio --group F3 --witness sphere --range 1:7 --method trace "
+     "--exponent 1024 --format json",
+     "1189ec846c44dde0f5ccc64bb670d0c0ab9677a2ece5b887732c67bc818d8bbf"),
+    ("norm --group F2 --witness sphere --n 1 --method trace --exponent 10000",
+     "b7a4170b19862f27ef6556af60bbaeb1dda8764aaf19556930e2ee278a204e76"),
 ]
 
 

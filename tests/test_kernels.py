@@ -344,6 +344,23 @@ def running_sum(x, out):
 @example((R.free_radial(2, [1e300, -0.0, 1e300]), R.free_radial(2, [1e300, 1.0])))
 @example((R.free_radial(3, [2 ** 60 + 1, -(2 ** 70), 3]),
           R.free_radial(3, [2 ** 55, 1, -1, 2 ** 64])))
+# x of one and of two coefficients: no step, and one with no subtraction,
+# where (-0 + 0) + -0 is +0 but -0 + -0 is -0
+@example((R.free_radial(2, [-0.0]), R.free_radial(2, [1.0, -0.0, 3.0])))
+@example((R.free_radial(1, [1.0, 2.0]),
+          R.free_radial(1, [-0.0, -0.0, -0.0, 1.0])))
+# y of one coefficient; three in x reach the subtraction of 2r y at m = 2
+@example((R.free_radial(3, [1.0, -2.0, -0.0]), R.free_radial(3, [-0.0])))
+@example((R.free_radial(2, [0.5, 1.0, -3.0]), R.free_radial(2, [1.0, -0.0])))
+# inf or nan in x: the running sum is added across each product's length
+@example((R.free_radial(2, [1.0, -3.0, math.nan, -0.0]),
+          R.free_radial(2, [-0.0, 0.5, 1.0])))
+# finite x, inf and nan in y: the running sum is added across the rows
+@example((R.free_radial(2, [1.0, -3.0, -0.0, 0.5, 2.0]),
+          R.free_radial(2, [math.inf, -0.0, math.nan, 1.0])))
+# ints and floats in one object array
+@example((R.free_radial(2, [1, -0.0, 2.5, 3, -2]),
+          R.free_radial(2, [-0.0, 2, 0.5, 2 ** 60])))
 def test_every_running_sum_matches_the_list_recursion(pair):
     # the m-th sum is the product with x cut to its first m+1 coefficients
     x, y = pair
@@ -354,6 +371,20 @@ def test_every_running_sum_matches_the_list_recursion(pair):
     for m, got in enumerate(sums):
         cut = R.free_radial(x.spec.rank, x.coeffs[: m + 1])
         assert radial_bits(got) == radial_bits(list_radial_convolve(cut, y))
+
+
+@pytest.mark.parametrize("coeff", [1.0, 1])
+def test_the_recursion_allocates_its_rows_once(coeff):
+    # as many arrays for 200 steps as for 10
+    def allocations(n):
+        x = R.free_radial(2, [coeff] * n)
+        with mock.patch.object(norms.np, "zeros", wraps=np.zeros) as zeros, \
+                mock.patch.object(norms.np, "empty", wraps=np.empty) as empty:
+            for _ in norms.radial_partial_products(x, x):
+                pass
+        return zeros.call_count + empty.call_count
+
+    assert allocations(10) == allocations(200)
 
 
 @pytest.mark.parametrize("coeff", [1.0, 1])

@@ -141,6 +141,21 @@ class TestTracePower:
         assert est.steps == pytest.approx([4 ** (1 / 2), 28 ** (1 / 4),
                                            2092 ** (1 / 8)], rel=1e-15)
 
+    @pytest.mark.parametrize("budget", range(7))
+    def test_radial_b_meets_the_budget(self, budget):
+        # b = chi(B_3)^2 on F2 has 7 sphere coefficients; a budget below that
+        # stops the radial ladder before its first step, as it does the dense
+        with pytest.raises(BudgetExceededError,
+                           match="exhausted its budget before the first step"):
+            R.op_norm_trace_power(R.radial_ball(2, 3), depth=6, budget=budget)
+
+    def test_radial_b_within_the_budget(self):
+        # b^2 has 13 sphere coefficients: the steps at b-exponents 1 and 2
+        # read b only
+        est = R.op_norm_trace_power(R.radial_ball(2, 3), depth=6, budget=7)
+        assert (est.iterations, est.target_steps, est.stop_reason) == \
+            (2, 7, "budget")
+
     @pytest.mark.parametrize("spec", [F2, R.FreeAbelian(2),
                                       R.DiscreteHeisenberg()])
     @pytest.mark.parametrize("value,got", [(1e200, "inf"), (1e-200, "0.0")])
