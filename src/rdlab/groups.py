@@ -3,23 +3,27 @@
 Each group comes with a canonical element form, its standard symmetric
 generating set, its rational growth series sum |S_n| z^n = P(z)/Q(z), whose
 division gives every sphere size, and a closed formula for its word length.
-Balls and spheres are enumerated by breadth-first search over the generating
-set; the result is a :class:`LengthIndex` that the algebra and analysis
-layers consume for the elements of a ball.  ``sphere_sizes`` and
-``ball_sizes`` answer from the growth series and ``word_length`` from the
-formula, so neither reads an index.
+Balls and spheres are enumerated sphere by sphere; the result is a
+:class:`LengthIndex` that the algebra and analysis layers consume for the
+elements of a ball.  ``sphere_sizes`` and ``ball_sizes`` answer from the
+growth series and ``word_length`` from the formula, so neither reads an
+index, and ``enumerate_balls`` meets its budget from the series before any
+search starts.
 
-Z^d and H3 (:class:`IntegerTupleGroup`) have an array law, and their search
-runs sphere by sphere on int64 coordinate columns: with a symmetric
-generating set S_{n+1} = S_n * gens minus S_{n-1} and S_n, so no set of all
-elements seen is kept, and each sphere is put in text-key order by one int64
-key per element.  Their index holds the spheres as one array of rows and
-builds element tuples only when a lookup needs them.  A
-:class:`DirectProduct` searches each factor by the factor's own path and
-assembles S_n as the union over i + j = n of S_i(first factors) x S_j(next
-factor), and its index keeps the text keys it sorted by.  F_r and C_m run
-the search on a dict of element values.  Every path lists each sphere in
-text-key order.
+Z^d and H3 (:class:`IntegerTupleGroup`) have an array law and a closed box
+that holds B_N, and their search runs on int64 coordinate columns: with a
+symmetric generating set S_{n+1} = S_n * gens minus S_{n-1} and S_n, so no
+set of all elements seen is kept.  Each point is keyed by the text ranks of
+its coordinates in that box (:class:`TextRanks`), so one sort of the
+reached keys both drops repeats and puts the sphere in text-key order.
+Their index holds the spheres as one array of rows and builds element
+tuples only when a lookup needs them.  On F_r each word of S_n, extended by
+every letter that does not cancel its last one, gives S_{n+1} already in
+text order.  A :class:`DirectProduct` searches each factor by the factor's
+own path and assembles S_n as the union over i + j = n of S_i(first
+factors) x S_j(next factor), and its index keeps the text keys it sorted
+by.  C_m runs the search on a dict of element values.  Every path lists
+each sphere in text-key order.
 
 Canonical element values are plain hashable Python data:
 
@@ -56,10 +60,8 @@ from .errors import BudgetExceededError, HomomorphismError, IndexRadiusError
 
 DEFAULT_BUDGET = 5_000_000
 # Coordinates of integer-tuple elements stay below this in absolute value on
-# the array paths, so that products such as H3's c + c' + a*b' and the
-# padded text-order keys of ``text_order`` fit in int64.
+# the array paths, so that products such as H3's c + c' + a*b' fit in int64.
 COORD_LIMIT = 1 << 31
-_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -160,6 +162,10 @@ class IntegerTupleGroup(GroupSpec):
     box's corners.
     """
 
+    def ball_bounds(self, N):
+        """The largest |x_i| over the ball B_N, one bound per coordinate i."""
+        raise NotImplementedError
+
     def element_key(self, g):
         return ",".join(str(x) for x in g)
 
@@ -208,6 +214,9 @@ class FreeAbelian(IntegerTupleGroup):
 
     def word_length(self, g):
         return sum(abs(x) for x in g)
+
+    def ball_bounds(self, N):
+        return (N,) * self.rank
 
     def growth_series(self):
         # ((1 + z) / (1 - z))^d, the d-th power of Z's series
@@ -285,6 +294,11 @@ class DiscreteHeisenberg(IntegerTupleGroup):
             return 2 * -(-c // y) + y - x
         # 2 ceil(2 sqrt(c)) - a - b, with ceil(sqrt(4c)) = isqrt(4c - 1) + 1
         return 2 * (math.isqrt(4 * c - 1) + 1) - a - b
+
+    def ball_bounds(self, N):
+        # a word with p letters x^+-1 has |c| <= p (N - p), and
+        # x^ceil(N/2) y^floor(N/2) = (ceil(N/2), floor(N/2), floor(N^2/4))
+        return N, N, N * N // 4
 
     def growth_series(self):
         # Shapiro (1989, Math. Ann. 285):
@@ -534,8 +548,8 @@ class LengthIndex:
     """Radius-bounded word-length table with sphere and ball counts.
 
     ``spheres[n]`` lists the elements at distance exactly n, sorted by their
-    text key so that every search (array, product or dict; a cache read is a
-    search checked against the file) yields the same order, and ``lengths``
+    text key so that every search (array, word, product or dict; a cache read
+    is a search checked against the file) yields the same order, and ``lengths``
     maps each element to its length, built at its first read when not given.
     An index of an :class:`IntegerTupleGroup` may be built from ``rows``
     instead: an int64 array with one row of coordinates per element, in
@@ -586,42 +600,41 @@ class LengthIndex:
         return self.ball_sizes[-1]
 
 
-def text_order(cols):
-    """The permutation that sorts the integer-tuple elements with int64
-    coordinate columns ``cols`` (entries below COORD_LIMIT in absolute
-    value) by their text keys, as ``sorted(key=element_key)`` does.
+class TextRanks:
+    """Keys of the integer tuples in the box |x_i| <= bounds[i] that order
+    as their text keys do.
 
-    ',' sorts below '-' and '-' below every digit, so the keys compare
-    coordinate by coordinate: negatives first, then by the digit string of
-    |v|, which orders as |v| padded with zeros to the column's widest digit
-    count and then by its own digit count ("1" < "10" < "2").  Each column
-    gets one int64 key of that order, and the columns combine in mixed radix,
-    the first the most significant, into one key per element.  Where the
-    radix would pass int64, the running key and the column's key are first
-    replaced by their ranks.
+    ',' sorts below every character of a number, so text keys compare
+    coordinate by coordinate, each by its ``str``.  A column's rank table
+    places the values -m..m in that order, and a tuple's key is the mixed
+    radix number of its ranks, the first column the most significant.  The
+    box must number fewer than 2^63 cells.
     """
-    order_key, span = np.zeros(len(cols[0]), dtype=np.int64), 1
-    for col in cols:
-        size = np.abs(col)
-        digits = _POWERS_OF_TEN[1:].searchsorted(size, side="right") + 1
-        width = int(digits.max(initial=1))
-        key = size * _POWERS_OF_TEN[width - digits]
-        key *= width + 1
-        key += digits
-        key += (col >= 0) * ((width + 1) * 10 ** width)
-        radix = 2 * (width + 1) * 10 ** width
-        if span * radix >= 1 << 63:
-            (order_key, span), (key, radix) = _ranks(order_key), _ranks(key)
-        order_key *= radix
-        order_key += key
-        span *= radix
-    return order_key.argsort()
 
+    def __init__(self, bounds):
+        self.bounds = list(bounds)
+        self.spans = [2 * m + 1 for m in bounds]
+        # values[i][r] is the value of rank r, ranks[i][v + m] the rank of v
+        self.values = [np.array(sorted(range(-m, m + 1), key=str), dtype=np.int64)
+                       for m in bounds]
+        self.ranks = [values.argsort() for values in self.values]
 
-def _ranks(keys):
-    """The dense ranks of ``keys`` (equal keys share a rank) and their count."""
-    distinct, ranks = np.unique(keys, return_inverse=True)
-    return ranks, len(distinct)
+    def keys(self, cols):
+        """The keys of the tuples with int64 coordinate columns ``cols``."""
+        keys = np.zeros(np.shape(cols[0]), dtype=np.int64)
+        for col, rank, m, span in zip(cols, self.ranks, self.bounds, self.spans):
+            keys *= span
+            keys += rank[col + m]
+        return keys
+
+    def columns(self, keys):
+        """The coordinate columns of the tuples with ``keys``."""
+        cols = []
+        for values, span in zip(self.values[:0:-1], self.spans[:0:-1]):
+            keys, rank = np.divmod(keys, span)
+            cols.append(values[rank])
+        cols.append(self.values[0][keys])
+        return tuple(cols[::-1])
 
 
 def cell_keys(cols, lo, spans):
@@ -636,84 +649,93 @@ def cell_keys(cols, lo, spans):
     return keys
 
 
-def _budget_error(spec, budget, n):
-    return BudgetExceededError(
-        f"ball enumeration for {spec.descriptor()} passed {budget} elements "
-        f"at radius {n}", radius_reached=n - 1)
-
-
-def _array_spheres(spec, N, budget):
+def _array_spheres(spec, N):
     """S_0..S_N of an IntegerTupleGroup, each a tuple of int64 coordinate
-    columns in text-key order, or None when a coordinate would reach
-    COORD_LIMIT or a step's bounding box would number its cells past int64.
+    columns in text-key order, or None when the box of B_N reaches
+    COORD_LIMIT or numbers 2^63 cells or more.
 
     A generating set is symmetric, so the neighbours of S_{n-1} lie in
     S_{n-2}, S_{n-1} and S_n: S_n is what they reach outside the first two.
-    Points are keyed by their cell in the bounding box (``cell_keys``); one
-    sort of the reached keys drops repeats (any copy of a key is the same
-    point), and S_n keeps the reached keys that a binary search does not
-    find among the keys of S_{n-2} and S_{n-1}.
+    Every point reached lies in the box ``spec.ball_bounds(N)`` and is keyed
+    there by its ``TextRanks`` key; one sort of the reached keys with
+    adjacent repeats dropped, less the keys a binary search finds among the
+    sorted keys of S_{n-1} and S_{n-2}, is S_n in text-key order.
     """
+    bounds = spec.ball_bounds(N)
+    if (max(bounds) >= COORD_LIMIT
+            or math.prod(2 * m + 1 for m in bounds) >= 1 << 63):
+        return None
+    ranks = TextRanks(bounds)
     gens = tuple(col[None, :] for col in
                  np.array(spec.generators(), dtype=np.int64).T)
     spheres = [tuple(np.array([x], dtype=np.int64) for x in spec.identity())]
-    previous = tuple(col[:0] for col in spheres[0])
-    total = 1
-    for n in range(1, N + 1):
-        last = spheres[-1]
-        reached = tuple(col.ravel() for col in
-                        spec.multiply(tuple(col[:, None] for col in last), gens))
-        known = tuple(map(np.concatenate, zip(last, previous)))
-        lo = [min(int(a.min()), int(b.min())) for a, b in zip(reached, known)]
-        hi = [max(int(a.max()), int(b.max())) for a, b in zip(reached, known)]
-        spans = [high - low + 1 for low, high in zip(lo, hi)]
-        if max(-min(lo), max(hi)) >= COORD_LIMIT or math.prod(spans) >= 1 << 63:
-            return None
-        keys = cell_keys(reached, lo, spans)
-        order = keys.argsort()
-        keys = keys[order]
-        first = np.concatenate([[True], keys[1:] != keys[:-1]])
-        keys, order = keys[first], order[first]
-        known = np.sort(cell_keys(known, lo, spans))
-        at = np.minimum(known.searchsorted(keys), len(known) - 1)
-        new = order[known[at] != keys]
-        total += len(new)
-        if total > budget:
-            raise _budget_error(spec, budget, n)
-        sphere = tuple(col[new] for col in reached)
-        order = text_order(sphere)
-        spheres.append(tuple(col[order] for col in sphere))
-        previous = last
+    known = [ranks.keys(spheres[0])]     # the keys of S_{n-1}, S_{n-2}
+    for _ in range(N):
+        reached = spec.multiply(tuple(col[:, None] for col in spheres[-1]), gens)
+        keys = np.sort(ranks.keys(reached), axis=None)
+        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+        for sphere in known:
+            at = np.minimum(sphere.searchsorted(keys), len(sphere) - 1)
+            keys = keys[sphere[at] != keys]
+        spheres.append(ranks.columns(keys))
+        known = [keys, known[0]]
+    return spheres
+
+
+def _free_spheres(spec, N):
+    """S_0..S_N of a FreeGroup as lists of words in text-key order.
+
+    S_n is each word of S_{n-1} extended, in sorted letter order, by every
+    letter that does not cancel its last letter.  The words of S_{n-1} share
+    one length and come in text order, so their extensions do too.
+    """
+    letters = sorted(spec.generators())
+    follow = {last: [x for x in letters if x != last.swapcase()]
+              for last in ["", *letters]}
+    spheres = [[""]]
+    for _ in range(N):
+        spheres.append([w + x for w in spheres[-1] for x in follow[w[-1:]]])
     return spheres
 
 
 def enumerate_balls(spec, N, budget=DEFAULT_BUDGET):
     """The balls B_0..B_N of ``spec`` as a LengthIndex, every sphere in
     text-key order whichever search builds it: the factors' indexes for a
-    DirectProduct, the array search for an IntegerTupleGroup, else
-    breadth-first search on a dict of elements.
+    DirectProduct, the array search for an IntegerTupleGroup, the word
+    extension for a FreeGroup, else breadth-first search on a dict of
+    elements.
 
-    Raises BudgetExceededError (carrying the last completed radius) if the
-    element count passes ``budget``.
+    Raises BudgetExceededError, carrying the last radius within it, when a
+    ball B_n, n >= 1, holds more than ``budget`` elements.  The growth series
+    gives the sizes, so this is decided before any search starts.
     """
     if N < 0:
         raise ValueError("radius must be >= 0")
-    return _enumerate(spec, N, budget)
+    balls = itertools.accumulate(itertools.islice(_sphere_terms(spec), N + 1))
+    failed = next((n for n, ball in enumerate(balls) if n and ball > budget),
+                  None)
+    if failed is not None:
+        raise BudgetExceededError(
+            f"ball enumeration for {spec.descriptor()} passed {budget} "
+            f"elements at radius {failed}", radius_reached=failed - 1)
+    return _enumerate(spec, N)
 
 
-def _enumerate(spec, N, budget):
+def _enumerate(spec, N):
     if isinstance(spec, DirectProduct):
-        return _product_index(spec, N, budget)
+        return _product_index(spec, N)
+    if isinstance(spec, FreeGroup):
+        return LengthIndex(spec, N, spheres=_free_spheres(spec, N))
     if isinstance(spec, IntegerTupleGroup):
-        spheres = _array_spheres(spec, N, budget)
+        spheres = _array_spheres(spec, N)
         if spheres is not None:
             rows = np.column_stack([np.concatenate(col) for col in zip(*spheres)])
             return LengthIndex(spec, N, rows=rows,
                                sphere_sizes=[len(s[0]) for s in spheres])
-    return _dict_index(spec, N, budget)
+    return _dict_index(spec, N)
 
 
-def _dict_index(spec, N, budget):
+def _dict_index(spec, N):
     e = spec.identity()
     gens = spec.generators()
     lengths = {e: 0}
@@ -727,38 +749,20 @@ def _dict_index(spec, N, budget):
                 if h not in lengths:
                     lengths[h] = n
                     nxt.append(h)
-                    if len(lengths) > budget:
-                        raise _budget_error(spec, budget, n)
         nxt.sort(key=spec.element_key)
         spheres.append(nxt)
         frontier = nxt
     return LengthIndex(spec, N, spheres=spheres, lengths=lengths)
 
 
-def _product_index(spec, N, budget):
+def _product_index(spec, N):
     """The index of a DirectProduct, whose word length is the sum of the
     factor lengths: S_n is the union over i + j = n of S_i(prefix) x
     S_j(factor), each sphere sorted by the keys ``key_prefix + "|" +
-    key_factor``, which the index keeps.
-
-    A factor's ball is no larger than the product's, so a factor that passes
-    the budget at radius m is enumerated to m - 1 instead and the product
-    passes it at m or before.  The product's sphere sizes, the polynomial
-    product of the factors', name the radius before any sphere is built.
+    key_factor``, which the index keeps.  A factor's ball is no larger than
+    the product's, so the product's budget covers every factor's search.
     """
-    top = N
-    factors = []
-    for f in spec.factors:
-        try:
-            factors.append(_enumerate(f, top, budget))
-        except BudgetExceededError as exc:
-            top = exc.radius_reached
-            factors.append(_enumerate(f, top, budget))
-    sizes = _poly_product(index.sphere_sizes[: top + 1] for index in factors)
-    balls = enumerate(itertools.accumulate(sizes[: top + 1]))
-    failed = next((n for n, ball in balls if n and ball > budget), None)
-    if failed is not None or top < N:
-        raise _budget_error(spec, budget, top + 1 if failed is None else failed)
+    factors = [_enumerate(f, N) for f in spec.factors]
     spheres = [[(g,) for g in sphere] for sphere in factors[0].spheres]
     keys = _sphere_keys(factors[0])
     for index in factors[1:]:
@@ -781,16 +785,25 @@ def _sphere_keys(index):
     return [list(map(key, sphere)) for sphere in index.spheres]
 
 
-def sphere_sizes(spec, up_to):
-    """|S_0..S_up_to| as a new list: the terms of the growth series P/Q,
-    s_n = P_n - sum_{k >= 1} Q_k s_{n-k}, extending the terms each series
-    keeps in ``_SERIES_TERMS``."""
+def _sphere_terms(spec):
+    """|S_0|, |S_1|, ...: the terms of the growth series P/Q,
+    s_n = P_n - sum_{k >= 1} Q_k s_{n-k}, each computed at its first
+    request and kept in ``_SERIES_TERMS``."""
     P, Q = series = spec.growth_series()
     sizes = _SERIES_TERMS.setdefault(series, [])
-    for n in range(len(sizes), up_to + 1):
-        head = P[n] if n < len(P) else 0
-        sizes.append(head - sum(map(operator.mul, Q[1:], sizes[: -len(Q): -1])))
-    return sizes[: up_to + 1]
+    for n in itertools.count():
+        if n == len(sizes):
+            head = P[n] if n < len(P) else 0
+            sizes.append(head - sum(map(operator.mul, Q[1:], sizes[: -len(Q): -1])))
+        yield sizes[n]
+
+
+def sphere_sizes(spec, up_to):
+    """|S_0..S_up_to| as a new list."""
+    sizes = _SERIES_TERMS.get(spec.growth_series(), ())
+    if len(sizes) > up_to:
+        return sizes[: up_to + 1]
+    return list(itertools.islice(_sphere_terms(spec), up_to + 1))
 
 
 def ball_sizes(spec, up_to):

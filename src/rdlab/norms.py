@@ -506,6 +506,7 @@ def op_norm_power_iteration(a: AlgebraElement, R, iters=200, seed=0,
             f"power iteration's matrix would hold {entries} entries, past the "
             f"budget of {budget}")
     mat = _compression_matrix(a, list(index.ball(R)))
+    mat_t = mat.T
 
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(mat.shape[1])
@@ -515,7 +516,7 @@ def op_norm_power_iteration(a: AlgebraElement, R, iters=200, seed=0,
     for _ in range(iters):
         w = mat @ v
         steps.append(math.sqrt(_sum_of_squares(w)))
-        v = mat.T @ w
+        v = mat_t @ w
         nv = math.sqrt(_sum_of_squares(v))
         if nv == 0.0:
             break

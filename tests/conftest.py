@@ -24,6 +24,11 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
 settings.register_profile("rdlab", derandomize=True, deadline=None,
                           max_examples=40, database=None)
 settings.load_profile("rdlab")
+# more examples, drawn afresh on each run: CI runs tests/test_balls.py once
+# more under --hypothesis-profile rdlab-explore, to compare the searches
+# past tier-1's fixed examples
+settings.register_profile("rdlab-explore", derandomize=False, deadline=None,
+                          max_examples=400, database=None)
 
 
 @pytest.fixture(scope="session")

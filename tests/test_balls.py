@@ -1,9 +1,11 @@
-"""The array ball search of Z^d and H3 and the product search from the
-factors' spheres against the dict search they replaced, and the cache read
-that checks a file against that search.
+"""The array ball search of Z^d and H3, the word extension of F_r and the
+product search from the factors' spheres against the dict search they
+replaced, and the cache read that checks a file against that search.
 
-``enumerate_balls`` runs sphere by sphere on int64 rows for Z^d and H3, and
-assembles a product from its factors' indexes; it must give the dict search's spheres, lengths, cache bytes and budget errors.
+``enumerate_balls`` runs sphere by sphere on int64 rows for Z^d and H3,
+extends words for F_r, and assembles a product from its factors' indexes;
+it must give the dict search's spheres, lengths, cache bytes and budget
+errors, and meet its budget before any search starts.
 ``read_ball_cache`` takes a file only when it holds the bytes the writer
 gives for a fresh search, and names the first line of any other file.
 """
@@ -26,7 +28,7 @@ from rdlab.cache import (
     write_ball_cache,
 )
 from rdlab.errors import BudgetExceededError
-from rdlab.groups import COORD_LIMIT, text_order
+from rdlab.groups import COORD_LIMIT, IntegerTupleGroup, TextRanks
 
 # the largest radius each group is searched to: a few thousand elements
 RADII = {"Z^1": 40, "Z^2": 12, "Z^3": 6, "Z^4": 4, "H3": 6}
@@ -94,25 +96,47 @@ PINNED_BALLS = [
     ("Z^3", 40, "8d917d8b780d0369f71dca28ac74752e4aeada1bf5d6729c47c7c8de7a7995b3"),
     ("Z^2", 200, "e2db0358b10618bb2e725f8aac30af60d5894351b2a3522dbd0674da473b8735"),
     ("Z^4", 16, "ade0ea7f82d097d3a2702fc869881cd47077b7e6812d241be0b5ddcfb148d930"),
+    ("F2", 10, "086470eff2e035f2ed1e68c1558c41a58d579d77cad71ffd1ea0cc36d4d4ce90"),
+    ("Z^1xF2", 8, "d2567005cbe2531031c88909329f7db8cfaa1314bda3551d27e7e4ff76f6dddc"),
 ]
 
 
 @pytest.mark.parametrize("descriptor, N, digest", PINNED_BALLS)
 def test_benchmark_size_balls_keep_their_bytes(descriptor, N, digest):
-    index = R.enumerate_balls(R.parse_descriptor(descriptor), N)
-    assert index.rows is not None
+    spec = R.parse_descriptor(descriptor)
+    index = R.enumerate_balls(spec, N)
+    assert (index.rows is not None) == isinstance(spec, IntegerTupleGroup)
     assert hashlib.sha256(serialize_index(index).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_free_search_matches_the_dict_search(rank):
+    spec = R.FreeGroup(rank)
+    index = R.enumerate_balls(spec, 7)
+    searched = rdlab.groups._dict_index(spec, 7)
+    assert index.spheres == searched.spheres
+    assert index.lengths == searched.lengths
+
+
+def test_the_h3_box_is_tight():
+    # over B_N, max |a| = max |b| = N and max |c| = floor(N^2 / 4)
+    spec = R.DiscreteHeisenberg()
+    index = R.enumerate_balls(spec, 24)
+    for N, end in enumerate(index.ball_sizes):
+        assert np.abs(index.rows[:end]).max(axis=0).tolist() == [
+            N, N, N * N // 4]
+        assert spec.ball_bounds(N) == (N, N, N * N // 4)
 
 
 # (product, radius, the factors the dict search enumerates)
 PRODUCTS = [
-    (R.parse_descriptor("Z^1xF2"), 5, ["F2"]),
+    (R.parse_descriptor("Z^1xF2"), 5, []),
     (R.parse_descriptor("Z^2xC3"), 8, ["C3"]),
-    (R.parse_descriptor("F2xC4"), 4, ["F2", "C4"]),
+    (R.parse_descriptor("F2xC4"), 4, ["C4"]),
     (R.parse_descriptor("Z^1xH3"), 4, []),
-    (R.parse_descriptor("Z^1xF2xC5"), 4, ["F2", "C5"]),
+    (R.parse_descriptor("Z^1xF2xC5"), 4, ["C5"]),
     (R.parse_descriptor("C3xZ^1"), 5, ["C3"]),
-    (R.parse_descriptor("F1xZ^2xH3"), 3, ["F1"]),
+    (R.parse_descriptor("F1xZ^2xH3"), 3, []),
 ]
 PRODUCT_IDS = ["Z^1xF2", "Z^2xC3", "F2xC4", "Z^1xH3", "Z^1xF2xC5", "C3xZ^1",
                "F1xZ^2xH3"]
@@ -124,9 +148,9 @@ def dict_searches(monkeypatch):
     searched = []
     dict_index = rdlab.groups._dict_index
 
-    def recording(spec, N, budget):
+    def recording(spec, N):
         searched.append(spec.descriptor())
-        return dict_index(spec, N, budget)
+        return dict_index(spec, N)
     monkeypatch.setattr(rdlab.groups, "_dict_index", recording)
     return searched
 
@@ -167,6 +191,24 @@ def test_a_factor_past_the_budget_names_the_product():
     assert raised.value.radius_reached == 6
 
 
+@pytest.mark.parametrize("descriptor", ["Z^2", "H3", "F2", "C12", "Z^1xF2"])
+def test_a_budget_overrun_raises_before_any_search(descriptor, monkeypatch):
+    # B_3 is one element past the budget; the growth series says so before
+    # any group law runs, however far the radius asked for lies beyond
+    spec = R.parse_descriptor(descriptor)
+    budget = R.ball_sizes(spec, 3)[3] - 1
+
+    def multiply(g, h):
+        raise AssertionError("the search started")
+    for group in [spec, *getattr(spec, "factors", [])]:
+        monkeypatch.setattr(group, "multiply", multiply)
+    with pytest.raises(BudgetExceededError) as raised:
+        R.enumerate_balls(spec, 10_000, budget=budget)
+    assert str(raised.value) == (f"ball enumeration for {descriptor} passed "
+                                 f"{budget} elements at radius 3")
+    assert raised.value.radius_reached == 2
+
+
 @pytest.mark.parametrize("descriptor, N, limit", [
     # coordinates reach a limit of 3 at radius 3
     ("Z^2", 3, 3),
@@ -187,8 +229,7 @@ def test_coordinates_past_the_limits_fall_back_to_the_dict_search(
         assert_same_index(spec, radius, index)
 
 
-ENTRIES = st.one_of(st.integers(-12, 12),
-                    st.integers(-COORD_LIMIT + 1, COORD_LIMIT - 1),
+ENTRIES = st.one_of(st.integers(-12, 12), st.integers(-1000, 1000),
                     st.sampled_from([0, 1, -1, 9, 10, -10, 99, 100, -100, 101]))
 
 
@@ -196,20 +237,17 @@ ENTRIES = st.one_of(st.integers(-12, 12),
     lambda k: st.lists(st.tuples(*[ENTRIES] * k), min_size=1, max_size=40)))
 @example([(1,), (10,), (2,), (-1,), (-10,), (-2,), (0,), (100,), (11,)])
 @example([(1, 2), (12, -3), (1, -20), (-1, 0), (0, 0), (10, 5), (1, 10)])
-# four columns as wide as the limit allows: the running key is ranked
-@example([(COORD_LIMIT - 1, 1 - COORD_LIMIT, COORD_LIMIT - 2, 2 - COORD_LIMIT),
-          (1 - COORD_LIMIT, COORD_LIMIT - 1, 2 - COORD_LIMIT, COORD_LIMIT - 2),
-          (COORD_LIMIT - 2, 2 - COORD_LIMIT, 0, -1),
-          (COORD_LIMIT - 1, 1 - COORD_LIMIT, COORD_LIMIT - 2, 1 - COORD_LIMIT),
-          (-1, 0, COORD_LIMIT - 1, 1),
-          (COORD_LIMIT - 1, 1 - COORD_LIMIT, COORD_LIMIT - 2, 2 - COORD_LIMIT)])
 # columns of mixed digit widths
 @example([(-100, 9, 10), (99, -9, 100), (0, -1, 1), (-100, 9, 1), (9, -9, 10),
           (99, -10, 100), (-1, 0, -1), (10, 9, 100)])
 def test_text_order_sorts_as_element_key(rows):
+    # in the box the rows just fit, so each column's extremes are its edges
     key = R.FreeAbelian(len(rows[0])).element_key
-    order = text_order(np.array(rows, dtype=np.int64).T)
-    assert [rows[i] for i in order] == sorted(rows, key=key)
+    ranks = TextRanks([max(abs(x) for x in col) for col in zip(*rows)])
+    cols = tuple(np.array(rows, dtype=np.int64).T)
+    keys = ranks.keys(cols)
+    assert [rows[i] for i in keys.argsort(kind="stable")] == sorted(rows, key=key)
+    assert list(zip(*(col.tolist() for col in ranks.columns(keys)))) == rows
 
 
 def cut(lines):

@@ -1261,6 +1261,9 @@ ARTIFACT_DIGESTS = [
      "2281c88bda0efe2f39209f9e7143d80691bfd0e7d1063af1532eb2bba89da15a"),
     ("norm --group Z^2 --witness ball --n 3 --method power --R 4",
      "6ebe6dccfc175fe1bf935f112013bb82b879b63d8a4257823ff678b506f60625"),
+    # the power-iteration job of the dense workload: 63 iterations
+    ("norm --group H3 --witness ball --n 3 --method power --R 10 --seed 1",
+     "a09fcf0bdf159c648509607194ed8a47736cc63fc01de173e1cc78dadca5f62f"),
     ("verify lemma1 --group C3xC4 --radius 4",
      "37427243d500f801a0d44a8d1311da95c33c0d383f1ee919fc20f52e019c41e0"),
     # deep radial ladders, whose products reach 513 to 1,153 coefficients
