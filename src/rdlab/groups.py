@@ -47,6 +47,7 @@ writes: no sign on a nonnegative number, no leading zero, no space.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -71,6 +72,19 @@ EMBED_SAMPLES = 200
 EMBED_SEED = 0
 
 _SERIES_TERMS = {}  # (P, Q) -> the sphere sizes computed so far
+
+
+def _once_per_instance(method):
+    """``method``, which takes no arguments, run once per instance: its value
+    is kept on the instance under the method's name with a leading "_"."""
+    key = "_" + method.__name__
+
+    @functools.wraps(method)
+    def cached(self):
+        if key not in self.__dict__:
+            self.__dict__[key] = method(self)
+        return self.__dict__[key]
+    return cached
 
 
 class GroupSpec:
@@ -218,6 +232,7 @@ class FreeAbelian(IntegerTupleGroup):
     def ball_bounds(self, N):
         return (N,) * self.rank
 
+    @_once_per_instance
     def growth_series(self):
         # ((1 + z) / (1 - z))^d, the d-th power of Z's series
         return (_poly_product([(1, 1)] * self.rank),
@@ -300,6 +315,7 @@ class DiscreteHeisenberg(IntegerTupleGroup):
         # x^ceil(N/2) y^floor(N/2) = (ceil(N/2), floor(N/2), floor(N^2/4))
         return N, N, N * N // 4
 
+    @_once_per_instance
     def growth_series(self):
         # Shapiro (1989, Math. Ann. 285):
         # (1 + z + 4z^2 + 11z^3 + 8z^4 + 21z^5 + 6z^6 + 9z^7 + z^8)
@@ -361,6 +377,7 @@ class FreeGroup(GroupSpec):
     def word_length(self, g):
         return len(g)
 
+    @_once_per_instance
     def growth_series(self):
         # |S_n| = 2r (2r-1)^(n-1) for n >= 1
         return (1, 1), (1, 1 - 2 * self.rank)
@@ -417,6 +434,7 @@ class FiniteCyclic(GroupSpec):
     def word_length(self, g):
         return min(g, self.order - g)
 
+    @_once_per_instance
     def growth_series(self):
         # two residues at each radius below m/2, and one at m/2 for even m
         m = self.order
@@ -491,6 +509,7 @@ class DirectProduct(GroupSpec):
     def word_length(self, g):
         return sum(f.word_length(x) for f, x in zip(self.factors, g))
 
+    @_once_per_instance
     def growth_series(self):
         # S_n is the union over i + j = n of S_i(prefix) x S_j(factor)
         parts = zip(*(f.growth_series() for f in self.factors))

@@ -15,7 +15,9 @@ Three estimators bracket ||a||:
 
 Elements whose coefficients are constant on spheres are held as
 ``RadialElement``s: one coefficient per radius plus the group's sphere
-sizes, which is all their l1 and l2 norms read.  On a free group they form
+sizes, which is all their l1 and l2 norms read.  A family whose coefficient
+at each radius is the same in every member carries those sums
+(``RadialSums``) from one member to the next.  On a free group they form
 a commutative subalgebra, and convolution uses the sphere product rule
 chi(S_1) chi(S_n) = chi(S_{n+1}) + (2r-1) chi(S_{n-1}) (n >= 2, with
 chi(S_1)^2 = chi(S_2) + 2r delta_e), extended bilinearly.
@@ -112,6 +114,32 @@ def _zero_estimate(method):
 # -- sphere functions ---------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class RadialSums:
+    """The l1 norm, the squared l2 norm and the sign of a sphere function,
+    summed as ``coefficient_norm`` and ``RadialElement.is_nonnegative`` sum
+    them: each sum adds its terms left to right over the nonzero
+    coefficients, l1 from 0.0 and l2^2 from 0.
+
+    ``extended`` adds the terms of further radii to the sums so far.  A sum
+    extended radius block by radius block is the one sum over all of them,
+    bit for bit, so a family of sphere functions whose coefficient at each
+    radius does not depend on the family member costs one pass over its
+    largest member.
+    """
+
+    l1: float = 0.0
+    l2sq: float = 0
+    nonnegative: bool = True
+
+    def extended(self, coeffs, sizes):
+        """The sums with the radii of ``coeffs`` and ``sizes`` added."""
+        return RadialSums(
+            l1=float_sum(_l1_terms(coeffs, sizes), self.l1),
+            l2sq=float_sum(_inner_terms(coeffs, coeffs, sizes), self.l2sq),
+            nonnegative=self.nonnegative and all(c >= 0.0 for c in coeffs))
+
+
 @dataclass
 class RadialElement:
     """The sphere function sum_j coeffs[j] chi(S_j) on ``spec``.
@@ -120,13 +148,20 @@ class RadialElement:
     resolved once when the element is built; l1, l2 and
     the exact amenable norm are then sums over radii on every group.
     Convolution stays with the free groups of ``radial_rank``.
+
+    ``sums``, when the builder gives it, is the element's ``RadialSums``,
+    which ``coefficient_norm`` and ``is_nonnegative`` then read in place of
+    a pass over the radii.  It is not part of the element's value.
     """
 
     spec: GroupSpec
     coeffs: list
     sizes: list
+    sums: RadialSums = field(default=None, compare=False, repr=False)
 
     def is_nonnegative(self):
+        if self.sums is not None:
+            return self.sums.nonnegative
         return all(c >= 0.0 for c in self.coeffs)
 
     def trimmed(self):
@@ -289,22 +324,35 @@ def _as_float(value):
         return math.inf if value > 0 else -math.inf
 
 
+def _l1_terms(coeffs, sizes):
+    return (abs(c) * _as_float(s) for c, s in zip(coeffs, sizes) if c != 0.0)
+
+
+def _inner_terms(cx, cy, sizes):
+    return (_as_float(a * b) * _as_float(s) for a, b, s in zip(cx, cy, sizes)
+            if a != 0.0 and b != 0.0)
+
+
 def radial_inner(x: RadialElement, y: RadialElement):
-    return float_sum(_as_float(cx * cy) * _as_float(s)
-                     for cx, cy, s in zip(x.coeffs, y.coeffs, x.sizes)
-                     if cx != 0.0 and cy != 0.0)
+    return float_sum(_inner_terms(x.coeffs, y.coeffs, x.sizes))
 
 
 def coefficient_norm(x, kind):
     """The norm ``kind`` of a dense element (any kind of ``algebra.norm``) or
-    of a sphere function ("l1" or "l2")."""
+    of a sphere function ("l1" or "l2").
+
+    A sphere function's norms are sums over its radii, added left to right
+    over the nonzero coefficients; one that carries its ``RadialSums``
+    returns the sums it carries, which have the same bits.
+    """
     if not isinstance(x, RadialElement):
         return norm(x, kind)
     if kind == "l1":
-        return float_sum((abs(c) * _as_float(s)
-                          for c, s in zip(x.coeffs, x.sizes) if c != 0.0), 0.0)
+        if x.sums is not None:
+            return x.sums.l1
+        return float_sum(_l1_terms(x.coeffs, x.sizes), 0.0)
     if kind == "l2":
-        return math.sqrt(radial_inner(x, x))
+        return math.sqrt(radial_inner(x, x) if x.sums is None else x.sums.l2sq)
     raise ValueError(f"unknown norm kind {kind!r}")
 
 

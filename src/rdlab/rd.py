@@ -55,6 +55,7 @@ from .groups import (
 )
 from .norms import (
     RadialElement,
+    RadialSums,
     coefficient_norm,
     op_norm_l1_bracket,
     op_norm_positive_amenable,
@@ -94,19 +95,52 @@ def power_domain(R, support_radius):
 # -- witness elements and ratio series ----------------------------------------
 
 
-def _witness_weights(witness, n, d_hat):
-    """Coefficients on S_0..S_n of the witness supported in B_n: "ball",
+def _witness_weights(witness, n, d_hat, start=0):
+    """Coefficients on S_start..S_n of the witness supported in B_n: "ball",
     "sphere", or "aN" (power-weighted sphere sum with exponent d_hat:
-    sum_{1<=m<=n} (1+m)^(-d_hat) chi(S_m))."""
+    sum_{1<=m<=n} (1+m)^(-d_hat) chi(S_m)).  The ball and aN coefficient at
+    each radius does not depend on n."""
     if witness == "ball":
-        return [1.0] * (n + 1)
+        return [1.0] * (n + 1 - start)
     if witness == "sphere":
-        return [0.0] * n + [1.0]
+        return [0.0] * (n - start) + [1.0]
     if witness == "aN":
         if d_hat is None or not d_hat > 0:
             raise ValueError("the aN witness needs d_hat > 0")
-        return [0.0] + [(1.0 + m) ** (-d_hat) for m in range(1, n + 1)]
+        return [0.0][start:] + [(1.0 + m) ** (-d_hat)
+                                for m in range(max(start, 1), n + 1)]
     raise ValueError(f"unknown witness {witness!r}")
+
+
+def _witness_family(spec, witness, n_list, d_hat):
+    """The witness at each n of the strictly increasing ``n_list``, each
+    carrying its ``RadialSums``.
+
+    Ball and aN coefficients are prefixes of one sequence, so witness n
+    extends the sums, the coefficients and the ball size |B_n| of the
+    previous n by the radii past it; a sphere witness sums its one nonzero
+    term.  A family to max(n_list) = N then costs O(N) Python steps plus
+    the list copies each witness owns.  Each n is checked on its own, in
+    this order: its radius, the float range of |B_n|, the witness name and
+    d_hat.
+    """
+    weights, sums, ball, done = [], RadialSums(), 0, 0   # radii < done added
+    for n in n_list:
+        if n < 0:
+            raise ValueError("witness radius must be >= 0")
+        sizes = sphere_sizes(spec, n)
+        ball += sum(sizes[done:])
+        if ball > sys.float_info.max:
+            _check_float_range(spec, list(accumulate(sizes)))
+        if witness == "sphere":
+            coeffs = _witness_weights(witness, n, d_hat)
+            carried = RadialSums().extended(coeffs[n:], sizes[n:])
+        else:
+            weights += _witness_weights(witness, n, d_hat, start=done)
+            coeffs = weights[: n + 1]
+            sums = carried = sums.extended(coeffs[done:], sizes[done:])
+        done = n + 1
+        yield RadialElement(spec=spec, coeffs=coeffs, sizes=sizes, sums=carried)
 
 
 def witness_element(x: RadialElement, index: LengthIndex):
@@ -122,12 +156,7 @@ def make_witness(spec, witness, n, d_hat=None):
     """The witness as a sphere function (norm_bracket expands it where an
     estimator needs the dense element).  Ball sizes past the float range
     raise BudgetExceededError."""
-    if n < 0:
-        raise ValueError("witness radius must be >= 0")
-    sizes = sphere_sizes(spec, n)
-    _check_float_range(spec, list(accumulate(sizes)))
-    return RadialElement(spec=spec, coeffs=_witness_weights(witness, n, d_hat),
-                         sizes=sizes)
+    return next(_witness_family(spec, witness, [n], d_hat))
 
 
 def norm_bracket(a, method="auto", index=None, *, depth=6, exponent=None,
@@ -213,14 +242,20 @@ def ratio_series(spec, witness, n_list, method="auto", index=None, d_hat=None,
     norms need sphere sizes only; ``index`` supplies the dense elements the
     other methods need (see norm_bracket).  ``settings`` are the estimator
     settings of norm_bracket.
+
+    The n must increase strictly: each witness extends the running l1, l2
+    and sign sums of the previous one by the radii past it (see
+    ``_witness_family``), so those sums cost O(max n) over the whole
+    series, with the bits ``make_witness`` and ``coefficient_norm`` give
+    each witness alone.
     """
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n values must be strictly increasing")
     series = RatioSeries(group=spec.descriptor(),
                          witness=witness_label(witness, d_hat), method=method)
-    for n in n_list:
-        element = make_witness(spec, witness, n, d_hat=d_hat)
+    for n, element in zip(n_list,
+                          _witness_family(spec, witness, n_list, d_hat)):
         l2 = coefficient_norm(element, "l2")
         if l2 == 0.0:
             continue

@@ -1,0 +1,176 @@
+"""Closed-form norms of nonnegative sphere functions, against every bracket.
+
+A nonnegative sphere function sum_L c_L chi(S_L) on Z^d, C_m, H3, F_r or a
+product of them has the exact norm sum_L c_L W_L, where W is the Cauchy
+product of one weight series per factor:
+
+* an amenable factor gives its sphere sizes.  For a nonnegative a and an
+  amenable normal subgroup N, ||a|| = ||a summed over the cosets of N||
+  (Kesten), so the factor enters only through how many of its elements
+  have each length;
+* F_r, with q = 2r - 1, gives W_m = |S_m| phi(m), with Haagerup's spherical
+  function phi(m) = (1 + m (q - 1)/(q + 1)) q^(-m/2).  A nonnegative radial
+  element peaks at the edge 2 sqrt(q) of the spectrum of chi(S_1), where
+  chi(S_m) takes the value W_m; on several free factors a nonnegative
+  combination of products of radial elements peaks at the corner.
+
+The sizes and weights here come from this file's own formulas, or a
+breadth-first search, never from the package's growth series, so the
+check is not circular.
+"""
+
+import functools
+import math
+
+import pytest
+from hypothesis import example, given, strategies as st
+
+import rdlab as R
+from rdlab.rd import make_witness
+
+# no bracket rounds outward yet: an exact value computed in another order
+# may sit a few ulps outside [lower, upper]
+SLACK = 1 + 1e-12
+
+
+def free_abelian_spheres(d, N):
+    # points of Z^d with |x|_1 = n: choose k nonzero coordinates, their signs,
+    # and a composition of n into k positive parts
+    return [1] + [sum(2 ** k * math.comb(d, k) * math.comb(n - 1, k - 1)
+                      for k in range(1, min(d, n) + 1)) for n in range(1, N + 1)]
+
+
+def cyclic_spheres(m, N):
+    return [1] + [2 if 2 * n < m else 1 if 2 * n == m else 0
+                  for n in range(1, N + 1)]
+
+
+def bfs_spheres(spec, N):
+    seen, sphere, sizes = {spec.identity()}, [spec.identity()], [1]
+    for _ in range(N):
+        sphere = [h for h in {spec.multiply(g, s) for g in sphere
+                              for s in spec.generators()} if h not in seen]
+        seen.update(sphere)
+        sizes.append(len(sphere))
+    return sizes
+
+
+def free_weights(r, N):
+    q = 2 * r - 1
+    spheres = [1] + [2 * r * q ** (m - 1) for m in range(1, N + 1)]
+    return [size * (1 + m * (q - 1) / (q + 1)) * q ** (-m / 2)
+            for m, size in enumerate(spheres)]
+
+
+def weights(spec, N):
+    """W_0..W_N of ``spec``."""
+    if isinstance(spec, R.DirectProduct):
+        out = [1.0] + [0.0] * N
+        for factor in spec.factors:
+            w = weights(factor, N)
+            out = [math.fsum(out[i] * w[L - i] for i in range(L + 1))
+                   for L in range(N + 1)]
+        return out
+    if isinstance(spec, R.FreeGroup):
+        return free_weights(spec.rank, N)
+    if isinstance(spec, R.FreeAbelian):
+        return free_abelian_spheres(spec.rank, N)
+    if isinstance(spec, R.FiniteCyclic):
+        return cyclic_spheres(spec.order, N)
+    return bfs_spheres(spec, N)
+
+
+def exact_norm(x):
+    """sum_L c_L W_L of the nonnegative sphere function ``x``."""
+    w = weights(x.spec, len(x.coeffs) - 1)
+    return math.fsum(c * wl for c, wl in zip(x.coeffs, w))
+
+
+SQRT3 = math.sqrt(3)
+
+
+@pytest.mark.parametrize("descriptor,witness,n,d_hat,want", [
+    ("F2", "sphere", 1, None, 2 * SQRT3),
+    ("F2", "ball", 3, None, 29.7846096908),
+    ("Z^1xF2", "ball", 2, None, 13 + 6 * SQRT3),
+    ("Z^1xF2", "ball", 3, None, 31 + 20 * SQRT3),
+    ("Z^1xF2", "aN", 4, 1.5, 19.0187456),
+    ("H3xF2", "ball", 2, None, 42.3205080757),
+    ("F2xF2", "ball", 2, None, 35.9282032303),
+])
+def test_the_oracle_gives_the_closed_forms(descriptor, witness, n, d_hat, want):
+    x = make_witness(R.parse_descriptor(descriptor), witness, n, d_hat)
+    assert exact_norm(x) == pytest.approx(want, rel=1e-8)
+
+
+def test_the_free_weights_are_haagerups_closed_form():
+    # W_0 = 1 and W_m = q^(m/2 - 1) (q + 1 + m (q - 1)); F3's sphere ratio
+    # W_m / sqrt|S_m| at m = 50 is sqrt((q+1)/q) (1 + m (q-1)/(q+1))
+    for r in (1, 2, 3):
+        q = 2 * r - 1
+        closed = [1.0] + [q ** (m / 2 - 1) * (q + 1 + m * (q - 1))
+                          for m in range(1, 30)]
+        assert free_weights(r, 29) == pytest.approx(closed, rel=1e-13)
+    ratio = free_weights(3, 50)[50] / math.sqrt(6 * 5 ** 49)
+    assert ratio == pytest.approx(37.6103, abs=1e-4)
+
+
+def test_the_amenable_sizes_match_a_search():
+    for descriptor, sizes in [("Z^3", free_abelian_spheres(3, 5)),
+                              ("C6", cyclic_spheres(6, 5)),
+                              ("C7", cyclic_spheres(7, 5))]:
+        assert sizes == bfs_spheres(R.parse_descriptor(descriptor), 5)
+
+
+ATOMS = ["Z^1", "Z^2", "Z^3", "C2", "C5", "C8", "H3", "F1", "F2", "F3"]
+# the largest n of a witness on one factor; a product's dense ladders run
+# the dict loop, so its witnesses stop at n = 1
+ATOM_TOP = 3
+PRODUCT_TOP = 1
+
+
+@functools.cache
+def index_of(descriptor, radius):
+    return R.enumerate_balls(R.parse_descriptor(descriptor), radius)
+
+
+@st.composite
+def oracle_cases(draw):
+    factors = draw(st.lists(st.sampled_from(ATOMS), min_size=1, max_size=2))
+    descriptor = "x".join(factors)
+    n = draw(st.integers(0, ATOM_TOP if len(factors) == 1 else PRODUCT_TOP))
+    witness = draw(st.sampled_from(["ball", "sphere", "aN"]))
+    d_hat = (draw(st.floats(0.1, 6.0, allow_subnormal=False))
+             if witness == "aN" else None)
+    exponent = draw(st.sampled_from([2, 4, 8]))
+    return descriptor, witness, n, d_hat, exponent
+
+
+@given(case=oracle_cases())
+# the largest witnesses each kind of group draws, which fixed draws seldom
+# reach
+@example(case=("F2", "sphere", 3, None, 8))
+@example(case=("F3", "ball", 3, None, 8))
+@example(case=("H3", "aN", 3, 1.5, 8))
+@example(case=("Z^3", "ball", 3, None, 8))
+@example(case=("Z^1xF2", "ball", 1, None, 8))
+@example(case=("H3xF2", "aN", 1, 0.5, 8))
+@example(case=("F2xF2", "sphere", 1, None, 8))
+def test_every_bracket_holds_the_exact_norm(case):
+    descriptor, witness, n, d_hat, exponent = case
+    spec = R.parse_descriptor(descriptor)
+    x = make_witness(spec, witness, n, d_hat)
+    want = exact_norm(x)
+    R_power = max(n, 1)
+    index = index_of(descriptor, R_power)
+    brackets = {
+        "l1": {},
+        "trace": {"exponent": exponent},
+        "power": {"R": R_power, "iters": 30},
+    }
+    if spec.amenable:
+        brackets["exact"] = {}
+    for method, settings in brackets.items():
+        est = R.norm_bracket(x, method=method, index=index, **settings)
+        assert est.lower <= want * SLACK, method
+        assert want <= est.upper * SLACK, method
