@@ -151,45 +151,86 @@ def char_sphere(index: LengthIndex, n):
 class ProductKeys:
     """Integer keys for the products of two element lists, pair by pair.
 
-    Pair p = i * len(inner) + j is the product of outer[i] and inner[j]: the
-    order of a loop with the outer list outside.  Keys number the cells of
-    the products' bounding box (corner ``lo``, side lengths ``spans``) by
-    ``cell_keys``, so equal products get equal keys and ``elements`` decodes
-    keys.
-    While ``blocks`` runs, ``first`` records each key's first pair and
-    ``touched`` counts the keys seen.
+    Pair p = i * len(inner) + j is the product of outer[i] and inner[j]
+    (inner[j] * outer[i] with ``flip``): the order of a loop with the outer
+    list outside.  Keys number the cells of the products' bounding box
+    (corner ``lo``, side lengths ``spans``) as ``cell_keys`` does, so equal
+    products get equal keys and ``elements`` decodes keys.
+
+    Keys are formed without the group law.  ``cell_keys`` is linear in the
+    coordinates, and g*h adds the coordinates of g and h plus the group's
+    ``bilinear_terms``, so with s_k the stride of coordinate k
+
+        key(g*h) = K(g) + K'(h) + sum over terms (i, j, k) of g_i h_j s_k,
+
+    where K numbers the outer elements from the least corner c of their own
+    box and K' the inner ones from lo - c (under ``flip`` the roles in the
+    terms swap).  K and K' are computed once per element; a block of keys is
+    one ``np.add.outer`` and, on H3, one ``np.multiply.outer``.
+
+    Every number stays inside int64.  Coordinates are below COORD_LIMIT =
+    2^31 in absolute value, so the corners' products are below 2^62 + 2^32,
+    and the box has fewer than 2^60 cells, since ``blocks`` first allocates
+    an int64 per cell (and the box-cell guard of ``product_keys`` allows at
+    most BOX_CELLS_PER_PRODUCT cells per pair).  Each digit g_k - c_k lies
+    in [0, span_k), as the box spans the outer elements in every
+    coordinate, so 0 <= K < size.  H3's one term, a * b', is below 2^62 in
+    absolute value and lands on the last coordinate, whose stride is 1; K'
+    differs from a key of the box by the least a * b' over the corners,
+    also below 2^62.  So K' and K + K' = key - a * b' stay below
+    2^62 + 2^60 in absolute value, and adding the term gives the key, in
+    [0, size).
+    While ``blocks`` runs, ``first`` records each key's first pair.
     """
 
-    def __init__(self, law, outer, inner, lo, spans):
-        self.law = law
-        self.outer = outer
-        self.inner = inner
+    def __init__(self, spec, outer, inner, flip, lo, spans):
         self.pairs = outer.shape[1] * inner.shape[1]
         self.lo = lo
         self.spans = spans
         self.size = math.prod(spans)
         self.first = None
-        self.touched = 0
+        corner = outer.min(axis=1).tolist()
+        self.outer_keys = cell_keys(outer, corner, spans)
+        self.inner_keys = cell_keys(inner, [a - b for a, b in zip(lo, corner)],
+                                    spans)
+        strides = [math.prod(spans[k + 1:]) for k in range(len(spans))]
+        # (outer column, inner column) per term; the left factor is inner
+        # under flip
+        self.terms = [(outer[j] * strides[k], inner[i]) if flip else
+                      (outer[i] * strides[k], inner[j])
+                      for i, j, k in spec.bilinear_terms]
 
-    def blocks(self):
+    def blocks(self, budget=None):
         """(outer slice, inner slice, keys of their pairs) for consecutive
-        blocks of at most PAIR_BLOCK pairs: whole rows, or parts of one."""
-        height, width = self.outer.shape[1], self.inner.shape[1]
+        blocks of at most PAIR_BLOCK pairs: whole rows, or parts of one.
+
+        BudgetExceededError once more than ``budget`` keys have been
+        touched; the keys are counted only when the box has more cells
+        than that.
+        """
+        height, width = len(self.outer_keys), len(self.inner_keys)
         self.first = np.full(self.size, self.pairs)
+        count = budget is not None and self.size > budget
+        touched = 0
         rows = max(1, PAIR_BLOCK // width)
         step = min(width, PAIR_BLOCK)
         for r in range(0, height, rows):
             outer_ids = slice(r, min(r + rows, height))
             for c in range(0, width, step):
                 inner_ids = slice(c, min(c + step, width))
-                products = self.law(self.outer[:, outer_ids, None],
-                                    self.inner[:, None, inner_ids])
-                keys = cell_keys(products, self.lo, self.spans).ravel()
-                del products
+                keys = np.add.outer(self.outer_keys[outer_ids],
+                                    self.inner_keys[inner_ids])
+                for g, h in self.terms:
+                    keys += np.multiply.outer(g[outer_ids], h[inner_ids])
+                keys = keys.ravel()
                 start = r * width + c
                 p = np.arange(start, start + len(keys))
                 np.minimum.at(self.first, keys, p)
-                self.touched += np.count_nonzero(self.first[keys] == p)
+                if count:
+                    touched += np.count_nonzero(self.first[keys] == p)
+                    if touched > budget:
+                        raise BudgetExceededError(
+                            f"convolution support passed {budget} elements")
                 yield outer_ids, inner_ids, keys
 
     def first_touch_order(self):
@@ -225,7 +266,8 @@ def _box_corners(cols):
 
 
 def product_keys(spec, outer, inner, flip, max_support=None):
-    """ProductKeys for outer[i] * inner[j] (inner[j] * outer[i] with ``flip``).
+    """ProductKeys for outer[i] * inner[j] (inner[j] * outer[i] with ``flip``),
+    formed from per-element keys and the group's ``bilinear_terms``.
 
     None when the group has no array law (it is no IntegerTupleGroup), a
     list is empty, a coordinate reaches COORD_LIMIT, or the bounding box has
@@ -238,23 +280,20 @@ def product_keys(spec, outer, inner, flip, max_support=None):
     inner_cols = _coordinate_columns(inner)
     if outer_cols is None or inner_cols is None:
         return None
-    law = spec.multiply
-    if flip:
-        def law(g, h):
-            return spec.multiply(h, g)
     # the law is multilinear in the coordinates, so the products of the
     # operands' box corners bound every product
     g, h = _box_corners(outer_cols), _box_corners(inner_cols)
     if g.shape[1] * h.shape[1] > MAX_CORNER_PAIRS:
         return None
-    corners = law(g[:, :, None], h[:, None, :])
+    g, h = g[:, :, None], h[:, None, :]
+    corners = spec.multiply(h, g) if flip else spec.multiply(g, h)
     lo = [int(col.min()) for col in corners]
     spans = [int(col.max()) - low + 1 for col, low in zip(corners, lo)]
-    keys = ProductKeys(law, outer_cols, inner_cols, lo, spans)
-    products = keys.pairs if max_support is None else min(keys.pairs, max_support)
-    if keys.size > BOX_CELLS_PER_PRODUCT * products:
+    pairs = outer_cols.shape[1] * inner_cols.shape[1]
+    products = pairs if max_support is None else min(pairs, max_support)
+    if math.prod(spans) > BOX_CELLS_PER_PRODUCT * products:
         return None
-    return keys
+    return ProductKeys(spec, outer_cols, inner_cols, flip, lo, spans)
 
 
 def _convolve_arrays(spec, left, right, flip, budget):
@@ -276,12 +315,9 @@ def _convolve_arrays(spec, left, right, flip, budget):
     sums = np.zeros(keys.size)
     # products past the float range give inf and nan, as in the dict loop
     with np.errstate(over="ignore", invalid="ignore"):
-        for outer_ids, inner_ids, k in keys.blocks():
+        for outer_ids, inner_ids, k in keys.blocks(budget):
             np.add.at(sums, k,
                       np.outer(left_c[outer_ids], right_c[inner_ids]).ravel())
-            if budget is not None and keys.touched > budget:
-                raise BudgetExceededError(
-                    f"convolution support passed {budget} elements")
     cells = keys.first_touch_order()
     return dict(zip(keys.elements(cells), sums[cells].tolist()))
 
@@ -305,10 +341,12 @@ def convolve(a: AlgebraElement, b: AlgebraElement, budget=DEFAULT_BUDGET):
     """Convolution product; cost is |supp a| * |supp b| sparse updates.
 
     The outer loop runs over the smaller support.  On Z^d and H3 the updates
-    run in numpy blocks (``_convolve_arrays``) when all coefficients are
-    floats, coordinates stay below 2^31 in absolute value, and the products'
-    bounding box has at most BOX_CELLS_PER_PRODUCT cells per pair and per
-    budgeted element; otherwise, and on every other group, a dict loop runs.
+    run in numpy blocks (``_convolve_arrays``), each product keyed by the
+    sum of its factors' own cell keys, plus a * b' on H3 (``ProductKeys``),
+    when all coefficients are floats, coordinates stay below 2^31 in
+    absolute value, and the products' bounding box has at most
+    BOX_CELLS_PER_PRODUCT cells per pair and per budgeted element;
+    otherwise, and on every other group, a dict loop runs.
     Both give the same floats, bit for bit, in the same order.  The budget
     counts every element touched, including sums that cancel to zero.
     """

@@ -171,10 +171,13 @@ class IntegerTupleGroup(GroupSpec):
     ``multiply`` and ``inverse`` also take elements as coordinate columns,
     one int64 array per coordinate (the arrays of multiply's two operands
     broadcast against each other), and give the columns of the results.
-    Every result coordinate is a polynomial of degree at most one in each
-    input coordinate, so that its extremes over a box of inputs lie at the
-    box's corners.
+    Coordinate k of g*h is g_k + h_k plus g_i * h_j for each (i, j, k) in
+    ``bilinear_terms``, so every result coordinate is a polynomial of degree
+    at most one in each input coordinate, and its extremes over a box of
+    inputs lie at the box's corners.
     """
+
+    bilinear_terms = ()
 
     def ball_bounds(self, N):
         """The largest |x_i| over the ball B_N, one bound per coordinate i."""
@@ -257,6 +260,7 @@ class DiscreteHeisenberg(IntegerTupleGroup):
 
     X = (1, 0, 0)
     Y = (0, 1, 0)
+    bilinear_terms = ((0, 1, 2),)    # c + c' gains a * b'
 
     def identity(self):
         return (0, 0, 0)
@@ -842,9 +846,18 @@ class Embedding:
     images: dict
 
     def apply(self, g):
+        """The product of the images along ``sub.generator_word(g)``; a run
+        of k equal letters takes O(log k) products, by repeated squaring."""
+        mul = self.ambient.multiply
         out = self.ambient.identity()
-        for s in self.sub.generator_word(g):
-            out = self.ambient.multiply(out, self.images[s])
+        for s, run in itertools.groupby(self.sub.generator_word(g)):
+            x, k = self.images[s], len(list(run))
+            while k:
+                if k & 1:
+                    out = mul(out, x)
+                k >>= 1
+                if k:
+                    x = mul(x, x)
         return out
 
     def ambient_length(self, g):

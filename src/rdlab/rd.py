@@ -734,16 +734,25 @@ def verify_heredity(embedding: Embedding, n_list, sub_index: LengthIndex,
     # a ball witness never has l2 norm 0, so the series has an entry per n
     ambient = ratio_series(embedding.ambient, "ball", n_list, method,
                            ambient_index, **settings)
+    # positions in ``elems`` by image length, ties in ball order: each n's
+    # members are the previous n's and the next run of these, kept in ball
+    # order (sorted merges the two runs in one pass)
+    order = sorted(range(len(elems)), key=lambda p: image_length[elems[p]])
+    positions, taken, radius = [], 0, 0
     rows = []
     for n, amb in zip(n_list, ambient.entries):
-        members = [g for g in elems if image_length[g] <= n]
-        coeffs = {g: 1.0 for g in members}
-        radius = max(map(sub.word_length, members), default=0)
+        start = taken
+        while taken < len(order) and image_length[elems[order[taken]]] <= n:
+            taken += 1
+        new = order[start:taken]
+        radius = max([radius, *(sub.word_length(elems[p]) for p in new)])
+        positions = sorted(positions + new)
+        coeffs = dict.fromkeys(map(elems.__getitem__, positions), 1.0)
         witness = AlgebraElement(spec=sub, coeffs=coeffs, support_radius=radius)
         sub_est = norm_bracket(witness, method=method, index=sub_index, **settings)
-        sub_l2 = math.sqrt(len(members))
+        sub_l2 = math.sqrt(len(positions))
         rows.append(HeredityRow(
-            n=n, subgroup_count=len(members),
+            n=n, subgroup_count=len(positions),
             sub_ratio_lower=sub_est.lower / sub_l2,
             sub_ratio_upper=sub_est.upper / sub_l2,
             ambient_ratio_lower=amb.ratio_lower,

@@ -2,6 +2,7 @@ import collections
 import hashlib
 import json
 import random
+from unittest import mock
 
 import pytest
 
@@ -345,3 +346,18 @@ class TestEmbeddings:
     def test_trivial_embedding(self):
         emb = R.standard_embedding("e:Z^2")
         assert emb.apply(0) == (0, 0)
+
+    def test_powered_runs_give_the_product_of_the_images(self, h3_index):
+        # x -> x^2 y, y -> y: images whose powers move every coordinate
+        emb = R.embed(H3, H3, {(1, 0, 0): (2, 1, 0), (0, 1, 0): (0, 1, 0)})
+        for g in [*h3_index.ball(3), (37, -21, 500), (-64, 63, -5)]:
+            out = H3.identity()
+            for s in H3.generator_word(g):
+                out = H3.multiply(out, emb.images[s])
+            assert emb.apply(g) == out
+
+    def test_a_run_of_k_letters_takes_log_k_products(self):
+        emb = R.embed(Z, Z2, {(1,): (1, 0)})
+        with mock.patch.object(Z2, "multiply", wraps=Z2.multiply) as mul:
+            assert emb.apply((-1000,)) == (-1000, 0)
+        assert mul.call_count <= 2 * (1000).bit_length()

@@ -3,6 +3,8 @@
 On Z^d and H3 ``convolve`` runs in numpy blocks; everywhere else, and when an
 input falls outside the kernel's limits, it runs the dict loop.  Both must give
 the same floats, bit for bit, in the same order, and raise on the same budgets.
+Its keys, summed from per-element keys and the group's bilinear terms, must
+be the cell keys of the products that ``multiply`` gives.
 On free groups ``radial_convolve`` runs the sphere recursion on arrays; it must
 give the list recursion's numbers, bit for bit and of the same Python types.
 The ball product counts of ``ball_pair_counts`` must be the coefficients of
@@ -25,7 +27,7 @@ import rdlab as R
 from rdlab import algebra, cache, norms, rd
 from rdlab.cli import run_command
 from rdlab.errors import BudgetExceededError, IndexRadiusError
-from rdlab.groups import COORD_LIMIT
+from rdlab.groups import COORD_LIMIT, cell_keys
 
 H3 = R.DiscreteHeisenberg()
 SPECS = [R.FreeAbelian(1), R.FreeAbelian(2), R.FreeAbelian(3), H3]
@@ -183,6 +185,68 @@ def test_huge_coordinates_fall_back(a, b):
     assert keys_for(a, b) is None
     assert bits(R.convolve(a, b)) == bits(dict_loop(a, b))
     assert bits(R.convolve(a, b)) == bits(dict_loop(a, b))
+
+
+KEY_SPECS = [R.FreeAbelian(d) for d in range(1, 5)] + [H3]
+FAR = 2 ** 20
+CENTRES = st.one_of(st.integers(-FAR, FAR), st.integers(-8, 8))
+
+
+@st.composite
+def far_operands(draw):
+    """A group of KEY_SPECS and two lists of distinct elements, each list
+    within 3 of a centre whose coordinates reach 2^20 in absolute value.
+    Where a group's law multiplies g_i by h_j, a far coordinate i or j of
+    one centre holds the other list's coordinate j or i fixed, so that the
+    products' box stays small while g_i h_j is large."""
+    spec = draw(st.sampled_from(KEY_SPECS))
+    d = len(spec.identity())
+    centres = [draw(st.tuples(*[CENTRES] * d)) for _ in range(2)]
+    spreads = [[draw(st.integers(0, 3)) for _ in range(d)] for _ in range(2)]
+    for i, j, _ in spec.bilinear_terms:
+        for x, y in ((0, 1), (1, 0)):   # either list can be the left factor
+            if abs(centres[x][i]) > 8:
+                spreads[y][j] = 0
+            if abs(centres[y][j]) > 8:
+                spreads[x][i] = 0
+    lists = []
+    for centre, spread in zip(centres, spreads):
+        offsets = draw(st.lists(st.tuples(*[st.integers(0, s) for s in spread]),
+                                min_size=1, max_size=12, unique=True))
+        lists.append([tuple(c + o for c, o in zip(centre, offset))
+                      for offset in offsets])
+    return spec, *lists
+
+
+@given(far_operands(), st.booleans(), BLOCKS)
+@example((H3, [(FAR, 5, FAR), (FAR, 5, FAR - 3)],
+          [(-7, FAR, -FAR), (-7, FAR, 3 - FAR)]), True, 3)
+@example((H3, [(FAR, 5, FAR), (FAR, 5, FAR - 3)],
+          [(-7, FAR, -FAR), (-7, FAR, 3 - FAR)]), False, 3)
+def test_keys_are_the_cell_keys_of_products(operands, flip, block):
+    spec, outer, inner = operands
+    with mock.patch.object(algebra, "BOX_CELLS_PER_PRODUCT", 2 ** 40), \
+            mock.patch.object(algebra, "PAIR_BLOCK", block):
+        keys = algebra.product_keys(spec, outer, inner, flip)
+        got = np.concatenate([k for _, _, k in keys.blocks()])
+    products = [spec.multiply(h, g) if flip else spec.multiply(g, h)
+                for g in outer for h in inner]
+    cols = tuple(np.array(products, dtype=np.int64).T)
+    assert np.array_equal(got, cell_keys(cols, keys.lo, keys.spans))
+    assert keys.elements(got) == products
+
+
+@given(st.sampled_from(KEY_SPECS).flatmap(lambda spec: st.tuples(
+    st.just(spec),
+    *[st.tuples(*[st.integers(-2 ** 30, 2 ** 30)] * len(spec.identity()))] * 2)))
+def test_bilinear_terms_give_the_law(case):
+    spec, g, h = case
+    want = [x + y for x, y in zip(g, h)]
+    for i, j, k in spec.bilinear_terms:
+        want[k] += g[i] * h[j]
+    assert spec.multiply(g, h) == tuple(want)
+    cols = spec.multiply(*(tuple(np.array([x]) for x in e) for e in (g, h)))
+    assert [int(col[0]) for col in cols] == want
 
 
 def test_far_apart_sparse_supports_fall_back():

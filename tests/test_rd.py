@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 
@@ -686,6 +687,49 @@ class TestHeredity:
         sub_index = R.enumerate_balls(Z, 8)
         with pytest.raises(CoverageError):
             R.verify_heredity(emb, [16], sub_index)
+
+    def test_witnesses_keep_ball_order(self, monkeypatch):
+        # image lengths |a| + 3|b| do not grow along the ball, so each n adds
+        # elements between the previous n's members
+        emb = R.embed(Z2, Z2, {(1, 0): (1, 0), (0, 1): (0, 3)})
+        sub_index = R.enumerate_balls(Z2, 13)
+        witnesses = []
+
+        def spy(element, **settings):
+            if isinstance(element, R.AlgebraElement):
+                witnesses.append(element)
+            return norm_bracket(element, **settings)
+
+        norm_bracket = rdlab.rd.norm_bracket
+        monkeypatch.setattr(rdlab.rd, "norm_bracket", spy)
+        ns = [1, 2, 3, 5, 8, 12]
+        rep = R.verify_heredity(emb, ns, sub_index, method="exact")
+        ball = list(sub_index.ball(13))
+        assert len(witnesses) == len(ns)
+        for n, row, witness in zip(ns, rep.rows, witnesses):
+            members = [g for g in ball if emb.ambient_length(g) <= n]
+            assert list(witness.coeffs) == members
+            assert row.subgroup_count == len(members)
+            assert witness.support_radius == max(map(Z2.word_length, members))
+
+    def test_witnesses_read_each_length_once(self):
+        # one image length and one word length per element of the subgroup
+        # ball, where filtering the ball afresh for each n read about 40,500
+        # word lengths for n up to 400 and 161,000 up to 800
+        def calls(top):
+            emb = R.standard_embedding("Z:Z^2")
+            sub_index = R.enumerate_balls(emb.sub, top + 1)
+            with mock.patch.object(emb, "ambient_length",
+                                   wraps=emb.ambient_length) as image, \
+                    mock.patch.object(emb.sub, "word_length",
+                                      wraps=emb.sub.word_length) as length:
+                R.verify_heredity(emb, range(4, top + 1, 4), sub_index,
+                                  method="exact")
+            return image.call_count, length.call_count
+
+        short, long = calls(400), calls(800)
+        assert max(short) <= 2 * 401 + 1
+        assert all(b <= 2.1 * a for a, b in zip(short, long))
 
 
 class TestReport:
