@@ -809,24 +809,27 @@ def _sphere_keys(index):
 
 
 def _sphere_terms(spec):
-    """|S_0|, |S_1|, ...: the terms of the growth series P/Q,
-    s_n = P_n - sum_{k >= 1} Q_k s_{n-k}, each computed at its first
-    request and kept in ``_SERIES_TERMS``."""
+    """|S_0|, |S_1|, ...: the terms of the growth series, each computed at
+    its first request (``_terms_to``)."""
+    for n in itertools.count():
+        yield _terms_to(spec, n)[n]
+
+
+def _terms_to(spec, up_to):
+    """The list of sphere sizes kept in ``_SERIES_TERMS`` for the growth
+    series P/Q of ``spec``, extended to at least |S_up_to| by
+    s_n = P_n - sum_{k >= 1} Q_k s_{n-k}, computing only the terms it lacks."""
     P, Q = series = spec.growth_series()
     sizes = _SERIES_TERMS.setdefault(series, [])
-    for n in itertools.count():
-        if n == len(sizes):
-            head = P[n] if n < len(P) else 0
-            sizes.append(head - sum(map(operator.mul, Q[1:], sizes[: -len(Q): -1])))
-        yield sizes[n]
+    for n in range(len(sizes), up_to + 1):
+        head = P[n] if n < len(P) else 0
+        sizes.append(head - sum(map(operator.mul, Q[1:], sizes[: -len(Q): -1])))
+    return sizes
 
 
 def sphere_sizes(spec, up_to):
     """|S_0..S_up_to| as a new list."""
-    sizes = _SERIES_TERMS.get(spec.growth_series(), ())
-    if len(sizes) > up_to:
-        return sizes[: up_to + 1]
-    return list(itertools.islice(_sphere_terms(spec), up_to + 1))
+    return _terms_to(spec, up_to)[: up_to + 1]
 
 
 def ball_sizes(spec, up_to):

@@ -36,6 +36,7 @@ row blocks, in the order and to the bits of Python's left-to-right loop.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -61,6 +62,10 @@ from .groups import (
 # the relative change between the last two steps at which an iterative
 # estimator reports convergence
 CONVERGED_RTOL = 1e-10
+
+# log(2 DBL_MAX): a trace proved at least this large leaves the float range
+# with a factor 2 to spare for the rounding of the steps that prove it
+LOG_TWICE_FLOAT_MAX = math.log(sys.float_info.max) + math.log(2.0)
 
 
 @dataclass
@@ -369,6 +374,12 @@ class _DenseOps:
     def mul(self, x, y):
         return convolve(x, y, budget=self.budget)
 
+    def fits(self, k):
+        """Whether every product of powers of b up to b^k fits the budget:
+        each element it touches lies in B_R, R = k support_radius(b)."""
+        return self.budget is None or sum(sphere_sizes(
+            self.b.spec, k * self.b.support_radius)) <= self.budget
+
     @staticmethod
     def inner(x, y):
         small, big = (x, y) if len(x.coeffs) <= len(y.coeffs) else (y, x)
@@ -392,6 +403,12 @@ class _RadialOps:
         if self.budget is not None and len(z.coeffs) > self.budget:
             raise BudgetExceededError("radial support passed the budget")
         return z
+
+    def fits(self, k):
+        """Whether every product of powers of b up to b^k fits the budget:
+        it has at most k radius(b) + 1 coefficients."""
+        return (self.budget is None or
+                k * (len(self.b.coeffs) - 1) + 1 <= self.budget)
 
     @staticmethod
     def inner(x, y):
@@ -425,6 +442,15 @@ def op_norm_trace_power(a: AlgebraElement, depth=6, budget=DEFAULT_BUDGET,
     k (so the last step uses the a-exponent 2k), reached by binary
     exponentiation over the squares already computed.  Stops early if the
     support budget or float range is exhausted, reporting what was achieved.
+
+    "float_range" also covers a next trace that provably leaves the float
+    range.  The steps never decrease (Lyapunov's inequality for the positive
+    b), so tau(b^m) >= steps[-1]^(2m), and the ladder stops before step m if
+
+        2m log(steps[-1]) > log(2 DBL_MAX)
+
+    and b^ceil(m/2), the step's largest product, surely fits the budget;
+    otherwise the step runs, so a "budget" stop keeps precedence.
     """
     radial = a.trimmed() if isinstance(a, RadialElement) else radial_from_algebra(a)
     if not (a.coeffs if radial is None else any(radial.coeffs)):
@@ -442,6 +468,10 @@ def op_norm_trace_power(a: AlgebraElement, depth=6, budget=DEFAULT_BUDGET,
     steps = []
     stop_reason = "done"
     for m in ms:
+        if (steps and 2 * m * math.log(steps[-1]) > LOG_TWICE_FLOAT_MAX
+                and ops.fits((m + 1) // 2)):
+            stop_reason = "float_range"
+            break
         try:
             if m == 1:
                 trace = ops.trace(ops.b)

@@ -25,8 +25,9 @@ settings.register_profile("rdlab", derandomize=True, deadline=None,
                           max_examples=40, database=None)
 settings.load_profile("rdlab")
 # more examples, drawn afresh on each run: CI runs tests/test_balls.py and
-# the property tests of tests/test_series.py and tests/test_oracles.py once
-# more under --hypothesis-profile rdlab-explore, past tier-1's fixed examples
+# the property tests that its "Property tests on fresh examples" step names
+# once more under --hypothesis-profile rdlab-explore, past tier-1's fixed
+# examples
 settings.register_profile("rdlab-explore", derandomize=False, deadline=None,
                           max_examples=400, database=None)
 

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import random
@@ -5,10 +6,16 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rdlab as R
+from rdlab import norms
+from rdlab.cli import run_command
 from rdlab.errors import BudgetExceededError, IndexRadiusError, RdlabError
+from rdlab.groups import DEFAULT_BUDGET
 from rdlab.norms import _trace_exponents, radial_rank
+from rdlab.rd import make_witness
 
 Z = R.FreeAbelian(1)
 Z2 = R.FreeAbelian(2)
@@ -180,6 +187,157 @@ class TestTracePower:
         ladder = _trace_exponents(depth, None)
         assert ladder == _trace_exponents(6, 2 ** (depth + 1))
         assert ladder == [2 ** j for j in range(depth + 1)]
+
+
+def reference_ladder(a, depth=6, budget=DEFAULT_BUDGET, exponent=None):
+    """The trace ladder of ``op_norm_trace_power`` with every step formed:
+    no step is skipped for a trace proved past the float range, the ladder
+    stops only on a non-finite or non-positive trace or a budget overrun.
+    Returns (steps, lower, stop_reason, target_steps, converged)."""
+    radial = (a.trimmed() if isinstance(a, R.RadialElement)
+              else R.radial_from_algebra(a))
+    ops = (norms._DenseOps(a, budget) if radial is None
+           else norms._RadialOps(radial, budget))
+    ms = _trace_exponents(depth, exponent)
+    squares = [ops.b]      # squares[j] = b^(2^j)
+
+    def power(k):
+        result = None
+        for j in range(k.bit_length()):
+            if j == len(squares):
+                squares.append(ops.mul(squares[-1], squares[-1]))
+            if k >> j & 1:
+                result = squares[j] if result is None else ops.mul(result,
+                                                                   squares[j])
+        return result
+
+    steps, stop_reason = [], "done"
+    for m in ms:
+        try:
+            half = power(m // 2) if m > 1 else None
+            trace = (ops.trace(ops.b) if m == 1 else
+                     ops.inner(half, ops.mul(half, ops.b) if m % 2 else half))
+        except BudgetExceededError:
+            stop_reason = "budget"
+            break
+        if not math.isfinite(trace) or trace <= 0.0:
+            stop_reason = "float_range"
+            break
+        steps.append(trace ** (1.0 / (2.0 * m)))
+    if not steps:
+        raise BudgetExceededError("no step")
+    converged = (len(steps) >= 2 and stop_reason != "budget" and
+                 abs(steps[-1] - steps[-2]) <= norms.CONVERGED_RTOL * steps[-1])
+    return steps, steps[-1], stop_reason, len(ms), converged
+
+
+def as_bits(outcome):
+    """A ladder outcome with its floats as hex, so that equality is bitwise."""
+    steps, lower, *rest = outcome
+    return [list(map(float.hex, steps)), float.hex(lower), *rest]
+
+
+LADDER_SETTINGS = st.one_of(
+    st.builds(dict, exponent=st.sampled_from([64, 1024, 10000])),
+    st.just({"depth": 6}))
+DENSE_COEFFS = st.sampled_from([1.0, -1.0, 2.0, 0.5, -3.0, 1.5])
+
+
+@st.composite
+def dense_elements(draw):
+    """A small Z^2 or H3 element, scaled so that some ladders leave the float
+    range within a few steps."""
+    spec = draw(st.sampled_from([Z2, R.DiscreteHeisenberg()]))
+    points = draw(st.lists(
+        st.tuples(*[st.integers(-2, 2)] * len(spec.identity())),
+        min_size=1, max_size=6, unique=True))
+    scale = draw(st.sampled_from([1.0, 1e10, 1e40, 1e100]))
+    coeffs = {g: scale * draw(DENSE_COEFFS) for g in points}
+    return R.AlgebraElement(spec=spec, coeffs=coeffs, support_radius=max(
+        map(spec.word_length, points)))
+
+
+class TestLadderShortcut:
+    """A step whose trace is proved past the float range is not formed; the
+    ladder still reports what forming it would have."""
+
+    @given(rank=st.sampled_from([2, 3]),
+           witness=st.sampled_from(["ball", "sphere", "aN"]),
+           n=st.integers(1, 12), settings=LADDER_SETTINGS,
+           budget=st.one_of(st.just(DEFAULT_BUDGET), st.none(),
+                            st.integers(1, 2000)))
+    def test_free_witnesses_match_the_reference_ladder(self, rank, witness, n,
+                                                       settings, budget):
+        a = make_witness(R.FreeGroup(rank), witness, n,
+                         d_hat=1.0 if witness == "aN" else None)
+        self.check(a, dict(settings, budget=budget))
+
+    @given(a=dense_elements(), settings=LADDER_SETTINGS,
+           budget=st.integers(1, 3000))
+    def test_dense_elements_match_the_reference_ladder(self, a, settings,
+                                                       budget):
+        self.check(a, dict(settings, budget=budget))
+
+    @staticmethod
+    def check(a, settings):
+        try:
+            expected = as_bits(reference_ladder(a, **settings))
+        except BudgetExceededError:
+            # no step: b is past the budget or its trace is not finite
+            with pytest.raises(BudgetExceededError):
+                R.op_norm_trace_power(a, **settings)
+            return
+        est = R.op_norm_trace_power(a, **settings)
+        assert as_bits((est.steps, est.lower, est.stop_reason,
+                        est.target_steps, est.converged)) == expected
+
+    def test_a_budget_stop_keeps_precedence(self, capsys):
+        # F2 ball 10: b has radius 20 and the trace at b-exponent 64 leaves
+        # the float range; that step forms b^32, 641 coefficients, past every
+        # budget here, while b^16 (321) fits
+        a = make_witness(F2, "ball", 10)
+        for budget in range(321, 641):
+            est = R.op_norm_trace_power(a, exponent=1024, budget=budget)
+            assert (est.iterations, est.target_steps, est.stop_reason) == \
+                (6, 10, "budget")
+        for budget in ("321", "640"):
+            assert run_command(["norm", "--group", "F2", "--witness", "ball",
+                                "--n", "10", "--method", "trace",
+                                "--exponent", "1024", "--budget", budget]) == 0
+            est = json.loads(capsys.readouterr().out)
+            assert (est["iterations"], est["target_steps"],
+                    est["stop_reason"]) == (6, 10, "budget")
+
+    def test_the_skipped_squarings_are_not_formed(self, monkeypatch, capsys):
+        # F2 balls 2..10 at exponent 1024: every ladder stops on float_range
+        # at a power-of-two b-exponent m, and all but one skip the squaring
+        # that would form b^(m/2); at n = 6 the last finite step, 243.9 at
+        # m = 32, proves only tau(b^64) >= 243.9^128 = e^703.7, inside the
+        # float range, so that ladder forms it and finds inf
+        calls = []
+
+        def counting(x, y):
+            calls.append(None)
+            return convolve(x, y)
+
+        convolve = norms.radial_convolve
+        monkeypatch.setattr(norms, "radial_convolve", counting)
+        skipped = []
+        for n in range(2, 11):
+            a = make_witness(F2, "ball", n)
+            calls.clear()
+            R.op_norm_trace_power(a, exponent=1024)
+            formed = len(calls)
+            calls.clear()
+            reference_ladder(a, exponent=1024)
+            skipped.append(len(calls) - formed)
+        assert skipped == [1, 1, 1, 1, 0, 1, 1, 1, 1]
+        # the command runs the same nine ladders: 59 products formed in full
+        calls.clear()
+        assert run_command(["ratio", "--group", "F2", "--range", "2:10",
+                            "--method", "trace", "--exponent", "1024"]) == 0
+        assert len(calls) == 51
+        capsys.readouterr()
 
 
 class TestPowerIteration:
