@@ -3,6 +3,11 @@
 One subcommand per analysis operation, deterministic CSV/JSON artifacts, and
 a run manifest next to every --out file.  Exit codes: 0 success, 1 a checked
 inequality failed, 2 usage error, 3 budget or resource error.
+
+A process builds the parser once, when it imports this module, and every
+``run_command`` parses with it: an in-process caller that runs many commands
+pays for the build once, and a shell run, which builds it once per process
+either way, is unchanged.
 """
 
 from __future__ import annotations
@@ -649,10 +654,14 @@ def build_parser():
     return parser
 
 
+# parse_args keeps no state between calls: each call fills a fresh Namespace
+# from immutable defaults, so one parser serves every command of a process
+PARSER = build_parser()
+
+
 def run_command(argv):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

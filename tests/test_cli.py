@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -1324,6 +1325,57 @@ class TestDeterminism:
         assert run_command(argv.split() + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
         strict_json(out.read_text())
+
+
+class TestSharedParser:
+    """run_command parses every command of a process with the one parser
+    built at import, so no command may leave state in it for the next."""
+
+    # commands run between the pinned ones: a usage error (no --group), the
+    # version and a budget stop
+    DETOURS = [("growth --radius 2", 2),
+               ("--version", 0),
+               ("norm --group H3 --witness ball --n 2 --method power --R 3 "
+                "--budget 0", 3)]
+
+    def test_one_process_runs_the_pinned_commands_in_either_order(
+            self, tmp_path, monkeypatch, capsys):
+        def no_parser():
+            raise AssertionError("run_command built a parser")
+        monkeypatch.setattr(rdlab.cli, "build_parser", no_parser)
+        out = tmp_path / "artifact.json"
+        for order in (ARTIFACT_DIGESTS, ARTIFACT_DIGESTS[::-1]):
+            for i, (argv, sha256) in enumerate(order):
+                detour, code = self.DETOURS[i % len(self.DETOURS)]
+                capsys.readouterr()
+                assert run_command(detour.split()) == code, detour
+                if detour == "--version":
+                    assert capsys.readouterr().out == rdlab.__version__ + "\n"
+                assert run_command(argv.split() + ["--out", str(out)]) == 0, argv
+                assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256, argv
+
+    @staticmethod
+    def parsers(parser):
+        """``parser`` and every parser below it, sub-subcommands included."""
+        yield parser
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for child in action.choices.values():
+                    yield from TestSharedParser.parsers(child)
+
+    def test_no_action_carries_a_value_from_one_command_to_the_next(self):
+        immutable = (type(None), bool, int, float, str)
+        parsers = list(self.parsers(rdlab.cli.PARSER))
+        # the top level, 8 subcommands, 5 verify checks and 2 cache actions
+        assert len(parsers) == 16
+        for parser in parsers:
+            for action in parser._actions:
+                assert type(action.default) in immutable, action
+                assert type(action.const) in immutable, action
+                assert not isinstance(action, (argparse._AppendAction,
+                                               argparse._AppendConstAction)), action
+            for name, value in parser._defaults.items():
+                assert isinstance(value, types.FunctionType), name
 
 
 class TestStrictJson:

@@ -17,6 +17,9 @@ product of one weight series per factor:
 The sizes and weights here come from this file's own formulas, or a
 breadth-first search, never from the package's growth series, so the
 check is not circular.
+
+A signed element of C_m has its norm from the Fourier transform: the
+largest |sum_j a_j e^(2 pi i j k / m)| over k.
 """
 
 import functools
@@ -172,5 +175,62 @@ def test_every_bracket_holds_the_exact_norm(case):
         brackets["exact"] = {}
     for method, settings in brackets.items():
         est = R.norm_bracket(x, method=method, index=index, **settings)
+        assert est.lower <= want * SLACK, method
+        assert want <= est.upper * SLACK, method
+
+
+def cyclic_norm(m, coeffs):
+    """max_k |sum_j a_j e^(2 pi i j k / m)|: the characters of C_m diagonalise
+    convolution, so the norm of a signed ``coeffs`` {j: a_j} is its largest
+    Fourier coefficient in absolute value."""
+    def fourier(k):
+        turns = [2 * math.pi * (j * k % m) / m for j in coeffs]
+        return math.hypot(
+            math.fsum(a * math.cos(t) for a, t in zip(coeffs.values(), turns)),
+            math.fsum(a * math.sin(t) for a, t in zip(coeffs.values(), turns)))
+    return max(fourier(k) for k in range(m))
+
+
+def test_the_cyclic_oracle_gives_the_closed_forms():
+    # chi(S_1) on C_m has the Fourier coefficients 2 cos(2 pi k / m); its
+    # norm is 2.  delta_0 - delta_1 on C_3 has |1 - w| = sqrt(3) at k = 1, 2
+    assert cyclic_norm(6, {1: 1.0, 5: 1.0}) == pytest.approx(2.0, rel=1e-15)
+    assert cyclic_norm(5, {1: 1.0, 4: 1.0}) == pytest.approx(2.0, rel=1e-15)
+    assert cyclic_norm(3, {0: 1.0, 1: -1.0}) == pytest.approx(SQRT3, rel=1e-15)
+    assert cyclic_norm(2, {0: 1.0, 1: -1.0}) == pytest.approx(2.0, rel=1e-15)
+
+
+@st.composite
+def signed_cyclic_cases(draw):
+    m = draw(st.integers(2, 12))
+    # the trace ladder stops with an error, by design, on an element whose
+    # ||a||_2^2 underflows, so a coefficient below 1e-6 in size becomes 0
+    values = draw(st.lists(
+        st.floats(-10.0, 10.0).map(lambda v: v if abs(v) >= 1e-6 else 0.0),
+        min_size=m, max_size=m))
+    exponent = draw(st.sampled_from([2, 4, 6, 8]))
+    return m, dict(enumerate(values)), exponent
+
+
+@given(case=signed_cyclic_cases())
+# cancellations that leave one nonzero Fourier coefficient, a symmetric
+# element with real coefficients of both signs, and the zero element
+@example(case=(2, {0: 1.0, 1: -1.0}, 8))
+@example(case=(12, {j: (-1.0) ** j for j in range(12)}, 8))
+@example(case=(7, {0: 3.0, 3: -2.5, 4: -2.5}, 6))
+@example(case=(4, {0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0}, 2))
+def test_every_bracket_holds_the_cyclic_norm_of_a_signed_element(case):
+    m, coeffs, exponent = case
+    spec = R.FiniteCyclic(m)
+    x = R.AlgebraElement(spec, coeffs, max(min(j, m - j) for j in coeffs))
+    want = cyclic_norm(m, coeffs)
+    brackets = {
+        "l1": {},
+        "trace": {"exponent": exponent},
+        "power": {"R": m // 2, "iters": 30},
+    }
+    for method, settings in brackets.items():
+        est = R.norm_bracket(x, method=method, index=index_of(f"C{m}", m // 2),
+                             **settings)
         assert est.lower <= want * SLACK, method
         assert want <= est.upper * SLACK, method
