@@ -37,6 +37,7 @@ from .groups import (
     ball_sizes,
     embed,
     enumerate_balls,
+    holding_balls,
     parse_descriptor,
     sphere_sizes,
 )

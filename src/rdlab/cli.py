@@ -32,7 +32,13 @@ from .cache import (
     write_ball_cache,
 )
 from .errors import BudgetExceededError, RdlabError
-from .groups import DEFAULT_BUDGET, enumerate_balls, parse_descriptor
+from .groups import (
+    DEFAULT_BUDGET,
+    ball_index,
+    enumerate_balls,
+    holding_balls,
+    parse_descriptor,
+)
 from .norms import radial_to_algebra
 from .rd import (
     FIT_POINTS,
@@ -45,7 +51,6 @@ from .rd import (
     fit_exponent,
     make_witness,
     norm_bracket,
-    power_domain,
     ratio_series,
     rd_constant_series,
     require_nonzero,
@@ -134,22 +139,6 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = self.NEGATIVE_NUMBER
 
 
-class _LazyIndex:
-    """Stands in for the LengthIndex ``load(spec, radius)`` returns: it holds
-    ``spec`` and ``radius`` itself and calls ``load`` at the first read of
-    any other attribute; a failed load raises its own error."""
-
-    def __init__(self, spec, radius, load):
-        self.spec, self.radius = spec, radius
-        self._load = load
-        self._index = None
-
-    def __getattr__(self, name):    # called only for names __init__ did not set
-        if self._index is None:
-            self._index = self._load(self.spec, self.radius)
-        return getattr(self._index, name)
-
-
 class _Run:
     """Collects artifact text plus manifest metadata for one invocation."""
 
@@ -159,22 +148,15 @@ class _Run:
         self.cache_files = []
         self.spec = None
 
-    def get_index(self, spec, radius):
+    def get_index(self, spec, radius, budget):
+        """This command's ball loader: the ``--cache-dir`` file of ``spec``
+        at exactly ``radius`` when there is one, else a new enumeration."""
         if self.args.cache_dir:
             path = cache_path(self.args.cache_dir, spec, radius)
             if path.is_file():
                 self.cache_files.append(str(path))
-                return read_ball_cache(path, spec, radius, budget=self.args.budget)
-        return enumerate_balls(spec, radius, budget=self.args.budget)
-
-    def index(self, spec, radius, method=None, R=None):
-        """The LengthIndex of ``spec`` to ``radius``, which ``get_index``
-        reads only when a computation first reads more than its ``spec`` or
-        ``radius``; for power iteration, to the ``power_domain`` radius of
-        ``R`` when that is larger."""
-        if method == "power":
-            radius = max(radius, power_domain(R, radius))
-        return _LazyIndex(spec, radius, self.get_index)
+                return read_ball_cache(path, spec, radius, budget=budget)
+        return enumerate_balls(spec, radius, budget=budget)
 
     def emit(self, text, summary=None):
         out = self.args.out
@@ -228,7 +210,7 @@ def _estimator_settings(args):
 
 def cmd_growth(run, args):
     spec = run.spec = parse_descriptor(args.group)
-    index = run.get_index(spec, args.radius)
+    index = ball_index(spec, args.radius, args.budget)
     rows = [(n, index.sphere_sizes[n], index.ball_sizes[n])
             for n in range(args.radius + 1)]
     if args.format == "json":
@@ -255,14 +237,11 @@ def cmd_norm(run, args):
     if args.element:
         data = json.loads(Path(args.element).read_text(encoding="utf-8"))
         element = AlgebraElement.from_json_dict(spec, data)
-        index = run.index(spec, element.support_radius, args.method,
-                          args.domain_radius)
     elif args.witness and args.n is not None:
-        index = run.index(spec, args.n, args.method, args.domain_radius)
         element = make_witness(spec, args.witness, args.n, args.d_hat)
     else:
         raise RdlabError("norm needs either --element or --witness with --n")
-    est = norm_bracket(element, method=args.method, index=index, **settings)
+    est = norm_bracket(element, method=args.method, **settings)
     summary = f"norm in [{est.lower:.12g}, {est.upper:.12g}] ({est.method})"
     if est.stop_reason in ("budget", "float_range"):
         summary += (f"; stopped after {est.iterations} of {est.target_steps} "
@@ -275,10 +254,8 @@ def _make_series(run, args):
     _check_d_hat(args)
     spec = run.spec = parse_descriptor(args.group)
     n_list = parse_range(args.range)
-    settings = _estimator_settings(args)
-    index = run.index(spec, max(n_list), args.method, args.domain_radius)
     return ratio_series(spec, args.witness, n_list, method=args.method,
-                        index=index, d_hat=args.d_hat, **settings)
+                        d_hat=args.d_hat, **_estimator_settings(args))
 
 
 def cmd_ratio(run, args):
@@ -329,13 +306,13 @@ DENSE_ZSERIES_LIMIT = 10_000
 
 def cmd_zseries(run, args):
     spec = run.spec = parse_descriptor(args.group)
-    index = run.index(spec, args.r * args.k)
     series = build_ball_series(spec, args.r, args.alpha, args.k)
     bounds = ball_series_l2_bounds(series)
     payload = series.to_json_dict()
     payload["element"] = None
     if series.ball_size_at_rk[-1] <= min(args.budget, DENSE_ZSERIES_LIMIT):
-        payload["element"] = radial_to_algebra(series.function, index).to_json_dict()
+        payload["element"] = radial_to_algebra(series.function,
+                                               args.budget).to_json_dict()
     payload["l2_bounds"] = bounds.to_json_dict()
     if bounds.upper is None:
         where = (f"l2^2 >= {bounds.lower:.6f} (no certified upper end: "
@@ -357,8 +334,6 @@ def cmd_report(run, args):
             f"report: --range {args.range} gives {fitted} n >= "
             f"{REPORT_FIT_FROM}; the report fits its series on n >= "
             f"{REPORT_FIT_FROM} and needs at least {FIT_POINTS} of them")
-    settings = _estimator_settings(args)
-    index = run.index(spec, max(n_list), args.method, args.domain_radius)
     try:
         s_values = ([float(s) for s in args.s_list.split(",")]
                     if args.s_list else [])
@@ -368,7 +343,7 @@ def cmd_report(run, args):
         raise RdlabError("--s-list takes comma-separated finite numbers, not "
                          f"{args.s_list!r}")
     report = build_report(spec, n_list, s_values=s_values, method=args.method,
-                          index=index, **settings)
+                          **_estimator_settings(args))
     if args.out:
         report.manifest_ref = args.out + ".manifest.json"
     if args.format == "csv":
@@ -389,24 +364,17 @@ def _verdict_exit(ok):
 def _verify_lemma1(run, args):
     # either the sweep to --radius (default 6) or the one pair --n, --k
     # (default k 6)
-    if args.n is None:
-        if args.k is not None:
-            raise RdlabError("verify lemma1: --k needs --n")
-        radius = 6 if args.radius is None else args.radius
-    elif args.radius is not None:
+    if args.n is None and args.k is not None:
+        raise RdlabError("verify lemma1: --k needs --n")
+    if args.n is not None and args.radius is not None:
         raise RdlabError("verify lemma1: --radius cannot be combined with --n")
-    else:
-        k = 6 if args.k is None else args.k
-        radius = args.n + k
     spec = run.spec = parse_descriptor(args.group)
-    index = run.index(spec, radius)
     if args.n is not None:
-        ok, slack = verify_ball_product_bound(spec, args.n, k, index,
-                                              budget=args.budget)
-        worst = (args.n, k)
+        worst = (args.n, 6 if args.k is None else args.k)
+        ok, slack = verify_ball_product_bound(spec, *worst, budget=args.budget)
     else:
-        ok, slack, worst = ball_product_sweep(spec, radius, index,
-                                              budget=args.budget)
+        ok, slack, worst = ball_product_sweep(
+            spec, 6 if args.radius is None else args.radius, budget=args.budget)
     if args.min_slack is not None:
         ok = slack >= args.min_slack
     run.emit(json_text({"group": spec.descriptor(), "check": "lemma1",
@@ -420,9 +388,8 @@ def _verify_lemma1(run, args):
 
 def _verify_lemma2(run, args):
     spec = run.spec = parse_descriptor(args.group)
-    index = run.index(spec, args.r * args.k)
     report = verify_series_product_bound(spec, args.r, args.alpha, args.beta,
-                                         args.k, index, budget=args.budget)
+                                         args.k, budget=args.budget)
     ok = report.ok
     if args.min_slack is not None:
         ok = report.min_slack >= args.min_slack
@@ -449,14 +416,8 @@ def _verify_heredity(run, args):
     n_list = parse_range(args.range)
     embedding = standard_embedding(args.embedding)
     run.spec = embedding.ambient
-    # the subgroup witnesses are dense elements listed from the subgroup
-    # index, one radius past max(n) to certify coverage
-    sub_index = run.index(embedding.sub, max(n_list) + 1, args.method,
-                          args.domain_radius)
-    ambient_index = run.index(embedding.ambient, max(n_list), args.method,
-                              args.domain_radius)
-    report = verify_heredity(embedding, n_list, sub_index, ambient_index,
-                             args.method, **_estimator_settings(args))
+    report = verify_heredity(embedding, n_list, args.method,
+                             **_estimator_settings(args))
     run.emit(json_text({"embedding": args.embedding, "ok": report.ok,
                         "rows": [dict(asdict(r), dominated=r.dominated)
                                  for r in report.rows]}),
@@ -667,7 +628,9 @@ def run_command(argv):
         return code if isinstance(code, int) else EXIT_USAGE
     run = _Run(args)
     try:
-        return args.func(run, args)
+        # the balls this command loads are held until it ends, no longer
+        with holding_balls(run.get_index):
+            return args.func(run, args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -10,7 +10,10 @@ class SpecMismatchError(RdlabError):
 
 
 class IndexRadiusError(RdlabError):
-    """A length table does not cover the radius an operation needs."""
+    """A ball does not cover the radius an operation needs: a sphere or ball
+    past a LengthIndex's radius, ``ball_pair_counts`` on an index smaller
+    than M or one that does not fit its group, or a power-iteration domain
+    radius below the element's support radius."""
 
 
 class BudgetExceededError(RdlabError):

@@ -4,8 +4,9 @@ Each group comes with a canonical element form, its standard symmetric
 generating set, its rational growth series sum |S_n| z^n = P(z)/Q(z), whose
 division gives every sphere size, and a closed formula for its word length.
 Balls and spheres are enumerated sphere by sphere; the result is a
-:class:`LengthIndex` that the algebra and analysis layers consume for the
-elements of a ball.  ``sphere_sizes`` and ``ball_sizes`` answer from the
+:class:`LengthIndex`.  The analysis layers ask ``ball_index`` for the ball
+each computation needs, and the kernels that consume one are handed it.
+``sphere_sizes`` and ``ball_sizes`` answer from the
 growth series and ``word_length`` from the formula, so neither reads an
 index, and ``enumerate_balls`` meets its budget from the series before any
 search starts.
@@ -47,6 +48,8 @@ writes: no sign on a nonnegative number, no leading zero, no space.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 import math
@@ -72,6 +75,11 @@ EMBED_SAMPLES = 200
 EMBED_SEED = 0
 
 _SERIES_TERMS = {}  # (P, Q) -> the sphere sizes computed so far
+
+# (load, {spec: the largest ball loaded}) inside ``holding_balls``, else None
+_HELD = contextvars.ContextVar("rdlab_held_balls", default=None)
+# {spec: least radius of a held load}; ``reaching`` sets a new dict each time
+_REACH = contextvars.ContextVar("rdlab_ball_reach", default={})
 
 
 def _once_per_instance(method):
@@ -729,19 +737,61 @@ def enumerate_balls(spec, N, budget=DEFAULT_BUDGET):
     elements.
 
     Raises BudgetExceededError, carrying the last radius within it, when a
-    ball B_n, n >= 1, holds more than ``budget`` elements.  The growth series
-    gives the sizes, so this is decided before any search starts.
+    ball B_n, n >= 1, holds more than ``budget`` elements (None: no bound).
+    The growth series gives the sizes, so this is decided before any search
+    starts.
     """
     if N < 0:
         raise ValueError("radius must be >= 0")
     balls = itertools.accumulate(itertools.islice(_sphere_terms(spec), N + 1))
-    failed = next((n for n, ball in enumerate(balls) if n and ball > budget),
-                  None)
+    failed = None if budget is None else next(
+        (n for n, ball in enumerate(balls) if n and ball > budget), None)
     if failed is not None:
         raise BudgetExceededError(
             f"ball enumeration for {spec.descriptor()} passed {budget} "
             f"elements at radius {failed}", radius_reached=failed - 1)
     return _enumerate(spec, N)
+
+
+@contextlib.contextmanager
+def holding_balls(load):
+    """Within the block, ``ball_index`` loads a ball by ``load(spec, radius,
+    budget)`` and holds the largest ball of each group it has loaded; the
+    balls go when the block ends."""
+    token = _HELD.set((load, {}))
+    try:
+        yield
+    finally:
+        _HELD.reset(token)
+
+
+@contextlib.contextmanager
+def reaching(spec, radius):
+    """Within the block, a ball of ``spec`` that ``ball_index`` loads and
+    holds reaches ``radius``, so that a computation asking for balls up to
+    ``radius`` one after another loads once."""
+    token = _REACH.set({**_REACH.get(), spec: radius})
+    try:
+        yield
+    finally:
+        _REACH.reset(token)
+
+
+def ball_index(spec, radius, budget=DEFAULT_BUDGET):
+    """A LengthIndex of ``spec`` to at least ``radius``, with the spheres of
+    ``enumerate_balls(spec, radius)`` first: inside ``holding_balls`` the
+    ball held for ``spec`` if it reaches ``radius``, else a new load held in
+    its place; outside, a new enumeration.  ``enumerate_balls`` is looked up
+    at each call, so a wrapper set on this module sees every load."""
+    held = _HELD.get()
+    if held is None:
+        return enumerate_balls(spec, radius, budget)
+    load, balls = held
+    if spec not in balls or balls[spec].radius < radius:
+        balls.pop(spec, None)      # let the smaller ball go before the load
+        radius = max(radius, _REACH.get().get(spec, 0))
+        balls[spec] = load(spec, radius, budget)
+    return balls[spec]
 
 
 def _enumerate(spec, N):

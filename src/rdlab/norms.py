@@ -55,7 +55,8 @@ from .groups import (
     DEFAULT_BUDGET,
     FreeGroup,
     GroupSpec,
-    LengthIndex,
+    ball_index,
+    ball_sizes,
     sphere_sizes,
 )
 
@@ -225,15 +226,11 @@ def radial_from_algebra(a: AlgebraElement):
     return RadialElement(spec=a.spec, coeffs=coeffs, sizes=sizes)
 
 
-def radial_to_algebra(x: RadialElement, index: LengthIndex):
-    """The dense element of the sphere function ``x``, built from ``index``."""
-    if index is None or index.spec != x.spec:
-        raise IndexRadiusError(
-            f"expanding a sphere function on {x.spec.descriptor()} needs its "
-            "LengthIndex")
+def radial_to_algebra(x: RadialElement, budget=DEFAULT_BUDGET):
+    """The dense element of the sphere function ``x``, listed from its ball
+    (``ball_index`` under ``budget``)."""
     top = len(x.coeffs) - 1
-    if top > index.radius:
-        raise IndexRadiusError("index too small to expand the sphere function")
+    index = ball_index(x.spec, top, budget)
     coeffs = {g: c for j, c in enumerate(x.coeffs) if c != 0.0
               for g in index.sphere(j)}
     return AlgebraElement(spec=x.spec, coeffs=coeffs, support_radius=top)
@@ -557,33 +554,29 @@ def _sum_of_squares(v):
 
 
 def op_norm_power_iteration(a: AlgebraElement, R, iters=200, seed=0,
-                            index: LengthIndex = None, budget=DEFAULT_BUDGET):
+                            budget=DEFAULT_BUDGET):
     """Largest singular value of convolution by ``a`` compressed to l2(B_R).
 
     Builds the sparse matrix of v -> a*v from B_R into the reachable set and
     applies power iteration to its normal matrix; the Rayleigh quotient is a
     lower bound for ||a||^2 at every step.  Deterministic for a fixed seed,
     whatever the number of BLAS threads: no step calls BLAS.
-    A matrix of more than ``budget`` entries, |B_R| |supp a|, raises
-    BudgetExceededError before it is built.
+    A matrix of more than ``budget`` entries, |B_R| |supp a| with |B_R|
+    from the growth series, raises BudgetExceededError before B_R is listed.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    if index is None or index.spec != a.spec:
-        raise IndexRadiusError("power iteration needs a LengthIndex for the group")
-    if index.radius < R:
-        raise IndexRadiusError(f"index radius {index.radius} < domain radius {R}")
     if R < a.support_radius:
         raise IndexRadiusError(
             f"domain radius {R} below element support radius {a.support_radius}")
     if not a.coeffs:
         return _zero_estimate("power_iteration")
-    entries = index.ball_sizes[R] * len(a.coeffs)
+    entries = ball_sizes(a.spec, R)[R] * len(a.coeffs)
     if budget is not None and entries > budget:
         raise BudgetExceededError(
             f"power iteration's matrix would hold {entries} entries, past the "
             f"budget of {budget}")
-    mat = _compression_matrix(a, list(index.ball(R)))
+    mat = _compression_matrix(a, list(ball_index(a.spec, R, budget).ball(R)))
     mat_t = mat.T
 
     rng = np.random.default_rng(seed)

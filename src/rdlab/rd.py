@@ -48,9 +48,10 @@ from .groups import (
     FiniteCyclic,
     FreeAbelian,
     FreeGroup,
-    LengthIndex,
+    ball_index,
     ball_sizes,
     embed,
+    reaching,
     sphere_sizes,
 )
 from .norms import (
@@ -81,15 +82,6 @@ def _check_float_range(spec, balls):
         raise BudgetExceededError(
             f"ball sizes of {spec.descriptor()} leave the float range at radius "
             f"{first}; radius {len(balls) - 1} must stay below it")
-
-
-# -- estimator choice -----------------------------------------------------------
-
-
-def power_domain(R, support_radius):
-    """Radius of the ball power iteration compresses to: ``R`` when given,
-    else the support radius, at least 1."""
-    return max(support_radius, 1) if R is None else R
 
 
 # -- witness elements and ratio series ----------------------------------------
@@ -143,9 +135,10 @@ def _witness_family(spec, witness, n_list, d_hat):
         yield RadialElement(spec=spec, coeffs=coeffs, sizes=sizes, sums=carried)
 
 
-def witness_element(x: RadialElement, index: LengthIndex):
-    """The dense form of the witness sphere function ``x``, from ``index``."""
-    return radial_to_algebra(x, index)
+def witness_element(x: RadialElement, budget=DEFAULT_BUDGET):
+    """The dense form of the witness sphere function ``x``, listed from its
+    ball under ``budget``."""
+    return radial_to_algebra(x, budget)
 
 
 def witness_label(witness, d_hat=None):
@@ -159,28 +152,29 @@ def make_witness(spec, witness, n, d_hat=None):
     return next(_witness_family(spec, witness, [n], d_hat))
 
 
-def norm_bracket(a, method="auto", index=None, *, depth=6, exponent=None,
-                 R=None, iters=200, seed=0, budget=DEFAULT_BUDGET):
+def norm_bracket(a, method="auto", *, depth=6, exponent=None, R=None,
+                 iters=200, seed=0, budget=DEFAULT_BUDGET):
     """Dispatch to the estimator ``method`` names for ``a``, an AlgebraElement
     or a RadialElement: "auto" is "exact" for a nonnegative element on an
-    amenable group, else "trace".  A sphere function is expanded from
-    ``index`` where the estimator needs group elements: for power iteration,
-    which compresses to the ball of ``power_domain`` radius, and for the
-    trace ladder on a group without radial convolution."""
+    amenable group, else "trace".  A sphere function is expanded to its dense
+    element where the estimator needs group elements: for power iteration,
+    which compresses to the ball B_R (R defaults to the support radius, at
+    least 1), and for the trace ladder on a group without radial
+    convolution."""
     if method == "auto":
         method = "exact" if a.spec.amenable and a.is_nonnegative() else "trace"
     if isinstance(a, RadialElement) and (
             method == "power" or method == "trace" and radial_rank(a.spec) is None):
-        a = witness_element(a, index)
+        a = witness_element(a, budget)
     if method == "exact":
         return op_norm_positive_amenable(a)
     if method == "trace":
         return op_norm_trace_power(a, depth=depth, budget=budget,
                                    exponent=exponent)
     if method == "power":
-        return op_norm_power_iteration(a, R=power_domain(R, a.support_radius),
-                                       iters=iters, seed=seed, index=index,
-                                       budget=budget)
+        return op_norm_power_iteration(
+            a, R=max(a.support_radius, 1) if R is None else R, iters=iters,
+            seed=seed, budget=budget)
     if method == "l1":
         return op_norm_l1_bracket(a)
     raise ValueError(f"unknown norm method {method!r}")
@@ -234,34 +228,34 @@ class RatioSeries:
         }
 
 
-def ratio_series(spec, witness, n_list, method="auto", index=None, d_hat=None,
-                 **settings):
+def ratio_series(spec, witness, n_list, method="auto", d_hat=None, **settings):
     """Norm bracket and l2 norm of the witness at each n (skips empty witnesses).
 
     Witnesses are sphere functions, so their l2 norm and the l1 and exact
-    norms need sphere sizes only; ``index`` supplies the dense elements the
-    other methods need (see norm_bracket).  ``settings`` are the estimator
-    settings of norm_bracket.
+    norms need sphere sizes only; the other methods expand them (see
+    norm_bracket).  ``settings`` are the estimator settings of norm_bracket.
 
     The n must increase strictly: each witness extends the running l1, l2
     and sign sums of the previous one by the radii past it (see
     ``_witness_family``), so those sums cost O(max n) over the whole
     series, with the bits ``make_witness`` and ``coefficient_norm`` give
-    each witness alone.
+    each witness alone.  The first witness expanded loads the ball of the
+    largest n (``reaching``), which then serves the others.
     """
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n values must be strictly increasing")
     series = RatioSeries(group=spec.descriptor(),
                          witness=witness_label(witness, d_hat), method=method)
-    for n, element in zip(n_list,
-                          _witness_family(spec, witness, n_list, d_hat)):
-        l2 = coefficient_norm(element, "l2")
-        if l2 == 0.0:
-            continue
-        est = norm_bracket(element, method=method, index=index, **settings)
-        series.entries.append(RatioEntry(n=n, norm_lower=est.lower,
-                                         norm_upper=est.upper, l2=l2))
+    with reaching(spec, max(n_list, default=0)):
+        for n, element in zip(n_list, _witness_family(spec, witness, n_list,
+                                                      d_hat)):
+            l2 = coefficient_norm(element, "l2")
+            if l2 == 0.0:
+                continue
+            est = norm_bracket(element, method=method, **settings)
+            series.entries.append(RatioEntry(n=n, norm_lower=est.lower,
+                                             norm_upper=est.upper, l2=l2))
     return series
 
 
@@ -379,23 +373,22 @@ def delocalize_constant(C, s, eps):
 # -- exact pointwise inequalities ----------------------------------------------
 
 
-def _product_slack(x, y, rhs, index: LengthIndex = None,
-                   budget=DEFAULT_BUDGET):
+def _product_slack(x, y, rhs, budget=DEFAULT_BUDGET):
     """min of (x * y)(g) - rhs[i] over the g in S_i, i < len(rhs), for sphere
     functions x and y on one group and ``rhs`` listing one value per sphere:
     radial on a free group of ``radial_rank``, elsewhere the dense product of
-    x and y expanded from ``index``."""
+    x and y expanded from their balls."""
     if radial_rank(x.spec) is not None:
         lhs = radial_convolve(x, y).coeffs
         return min(lhs[i] - c for i, c in enumerate(rhs))
-    lhs = convolve(radial_to_algebra(x, index), radial_to_algebra(y, index),
+    lhs = convolve(radial_to_algebra(x, budget), radial_to_algebra(y, budget),
                    budget=budget)
+    index = ball_index(x.spec, len(rhs) - 1, budget)
     return min(lhs.value(g) - c for i, c in enumerate(rhs)
                for g in index.sphere(i))
 
 
-def _ball_product_slacks(spec, max_sum, top, index: LengthIndex = None,
-                         budget=DEFAULT_BUDGET):
+def _ball_product_slacks(spec, max_sum, top, budget=DEFAULT_BUDGET):
     """(n, k, slack) of the ball product bound, the min of
     chi(B_n) * chi(B_{n+k}) - |B_n| over B_k, for n + k = max_sum,
     max_sum - 1, ..., 2 and n = 1..min(top, n + k - 1).
@@ -406,15 +399,16 @@ def _ball_product_slacks(spec, max_sum, top, index: LengthIndex = None,
     generator reaches that n + k.  Elsewhere its coefficient at g is
     #{x in B_n : |x^-1 g| <= n + k}, and every slack is read from the one
     table of ``ball_product_minima`` for max_sum, counted over the pairs with
-    |x| + |g| <= max_sum only, whose x^-1 g the index of radius max_sum
-    holds; the slacks are floats there.  Every coefficient is an integer
+    |x| + |g| <= max_sum only, whose x^-1 g the ball B_max_sum holds; the
+    slacks are floats there.  Every coefficient is an integer
     count, so the slack is exact.  ``budget`` bounds the entries of the
     largest table of counts (see ``ball_pair_counts``).
     """
     spheres = sphere_sizes(spec, max_sum)
     balls = list(accumulate(spheres))
     radial = radial_rank(spec) is not None
-    least = None if radial else ball_product_minima(index, max_sum, top, budget)
+    least = None if radial else ball_product_minima(
+        ball_index(spec, max_sum, budget), max_sum, top, budget)
     for total in range(max_sum, 1, -1):
         width = min(top, total - 1)
         if radial:
@@ -429,26 +423,24 @@ def _ball_product_slacks(spec, max_sum, top, index: LengthIndex = None,
                 yield n, total - n, float(least[n][total] - balls[n])
 
 
-def verify_ball_product_bound(spec, n, k, index: LengthIndex = None,
-                              budget=DEFAULT_BUDGET):
+def verify_ball_product_bound(spec, n, k, budget=DEFAULT_BUDGET):
     """Check chi(B_n) * chi(B_{n+k}) >= |B_n| chi(B_k) on the ball B_k.
 
     Holds with slack exactly 0 for every group: each g in B_n contributes to
     the coefficient at every h in B_k because g^-1 h lands in B_{n+k}.
     Returns (ok, min slack), exact at any radius: counted from the pairs
-    (g, h) with |g| + |h| <= n + k on groups without radial convolution, so
-    ``index`` needs radius n + k there and ``budget`` bounds the table of
-    counts (see ``_ball_product_slacks``).
+    (g, h) with |g| + |h| <= n + k, from the ball B_{n+k}, on groups without
+    radial convolution; ``budget`` bounds that ball and the table of counts
+    (see ``_ball_product_slacks``).
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
     slack = next(slack for m, _, slack in
-                 _ball_product_slacks(spec, n + k, n, index, budget) if m == n)
+                 _ball_product_slacks(spec, n + k, n, budget) if m == n)
     return (slack >= 0, float(slack))
 
 
-def ball_product_sweep(spec, max_sum, index: LengthIndex = None,
-                       budget=DEFAULT_BUDGET):
+def ball_product_sweep(spec, max_sum, budget=DEFAULT_BUDGET):
     """Min slack of the ball product bound over all n, k >= 1 with n+k <= max_sum.
 
     Returns (ok, min slack, (n, k)); of equal slacks the first (n, k) in
@@ -458,7 +450,7 @@ def ball_product_sweep(spec, max_sum, index: LengthIndex = None,
         raise ValueError("max_sum must be >= 2")
     slack, worst = min(
         (float(slack), (n, k)) for n, k, slack in
-        _ball_product_slacks(spec, max_sum, max_sum - 1, index, budget))
+        _ball_product_slacks(spec, max_sum, max_sum - 1, budget))
     return (slack >= 0, slack, worst)
 
 
@@ -605,9 +597,7 @@ class SeriesProductReport:
     tail_comparison: list
 
 
-def verify_series_product_bound(spec, r, alpha, beta, K,
-                                index: LengthIndex = None,
-                                budget=DEFAULT_BUDGET):
+def verify_series_product_bound(spec, r, alpha, beta, K, budget=DEFAULT_BUDGET):
     """Finite pointwise bound for the product of two truncated series.
 
     Checks S(alpha) * S(beta) >= sum_{j,k>=1, j+k<=K} k^(-alpha) (j+k)^(-beta)
@@ -634,7 +624,7 @@ def verify_series_product_bound(spec, r, alpha, beta, K,
     from_j = window_sums([w / math.sqrt(size) for w, size
                           in zip(weights, za.ball_size_at_rk)]) + [0.0]
     rhs = [from_j[0]] + [from_j[(i - 1) // r] for i in range(1, r * (K - 1) + 1)]
-    min_slack = _product_slack(za.function, zb.function, rhs, index, budget)
+    min_slack = _product_slack(za.function, zb.function, rhs, budget)
 
     power = alpha + beta
     tail_sums = window_sums([n ** (-power) for n in range(2, K + 1)])
@@ -705,35 +695,36 @@ class HeredityReport:
     rows: list
 
 
-def verify_heredity(embedding: Embedding, n_list, sub_index: LengthIndex,
-                    ambient_index: LengthIndex = None, method="auto", **settings):
+def verify_heredity(embedding: Embedding, n_list, method="auto", **settings):
     """Subgroup witness ratios, measured in the ambient word-length, against
     the ambient ball-witness ratio at the same n.
 
     For each n the subgroup witness is the indicator of the elements whose
     image has ambient length <= n; its image lands in the ambient n-ball and
-    stays injective, so domination is the expected outcome.  Raises
-    CoverageError when the enumerated subgroup range cannot certify the
+    stays injective, so domination is the expected outcome.  The witnesses
+    are listed from the subgroup ball one radius past max(n), and
+    CoverageError is raised when its outermost sphere cannot certify the
     requested n (some longer subgroup element might still have a short image).
     Both ratios come from norm_bracket with ``method`` and ``settings``, the
     ambient ones through ``ratio_series``, so ``n_list`` must increase.
     """
     n_list = list(n_list)
-    sub = embedding.sub
-    elems = list(sub_index.ball(sub_index.radius))
+    sub, top = embedding.sub, max(n_list) + 1
+    sub_index = ball_index(sub, top, settings.get("budget", DEFAULT_BUDGET))
+    elems = list(sub_index.ball(top))
     image_length = {g: embedding.ambient_length(g) for g in elems}
 
-    top_sphere = sub_index.sphere(sub_index.radius)
+    top_sphere = sub_index.sphere(top)
     if top_sphere:
         fringe = min(image_length[g] for g in top_sphere)
         if fringe <= max(n_list):
             raise CoverageError(
-                f"subgroup index radius {sub_index.radius} cannot certify "
+                f"subgroup ball radius {top} cannot certify "
                 f"n up to {max(n_list)}: outermost images reach length {fringe}")
 
     # a ball witness never has l2 norm 0, so the series has an entry per n
     ambient = ratio_series(embedding.ambient, "ball", n_list, method,
-                           ambient_index, **settings)
+                           **settings)
     # positions in ``elems`` by image length, ties in ball order: each n's
     # members are the previous n's and the next run of these, kept in ball
     # order (sorted merges the two runs in one pass)
@@ -749,7 +740,7 @@ def verify_heredity(embedding: Embedding, n_list, sub_index: LengthIndex,
         positions = sorted(positions + new)
         coeffs = dict.fromkeys(map(elems.__getitem__, positions), 1.0)
         witness = AlgebraElement(spec=sub, coeffs=coeffs, support_radius=radius)
-        sub_est = norm_bracket(witness, method=method, index=sub_index, **settings)
+        sub_est = norm_bracket(witness, method=method, **settings)
         sub_l2 = math.sqrt(len(positions))
         rows.append(HeredityRow(
             n=n, subgroup_count=len(positions),
@@ -817,15 +808,12 @@ class RdReport:
 
 
 def build_report(spec, n_list, s_values=(), method="auto",
-                 index: LengthIndex = None, window=(REPORT_FIT_FROM, None),
-                 **settings):
+                 window=(REPORT_FIT_FROM, None), **settings):
     n_list = list(n_list)
     balls = ball_sizes(spec, max(n_list))
     growth_fit = fit_loglog(((n, balls[n]) for n in n_list), window)
-    ball_ser = ratio_series(spec, "ball", n_list, method=method, index=index,
-                            **settings)
-    sphere_ser = ratio_series(spec, "sphere", n_list, method=method, index=index,
-                              **settings)
+    ball_ser = ratio_series(spec, "ball", n_list, method=method, **settings)
+    sphere_ser = ratio_series(spec, "sphere", n_list, method=method, **settings)
     constant = {}
     for s in s_values:
         points, verdict = rd_constant_series(ball_ser, s)

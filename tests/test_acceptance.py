@@ -23,9 +23,7 @@ def report(num, ok, detail):
 def test_criterion_01_z_ball_slope_half():
     t0 = time.perf_counter()
     z = R.FreeAbelian(1)
-    index = R.enumerate_balls(z, 256)
-    series = R.ratio_series(z, "ball", list(range(4, 257)), method="exact",
-                            index=index)
+    series = R.ratio_series(z, "ball", list(range(4, 257)), method="exact")
     fit = R.fit_exponent(series, window=(4, 256))
     elapsed = time.perf_counter() - t0
     ok = abs(fit.slope - 0.5) <= 0.02 and elapsed < 1.0
@@ -37,8 +35,7 @@ def test_criterion_02_z2_slope_and_growth_consistency():
     t0 = time.perf_counter()
     z2 = R.FreeAbelian(2)
     iz2 = R.enumerate_balls(z2, 48)
-    ser = R.ratio_series(z2, "ball", list(range(4, 49)), method="exact",
-                         index=iz2)
+    ser = R.ratio_series(z2, "ball", list(range(4, 49)), method="exact")
     slope = R.fit_exponent(ser, window=(4, 48)).slope
     ok = abs(slope - 1.0) <= 0.05
     details = [f"rd(Z^2) ball slope {slope:.4f} (target 1.0 +- 0.05)"]
@@ -50,7 +47,7 @@ def test_criterion_02_z2_slope_and_growth_consistency():
         growth = R.fit_loglog(((n, index.ball_sizes[n]) for n in ns),
                               window=(4, top)).slope
         ratio = R.fit_exponent(
-            R.ratio_series(spec, "ball", ns, method="exact", index=index),
+            R.ratio_series(spec, "ball", ns, method="exact"),
             window=(4, top)).slope
         gap = abs(ratio - growth / 2)
         ok = ok and gap <= 0.1
@@ -84,10 +81,7 @@ def test_criterion_04_ball_product_bound_sweeps():
     worst = math.inf
     details = []
     for spec, max_sum in cases:
-        index = None
-        if not isinstance(spec, R.FreeGroup):
-            index = R.enumerate_balls(spec, max_sum)
-        ok_g, slack, pair = R.ball_product_sweep(spec, max_sum, index)
+        ok_g, slack, pair = R.ball_product_sweep(spec, max_sum)
         worst = min(worst, slack)
         details.append(f"{spec.descriptor()}<= {max_sum}: slack {slack:g}")
     elapsed = time.perf_counter() - t0
@@ -119,8 +113,7 @@ def test_criterion_06_series_l2_bounds():
 def test_criterion_07_series_product_bound():
     f2_rep = R.verify_series_product_bound(R.FreeGroup(2), 2, 1.0, 1.0, 6)
     z = R.FreeAbelian(1)
-    z_rep = R.verify_series_product_bound(z, 1, 1.0, 1.0, 6,
-                                          index=R.enumerate_balls(z, 6))
+    z_rep = R.verify_series_product_bound(z, 1, 1.0, 1.0, 6)
     ok = f2_rep.ok and z_rep.ok
     report(7, ok, f"pointwise slack: F_2 r=2 {f2_rep.min_slack:.3g}, "
                   f"Z r=1 {z_rep.min_slack:.3g}")
@@ -128,9 +121,8 @@ def test_criterion_07_series_product_bound():
 
 def test_criterion_08_divergence_exhibit():
     z = R.FreeAbelian(1)
-    index = R.enumerate_balls(z, 256)
     ns = [8, 16, 32, 64, 128, 256]
-    series = R.ratio_series(z, "ball", ns, method="exact", index=index)
+    series = R.ratio_series(z, "ball", ns, method="exact")
     pts4, verdict4 = R.rd_constant_series(series, 0.4)
     values4 = [c for _, c in pts4]
     monotone = all(b >= a - 1e-12 for a, b in zip(values4, values4[1:]))
@@ -148,8 +140,8 @@ def test_criterion_09_delocalization():
     z2 = R.FreeAbelian(2)
     index = R.enumerate_balls(z2, 48)
     fit = R.fit_exponent(
-        R.ratio_series(z2, "ball", list(range(4, 49)), method="exact",
-                       index=index), window=(4, 48))
+        R.ratio_series(z2, "ball", list(range(4, 49)), method="exact"),
+        window=(4, 48))
     C = fit.constant
     c_prime = R.delocalize_constant(C, 1.0, 0.25)
     closed = 2.0 * C * (1.0 - 4.0 ** -0.25) ** -0.5
@@ -177,10 +169,9 @@ def test_criterion_09_delocalization():
 def test_criterion_10_heredity():
     n_list = [4, 8, 16, 32]
     z_emb = R.standard_embedding("Z:Z^2")
-    z_rep = R.verify_heredity(z_emb, n_list, R.enumerate_balls(R.FreeAbelian(1), 33))
+    z_rep = R.verify_heredity(z_emb, n_list)
     e_emb = R.standard_embedding("e:Z^2")
-    e_rep = R.verify_heredity(e_emb, n_list,
-                              R.enumerate_balls(R.FiniteCyclic(1), 33))
+    e_rep = R.verify_heredity(e_emb, n_list)
     ok = z_rep.ok and e_rep.ok
     report(10, ok, f"Z in Z^2 dominated at n={n_list}; trivial subgroup "
                    f"dominated at n={n_list}")

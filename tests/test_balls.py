@@ -5,7 +5,9 @@ replaced, and the cache read that checks a file against that search.
 ``enumerate_balls`` runs sphere by sphere on int64 rows for Z^d and H3,
 extends words for F_r, and assembles a product from its factors' indexes;
 it must give the dict search's spheres, lengths, cache bytes and budget
-errors, and meet its budget before any search starts.
+errors, and meet its budget before any search starts.  A ball to R must
+hold the ball to r <= R as its first spheres, in order, since
+``ball_index`` serves r from a held ball to R.
 ``read_ball_cache`` takes a file only when it holds the bytes the writer
 gives for a fresh search, and names the first line of any other file.
 """
@@ -162,6 +164,29 @@ def test_product_search_matches_the_dict_search(spec, N, searched,
     assert dict_searches == searched
     assert R.sphere_sizes(spec, N) == index.sphere_sizes
     assert_same_index(spec, N, index)
+
+
+# one group per search path: Z^d and H3 rows, F_r words, products with
+# their keys, and C_m on the dict search (C12 past its diameter of 6)
+HELD_RADII = {"Z^2": 12, "H3": 6, "F2": 6, "Z^1xF2": 4, "H3xC3": 3, "C7": 5,
+              "C12": 8}
+
+
+@given(st.sampled_from(sorted(HELD_RADII)), st.data())
+def test_a_larger_ball_holds_the_smaller_ones(descriptor, data):
+    # ``ball_index`` serves a radius r from a held ball of radius R >= r,
+    # whose spheres S_0..S_r must be those of the search to r, in order
+    spec = R.parse_descriptor(descriptor)
+    big_radius = data.draw(st.integers(0, HELD_RADII[descriptor]))
+    r = data.draw(st.integers(0, big_radius))
+    big, small = R.enumerate_balls(spec, big_radius), R.enumerate_balls(spec, r)
+    assert [big.sphere(n) for n in range(r + 1)] == small.spheres
+    assert big.sphere_sizes[: r + 1] == small.sphere_sizes
+    assert list(big.ball(r)) == list(small.ball(r))
+    if small.rows is not None:
+        assert np.array_equal(big.rows[: small.size()], small.rows)
+    if small.keys is not None:
+        assert big.keys[: r + 1] == small.keys
 
 
 @given(groups() | st.sampled_from([(p, N) for p, N, _ in PRODUCTS]), st.data())

@@ -86,14 +86,15 @@ class TestVerifyCommands:
         (["--n", "2", "--k", "1"], 3, [2, 1]),
     ])
     def test_lemma1_defaults(self, flags, radius, pair, tmp_path, monkeypatch):
+        # Z counts its pairs in the one ball of the sweep bound or of n + k
         radii = []
-        index = rdlab.cli._Run.index
+        get_index = rdlab.cli._Run.get_index
 
-        def recording_index(run, spec, radius, *args):
+        def recording_get_index(run, spec, radius, budget):
             radii.append(radius)
-            return index(run, spec, radius, *args)
-        monkeypatch.setattr(rdlab.cli._Run, "index", recording_index)
-        assert run(["verify", "lemma1", "--group", "F2"] + flags, tmp_path,
+            return get_index(run, spec, radius, budget)
+        monkeypatch.setattr(rdlab.cli._Run, "get_index", recording_get_index)
+        assert run(["verify", "lemma1", "--group", "Z"] + flags, tmp_path,
                    "l1.json") == 0
         assert json.loads((tmp_path / "l1.json").read_text())["worst_pair"] == pair
         assert radii == [radius]
@@ -254,7 +255,9 @@ class TestFlags:
             args = build_parser().parse_args(argv.format(tmp=tmp_path).split(),
                                              namespace=self.Recording())
             args._read.clear()
-            args.func(rdlab.cli._Run(args), args)
+            run = rdlab.cli._Run(args)
+            with R.holding_balls(run.get_index):    # as run_command does
+                args.func(run, args)
             read |= args._read
         parser = self.parsers()[name]
         assert read - {"func"} == self.accepted(parser, lambda a: a.dest) - {"check"}
@@ -515,9 +518,9 @@ class TestIndexPlanning:
             calls["enumerate"].append((spec.descriptor(), N))
             return enumerate_balls(spec, N, *args, **kwargs)
 
-        def recording_get_index(run, spec, radius):
+        def recording_get_index(run, spec, radius, budget):
             calls["get_index"].append((spec.descriptor(), radius))
-            return get_index(run, spec, radius)
+            return get_index(run, spec, radius, budget)
 
         for module in (rdlab.groups, rdlab.cli):
             monkeypatch.setattr(module, "enumerate_balls", recording_enumerate)
@@ -542,26 +545,7 @@ class TestIndexPlanning:
         assert run_command(argv.split()) == 0
         assert index_calls == {"get_index": [], "enumerate": []}
 
-    def test_the_index_loads_at_its_first_read(self, index_calls):
-        run = rdlab.cli._Run(build_parser().parse_args(
-            ["growth", "--group", "H3", "--radius", "0"]))
-        index = run.index(R.DiscreteHeisenberg(), 2, "power", R=4)
-        assert (index.spec.descriptor(), index.radius) == ("H3", 4)
-        assert index_calls["get_index"] == []
-        assert index.sphere_sizes == [1, 4, 12, 36, 82]
-        assert index.lengths[(1, 0, 0)] == 1
-        assert index_calls["get_index"] == [("H3", 4)]
-
     def test_a_failed_load_raises_its_own_error(self, capsys, index_calls):
-        loads = []
-
-        def load(spec, radius):
-            loads.append(radius)
-            raise AttributeError("inside the load")
-        index = rdlab.cli._LazyIndex(R.FreeGroup(2), 3, load)
-        with pytest.raises(AttributeError, match="inside the load"):
-            index.sphere_sizes
-        assert loads == [3]
         assert run_command(["verify", "lemma1", "--group", "H3", "--radius", "6",
                             "--budget", "10"]) == 3
         assert index_calls["get_index"] == [("H3", 6)]
@@ -587,34 +571,39 @@ class TestIndexPlanning:
         assert index_calls["get_index"] == [("Z^1", 13)]
         assert {group for group, _ in index_calls["enumerate"]} == {"Z^1"}
 
-    # radius None: the command needs sphere sizes alone, which are closed,
-    # and reads no index
-    @pytest.mark.parametrize("argv,radius", [
+    # radii []: the command needs sphere sizes alone, which are closed, and
+    # reads no index.  A series loads the ball of its largest n at once; a
+    # power norm loads its witness's ball, then its domain's
+    @pytest.mark.parametrize("argv,radii", [
         ("ratio --group H3 --witness sphere --range 1:3 --method trace "
-         "--depth 2", 3),
-        ("fit --group H3 --range 2:5 --method exact", None),
-        ("report --group H3 --range 2:6 --method exact", None),
-        ("norm --group H3 --witness ball --n 2 --method trace --depth 2", 2),
+         "--depth 2", [3]),
+        ("fit --group H3 --range 2:5 --method exact", []),
+        ("report --group H3 --range 2:6 --method exact", []),
+        ("norm --group H3 --witness ball --n 2 --method trace --depth 2", [2]),
         ("norm --group H3 --witness ball --n 2 --method power --R 4 "
-         "--iters 20", 4),
-        ("zseries --group H3 --r 1 --alpha 1.0 --k 4", 4),
-        ("verify lemma1 --group H3 --radius 4", 4),
-        ("verify lemma1 --group H3 --n 2 --k 1", 3),
-        ("verify lemma2 --group H3 --r 1 --k 3", 3),
+         "--iters 20", [2, 4]),
+        ("zseries --group H3 --r 1 --alpha 1.0 --k 4", [4]),
+        ("verify lemma1 --group H3 --radius 4", [4]),
+        ("verify lemma1 --group H3 --n 2 --k 1", [3]),
+        ("verify lemma2 --group H3 --r 1 --k 3", [3]),
         ("verify divergence --group H3 --s 0.4 --range 2:6:2 --method exact",
-         None),
-        ("ratio --group Z^2 --range 2:5 --method trace --depth 2", 5),
-        ("ratio --group Z^1xF2 --range 1:2 --depth 2", 2),  # auto: trace
-        ("zseries --group F2 --r 1 --alpha 1.0 --k 7", 7),   # |B_7| = 4,373
-        ("zseries --group H3 --r 1 --alpha 1.0 --k 12", 12),
-        ("zseries --group H3 --r 1 --alpha 1.0 --k 13", None),  # no element
+         []),
+        ("ratio --group Z^2 --range 2:5 --method trace --depth 2", [5]),
+        ("ratio --group Z^1xF2 --range 1:2 --depth 2", [2]),  # auto: trace
+        ("ratio --group H3 --range 1:3 --method power --R 3 --iters 5",
+         [3]),                                  # the domain is B_3
+        ("ratio --group H3 --range 1:3 --method power --R 5 --iters 5",
+         [3, 5]),
+        ("zseries --group F2 --r 1 --alpha 1.0 --k 7", [7]),   # |B_7| = 4,373
+        ("zseries --group H3 --r 1 --alpha 1.0 --k 12", [12]),
+        ("zseries --group H3 --r 1 --alpha 1.0 --k 13", []),  # no element
     ])
-    def test_h3_reads_one_index_of_the_radius_used(self, argv, radius,
+    def test_h3_reads_one_index_of_the_radius_used(self, argv, radii,
                                                    index_calls):
         argv = argv.split()
         group = argv[argv.index("--group") + 1]
         assert run_command(argv) == 0
-        loads = [] if radius is None else [(group, radius)]
+        loads = [(group, radius) for radius in radii]
         assert index_calls == {"get_index": loads, "enumerate": loads}
 
     @pytest.mark.parametrize("argv", [
@@ -677,13 +666,17 @@ class TestIndexPlanning:
                     "--method", "power"], tmp_path, "n.json") == 0
         est = json.loads((tmp_path / "n.json").read_text())
         assert (est["lower"], est["upper"]) == (1.0, 1.0)
-        assert index_calls["get_index"] == [("Z^2", 1)]
+        assert index_calls["get_index"] == [("Z^2", 0), ("Z^2", 1)]
 
     def test_heredity_power_reads_the_domain_radius(self, index_calls):
+        # the subgroup ball lists the witnesses; the ambient series loads
+        # the ball of its largest n, then the domain; the subgroup's domain
+        # comes last
         assert run_command(["verify", "heredity", "--embedding", "Z:Z^2",
                             "--range", "4:8:4", "--method", "power",
                             "--R", "10"]) == 0
-        assert index_calls["get_index"] == [("Z^1", 10), ("Z^2", 10)]
+        assert index_calls["get_index"] == [("Z^1", 9), ("Z^2", 8),
+                                            ("Z^2", 10), ("Z^1", 10)]
 
     def test_heredity_reads_no_domain_radius_without_power(self, index_calls):
         assert run_command(["verify", "heredity", "--embedding", "Z:Z^2",
@@ -695,7 +688,7 @@ class TestIndexPlanning:
         assert run_command(["norm", "--group", "F2", "--witness", "ball",
                             "--n", "2", "--method", "power", "--R", "3",
                             "--iters", "20"]) == 0
-        assert index_calls["get_index"] == [("F2", 3)]
+        assert index_calls["get_index"] == [("F2", 2), ("F2", 3)]
 
     def test_small_series_still_attach_the_dense_element(self, tmp_path,
                                                         index_calls):
@@ -906,6 +899,23 @@ class TestExitCodes:
         assert run_command(argv + ["228376"]) == 3
         assert "228377 entries" in capsys.readouterr().err
         assert run_command(argv + ["228377"]) == 0
+
+    def test_power_iteration_budget_comes_before_the_domain(self, capsys,
+                                                             monkeypatch):
+        # |B_45| x |B_3| = 1,751,491 x 53 entries: the matrix is refused from
+        # the growth series, and B_45 is never searched; B_3 lists the witness
+        enumerate_balls = rdlab.groups.enumerate_balls
+
+        def witness_ball_only(spec, N, *args, **kwargs):
+            if N > 3:
+                raise AssertionError(f"searched B_{N}")
+            return enumerate_balls(spec, N, *args, **kwargs)
+        for module in (rdlab.groups, rdlab.cli):
+            monkeypatch.setattr(module, "enumerate_balls", witness_ball_only)
+        assert run_command(["norm", "--group", "H3", "--witness", "ball",
+                            "--n", "3", "--method", "power", "--R", "45"]) == 3
+        assert ("power iteration's matrix would hold 92829023 entries, past "
+                "the budget of 5000000") in capsys.readouterr().err
 
     def test_radial_trace_budget(self, capsys):
         # b = chi(B_3)^2 on F2 has 7 sphere coefficients
@@ -1121,6 +1131,21 @@ class TestCache:
         assert run_command(["growth", "--group", "H3", "--radius", "6",
                             "--out", str(fresh)]) == 0
         assert out.read_bytes() == fresh.read_bytes()
+
+    def test_a_held_ball_ends_with_its_command(self, tmp_path, capsys):
+        # the second run reads the file again, and finds the corruption
+        assert run_command(["cache", "build", "--group", "H3", "--radius", "6",
+                            "--cache-dir", str(tmp_path)]) == 0
+        argv = ["growth", "--group", "H3", "--radius", "6", "--cache-dir",
+                str(tmp_path)]
+        assert run_command(argv) == 0
+        path = tmp_path / "H3.N6.ballcache"
+        path.write_text(path.read_text().replace("\t3\n", "\t4\n", 1))
+        capsys.readouterr()
+        assert run_command(argv) == 2
+        assert ("H3.N6.ballcache:19: expected '-1,-2,0\\t3\\n', found "
+                "'-1,-2,0\\t4\\n'"
+                in capsys.readouterr().err)
 
     def test_a_file_with_swapped_lengths_is_rejected(self, tmp_path, capsys):
         # two records trade lengths and move to their sorted places, so the

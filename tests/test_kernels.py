@@ -24,7 +24,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rdlab as R
-from rdlab import algebra, cache, norms, rd
+from rdlab import algebra, cache, groups, norms, rd
 from rdlab.cli import run_command
 from rdlab.errors import BudgetExceededError, IndexRadiusError
 from rdlab.groups import COORD_LIMIT, cell_keys
@@ -282,8 +282,7 @@ def test_integer_coefficients_keep_the_dict_loop():
 
 @pytest.mark.parametrize("spec, max_sum", [(H3, 8), (SPECS[1], 14)])
 def test_ball_product_sweep_slack_is_exactly_zero(spec, max_sum):
-    index = R.enumerate_balls(spec, max_sum)
-    ok, slack, _ = R.ball_product_sweep(spec, max_sum, index)
+    ok, slack, _ = R.ball_product_sweep(spec, max_sum)
     assert ok and slack == 0
 
 
@@ -309,7 +308,7 @@ def test_power_iteration_steps_are_unchanged():
     # the bits of numpy's pairwise sums of squares; the BLAS dot products
     # used before gave steps within 2 ulp of these (3.6810513254401136 first)
     a, index = h3_power_case()
-    est = R.op_norm_power_iteration(a, 6, iters=12, seed=3, index=index)
+    est = R.op_norm_power_iteration(a, 6, iters=12, seed=3)
     assert est.steps == [
         3.681051325440114, 7.359171527007313, 9.253311627283736,
         10.453480766104953, 11.316979805402038, 11.83431859108681,
@@ -488,7 +487,7 @@ def assert_sweep_matches_each_pair(spec, max_sum, index=None):
     want = {(n, total - n): pair_slack(spec, n, total - n, index)
             for total in range(2, max_sum + 1) for n in range(1, total)}
     for top in range(1, max_sum):
-        got = list(rd._ball_product_slacks(spec, max_sum, top, index))
+        got = list(rd._ball_product_slacks(spec, max_sum, top))
         assert [(n, k) for n, k, _ in got] == [
             (n, total - n) for total in range(max_sum, 1, -1)
             for n in range(1, min(top, total - 1) + 1)]
@@ -496,9 +495,9 @@ def assert_sweep_matches_each_pair(spec, max_sum, index=None):
             assert slack == want[n, k] == 0
             assert type(slack) is type(want[n, k])
     for n in range(1, max_sum):
-        assert R.verify_ball_product_bound(spec, n, max_sum - n, index) == \
+        assert R.verify_ball_product_bound(spec, n, max_sum - n) == \
             (True, 0.0)
-    assert R.ball_product_sweep(spec, max_sum, index) == (True, 0.0, (1, 1))
+    assert R.ball_product_sweep(spec, max_sum) == (True, 0.0, (1, 1))
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -520,7 +519,7 @@ def test_shared_sweep_matches_the_dense_pairs(spec, max_sum):
 
 
 def test_sweep_reports_the_first_worst_pair(monkeypatch):
-    def slacks(spec, max_sum, top, index, budget):
+    def slacks(spec, max_sum, top, budget):
         for total in range(max_sum, 1, -1):
             for n in range(1, min(top, total - 1) + 1):
                 k = total - n
@@ -530,10 +529,9 @@ def test_sweep_reports_the_first_worst_pair(monkeypatch):
 
 
 def test_a_sweep_builds_one_table_of_counts():
-    index = R.enumerate_balls(H3, 6)
     with mock.patch.object(algebra, "ball_pair_counts",
                            wraps=algebra.ball_pair_counts) as counts:
-        assert R.ball_product_sweep(H3, 6, index) == (True, 0.0, (1, 1))
+        assert R.ball_product_sweep(H3, 6) == (True, 0.0, (1, 1))
     counts.assert_called_once()
 
 
@@ -641,7 +639,7 @@ def test_a_sparse_ball_takes_the_dict_gather():
 
 
 @pytest.mark.parametrize("rows", [True, False], ids=["rows", "dicts"])
-def test_index_that_does_not_fit_its_group_raises(rows):
+def test_index_that_does_not_fit_its_group_raises(rows, monkeypatch):
     # B_2 of Z without -2: 1^-1 * -1 = -2 has length 2 but is not found
     if rows:
         index = R.LengthIndex(R.FreeAbelian(1), 2, sphere_sizes=[1, 2, 1],
@@ -652,8 +650,9 @@ def test_index_that_does_not_fit_its_group_raises(rows):
     with pytest.raises(IndexRadiusError,
                        match=r"'1'\^-1 \* '-1' = '-2' is not in B_2"):
         list(algebra.ball_pair_counts(index, 2))
+    monkeypatch.setattr(groups, "enumerate_balls", lambda *args: index)
     with pytest.raises(IndexRadiusError):
-        R.ball_product_sweep(R.FreeAbelian(1), 2, index)
+        R.ball_product_sweep(R.FreeAbelian(1), 2)
 
 
 def test_dict_gather_reads_lengths_past_M_as_outside():
@@ -683,8 +682,7 @@ def test_pair_count_budget_is_checked_before_the_gather_is_built():
 
 def test_a_long_pair_on_z_keeps_to_the_default_budget():
     # its tables hold 15 million entries together, 60,802 at most each
-    index = R.enumerate_balls(R.FreeAbelian(1), 300)
-    assert R.verify_ball_product_bound(R.FreeAbelian(1), 100, 200, index) == \
+    assert R.verify_ball_product_bound(R.FreeAbelian(1), 100, 200) == \
         (True, 0.0)
 
 

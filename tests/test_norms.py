@@ -341,10 +341,10 @@ class TestLadderShortcut:
 
 
 class TestPowerIteration:
-    def test_zero_element_is_the_exact_zero_bracket(self, z_index):
+    def test_zero_element_is_the_exact_zero_bracket(self):
         # the trace ladder's zero-element estimate, before any matrix is built
         zero = R.AlgebraElement(spec=Z, coeffs={}, support_radius=0)
-        est = R.op_norm_power_iteration(zero, R=3, iters=50, index=z_index)
+        est = R.op_norm_power_iteration(zero, R=3, iters=50)
         trace = R.op_norm_trace_power(zero)
         assert est.to_json_dict() == dict(trace.to_json_dict(),
                                           method="power_iteration")
@@ -357,35 +357,33 @@ class TestPowerIteration:
         for x in (zero, R.free_radial(2, [0.0, 0.0])):
             assert type(R.op_norm_l1_bracket(x).upper) is float
 
-    def test_scalar_operator(self, z_index):
+    def test_scalar_operator(self):
         two_delta = R.scale(2.0, R.point_mass(Z, (0,)))
-        est = R.op_norm_power_iteration(two_delta, R=2, iters=3, seed=1,
-                                        index=z_index)
+        est = R.op_norm_power_iteration(two_delta, R=2, iters=3, seed=1)
         assert est.lower == pytest.approx(2.0, rel=1e-12)
 
     def test_z_sphere_compression(self, z_index):
         s1 = R.char_sphere(z_index, 1)
-        est = R.op_norm_power_iteration(s1, R=64, iters=200, seed=0, index=z_index)
+        est = R.op_norm_power_iteration(s1, R=64, iters=200, seed=0)
         # top eigenvalue of the even-sublattice compression: 2 + 2 cos(pi/66)
         assert est.lower >= 1.99
         assert est.lower <= math.sqrt(2 + 2 * math.cos(math.pi / 66)) + 1e-9
 
     def test_f2_sphere_compression(self, f2_index):
         s1 = R.char_sphere(f2_index, 1)
-        est = R.op_norm_power_iteration(s1, R=8, iters=200, seed=0, index=f2_index)
+        est = R.op_norm_power_iteration(s1, R=8, iters=200, seed=0)
         assert 3.3 <= est.lower <= 2 * math.sqrt(3) + 1e-9
 
     def test_monotone_in_radius(self, z_index):
         s1 = R.char_sphere(z_index, 1)
-        lows = [R.op_norm_power_iteration(s1, R=r, iters=300, seed=0,
-                                          index=z_index).lower
+        lows = [R.op_norm_power_iteration(s1, R=r, iters=300, seed=0).lower
                 for r in (8, 10)]
         assert lows[0] <= lows[1] + 1e-12
 
     def test_deterministic(self, z2_index):
         a = R.char_ball(z2_index, 2)
-        e1 = R.op_norm_power_iteration(a, R=6, iters=50, seed=42, index=z2_index)
-        e2 = R.op_norm_power_iteration(a, R=6, iters=50, seed=42, index=z2_index)
+        e1 = R.op_norm_power_iteration(a, R=6, iters=50, seed=42)
+        e2 = R.op_norm_power_iteration(a, R=6, iters=50, seed=42)
         assert e1.steps == e2.steps
 
     def test_blas_threads_leave_the_artifact_alone(self, tmp_path):
@@ -405,17 +403,17 @@ class TestPowerIteration:
 
     def test_stop_reasons(self, z_index):
         s1 = R.char_sphere(z_index, 1)
-        est = R.op_norm_power_iteration(s1, R=64, iters=5, index=z_index)
+        est = R.op_norm_power_iteration(s1, R=64, iters=5)
         assert (est.iterations, est.target_steps, est.stop_reason) == (5, 5, "done")
         delta = R.char_ball(z_index, 0)
-        est = R.op_norm_power_iteration(delta, R=4, iters=50, index=z_index)
+        est = R.op_norm_power_iteration(delta, R=4, iters=50)
         assert (est.iterations, est.target_steps, est.stop_reason) == \
             (2, 50, "converged")
 
     def test_domain_radius_guard(self, z2_index):
         a = R.char_ball(z2_index, 3)
         with pytest.raises(IndexRadiusError):
-            R.op_norm_power_iteration(a, R=2, index=z2_index)
+            R.op_norm_power_iteration(a, R=2)
 
 
 class TestAmenableExact:
@@ -467,9 +465,9 @@ class TestRadial:
         assert R.sphere_sizes(F2, 8) == f2_index.sphere_sizes
         assert R.ball_sizes(F2, 8) == f2_index.ball_sizes
 
-    def test_roundtrip(self, f2_index):
+    def test_roundtrip(self):
         x = R.free_radial(2, [0.5, 0.0, 2.0, -1.0])
-        back = R.radial_from_algebra(R.radial_to_algebra(x, f2_index))
+        back = R.radial_from_algebra(R.radial_to_algebra(x))
         assert back.coeffs == x.coeffs
 
     def test_non_radial_detected(self, f2_index):
@@ -478,10 +476,9 @@ class TestRadial:
         partial = R.AlgebraElement(spec=F2, coeffs={"a": 1.0}, support_radius=1)
         assert R.radial_from_algebra(partial) is None
 
-    def _assert_matches_dense(self, rank, x, y, index, rel=0.0):
+    def _assert_matches_dense(self, rank, x, y, rel=0.0):
         got = R.radial_convolve(x, y)
-        dense = R.convolve(R.radial_to_algebra(x, index),
-                           R.radial_to_algebra(y, index))
+        dense = R.convolve(R.radial_to_algebra(x), R.radial_to_algebra(y))
         by_len = {}
         counts = {}
         for g, c in dense.coeffs.items():
@@ -497,29 +494,24 @@ class TestRadial:
 
     @pytest.mark.parametrize("rank,max_m", [(1, 6), (2, 5), (3, 4)])
     def test_matches_dense_random(self, rank, max_m):
-        spec = R.FreeGroup(rank)
-        index = R.enumerate_balls(spec, 2 * max_m)
         rng = random.Random(rank)
         for _ in range(3):
             x = R.free_radial(rank, [float(rng.randint(-3, 3))
                                      for _ in range(max_m + 1)])
             y = R.free_radial(rank, [float(rng.randint(-3, 3))
                                      for _ in range(max_m + 1)])
-            self._assert_matches_dense(rank, x, y, index)
+            self._assert_matches_dense(rank, x, y)
 
     @pytest.mark.parametrize("rank,i,j", [(2, 6, 1), (2, 2, 6), (3, 6, 1), (3, 5, 2)])
     def test_matches_dense_boundary_spheres(self, rank, i, j):
-        spec = R.FreeGroup(rank)
-        index = R.enumerate_balls(spec, i + j)
         self._assert_matches_dense(rank, R.radial_sphere(rank, i),
-                                   R.radial_sphere(rank, j), index)
+                                   R.radial_sphere(rank, j))
 
     def test_matches_dense_float_coefficients(self):
         rng = random.Random(99)
-        index = R.enumerate_balls(F2, 8)
         x = R.free_radial(2, [rng.uniform(-1, 1) for _ in range(5)])
         y = R.free_radial(2, [rng.uniform(-1, 1) for _ in range(5)])
-        self._assert_matches_dense(2, x, y, index, rel=1e-9)
+        self._assert_matches_dense(2, x, y, rel=1e-9)
 
     def test_bracket_invariant(self):
         with pytest.raises(RdlabError):

@@ -18,6 +18,10 @@ The sizes and weights here come from this file's own formulas, or a
 breadth-first search, never from the package's growth series, so the
 check is not circular.
 
+A dense nonnegative element of an amenable group has the norm ||a||_1
+(Kesten's criterion: the trivial representation is weakly contained in the
+regular one), whatever its support.
+
 A signed element of C_m has its norm from the Fourier transform: the
 largest |sum_j a_j e^(2 pi i j k / m)| over k.
 """
@@ -165,7 +169,6 @@ def test_every_bracket_holds_the_exact_norm(case):
     x = make_witness(spec, witness, n, d_hat)
     want = exact_norm(x)
     R_power = max(n, 1)
-    index = index_of(descriptor, R_power)
     brackets = {
         "l1": {},
         "trace": {"exponent": exponent},
@@ -174,7 +177,7 @@ def test_every_bracket_holds_the_exact_norm(case):
     if spec.amenable:
         brackets["exact"] = {}
     for method, settings in brackets.items():
-        est = R.norm_bracket(x, method=method, index=index, **settings)
+        est = R.norm_bracket(x, method=method, **settings)
         assert est.lower <= want * SLACK, method
         assert want <= est.upper * SLACK, method
 
@@ -230,7 +233,52 @@ def test_every_bracket_holds_the_cyclic_norm_of_a_signed_element(case):
         "power": {"R": m // 2, "iters": 30},
     }
     for method, settings in brackets.items():
-        est = R.norm_bracket(x, method=method, index=index_of(f"C{m}", m // 2),
-                             **settings)
+        est = R.norm_bracket(x, method=method, **settings)
+        assert est.lower <= want * SLACK, method
+        assert want <= est.upper * SLACK, method
+
+
+AMENABLE_ATOMS = ["Z^1", "Z^2", "Z^3", "C2", "C5", "C8", "H3"]
+
+
+@st.composite
+def dense_nonnegative_cases(draw):
+    factors = draw(st.lists(st.sampled_from(AMENABLE_ATOMS), min_size=1,
+                            max_size=2))
+    descriptor = "x".join(factors)
+    r = draw(st.integers(0, ATOM_TOP if len(factors) == 1 else PRODUCT_TOP))
+    ball = list(index_of(descriptor, r).ball(r))
+    support = draw(st.lists(st.sampled_from(ball), unique=True, max_size=12))
+    # as for signed elements: a coefficient below 1e-6 becomes 0, so that no
+    # ||a||_2^2 underflows
+    values = [draw(st.floats(0.0, 10.0).map(lambda v: v if v >= 1e-6 else 0.0))
+              for _ in support]
+    exponent = draw(st.sampled_from([2, 4, 8]))
+    return descriptor, dict(zip(support, values)), exponent
+
+
+@given(case=dense_nonnegative_cases())
+# a scattered element on the array path, one on a product's dict loop, a
+# point mass and the zero element
+@example(case=("Z^2", {(0, 0): 1.0, (2, -1): 2.5, (-3, 0): 0.25}, 8))
+@example(case=("H3", {(1, 1, 1): 3.0, (-1, 0, 2): 1.0, (0, 2, 0): 0.5}, 8))
+@example(case=("C5xH3", {(0, (0, 0, 0)): 1.0, (2, (1, 0, 0)): 4.0}, 4))
+@example(case=("C8", {3: 7.0}, 2))
+@example(case=("Z^1xC2", {}, 2))
+def test_every_bracket_holds_the_l1_norm_of_a_dense_nonnegative_element(case):
+    descriptor, coeffs, exponent = case
+    spec = R.parse_descriptor(descriptor)
+    support_radius = max(map(spec.word_length, coeffs), default=0)
+    x = R.AlgebraElement(spec, coeffs, support_radius)
+    want = math.fsum(coeffs.values())
+    brackets = {
+        "exact": {},
+        "l1": {},
+        "trace": {"exponent": exponent},
+        # power iteration lists its domain B_R through ``ball_index``
+        "power": {"R": max(support_radius, 1), "iters": 30},
+    }
+    for method, settings in brackets.items():
+        est = R.norm_bracket(x, method=method, **settings)
         assert est.lower <= want * SLACK, method
         assert want <= est.upper * SLACK, method

@@ -28,11 +28,6 @@ TOP = 60
 DENSE_TRACE_TOP = 3
 
 
-@functools.cache
-def index_of(descriptor, radius):
-    return R.enumerate_balls(R.parse_descriptor(descriptor), radius)
-
-
 @st.composite
 def series_cases(draw):
     descriptor = draw(st.sampled_from(GROUPS))
@@ -45,11 +40,10 @@ def series_cases(draw):
     witness = draw(st.sampled_from(["ball", "sphere", "aN"]))
     d_hat = (draw(st.floats(0.1, 6.0, allow_subnormal=False))
              if witness == "aN" else None)
-    index = index_of(descriptor, max(ns)) if dense else None
-    return spec, witness, d_hat, ns, method, index
+    return spec, witness, d_hat, ns, method
 
 
-def alone(spec, witness, n, d_hat, method, index, settings):
+def alone(spec, witness, n, d_hat, method, settings):
     """(norm_lower, norm_upper, l2) in hex of the witness at n built alone,
     its sums dropped so that coefficient_norm sums its radii afresh; None
     for a zero witness, which a series skips."""
@@ -58,17 +52,17 @@ def alone(spec, witness, n, d_hat, method, index, settings):
     l2 = coefficient_norm(x, "l2")
     if l2 == 0.0:
         return None
-    est = R.norm_bracket(x, method=method, index=index, **settings)
+    est = R.norm_bracket(x, method=method, **settings)
     return est.lower.hex(), est.upper.hex(), l2.hex()
 
 
 @given(case=series_cases())
 # ranges that cross F2's float range, which drawn lists seldom reach
-@example(case=(F2, "ball", None, [3, 640, 645, 646, 700], "l1", None))
-@example(case=(F2, "aN", 1.5, [600, 650], "trace", None))
-@example(case=(F2, "sphere", None, [644, 645, 647], "l1", None))
+@example(case=(F2, "ball", None, [3, 640, 645, 646, 700], "l1"))
+@example(case=(F2, "aN", 1.5, [600, 650], "trace"))
+@example(case=(F2, "sphere", None, [644, 645, 647], "l1"))
 def test_series_entries_have_the_bits_of_witnesses_alone(case):
-    spec, witness, d_hat, ns, method, index = case
+    spec, witness, d_hat, ns, method = case
     settings = {"exponent": 4} if method == "trace" else {}
     past = [n for n in ns if n >= 646 and spec == F2]
     if past:
@@ -76,15 +70,15 @@ def test_series_entries_have_the_bits_of_witnesses_alone(case):
             make_witness(spec, witness, past[0], d_hat)
         with pytest.raises(BudgetExceededError,
                            match="float range at radius 646") as series_error:
-            R.ratio_series(spec, witness, ns, method=method, index=index,
-                           d_hat=d_hat, **settings)
+            R.ratio_series(spec, witness, ns, method=method, d_hat=d_hat,
+                           **settings)
         assert str(series_error.value) == str(alone_error.value)
         ns = ns[: ns.index(past[0])]
-    ser = R.ratio_series(spec, witness, ns, method=method, index=index,
-                         d_hat=d_hat, **settings)
+    ser = R.ratio_series(spec, witness, ns, method=method, d_hat=d_hat,
+                         **settings)
     got = {e.n: (e.norm_lower.hex(), e.norm_upper.hex(), e.l2.hex())
            for e in ser.entries}
-    want = {n: alone(spec, witness, n, d_hat, method, index, settings)
+    want = {n: alone(spec, witness, n, d_hat, method, settings)
             for n in ns}
     assert got == {n: v for n, v in want.items() if v is not None}
 

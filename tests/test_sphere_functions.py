@@ -43,7 +43,7 @@ def witnesses(draw, kinds):
 def both_forms(descriptor, witness, n, d_hat):
     index = index_of(descriptor)
     x = make_witness(index.spec, witness, n, d_hat)
-    dense = witness_element(x, index)
+    dense = witness_element(x)
     assert isinstance(x, R.RadialElement)
     assert isinstance(dense, R.AlgebraElement)
     return x, dense
