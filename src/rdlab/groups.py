@@ -13,10 +13,12 @@ search starts.
 
 Z^d and H3 (:class:`IntegerTupleGroup`) have an array law and a closed box
 that holds B_N, and their search runs on int64 coordinate columns: with a
-symmetric generating set S_{n+1} = S_n * gens minus S_{n-1} and S_n, so no
-set of all elements seen is kept.  Each point is keyed by the text ranks of
-its coordinates in that box (:class:`TextRanks`), so one sort of the
-reached keys both drops repeats and puts the sphere in text-key order.
+symmetric generating set S_{n+1} = S_n * gens minus S_{n-1} and S_n.  Each
+point is keyed by its cell in that box, and a move adds the generator's key
+offset; a bitmap of the cells reached, or where the box is sparse a binary
+search among the keys of S_{n-1} and S_n, tells the fresh points.  Those
+are keyed by the text ranks of their coordinates (:class:`TextRanks`), so
+one sort both drops repeats and puts the sphere in text-key order.
 Their index holds the spheres as one array of rows and builds element
 tuples only when a lookup needs them.  On F_r each word of S_n, extended by
 every letter that does not cancel its last one, gives S_{n+1} already in
@@ -652,10 +654,20 @@ class TextRanks:
 
     def keys(self, cols):
         """The keys of the tuples with int64 coordinate columns ``cols``."""
-        keys = np.zeros(np.shape(cols[0]), dtype=np.int64)
-        for col, rank, m, span in zip(cols, self.ranks, self.bounds, self.spans):
+        return self.of_cells(cell_keys(cols, [-m for m in self.bounds],
+                                       self.spans))
+
+    def of_cells(self, cells):
+        """The keys of the tuples in the box's cells ``cells``, numbered as
+        ``cell_keys`` numbers them from the corner -bounds."""
+        digits = []
+        for span in self.spans[:0:-1]:
+            cells, digit = np.divmod(cells, span)
+            digits.append(digit)
+        keys = self.ranks[0][cells]
+        for rank, span, digit in zip(self.ranks[1:], self.spans[1:], digits[::-1]):
             keys *= span
-            keys += rank[col + m]
+            keys += rank[digit]
         return keys
 
     def columns(self, keys):
@@ -672,12 +684,51 @@ def cell_keys(cols, lo, spans):
     """The numbers of the cells that the points with coordinate columns
     ``cols`` occupy in the box with corner ``lo`` and side lengths ``spans``,
     in mixed radix: the first coordinate is the most significant digit."""
-    keys = np.zeros(np.shape(cols[0]), dtype=np.int64)
-    for col, low, span in zip(cols, lo, spans):
+    keys = np.asarray(cols[0] - lo[0], dtype=np.int64)
+    for col, low, span in zip(cols[1:], lo[1:], spans[1:]):
         keys *= span
         keys += col
         keys -= low
     return keys
+
+
+def _sorted_unique(keys):
+    keys = np.sort(keys)
+    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+
+
+class _BoxBitmap:
+    """Freshness by one bool per cell of the box: the cells reached so far."""
+
+    def __init__(self, cells, start):
+        self.seen = np.zeros(cells, dtype=bool)
+        self.seen[start] = True
+
+    def __call__(self, moves):
+        """The moves into cells not reached before, repeats kept; they are
+        reached from now on."""
+        moves = moves[~self.seen[moves]]
+        self.seen[moves] = True
+        return moves
+
+
+class _SortedSpheres:
+    """Freshness by binary search among the sorted cell keys of the last two
+    spheres, which hold every point a move from the last one reaches
+    outside the next one."""
+
+    def __init__(self, start):
+        self.known = [start]
+
+    def __call__(self, moves):
+        """The moves outside the last two spheres, sorted, without repeats;
+        they are the last sphere from now on."""
+        moves = _sorted_unique(moves)
+        for sphere in self.known:
+            at = np.minimum(sphere.searchsorted(moves), len(sphere) - 1)
+            moves = moves[sphere[at] != moves]
+        self.known = [moves, self.known[0]]
+        return moves
 
 
 def _array_spheres(spec, N):
@@ -685,31 +736,49 @@ def _array_spheres(spec, N):
     columns in text-key order, or None when the box of B_N reaches
     COORD_LIMIT or numbers 2^63 cells or more.
 
-    A generating set is symmetric, so the neighbours of S_{n-1} lie in
-    S_{n-2}, S_{n-1} and S_n: S_n is what they reach outside the first two.
-    Every point reached lies in the box ``spec.ball_bounds(N)`` and is keyed
-    there by its ``TextRanks`` key; one sort of the reached keys with
-    adjacent repeats dropped, less the keys a binary search finds among the
-    sorted keys of S_{n-1} and S_{n-2}, is S_n in text-key order.
+    Every point of B_N lies in the box ``spec.ball_bounds(N)`` and is keyed
+    by its cell there (``cell_keys``).  The key is linear in the
+    coordinates, and x*s adds s's coordinates to x's plus the group's
+    ``bilinear_terms``, so the keys of S_{n-1} * gens are the keys of
+    S_{n-1} plus each generator's key offset, plus on H3 +-a for the moves
+    y^+-1; no group law runs.  A generating set is symmetric, so the moves
+    from S_{n-1} land in S_{n-2}, S_{n-1} and S_n: S_n is what they reach
+    outside the first two.  A bool bitmap of the cells reached so far tells
+    the fresh moves by one gather; it is kept when it takes no more bytes
+    than the rows of B_N, box cells <= 8 d |B_N| (always on H3 and Z^1-Z^4),
+    and otherwise a binary search among the sorted keys of S_{n-1} and
+    S_{n-2} tells them.  Only the fresh points are text-keyed
+    (:class:`TextRanks`); one sort of their keys, with repeats dropped, is
+    S_n in text-key order.
     """
     bounds = spec.ball_bounds(N)
-    if (max(bounds) >= COORD_LIMIT
-            or math.prod(2 * m + 1 for m in bounds) >= 1 << 63):
+    spans = [2 * m + 1 for m in bounds]
+    cells = math.prod(spans)
+    if max(bounds) >= COORD_LIMIT or cells >= 1 << 63:
         return None
     ranks = TextRanks(bounds)
-    gens = tuple(col[None, :] for col in
-                 np.array(spec.generators(), dtype=np.int64).T)
-    spheres = [tuple(np.array([x], dtype=np.int64) for x in spec.identity())]
-    known = [ranks.keys(spheres[0])]     # the keys of S_{n-1}, S_{n-2}
+    lo = [-m for m in bounds]
+    strides = [math.prod(spans[k + 1:]) for k in range(len(spans))]
+    gens = np.array(spec.generators(), dtype=np.int64)
+    offsets = cell_keys(tuple(gens.T), [0] * len(spans), spans)
+    # (i, generator g, s_j stride_k): the key of x*s, s the g-th generator,
+    # gains x_i s_j stride_k for each term (i, j, k)
+    twists = [(i, g, int(s[j]) * strides[k]) for i, j, k in spec.bilinear_terms
+              for g, s in enumerate(gens) if s[j]]
+    sphere = tuple(np.array([x], dtype=np.int64) for x in spec.identity())
+    spheres = [sphere]
+    keys = cell_keys(sphere, lo, spans)
+    row_bytes = 8 * len(spans) * ball_sizes(spec, N)[-1]
+    fresh = (_BoxBitmap(cells, keys) if cells <= row_bytes
+             else _SortedSpheres(keys))
     for _ in range(N):
-        reached = spec.multiply(tuple(col[:, None] for col in spheres[-1]), gens)
-        keys = np.sort(ranks.keys(reached), axis=None)
-        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
-        for sphere in known:
-            at = np.minimum(sphere.searchsorted(keys), len(sphere) - 1)
-            keys = keys[sphere[at] != keys]
-        spheres.append(ranks.columns(keys))
-        known = [keys, known[0]]
+        moves = np.add.outer(offsets, keys)
+        for i, g, step in twists:
+            moves[g] += sphere[i] * step
+        text = _sorted_unique(ranks.of_cells(fresh(moves.ravel())))
+        sphere = ranks.columns(text)
+        spheres.append(sphere)
+        keys = cell_keys(sphere, lo, spans)
     return spheres
 
 
@@ -739,7 +808,8 @@ def enumerate_balls(spec, N, budget=DEFAULT_BUDGET):
     Raises BudgetExceededError, carrying the last radius within it, when a
     ball B_n, n >= 1, holds more than ``budget`` elements (None: no bound).
     The growth series gives the sizes, so this is decided before any search
-    starts.
+    starts; the array search reads |B_N| from it too, to choose between a
+    bitmap of its box and a binary search for the fresh points.
     """
     if N < 0:
         raise ValueError("radius must be >= 0")

@@ -7,13 +7,17 @@ extends words for F_r, and assembles a product from its factors' indexes;
 it must give the dict search's spheres, lengths, cache bytes and budget
 errors, and meet its budget before any search starts.  A ball to R must
 hold the ball to r <= R as its first spheres, in order, since
-``ball_index`` serves r from a held ball to R.
+``ball_index`` serves r from a held ball to R.  The array search tells
+fresh points by a bitmap of its box, or by a binary search where the box
+is sparse; both give the same rows, and each ball takes the one its box
+density picks.
 ``read_ball_cache`` takes a file only when it holds the bytes the writer
 gives for a fresh search, and names the first line of any other file.
 """
 
 import hashlib
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,6 +95,26 @@ def test_array_search_matches_the_dict_search(group, data):
     assert_same_index(spec, N, index)
 
 
+@given(groups(), st.data())
+def test_the_sorted_freshness_test_matches_the_bitmap(group, data):
+    # every ball of RADII has a box of at most 8 d |B_N| cells, so it takes
+    # the bitmap; forced onto the binary search among the last two spheres,
+    # it must give the same rows
+    spec, top = group
+    N = data.draw(st.integers(0, top))
+    with mock.patch.object(rdlab.groups, "_SortedSpheres",
+                           side_effect=AssertionError("sorted test")):
+        bitmap = R.enumerate_balls(spec, N)
+    sorted_test = rdlab.groups._SortedSpheres
+    with mock.patch.object(rdlab.groups, "_BoxBitmap",
+                           lambda cells, start: sorted_test(start)):
+        index = R.enumerate_balls(spec, N)
+    assert np.array_equal(index.rows, bitmap.rows)
+    assert index.sphere_sizes == bitmap.sphere_sizes
+    assert index.spheres == rdlab.groups._dict_index(spec, N).spheres
+    assert_same_index(spec, N, index)
+
+
 # sha256 of the cache bytes of the balls the benchmark workloads build; H3
 # to 24 crosses c = 9 -> 10 and 99 -> 100, where the digit widths change
 PINNED_BALLS = [
@@ -164,6 +188,37 @@ def test_product_search_matches_the_dict_search(spec, N, searched,
     assert dict_searches == searched
     assert R.sphere_sizes(spec, N) == index.sphere_sizes
     assert_same_index(spec, N, index)
+
+
+@pytest.mark.parametrize("descriptor, N", [("Z^10", 4), ("Z^5", 12)])
+def test_a_sparse_box_takes_the_sorted_test(descriptor, N):
+    # B_4 of Z^10 holds 8,361 elements in 9^10 cells, B_12 of Z^5 85,305 in
+    # 25^5 cells: more than 8 d cells per element, so no bitmap is made
+    spec = R.parse_descriptor(descriptor)
+    with mock.patch.object(rdlab.groups, "_BoxBitmap",
+                           side_effect=AssertionError("bitmap")):
+        index = R.enumerate_balls(spec, N)
+    assert index.rows is not None
+    assert index.sphere_sizes == R.sphere_sizes(spec, N)
+    assert len(np.unique(index.rows, axis=0)) == index.size()
+    assert np.abs(index.rows).sum(axis=1).tolist() == [
+        n for n, size in enumerate(index.sphere_sizes) for _ in range(size)]
+    for sphere in index.spheres:
+        keys = list(map(spec.element_key, sphere))
+        assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("descriptor, N", [("H3", 24), ("Z^4", 16)])
+def test_a_dense_box_takes_the_bitmap(descriptor, N):
+    # B_24 of H3 fills about one cell in five of its box, B_16 of Z^4 one in
+    # 24: within 8 d cells per element
+    spec = R.parse_descriptor(descriptor)
+    with mock.patch.object(rdlab.groups, "_SortedSpheres",
+                           side_effect=AssertionError("sorted test")):
+        index = R.enumerate_balls(spec, N)
+    digest = next(digest for name, radius, digest in PINNED_BALLS
+                  if (name, radius) == (descriptor, N))
+    assert hashlib.sha256(serialize_index(index).encode()).hexdigest() == digest
 
 
 # one group per search path: Z^d and H3 rows, F_r words, products with

@@ -23,12 +23,17 @@ A dense nonnegative element of an amenable group has the norm ||a||_1
 regular one), whatever its support.
 
 A signed element of C_m has its norm from the Fourier transform: the
-largest |sum_j a_j e^(2 pi i j k / m)| over k.
+largest |sum_j a_j e^(2 pi i j k / m)| over k.  One of Z^d has the largest
+|sum_x a_x e^(2 pi i x.t)| over the torus, which a grid brackets: the
+largest value G on the grid is at most the norm, and Bernstein's inequality
+bounds the norm by G / (1 - pi d n / M) for a support in B_n and M grid
+points per axis.
 """
 
 import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -236,6 +241,80 @@ def test_every_bracket_holds_the_cyclic_norm_of_a_signed_element(case):
         est = R.norm_bracket(x, method=method, **settings)
         assert est.lower <= want * SLACK, method
         assert want <= est.upper * SLACK, method
+
+
+def torus_bracket(d, n, coeffs):
+    """[G, G / (1 - pi d n / M)] around the norm of a signed ``coeffs``
+    {x: a_x} on Z^d supported in B_n.
+
+    The characters t in the torus [0, 1)^d diagonalise convolution, so the
+    norm is the largest |f(t)| = |sum_x a_x e^(2 pi i x.t)|.  G is the
+    largest |f| on the grid t in (Z / M)^d, one FFT of the coefficients
+    folded mod M.  A largest point t* lies within 1 / (2M) of the grid on
+    each axis, and by Bernstein's inequality |df / dt_k| <= 2 pi n sup |f|,
+    since f has degree at most n in t_k; so sup |f| - G <= pi d n sup |f| / M.
+    M is the least power of two at least 2 pi d n, so the upper end is at
+    most 2G.
+    """
+    M = 1 << max(1, math.ceil(math.log2(2 * math.pi * d * max(n, 1))))
+    grid = np.zeros((M,) * d)
+    for x, a in coeffs.items():
+        grid[tuple(c % M for c in x)] += a
+    G = float(np.abs(np.fft.fftn(grid)).max())
+    return G, G / (1 - math.pi * d * n / M)
+
+
+def test_the_torus_oracle_gives_the_closed_forms():
+    # delta_0 - delta_1 on Z peaks at t = 1/2, which the grid holds: |1 - -1|;
+    # chi(S_1) of Z^2 is 2 cos 2 pi t_1 + 2 cos 2 pi t_2, 4 at t = 0; a point
+    # mass has |f| = |a| everywhere
+    low, high = torus_bracket(1, 1, {(0,): 1.0, (1,): -1.0})
+    assert low == pytest.approx(2.0, rel=1e-15)
+    assert high == pytest.approx(2.0 / (1 - math.pi / 8), rel=1e-15)
+    low, _ = torus_bracket(2, 1, {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0,
+                                  (0, -1): 1.0})
+    assert low == pytest.approx(4.0, rel=1e-15)
+    assert torus_bracket(3, 0, {(0, 0, 0): -2.5}) == (2.5, 2.5)
+
+
+@st.composite
+def signed_torus_cases(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(0, ATOM_TOP))
+    ball = list(index_of(f"Z^{d}", n).ball(n))
+    support = draw(st.lists(st.sampled_from(ball), unique=True, max_size=12))
+    # as for C_m: a coefficient below 1e-6 in size becomes 0, so that no
+    # ||a||_2^2 underflows
+    values = [draw(st.floats(-10.0, 10.0).map(
+        lambda v: v if abs(v) >= 1e-6 else 0.0)) for _ in support]
+    exponent = draw(st.sampled_from([2, 4, 6, 8]))
+    return d, n, dict(zip(support, values)), exponent
+
+
+@given(case=signed_torus_cases())
+# cancellations: chi(S_1) of Z less 2 delta_0 vanishes at t = 0 and peaks
+# at 1/2; a signed element of Z^2 whose peak lies off the grid; a point
+# mass and the zero element
+@example(case=(1, 1, {(-1,): 1.0, (0,): -2.0, (1,): 1.0}, 8))
+@example(case=(2, 2, {(0, 0): 1.0, (1, 1): -3.0, (-2, 0): 2.5, (0, -1): 0.5},
+               6))
+@example(case=(3, 3, {(1, -1, 1): -4.0}, 2))
+@example(case=(3, 0, {}, 2))
+def test_every_bracket_holds_the_torus_norm_of_a_signed_element(case):
+    d, n, coeffs, exponent = case
+    spec = R.FreeAbelian(d)
+    x = R.AlgebraElement(spec, coeffs,
+                         max(map(spec.word_length, coeffs), default=0))
+    low, high = torus_bracket(d, n, coeffs)
+    brackets = {
+        "l1": {},
+        "trace": {"exponent": exponent},
+        "power": {"R": max(n, 1), "iters": 30},
+    }
+    for method, settings in brackets.items():
+        est = R.norm_bracket(x, method=method, **settings)
+        assert est.lower <= high * SLACK, method
+        assert low <= est.upper * SLACK, method
 
 
 AMENABLE_ATOMS = ["Z^1", "Z^2", "Z^3", "C2", "C5", "C8", "H3"]
