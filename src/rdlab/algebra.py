@@ -7,6 +7,12 @@ treat elements as immutable and are safe to run concurrently.
 Coefficients are real: every witness family handled here (ball and sphere
 indicators, their power-weighted sums) is real and nonnegative, so complex
 storage would buy nothing.
+
+A product that the numpy kernel forms stays in the kernel's own form,
+``ArrayCoeffs``: int64 coordinate columns and float64 values.  Products,
+adjoints, inner products, traces and norms read those arrays; the dict of
+integer tuples is built the first time anything else reads the element's
+coefficients.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import itertools
 import math
 import operator
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,11 +48,75 @@ MAX_CORNER_PAIRS = 1 << 16
 # Array kernels hold a few numbers per cell of the products' bounding box;
 # a box of more cells than this per possible product stays on the dict loop.
 BOX_CELLS_PER_PRODUCT = 4
+# Cell keys of a box of this many cells or more could leave int64.
+MAX_BOX_CELLS = 1 << 62
+
+
+class ArrayCoeffs(Mapping):
+    """Coefficients of an integer-tuple group held as arrays: int64
+    coordinate columns ``cols`` (one row per coordinate, one column per
+    element) and float64 values ``data``, in insertion order, with no exact
+    zero.
+
+    The length reads the arrays.  Every other read builds the dict of integer
+    tuples once (``decoded``) and reads that, so the mapping compares, prints
+    and iterates as that dict does.
+    """
+
+    __slots__ = ("cols", "data", "_dict")
+
+    def __init__(self, cols, data):
+        self.cols = cols
+        self.data = data
+        self._dict = None
+
+    def decoded(self):
+        """The dict of integer tuples, built at its first read."""
+        if self._dict is None:
+            self._dict = dict(zip(zip(*self.cols.tolist()), self.data.tolist()))
+        return self._dict
+
+    def __len__(self):
+        return len(self.data)
+
+    def __getitem__(self, g):
+        return self.decoded()[g]
+
+    def __iter__(self):
+        return iter(self.decoded())
+
+    def get(self, g, default=None):
+        return self.decoded().get(g, default)
+
+    def items(self):
+        return self.decoded().items()
+
+    def values(self):
+        return self.decoded().values()
+
+    def __eq__(self, other):
+        return self.decoded() == other
+
+    def __repr__(self):
+        return repr(self.decoded())
+
+
+def _array_coeffs(cols, data):
+    """ArrayCoeffs of ``cols`` and ``data`` with the exact zeros dropped."""
+    keep = data != 0.0
+    if not keep.all():
+        cols, data = cols[:, keep], data[keep]
+    return ArrayCoeffs(cols, data)
 
 
 @dataclass
 class AlgebraElement:
     """Sparse real function on a group; ``support_radius`` bounds its support.
+
+    ``coeffs`` maps elements to nonzero coefficients: a dict, or the
+    ``ArrayCoeffs`` of a product the numpy kernel formed, which builds its
+    dict at the first read of anything but its length.  Either compares
+    equal to the same dict, so an element equals its dict twin.
 
     ``support_radius`` is the smallest *known* n with support inside B_n; it
     is maintained arithmetically (sums under convolution, maxima under linear
@@ -57,6 +128,8 @@ class AlgebraElement:
     support_radius: int = 0
 
     def __post_init__(self):
+        if isinstance(self.coeffs, ArrayCoeffs):
+            return
         coeffs = dict(self.coeffs)
         if 0.0 in coeffs.values():
             coeffs = {g: c for g, c in coeffs.items() if c != 0.0}
@@ -69,6 +142,8 @@ class AlgebraElement:
         return self.coeffs.get(g, 0.0)
 
     def is_nonnegative(self):
+        if isinstance(self.coeffs, ArrayCoeffs):
+            return bool((self.coeffs.data >= 0.0).all())
         return all(c >= 0.0 for c in self.coeffs.values())
 
     def to_json_dict(self):
@@ -146,6 +221,23 @@ def char_ball(index: LengthIndex, n):
 def char_sphere(index: LengthIndex, n):
     coeffs = {g: 1.0 for g in index.sphere(n)}
     return AlgebraElement(spec=index.spec, coeffs=coeffs, support_radius=n)
+
+
+def sphere_sum(index: LengthIndex, coeffs):
+    """The element sum_j coeffs[j] chi(S_j), listed sphere by sphere in the
+    order of ``index``, zero coefficients left out.  From the int64 rows of
+    the index when it has them and every coefficient is a float, as
+    ``ArrayCoeffs``; otherwise as a dict."""
+    top = len(coeffs) - 1
+    if index.rows is not None and all(type(c) is float for c in coeffs):
+        data = np.repeat(np.array(coeffs, dtype=np.float64),
+                         index.sphere_sizes[: top + 1])
+        cols = index.rows[: index.ball_sizes[top]].T
+        out = _array_coeffs(cols, data)
+    else:
+        out = {g: c for j, c in enumerate(coeffs) if c != 0.0
+               for g in index.sphere(j)}
+    return AlgebraElement(spec=index.spec, coeffs=out, support_radius=top)
 
 
 class ProductKeys:
@@ -238,26 +330,34 @@ class ProductKeys:
         cells = np.flatnonzero(self.first < self.pairs)
         return cells[np.argsort(self.first[cells])]
 
+    def columns(self, keys):
+        """int64 coordinate columns of the product elements ``keys`` encode."""
+        cols = np.empty((len(self.spans), len(keys)), dtype=np.int64)
+        for k in range(len(self.spans) - 1, -1, -1):
+            keys, digit = np.divmod(keys, self.spans[k])
+            np.add(digit, self.lo[k], out=cols[k])
+        return cols
+
     def elements(self, keys):
         """The product elements (integer tuples) that ``keys`` encode."""
-        cols = []
-        for lo, span in zip(reversed(self.lo), reversed(self.spans)):
-            keys, digit = np.divmod(keys, span)
-            cols.append((digit + lo).tolist())
-        return list(zip(*reversed(cols)))
+        return list(zip(*self.columns(keys).tolist()))
 
 
 def _coordinate_columns(elements):
-    """int64 columns of integer-tuple elements, or None if there are none or
-    a coordinate reaches COORD_LIMIT."""
-    try:
-        rows = np.array(elements, dtype=np.int64)
-    except OverflowError:
+    """int64 columns of integer-tuple elements, given as a list of tuples or
+    as the columns themselves, or None if there are none or a coordinate
+    reaches COORD_LIMIT."""
+    if isinstance(elements, np.ndarray):
+        cols = elements
+    else:
+        try:
+            cols = np.array(elements, dtype=np.int64).T
+        except OverflowError:
+            return None
+    if (cols.ndim != 2 or cols.shape[1] == 0 or cols.min() <= -COORD_LIMIT
+            or cols.max() >= COORD_LIMIT):
         return None
-    if (rows.ndim != 2 or rows.min() <= -COORD_LIMIT
-            or rows.max() >= COORD_LIMIT):
-        return None
-    return rows.T
+    return cols
 
 
 def _box_corners(cols):
@@ -267,7 +367,8 @@ def _box_corners(cols):
 
 def product_keys(spec, outer, inner, flip, max_support=None):
     """ProductKeys for outer[i] * inner[j] (inner[j] * outer[i] with ``flip``),
-    formed from per-element keys and the group's ``bilinear_terms``.
+    formed from per-element keys and the group's ``bilinear_terms``; each
+    list is of integer tuples or is their int64 coordinate columns.
 
     None when the group has no array law (it is no IntegerTupleGroup), a
     list is empty, a coordinate reaches COORD_LIMIT, or the bounding box has
@@ -296,22 +397,34 @@ def product_keys(spec, outer, inner, flip, max_support=None):
     return ProductKeys(spec, outer_cols, inner_cols, flip, lo, spans)
 
 
+def kernel_support(coeffs):
+    """The support of a coefficient map as ``product_keys`` takes it, and
+    its coefficients as an array, both in the map's order: the arrays of
+    ArrayCoeffs as they are, else the keys and values of the dict."""
+    if isinstance(coeffs, ArrayCoeffs):
+        return coeffs.cols, coeffs.data
+    return list(coeffs), np.array(list(coeffs.values()))
+
+
+def _all_floats(coeffs):
+    return (isinstance(coeffs, ArrayCoeffs)
+            or all(type(c) is float for c in coeffs.values()))
+
+
 def _convolve_arrays(spec, left, right, flip, budget):
-    """``_convolve_dicts`` in numpy, or None when a coefficient is not a float
-    or ``product_keys`` gives None.
+    """``_convolve_dicts`` in numpy, as ``ArrayCoeffs``, or None when a
+    coefficient is not a float or ``product_keys`` gives None.
 
     ``np.add.at`` adds each key's terms in pair order, as the dict loop does,
     so every sum is bitwise the same, and the keys' first pairs give back the
     dict loop's insertion order.
     """
-    if any(type(c) is not float for c in
-           itertools.chain(left.values(), right.values())):
+    if not (_all_floats(left) and _all_floats(right)):
         return None
-    keys = product_keys(spec, list(left), list(right), flip, max_support=budget)
+    (left_g, left_c), (right_g, right_c) = map(kernel_support, (left, right))
+    keys = product_keys(spec, left_g, right_g, flip, max_support=budget)
     if keys is None:
         return None
-    left_c = np.fromiter(left.values(), dtype=np.float64, count=len(left))
-    right_c = np.fromiter(right.values(), dtype=np.float64, count=len(right))
     sums = np.zeros(keys.size)
     # products past the float range give inf and nan, as in the dict loop
     with np.errstate(over="ignore", invalid="ignore"):
@@ -319,7 +432,7 @@ def _convolve_arrays(spec, left, right, flip, budget):
             np.add.at(sums, k,
                       np.outer(left_c[outer_ids], right_c[inner_ids]).ravel())
     cells = keys.first_touch_order()
-    return dict(zip(keys.elements(cells), sums[cells].tolist()))
+    return _array_coeffs(keys.columns(cells), sums[cells])
 
 
 def _convolve_dicts(mul, left, right, flip, budget):
@@ -349,6 +462,10 @@ def convolve(a: AlgebraElement, b: AlgebraElement, budget=DEFAULT_BUDGET):
     otherwise, and on every other group, a dict loop runs.
     Both give the same floats, bit for bit, in the same order.  The budget
     counts every element touched, including sums that cancel to zero.
+
+    A product of the numpy blocks stays in their arrays (``ArrayCoeffs``),
+    which the next product reads as they are; its dict is built at its
+    first read.
     """
     if a.spec != b.spec:
         raise SpecMismatchError("convolution operands live on different groups")
@@ -516,10 +633,18 @@ def ball_product_minima(index: LengthIndex, M, top, budget=DEFAULT_BUDGET):
 
 
 def adjoint(a: AlgebraElement):
-    """a*(g) = a(g^-1); an involution, isometric for the l2 norm."""
-    inv = a.spec.inverse
-    return AlgebraElement(spec=a.spec,
-                          coeffs={inv(g): c for g, c in a.coeffs.items()},
+    """a*(g) = a(g^-1); an involution, isometric for the l2 norm.  Inverted
+    column by column when ``a`` is held as ArrayCoeffs."""
+    coeffs = a.coeffs
+    # coordinates below 2^31 keep H3's a * b - c inside int64
+    if (isinstance(coeffs, ArrayCoeffs)
+            and _coordinate_columns(coeffs.cols) is not None):
+        cols = np.array(a.spec.inverse(tuple(coeffs.cols)), dtype=np.int64)
+        out = ArrayCoeffs(cols, coeffs.data)
+    else:
+        inv = a.spec.inverse
+        out = {inv(g): c for g, c in coeffs.items()}
+    return AlgebraElement(spec=a.spec, coeffs=out,
                           support_radius=a.support_radius)
 
 
@@ -530,12 +655,73 @@ def float_sum(values, start=0):
     return functools.reduce(operator.add, values, start)
 
 
+def _array_sum(terms, start):
+    """``float_sum`` of a float64 array: ``cumsum`` adds left to right."""
+    if not len(terms):
+        return start
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.cumsum(np.concatenate(([start], terms)))[-1].item()
+
+
+def _values_at(coeffs: ArrayCoeffs, cols):
+    """float64 values of ``coeffs`` at the points with int64 coordinate
+    columns ``cols``, 0.0 at a point outside its support; None when the
+    points' joint bounding box has MAX_BOX_CELLS cells or more."""
+    if not len(coeffs):
+        return np.zeros(cols.shape[1])
+    both = np.concatenate([coeffs.cols, cols], axis=1)
+    lo = [int(low) for low in both.min(axis=1)]
+    spans = [int(high) - low + 1 for high, low in zip(both.max(axis=1), lo)]
+    size = math.prod(spans)
+    if size >= MAX_BOX_CELLS:
+        return None
+    keys, wanted = cell_keys(coeffs.cols, lo, spans), cell_keys(cols, lo, spans)
+    if size <= BOX_CELLS_PER_PRODUCT * (len(keys) + len(wanted)):
+        table = np.zeros(size)
+        table[keys] = coeffs.data
+        return table[wanted]
+    order = np.argsort(keys)
+    at = np.minimum(np.searchsorted(keys[order], wanted), len(keys) - 1)
+    found = order[at]
+    return np.where(keys[found] == wanted, coeffs.data[found], 0.0)
+
+
+def inner(x: AlgebraElement, y: AlgebraElement):
+    """sum_g x(g) y(g), over the smaller support (x's on a tie) in its order,
+    added left to right from 0 by ``float_sum``.  On the arrays of two
+    ArrayCoeffs when both elements are held so, with the same terms in the
+    same order."""
+    small, big = (x, y) if len(x.coeffs) <= len(y.coeffs) else (y, x)
+    s, b = small.coeffs, big.coeffs
+    if isinstance(s, ArrayCoeffs) and isinstance(b, ArrayCoeffs):
+        other = b.data if s is b else _values_at(b, s.cols)
+        if other is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _array_sum(s.data * other, 0)
+    return float_sum(c * b.get(g, 0.0) for g, c in s.items())
+
+
+def identity_value(x: AlgebraElement):
+    """x(e), the trace of x; 0.0 off the support."""
+    coeffs, e = x.coeffs, x.spec.identity()
+    if isinstance(coeffs, ArrayCoeffs):
+        at = np.flatnonzero((coeffs.cols == np.array(e)[:, None]).all(axis=0))
+        return coeffs.data[at[0]].item() if len(at) else 0.0
+    return coeffs.get(e, 0.0)
+
+
 def norm(a: AlgebraElement, kind):
     """Norms on coefficients: kind is "l1", "l2", or ("l2s", s), the weighted
     norm ||a||_{2,s} = sqrt(sum |a_g|^2 (1+|g|)^{2s})."""
+    arrays = isinstance(a.coeffs, ArrayCoeffs)
     if kind == "l1":
+        if arrays:
+            return _array_sum(np.abs(a.coeffs.data), 0.0)
         return float_sum(map(abs, a.coeffs.values()), 0.0)
     if kind == "l2":
+        if arrays:
+            with np.errstate(over="ignore"):
+                return math.sqrt(_array_sum(a.coeffs.data * a.coeffs.data, 0))
         return math.sqrt(float_sum(c * c for c in a.coeffs.values()))
     if isinstance(kind, tuple) and kind[0] == "l2s":
         s = float(kind[1])
@@ -549,16 +735,47 @@ def norm(a: AlgebraElement, kind):
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
+def least(values):
+    """The least of ``values``, the first of equal ones, as builtin ``min``
+    gives it; but the first nan when there is one, which ``min`` returns only
+    when it comes first."""
+    values = list(values)
+    nan = next((v for v in values if v != v), None)
+    return min(values) if nan is None else nan
+
+
+def least_slack_on_spheres(a: AlgebraElement, index: LengthIndex, rhs):
+    """``least`` of a(g) - rhs[i] over the g of S_i for i < len(rhs).  On
+    the rows of the index when ``a`` is held as ArrayCoeffs and every
+    rhs[i] is a float, where the minimum is nan when a slack is nan, as
+    ``least``'s is.  No slack is -0.0, since a(g) is never -0.0, so no two
+    equal slacks differ in sign."""
+    top = len(rhs) - 1
+    if (isinstance(a.coeffs, ArrayCoeffs) and index.rows is not None
+            and all(type(c) is float for c in rhs)):
+        values = _values_at(a.coeffs, index.rows[: index.ball_sizes[top]].T)
+        if values is not None:
+            rhs = np.repeat(np.array(rhs, dtype=np.float64),
+                            index.sphere_sizes[: top + 1])
+            with np.errstate(over="ignore", invalid="ignore"):
+                return (values - rhs).min().item()
+    return least(a.value(g) - c for i, c in enumerate(rhs)
+                 for g in index.sphere(i))
+
+
 def pointwise_geq(a: AlgebraElement, b: AlgebraElement):
     """Whether a >= b pointwise on the union of supports; returns (ok, min slack).
 
-    Slack down to GEQ_TOLERANCE still counts as >=.
+    Slack down to GEQ_TOLERANCE still counts as >=; a nan slack fails, and
+    is the one returned.
     """
     if a.spec != b.spec:
         raise SpecMismatchError("comparison operands live on different groups")
     min_slack = math.inf
     for g in set(a.coeffs) | set(b.coeffs):
         slack = a.value(g) - b.value(g)
+        if slack != slack:
+            return (False, slack)
         if slack < min_slack:
             min_slack = slack
     if min_slack is math.inf:

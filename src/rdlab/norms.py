@@ -47,8 +47,12 @@ from .algebra import (
     adjoint,
     convolve,
     float_sum,
+    identity_value,
+    inner,
+    kernel_support,
     norm,
     product_keys,
+    sphere_sum,
 )
 from .errors import BudgetExceededError, IndexRadiusError, RdlabError
 from .groups import (
@@ -228,12 +232,9 @@ def radial_from_algebra(a: AlgebraElement):
 
 def radial_to_algebra(x: RadialElement, budget=DEFAULT_BUDGET):
     """The dense element of the sphere function ``x``, listed from its ball
-    (``ball_index`` under ``budget``)."""
-    top = len(x.coeffs) - 1
-    index = ball_index(x.spec, top, budget)
-    coeffs = {g: c for j, c in enumerate(x.coeffs) if c != 0.0
-              for g in index.sphere(j)}
-    return AlgebraElement(spec=x.spec, coeffs=coeffs, support_radius=top)
+    (``ball_index`` under ``budget``) by ``sphere_sum``: from the ball's
+    int64 rows on Z^d and H3."""
+    return sphere_sum(ball_index(x.spec, len(x.coeffs) - 1, budget), x.coeffs)
 
 
 def radial_partial_products(x: RadialElement, y: RadialElement):
@@ -377,15 +378,8 @@ class _DenseOps:
         return self.budget is None or sum(sphere_sizes(
             self.b.spec, k * self.b.support_radius)) <= self.budget
 
-    @staticmethod
-    def inner(x, y):
-        small, big = (x, y) if len(x.coeffs) <= len(y.coeffs) else (y, x)
-        return float_sum(c * big.coeffs.get(g, 0.0)
-                         for g, c in small.coeffs.items())
-
-    @staticmethod
-    def trace(x):
-        return x.coeffs.get(x.spec.identity(), 0.0)
+    inner = staticmethod(inner)
+    trace = staticmethod(identity_value)
 
 
 class _RadialOps:
@@ -515,6 +509,7 @@ def _binary_power(ops, powers, m):
 def _compression_matrix(a: AlgebraElement, cols):
     """Sparse matrix of v -> a*v from l2(cols) into l2 of the products.
 
+    ``cols`` lists group elements, or is their int64 coordinate columns.
     Rows are numbered by first appearance, columns outside and the support
     of ``a`` inside; ``product_keys`` supplies the products on Z^d and H3.
     """
@@ -522,13 +517,15 @@ def _compression_matrix(a: AlgebraElement, cols):
     import scipy.sparse
 
     spec = a.spec
-    supp = list(a.coeffs.items())
-    keys = product_keys(spec, cols, list(a.coeffs), flip=True)
+    support, values = kernel_support(a.coeffs)
+    keys = product_keys(spec, cols, support, flip=True)
     if keys is None:
+        if isinstance(cols, np.ndarray):
+            cols = list(zip(*cols.tolist()))
         rows_of = {}
         data, row_idx, col_idx = [], [], []
         for j, g in enumerate(cols):
-            for s, c in supp:
+            for s, c in a.coeffs.items():
                 h = spec.multiply(s, g)
                 i = rows_of.setdefault(h, len(rows_of))
                 data.append(c)
@@ -536,14 +533,15 @@ def _compression_matrix(a: AlgebraElement, cols):
                 col_idx.append(j)
         shape = (len(rows_of), len(cols))
     else:
+        width = len(keys.outer_keys)
         keys_of_pairs = np.concatenate([k for _, _, k in keys.blocks()])
         cells = keys.first_touch_order()
         row_of = np.empty(keys.size, dtype=np.int64)
         row_of[cells] = np.arange(len(cells))
         row_idx = row_of[keys_of_pairs]
-        col_idx = np.repeat(np.arange(len(cols)), len(supp))
-        data = np.tile([c for _, c in supp], len(cols))
-        shape = (len(cells), len(cols))
+        col_idx = np.repeat(np.arange(width), len(values))
+        data = np.tile(values, width)
+        shape = (len(cells), width)
     return scipy.sparse.csr_matrix((data, (row_idx, col_idx)), shape=shape)
 
 
@@ -576,8 +574,14 @@ def op_norm_power_iteration(a: AlgebraElement, R, iters=200, seed=0,
         raise BudgetExceededError(
             f"power iteration's matrix would hold {entries} entries, past the "
             f"budget of {budget}")
-    mat = _compression_matrix(a, list(ball_index(a.spec, R, budget).ball(R)))
-    mat_t = mat.T
+    index = ball_index(a.spec, R, budget)
+    ball = (list(index.ball(R)) if index.rows is None
+            else index.rows[: index.ball_sizes[R]].T)
+    mat = _compression_matrix(a, ball)
+    # each entry of mat^T w is summed from 0.0 over the rows of mat in
+    # increasing order, as through the CSC view mat.T, but a CSR row loop is
+    # faster
+    mat_t = mat.T.tocsr()
 
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(mat.shape[1])

@@ -40,6 +40,8 @@ from .algebra import (
     ball_product_minima,
     convolve,
     float_sum,
+    least,
+    least_slack_on_spheres,
 )
 from .errors import BudgetExceededError, CoverageError
 from .groups import (
@@ -377,15 +379,14 @@ def _product_slack(x, y, rhs, budget=DEFAULT_BUDGET):
     """min of (x * y)(g) - rhs[i] over the g in S_i, i < len(rhs), for sphere
     functions x and y on one group and ``rhs`` listing one value per sphere:
     radial on a free group of ``radial_rank``, elsewhere the dense product of
-    x and y expanded from their balls."""
+    x and y expanded from their balls.  A nan slack is the min (``least``)."""
     if radial_rank(x.spec) is not None:
         lhs = radial_convolve(x, y).coeffs
-        return min(lhs[i] - c for i, c in enumerate(rhs))
+        return least(lhs[i] - c for i, c in enumerate(rhs))
     lhs = convolve(radial_to_algebra(x, budget), radial_to_algebra(y, budget),
                    budget=budget)
-    index = ball_index(x.spec, len(rhs) - 1, budget)
-    return min(lhs.value(g) - c for i, c in enumerate(rhs)
-               for g in index.sphere(i))
+    return least_slack_on_spheres(lhs, ball_index(x.spec, len(rhs) - 1, budget),
+                                  rhs)
 
 
 def _ball_product_slacks(spec, max_sum, top, budget=DEFAULT_BUDGET):

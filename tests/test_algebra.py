@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -196,6 +197,18 @@ class TestPointwise:
         assert R.pointwise_geq(b1, R.scale(2.0, b1)) == (False, -1.0)
         empty = R.AlgebraElement(spec=Z, coeffs={}, support_radius=0)
         assert R.pointwise_geq(empty, empty) == (True, 0.0)
+
+    @pytest.mark.parametrize("a", [
+        {(0, 0): math.nan},
+        {(0, 0): math.nan, (1, 0): 1.0},
+        {(1, 0): -1.0, (0, 0): math.nan, (0, 1): 5.0},
+    ])
+    def test_a_nan_slack_fails(self, a):
+        # nan < min_slack is False: alone the nan slack passed as (True, 0.0),
+        # and beside finite slacks it gave way to the least of them
+        ok, slack = R.pointwise_geq(R.AlgebraElement(spec=Z2, coeffs=a),
+                                    R.point_mass(Z2, (0, 0)))
+        assert ok is False and math.isnan(slack)
 
 
 class TestLinearCombine:

@@ -14,6 +14,7 @@ must be the text the ``%`` template wrote.  The O(K^2) sums of ``verify
 lemma2`` run on numpy row blocks; they must be the floats its loops added.
 """
 
+import json
 import math
 import warnings
 from unittest import mock
@@ -98,15 +99,76 @@ def touched(a, b):
                                        False, None))
 
 
-@given(operand_pairs(coeffs=HUGE_COEFFS), BLOCKS)
+# beside those, products that underflow to +0.0 or -0.0 inside a sum
+EXTREME_COEFFS = st.one_of(HUGE_COEFFS, st.sampled_from([1e-200, -1e-200]))
+
+
+def assert_dict_twins(product, twin):
+    """``product``, held in the kernel's arrays, has the length, ``repr``,
+    JSON and equality of ``twin``, the same product held as a dict."""
+    assert isinstance(product.coeffs, algebra.ArrayCoeffs)
+    assert type(twin.coeffs) is dict
+    assert len(product) == len(product.coeffs) == len(twin)
+    assert repr(product) == repr(twin)
+    assert (json.dumps(product.to_json_dict())
+            == json.dumps(twin.to_json_dict()))
+    # nan equals nothing, so elements holding it are unequal, twins or not
+    if not any(math.isnan(c) for c in twin.coeffs.values()):
+        assert product == twin and twin == product
+        assert product.coeffs == twin.coeffs and twin.coeffs == product.coeffs
+
+
+# products whose operands are earlier products: the kernel's own arrays,
+# their adjoints, and operands beside them
+CHAINS = [lambda p, a, b: (p, a), lambda p, a, b: (b, p),
+          lambda p, a, b: (R.adjoint(p), p)]
+
+
+@given(operand_pairs(coeffs=EXTREME_COEFFS), BLOCKS)
 @example((element(SPECS[1], {(0, 0): 1e200, (1, 0): 1.0}),
           element(SPECS[1], {(0, 0): 1e200, (1, 0): 1.0})), 3)
 @example((element(SPECS[0], {(0,): 1e200, (1,): -1e200}),
           element(SPECS[0], {(0,): 1e200, (1,): 1e200})), 3)
+# -1e-200 * 1e-200 is -0.0, and 1e-200 - 1e-200 cancels to 0.0
+@example((element(SPECS[0], {(0,): 1e-200, (1,): 1.0}),
+          element(SPECS[0], {(0,): -1e-200, (1,): 1.0})), 3)
+# every product underflows to 0.0 or -0.0: the product is empty, and so
+# are its own products
+@example((element(SPECS[0], {(0,): 1e-200, (1,): -1e-200}),
+          element(SPECS[0], {(0,): 1e-200})), 3)
 def test_numpy_kernel_matches_dict_loop(pair, block):
     # silently, as the dict loop is: the suite turns warnings into errors
     a, b = pair
-    assert bits(numpy_kernel(a, b, block=block)) == bits(dict_loop(a, b))
+    product, twin = numpy_kernel(a, b, block=block), dict_loop(a, b)
+    assert bits(product) == bits(twin)
+    assert bits(R.adjoint(product)) == bits(R.adjoint(twin))
+    for chain in CHAINS:
+        want = dict_loop(*chain(twin, a, b))
+        if len(product):       # the kernel takes no empty operand
+            got = numpy_kernel(*chain(product, a, b), block=block)
+            assert bits(got) == bits(want)
+            assert_reads_match(got, want, product, twin)
+        # within the kernel's box limit, or on the dict loop, which reads
+        # the arrays' dict
+        assert bits(R.convolve(*chain(product, a, b))) == bits(want)
+    assert_dict_twins(product, twin)
+
+
+def float_bits_of(value):
+    return type(value), float(value).hex()
+
+
+def assert_reads_match(x, x_twin, y, y_twin):
+    """The inner products, traces and norms of the trace ladder and the
+    lemma2 minimum, read from arrays, have the bits their dict twins give."""
+    index = R.enumerate_balls(x.spec, 2)
+    rhs = [0.5, -1.0, 0.25]
+    for read in (lambda p, q: norms._DenseOps.inner(p, q),
+                 lambda p, q: norms._DenseOps.inner(q, p),
+                 lambda p, q: norms._DenseOps.trace(p),
+                 lambda p, q: R.norm(p, "l1"), lambda p, q: R.norm(p, "l2"),
+                 lambda p, q: algebra.least_slack_on_spheres(p, index, rhs)):
+        assert float_bits_of(read(x, y)) == float_bits_of(read(x_twin, y_twin))
 
 
 @given(operand_pairs(), BLOCKS)
@@ -120,6 +182,75 @@ def test_budget_parity(pair, block):
         numpy_kernel(a, b, budget=n - 1, block=block)
     assert bits(numpy_kernel(a, b, budget=n, block=block)) == \
         bits(dict_loop(a, b, budget=n))
+
+
+# commands whose products stay in the kernel's arrays, and the products
+# each forms through norms.convolve and rd.convolve, as many as ever
+ARRAY_COMMANDS = [
+    ("ratio --group H3 --witness sphere --range 1:4 --method trace --depth 2",
+     8),
+    ("verify lemma2 --group H3 --r 1 --k 7", 1),
+    ("norm --group H3 --witness ball --n 3 --method power --R 10 --seed 1", 0),
+]
+
+
+@pytest.mark.parametrize("argv, products", ARRAY_COMMANDS)
+def test_products_build_no_dict(argv, products, capsys):
+    # ArrayCoeffs builds its dict only inside the dict loop, which reads
+    # the small witnesses whose products' box is too sparse for the kernel,
+    # and never for a product the kernel formed; so adjoints, inner
+    # products, traces, norms, the power matrix and the lemma2 minimum all
+    # read arrays
+    formed, looping, calls = [], [], []
+    kernel, loop = algebra._convolve_arrays, algebra._convolve_dicts
+    decoded, convolve = algebra.ArrayCoeffs.decoded, R.convolve
+
+    def kernel_products(*args):
+        formed.append(kernel(*args))
+        return formed[-1]
+
+    def dict_loop_reading(*args):
+        looping.append(None)
+        try:
+            return loop(*args)
+        finally:
+            looping.pop()
+
+    def refuse(coeffs):
+        assert looping, "an element built its dict outside the dict loop"
+        assert not any(coeffs is p for p in formed), "a product built its dict"
+        return decoded(coeffs)
+
+    def counting(a, b, budget=R.DEFAULT_BUDGET):
+        calls.append(None)
+        return convolve(a, b, budget=budget)
+
+    with mock.patch.object(algebra, "_convolve_arrays", kernel_products), \
+            mock.patch.object(algebra, "_convolve_dicts", dict_loop_reading), \
+            mock.patch.object(algebra.ArrayCoeffs, "decoded", refuse), \
+            mock.patch.object(norms, "convolve", counting), \
+            mock.patch.object(rd, "convolve", counting):
+        assert run_command(argv.split()) == 0
+    capsys.readouterr()
+    assert len(calls) == products
+    assert any(p is not None for p in formed) == (products > 0)
+
+
+@pytest.mark.parametrize("spec, coeffs", [
+    (SPECS[1], [0.5, 0.0, -2.0, 1e200]), (H3, [1.0, 1.0, 3.0]),
+    (SPECS[0], [0.0, 0.25])])
+def test_sphere_functions_expand_from_rows(spec, coeffs):
+    # the rows of the ball, sphere by sphere, zero coefficients left out:
+    # the dict that the spheres' tuples give, in its order
+    x = norms.RadialElement(spec=spec, coeffs=coeffs,
+                            sizes=R.sphere_sizes(spec, len(coeffs) - 1))
+    dense = R.radial_to_algebra(x)
+    index = R.enumerate_balls(spec, len(coeffs) - 1)
+    twin = R.AlgebraElement(spec=spec, support_radius=len(coeffs) - 1, coeffs={
+        g: c for j, c in enumerate(coeffs) if c for g in index.sphere(j)})
+    assert isinstance(dense.coeffs, algebra.ArrayCoeffs)
+    assert bits(dense) == bits(twin)
+    assert_dict_twins(dense, twin)
 
 
 def test_many_float_terms_per_element_across_blocks():
@@ -834,3 +965,18 @@ def test_float_sums_add_left_to_right():
     y = norms.RadialElement(spec=z, coeffs=[1.0, 1.0, 1.0], sizes=[1, 2, 2])
     assert norms.coefficient_norm(x, "l1") == 1e16
     assert norms.radial_inner(x, y) == 1e16
+
+
+def test_array_sums_add_left_to_right():
+    # past eight terms numpy's own sum splits them into eight partial sums,
+    # which here would keep the ones that 1e16 absorbs one at a time
+    z = SPECS[0]
+    terms = [1e16] + [1.0] * 16
+    assert algebra.float_sum(terms) == 1e16
+    delta = element(z, {(0,): 1.0})
+    a = numpy_kernel(element(z, {(n,): c for n, c in enumerate(terms)}), delta)
+    ones = numpy_kernel(element(z, {(n,): 1.0 for n in range(len(terms))}),
+                        delta)
+    assert isinstance(a.coeffs, algebra.ArrayCoeffs)
+    assert R.norm(a, "l1") == 1e16
+    assert norms._DenseOps.inner(a, ones) == 1e16

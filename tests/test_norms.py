@@ -5,12 +5,14 @@ import random
 import subprocess
 import sys
 
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import rdlab as R
-from rdlab import norms
+from rdlab import algebra, norms
 from rdlab.cli import run_command
 from rdlab.errors import BudgetExceededError, IndexRadiusError, RdlabError
 from rdlab.groups import DEFAULT_BUDGET
@@ -238,23 +240,50 @@ def as_bits(outcome):
 
 
 LADDER_SETTINGS = st.one_of(
-    st.builds(dict, exponent=st.sampled_from([64, 1024, 10000])),
+    # 42 ends on the odd b-exponent 21: an inner product of two powers
+    st.builds(dict, exponent=st.sampled_from([42, 64, 1024, 10000])),
     st.just({"depth": 6}))
-DENSE_COEFFS = st.sampled_from([1.0, -1.0, 2.0, 0.5, -3.0, 1.5])
+# small dyadic numbers sum exactly and cancel; drawn floats round, so that
+# the order of every sum shows
+DENSE_COEFFS = st.one_of(st.sampled_from([1.0, -1.0, 2.0, 0.5, -3.0, 1.5]),
+                         st.floats(-3.0, 3.0).filter(bool))
+Z5 = R.FreeAbelian(5)
+
+
+def dense_point(spec):
+    """A point of a small box; on Z^5 and Z^10 most coordinates are 0, so
+    that products' boxes are sparse there, and a ladder switches between
+    the numpy kernel and the dict loop as its supports and budget grow."""
+    d = len(spec.identity())
+    if d <= 3:
+        return st.tuples(*[st.integers(-2, 2)] * d)
+    return st.tuples(*[st.sampled_from([0, 0, 0, 1, -1, 2, -2])] * d)
+
+
+def dense_element(spec, coeffs):
+    return R.AlgebraElement(spec=spec, coeffs=coeffs, support_radius=max(
+        map(spec.word_length, coeffs)))
 
 
 @st.composite
 def dense_elements(draw):
-    """A small Z^2 or H3 element, scaled so that some ladders leave the float
-    range within a few steps."""
-    spec = draw(st.sampled_from([Z2, R.DiscreteHeisenberg()]))
-    points = draw(st.lists(
-        st.tuples(*[st.integers(-2, 2)] * len(spec.identity())),
-        min_size=1, max_size=6, unique=True))
-    scale = draw(st.sampled_from([1.0, 1e10, 1e40, 1e100]))
-    coeffs = {g: scale * draw(DENSE_COEFFS) for g in points}
-    return R.AlgebraElement(spec=spec, coeffs=coeffs, support_radius=max(
-        map(spec.word_length, points)))
+    """A small Z^2, H3, Z^5 or Z^10 element, scaled so that some ladders
+    leave the float range within a few steps (past it at 1e200 at once:
+    inf, and nan where infinities cancel)."""
+    spec = draw(st.sampled_from([Z2, R.DiscreteHeisenberg(), Z5,
+                                 R.FreeAbelian(10)]))
+    points = draw(st.lists(dense_point(spec), min_size=1, max_size=6,
+                           unique=True))
+    scale = draw(st.sampled_from([1.0, 1e10, 1e40, 1e100, 1e200]))
+    return dense_element(spec, {g: scale * draw(DENSE_COEFFS) for g in points})
+
+
+def ladder_outcome(a, settings):
+    """The reference ladder's outcome in bits, or None when it makes no step."""
+    try:
+        return as_bits(reference_ladder(a, **settings))
+    except BudgetExceededError:
+        return None
 
 
 class TestLadderShortcut:
@@ -274,15 +303,25 @@ class TestLadderShortcut:
 
     @given(a=dense_elements(), settings=LADDER_SETTINGS,
            budget=st.integers(1, 3000))
+    # b on the dict loop, b^2 in the kernel's arrays, b^4 on the dict loop
+    # from those arrays (the budget leaves the box too sparse), b^8 past
+    # the budget
+    @example(a=dense_element(Z5, {(0, -1, 0, 0, 1): 1.0, (0, 0, 0, -2, 0): -1.0,
+                                  (0, 0, 0, 0, 0): 2.0, (0, 0, 0, 0, 1): 1.0,
+                                  (0, 2, 0, 0, 0): 1.0}),
+             settings={"exponent": 64}, budget=900)
     def test_dense_elements_match_the_reference_ladder(self, a, settings,
                                                        budget):
         self.check(a, dict(settings, budget=budget))
 
     @staticmethod
     def check(a, settings):
-        try:
-            expected = as_bits(reference_ladder(a, **settings))
-        except BudgetExceededError:
+        expected = ladder_outcome(a, settings)
+        # bit for bit the ladder of the dict loop alone, whose products are
+        # dicts that inner products and traces read key by key
+        with mock.patch.object(algebra, "_convolve_arrays", return_value=None):
+            assert ladder_outcome(a, settings) == expected
+        if expected is None:
             # no step: b is past the budget or its trace is not finite
             with pytest.raises(BudgetExceededError):
                 R.op_norm_trace_power(a, **settings)

@@ -574,6 +574,18 @@ class TestSeriesProductBound:
         rep = R.verify_series_product_bound(Z, r, 1.0, 1.0, K)
         assert rep.ok and rep.min_slack == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("spec", [Z2, H3, F2], ids=str)
+    @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "loop"])
+    def test_a_nan_slack_is_the_least(self, spec, kernel, monkeypatch):
+        # the finite slack at e comes before the nan ones on S_1, and builtin
+        # min returned it; so does a check whose product or sums are nan
+        if not kernel:      # the dense product as a dict, read key by key
+            monkeypatch.setattr(rdlab.algebra, "_convolve_arrays",
+                                lambda *args: None)
+        x = R.RadialElement(spec=spec, coeffs=[1.0, 1.0],
+                            sizes=R.sphere_sizes(spec, 1))
+        assert math.isnan(rdlab.rd._product_slack(x, x, [0.0, math.nan]))
+
     def test_parameter_guard(self):
         with pytest.raises(ValueError):
             R.verify_series_product_bound(F2, 2, 0.4, 0.5, 4)
