@@ -124,7 +124,7 @@ class AlgebraElement:
     """
 
     spec: GroupSpec
-    coeffs: dict = field(repr=False)
+    coeffs: Mapping = field(repr=False)
     support_radius: int = 0
 
     def __post_init__(self):
