@@ -247,7 +247,7 @@ class ProductKeys:
     (inner[j] * outer[i] with ``flip``): the order of a loop with the outer
     list outside.  Keys number the cells of the products' bounding box
     (corner ``lo``, side lengths ``spans``) as ``cell_keys`` does, so equal
-    products get equal keys and ``elements`` decodes keys.
+    products get equal keys and ``columns`` decodes keys.
 
     Keys are formed without the group law.  ``cell_keys`` is linear in the
     coordinates, and g*h adds the coordinates of g and h plus the group's
@@ -337,10 +337,6 @@ class ProductKeys:
             keys, digit = np.divmod(keys, self.spans[k])
             np.add(digit, self.lo[k], out=cols[k])
         return cols
-
-    def elements(self, keys):
-        """The product elements (integer tuples) that ``keys`` encode."""
-        return list(zip(*self.columns(keys).tolist()))
 
 
 def _coordinate_columns(elements):
@@ -665,21 +661,17 @@ def _array_sum(terms, start):
 
 def _values_at(coeffs: ArrayCoeffs, cols):
     """float64 values of ``coeffs`` at the points with int64 coordinate
-    columns ``cols``, 0.0 at a point outside its support; None when the
-    points' joint bounding box has MAX_BOX_CELLS cells or more."""
+    columns ``cols``, 0.0 at a point outside its support, found among the
+    support's sorted cell keys; None when the points' joint bounding box has
+    MAX_BOX_CELLS cells or more."""
     if not len(coeffs):
         return np.zeros(cols.shape[1])
     both = np.concatenate([coeffs.cols, cols], axis=1)
     lo = [int(low) for low in both.min(axis=1)]
     spans = [int(high) - low + 1 for high, low in zip(both.max(axis=1), lo)]
-    size = math.prod(spans)
-    if size >= MAX_BOX_CELLS:
+    if math.prod(spans) >= MAX_BOX_CELLS:
         return None
     keys, wanted = cell_keys(coeffs.cols, lo, spans), cell_keys(cols, lo, spans)
-    if size <= BOX_CELLS_PER_PRODUCT * (len(keys) + len(wanted)):
-        table = np.zeros(size)
-        table[keys] = coeffs.data
-        return table[wanted]
     order = np.argsort(keys)
     at = np.minimum(np.searchsorted(keys[order], wanted), len(keys) - 1)
     found = order[at]
