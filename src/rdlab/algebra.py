@@ -763,15 +763,16 @@ def pointwise_geq(a: AlgebraElement, b: AlgebraElement):
     """
     if a.spec != b.spec:
         raise SpecMismatchError("comparison operands live on different groups")
+    support = set(a.coeffs) | set(b.coeffs)
+    if not support:
+        return (True, 0.0)
     min_slack = math.inf
-    for g in set(a.coeffs) | set(b.coeffs):
+    for g in support:
         slack = a.value(g) - b.value(g)
         if slack != slack:
             return (False, slack)
         if slack < min_slack:
             min_slack = slack
-    if min_slack is math.inf:
-        min_slack = 0.0
     return (min_slack >= GEQ_TOLERANCE, min_slack)
 
 

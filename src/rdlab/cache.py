@@ -10,8 +10,8 @@ Records are sorted by (length, key), the in-memory sphere order, and keys
 are spelled as ``element_key`` writes them.  On Z^d and H3 they are gathered
 from the index's int64 rows through one word table per column, which holds
 each value's ``str`` and separator NUL-padded to whole uint64 words, the
-padding deleted afterwards; on a product they are joined from the keys its
-search sorted by.
+padding deleted afterwards; on other groups, products included, each
+element's key is spelled by ``element_key`` as the record is written.
 
 One rule decides a read: a file is read only at
 ``<dir>/<group>.N<radius>.ballcache`` (``cache_path``), and only when its
@@ -102,9 +102,7 @@ def serialize_index(index: LengthIndex):
     if index.rows is not None:
         lengths = np.repeat(np.arange(index.radius + 1), index.sphere_sizes)
         return header + _records([*index.rows.T, lengths])
-    keys = index.keys
-    if keys is None:
-        keys = [map(spec.element_key, sphere) for sphere in index.spheres]
+    keys = [map(spec.element_key, sphere) for sphere in index.spheres]
     return header + "".join([f"{key}\t{n}\n" for n, sphere in enumerate(keys)
                              for key in sphere])
 

@@ -17,16 +17,17 @@ symmetric generating set S_{n+1} = S_n * gens minus S_{n-1} and S_n.  Each
 point is keyed by its cell in that box, and a move adds the generator's key
 offset; a bitmap of the cells reached, or where the box is sparse a binary
 search among the keys of S_{n-1} and S_n, tells the fresh points.  Those
-are keyed by the text ranks of their coordinates (:class:`TextRanks`), so
-one sort both drops repeats and puts the sphere in text-key order.
-Their index holds the spheres as one array of rows and builds element
-tuples only when a lookup needs them.  On F_r each word of S_n, extended by
-every letter that does not cancel its last one, gives S_{n+1} already in
-text order.  A :class:`DirectProduct` searches each factor by the factor's
-own path and assembles S_n as the union over i + j = n of S_i(first
-factors) x S_j(next factor), and its index keeps the text keys it sorted
-by.  C_m runs the search on a dict of element values.  Every path lists
-each sphere in text-key order.
+are keyed by the text ranks of their coordinates (:class:`TextRanks`),
+through a few lookup tables over parts of the box, so one sort both drops
+repeats and puts the sphere in text-key order.  Their index holds the
+spheres as one array of rows and builds element tuples only when a lookup
+needs them.  On F_r each word of S_n, extended by every letter that does
+not cancel its last one, gives S_{n+1} already in text order.  A
+:class:`DirectProduct` searches each factor by the factor's own path and
+assembles S_n as the union over i + j = n of S_i(first factors) x
+S_j(next factor), ordered by one int64 key per pair built from the ranks
+of the two keys.  C_m runs the search on a dict of element values.  Every
+path lists each sphere in text-key order.
 
 Canonical element values are plain hashable Python data:
 
@@ -194,7 +195,7 @@ class IntegerTupleGroup(GroupSpec):
         raise NotImplementedError
 
     def element_key(self, g):
-        return ",".join(str(x) for x in g)
+        return ",".join(map(str, g))
 
     def parse_key(self, s):
         g = tuple(parse_int(p) for p in s.split(","))
@@ -530,7 +531,7 @@ class DirectProduct(GroupSpec):
         return tuple(map(_poly_product, parts))
 
     def element_key(self, g):
-        return "|".join(f.element_key(x) for f, x in zip(self.factors, g))
+        return "|".join([f.element_key(x) for f, x in zip(self.factors, g)])
 
     def parse_key(self, s):
         parts = s.split("|")
@@ -587,16 +588,14 @@ class LengthIndex:
     An index of an :class:`IntegerTupleGroup` may be built from ``rows``
     instead: an int64 array with one row of coordinates per element, in
     sphere order.  It then builds ``spheres`` at their first read too.
-    ``rows`` is None on an index built from ``spheres``.  ``keys``, when
-    given, lists the text keys of each sphere's elements, in sphere order.
+    ``rows`` is None on an index built from ``spheres``.
     """
 
     def __init__(self, spec, radius, spheres=None, lengths=None, rows=None,
-                 sphere_sizes=None, keys=None):
+                 sphere_sizes=None):
         self.spec = spec
         self.radius = radius
         self.rows = rows
-        self.keys = keys
         self._spheres = spheres
         self._lengths = lengths
         if spheres is not None:
@@ -638,19 +637,40 @@ class TextRanks:
     as their text keys do.
 
     ',' sorts below every character of a number, so text keys compare
-    coordinate by coordinate, each by its ``str``.  A column's rank table
-    places the values -m..m in that order, and a tuple's key is the mixed
-    radix number of its ranks, the first column the most significant.  The
-    box must number fewer than 2^63 cells.
+    coordinate by coordinate, each by its ``str``.  A tuple's key is the
+    mixed radix number of its columns' ranks in that order, the first column
+    the most significant.  The columns are taken in consecutive parts: all
+    of them when the box numbers at most ``most`` cells, else the parts of
+    each half, split where the larger half has fewest cells, down to single
+    columns (``most`` = 0 gives one part per column).  Each part has three
+    tables over its cells: ``ranks`` maps a cell (numbered as ``cell_keys``
+    numbers them) to the part's key, and ``cells`` and ``values`` map a key
+    back to the cell and to the coordinates.  A cell of the box is the mixed
+    radix number of its parts' cells and its key that of their keys, so
+    keying takes one division per part after the first and one gather per
+    part.  The box must number fewer than 2^63 cells.
     """
 
-    def __init__(self, bounds):
+    def __init__(self, bounds, most=0):
         self.bounds = list(bounds)
         self.spans = [2 * m + 1 for m in bounds]
-        # values[i][r] is the value of rank r, ranks[i][v + m] the rank of v
-        self.values = [np.array(sorted(range(-m, m + 1), key=str), dtype=np.int64)
-                       for m in bounds]
-        self.ranks = [values.argsort() for values in self.values]
+        # each column's values in text order, so a value's place is its rank
+        values = [np.array(sorted(range(-m, m + 1), key=str), dtype=np.int64)
+                  for m in bounds]
+        self.parts, self.sizes = [], []
+        self.ranks, self.cells, self.values = [], [], []
+        start = 0
+        for width in _parts(self.spans, most):
+            part = slice(start, start + width)
+            grid = _grid(values[part])
+            cells = cell_keys(tuple(grid.T), [-m for m in self.bounds[part]],
+                              self.spans[part])
+            self.parts.append(part)
+            self.sizes.append(len(grid))
+            self.ranks.append(_inverse(cells))
+            self.cells.append(cells)
+            self.values.append(grid)
+            start += width
 
     def keys(self, cols):
         """The keys of the tuples with int64 coordinate columns ``cols``."""
@@ -660,24 +680,62 @@ class TextRanks:
     def of_cells(self, cells):
         """The keys of the tuples in the box's cells ``cells``, numbered as
         ``cell_keys`` numbers them from the corner -bounds."""
-        digits = []
-        for span in self.spans[:0:-1]:
-            cells, digit = np.divmod(cells, span)
-            digits.append(digit)
-        keys = self.ranks[0][cells]
-        for rank, span, digit in zip(self.ranks[1:], self.spans[1:], digits[::-1]):
-            keys *= span
-            keys += rank[digit]
-        return keys
+        return _mixed_number([ranks[digit] for ranks, digit
+                              in zip(self.ranks, self._digits(cells))],
+                             self.sizes)
 
-    def columns(self, keys):
-        """The coordinate columns of the tuples with ``keys``."""
-        cols = []
-        for values, span in zip(self.values[:0:-1], self.spans[:0:-1]):
-            keys, rank = np.divmod(keys, span)
-            cols.append(values[rank])
-        cols.append(self.values[0][keys])
-        return tuple(cols[::-1])
+    def decode(self, keys, rows):
+        """Write the coordinates of the tuples with ``keys`` into the int64
+        array ``rows``, one row per key; return their cells."""
+        digits = self._digits(keys)
+        for part, values, digit in zip(self.parts, self.values, digits):
+            rows[:, part] = values.take(digit, axis=0)
+        return _mixed_number([cells[digit] for cells, digit
+                              in zip(self.cells, digits)], self.sizes)
+
+    def _digits(self, numbers):
+        """The parts' digits of the mixed radix ``numbers``."""
+        digits = []
+        for size in self.sizes[:0:-1]:
+            # floor division by a scalar and a product run several times
+            # faster than np.divmod
+            quotient = numbers // size
+            digits.append(numbers - quotient * size)
+            numbers = quotient
+        digits.append(numbers)
+        return digits[::-1]
+
+
+def _parts(spans, most):
+    """The widths of consecutive parts of the columns with ``spans``: all of
+    them while their cells number at most ``most``, else the parts of each
+    half, split where the larger half has fewest cells."""
+    if len(spans) == 1 or math.prod(spans) <= most:
+        return [len(spans)]
+    cut = min(range(1, len(spans)),
+              key=lambda k: max(math.prod(spans[:k]), math.prod(spans[k:])))
+    return _parts(spans[:cut], most) + _parts(spans[cut:], most)
+
+
+def _grid(columns):
+    """Every choice of one entry from each of ``columns``, one row each, in
+    the mixed radix order of the entries' places, the last column the
+    least significant."""
+    size = inner = math.prod(map(len, columns))
+    grid = np.empty((size, len(columns)), dtype=np.int64)
+    for k, column in enumerate(columns):
+        inner //= len(column)
+        grid[:, k] = np.tile(column.repeat(inner), size // (len(column) * inner))
+    return grid
+
+
+def _mixed_number(digits, sizes):
+    """The mixed radix number, with ``sizes``, of the new arrays ``digits``."""
+    number = digits[0]
+    for digit, size in zip(digits[1:], sizes[1:]):
+        number *= size
+        number += digit
+    return number
 
 
 def cell_keys(cols, lo, spans):
@@ -731,10 +789,10 @@ class _SortedSpheres:
         return moves
 
 
-def _array_spheres(spec, N):
-    """S_0..S_N of an IntegerTupleGroup, each a tuple of int64 coordinate
-    columns in text-key order, or None when the box of B_N reaches
-    COORD_LIMIT or numbers 2^63 cells or more.
+def _array_rows(spec, N):
+    """The rows of B_N of an IntegerTupleGroup: one int64 row of coordinates
+    per element, sphere after sphere, each sphere in text-key order; or None
+    when the box of B_N reaches COORD_LIMIT or numbers 2^63 cells or more.
 
     Every point of B_N lies in the box ``spec.ball_bounds(N)`` and is keyed
     by its cell there (``cell_keys``).  The key is linear in the
@@ -747,16 +805,21 @@ def _array_spheres(spec, N):
     the fresh moves by one gather; it is kept when it takes no more bytes
     than the rows of B_N, box cells <= 8 d |B_N| (always on H3 and Z^1-Z^4),
     and otherwise a binary search among the sorted keys of S_{n-1} and
-    S_{n-2} tells them.  Only the fresh points are text-keyed
-    (:class:`TextRanks`); one sort of their keys, with repeats dropped, is
-    S_n in text-key order.
+    S_{n-2} tells them.  Only the fresh points are text-keyed, through
+    tables over parts of the columns, none longer than B_N
+    (:class:`TextRanks`; on H3 to radius 24, two of 2,401 and 289 entries);
+    one sort of their keys, with repeats dropped, is S_n in text-key order,
+    and the same tables write its rows into the array of |B_N| rows, the
+    size the growth series gives.
     """
     bounds = spec.ball_bounds(N)
     spans = [2 * m + 1 for m in bounds]
     cells = math.prod(spans)
     if max(bounds) >= COORD_LIMIT or cells >= 1 << 63:
         return None
-    ranks = TextRanks(bounds)
+    balls = ball_sizes(spec, N)
+    rows = np.empty((balls[-1], len(spans)), dtype=np.int64)
+    ranks = TextRanks(bounds, most=len(rows))
     lo = [-m for m in bounds]
     strides = [math.prod(spans[k + 1:]) for k in range(len(spans))]
     gens = np.array(spec.generators(), dtype=np.int64)
@@ -765,21 +828,17 @@ def _array_spheres(spec, N):
     # gains x_i s_j stride_k for each term (i, j, k)
     twists = [(i, g, int(s[j]) * strides[k]) for i, j, k in spec.bilinear_terms
               for g, s in enumerate(gens) if s[j]]
-    sphere = tuple(np.array([x], dtype=np.int64) for x in spec.identity())
-    spheres = [sphere]
-    keys = cell_keys(sphere, lo, spans)
-    row_bytes = 8 * len(spans) * ball_sizes(spec, N)[-1]
-    fresh = (_BoxBitmap(cells, keys) if cells <= row_bytes
+    rows[0] = spec.identity()
+    keys = cell_keys(tuple(rows[:1].T), lo, spans)
+    fresh = (_BoxBitmap(cells, keys) if cells <= 8 * rows.size
              else _SortedSpheres(keys))
-    for _ in range(N):
+    for start, end, stop in zip([0] + balls, balls, balls[1:]):
         moves = np.add.outer(offsets, keys)
         for i, g, step in twists:
-            moves[g] += sphere[i] * step
+            moves[g] += rows[start:end, i] * step
         text = _sorted_unique(ranks.of_cells(fresh(moves.ravel())))
-        sphere = ranks.columns(text)
-        spheres.append(sphere)
-        keys = cell_keys(sphere, lo, spans)
-    return spheres
+        keys = ranks.decode(text, rows[end:stop])
+    return rows
 
 
 def _free_spheres(spec, N):
@@ -835,6 +894,20 @@ def holding_balls(load):
         _HELD.reset(token)
 
 
+def holds_balls(function):
+    """``function`` run within ``holding_balls`` of new enumerations when no
+    holder is active, so that one call searches each ball once; within an
+    active holder it runs as it is, on that holder's loads.
+    ``enumerate_balls`` is looked up at each load, as in ``ball_index``."""
+    @functools.wraps(function)
+    def holding(*args, **kwargs):
+        if _HELD.get() is not None:
+            return function(*args, **kwargs)
+        with holding_balls(lambda *ball: enumerate_balls(*ball)):
+            return function(*args, **kwargs)
+    return holding
+
+
 @contextlib.contextmanager
 def reaching(spec, radius):
     """Within the block, a ball of ``spec`` that ``ball_index`` loads and
@@ -870,11 +943,10 @@ def _enumerate(spec, N):
     if isinstance(spec, FreeGroup):
         return LengthIndex(spec, N, spheres=_free_spheres(spec, N))
     if isinstance(spec, IntegerTupleGroup):
-        spheres = _array_spheres(spec, N)
-        if spheres is not None:
-            rows = np.column_stack([np.concatenate(col) for col in zip(*spheres)])
+        rows = _array_rows(spec, N)
+        if rows is not None:
             return LengthIndex(spec, N, rows=rows,
-                               sphere_sizes=[len(s[0]) for s in spheres])
+                               sphere_sizes=sphere_sizes(spec, N))
     return _dict_index(spec, N)
 
 
@@ -901,31 +973,65 @@ def _dict_index(spec, N):
 def _product_index(spec, N):
     """The index of a DirectProduct, whose word length is the sum of the
     factor lengths: S_n is the union over i + j = n of S_i(prefix) x
-    S_j(factor), each sphere sorted by the keys ``key_prefix + "|" +
-    key_factor``, which the index keeps.  A factor's ball is no larger than
-    the product's, so the product's budget covers every factor's search.
+    S_j(factor), one factor joined at a time, each sphere sorted by the text
+    keys ``key_prefix + "|" + key_factor``.  No factor's key holds "|", and
+    every prefix key holds as many, so of two distinct prefix keys + "|"
+    neither begins the other: the keys order as the pairs (rank of
+    key_prefix + "|" in the prefix's ball, rank of key_factor in the
+    factor's ball), one int64 each, and one sort of those orders a sphere.
+    A factor's ball is no larger than the product's, so the product's
+    budget covers every factor's search.
     """
     factors = [_enumerate(f, N) for f in spec.factors]
-    spheres = [[(g,) for g in sphere] for sphere in factors[0].spheres]
-    keys = _sphere_keys(factors[0])
-    for index in factors[1:]:
-        part_keys = _sphere_keys(index)
-        products = []
-        for n in range(N + 1):
-            pairs = sorted(
-                (key + "|" + part_key, g + (h,))
-                for i in range(n + 1)
-                for g, key in zip(spheres[i], keys[i])
-                for h, part_key in zip(index.spheres[n - i], part_keys[n - i]))
-            products.append(pairs)
-        keys = [[key for key, _ in pairs] for pairs in products]
-        spheres = [[g for _, g in pairs] for pairs in products]
-    return LengthIndex(spec, N, spheres=spheres, keys=keys)
+    balls = [list(index.ball(N)) for index in factors]
+    # the product's elements, in sphere order, as positions in each factor's
+    # ball; the positions in that order of the ranks of their keys + "|"
+    where = [np.arange(len(balls[0]))]
+    by_pipe = _text_order(factors[0].spec, balls[0], "|")
+    sizes = factors[0].sphere_sizes
+    for k in range(1, len(factors)):
+        index, ball = factors[k], balls[k]
+        pipe = _inverse(by_pipe)
+        by_rank = _text_order(index.spec, ball, "")
+        ranks = _inverse(by_rank)
+        starts = [0, *itertools.accumulate(sizes)]
+        part_starts = [0, *index.ball_sizes]
+        spheres = [np.sort(np.concatenate([
+            np.add.outer(pipe[starts[i]:starts[i + 1]] * len(ball),
+                         ranks[part_starts[n - i]:part_starts[n - i + 1]]).ravel()
+            for i in range(n + 1)])) for n in range(N + 1)]
+        pairs = np.concatenate(spheres)
+        first = pairs // len(ball)
+        part = by_rank[pairs - first * len(ball)]
+        where = [w[by_pipe[first]] for w in where] + [part]
+        sizes = list(map(len, spheres))
+        if k + 1 < len(factors):
+            # the joined keys + "|" order as the pairs (rank of key_prefix +
+            # "|", rank of key_factor + "|")
+            part_pipe = _inverse(_text_order(index.spec, ball, "|"))
+            by_pipe = np.argsort(first * len(ball) + part_pipe[part])
+    elements = list(zip(*(map(ball.__getitem__, w.tolist())
+                          for ball, w in zip(balls, where))))
+    ends = itertools.accumulate(sizes)
+    return LengthIndex(spec, N, spheres=[elements[end - size: end] for size, end
+                                         in zip(sizes, ends)])
 
 
-def _sphere_keys(index):
-    key = index.spec.element_key
-    return [list(map(key, sphere)) for sphere in index.spheres]
+def _text_order(spec, elements, suffix):
+    """The positions of ``elements`` in the order of their text keys +
+    ``suffix``."""
+    keys = list(map(spec.element_key, elements))
+    if suffix:
+        keys = [key + suffix for key in keys]
+    return np.array(sorted(range(len(keys)), key=keys.__getitem__),
+                    dtype=np.int64)
+
+
+def _inverse(order):
+    """The inverse of the permutation ``order``."""
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(len(order))
+    return inverse
 
 
 def _sphere_terms(spec):

@@ -53,6 +53,7 @@ from .groups import (
     ball_index,
     ball_sizes,
     embed,
+    holds_balls,
     reaching,
     sphere_sizes,
 )
@@ -154,6 +155,7 @@ def make_witness(spec, witness, n, d_hat=None):
     return next(_witness_family(spec, witness, [n], d_hat))
 
 
+@holds_balls
 def norm_bracket(a, method="auto", *, depth=6, exponent=None, R=None,
                  iters=200, seed=0, budget=DEFAULT_BUDGET):
     """Dispatch to the estimator ``method`` names for ``a``, an AlgebraElement
@@ -230,6 +232,7 @@ class RatioSeries:
         }
 
 
+@holds_balls
 def ratio_series(spec, witness, n_list, method="auto", d_hat=None, **settings):
     """Norm bracket and l2 norm of the witness at each n (skips empty witnesses).
 
@@ -424,6 +427,7 @@ def _ball_product_slacks(spec, max_sum, top, budget=DEFAULT_BUDGET):
                 yield n, total - n, float(least[n][total] - balls[n])
 
 
+@holds_balls
 def verify_ball_product_bound(spec, n, k, budget=DEFAULT_BUDGET):
     """Check chi(B_n) * chi(B_{n+k}) >= |B_n| chi(B_k) on the ball B_k.
 
@@ -441,6 +445,7 @@ def verify_ball_product_bound(spec, n, k, budget=DEFAULT_BUDGET):
     return (slack >= 0, float(slack))
 
 
+@holds_balls
 def ball_product_sweep(spec, max_sum, budget=DEFAULT_BUDGET):
     """Min slack of the ball product bound over all n, k >= 1 with n+k <= max_sum.
 
@@ -598,6 +603,7 @@ class SeriesProductReport:
     tail_comparison: list
 
 
+@holds_balls
 def verify_series_product_bound(spec, r, alpha, beta, K, budget=DEFAULT_BUDGET):
     """Finite pointwise bound for the product of two truncated series.
 
@@ -696,6 +702,7 @@ class HeredityReport:
     rows: list
 
 
+@holds_balls
 def verify_heredity(embedding: Embedding, n_list, method="auto", **settings):
     """Subgroup witness ratios, measured in the ambient word-length, against
     the ambient ball-witness ratio at the same n.
@@ -808,6 +815,7 @@ class RdReport:
         }
 
 
+@holds_balls
 def build_report(spec, n_list, s_values=(), method="auto",
                  window=(REPORT_FIT_FROM, None), **settings):
     n_list = list(n_list)

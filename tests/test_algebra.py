@@ -198,6 +198,11 @@ class TestPointwise:
         empty = R.AlgebraElement(spec=Z, coeffs={}, support_radius=0)
         assert R.pointwise_geq(empty, empty) == (True, 0.0)
 
+    def test_infinite_slacks_are_the_least(self):
+        # every slack +inf: the least is inf, not the empty support's 0.0
+        a = R.AlgebraElement(spec=Z2, coeffs={(0, 0): math.inf})
+        assert R.pointwise_geq(a, R.point_mass(Z2, (0, 0))) == (True, math.inf)
+
     @pytest.mark.parametrize("a", [
         {(0, 0): math.nan},
         {(0, 0): math.nan, (1, 0): 1.0},

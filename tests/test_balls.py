@@ -16,12 +16,13 @@ gives for a fresh search, and names the first line of any other file.
 """
 
 import hashlib
+import math
 import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import rdlab as R
@@ -34,7 +35,7 @@ from rdlab.cache import (
     write_ball_cache,
 )
 from rdlab.errors import BudgetExceededError
-from rdlab.groups import COORD_LIMIT, IntegerTupleGroup, TextRanks
+from rdlab.groups import COORD_LIMIT, IntegerTupleGroup, TextRanks, cell_keys
 
 # the largest radius each group is searched to: a few thousand elements
 RADII = {"Z^1": 40, "Z^2": 12, "Z^3": 6, "Z^4": 4, "H3": 6}
@@ -168,6 +169,40 @@ PRODUCT_IDS = ["Z^1xF2", "Z^2xC3", "F2xC4", "Z^1xH3", "Z^1xF2xC5", "C3xZ^1",
                "F1xZ^2xH3"]
 
 
+def joined_key_spheres(factors, N):
+    """S_0..S_N of the product of ``factors``, joined one factor at a time:
+    sphere n holds prefix + (h,) for prefix in S_i of the factors before
+    and h in S_{n-i} of the next, sorted by prefix key + "|" + key of h."""
+    def key(spec, g):
+        return "|".join(f.element_key(x) for f, x in zip(spec, g))
+    first = R.enumerate_balls(factors[0], N).spheres
+    spheres = [[(g,) for g in sphere] for sphere in first]
+    for k, factor in enumerate(factors[1:], start=1):
+        parts = R.enumerate_balls(factor, N).spheres
+        spheres = [sorted((g + (h,) for i in range(n + 1) for g in spheres[i]
+                           for h in parts[n - i]),
+                          key=lambda g: key(factors[:k], g[:k]) + "|"
+                          + factor.element_key(g[k]))
+                   for n in range(N + 1)]
+    return spheres
+
+
+PRODUCT_FACTORS = ["Z^1", "Z^2", "H3", "C3", "C4", "C12", "F1", "F2", "F3"]
+
+
+@given(st.lists(st.sampled_from(PRODUCT_FACTORS), min_size=2, max_size=3),
+       st.integers(0, 4))
+# "a" and "ab" in F2: "ab|" sorts before "a|", where "a" sorts before "ab"
+@example(["F2", "Z^1"], 3)
+@example(["F2", "F2", "C3"], 3)
+@example(["Z^2", "F3", "H3"], 2)
+def test_product_spheres_sort_by_joined_keys(names, N):
+    factors = [R.parse_descriptor(name) for name in names]
+    spec = R.DirectProduct(factors)
+    assume(R.ball_sizes(spec, N)[-1] <= 20_000)
+    assert R.enumerate_balls(spec, N).spheres == joined_key_spheres(factors, N)
+
+
 @pytest.fixture
 def dict_searches(monkeypatch):
     """The descriptors of the groups the dict search runs on, in order."""
@@ -240,8 +275,6 @@ def test_a_larger_ball_holds_the_smaller_ones(descriptor, data):
     assert list(big.ball(r)) == list(small.ball(r))
     if small.rows is not None:
         assert np.array_equal(big.rows[: small.size()], small.rows)
-    if small.keys is not None:
-        assert big.keys[: r + 1] == small.keys
 
 
 @given(groups() | st.sampled_from([(p, N) for p, N, _ in PRODUCTS]), st.data())
@@ -327,7 +360,44 @@ def test_text_order_sorts_as_element_key(rows):
     cols = tuple(np.array(rows, dtype=np.int64).T)
     keys = ranks.keys(cols)
     assert [rows[i] for i in keys.argsort(kind="stable")] == sorted(rows, key=key)
-    assert list(zip(*(col.tolist() for col in ranks.columns(keys)))) == rows
+    back = np.empty((len(rows), len(rows[0])), dtype=np.int64)
+    ranks.decode(keys, back)
+    assert list(map(tuple, back.tolist())) == rows
+
+
+@pytest.mark.parametrize("descriptor, N, sizes", [
+    ("H3", 24, [2401, 289]),
+    ("Z^1", 1000, [2001]),
+    ("Z^5", 12, [625, 15625]),
+    # 9^5 cells in each half of the columns, more than the 8,361 elements
+    # of B_4: each half is split again
+    ("Z^10", 4, [81, 729, 81, 729]),
+    # 3^39 cells for the 79 elements of B_1: halved down to 9 or 27 cells
+    ("Z^39", 1, None),
+])
+def test_the_search_tables_give_the_text_ranks(descriptor, N, sizes):
+    # the search keys cells through tables over parts of the columns, none
+    # longer than the ball; they must give the keys of one table per column
+    spec = R.parse_descriptor(descriptor)
+    bounds = spec.ball_bounds(N)
+    index = R.enumerate_balls(spec, N)
+    tables = TextRanks(bounds, most=index.size())
+    columns = TextRanks(bounds)
+    assert max(tables.sizes) <= index.size()
+    assert sizes in (None, tables.sizes)
+    assert columns.sizes == [2 * m + 1 for m in bounds]
+    spans = columns.spans
+    cells = np.concatenate([
+        cell_keys(tuple(index.rows.T), [-m for m in bounds], spans),
+        np.random.default_rng(0).integers(0, math.prod(spans), 10_000)])
+    keys = columns.of_cells(cells)
+    assert np.array_equal(tables.of_cells(cells), keys)
+    rows, back = (np.empty((len(keys), len(bounds)), dtype=np.int64)
+                  for _ in range(2))
+    assert np.array_equal(tables.decode(keys, rows), cells)
+    assert np.array_equal(columns.decode(keys, back), cells)
+    assert np.array_equal(rows, back)
+    assert np.array_equal(rows[: index.size()], index.rows)
 
 
 def cut(lines):

@@ -203,6 +203,45 @@ class TestIndexPlanning:
         with pytest.raises(TypeError, match="exponnent"):
             R.verify_heredity(R.standard_embedding("Z:Z"), [4], exponnent=8)
 
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The (group, radius) of each search, in order."""
+        searched = []
+        enumerate_balls = rdlab.groups.enumerate_balls
+
+        def recording(spec, N, *args, **kwargs):
+            searched.append((spec.descriptor(), N))
+            return enumerate_balls(spec, N, *args, **kwargs)
+        monkeypatch.setattr(rdlab.groups, "enumerate_balls", recording)
+        return searched
+
+    def test_a_library_call_searches_each_ball_once(self, searches):
+        # outside any holder an entry point holds its own balls: the series
+        # product bound expands both series from B_16 and reads B_14; the
+        # power series expands witnesses from B_4 (reached from n = 1) and
+        # compresses each to B_6
+        R.verify_series_product_bound(Z2, 2, 1.0, 1.0, 8)
+        assert searches == [("Z^2", 16)]
+        searches.clear()
+        R.ratio_series(H3, "ball", [1, 2, 3, 4], method="power", R=6)
+        assert searches == [("H3", 4), ("H3", 6)]
+        # the balls go when the call ends
+        R.verify_series_product_bound(Z2, 2, 1.0, 1.0, 8)
+        assert searches[2:] == [("Z^2", 16)]
+
+    def test_an_active_holder_serves_the_call(self, searches):
+        # within a holder, such as a command's, its loader serves every
+        # load, none searches around it, and its balls outlive the call
+        loads = []
+
+        def load(spec, radius, budget):
+            loads.append(radius)
+            return R.enumerate_balls(spec, radius, budget)
+        with R.holding_balls(load):
+            for _ in range(2):
+                R.verify_series_product_bound(Z2, 2, 1.0, 1.0, 8)
+        assert loads == [16] and searches == []
+
     def test_rank_one_radial_witness_is_exact(self):
         est = R.norm_bracket(make_witness(R.FreeGroup(1), "ball", 4))
         assert est.method == "amenable_exact" and est.lower == est.upper == 9.0
