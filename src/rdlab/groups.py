@@ -1020,9 +1020,7 @@ def _product_index(spec, N):
 def _text_order(spec, elements, suffix):
     """The positions of ``elements`` in the order of their text keys +
     ``suffix``."""
-    keys = list(map(spec.element_key, elements))
-    if suffix:
-        keys = [key + suffix for key in keys]
+    keys = [key + suffix for key in map(spec.element_key, elements)]
     return np.array(sorted(range(len(keys)), key=keys.__getitem__),
                     dtype=np.int64)
 
