@@ -680,30 +680,31 @@ class TextRanks:
     def of_cells(self, cells):
         """The keys of the tuples in the box's cells ``cells``, numbered as
         ``cell_keys`` numbers them from the corner -bounds."""
-        return _mixed_number([ranks[digit] for ranks, digit
-                              in zip(self.ranks, self._digits(cells))],
-                             self.sizes)
+        return self._convert(self.ranks, cells)
 
     def decode(self, keys, rows):
         """Write the coordinates of the tuples with ``keys`` into the int64
         array ``rows``, one row per key; return their cells."""
-        digits = self._digits(keys)
-        for part, values, digit in zip(self.parts, self.values, digits):
-            rows[:, part] = values.take(digit, axis=0)
-        return _mixed_number([cells[digit] for cells, digit
-                              in zip(self.cells, digits)], self.sizes)
+        return self._convert(self.cells, keys, rows)
 
-    def _digits(self, numbers):
-        """The parts' digits of the mixed radix ``numbers``."""
-        digits = []
+    def _convert(self, tables, numbers, rows=None):
+        """The mixed radix number of the ``tables`` entries at the parts'
+        digits of ``numbers``; the parts' coordinates go into ``rows``."""
+        digits = [numbers]
         for size in self.sizes[:0:-1]:
             # floor division by a scalar and a product run several times
             # faster than np.divmod
-            quotient = numbers // size
-            digits.append(numbers - quotient * size)
-            numbers = quotient
-        digits.append(numbers)
-        return digits[::-1]
+            quotient = digits[0] // size
+            digits[0] = digits[0] - quotient * size
+            digits.insert(0, quotient)
+        out = tables[0][digits[0]]
+        for table, size, digit in zip(tables[1:], self.sizes[1:], digits[1:]):
+            out *= size
+            out += table[digit]
+        if rows is not None:
+            for part, values, digit in zip(self.parts, self.values, digits):
+                rows[:, part] = values.take(digit, axis=0)
+        return out
 
 
 def _parts(spans, most):
@@ -727,15 +728,6 @@ def _grid(columns):
         inner //= len(column)
         grid[:, k] = np.tile(column.repeat(inner), size // (len(column) * inner))
     return grid
-
-
-def _mixed_number(digits, sizes):
-    """The mixed radix number, with ``sizes``, of the new arrays ``digits``."""
-    number = digits[0]
-    for digit, size in zip(digits[1:], sizes[1:]):
-        number *= size
-        number += digit
-    return number
 
 
 def cell_keys(cols, lo, spans):

@@ -155,7 +155,6 @@ def make_witness(spec, witness, n, d_hat=None):
     return next(_witness_family(spec, witness, [n], d_hat))
 
 
-@holds_balls
 def norm_bracket(a, method="auto", *, depth=6, exponent=None, R=None,
                  iters=200, seed=0, budget=DEFAULT_BUDGET):
     """Dispatch to the estimator ``method`` names for ``a``, an AlgebraElement
@@ -427,7 +426,6 @@ def _ball_product_slacks(spec, max_sum, top, budget=DEFAULT_BUDGET):
                 yield n, total - n, float(least[n][total] - balls[n])
 
 
-@holds_balls
 def verify_ball_product_bound(spec, n, k, budget=DEFAULT_BUDGET):
     """Check chi(B_n) * chi(B_{n+k}) >= |B_n| chi(B_k) on the ball B_k.
 
@@ -445,7 +443,6 @@ def verify_ball_product_bound(spec, n, k, budget=DEFAULT_BUDGET):
     return (slack >= 0, float(slack))
 
 
-@holds_balls
 def ball_product_sweep(spec, max_sum, budget=DEFAULT_BUDGET):
     """Min slack of the ball product bound over all n, k >= 1 with n+k <= max_sum.
 
