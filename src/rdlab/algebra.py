@@ -551,7 +551,7 @@ def _outside_error(index, M, r, a, lengths):
     spec, key = index.spec, index.spec.element_key
     i, p = np.argwhere(lengths < 0)[0].tolist()
     g = index.sphere(r)[a + i]
-    x = next(itertools.islice(index.ball(M), p, None))
+    x = index.ball(M)[p]
     y = spec.multiply(spec.inverse(x), g)
     return IndexRadiusError(
         f"{key(x)!r}^-1 * {key(g)!r} = {key(y)!r} is not in B_{M} of the "

@@ -99,12 +99,12 @@ def serialize_index(index: LengthIndex):
     spheres = ",".join(str(size) for size in index.sphere_sizes)
     header = (f"{HEADER_PREFIX} | {spec.descriptor()} | N={index.radius} | "
               f"spheres={spheres}\n")
+    lengths = np.repeat(np.arange(index.radius + 1), index.sphere_sizes)
     if index.rows is not None:
-        lengths = np.repeat(np.arange(index.radius + 1), index.sphere_sizes)
         return header + _records([*index.rows.T, lengths])
-    keys = [map(spec.element_key, sphere) for sphere in index.spheres]
-    return header + "".join([f"{key}\t{n}\n" for n, sphere in enumerate(keys)
-                             for key in sphere])
+    keys = map(spec.element_key, index.ball(index.radius))
+    return header + "".join([f"{key}\t{n}\n"
+                             for key, n in zip(keys, lengths.tolist())])
 
 
 def write_ball_cache(index: LengthIndex, path):

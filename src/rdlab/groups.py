@@ -4,8 +4,9 @@ Each group comes with a canonical element form, its standard symmetric
 generating set, its rational growth series sum |S_n| z^n = P(z)/Q(z), whose
 division gives every sphere size, and a closed formula for its word length.
 Balls and spheres are enumerated sphere by sphere; the result is a
-:class:`LengthIndex`.  The analysis layers ask ``ball_index`` for the ball
-each computation needs, and the kernels that consume one are handed it.
+:class:`LengthIndex`, whose elements are listed at their first read.  The
+analysis layers ask ``ball_index`` for the ball each computation needs, and
+the kernels that consume one are handed it.
 ``sphere_sizes`` and ``ball_sizes`` answer from the
 growth series and ``word_length`` from the formula, so neither reads an
 index, and ``enumerate_balls`` meets its budget from the series before any
@@ -19,15 +20,15 @@ offset; a bitmap of the cells reached, or where the box is sparse a binary
 search among the keys of S_{n-1} and S_n, tells the fresh points.  Those
 are keyed by the text ranks of their coordinates (:class:`TextRanks`),
 through a few lookup tables over parts of the box, so one sort both drops
-repeats and puts the sphere in text-key order.  Their index holds the
-spheres as one array of rows and builds element tuples only when a lookup
-needs them.  On F_r each word of S_n, extended by every letter that does
-not cancel its last one, gives S_{n+1} already in text order.  A
-:class:`DirectProduct` searches each factor by the factor's own path and
-assembles S_n as the union over i + j = n of S_i(first factors) x
-S_j(next factor), ordered by one int64 key per pair built from the ranks
-of the two keys.  C_m runs the search on a dict of element values.  Every
-path lists each sphere in text-key order.
+repeats and puts the sphere in text-key order.  Their index also holds the
+ball as one array of rows, from which its element tuples are decoded.  On
+F_r each word of S_n, extended by every letter that does not cancel its
+last one, gives S_{n+1} already in text order.  A :class:`DirectProduct`
+searches each factor by the factor's own path and assembles S_n as the
+union over i + j = n of S_i(first factors) x S_j(next factor), ordered by
+one int64 key per pair built from the ranks of the two keys; its element
+tuples are zipped from the factors' balls.  C_m runs the search on a dict
+of element values.  Every path lists each sphere in text-key order.
 
 Canonical element values are plain hashable Python data:
 
@@ -581,52 +582,47 @@ def parse_descriptor(text):
 class LengthIndex:
     """Radius-bounded word-length table with sphere and ball counts.
 
-    ``spheres[n]`` lists the elements at distance exactly n, sorted by their
-    text key so that every search (array, word, product or dict; a cache read
-    is a search checked against the file) yields the same order, and ``lengths``
-    maps each element to its length, built at its first read when not given.
-    An index of an :class:`IntegerTupleGroup` may be built from ``rows``
-    instead: an int64 array with one row of coordinates per element, in
-    sphere order.  It then builds ``spheres`` at their first read too.
-    ``rows`` is None on an index built from ``spheres``.
+    The ball B_radius is one list of elements, sphere after sphere, each
+    sorted by text key so that every search (array, word, product or dict;
+    a cache read is a search checked against the file) yields the same
+    order.  ``elements``, a function of no arguments, returns the list at
+    the first read of an element; ``sphere(n)`` and ``ball(n)`` are slices
+    of it, and ``spheres`` and ``lengths`` (each element's length) are
+    derived from it at each read.  ``rows``, on an IntegerTupleGroup, is an
+    int64 array with one row of coordinates per element in the same order.
     """
 
-    def __init__(self, spec, radius, spheres=None, lengths=None, rows=None,
-                 sphere_sizes=None):
+    def __init__(self, spec, radius, sphere_sizes, elements, rows=None):
         self.spec = spec
         self.radius = radius
         self.rows = rows
-        self._spheres = spheres
-        self._lengths = lengths
-        if spheres is not None:
-            sphere_sizes = [len(s) for s in spheres]
         self.sphere_sizes = list(sphere_sizes)
         self.ball_sizes = list(itertools.accumulate(self.sphere_sizes))
+        self._load, self._elements = elements, None
+
+    def _ball(self):
+        if self._load is not None:
+            self._elements, self._load = self._load(), None
+        return self._elements
 
     @property
     def spheres(self):
-        if self._spheres is None:
-            elements = list(map(tuple, self.rows.tolist()))
-            self._spheres = [elements[end - size: end] for size, end
-                             in zip(self.sphere_sizes, self.ball_sizes)]
-        return self._spheres
+        return [self.sphere(n) for n in range(self.radius + 1)]
 
     @property
     def lengths(self):
-        if self._lengths is None:
-            self._lengths = {g: n for n, sphere in enumerate(self.spheres)
-                             for g in sphere}
-        return self._lengths
+        return {g: n for n, sphere in enumerate(self.spheres) for g in sphere}
 
     def sphere(self, n):
         if n > self.radius:
             raise IndexRadiusError(f"sphere {n} exceeds index radius {self.radius}")
-        return self.spheres[n]
+        end = self.ball_sizes[n]
+        return self._ball()[end - self.sphere_sizes[n]: end]
 
     def ball(self, n):
         if n > self.radius:
             raise IndexRadiusError(f"ball {n} exceeds index radius {self.radius}")
-        return itertools.chain.from_iterable(self.spheres[: n + 1])
+        return self._ball()[: self.ball_sizes[n]]
 
     def size(self):
         return self.ball_sizes[-1]
@@ -917,7 +913,10 @@ def ball_index(spec, radius, budget=DEFAULT_BUDGET):
     ``enumerate_balls(spec, radius)`` first: inside ``holding_balls`` the
     ball held for ``spec`` if it reaches ``radius``, else a new load held in
     its place; outside, a new enumeration.  ``enumerate_balls`` is looked up
-    at each call, so a wrapper set on this module sees every load."""
+    at each call, so a wrapper set on this module sees every load.  A
+    negative radius raises ValueError, held balls or not."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     held = _HELD.get()
     if held is None:
         return enumerate_balls(spec, radius, budget)
@@ -933,33 +932,37 @@ def _enumerate(spec, N):
     if isinstance(spec, DirectProduct):
         return _product_index(spec, N)
     if isinstance(spec, FreeGroup):
-        return LengthIndex(spec, N, spheres=_free_spheres(spec, N))
+        return _listed_index(spec, N, _free_spheres(spec, N))
     if isinstance(spec, IntegerTupleGroup):
         rows = _array_rows(spec, N)
         if rows is not None:
-            return LengthIndex(spec, N, rows=rows,
-                               sphere_sizes=sphere_sizes(spec, N))
+            return LengthIndex(spec, N, sphere_sizes(spec, N),
+                               lambda: list(map(tuple, rows.tolist())), rows)
     return _dict_index(spec, N)
+
+
+def _listed_index(spec, N, spheres):
+    """The index of the lists ``spheres``, S_0..S_N, one after another."""
+    ball = list(itertools.chain.from_iterable(spheres))
+    return LengthIndex(spec, N, map(len, spheres), lambda: ball)
 
 
 def _dict_index(spec, N):
     e = spec.identity()
     gens = spec.generators()
-    lengths = {e: 0}
+    seen = {e}
     spheres = [[e]]
-    frontier = [e]
-    for n in range(1, N + 1):
+    for _ in range(N):
         nxt = []
-        for g in frontier:
+        for g in spheres[-1]:
             for s in gens:
                 h = spec.multiply(g, s)
-                if h not in lengths:
-                    lengths[h] = n
+                if h not in seen:
+                    seen.add(h)
                     nxt.append(h)
         nxt.sort(key=spec.element_key)
         spheres.append(nxt)
-        frontier = nxt
-    return LengthIndex(spec, N, spheres=spheres, lengths=lengths)
+    return _listed_index(spec, N, spheres)
 
 
 def _product_index(spec, N):
@@ -972,10 +975,11 @@ def _product_index(spec, N):
     key_prefix + "|" in the prefix's ball, rank of key_factor in the
     factor's ball), one int64 each, and one sort of those orders a sphere.
     A factor's ball is no larger than the product's, so the product's
-    budget covers every factor's search.
+    budget covers every factor's search.  The product's element tuples are
+    zipped from the factors' balls at the first read of one.
     """
     factors = [_enumerate(f, N) for f in spec.factors]
-    balls = [list(index.ball(N)) for index in factors]
+    balls = [index.ball(N) for index in factors]
     # the product's elements, in sphere order, as positions in each factor's
     # ball; the positions in that order of the ranks of their keys + "|"
     where = [np.arange(len(balls[0]))]
@@ -1002,11 +1006,8 @@ def _product_index(spec, N):
             # "|", rank of key_factor + "|")
             part_pipe = _inverse(_text_order(index.spec, ball, "|"))
             by_pipe = np.argsort(first * len(ball) + part_pipe[part])
-    elements = list(zip(*(map(ball.__getitem__, w.tolist())
-                          for ball, w in zip(balls, where))))
-    ends = itertools.accumulate(sizes)
-    return LengthIndex(spec, N, spheres=[elements[end - size: end] for size, end
-                                         in zip(sizes, ends)])
+    return LengthIndex(spec, N, sizes, lambda: list(zip(*(
+        map(ball.__getitem__, w.tolist()) for ball, w in zip(balls, where)))))
 
 
 def _text_order(spec, elements, suffix):
@@ -1102,8 +1103,7 @@ def embed(sub, ambient, images, check_radius=3):
                 f"no image supplied for generator {sub.element_key(s)!r}")
     emb = Embedding(sub=sub, ambient=ambient, images=full_images)
 
-    index = enumerate_balls(sub, check_radius)
-    elems = list(index.ball(check_radius))
+    elems = enumerate_balls(sub, check_radius).ball(check_radius)
     image_of = {g: emb.apply(g) for g in elems}
 
     seen = {}

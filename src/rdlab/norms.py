@@ -155,9 +155,9 @@ class RadialElement:
     """The sphere function sum_j coeffs[j] chi(S_j) on ``spec``.
 
     ``sizes[j]`` is the exact sphere size |S_j| from the growth series,
-    resolved once when the element is built; l1, l2 and
-    the exact amenable norm are then sums over radii on every group.
-    Convolution stays with the free groups of ``radial_rank``.
+    read at each use; l1, l2 and the exact amenable norm are then sums over
+    radii on every group.  Convolution stays with the free groups of
+    ``radial_rank``.
 
     ``sums``, when the builder gives it, is the element's ``RadialSums``,
     which ``coefficient_norm`` and ``is_nonnegative`` then read in place of
@@ -166,8 +166,11 @@ class RadialElement:
 
     spec: GroupSpec
     coeffs: list
-    sizes: list
     sums: RadialSums = field(default=None, compare=False, repr=False)
+
+    @property
+    def sizes(self):
+        return sphere_sizes(self.spec, len(self.coeffs) - 1)
 
     def is_nonnegative(self):
         if self.sums is not None:
@@ -179,7 +182,7 @@ class RadialElement:
         while c and c[-1] == 0.0:
             c.pop()
         c = c or [0.0]
-        return RadialElement(spec=self.spec, coeffs=c, sizes=self.sizes[: len(c)])
+        return RadialElement(spec=self.spec, coeffs=c)
 
 
 def radial_rank(spec):
@@ -192,9 +195,7 @@ def radial_rank(spec):
 
 def free_radial(rank, coeffs):
     """sum_j coeffs[j] chi(S_j) on the free group of the given rank."""
-    spec, coeffs = FreeGroup(rank), list(coeffs)
-    return RadialElement(spec=spec, coeffs=coeffs,
-                         sizes=sphere_sizes(spec, len(coeffs) - 1))
+    return RadialElement(spec=FreeGroup(rank), coeffs=list(coeffs))
 
 
 def radial_ball(rank, n):
@@ -227,7 +228,7 @@ def radial_from_algebra(a: AlgebraElement):
         if any(v != first for v in values):
             return None
         coeffs[j] = first
-    return RadialElement(spec=a.spec, coeffs=coeffs, sizes=sizes)
+    return RadialElement(spec=a.spec, coeffs=coeffs)
 
 
 def radial_to_algebra(x: RadialElement, budget=DEFAULT_BUDGET):
@@ -312,9 +313,7 @@ def radial_convolve(x: RadialElement, y: RadialElement):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         *_, out = radial_partial_products(x, y)
-    coeffs = out.tolist()
-    return RadialElement(spec=x.spec, coeffs=coeffs,
-                         sizes=sphere_sizes(x.spec, len(coeffs) - 1)).trimmed()
+    return RadialElement(spec=x.spec, coeffs=out.tolist()).trimmed()
 
 
 def _as_float(value):
@@ -575,7 +574,7 @@ def op_norm_power_iteration(a: AlgebraElement, R, iters=200, seed=0,
             f"power iteration's matrix would hold {entries} entries, past the "
             f"budget of {budget}")
     index = ball_index(a.spec, R, budget)
-    ball = (list(index.ball(R)) if index.rows is None
+    ball = (index.ball(R) if index.rows is None
             else index.rows[: index.ball_sizes[R]].T)
     mat = _compression_matrix(a, ball)
     # each entry of mat^T w is summed from 0.0 over the rows of mat in

@@ -135,7 +135,7 @@ def _witness_family(spec, witness, n_list, d_hat):
             coeffs = weights[: n + 1]
             sums = carried = sums.extended(coeffs[done:], sizes[done:])
         done = n + 1
-        yield RadialElement(spec=spec, coeffs=coeffs, sizes=sizes, sums=carried)
+        yield RadialElement(spec=spec, coeffs=coeffs, sums=carried)
 
 
 def witness_element(x: RadialElement, budget=DEFAULT_BUDGET):
@@ -407,16 +407,14 @@ def _ball_product_slacks(spec, max_sum, top, budget=DEFAULT_BUDGET):
     count, so the slack is exact.  ``budget`` bounds the entries of the
     largest table of counts (see ``ball_pair_counts``).
     """
-    spheres = sphere_sizes(spec, max_sum)
-    balls = list(accumulate(spheres))
+    balls = ball_sizes(spec, max_sum)
     radial = radial_rank(spec) is not None
     least = None if radial else ball_product_minima(
         ball_index(spec, max_sum, budget), max_sum, top, budget)
     for total in range(max_sum, 1, -1):
         width = min(top, total - 1)
         if radial:
-            x, y = (RadialElement(spec=spec, coeffs=[1] * (m + 1),
-                                  sizes=spheres[: m + 1])
+            x, y = (RadialElement(spec=spec, coeffs=[1] * (m + 1))
                     for m in (width, total))
             for n, lhs in enumerate(radial_partial_products(x, y)):
                 if n:
@@ -535,8 +533,7 @@ def build_ball_series(spec, r, alpha, K):
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
     top = r * K
-    spheres = sphere_sizes(spec, top)
-    balls = list(accumulate(spheres))
+    balls = ball_sizes(spec, top)
     _check_float_range(spec, balls)
     ball_at_rk = [balls[r * k] for k in range(1, K + 1)]
 
@@ -548,8 +545,7 @@ def build_ball_series(spec, r, alpha, K):
 
     values = [shell[0]] + [shell[(i - 1) // r] for i in range(1, top + 1)]
     return BallSeries(r=r, alpha=alpha, K=K, ball_size_at_rk=ball_at_rk,
-                      function=RadialElement(spec=spec, coeffs=values,
-                                             sizes=spheres))
+                      function=RadialElement(spec=spec, coeffs=values))
 
 
 # why a SeriesL2Bounds has no upper end
@@ -716,7 +712,7 @@ def verify_heredity(embedding: Embedding, n_list, method="auto", **settings):
     n_list = list(n_list)
     sub, top = embedding.sub, max(n_list) + 1
     sub_index = ball_index(sub, top, settings.get("budget", DEFAULT_BUDGET))
-    elems = list(sub_index.ball(top))
+    elems = sub_index.ball(top)
     image_length = {g: embedding.ambient_length(g) for g in elems}
 
     top_sphere = sub_index.sphere(top)
@@ -813,9 +809,9 @@ class RdReport:
 
 
 @holds_balls
-def build_report(spec, n_list, s_values=(), method="auto",
-                 window=(REPORT_FIT_FROM, None), **settings):
+def build_report(spec, n_list, s_values=(), method="auto", **settings):
     n_list = list(n_list)
+    window = (REPORT_FIT_FROM, None)
     balls = ball_sizes(spec, max(n_list))
     growth_fit = fit_loglog(((n, balls[n]) for n in n_list), window)
     ball_ser = ratio_series(spec, "ball", n_list, method=method, **settings)

@@ -26,6 +26,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import rdlab as R
+import rdlab.cli
 import rdlab.groups
 from rdlab.cache import (
     CacheFormatError,
@@ -201,6 +202,45 @@ def test_product_spheres_sort_by_joined_keys(names, N):
     spec = R.DirectProduct(factors)
     assume(R.ball_sizes(spec, N)[-1] <= 20_000)
     assert R.enumerate_balls(spec, N).spheres == joined_key_spheres(factors, N)
+
+
+@pytest.fixture
+def element_loads(monkeypatch):
+    """[(index, its element list loads so far)] for each LengthIndex of a
+    product built from now on."""
+    built = []
+
+    class Counted(rdlab.groups.LengthIndex):
+        def __init__(self, spec, radius, sphere_sizes, elements, rows=None):
+            loads = []
+
+            def load():
+                loads.append(radius)
+                return elements()
+            super().__init__(spec, radius, sphere_sizes, load, rows)
+            if isinstance(spec, R.DirectProduct):
+                built.append((self, loads))
+    monkeypatch.setattr(rdlab.groups, "LengthIndex", Counted)
+    return built
+
+
+def test_a_product_lists_its_elements_at_the_first_read(element_loads,
+                                                        capsys):
+    # growth reads sphere sizes only, so Z^1xF2's 26,225 tuples are never
+    # built; a library search builds them at the first element read, once,
+    # in the joined-key order
+    assert rdlab.cli.run_command(["growth", "--group", "Z^1xF2",
+                                  "--radius", "8"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "8,17494,26225"
+    [(_, loads)] = element_loads
+    assert loads == []
+    index = R.enumerate_balls(R.parse_descriptor("Z^1xF2"), 8)
+    assert (index.size(), index.ball_sizes[-1]) == (26225, 26225)
+    assert element_loads[1:] == [(index, [])]
+    factors = [R.FreeAbelian(1), R.FreeGroup(2)]
+    assert index.spheres == joined_key_spheres(factors, 8)
+    assert index.sphere(3) == index.ball(3)[-index.sphere_sizes[3]:]
+    assert element_loads[1:] == [(index, [8])]
 
 
 @pytest.fixture

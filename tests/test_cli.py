@@ -931,6 +931,19 @@ class TestExitCodes:
         assert run_command(["growth", "--group", "Z^2", "--radius", "6",
                             "--budget", "10"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        "growth --group Z --radius -1",
+        "growth --group Z^1xF2 --radius -1 --format json",
+        "cache build --group Z --radius -1"])
+    def test_a_negative_radius_is_refused(self, argv, tmp_path, capsys):
+        # growth loads its ball inside the command's holder, cache build
+        # outside it; both refuse the radius and print no table
+        argv = argv.split() + ["--cache-dir", str(tmp_path)]
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: radius must be >= 0" in captured.err
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
     def test_verification_failure(self):
         assert run_command(["verify", "doubling", "--group", "Z",
                             "--r", "2", "--k", "4"]) == 1

@@ -59,9 +59,10 @@ class TestGroupLaw:
         # products of enumerated elements land back in the enumerated table
         for spec in (Z2, H3, F2):
             index = R.enumerate_balls(spec, 8)
+            lengths = index.lengths
             for g in index.ball(4):
                 for h in index.sphere(4):
-                    assert spec.multiply(g, h) in index.lengths
+                    assert spec.multiply(g, h) in lengths
 
 
 class TestWordLength:

@@ -242,8 +242,7 @@ def test_products_build_no_dict(argv, products, capsys):
 def test_sphere_functions_expand_from_rows(spec, coeffs):
     # the rows of the ball, sphere by sphere, zero coefficients left out:
     # the dict that the spheres' tuples give, in its order
-    x = norms.RadialElement(spec=spec, coeffs=coeffs,
-                            sizes=R.sphere_sizes(spec, len(coeffs) - 1))
+    x = norms.RadialElement(spec=spec, coeffs=coeffs)
     dense = R.radial_to_algebra(x)
     index = R.enumerate_balls(spec, len(coeffs) - 1)
     twin = R.AlgebraElement(spec=spec, support_radius=len(coeffs) - 1, coeffs={
@@ -489,8 +488,7 @@ def list_radial_convolve(x, y):
                 y_next[i] -= bump * v
             y_prev, y_cur = y_cur, y_next
             add(out, y_cur, cx[m])
-    return R.RadialElement(spec=x.spec, coeffs=out,
-                           sizes=R.sphere_sizes(x.spec, len(out) - 1)).trimmed()
+    return R.RadialElement(spec=x.spec, coeffs=out).trimmed()
 
 
 def radial_bits(x):
@@ -527,8 +525,7 @@ def test_radial_kernel_matches_the_list_recursion(pair):
 
 
 def running_sum(x, out):
-    return R.RadialElement(spec=x.spec, coeffs=out.tolist(),
-                           sizes=R.sphere_sizes(x.spec, len(out) - 1)).trimmed()
+    return R.RadialElement(spec=x.spec, coeffs=out.tolist()).trimmed()
 
 
 @settings(max_examples=200)
@@ -698,8 +695,9 @@ COUNT_IDS = [spec.descriptor() for spec, _ in COUNT_CASES]
 
 
 def dict_index(index):
-    """``index`` rebuilt from its spheres, without int64 rows."""
-    return R.LengthIndex(index.spec, index.radius, spheres=index.spheres)
+    """``index`` rebuilt from its elements, without int64 rows."""
+    return R.LengthIndex(index.spec, index.radius, index.sphere_sizes,
+                         lambda: index.ball(index.radius))
 
 
 def counts_of(index, M, top=None, budget=R.DEFAULT_BUDGET):
@@ -773,11 +771,12 @@ def test_a_sparse_ball_takes_the_dict_gather():
 def test_index_that_does_not_fit_its_group_raises(rows, monkeypatch):
     # B_2 of Z without -2: 1^-1 * -1 = -2 has length 2 but is not found
     if rows:
-        index = R.LengthIndex(R.FreeAbelian(1), 2, sphere_sizes=[1, 2, 1],
+        index = R.LengthIndex(R.FreeAbelian(1), 2, [1, 2, 1],
+                              lambda: [(0,), (-1,), (1,), (2,)],
                               rows=np.array([[0], [-1], [1], [2]]))
     else:
-        index = R.LengthIndex(R.FreeAbelian(1), 2,
-                              spheres=[[(0,)], [(-1,), (1,)], [(2,)]])
+        index = R.LengthIndex(R.FreeAbelian(1), 2, [1, 2, 1],
+                              lambda: [(0,), (-1,), (1,), (2,)])
     with pytest.raises(IndexRadiusError,
                        match=r"'1'\^-1 \* '-1' = '-2' is not in B_2"):
         list(algebra.ball_pair_counts(index, 2))
@@ -788,8 +787,8 @@ def test_index_that_does_not_fit_its_group_raises(rows, monkeypatch):
 
 def test_dict_gather_reads_lengths_past_M_as_outside():
     # -2 listed at length 3 in an index of radius 3: outside B_2
-    spheres = [[(0,)], [(-1,), (1,)], [(2,)], [(-2,)]]
-    index = R.LengthIndex(R.FreeAbelian(1), 3, spheres=spheres)
+    index = R.LengthIndex(R.FreeAbelian(1), 3, [1, 2, 1, 1],
+                          lambda: [(0,), (-1,), (1,), (2,), (-2,)])
     with pytest.raises(IndexRadiusError, match="is not in B_2"):
         list(algebra.ball_pair_counts(index, 2))
 
@@ -961,8 +960,8 @@ def test_float_sums_add_left_to_right():
     ones = element(z, {(n,): 1.0 for n in range(3)})
     assert R.norm(a, "l1") == 1e16
     assert norms._DenseOps.inner(a, ones) == 1e16
-    x = norms.RadialElement(spec=z, coeffs=[1e16, 0.5, 0.5], sizes=[1, 2, 2])
-    y = norms.RadialElement(spec=z, coeffs=[1.0, 1.0, 1.0], sizes=[1, 2, 2])
+    x = norms.RadialElement(spec=z, coeffs=[1e16, 0.5, 0.5])
+    y = norms.RadialElement(spec=z, coeffs=[1.0, 1.0, 1.0])
     assert norms.coefficient_norm(x, "l1") == 1e16
     assert norms.radial_inner(x, y) == 1e16
 

@@ -7,6 +7,7 @@ import pytest
 import rdlab as R
 import rdlab.algebra
 import rdlab.cli
+import rdlab.groups
 import rdlab.rd
 from rdlab.errors import (
     BudgetExceededError,
@@ -241,6 +242,25 @@ class TestIndexPlanning:
             for _ in range(2):
                 R.verify_series_product_bound(Z2, 2, 1.0, 1.0, 8)
         assert loads == [16] and searches == []
+
+    def test_a_negative_radius_is_refused_held_or_not(self, searches):
+        # within a holder a negative radius is not raised to a held or
+        # reached radius: it is refused as outside one, and loads nothing
+        loads = []
+
+        def load(spec, radius, budget):
+            loads.append(radius)
+            return R.enumerate_balls(spec, radius, budget)
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            rdlab.groups.ball_index(Z2, -1)
+        with R.holding_balls(load):
+            with pytest.raises(ValueError, match="radius must be >= 0"):
+                rdlab.groups.ball_index(Z2, -1)
+            rdlab.groups.ball_index(Z2, 3)
+            with rdlab.groups.reaching(Z2, 5):
+                with pytest.raises(ValueError, match="radius must be >= 0"):
+                    rdlab.groups.ball_index(Z2, -1)
+        assert loads == [3] and searches == []
 
     def test_rank_one_radial_witness_is_exact(self):
         est = R.norm_bracket(make_witness(R.FreeGroup(1), "ball", 4))
@@ -621,8 +641,7 @@ class TestSeriesProductBound:
         if not kernel:      # the dense product as a dict, read key by key
             monkeypatch.setattr(rdlab.algebra, "_convolve_arrays",
                                 lambda *args: None)
-        x = R.RadialElement(spec=spec, coeffs=[1.0, 1.0],
-                            sizes=R.sphere_sizes(spec, 1))
+        x = R.RadialElement(spec=spec, coeffs=[1.0, 1.0])
         assert math.isnan(rdlab.rd._product_slack(x, x, [0.0, math.nan]))
 
     def test_parameter_guard(self):

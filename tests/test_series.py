@@ -48,7 +48,7 @@ def alone(spec, witness, n, d_hat, method, settings):
     its sums dropped so that coefficient_norm sums its radii afresh; None
     for a zero witness, which a series skips."""
     built = make_witness(spec, witness, n, d_hat)
-    x = R.RadialElement(spec=spec, coeffs=built.coeffs, sizes=built.sizes)
+    x = R.RadialElement(spec=spec, coeffs=built.coeffs)
     l2 = coefficient_norm(x, "l2")
     if l2 == 0.0:
         return None
