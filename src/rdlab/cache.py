@@ -25,6 +25,8 @@ Nothing in a file is taken on trust, so a cached run is the fresh run.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -99,12 +101,14 @@ def serialize_index(index: LengthIndex):
     spheres = ",".join(str(size) for size in index.sphere_sizes)
     header = (f"{HEADER_PREFIX} | {spec.descriptor()} | N={index.radius} | "
               f"spheres={spheres}\n")
-    lengths = np.repeat(np.arange(index.radius + 1), index.sphere_sizes)
     if index.rows is not None:
+        lengths = np.repeat(np.arange(index.radius + 1), index.sphere_sizes)
         return header + _records([*index.rows.T, lengths])
     keys = map(spec.element_key, index.ball(index.radius))
-    return header + "".join([f"{key}\t{n}\n"
-                             for key, n in zip(keys, lengths.tolist())])
+    tails = itertools.chain.from_iterable(
+        itertools.repeat(f"\t{n}\n", size)
+        for n, size in enumerate(index.sphere_sizes))
+    return header + "".join(map(operator.add, keys, tails))
 
 
 def write_ball_cache(index: LengthIndex, path):
