@@ -55,8 +55,8 @@ MAX_BOX_CELLS = 1 << 62
 class ArrayCoeffs(Mapping):
     """Coefficients of an integer-tuple group held as arrays: int64
     coordinate columns ``cols`` (one row per coordinate, one column per
-    element) and float64 values ``data``, in insertion order, with no exact
-    zero.
+    element) and float64 values ``data``, in the order of the columns, with
+    no exact zero.  A product lists its support in increasing element order.
 
     The length reads the arrays.  Every other read builds the dict of integer
     tuples once (``decoded``) and reads that, so the mapping compares, prints
@@ -262,8 +262,8 @@ class ProductKeys:
 
     Every number stays inside int64.  Coordinates are below COORD_LIMIT =
     2^31 in absolute value, so the corners' products are below 2^62 + 2^32,
-    and the box has fewer than 2^60 cells, since ``blocks`` first allocates
-    an int64 per cell (and the box-cell guard of ``product_keys`` allows at
+    and the box has fewer than 2^60 cells, since a product allocates a
+    float64 per cell (and the box-cell guard of ``product_keys`` allows at
     most BOX_CELLS_PER_PRODUCT cells per pair).  Each digit g_k - c_k lies
     in [0, span_k), as the box spans the outer elements in every
     coordinate, so 0 <= K < size.  H3's one term, a * b', is below 2^62 in
@@ -271,16 +271,14 @@ class ProductKeys:
     differs from a key of the box by the least a * b' over the corners,
     also below 2^62.  So K' and K + K' = key - a * b' stay below
     2^62 + 2^60 in absolute value, and adding the term gives the key, in
-    [0, size).
-    While ``blocks`` runs, ``first`` records each key's first pair.
+    [0, size).  Increasing key is increasing element order: the digits
+    order as the coordinates do, the first the most significant.
     """
 
     def __init__(self, spec, outer, inner, flip, lo, spans):
-        self.pairs = outer.shape[1] * inner.shape[1]
         self.lo = lo
         self.spans = spans
         self.size = math.prod(spans)
-        self.first = None
         corner = outer.min(axis=1).tolist()
         self.outer_keys = cell_keys(outer, corner, spans)
         self.inner_keys = cell_keys(inner, [a - b for a, b in zip(lo, corner)],
@@ -297,12 +295,12 @@ class ProductKeys:
         blocks of at most PAIR_BLOCK pairs: whole rows, or parts of one.
 
         BudgetExceededError once more than ``budget`` keys have been
-        touched; the keys are counted only when the box has more cells
-        than that.
+        touched; the keys are counted, on a bool map of the cells touched,
+        only when the box has more cells than that.
         """
         height, width = len(self.outer_keys), len(self.inner_keys)
-        self.first = np.full(self.size, self.pairs)
-        count = budget is not None and self.size > budget
+        seen = (np.zeros(self.size, dtype=bool)
+                if budget is not None and self.size > budget else None)
         touched = 0
         rows = max(1, PAIR_BLOCK // width)
         step = min(width, PAIR_BLOCK)
@@ -315,20 +313,13 @@ class ProductKeys:
                 for g, h in self.terms:
                     keys += np.multiply.outer(g[outer_ids], h[inner_ids])
                 keys = keys.ravel()
-                start = r * width + c
-                p = np.arange(start, start + len(keys))
-                np.minimum.at(self.first, keys, p)
-                if count:
-                    touched += np.count_nonzero(self.first[keys] == p)
+                if seen is not None:
+                    touched += len(np.unique(keys[~seen[keys]]))
                     if touched > budget:
                         raise BudgetExceededError(
                             f"convolution support passed {budget} elements")
+                    seen[keys] = True
                 yield outer_ids, inner_ids, keys
-
-    def first_touch_order(self):
-        """The keys ``blocks`` touched, ordered by their first pair."""
-        cells = np.flatnonzero(self.first < self.pairs)
-        return cells[np.argsort(self.first[cells])]
 
     def columns(self, keys):
         """int64 coordinate columns of the product elements ``keys`` encode."""
@@ -412,8 +403,9 @@ def _convolve_arrays(spec, left, right, flip, budget):
     coefficient is not a float or ``product_keys`` gives None.
 
     ``np.add.at`` adds each key's terms in pair order, as the dict loop does,
-    so every sum is bitwise the same, and the keys' first pairs give back the
-    dict loop's insertion order.
+    so every sum is bitwise the same.  The support is the cells whose sum is
+    not zero (nan included), in increasing cell key: increasing element
+    order, the order of the dict loop's result.
     """
     if not (_all_floats(left) and _all_floats(right)):
         return None
@@ -427,13 +419,14 @@ def _convolve_arrays(spec, left, right, flip, budget):
         for outer_ids, inner_ids, k in keys.blocks(budget):
             np.add.at(sums, k,
                       np.outer(left_c[outer_ids], right_c[inner_ids]).ravel())
-    cells = keys.first_touch_order()
-    return _array_coeffs(keys.columns(cells), sums[cells])
+    cells = np.flatnonzero(sums)
+    return ArrayCoeffs(keys.columns(cells), sums[cells])
 
 
 def _convolve_dicts(mul, left, right, flip, budget):
     """sum over left x right of c_g c_h at g*h (h*g when ``flip``), as a dict
-    in first-touch order; the generic path for every group."""
+    sorted by element; the generic path for every group.  Each sum adds its
+    terms in pair order, the left operand's outside."""
     out = {}
     get = out.get
     for g, cg in left.items():
@@ -443,7 +436,7 @@ def _convolve_dicts(mul, left, right, flip, budget):
         if budget is not None and len(out) > budget:
             raise BudgetExceededError(
                 f"convolution support passed {budget} elements")
-    return out
+    return dict(sorted(out.items()))
 
 
 def convolve(a: AlgebraElement, b: AlgebraElement, budget=DEFAULT_BUDGET):
@@ -456,8 +449,9 @@ def convolve(a: AlgebraElement, b: AlgebraElement, budget=DEFAULT_BUDGET):
     absolute value, and the products' bounding box has at most
     BOX_CELLS_PER_PRODUCT cells per pair and per budgeted element;
     otherwise, and on every other group, a dict loop runs.
-    Both give the same floats, bit for bit, in the same order.  The budget
-    counts every element touched, including sums that cancel to zero.
+    Both give the same floats, bit for bit, listed in increasing element
+    order.  The budget counts every element touched, including sums that
+    cancel to zero.
 
     A product of the numpy blocks stays in their arrays (``ArrayCoeffs``),
     which the next product reads as they are; its dict is built at its

@@ -1299,10 +1299,10 @@ ARTIFACT_DIGESTS = [
     ("norm --group C3xC4 --witness sphere --n 2 --method trace --depth 2",
      "2281c88bda0efe2f39209f9e7143d80691bfd0e7d1063af1532eb2bba89da15a"),
     ("norm --group Z^2 --witness ball --n 3 --method power --R 4",
-     "6ebe6dccfc175fe1bf935f112013bb82b879b63d8a4257823ff678b506f60625"),
+     "0e7825ef92aaec07523ae8ce18bb2b0470a9e635aa8421378abe1f3890e41a27"),
     # the power-iteration job of the dense workload: 63 iterations
     ("norm --group H3 --witness ball --n 3 --method power --R 10 --seed 1",
-     "a09fcf0bdf159c648509607194ed8a47736cc63fc01de173e1cc78dadca5f62f"),
+     "c057bd3b13cdc6014b4ed5a2d52e9941c1a076abc7b42b652a630dfad2605ddc"),
     ("verify lemma1 --group C3xC4 --radius 4",
      "37427243d500f801a0d44a8d1311da95c33c0d383f1ee919fc20f52e019c41e0"),
     # deep radial ladders, whose products reach 513 to 1,153 coefficients

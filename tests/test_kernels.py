@@ -2,7 +2,8 @@
 
 On Z^d and H3 ``convolve`` runs in numpy blocks; everywhere else, and when an
 input falls outside the kernel's limits, it runs the dict loop.  Both must give
-the same floats, bit for bit, in the same order, and raise on the same budgets.
+the same floats, bit for bit, in increasing element order, and raise on the
+same budgets.
 Its keys, summed from per-element keys and the group's bilinear terms, must
 be the cell keys of the products that ``multiply`` gives.
 On free groups ``radial_convolve`` runs the sphere recursion on arrays; it must
@@ -93,6 +94,12 @@ def bits(x):
     return [(g, c.hex()) for g, c in x.coeffs.items()], x.support_radius
 
 
+def assert_in_element_order(*products):
+    for x in products:
+        support = list(x.coeffs)
+        assert support == sorted(support)
+
+
 def touched(a, b):
     """Elements the generic loop touches, sums that cancel to 0.0 included."""
     return len(algebra._convolve_dicts(a.spec.multiply, a.coeffs, b.coeffs,
@@ -141,16 +148,20 @@ def test_numpy_kernel_matches_dict_loop(pair, block):
     a, b = pair
     product, twin = numpy_kernel(a, b, block=block), dict_loop(a, b)
     assert bits(product) == bits(twin)
+    assert_in_element_order(product, twin)
     assert bits(R.adjoint(product)) == bits(R.adjoint(twin))
     for chain in CHAINS:
         want = dict_loop(*chain(twin, a, b))
         if len(product):       # the kernel takes no empty operand
             got = numpy_kernel(*chain(product, a, b), block=block)
             assert bits(got) == bits(want)
+            assert_in_element_order(got)
             assert_reads_match(got, want, product, twin)
         # within the kernel's box limit, or on the dict loop, which reads
         # the arrays' dict
-        assert bits(R.convolve(*chain(product, a, b))) == bits(want)
+        either = R.convolve(*chain(product, a, b))
+        assert bits(either) == bits(want)
+        assert_in_element_order(either, want)
     assert_dict_twins(product, twin)
 
 
@@ -432,17 +443,28 @@ def test_power_iteration_matrix_matches_the_loop():
     for part in ("indptr", "indices", "data"):
         x, y = getattr(fast, part), getattr(slow, part)
         assert x.dtype == y.dtype and np.array_equal(x, y)
+    # row j lists the products s * g_j, numbered in increasing element
+    # order, with the coefficient of s, by increasing number
+    products = sorted({H3.multiply(s, g) for g in cols for s in a.coeffs})
+    number = {h: i for i, h in enumerate(products)}
+    rows = [sorted((number[H3.multiply(s, g)], c) for s, c in a.coeffs.items())
+            for g in cols]
+    assert fast.shape == (len(cols), len(products))
+    assert fast.indices.tolist() == [i for row in rows for i, _ in row]
+    assert fast.data.tolist() == [c for row in rows for _, c in row]
 
 
 def test_power_iteration_steps_are_unchanged():
-    # the bits of numpy's pairwise sums of squares; the BLAS dot products
-    # used before gave steps within 2 ulp of these (3.6810513254401136 first)
+    # the bits of numpy's pairwise sums of squares, with the matrix's rows
+    # in increasing element order; the BLAS dot products used before gave
+    # steps within 2 ulp of these (3.6810513254401136 first), and so did rows
+    # in order of first appearance
     a, index = h3_power_case()
     est = R.op_norm_power_iteration(a, 6, iters=12, seed=3)
     assert est.steps == [
-        3.681051325440114, 7.359171527007313, 9.253311627283736,
-        10.453480766104953, 11.316979805402038, 11.83431859108681,
-        12.09519537005534, 12.215502555991941, 12.26949640773013,
+        3.681051325440114, 7.359171527007314, 9.253311627283736,
+        10.453480766104953, 11.316979805402037, 11.834318591086806,
+        12.095195370055336, 12.215502555991941, 12.269496407730127,
         12.293852568291804, 12.305059124226512, 12.310353188817505]
 
 
